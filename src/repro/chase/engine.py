@@ -41,10 +41,10 @@ from ..core.instances import Database, Instance
 from ..core.substitutions import has_homomorphism
 from ..core.terms import Null, NullFactory
 from ..core.tgds import TGD, TGDSet
-from ..exceptions import ChaseLimitExceeded
 from ..obs.tracer import as_tracer
 from .matching import STRATEGIES, has_homomorphism_indexed, make_trigger_source
 from .result import ChaseLimits, ChaseResult
+from .rounds import RoundOutcome, RoundStep, RuleRow, run_rounds, seed_store
 from .triggers import Trigger
 
 #: Store backends accepted by :func:`chase`.  ``"sqlite"`` chases into a
@@ -117,7 +117,7 @@ class ChaseEngine:
         raise NotImplementedError
 
     # ------------------------------------------------------------------ #
-    # Driver
+    # The round step plugged into the shared driver (repro.chase.rounds)
 
     def run(self, database: Database, tgds: TGDSet, store=None, tracer=None) -> ChaseResult:
         """Run the chase of *database* with *tgds* under the configured budget.
@@ -134,180 +134,83 @@ class ChaseEngine:
         per delta round — including the final fixpoint-confirming
         enumeration, so summing ``fired``/``atoms_created`` over ``round``
         events reproduces the result totals exactly — and one
-        ``rule_round`` event per (rule, round) that enumerated anything.
-        Tracing never changes the result; with it off (the default) the
-        loop below is byte-for-byte the untraced code path.
+        ``rule_round`` event per (rule, round) that enumerated anything
+        (both emitted by :func:`~repro.chase.rounds.run_rounds`).  Tracing
+        never changes the result.
         """
         tracer = as_tracer(tracer)
-        traced = tracer.enabled
-        tgd_list = tuple(tgds)
         if store is None:
             store = Instance()
-        add_atoms = getattr(store, "add_atoms", None)
-        if add_atoms is not None:
-            # Bulk path: batched executemany on the sqlite backend.
-            add_atoms(database.atoms())
-        else:
-            for atom in database.atoms():
-                store.add_atom(atom)
-        source = make_trigger_source(tgd_list, self.strategy)
+        seed_store(store, database.atoms())
+        step = self._round_step(tuple(tgds), store, tracer)
+        return run_rounds(step, store, self.limits, self.on_limit, self.variant, tracer)
+
+    def _round_step(self, tgds, store, tracer) -> RoundStep:
+        """The serial round step: this engine's trigger source and firing policy.
+
+        One loop serves traced and untraced runs; the ``if traced`` blocks
+        only add per-rule attribution (enumeration+processing time, null
+        invention, atom creation) and read the clock around each trigger —
+        nothing read there flows into any chase decision.
+        """
+        source = make_trigger_source(tgds, self.strategy)
         null_factory = NullFactory()
+        null_scope = self.null_scope
+        firing_key = self._firing_key
+        should_fire = self._should_fire
         fired_keys: Set = set()
+        frontier: Set[Atom] = set()
+        traced = tracer.enabled
 
-        frontier_atoms: Optional[Set[Atom]] = None  # None = first round, use all atoms
-        rounds = 0
-        atoms_created = 0
-        triggers_fired = 0
-
-        while True:
-            if self.limits.round_budget_exceeded(rounds + 1):
-                return self._stopped(
-                    store, rounds, atoms_created, triggers_fired, "max_rounds"
-                )
-            new_atoms: Set[Atom] = set()
-            if frontier_atoms is None:
-                trigger_iter = source.initial(store)
+        def step(round_index: int, delta) -> RoundOutcome:
+            nonlocal frontier
+            if round_index == 0:
+                triggers = source.initial(store)
             else:
-                trigger_iter = source.delta(store, frontier_atoms)
-            if traced:
-                round_started = tracer.now()
-                delta_size = (
-                    store.atom_count() if frontier_atoms is None else len(frontier_atoms)
-                )
-                considered = 0
-                fired_before = triggers_fired
-                # rule index -> [enumerated, fired, atoms, nulls-set, seconds]
-                rule_stats: dict = {}
-                # The traced twin of the loop in the else-branch below (keep
-                # the two in lockstep!): same firing decisions, plus per-rule
-                # attribution of enumeration+processing time, null invention,
-                # and atom creation.  The clock reads bracket each trigger;
-                # nothing read here flows into any chase decision.
-                iterator = iter(trigger_iter)
-                last = tracer.now()
-                while True:
-                    try:
-                        trigger = next(iterator)
-                    except StopIteration:
-                        break
+                triggers = source.delta(store, frontier)
+            new_atoms: Set[Atom] = set()
+            considered = 0
+            fired = 0
+            # rule index -> [enumerated, fired, atoms, nulls-set, seconds]
+            rule_stats: dict = {}
+            stats: list = []
+            last = tracer.now() if traced else 0.0
+            for trigger in triggers:
+                if traced:
                     considered += 1
                     stats = rule_stats.get(trigger.tgd_index)
                     if stats is None:
                         stats = rule_stats[trigger.tgd_index] = [0, 0, 0, set(), 0.0]
                     stats[0] += 1
-                    key = self._firing_key(trigger)
-                    if key not in fired_keys:
-                        fired_keys.add(key)
-                        if self._should_fire(trigger, store, fired_keys):
-                            triggers_fired += 1
+                key = firing_key(trigger)
+                if key not in fired_keys:
+                    fired_keys.add(key)
+                    if should_fire(trigger, store, fired_keys):
+                        fired += 1
+                        if traced:
                             stats[1] += 1
-                            for atom in trigger.result(
-                                null_factory, null_scope=self.null_scope
-                            ):
-                                if atom not in new_atoms and not store.has_atom(atom):
-                                    new_atoms.add(atom)
+                        for atom in trigger.result(null_factory, null_scope=null_scope):
+                            if atom not in new_atoms and not store.has_atom(atom):
+                                new_atoms.add(atom)
+                                if traced:
                                     stats[2] += 1
                                     for term in atom.terms:
                                         if isinstance(term, Null):
                                             stats[3].add(term)
+                if traced:
                     now = tracer.now()
                     stats[4] += now - last
                     last = now
-                self._emit_round(
-                    tracer,
-                    rounds + 1,
-                    delta_size,
-                    considered,
-                    triggers_fired - fired_before,
-                    len(new_atoms),
-                    rule_stats,
-                    round_started,
-                )
-            else:
-                for trigger in trigger_iter:
-                    key = self._firing_key(trigger)
-                    if key in fired_keys:
-                        continue
-                    fired_keys.add(key)
-                    if not self._should_fire(trigger, store, fired_keys):
-                        continue
-                    triggers_fired += 1
-                    for atom in trigger.result(null_factory, null_scope=self.null_scope):
-                        if atom not in new_atoms and not store.has_atom(atom):
-                            new_atoms.add(atom)
-            if not new_atoms:
-                return ChaseResult(
-                    terminated=True,
-                    rounds=rounds,
-                    atoms_created=atoms_created,
-                    triggers_fired=triggers_fired,
-                    stop_reason="fixpoint",
-                    store=store,
-                )
-            # Insert in sorted order: set iteration is hash-salted, and the
-            # store assigns monotone seq numbers at insertion, so unsorted
-            # insertion would make seq watermarks (and any seq-ordered read)
-            # vary run to run.
-            for atom in sorted(new_atoms):
-                store.add_atom(atom)
-            flush = getattr(store, "flush", None)
-            if flush is not None:
-                # Round-granular durability on persistent stores: a hard
-                # crash loses at most the current round, keeping the file a
-                # resumable prefix of the chase.
-                flush()
-            atoms_created += len(new_atoms)
-            rounds += 1
-            frontier_atoms = new_atoms
-            if self.limits.atom_budget_exceeded(store.atom_count()):
-                return self._stopped(
-                    store, rounds, atoms_created, triggers_fired, "max_atoms"
-                )
+            # The set itself is next round's frontier (the driver's sorted
+            # *delta* holds the same atoms; the trigger sources want a set).
+            frontier = new_atoms
+            rule_rows = [
+                RuleRow(rule, enumerated, rule_fired, atoms, len(nulls), seconds)
+                for rule, (enumerated, rule_fired, atoms, nulls, seconds) in rule_stats.items()
+            ]
+            return RoundOutcome(considered, fired, new_atoms, rule_rows)
 
-    @staticmethod
-    def _emit_round(
-        tracer, round_index, delta_size, considered, fired, atoms_created,
-        rule_stats, round_started,
-    ) -> None:
-        """Emit the ``rule_round`` events (sorted by rule) then the ``round``."""
-        ended = tracer.now()
-        for rule_index in sorted(rule_stats):
-            enumerated, rule_fired, rule_atoms, nulls, seconds = rule_stats[rule_index]
-            tracer.emit(
-                "rule_round",
-                round=round_index,
-                rule=rule_index,
-                enumerated=enumerated,
-                fired=rule_fired,
-                atoms_created=rule_atoms,
-                nulls_invented=len(nulls),
-                dur=round(seconds, 9),
-            )
-        tracer.emit(
-            "round",
-            round=round_index,
-            delta_size=delta_size,
-            considered=considered,
-            fired=fired,
-            atoms_created=atoms_created,
-            dur=round(ended - round_started, 9),
-        )
-
-    def _stopped(self, store, rounds, atoms_created, triggers_fired, reason) -> ChaseResult:
-        if self.on_limit == "raise":
-            raise ChaseLimitExceeded(
-                f"{self.variant} chase exceeded its {reason} budget",
-                atoms_created=atoms_created,
-                rounds=rounds,
-            )
-        return ChaseResult(
-            terminated=False,
-            rounds=rounds,
-            atoms_created=atoms_created,
-            triggers_fired=triggers_fired,
-            stop_reason=reason,
-            store=store,
-        )
+        return step
 
 
 class ObliviousChase(ChaseEngine):
@@ -531,20 +434,9 @@ def chase(
                 "(backend='sqlite[:path]' or an explicit SqliteAtomStore "
                 "store)"
             )
-        pushdown = PushdownExecutor(variant=variant, limits=limits, on_limit=on_limit)
-        try:
-            result = pushdown.run(database, tgds, store=store, tracer=tracer)
-        finally:
-            store.flush()
-            if statement_metrics is not None:
-                store.set_statement_metrics(None)
-        if materialize:
-            result.materialize()
-        if traced:
-            _emit_sql_families(tracer, statement_metrics)
-            _emit_chase_end(tracer, result, chase_started)
-        return result
-    engine = engine_class(limits=limits, on_limit=on_limit, strategy=strategy)
+        engine = PushdownExecutor(variant=variant, limits=limits, on_limit=on_limit)
+    else:
+        engine = engine_class(limits=limits, on_limit=on_limit, strategy=strategy)
     try:
         result = engine.run(database, tgds, store=store, tracer=tracer)
     finally:

@@ -41,8 +41,13 @@ near-optimal parallel binary joins) distributes probe work:
   scheduling, or enumeration order — the ``ChaseResult`` (atoms, null
   names, rounds, trigger counts) is *identical* to the serial engine's.
 
-The coordinator owns the authoritative store and all budget accounting;
-workers never mutate shared state beyond their own replica.
+The coordinator owns the authoritative store; workers never mutate shared
+state beyond their own replica.  The round loop itself — budgets, sorted
+insertion, flushes, ``round``/``rule_round`` events, the result — is the
+shared driver's (:func:`repro.chase.rounds.run_rounds`): each exchange
+topology is only a *round step* plugged into it (:class:`_CoordinatorStep`,
+:class:`_ShuffleStep`) over one of two pools (:class:`_LocalPool` in-process,
+:class:`_ProcessPool` with replicas), and both pools serve both topologies.
 """
 
 from __future__ import annotations
@@ -57,6 +62,7 @@ from functools import partial
 from multiprocessing.connection import Connection, wait
 from typing import (
     AbstractSet,
+    Any,
     Callable,
     Dict,
     Iterable,
@@ -66,6 +72,7 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    TypeVar,
     Union,
     cast,
 )
@@ -77,7 +84,6 @@ from ..core.predicates import Predicate
 from ..core.substitutions import Substitution
 from ..core.terms import Null, NullFactory, Term
 from ..core.tgds import TGD, TGDSet
-from ..exceptions import ChaseLimitExceeded
 from ..obs.clock import MonotonicClock
 from ..obs.metrics import MetricsRegistry, StatementMetrics, sql_family_stats
 from ..obs.tracer import AnyTracer, as_tracer
@@ -95,7 +101,10 @@ from .exchange import (
 )
 from .matching import JoinPlan
 from .result import ChaseLimits, ChaseResult
+from .rounds import RoundOutcome, RoundStep, RuleRow, run_rounds, seed_store
 from .triggers import Trigger
+
+_T = TypeVar("_T")
 
 #: Worker backends accepted by :func:`parallel_chase`.
 EXECUTORS = ("auto", "serial", "thread", "process")
@@ -105,13 +114,16 @@ EXECUTORS = ("auto", "serial", "thread", "process")
 #: trigger's result atoms.
 MatchBatch = Tuple[List[object], List[Tuple[object, Tuple[Atom, ...]]]]
 
+#: A :meth:`~repro.obs.metrics.MetricsRegistry.snapshot` dump.
+RegistrySnapshot = Dict[str, List[Dict[str, object]]]
+
 #: Per-round observability payload attached when the coordinator runs
 #: traced: ``(worker_id, seconds, considered, fired, sql_snapshot)``.  The
 #: snapshot is the worker-local :class:`~repro.obs.metrics.MetricsRegistry`
 #: dump — cumulative, so the coordinator keeps only the latest one per
 #: worker (process replicas only: shared-store pools time SQL on the
 #: coordinator's own registry instead).
-WorkerMetrics = Tuple[int, float, int, int, Optional[Dict[str, List[Dict[str, object]]]]]
+WorkerMetrics = Tuple[int, float, int, int, Optional[RegistrySnapshot]]
 
 #: A worker's report for one round: the match batch plus, on traced runs,
 #: the worker's metrics payload (``None`` otherwise).  Metrics ride the
@@ -198,12 +210,7 @@ class _MatchWorker:
 
     def initial_round(self) -> RoundReport:
         """Run :meth:`_initial_round`, attaching metrics on traced runs."""
-        if not self.collect_metrics:
-            considered, fired = self._initial_round()
-            return considered, fired, None
-        started = self._clock.now()
-        considered, fired = self._initial_round()
-        return considered, fired, self._metrics(started, considered, fired)
+        return self._report(self._initial_round)
 
     def delta_round(
         self,
@@ -212,31 +219,23 @@ class _MatchWorker:
         apply_delta: bool,
     ) -> RoundReport:
         """Run :meth:`_delta_round`, attaching metrics on traced runs."""
+        return self._report(partial(self._delta_round, delta_atoms, work_items, apply_delta))
+
+    def _report(self, match: Callable[[], MatchBatch]) -> RoundReport:
         if not self.collect_metrics:
-            considered, fired = self._delta_round(delta_atoms, work_items, apply_delta)
+            considered, fired = match()
             return considered, fired, None
         started = self._clock.now()
-        considered, fired = self._delta_round(delta_atoms, work_items, apply_delta)
-        return considered, fired, self._metrics(started, considered, fired)
-
-    def _metrics(
-        self,
-        started: float,
-        considered: List[object],
-        fired: List[Tuple[object, Tuple[Atom, ...]]],
-    ) -> WorkerMetrics:
+        considered, fired = match()
         snapshot = (
             self.statement_metrics.registry.snapshot()
             if self.statement_metrics is not None
             else None
         )
-        return (
-            self.worker_id,
-            self._clock.now() - started,
-            len(considered),
-            len(fired),
-            snapshot,
+        metrics = (
+            self.worker_id, self._clock.now() - started, len(considered), len(fired), snapshot
         )
+        return considered, fired, metrics
 
     def _initial_round(self) -> MatchBatch:
         """Match every body homomorphism whose slot-0 atom this worker owns.
@@ -429,106 +428,6 @@ def _make_match_worker(
 
 
 # --------------------------------------------------------------------------- #
-# Worker pools
-
-
-class _SerialPool:
-    """In-process pool: the same partition workers, run sequentially.
-
-    Used for ``workers == 1`` and for ``executor="serial"`` (any worker
-    count) — the latter exercises the exact partitioning and merge protocol
-    of the concurrent pools without threads or processes, which is what the
-    determinism tests lean on.
-    """
-
-    def __init__(
-        self,
-        workers: int,
-        tgds: Sequence[TGD],
-        variant: str,
-        store: AtomStore,
-        strategy: str = "indexed",
-        collect_metrics: bool = False,
-    ) -> None:
-        self.workers = workers
-        self._match_workers = [
-            _make_match_worker(
-                strategy, worker_id, workers, tgds, variant, store, collect_metrics
-            )
-            for worker_id in range(workers)
-        ]
-
-    def initial(self) -> List[RoundReport]:
-        return [worker.initial_round() for worker in self._match_workers]
-
-    def delta(
-        self,
-        delta_atoms: Sequence[Atom],
-        work_by_worker: Sequence[Sequence[Tuple[int, int]]],
-    ) -> List[RoundReport]:
-        return [
-            worker.delta_round(
-                delta_atoms, work_by_worker[worker.worker_id], apply_delta=False
-            )
-            for worker in self._match_workers
-        ]
-
-    def close(self) -> None:
-        pass
-
-
-class _ThreadPool:
-    """Thread workers sharing the coordinator's store (in-memory backend).
-
-    Safe because rounds are phased: worker threads only *read* the store
-    while matching, and the coordinator adds the merged atoms strictly
-    between rounds.  Position indexes are pre-warmed before the first round
-    so no lazily-built index is constructed concurrently.
-    """
-
-    def __init__(
-        self,
-        workers: int,
-        tgds: Sequence[TGD],
-        variant: str,
-        store: AtomStore,
-        strategy: str = "indexed",
-        collect_metrics: bool = False,
-    ) -> None:
-        self.workers = workers
-        self._pool = futures.ThreadPoolExecutor(max_workers=workers)
-        self._match_workers = [
-            _make_match_worker(
-                strategy, worker_id, workers, tgds, variant, store, collect_metrics
-            )
-            for worker_id in range(workers)
-        ]
-        _warm_position_indexes(store, tgds)
-
-    def initial(self) -> List[RoundReport]:
-        submitted = [
-            self._pool.submit(worker.initial_round) for worker in self._match_workers
-        ]
-        return [future.result() for future in submitted]
-
-    def delta(
-        self,
-        delta_atoms: Sequence[Atom],
-        work_by_worker: Sequence[Sequence[Tuple[int, int]]],
-    ) -> List[RoundReport]:
-        submitted = [
-            self._pool.submit(
-                worker.delta_round, delta_atoms, work_by_worker[worker.worker_id], False
-            )
-            for worker in self._match_workers
-        ]
-        return [future.result() for future in submitted]
-
-    def close(self) -> None:
-        self._pool.shutdown(wait=False)
-
-
-# --------------------------------------------------------------------------- #
 # Out-of-core replica seeding
 
 
@@ -679,185 +578,22 @@ def _open_replica_store(store_spec: Tuple[str, ...], worker_id: int) -> AtomStor
     return Instance()
 
 
-def _add_seed_atoms(store: AtomStore, atoms: Sequence[Atom]) -> None:
-    add_atoms = getattr(store, "add_atoms", None)
-    if add_atoms is not None:
-        # Chunks arrive sorted (grouped by predicate), so the sqlite
-        # replica loads each predicate as one executemany batch.
-        add_atoms(atoms)
-    else:
-        for atom in atoms:
-            store.add_atom(atom)
-
-
-def _worker_main(
-    conn: Connection,
-    worker_id: int,
-    n_workers: int,
-    tgds: Sequence[TGD],
-    variant: str,
-    store_spec: Tuple[str, ...],
-    strategy: str = "indexed",
-    collect_metrics: bool = False,
-) -> None:
-    """Entry point of a process worker: build the replica, serve rounds.
-
-    The replica is seeded by ``("seed", chunk)`` messages (streamed by the
-    coordinator before the first round) — or not at all for the
-    ``sqlite-file`` spec, where the store reads the attached base file.
-    """
-    try:
-        try:
-            store = _open_replica_store(store_spec, worker_id)
-            worker = _make_match_worker(
-                strategy, worker_id, n_workers, tgds, variant, store, collect_metrics
-            )
-            if collect_metrics:
-                from ..storage.sqlbackend import SqliteAtomStore
-
-                # The replica is private to this process, so its SQL
-                # timings ride home inside the round reports.
-                if isinstance(store, SqliteAtomStore):
-                    worker.statement_metrics = StatementMetrics()
-                    store.set_statement_metrics(worker.statement_metrics)
-        except Exception:
-            conn.send(("error", traceback.format_exc()))
-            return
-        while True:
-            message = conn.recv()
-            kind = message[0]
-            if kind == "stop":
-                break
-            try:
-                if kind == "seed":
-                    _add_seed_atoms(store, message[1])
-                    continue
-                if kind == "initial":
-                    report = worker.initial_round()
-                else:  # "delta"
-                    _, delta_atoms, work_items = message
-                    report = worker.delta_round(delta_atoms, work_items, apply_delta=True)
-                conn.send(("ok", report))
-            except Exception:  # pragma: no cover - defensive; surfaced by the coordinator
-                conn.send(("error", traceback.format_exc()))
-    finally:
-        conn.close()
-
-
-class _ProcessPool:
-    """Process workers with per-worker store replicas.
-
-    Each worker holds a private store kept in lock-step by applying every
-    round's merged delta, so the coordinator ships *work*, never the
-    instance.  Replicas are seeded out-of-core: *worker_seeds* (a callable
-    ``worker_id -> sorted atoms``) streams each worker only the relations
-    it needs, in bounded chunks over its pipe; ``None`` means the workers
-    seed themselves (the ``sqlite-file`` spec, whose replicas attach the
-    coordinator's persistent file read-only).  Workers are dedicated
-    processes on private pipes — unlike a task pool, round ``i``'s message
-    to worker ``w`` is guaranteed to be processed by the same replica that
-    saw rounds ``< i``.
-    """
-
-    def __init__(
-        self,
-        workers: int,
-        tgds: Sequence[TGD],
-        variant: str,
-        store_spec: Tuple[str, ...],
-        worker_seeds: Optional[Callable[[int], List[Atom]]] = None,
-        strategy: str = "indexed",
-        collect_metrics: bool = False,
-    ) -> None:
-        self.workers = workers
-        context = multiprocessing.get_context()
-        self._connections: List[Connection] = []
-        self._processes: List[multiprocessing.process.BaseProcess] = []
-        try:
-            for worker_id in range(workers):
-                parent_conn, child_conn = context.Pipe()
-                process = context.Process(
-                    target=_worker_main,
-                    args=(
-                        child_conn,
-                        worker_id,
-                        workers,
-                        tuple(tgds),
-                        variant,
-                        store_spec,
-                        strategy,
-                        collect_metrics,
-                    ),
-                    daemon=True,
-                )
-                process.start()
-                child_conn.close()
-                self._connections.append(parent_conn)
-                self._processes.append(process)
-            if worker_seeds is not None:
-                for worker_id, connection in enumerate(self._connections):
-                    for chunk in _seed_chunks(worker_seeds(worker_id)):
-                        connection.send(("seed", chunk))
-        except Exception:
-            self.close()
-            raise
-
-    def _collect(self) -> List[RoundReport]:
-        reports: List[RoundReport] = []
-        for connection in self._connections:
-            status, payload = connection.recv()
-            if status != "ok":
-                raise RuntimeError(f"parallel chase worker failed:\n{payload}")
-            reports.append(payload)
-        return reports
-
-    def initial(self) -> List[RoundReport]:
-        for connection in self._connections:
-            connection.send(("initial",))
-        return self._collect()
-
-    def delta(
-        self,
-        delta_atoms: Sequence[Atom],
-        work_by_worker: Sequence[Sequence[Tuple[int, int]]],
-    ) -> List[RoundReport]:
-        for worker_id, connection in enumerate(self._connections):
-            connection.send(("delta", delta_atoms, work_by_worker[worker_id]))
-        return self._collect()
-
-    def close(self) -> None:
-        for connection in self._connections:
-            try:
-                connection.send(("stop",))
-            except (BrokenPipeError, OSError):
-                pass
-            connection.close()
-        for process in self._processes:
-            process.join(timeout=5)
-            if process.is_alive():  # pragma: no cover - defensive
-                process.terminate()
-                process.join(timeout=5)
-
-
 # --------------------------------------------------------------------------- #
-# Shuffle-exchange pools (see repro.chase.exchange for the phase protocol)
+# Worker pools: one in-process, one of processes.  Each serves both round
+# protocols — ``initial``/``delta`` for the coordinator-merge topology,
+# ``round`` for the shuffle exchange (see repro.chase.exchange for its phases).
 
 
 def _build_shuffle_worker(
-    strategy: str,
-    worker_id: int,
-    n_workers: int,
+    match_worker: _MatchWorker,
     tgds: Sequence[TGD],
     variant: str,
-    store: AtomStore,
+    strategy: str,
     shared_store: bool,
     metrics: Optional[MetricsRegistry] = None,
     report_metrics: bool = False,
 ) -> ShuffleWorker:
-    """Assemble one worker's shuffle state machine around a match worker."""
-    match_worker = _make_match_worker(
-        strategy, worker_id, n_workers, tgds, variant, store, False
-    )
+    """Assemble one worker's shuffle state machine around its match worker."""
     full, _ = replica_seed_split(tgds, variant)
     plans_by_predicate = {
         predicate: tuple(entry.plan_id for entry in entries)
@@ -875,15 +611,23 @@ def _build_shuffle_worker(
     )
 
 
-class _MemoryShufflePool:
-    """Serial or thread shuffle workers exchanging over shared memory.
+class _LocalPool:
+    """In-process workers, run sequentially or on threads sharing the store.
 
-    The exchange "channels" are plain in-process queues: each phase wave
-    returns one outbox per destination, and the pool hands every worker the
-    list of payloads addressed to it before the next wave.  Thread waves are
-    barriers, so workers only ever read the shared store while the
-    coordinator is quiescent — the same phasing discipline as
-    :class:`_ThreadPool`.
+    Sequential mode serves ``workers == 1`` and ``executor="serial"`` (any
+    worker count) — the latter exercises the exact partitioning, merge and
+    exchange protocols of the concurrent pools without threads or
+    processes, which is what the determinism tests lean on.
+
+    Thread mode is safe because rounds are phased: every :meth:`_wave` is a
+    barrier, worker threads only *read* the shared store while matching,
+    and the coordinator adds the merged atoms strictly between rounds.
+    Position indexes are pre-warmed before the first round so no
+    lazily-built index is constructed concurrently.
+
+    The shuffle "channels" are plain lists: each phase wave returns one
+    outbox per destination, and the pool hands every worker the payloads
+    addressed to it before the next wave.
     """
 
     def __init__(
@@ -892,74 +636,82 @@ class _MemoryShufflePool:
         tgds: Sequence[TGD],
         variant: str,
         store: AtomStore,
-        strategy: str = "indexed",
-        metrics: Optional[MetricsRegistry] = None,
-        use_threads: bool = False,
+        strategy: str,
+        use_threads: bool,
+        exchange: str,
+        metrics: Optional[MetricsRegistry],
     ) -> None:
         self.workers = workers
         self._pool = (
             futures.ThreadPoolExecutor(max_workers=workers) if use_threads else None
         )
-        self._shuffle_workers = [
-            _build_shuffle_worker(
-                strategy, worker_id, workers, tgds, variant, store,
-                shared_store=True, metrics=metrics,
+        shuffle = exchange == "shuffle"
+        # Shuffle workers time their own rounds; only coordinator-merge
+        # match workers attach metrics to their reports.
+        collect_metrics = metrics is not None and not shuffle
+        self._match_workers = [
+            _make_match_worker(
+                strategy, worker_id, workers, tgds, variant, store, collect_metrics
             )
             for worker_id in range(workers)
         ]
-        for shuffle_worker in self._shuffle_workers:
-            shuffle_worker.seed_owned_atoms(store)
+        self._shuffle_workers: List[ShuffleWorker] = []
+        if shuffle:
+            self._shuffle_workers = [
+                _build_shuffle_worker(
+                    worker, tgds, variant, strategy, shared_store=True, metrics=metrics
+                )
+                for worker in self._match_workers
+            ]
+            for shuffle_worker in self._shuffle_workers:
+                shuffle_worker.seed_owned_atoms(store)
         if use_threads:
             _warm_position_indexes(store, tgds)
 
-    def _wave(self, calls: Sequence[Callable[[], object]]) -> List[object]:
+    def _wave(self, calls: Sequence[Callable[[], _T]]) -> List[_T]:
         if self._pool is None:
             return [call() for call in calls]
         submitted = [self._pool.submit(call) for call in calls]
         return [future.result() for future in submitted]
 
-    @staticmethod
-    def _gather(
-        outboxes: Sequence[List[List[object]]], destination: int
-    ) -> List[List[object]]:
-        return [outbox[destination] for outbox in outboxes]
+    def initial(self) -> List[RoundReport]:
+        return self._wave([worker.initial_round for worker in self._match_workers])
+
+    def delta(
+        self,
+        delta_atoms: Sequence[Atom],
+        work_by_worker: Sequence[Sequence[Tuple[int, int]]],
+    ) -> List[RoundReport]:
+        return self._wave(
+            [
+                partial(
+                    worker.delta_round, delta_atoms, work_by_worker[worker.worker_id], False
+                )
+                for worker in self._match_workers
+            ]
+        )
 
     def round(
         self, round_index: int, heavy_routes: Tuple[HeavyRoute, ...]
     ) -> List[ShuffleReport]:
         workers = self._shuffle_workers
-        routed = cast(
-            List[List[List[object]]],
-            self._wave(
-                [partial(w.phase_route, round_index, heavy_routes) for w in workers]
-            ),
+
+        def addressed_to(
+            worker: ShuffleWorker, outboxes: Sequence[List[List[object]]]
+        ) -> List[List[object]]:
+            return [outbox[worker.worker_id] for outbox in outboxes]
+
+        routed = self._wave(
+            [partial(w.phase_route, round_index, heavy_routes) for w in workers]
         )
-        keyed = cast(
-            List[List[List[object]]],
-            self._wave(
-                [
-                    partial(w.phase_match, round_index, self._gather(routed, w.worker_id))
-                    for w in workers
-                ]
-            ),
+        keyed = self._wave(
+            [partial(w.phase_match, round_index, addressed_to(w, routed)) for w in workers]
         )
-        atomed = cast(
-            List[List[List[object]]],
-            self._wave(
-                [
-                    partial(w.phase_keys, round_index, self._gather(keyed, w.worker_id))
-                    for w in workers
-                ]
-            ),
+        atomed = self._wave(
+            [partial(w.phase_keys, round_index, addressed_to(w, keyed)) for w in workers]
         )
-        return cast(
-            List[ShuffleReport],
-            self._wave(
-                [
-                    partial(w.phase_atoms, round_index, self._gather(atomed, w.worker_id))
-                    for w in workers
-                ]
-            ),
+        return self._wave(
+            [partial(w.phase_atoms, round_index, addressed_to(w, atomed)) for w in workers]
         )
 
     def close(self) -> None:
@@ -1010,8 +762,8 @@ class _PipeTransport:
                     connection.send(frame)
                 except (BrokenPipeError, OSError):
                     # A dead peer is surfaced by the coordinator (its error
-                    # report or join timeout); don't mask it with a send
-                    # failure here.
+                    # report or its closed control pipe); don't mask it with
+                    # a send failure here.
                     pass
         inboxes: List[Sequence[object]] = [() for _ in outboxes]
         inboxes[self.worker_id] = outboxes[self.worker_id]
@@ -1033,7 +785,35 @@ class _PipeTransport:
         return inboxes
 
 
-def _shuffle_worker_main(
+def _serve_match(worker: _MatchWorker, message: Tuple[Any, ...]) -> RoundReport:
+    """One coordinator-merge round on a process replica."""
+    if message[0] == "initial":
+        return worker.initial_round()
+    _, delta_atoms, work_items = message
+    return worker.delta_round(delta_atoms, work_items, apply_delta=True)
+
+
+def _serve_shuffle(
+    shuffle: ShuffleWorker, transport: _PipeTransport, message: Tuple[Any, ...]
+) -> ShuffleReport:
+    """One shuffle round on a process replica: the four exchange phases,
+    driven against the peer pipes by a ``("round", index, heavy_routes)``
+    barrier message."""
+    _, round_index, heavy_routes = message
+    if round_index == 0:
+        # All seed chunks have arrived once rounds begin: claim this
+        # worker's dedup share of the seed instance.
+        shuffle.seed_owned_atoms(shuffle.match_worker.store)
+    outboxes = shuffle.phase_route(round_index, heavy_routes)
+    inboxes = transport.exchange(round_index, "route", outboxes)
+    outboxes = shuffle.phase_match(round_index, inboxes)
+    inboxes = transport.exchange(round_index, "keys", outboxes)
+    outboxes = shuffle.phase_keys(round_index, inboxes)
+    inboxes = transport.exchange(round_index, "atoms", outboxes)
+    return shuffle.phase_atoms(round_index, inboxes)
+
+
+def _worker_main(
     conn: Connection,
     peer_conns: Tuple[Tuple[int, Connection], ...],
     worker_id: int,
@@ -1041,34 +821,54 @@ def _shuffle_worker_main(
     tgds: Sequence[TGD],
     variant: str,
     store_spec: Tuple[str, ...],
-    strategy: str = "indexed",
-    collect_metrics: bool = False,
+    strategy: str,
+    collect_metrics: bool,
+    exchange: str,
 ) -> None:
-    """Entry point of a shuffle process worker: replica, peers, round loop.
+    """Entry point of a process worker: build the replica, serve rounds.
 
-    Same seeding protocol as :func:`_worker_main`; each ``("round", index,
-    heavy_routes)`` barrier message then drives the four exchange phases
-    against the peer pipes, and the round's :class:`ShuffleReport` goes back
-    on the coordinator pipe.
+    The replica is seeded by ``("seed", chunk)`` messages (streamed by the
+    coordinator before the first round) — or not at all for the
+    ``sqlite-file`` spec, where the store reads the attached base file.
+    Every other message is one round of the pool's protocol, answered with
+    an ``("ok", report)`` or ``("error", traceback)`` on the control pipe.
     """
     try:
         try:
-            store = _open_replica_store(store_spec, worker_id)
-            registry = MetricsRegistry() if collect_metrics else None
-            shuffle = _build_shuffle_worker(
-                strategy, worker_id, n_workers, tgds, variant, store,
-                shared_store=False, metrics=registry, report_metrics=True,
-            )
-            if registry is not None:
-                from ..storage.sqlbackend import SqliteAtomStore
+            from ..storage.sqlbackend import SqliteAtomStore
 
-                if isinstance(store, SqliteAtomStore):
-                    store.set_statement_metrics(StatementMetrics(registry))
-            transport = _PipeTransport(worker_id, peer_conns)
+            store = _open_replica_store(store_spec, worker_id)
+            shuffle = exchange == "shuffle"
+            worker = _make_match_worker(
+                strategy, worker_id, n_workers, tgds, variant, store,
+                collect_metrics and not shuffle,
+            )
+            # The replica is private to this process, so its SQL timings
+            # ride home inside the round reports.
+            timed_store = (
+                store if collect_metrics and isinstance(store, SqliteAtomStore) else None
+            )
+            serve: Callable[[Tuple[Any, ...]], object]
+            if shuffle:
+                registry = MetricsRegistry() if collect_metrics else None
+                if timed_store is not None:
+                    timed_store.set_statement_metrics(StatementMetrics(registry))
+                serve = partial(
+                    _serve_shuffle,
+                    _build_shuffle_worker(
+                        worker, tgds, variant, strategy,
+                        shared_store=False, metrics=registry, report_metrics=True,
+                    ),
+                    _PipeTransport(worker_id, peer_conns),
+                )
+            else:
+                if timed_store is not None:
+                    worker.statement_metrics = StatementMetrics()
+                    timed_store.set_statement_metrics(worker.statement_metrics)
+                serve = partial(_serve_match, worker)
         except Exception:
             conn.send(("error", traceback.format_exc()))
             return
-        seeded = False
         while True:
             message = conn.recv()
             kind = message[0]
@@ -1076,35 +876,40 @@ def _shuffle_worker_main(
                 break
             try:
                 if kind == "seed":
-                    _add_seed_atoms(store, message[1])
+                    # Chunks arrive sorted (grouped by predicate), so the
+                    # sqlite replica loads each predicate as one batch.
+                    seed_store(store, message[1])
                     continue
-                _, round_index, heavy_routes = message
-                if not seeded:
-                    # All seed chunks have arrived once rounds begin: claim
-                    # this worker's dedup share of the seed instance.
-                    shuffle.seed_owned_atoms(store)
-                    seeded = True
-                outboxes = shuffle.phase_route(round_index, heavy_routes)
-                inboxes = transport.exchange(round_index, "route", outboxes)
-                outboxes = shuffle.phase_match(round_index, inboxes)
-                inboxes = transport.exchange(round_index, "keys", outboxes)
-                outboxes = shuffle.phase_keys(round_index, inboxes)
-                inboxes = transport.exchange(round_index, "atoms", outboxes)
-                report = shuffle.phase_atoms(round_index, inboxes)
-                conn.send(("ok", report))
+                conn.send(("ok", serve(message)))
             except Exception:
                 conn.send(("error", traceback.format_exc()))
     finally:
         conn.close()
 
 
-class _ProcessShufflePool:
-    """Process shuffle workers on a full mesh of per-pair pipes.
+class _ProcessPool:
+    """Process workers with per-worker store replicas.
 
-    The coordinator keeps one control pipe per worker (seeding, round
-    barriers, reports — exactly the :class:`_ProcessPool` protocol) and
-    additionally wires every worker pair with a private duplex pipe before
-    any process starts; peer traffic never touches the coordinator.
+    Each worker holds a private store kept in lock-step with the
+    coordinator's (by applying every round's merged delta, or the peers'
+    broadcasts under the shuffle exchange), so the coordinator ships
+    *work*, never the instance.  Replicas are seeded out-of-core:
+    *worker_seeds* (a callable ``worker_id -> sorted atoms``) streams each
+    worker only the relations it needs, in bounded chunks over its pipe;
+    ``None`` means the workers seed themselves (the ``sqlite-file`` spec,
+    whose replicas attach the coordinator's persistent file read-only).
+    Workers are dedicated processes on private control pipes — unlike a
+    task pool, round ``i``'s message to worker ``w`` is guaranteed to be
+    processed by the same replica that saw rounds ``< i``.
+
+    The shuffle exchange adds one thing: every worker pair is wired with a
+    private duplex pipe before any process starts, so peer traffic never
+    touches the coordinator.
+
+    A worker that reports an error, or dies, fails the round with a
+    ``RuntimeError`` naming it — whichever worker it is and however many
+    healthy workers are still busy (or wedged waiting for the dead one's
+    frames): :meth:`_collect` waits on all control pipes at once.
     """
 
     def __init__(
@@ -1113,27 +918,25 @@ class _ProcessShufflePool:
         tgds: Sequence[TGD],
         variant: str,
         store_spec: Tuple[str, ...],
-        worker_seeds: Optional[Callable[[int], List[Atom]]] = None,
-        strategy: str = "indexed",
-        collect_metrics: bool = False,
+        worker_seeds: Optional[Callable[[int], List[Atom]]],
+        strategy: str,
+        collect_metrics: bool,
+        exchange: str,
     ) -> None:
         self.workers = workers
         context = multiprocessing.get_context()
         self._connections: List[Connection] = []
         self._processes: List[multiprocessing.process.BaseProcess] = []
         mesh: List[Dict[int, Connection]] = [{} for _ in range(workers)]
-        parent_peer_ends: List[Connection] = []
-        for low in range(workers):
-            for high in range(low + 1, workers):
-                low_conn, high_conn = context.Pipe(True)
-                mesh[low][high] = low_conn
-                mesh[high][low] = high_conn
-                parent_peer_ends.extend((low_conn, high_conn))
+        if exchange == "shuffle":
+            for low in range(workers):
+                for high in range(low + 1, workers):
+                    mesh[low][high], mesh[high][low] = context.Pipe(True)
         try:
             for worker_id in range(workers):
                 parent_conn, child_conn = context.Pipe()
                 process = context.Process(
-                    target=_shuffle_worker_main,
+                    target=_worker_main,
                     args=(
                         child_conn,
                         tuple(sorted(mesh[worker_id].items())),
@@ -1144,6 +947,7 @@ class _ProcessShufflePool:
                         store_spec,
                         strategy,
                         collect_metrics,
+                        exchange,
                     ),
                     daemon=True,
                 )
@@ -1151,28 +955,85 @@ class _ProcessShufflePool:
                 child_conn.close()
                 self._connections.append(parent_conn)
                 self._processes.append(process)
-            for end in parent_peer_ends:
-                end.close()
+            for peer_ends in mesh:
+                for end in peer_ends.values():
+                    end.close()
             if worker_seeds is not None:
-                for worker_id, connection in enumerate(self._connections):
+                for worker_id in range(workers):
                     for chunk in _seed_chunks(worker_seeds(worker_id)):
-                        connection.send(("seed", chunk))
+                        self._send(worker_id, ("seed", chunk))
         except Exception:
             self.close()
             raise
 
+    def _worker_failed(self, worker_id: int, report: Optional[str] = None) -> RuntimeError:
+        """The documented failure for a worker that reported an error or died."""
+        if report is None:
+            connection = self._connections[worker_id]
+            try:
+                # A worker that failed while starting up leaves its
+                # traceback in the pipe before it exits.
+                if connection.poll():
+                    report = connection.recv()[1]
+            except (EOFError, OSError):
+                pass
+        if report is not None:
+            return RuntimeError(f"parallel chase worker {worker_id} failed:\n{report}")
+        process = self._processes[worker_id]
+        process.join(timeout=2)
+        return RuntimeError(
+            f"parallel chase worker {worker_id} failed: its process exited "
+            f"with code {process.exitcode}"
+        )
+
+    def _send(self, worker_id: int, message: Tuple[object, ...]) -> None:
+        try:
+            self._connections[worker_id].send(message)
+        except (BrokenPipeError, OSError):
+            raise self._worker_failed(worker_id) from None
+
+    def _collect(self) -> List[Any]:
+        """One report per worker, in worker order; raise on the first failure.
+
+        Waits on *all* control pipes: under the shuffle exchange the healthy
+        workers block on their failed peer's frames and never report, so
+        receiving in worker order would hang behind them.
+        """
+        reports: List[Any] = [None] * self.workers
+        pending = {connection: worker_id for worker_id, connection in enumerate(self._connections)}
+        while pending:
+            for ready in wait(list(pending)):
+                connection = cast(Connection, ready)
+                worker_id = pending.pop(connection)
+                try:
+                    status, payload = connection.recv()
+                except (EOFError, OSError):
+                    raise self._worker_failed(worker_id) from None
+                if status != "ok":
+                    raise self._worker_failed(worker_id, payload)
+                reports[worker_id] = payload
+        return reports
+
+    def initial(self) -> List[RoundReport]:
+        for worker_id in range(self.workers):
+            self._send(worker_id, ("initial",))
+        return self._collect()
+
+    def delta(
+        self,
+        delta_atoms: Sequence[Atom],
+        work_by_worker: Sequence[Sequence[Tuple[int, int]]],
+    ) -> List[RoundReport]:
+        for worker_id in range(self.workers):
+            self._send(worker_id, ("delta", delta_atoms, work_by_worker[worker_id]))
+        return self._collect()
+
     def round(
         self, round_index: int, heavy_routes: Tuple[HeavyRoute, ...]
     ) -> List[ShuffleReport]:
-        for connection in self._connections:
-            connection.send(("round", round_index, heavy_routes))
-        reports: List[ShuffleReport] = []
-        for connection in self._connections:
-            status, payload = connection.recv()
-            if status != "ok":
-                raise RuntimeError(f"parallel chase worker failed:\n{payload}")
-            reports.append(payload)
-        return reports
+        for worker_id in range(self.workers):
+            self._send(worker_id, ("round", round_index, heavy_routes))
+        return self._collect()
 
     def close(self) -> None:
         for connection in self._connections:
@@ -1191,17 +1052,214 @@ class _ProcessShufflePool:
 
 
 # --------------------------------------------------------------------------- #
+# Round steps (plugged into repro.chase.rounds.run_rounds)
+
+
+def _emit_worker_round(
+    tracer: AnyTracer, round_number: int, worker: int, considered: int, fired: int,
+    seconds: float,
+) -> None:
+    tracer.emit(
+        "worker_round",
+        round=round_number,
+        worker=worker,
+        considered=considered,
+        fired=fired,
+        dur=round(seconds, 9),
+    )
+
+
+class _CoordinatorStep:
+    """Coordinator-merge round: partition the delta, merge the pool's reports.
+
+    Owns the global firing-key set.  The merge is order-insensitive: what a
+    key fires (and whether it does) is a function of the key alone, so
+    "first worker wins" and "union of everything" coincide.
+    """
+
+    def __init__(
+        self,
+        pool: Union[_LocalPool, _ProcessPool],
+        table: _PlanTable,
+        store: AtomStore,
+        tracer: AnyTracer,
+        worker_sql: Dict[int, RegistrySnapshot],
+    ) -> None:
+        self._pool = pool
+        self._table = table
+        self._store = store
+        self._tracer = tracer
+        self._worker_sql = worker_sql
+        self._fired_keys: Set[object] = set()
+
+    def _partition_work(self, delta_atoms: Sequence[Atom]) -> List[List[Tuple[int, int]]]:
+        """Assign every (plan, delta atom) pair to its owning worker."""
+        workers = self._pool.workers
+        work: List[List[Tuple[int, int]]] = [[] for _ in range(workers)]
+        for delta_index, atom in enumerate(delta_atoms):
+            for entry in self._table.by_predicate.get(atom.predicate, ()):
+                owner = atom_partition_of(atom, entry.plan.partition_positions, workers)
+                work[owner].append((entry.plan_id, delta_index))
+        return work
+
+    def __call__(self, round_index: int, delta: Sequence[Atom]) -> RoundOutcome:
+        tracer = self._tracer
+        traced = tracer.enabled
+        if round_index == 0:
+            reports = self._pool.initial()
+        else:
+            # *delta* is already in the driver's sorted insertion order, so
+            # replicas apply it in the order the coordinator's store did.
+            reports = self._pool.delta(delta, self._partition_work(delta))
+
+        round_keys: List[object] = []
+        fired_by_key: Dict[object, Tuple[Atom, ...]] = {}
+        for considered, fired, metrics in reports:
+            round_keys.extend(considered)
+            for key, atoms in fired:
+                fired_by_key.setdefault(key, atoms)
+            if metrics is not None:
+                worker_id, seconds, n_considered, n_fired, snapshot = metrics
+                _emit_worker_round(
+                    tracer, round_index + 1, worker_id, n_considered, n_fired, seconds
+                )
+                if snapshot is not None:
+                    self._worker_sql[worker_id] = snapshot
+
+        store = self._store
+        fired_keys = self._fired_keys
+        new_atoms: Set[Atom] = set()
+        n_fired = 0
+        # Traced runs only: rule -> [enumerated, fired, atoms, nulls-set],
+        # attributed through the leading tgd_index of every firing key.
+        rule_stats: Dict[int, List[Any]] = {}
+        stats: List[Any] = []
+        for key, atoms in fired_by_key.items():
+            if key in fired_keys:
+                continue
+            n_fired += 1
+            if traced:
+                stats = rule_stats.setdefault(_key_rule(key), [0, 0, 0, set()])
+                stats[1] += 1
+            for atom in atoms:
+                if atom not in new_atoms and not store.has_atom(atom):
+                    new_atoms.add(atom)
+                    if traced:
+                        stats[2] += 1
+                        for term in atom.terms:
+                            if isinstance(term, Null):
+                                stats[3].add(term)
+        fired_keys.update(round_keys)
+        if traced:
+            for key in round_keys:
+                rule_stats.setdefault(_key_rule(key), [0, 0, 0, set()])[0] += 1
+        # Per-rule ``dur`` is 0.0: matching time lives in the workers.
+        rule_rows = [
+            RuleRow(rule, enumerated, rule_fired, atoms_created, len(nulls), 0.0)
+            for rule, (enumerated, rule_fired, atoms_created, nulls) in rule_stats.items()
+        ]
+        return RoundOutcome(len(round_keys), n_fired, new_atoms, rule_rows)
+
+
+class _ShuffleStep:
+    """Shuffle-exchange round: tick the barrier, fold the workers' reports.
+
+    Workers own matching, both global dedups, and all peer-to-peer
+    repartitioning (:mod:`repro.chase.exchange`); the coordinator's share
+    of a round is the barrier message — carrying the skew detector's heavy
+    table for the delta the driver just inserted — and the fold of
+    per-worker reports into counts, trace events, and the merged new atoms
+    (already globally deduplicated, each owned by exactly one worker; the
+    driver's sort merges the disjoint shares).
+    """
+
+    def __init__(
+        self,
+        pool: Union[_LocalPool, _ProcessPool],
+        detector: Optional[SkewDetector],
+        tracer: AnyTracer,
+        worker_sql: Dict[int, RegistrySnapshot],
+    ) -> None:
+        self._pool = pool
+        self._detector = detector
+        self._tracer = tracer
+        self._worker_sql = worker_sql
+        self._known_heavy: Set[Tuple[int, int]] = set()
+
+    def __call__(self, round_index: int, delta: Sequence[Atom]) -> RoundOutcome:
+        tracer = self._tracer
+        traced = tracer.enabled
+        heavy: Tuple[HeavyRoute, ...] = ()
+        if self._detector is not None:
+            heavy = self._detector.heavy_routes(delta)
+            if traced:
+                for route, split in heavy:
+                    if route not in self._known_heavy:
+                        self._known_heavy.add(route)
+                        tracer.emit(
+                            "repartition",
+                            round=round_index,
+                            plan=route[0],
+                            key_hash=route[1],
+                            workers=list(split),
+                        )
+        reports = self._pool.round(round_index, heavy)
+
+        considered = 0
+        fired = 0
+        new_atoms: List[Atom] = []
+        # Traced runs only: rule -> [enumerated, fired, atoms, nulls].
+        rule_stats: Dict[int, List[int]] = {}
+        for report in reports:
+            considered += report.considered
+            fired += report.fired
+            new_atoms.extend(report.new_atoms)
+            if traced:
+                _emit_worker_round(
+                    tracer, round_index + 1, report.worker, report.considered,
+                    report.matched, report.dur,
+                )
+                tracer.emit(
+                    "exchange",
+                    round=round_index + 1,
+                    worker=report.worker,
+                    keys_routed=report.keys_routed,
+                    atoms_routed=report.atoms_routed,
+                    work_routed=report.work_routed,
+                    dur=round(report.dur, 9),
+                )
+                for column, counts in enumerate(
+                    (
+                        report.enumerated_by_rule,
+                        report.fired_by_rule,
+                        report.atoms_by_rule,
+                        report.nulls_by_rule,
+                    )
+                ):
+                    for rule, count in counts:
+                        rule_stats.setdefault(rule, [0, 0, 0, 0])[column] += count
+                if report.sql is not None:
+                    self._worker_sql[report.worker] = report.sql
+        rule_rows = [
+            RuleRow(rule, enumerated, rule_fired, atoms_created, nulls, 0.0)
+            for rule, (enumerated, rule_fired, atoms_created, nulls) in rule_stats.items()
+        ]
+        return RoundOutcome(considered, fired, new_atoms, rule_rows)
+
+
+# --------------------------------------------------------------------------- #
 # The coordinator
 
 
 class ParallelChaseExecutor:
     """Coordinator of the hash-partitioned parallel chase.
 
-    Owns the authoritative store, the global firing-key set, and the budget
-    accounting; delegates per-round matching to a worker pool.  The merge
-    step is order-insensitive (see the module docstring), which is what
-    makes the result identical across worker counts, executors, and
-    backends.
+    Owns the authoritative store and picks the worker pool and the round
+    step of the configured exchange topology; the budget accounting, the
+    sorted insert and the result are the shared round driver's
+    (:func:`repro.chase.rounds.run_rounds`).  Both steps' merges are
+    order-insensitive (see the module docstring), which is what makes the
+    result identical across worker counts, executors, and backends.
     """
 
     def __init__(
@@ -1259,123 +1317,80 @@ class ParallelChaseExecutor:
         return executor
 
     def _make_pool(
-        self, tgds: Sequence[TGD], store: AtomStore, collect_metrics: bool = False
-    ) -> Union["_SerialPool", "_ThreadPool", "_ProcessPool"]:
+        self, tgds: Sequence[TGD], store: AtomStore, metrics: Optional[MetricsRegistry]
+    ) -> Union[_LocalPool, _ProcessPool]:
+        """The worker pool for *store*; *metrics* is the coordinator's
+        registry on traced runs (workers then collect theirs too)."""
         from ..storage.database import RelationalDatabase
         from ..storage.sqlbackend import SqliteAtomStore
 
         executor = self._resolve_executor(store)
-        if executor == "serial" or self.workers == 1:
-            return _SerialPool(
-                self.workers, tgds, self.variant, store, self.strategy, collect_metrics
+        if executor != "process" or self.workers == 1:
+            return _LocalPool(
+                self.workers, tgds, self.variant, store, self.strategy,
+                use_threads=executor == "thread" and self.workers > 1,
+                exchange=self.exchange, metrics=metrics,
             )
-        if executor == "thread":
-            return _ThreadPool(
-                self.workers, tgds, self.variant, store, self.strategy, collect_metrics
-            )
+        worker_seeds: Optional[Callable[[int], List[Atom]]] = None
         if isinstance(store, SqliteAtomStore) and store.is_persistent:
             # Out-of-core seeding: commit the seed so workers attaching the
             # file read-only see it, and ship no atoms at all — each replica
             # is an overlay over the coordinator's own file.
             store.flush()
-            return _ProcessPool(
-                self.workers, tgds, self.variant, ("sqlite-file", store.path),
-                strategy=self.strategy, collect_metrics=collect_metrics,
-            )
-        if isinstance(store, RelationalDatabase):
-            store_spec = ("relational",)
-        elif isinstance(store, SqliteAtomStore):
-            store_spec = ("sqlite",)
+            store_spec: Tuple[str, ...] = ("sqlite-file", store.path)
         else:
-            store_spec = ("instance",)
+            if isinstance(store, RelationalDatabase):
+                store_spec = ("relational",)
+            elif isinstance(store, SqliteAtomStore):
+                store_spec = ("sqlite",)
+            else:
+                store_spec = ("instance",)
+            # The fully-replicated portion is identical for every worker:
+            # collect it once, not once per worker.
+            full, _ = replica_seed_split(tgds, self.variant)
+            full_atoms = collect_full_seed_atoms(store, full)
 
-        # The fully-replicated portion is identical for every worker:
-        # collect it once, not once per worker.
-        full, _ = replica_seed_split(tgds, self.variant)
-        full_atoms = collect_full_seed_atoms(store, full)
-
-        def worker_seeds(worker_id: int) -> List[Atom]:
-            # Partition-streamed seeding (see worker_seed_atoms): sorted, so
-            # per-worker replica construction order stays deterministic.
-            return worker_seed_atoms(
-                store,
-                tgds,
-                self.variant,
-                self.workers,
-                worker_id,
-                full_atoms=full_atoms,
-            )
+            def worker_seeds(worker_id: int) -> List[Atom]:
+                # Partition-streamed seeding (see worker_seed_atoms): sorted,
+                # so per-worker replica construction order stays
+                # deterministic.  A shuffle worker also gets its hash share
+                # of the relations matching never reads — it is the
+                # atom-dedup owner of that share.
+                return worker_seed_atoms(
+                    store,
+                    tgds,
+                    self.variant,
+                    self.workers,
+                    worker_id,
+                    full_atoms=full_atoms,
+                    include_unused_share=self.exchange == "shuffle",
+                )
 
         return _ProcessPool(
             self.workers, tgds, self.variant, store_spec, worker_seeds, self.strategy,
-            collect_metrics,
+            collect_metrics=metrics is not None, exchange=self.exchange,
         )
 
-    def _make_shuffle_pool(
-        self,
-        tgds: Sequence[TGD],
-        store: AtomStore,
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> Union["_MemoryShufflePool", "_ProcessShufflePool"]:
-        """The shuffle twin of :meth:`_make_pool`: same executor resolution,
-        same replica-seeding strategies, peer-to-peer exchange channels."""
-        from ..storage.database import RelationalDatabase
-        from ..storage.sqlbackend import SqliteAtomStore
-
-        executor = self._resolve_executor(store)
-        if executor in ("serial", "thread") or self.workers == 1:
-            return _MemoryShufflePool(
-                self.workers, tgds, self.variant, store, self.strategy,
-                metrics=metrics,
-                use_threads=executor == "thread" and self.workers > 1,
-            )
-        collect_metrics = metrics is not None
-        if isinstance(store, SqliteAtomStore) and store.is_persistent:
-            store.flush()
-            return _ProcessShufflePool(
-                self.workers, tgds, self.variant, ("sqlite-file", store.path),
-                strategy=self.strategy, collect_metrics=collect_metrics,
-            )
-        if isinstance(store, RelationalDatabase):
-            store_spec: Tuple[str, ...] = ("relational",)
-        elif isinstance(store, SqliteAtomStore):
-            store_spec = ("sqlite",)
-        else:
-            store_spec = ("instance",)
-        full, _ = replica_seed_split(tgds, self.variant)
-        full_atoms = collect_full_seed_atoms(store, full)
-
-        def worker_seeds(worker_id: int) -> List[Atom]:
-            # As the coordinator-merge seeding, plus each worker's hash
-            # share of the relations matching never reads — the worker is
-            # the atom-dedup owner of that share (see worker_seed_atoms).
-            return worker_seed_atoms(
-                store,
-                tgds,
-                self.variant,
-                self.workers,
-                worker_id,
-                full_atoms=full_atoms,
-                include_unused_share=True,
-            )
-
-        return _ProcessShufflePool(
-            self.workers, tgds, self.variant, store_spec, worker_seeds,
-            self.strategy, collect_metrics,
-        )
-
-    def _partition_work(
-        self, table: _PlanTable, delta_atoms: Sequence[Atom]
-    ) -> List[List[Tuple[int, int]]]:
-        """Assign every (plan, delta atom) pair to its owning worker."""
-        work: List[List[Tuple[int, int]]] = [[] for _ in range(self.workers)]
-        for delta_index, atom in enumerate(delta_atoms):
-            for entry in table.by_predicate.get(atom.predicate, ()):
-                owner = atom_partition_of(
-                    atom, entry.plan.partition_positions, self.workers
+    def _skew_detector(
+        self, table: _PlanTable, metrics: Optional[MetricsRegistry]
+    ) -> Optional[SkewDetector]:
+        # The in-SQL partition filter of the pushdown strategy cannot see a
+        # heavy table, so skew splitting stays off there; routing is then
+        # degenerate (replicas are broadcast-complete) and still correct.
+        if self.strategy == "sql-pushdown":
+            return None
+        return SkewDetector(
+            [
+                (
+                    entry.plan_id,
+                    entry.plan.body[entry.plan.seed_slot].predicate,
+                    entry.plan.partition_positions,
                 )
-                work[owner].append((entry.plan_id, delta_index))
-        return work
+                for entry in table.entries
+            ],
+            self.workers,
+            metrics=metrics,
+        )
 
     def run(
         self,
@@ -1386,7 +1401,7 @@ class ParallelChaseExecutor:
     ) -> ChaseResult:
         """Run the parallel chase; same contract as :meth:`ChaseEngine.run`.
 
-        *tracer* makes the coordinator emit the same ``round``/``rule_round``
+        *tracer* makes the run emit the same ``round``/``rule_round``
         stream as the serial engines (sums reproduce the result totals
         exactly; per-rule ``dur`` is 0.0 — matching time lives in the
         workers) plus one ``worker_round`` event per (worker, round) and,
@@ -1396,422 +1411,54 @@ class ParallelChaseExecutor:
         (:func:`repro.chase.engine.chase` emits them).  Tracing never
         changes the result.
 
-        With ``exchange="shuffle"`` the run is delegated to
-        :meth:`_run_shuffle`: same contract, byte-identical result, but
-        workers repartition deltas among themselves and the coordinator
-        only drives round barriers (plus ``exchange``/``repartition``
-        events on traced runs).
+        With ``exchange="shuffle"`` the round step is :class:`_ShuffleStep`:
+        same contract, byte-identical result, but workers repartition
+        deltas among themselves and the coordinator only drives round
+        barriers (plus ``exchange``/``repartition`` events on traced runs).
         """
-        if self.exchange == "shuffle":
-            return self._run_shuffle(database, tgds, store=store, tracer=tracer)
         active_tracer = as_tracer(tracer)
-        traced = active_tracer.enabled
         tgd_list = tuple(tgds)
         if store is None:
             store = Instance()
-        add_atoms = getattr(store, "add_atoms", None)
-        if add_atoms is not None:
-            add_atoms(database.atoms())
-        else:
-            for atom in database.atoms():
-                store.add_atom(atom)
+        seed_store(store, database.atoms())
         table = _PlanTable(tgd_list)
-        fired_keys: Set[object] = set()
 
-        rounds = 0
-        atoms_created = 0
-        triggers_fired = 0
-        delta: Optional[List[Atom]] = None  # None = first round
-
-        statement_metrics: Optional[StatementMetrics] = None
-        if traced:
+        # Traced runs: one registry for the coordinator's own SQL statements
+        # (and, under the shared-store pools, the thread workers' queries),
+        # the shuffle counters and the skew histograms.
+        registry = MetricsRegistry() if active_tracer.enabled else None
+        timed_store = None
+        if registry is not None:
             from ..storage.sqlbackend import SqliteAtomStore
 
             if isinstance(store, SqliteAtomStore):
-                # Times the coordinator's own statements — and, under the
-                # shared-store pools, the thread workers' queries too.
-                statement_metrics = StatementMetrics()
-                store.set_statement_metrics(statement_metrics)
+                timed_store = store
+                timed_store.set_statement_metrics(StatementMetrics(registry))
         # Latest cumulative registry snapshot per process worker.
-        worker_sql: Dict[int, Dict[str, List[Dict[str, object]]]] = {}
+        worker_sql: Dict[int, RegistrySnapshot] = {}
 
-        def finish_trace() -> None:
-            """Emit the merged coordinator+worker ``sql_family`` events."""
-            if not traced:
-                return
-            registry = (
-                statement_metrics.registry
-                if statement_metrics is not None
-                else MetricsRegistry()
-            )
-            for snapshot in worker_sql.values():
-                registry.merge_snapshot(snapshot)
-            for stats in sql_family_stats(registry.snapshot()):
-                active_tracer.emit("sql_family", **stats)
-
-        pool = self._make_pool(tgd_list, store, traced)
+        pool = self._make_pool(tgd_list, store, registry)
         try:
-            while True:
-                if self.limits.round_budget_exceeded(rounds + 1):
-                    finish_trace()
-                    return self._stopped(
-                        store, rounds, atoms_created, triggers_fired, "max_rounds"
-                    )
-                round_started = active_tracer.now() if traced else 0.0
-                delta_size = (
-                    (store.atom_count() if delta is None else len(delta))
-                    if traced
-                    else 0
+            step: RoundStep
+            if self.exchange == "shuffle":
+                step = _ShuffleStep(
+                    pool, self._skew_detector(table, registry), active_tracer, worker_sql
                 )
-                if delta is None:
-                    reports = pool.initial()
-                else:
-                    reports = pool.delta(delta, self._partition_work(table, delta))
-
-                # Order-insensitive merge: what a key fires (and whether it
-                # does) is a function of the key alone, so "first worker
-                # wins" and "union of everything" coincide.
-                round_keys: List[object] = []
-                fired_by_key: Dict[object, Tuple[Atom, ...]] = {}
-                for considered, fired, metrics in reports:
-                    round_keys.extend(considered)
-                    for key, atoms in fired:
-                        fired_by_key.setdefault(key, atoms)
-                    if metrics is not None:
-                        worker_id, seconds, n_considered, n_fired, snapshot = metrics
-                        active_tracer.emit(
-                            "worker_round",
-                            round=rounds + 1,
-                            worker=worker_id,
-                            considered=n_considered,
-                            fired=n_fired,
-                            dur=round(seconds, 9),
-                        )
-                        if snapshot is not None:
-                            worker_sql[worker_id] = snapshot
-
-                new_atoms: Set[Atom] = set()
-                fired_before = triggers_fired
-                fired_by_rule: Dict[int, int] = {}
-                atoms_by_rule: Dict[int, int] = {}
-                nulls_by_rule: Dict[int, Set[Null]] = {}
-                if traced:
-                    # Traced twin of the merge loop below (keep the two in
-                    # lockstep!): same decisions, plus per-rule attribution
-                    # through the leading tgd_index of every firing key.
-                    for key, atoms in fired_by_key.items():
-                        if key in fired_keys:
-                            continue
-                        triggers_fired += 1
-                        rule_index = _key_rule(key)
-                        fired_by_rule[rule_index] = fired_by_rule.get(rule_index, 0) + 1
-                        for atom in atoms:
-                            if atom not in new_atoms and not store.has_atom(atom):
-                                new_atoms.add(atom)
-                                atoms_by_rule[rule_index] = (
-                                    atoms_by_rule.get(rule_index, 0) + 1
-                                )
-                                for term in atom.terms:
-                                    if isinstance(term, Null):
-                                        nulls_by_rule.setdefault(
-                                            rule_index, set()
-                                        ).add(term)
-                else:
-                    for key, atoms in fired_by_key.items():
-                        if key in fired_keys:
-                            continue
-                        triggers_fired += 1
-                        for atom in atoms:
-                            if atom not in new_atoms and not store.has_atom(atom):
-                                new_atoms.add(atom)
-                fired_keys.update(round_keys)
-
-                if traced:
-                    enumerated_by_rule: Dict[int, int] = {}
-                    for key in round_keys:
-                        rule_index = _key_rule(key)
-                        enumerated_by_rule[rule_index] = (
-                            enumerated_by_rule.get(rule_index, 0) + 1
-                        )
-                    for rule_index in sorted(enumerated_by_rule):
-                        active_tracer.emit(
-                            "rule_round",
-                            round=rounds + 1,
-                            rule=rule_index,
-                            enumerated=enumerated_by_rule[rule_index],
-                            fired=fired_by_rule.get(rule_index, 0),
-                            atoms_created=atoms_by_rule.get(rule_index, 0),
-                            nulls_invented=len(nulls_by_rule.get(rule_index, ())),
-                            dur=0.0,
-                        )
-                    active_tracer.emit(
-                        "round",
-                        round=rounds + 1,
-                        delta_size=delta_size,
-                        considered=len(round_keys),
-                        fired=triggers_fired - fired_before,
-                        atoms_created=len(new_atoms),
-                        dur=round(active_tracer.now() - round_started, 9),
-                    )
-
-                if not new_atoms:
-                    finish_trace()
-                    return ChaseResult(
-                        terminated=True,
-                        rounds=rounds,
-                        atoms_created=atoms_created,
-                        triggers_fired=triggers_fired,
-                        stop_reason="fixpoint",
-                        store=store,
-                    )
-                # Sort once, then both insert and broadcast in that order:
-                # seq assignment must not depend on set iteration order.
-                delta = sorted(new_atoms)
-                for atom in delta:
-                    store.add_atom(atom)
-                flush = getattr(store, "flush", None)
-                if flush is not None:
-                    # Same round-granular durability as the serial engine.
-                    flush()
-                atoms_created += len(new_atoms)
-                rounds += 1
-                if self.limits.atom_budget_exceeded(store.atom_count()):
-                    finish_trace()
-                    return self._stopped(
-                        store, rounds, atoms_created, triggers_fired, "max_atoms"
-                    )
+            else:
+                step = _CoordinatorStep(pool, table, store, active_tracer, worker_sql)
+            return run_rounds(
+                step, store, self.limits, self.on_limit, self.variant, active_tracer
+            )
         finally:
             pool.close()
-            if statement_metrics is not None:
-                store.set_statement_metrics(None)  # type: ignore[attr-defined]
-
-    def _run_shuffle(
-        self,
-        database: Database,
-        tgds: TGDSet,
-        store: Optional[AtomStore] = None,
-        tracer: Optional[AnyTracer] = None,
-    ) -> ChaseResult:
-        """The shuffle-exchange twin of :meth:`run`.
-
-        Workers own matching, both global dedups, and all peer-to-peer
-        repartitioning (:mod:`repro.chase.exchange`); this loop only ticks
-        round barriers, folds per-worker reports into budgets and trace
-        events, appends each round's merged new atoms — already globally
-        deduplicated, each owned by exactly one worker — to the
-        authoritative store in sorted order, and feeds the skew detector
-        whose heavy table rides the next barrier message.
-        """
-        active_tracer = as_tracer(tracer)
-        traced = active_tracer.enabled
-        tgd_list = tuple(tgds)
-        if store is None:
-            store = Instance()
-        add_atoms = getattr(store, "add_atoms", None)
-        if add_atoms is not None:
-            add_atoms(database.atoms())
-        else:
-            for atom in database.atoms():
-                store.add_atom(atom)
-        table = _PlanTable(tgd_list)
-
-        statement_metrics: Optional[StatementMetrics] = None
-        registry: Optional[MetricsRegistry] = None
-        if traced:
-            from ..storage.sqlbackend import SqliteAtomStore
-
-            registry = MetricsRegistry()
-            if isinstance(store, SqliteAtomStore):
-                statement_metrics = StatementMetrics(registry)
-                store.set_statement_metrics(statement_metrics)
-        # Latest cumulative registry snapshot per process worker.
-        worker_sql: Dict[int, Dict[str, List[Dict[str, object]]]] = {}
-
-        def finish_trace() -> None:
-            if not traced:
-                return
-            merged = MetricsRegistry()
             if registry is not None:
-                merged.merge_snapshot(registry.snapshot())
-            for snapshot in worker_sql.values():
-                merged.merge_snapshot(snapshot)
-            for stats in sql_family_stats(merged.snapshot()):
-                active_tracer.emit("sql_family", **stats)
-
-        # The in-SQL partition filter of the pushdown strategy cannot see a
-        # heavy table, so skew splitting stays off there; routing is then
-        # degenerate (replicas are broadcast-complete) and still correct.
-        detector: Optional[SkewDetector] = None
-        if self.strategy != "sql-pushdown":
-            detector = SkewDetector(
-                [
-                    (
-                        entry.plan_id,
-                        entry.plan.body[entry.plan.seed_slot].predicate,
-                        entry.plan.partition_positions,
-                    )
-                    for entry in table.entries
-                ],
-                self.workers,
-                metrics=registry,
-            )
-
-        heavy: Tuple[HeavyRoute, ...] = ()
-        known_heavy: Set[Tuple[int, int]] = set()
-        rounds = 0
-        atoms_created = 0
-        triggers_fired = 0
-        last_delta_size: Optional[int] = None
-
-        pool = self._make_shuffle_pool(tgd_list, store, metrics=registry)
-        try:
-            while True:
-                if self.limits.round_budget_exceeded(rounds + 1):
-                    finish_trace()
-                    return self._stopped(
-                        store, rounds, atoms_created, triggers_fired, "max_rounds"
-                    )
-                round_started = active_tracer.now() if traced else 0.0
-                delta_size = (
-                    (store.atom_count() if last_delta_size is None else last_delta_size)
-                    if traced
-                    else 0
-                )
-                reports = pool.round(rounds, heavy)
-
-                round_considered = 0
-                round_fired = 0
-                new_atom_runs: List[Tuple[Atom, ...]] = []
-                fired_by_rule: Dict[int, int] = {}
-                enumerated_by_rule: Dict[int, int] = {}
-                atoms_by_rule: Dict[int, int] = {}
-                nulls_by_rule: Dict[int, int] = {}
-                for report in reports:
-                    round_considered += report.considered
-                    round_fired += report.fired
-                    new_atom_runs.append(report.new_atoms)
-                    if traced:
-                        active_tracer.emit(
-                            "worker_round",
-                            round=rounds + 1,
-                            worker=report.worker,
-                            considered=report.considered,
-                            fired=report.matched,
-                            dur=round(report.dur, 9),
-                        )
-                        active_tracer.emit(
-                            "exchange",
-                            round=rounds + 1,
-                            worker=report.worker,
-                            keys_routed=report.keys_routed,
-                            atoms_routed=report.atoms_routed,
-                            work_routed=report.work_routed,
-                            dur=round(report.dur, 9),
-                        )
-                        for rule, count in report.enumerated_by_rule:
-                            enumerated_by_rule[rule] = (
-                                enumerated_by_rule.get(rule, 0) + count
-                            )
-                        for rule, count in report.fired_by_rule:
-                            fired_by_rule[rule] = fired_by_rule.get(rule, 0) + count
-                        for rule, count in report.atoms_by_rule:
-                            atoms_by_rule[rule] = atoms_by_rule.get(rule, 0) + count
-                        for rule, count in report.nulls_by_rule:
-                            nulls_by_rule[rule] = nulls_by_rule.get(rule, 0) + count
-                        if report.sql is not None:
-                            worker_sql[report.worker] = report.sql
-                triggers_fired += round_fired
-                # Each worker's new atoms are its own sorted hash share;
-                # the shares are disjoint, so one sort merges them.
-                new_atoms = sorted(
-                    atom for run in new_atom_runs for atom in run
-                )
-
-                if traced:
-                    for rule_index in sorted(enumerated_by_rule):
-                        active_tracer.emit(
-                            "rule_round",
-                            round=rounds + 1,
-                            rule=rule_index,
-                            enumerated=enumerated_by_rule[rule_index],
-                            fired=fired_by_rule.get(rule_index, 0),
-                            atoms_created=atoms_by_rule.get(rule_index, 0),
-                            nulls_invented=nulls_by_rule.get(rule_index, 0),
-                            dur=0.0,
-                        )
-                    active_tracer.emit(
-                        "round",
-                        round=rounds + 1,
-                        delta_size=delta_size,
-                        considered=round_considered,
-                        fired=round_fired,
-                        atoms_created=len(new_atoms),
-                        dur=round(active_tracer.now() - round_started, 9),
-                    )
-
-                if not new_atoms:
-                    finish_trace()
-                    return ChaseResult(
-                        terminated=True,
-                        rounds=rounds,
-                        atoms_created=atoms_created,
-                        triggers_fired=triggers_fired,
-                        stop_reason="fixpoint",
-                        store=store,
-                    )
-                for atom in new_atoms:
-                    store.add_atom(atom)
-                flush = getattr(store, "flush", None)
-                if flush is not None:
-                    flush()
-                atoms_created += len(new_atoms)
-                rounds += 1
-                last_delta_size = len(new_atoms)
-                if self.limits.atom_budget_exceeded(store.atom_count()):
-                    finish_trace()
-                    return self._stopped(
-                        store, rounds, atoms_created, triggers_fired, "max_atoms"
-                    )
-                if detector is not None:
-                    heavy = detector.heavy_routes(new_atoms)
-                    if traced:
-                        for route, split in heavy:
-                            if route not in known_heavy:
-                                known_heavy.add(route)
-                                active_tracer.emit(
-                                    "repartition",
-                                    round=rounds,
-                                    plan=route[0],
-                                    key_hash=route[1],
-                                    workers=list(split),
-                                )
-        finally:
-            pool.close()
-            if statement_metrics is not None:
-                store.set_statement_metrics(None)  # type: ignore[attr-defined]
-
-    def _stopped(
-        self,
-        store: AtomStore,
-        rounds: int,
-        atoms_created: int,
-        triggers_fired: int,
-        reason: str,
-    ) -> ChaseResult:
-        if self.on_limit == "raise":
-            raise ChaseLimitExceeded(
-                f"{self.variant} chase exceeded its {reason} budget",
-                atoms_created=atoms_created,
-                rounds=rounds,
-            )
-        return ChaseResult(
-            terminated=False,
-            rounds=rounds,
-            atoms_created=atoms_created,
-            triggers_fired=triggers_fired,
-            stop_reason=reason,
-            store=store,
-        )
+                # The merged coordinator+worker ``sql_family`` events.
+                for snapshot in worker_sql.values():
+                    registry.merge_snapshot(snapshot)
+                for stats in sql_family_stats(registry.snapshot()):
+                    active_tracer.emit("sql_family", **stats)
+            if timed_store is not None:
+                timed_store.set_statement_metrics(None)
 
 
 def parallel_chase(

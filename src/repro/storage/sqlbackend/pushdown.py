@@ -49,13 +49,13 @@ from ...core.instances import Database
 from ...core.predicates import Predicate
 from ...core.terms import Term, Variable
 from ...core.tgds import TGD
-from ...exceptions import ChaseLimitExceeded
 from ...obs.tracer import NULL_TRACER, AnyTracer, as_tracer
 from ..relation import NULL_MARKER, decode_value
 from .store import SqliteAtomStore, _quote, table_name
 
 if TYPE_CHECKING:
     from ...chase.result import ChaseLimits, ChaseResult
+    from ...chase.rounds import RoundBudget, RoundOutcome, RoundStep, RuleRow
 
 #: Name of the deterministic null-inventing SQL function registered by
 #: :func:`register_skolem_function`.
@@ -360,33 +360,6 @@ class CompiledRule:
         )
 
 
-def _limit_stopped(
-    variant: str,
-    store: SqliteAtomStore,
-    rounds: int,
-    atoms_created: int,
-    triggers_fired: int,
-    reason: str,
-    on_limit: str,
-) -> "ChaseResult":
-    from ...chase.result import ChaseResult
-
-    if on_limit == "raise":
-        raise ChaseLimitExceeded(
-            f"{variant} chase exceeded its {reason} budget",
-            atoms_created=atoms_created,
-            rounds=rounds,
-        )
-    return ChaseResult(
-        terminated=False,
-        rounds=rounds,
-        atoms_created=atoms_created,
-        triggers_fired=triggers_fired,
-        stop_reason=reason,
-        store=store,
-    )
-
-
 class PushdownExecutor:
     """Run the chase as compiled set-based SQL inside a sqlite store.
 
@@ -440,6 +413,8 @@ class PushdownExecutor:
         per-rule ``atoms_created``) as 0: that attribution only exists in
         the interpreted engines.  Tracing never changes the result.
         """
+        from ...chase.rounds import run_rounds
+
         if not isinstance(store, SqliteAtomStore):
             raise ValueError(
                 "the sql-pushdown strategy executes inside SQLite and "
@@ -453,42 +428,44 @@ class PushdownExecutor:
             for index, tgd in enumerate(tgds)
         ]
         linear = bool(rules) and all(len(rule.tgd.body) == 1 for rule in rules)
-        if linear and self.variant != "restricted":
-            tier = _RecursiveCteTier(rules, store)
-            return tier.run(self.limits, self.on_limit, self.variant, active_tracer)
-        return self._run_rounds(rules, store, active_tracer)
+        try:
+            if linear and self.variant != "restricted":
+                tier = _RecursiveCteTier(rules, store)
+                return tier.run(self.limits, self.on_limit, self.variant, active_tracer)
+            return run_rounds(
+                self._round_step(rules, store, active_tracer),
+                store, self.limits, self.on_limit, self.variant, active_tracer,
+            )
+        finally:
+            # Commit whatever the run wrote last — the fixpoint round's memo
+            # tables, the CTE tier's one bulk copy — also when it raises.
+            store.flush()
 
-    def _run_rounds(
-        self,
-        rules: List[CompiledRule],
-        store: SqliteAtomStore,
-        tracer: AnyTracer = NULL_TRACER,
-    ) -> "ChaseResult":
-        """The delta-round tier: the serial loop, one statement per step."""
-        from ...chase.result import ChaseResult
+    @staticmethod
+    def _round_step(
+        rules: List[CompiledRule], store: SqliteAtomStore, tracer: AnyTracer
+    ) -> "RoundStep":
+        """The delta-round tier as a round step: one statement batch per
+        (rule, delta slot), every insert stamped with the round's ``seq``.
 
-        limits = self.limits
+        The step writes its own rows, so it reports their *count* to the
+        driver (which then inserts nothing) and advances the store's ``seq``
+        watermark itself.
+        """
+        from ...chase.rounds import RoundOutcome, RuleRow
+
         traced = tracer.enabled
-        rounds = 0
-        atoms_created = 0
-        triggers_fired = 0
         delta_predicates: Optional[Set[str]] = None  # None = initial round
         prev_watermark = 0
-        prev_total = store.atom_count()
-        while True:
-            if limits.round_budget_exceeded(rounds + 1):
-                return _limit_stopped(
-                    self.variant, store, rounds, atoms_created, triggers_fired,
-                    "max_rounds", self.on_limit,
-                )
+
+        def step(round_index: int, delta: Sequence[Atom]) -> "RoundOutcome":
+            nonlocal delta_predicates, prev_watermark
             round_start = store.current_seq()
             round_seq = round_start + 1
             round_inserts: Dict[str, int] = {}
-            round_started = tracer.now() if traced else 0.0
             round_considered = 0
             round_fired = 0
-            # rule index -> [staged, fired, atoms, seconds]
-            rule_stats: Dict[int, List[float]] = {}
+            rule_rows: List["RuleRow"] = []
             for rule in rules:
                 if delta_predicates is None:
                     # Initial round: the slot-0 statement with a zero
@@ -504,7 +481,7 @@ class PushdownExecutor:
                     delta_start = prev_watermark
                 rule_started = tracer.now() if traced else 0.0
                 rule_staged = 0
-                rule_fired_count = 0
+                rule_fired = 0
                 rule_atoms = 0
                 for slot in slots:
                     staged = rule.stage(store, slot, delta_start, round_start)
@@ -516,8 +493,7 @@ class PushdownExecutor:
                         fired = rule.filter_unsatisfied(store, round_start)
                     else:
                         fired = staged
-                    triggers_fired += fired
-                    rule_fired_count += fired
+                    rule_fired += fired
                     if fired == 0:
                         continue
                     for head_sql, head_predicate in rule.head_inserts:
@@ -532,62 +508,25 @@ class PushdownExecutor:
                             round_inserts[head_predicate.name] = (
                                 round_inserts.get(head_predicate.name, 0) + inserted
                             )
+                round_considered += rule_staged
+                round_fired += rule_fired
                 if traced and rule_staged:
-                    round_considered += rule_staged
-                    round_fired += rule_fired_count
-                    rule_stats[rule.tgd_index] = [
-                        rule_staged,
-                        rule_fired_count,
-                        rule_atoms,
-                        tracer.now() - rule_started,
-                    ]
-            total = sum(round_inserts.values())
-            if traced:
-                for rule_index in sorted(rule_stats):
-                    staged_n, fired_n, atoms_n, seconds = rule_stats[rule_index]
-                    tracer.emit(
-                        "rule_round",
-                        round=rounds + 1,
-                        rule=rule_index,
-                        enumerated=int(staged_n),
-                        fired=int(fired_n),
-                        atoms_created=int(atoms_n),
-                        nulls_invented=0,
-                        dur=round(float(seconds), 9),
+                    # Set-based statements invent nulls inside SQLite, so
+                    # ``nulls_invented`` has no per-rule attribution here.
+                    rule_rows.append(
+                        RuleRow(
+                            rule.tgd_index, rule_staged, rule_fired, rule_atoms, 0,
+                            tracer.now() - rule_started,
+                        )
                     )
-                tracer.emit(
-                    "round",
-                    round=rounds + 1,
-                    delta_size=prev_total,
-                    considered=round_considered,
-                    fired=round_fired,
-                    atoms_created=total,
-                    dur=round(tracer.now() - round_started, 9),
-                )
-            if total == 0:
-                store.flush()
-                return ChaseResult(
-                    terminated=True,
-                    rounds=rounds,
-                    atoms_created=atoms_created,
-                    triggers_fired=triggers_fired,
-                    stop_reason="fixpoint",
-                    store=store,
-                )
-            store.advance_seq(round_seq)
-            # Round-granular durability, like the serial engines: a crash
-            # loses at most the in-flight round.
-            store.flush()
-            atoms_created += total
-            rounds += 1
-            prev_watermark = round_start
-            prev_total = total
-            delta_predicates = set(round_inserts)
-            if limits.atom_budget_exceeded(store.atom_count()):
-                return _limit_stopped(
-                    self.variant, store, rounds, atoms_created, triggers_fired,
-                    "max_atoms", self.on_limit,
-                )
+            total = sum(round_inserts.values())
+            if total:
+                store.advance_seq(round_seq)
+                prev_watermark = round_start
+                delta_predicates = set(round_inserts)
+            return RoundOutcome(round_considered, round_fired, total, rule_rows)
+
+        return step
 
 
 class _RecursiveCteTier:
@@ -605,10 +544,12 @@ class _RecursiveCteTier:
     table.  For linear rules that minimum *is* the breadth-first round the
     engines would first create the atom in (a parent row at its minimal
     round derives the child at the next one), and levels are contiguous, so
-    the serial loop's budget automaton can be replayed over the per-round
-    counts to recover ``rounds`` / ``atoms_created`` / ``stop_reason``
-    exactly; ``triggers_fired`` is recovered per rule as the count of
-    distinct witness projections among body rows up to the stop round.
+    the round driver's budget automaton
+    (:class:`~repro.chase.rounds.RoundBudget`) can be replayed over the
+    per-round counts to recover ``rounds`` / ``atoms_created`` /
+    ``stop_reason`` exactly; ``triggers_fired`` is recovered per rule as the
+    count of distinct witness projections among body rows up to the stop
+    round.
 
     The recursion depth cap starts small and grows geometrically until the
     replay is conclusive — a run stopped by its round budget, or a fixpoint
@@ -754,7 +695,7 @@ class _RecursiveCteTier:
         variant: str,
         tracer: AnyTracer = NULL_TRACER,
     ) -> "ChaseResult":
-        from ...chase.result import ChaseResult
+        from ...chase.rounds import RoundBudget
 
         store = self.store
         base_seq = store.current_seq()
@@ -775,9 +716,9 @@ class _RecursiveCteTier:
                     family="pushdown-cte-count",
                 )
             )
-            outcome = self._replay_budget(counts, cap, limits, base_total)
-            if outcome is not None:
-                stop_reason, terminated, rounds, atoms_created = outcome
+            budget = RoundBudget(limits, on_limit, variant)
+            stop_reason = self._replay(counts, cap, budget, base_total)
+            if stop_reason is not None:
                 break
             # Inconclusive: a fixpoint was observed only *at* the cap, so
             # deeper rows may exist.  Grow and rerun (bounded runs are
@@ -787,11 +728,11 @@ class _RecursiveCteTier:
             else:
                 cap *= _CTE_CAP_GROWTH
 
-        triggers_fired = 0
+        rounds = budget.rounds
         cutoff = rounds if stop_reason == "fixpoint" else rounds - 1
         if cutoff >= 0:
             for count_sql in self._count_sqls:
-                triggers_fired += store.query(
+                budget.triggers_fired += store.query(
                     count_sql, {**self._params, "cutoff": cutoff},
                     family="pushdown-cte-count",
                 )[0][0]
@@ -807,20 +748,7 @@ class _RecursiveCteTier:
                     family="pushdown-cte-apply",
                 )
             store.advance_seq(base_seq + rounds)
-        store.flush()
-        if stop_reason != "fixpoint":
-            return _limit_stopped(
-                variant, store, rounds, atoms_created, triggers_fired,
-                stop_reason, on_limit,
-            )
-        return ChaseResult(
-            terminated=terminated,
-            rounds=rounds,
-            atoms_created=atoms_created,
-            triggers_fired=triggers_fired,
-            stop_reason=stop_reason,
-            store=store,
-        )
+        return budget.result(store, stop_reason)
 
     def _emit_trace(
         self,
@@ -840,7 +768,9 @@ class _RecursiveCteTier:
         the result's ``triggers_fired``/``atoms_created`` exactly — the
         same contract the interpreted engines honour.
         """
-        # The serial loop would run a final, trigger-enumerating round to
+        from ...chase.rounds import RuleRow, emit_round
+
+        # The round driver would run a final, trigger-enumerating round to
         # observe the fixpoint; budget stops end before that round runs.
         emit_rounds = rounds + 1 if stop_reason == "fixpoint" else rounds
         if emit_rounds <= 0:
@@ -860,58 +790,42 @@ class _RecursiveCteTier:
             for count_sql in self._count_sqls
         ]
         for r in range(1, emit_rounds + 1):
-            round_fired = 0
+            rule_rows = []
             for rule, cum in zip(self.rules, cumulative):
                 fired = cum[r - 1] - (cum[r - 2] if r >= 2 else 0)
-                if fired == 0:
-                    continue
-                round_fired += fired
-                tracer.emit(
-                    "rule_round",
-                    round=r,
-                    rule=rule.tgd_index,
-                    enumerated=fired,
-                    fired=fired,
-                    atoms_created=0,
-                    nulls_invented=0,
-                    dur=0.0,
-                )
-            tracer.emit(
-                "round",
-                round=r,
-                delta_size=base_total if r == 1 else counts.get(r - 1, 0),
-                considered=round_fired,
-                fired=round_fired,
-                atoms_created=counts.get(r, 0) if r <= rounds else 0,
-                dur=0.0,
+                if fired:
+                    rule_rows.append(RuleRow(rule.tgd_index, fired, fired, 0, 0, 0.0))
+            round_fired = sum(row.fired for row in rule_rows)
+            emit_round(
+                tracer,
+                r,
+                base_total if r == 1 else counts.get(r - 1, 0),
+                round_fired,
+                round_fired,
+                counts.get(r, 0) if r <= rounds else 0,
+                rule_rows,
+                0.0,
             )
 
     @staticmethod
-    def _replay_budget(
-        counts: Dict[int, int], cap: int, limits: "ChaseLimits", base_total: int
-    ) -> Optional[Tuple[str, bool, int, int]]:
-        """Replay the serial loop's budget checks over per-round row counts.
+    def _replay(
+        counts: Dict[int, int], cap: int, budget: "RoundBudget", base_total: int
+    ) -> Optional[str]:
+        """Replay the per-round row counts through the run's budget automaton.
 
-        Returns ``(stop_reason, terminated, rounds, atoms_created)`` when
-        the verdict is conclusive under this *cap*, else ``None`` (a
-        fixpoint seen only because the recursion was truncated).
+        Leaves ``rounds``/``atoms_created`` on *budget* and returns the stop
+        reason when the verdict is conclusive under this *cap*, else
+        ``None`` (a fixpoint seen only because the recursion was truncated).
         """
-        rounds = 0
-        atoms_created = 0
         total = base_total
-        while True:
-            if limits.round_budget_exceeded(rounds + 1):
-                return ("max_rounds", False, rounds, atoms_created)
-            new = counts.get(rounds + 1, 0)
+        while budget.next_round_allowed():
+            new = counts.get(budget.rounds + 1, 0)
             if new == 0:
-                if rounds + 1 <= cap:
-                    return ("fixpoint", True, rounds, atoms_created)
-                return None
-            rounds += 1
-            atoms_created += new
+                return "fixpoint" if budget.rounds + 1 <= cap else None
             total += new
-            if limits.atom_budget_exceeded(total):
-                return ("max_atoms", False, rounds, atoms_created)
+            if not budget.round_done(new, total):
+                return "max_atoms"
+        return "max_rounds"
 
 
 class CompiledPlanQuery:

@@ -6,6 +6,10 @@ routing table, the peer-channel framing protocol, the skew detector — and
 the crash-mid-exchange persistence guarantee on sqlite backends.
 """
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.chase.engine import chase, make_backend_store
@@ -361,6 +365,53 @@ class TestCrashMidExchange:
         assert persisted > set(map(str, database.atoms()))
         assert persisted <= set(map(str, fresh.instance))
         # resuming over the reopened file reaches the uninterrupted fixpoint
+        resumed = chase(database, tgds, store=SqliteAtomStore(path=path))
+        assert resumed.terminated
+        assert sorted(map(str, resumed.instance)) == sorted(map(str, fresh.instance))
+        resumed.store.close()
+
+    #: Runs the crashing chase in a child interpreter, so a coordinator that
+    #: hangs on a wedged worker fails the test by timeout instead of hanging
+    #: the suite.  argv: the sqlite path.
+    CRASH_SCRIPT = """
+import multiprocessing, sys
+from repro.chase.engine import make_backend_store
+from repro.chase.parallel import parallel_chase
+from repro.core.parser import parse_database, parse_rules
+
+database = parse_database("\\n".join(f"edge(n{i}, n{i + 1})." for i in range(6)))
+tgds = parse_rules("path(X, Y) :- edge(X, Y).\\npath(X, Z) :- path(X, Y), edge(Y, Z).")
+store = make_backend_store("sqlite:" + sys.argv[1])
+try:
+    parallel_chase(
+        database, tgds, workers=2, executor="process", store=store, exchange="shuffle"
+    )
+except RuntimeError as error:
+    print("RuntimeError:", str(error).splitlines()[0])
+store.close()
+print("orphans:", len(multiprocessing.active_children()))
+"""
+
+    @pytest.mark.parametrize("victim", (0, 1))
+    def test_either_failed_process_worker_fails_the_run_promptly(self, tmp_path, victim):
+        # Worker 0 is the regression: it used to leave the coordinator
+        # blocked on worker 0's pipe while worker 0 waited for its dead
+        # peer's frames (with victim 1), forever.
+        database, tgds = self._program()
+        fresh = chase(database, tgds)
+        path = str(tmp_path / f"crash-victim-{victim}.db")
+        environment = dict(os.environ, REPRO_EXCHANGE_CRASH=f"1:{victim}")
+        environment["PYTHONPATH"] = os.pathsep.join(sys.path)
+        finished = subprocess.run(
+            [sys.executable, "-c", self.CRASH_SCRIPT, path],
+            env=environment, capture_output=True, text=True, timeout=30,
+        )
+        assert finished.returncode == 0, finished.stderr
+        assert f"RuntimeError: parallel chase worker {victim} failed:" in finished.stdout
+        assert "orphans: 0" in finished.stdout
+        with SqliteAtomStore(path=path) as reopened:
+            persisted = set(map(str, reopened.iter_atoms()))
+        assert set(map(str, database.atoms())) < persisted <= set(map(str, fresh.instance))
         resumed = chase(database, tgds, store=SqliteAtomStore(path=path))
         assert resumed.terminated
         assert sorted(map(str, resumed.instance)) == sorted(map(str, fresh.instance))

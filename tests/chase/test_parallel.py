@@ -158,3 +158,66 @@ class TestApiSurface:
         result = executor.run(database, tgds, store=RelationalDatabase(name="t"))
         assert result.terminated
         assert isinstance(result.store, RelationalDatabase)
+
+
+class TestWorkerDeath:
+    """A killed process worker is the documented ``RuntimeError``, never a
+    raw ``BrokenPipeError``/``EOFError`` — so callers' cleanup still runs."""
+
+    DATABASE = parse_database("R(a,b).\nR(b,c).\nR(c,d).")
+    TGDS = tuple(parse_rules("R(x,y) -> S(y,x)\nS(x,y), R(y,z) -> T(x,z)"))
+
+    def _pool(self, exchange):
+        store = Instance()
+        for atom in self.DATABASE.atoms():
+            store.add_atom(atom)
+        executor = ParallelChaseExecutor(workers=2, executor="process", exchange=exchange)
+        return executor._make_pool(self.TGDS, store, None)
+
+    @staticmethod
+    def _round(pool, exchange, index):
+        if exchange == "shuffle":
+            return pool.round(index, ())
+        return pool.initial() if index == 0 else pool.delta((), ((), ()))
+
+    @pytest.mark.parametrize("when", ("before-first-round", "after-first-round"))
+    @pytest.mark.parametrize("exchange", ("coordinator", "shuffle"))
+    def test_killed_worker_surfaces_as_the_documented_error(self, exchange, when):
+        pool = self._pool(exchange)
+        try:
+            next_round = 0
+            if when == "after-first-round":
+                assert len(self._round(pool, exchange, 0)) == 2
+                next_round = 1
+            victim = pool._processes[1]
+            victim.kill()
+            victim.join(timeout=10)
+            with pytest.raises(
+                RuntimeError, match=r"parallel chase worker 1 failed.*exited with code -9"
+            ):
+                self._round(pool, exchange, next_round)
+        finally:
+            pool.close()
+        assert not any(process.is_alive() for process in pool._processes)
+
+    def test_death_mid_run_still_flushes_the_persistent_store(self, tmp_path, monkeypatch):
+        from repro.chase import parallel
+        from repro.storage.sqlbackend import SqliteAtomStore
+
+        real_round = parallel._ProcessPool.delta
+
+        def kill_then_round(pool, *args):
+            pool._processes[0].kill()
+            pool._processes[0].join(timeout=10)
+            return real_round(pool, *args)
+
+        monkeypatch.setattr(parallel._ProcessPool, "delta", kill_then_round)
+        path = str(tmp_path / "killed.db")
+        with pytest.raises(RuntimeError, match="parallel chase worker 0 failed"):
+            parallel_chase(
+                self.DATABASE, self.TGDS, workers=2, executor="process",
+                backend=f"sqlite:{path}",
+            )
+        # parallel_chase's finally flushed round 1 before the error left it
+        with SqliteAtomStore(path=path) as reopened:
+            assert reopened.atom_count() > len(self.DATABASE)

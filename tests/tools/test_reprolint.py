@@ -382,6 +382,18 @@ class TestProcessBoundary:
         )
         assert rules_of(report) == ["process-boundary"]
 
+    def test_send_wrapper_call_sites_are_scanned_too(self, tmp_path):
+        report = lint_snippet(
+            tmp_path,
+            "chase/parallel.py",
+            """
+            class Pool:
+                def seed(self, worker_id, store):
+                    self._send(worker_id, ("seed", store))
+            """,
+        )
+        assert rules_of(report) == ["process-boundary"]
+
     def test_generator_payload_is_flagged(self, tmp_path):
         report = lint_snippet(
             tmp_path,

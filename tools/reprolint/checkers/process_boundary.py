@@ -1,10 +1,12 @@
 """``process-boundary``: only picklable values cross into worker processes.
 
 ``chase/parallel.py`` ships work to processes three ways: pipe messages
-(``conn.send(...)``), pool submissions (``pool.submit(fn, *args)``), and the
-``Process(target=..., args=(...))`` constructor.  PR 5 deliberately made
-every crossing zero-pickle-weight: store *specs* (tuples of strings) travel,
-live stores do not.  This checker keeps unpicklables out of those crossings:
+(``conn.send(...)``, or the process pool's ``self._send(worker_id, ...)``
+wrapper that maps a dead pipe to the documented error), pool submissions
+(``pool.submit(fn, *args)``), and the ``Process(target=..., args=(...))``
+constructor.  PR 5 deliberately made every crossing zero-pickle-weight: store
+*specs* (tuples of strings) travel, live stores do not.  This checker keeps
+unpicklables out of those crossings:
 
 * ``lambda`` and generator expressions anywhere in a payload — both fail to
   pickle at runtime, but only when that code path fires under the process
@@ -87,7 +89,7 @@ class ProcessBoundaryChecker(Checker):
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
-            if isinstance(func, ast.Attribute) and func.attr == "send":
+            if isinstance(func, ast.Attribute) and func.attr in ("send", "_send"):
                 for arg in node.args:
                     self._scan_payload(module, arg, "pipe send", (), findings)
             elif isinstance(func, ast.Attribute) and func.attr == "submit":
