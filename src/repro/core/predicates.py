@@ -80,6 +80,17 @@ class Schema:
         self._by_name[predicate.name] = predicate
         return predicate
 
+    def declare(self, name: str, arity: int) -> Predicate:
+        """Return the stored predicate ``name/arity``, adding it on first sight.
+
+        :meth:`add` without building a :class:`Predicate` for a name the
+        schema already knows — what a parser does once per atom.
+        """
+        existing = self._by_name.get(name)
+        if existing is not None and existing.arity == arity:
+            return existing
+        return self.add(Predicate(name, arity))
+
     def get(self, name: str) -> Predicate:
         """Return the predicate called *name*; raise ``KeyError`` if unknown."""
         return self._by_name[name]

@@ -16,6 +16,7 @@ from repro.fuzz import (
     replay_corpus,
     save_case,
 )
+from tests.helpers import revert_quote_aware_comments
 
 P, Q = Predicate("P", 1), Predicate("Q", 1)
 x = Variable("x")
@@ -104,16 +105,7 @@ class TestFuzzLoop:
     def test_divergences_are_saved_as_minimized_cases(self, tmp_path, monkeypatch):
         """Reverting the quote-aware comment stripping (a this-PR bugfix)
         must make the fuzzer find, shrink, and persist a divergence."""
-        import repro.core.parser as parser_mod
-
-        def legacy_strip(line):
-            for prefix in ("%", "#", "//"):
-                at = line.find(prefix)
-                if at != -1:
-                    line = line[:at]
-            return line
-
-        monkeypatch.setattr(parser_mod, "_strip_comment", legacy_strip)
+        revert_quote_aware_comments(monkeypatch)
         save_dir = tmp_path / "found"
         report = fuzz(
             max_cases=0, seed=0, families=["heavy_skew"], save_dir=save_dir
@@ -129,8 +121,6 @@ class TestFuzzLoop:
 
     def test_reverted_fix_breaks_corpus_replay(self, tmp_path, monkeypatch):
         """The committed-corpus acceptance check, in miniature."""
-        import repro.core.parser as parser_mod
-
         tgds = TGDSet([TGD((Atom(P, (x,)),), (Atom(Q, (x,)),))])
         database = Database()
         database.add(Atom(P, (Constant("100%"),)))
@@ -138,14 +128,7 @@ class TestFuzzLoop:
 
         assert replay_corpus(tmp_path, pools="quick").ok
 
-        def legacy_strip(line):
-            for prefix in ("%", "#", "//"):
-                at = line.find(prefix)
-                if at != -1:
-                    line = line[:at]
-            return line
-
-        monkeypatch.setattr(parser_mod, "_strip_comment", legacy_strip)
+        revert_quote_aware_comments(monkeypatch)
         report = replay_corpus(tmp_path, pools="quick")
         assert not report.ok
         assert report.divergent

@@ -9,10 +9,12 @@ terminates.
 
 from __future__ import annotations
 
+import re
 from typing import List, Tuple
 
 from hypothesis import strategies as st
 
+import repro.core.parser as parser_module
 from repro.core.atoms import Atom
 from repro.core.instances import Database
 from repro.core.predicates import Predicate
@@ -42,6 +44,17 @@ def chase_result_fingerprint(result) -> tuple:
         result.atoms_created,
         tuple(sorted(str(atom) for atom in result.instance)),
     )
+
+
+def revert_quote_aware_comments(monkeypatch) -> None:
+    """Re-inject the bug the fuzzer once found: comments cut quoted constants.
+
+    The fault-injection seam of the fuzz tests.  The fact scanner's token
+    pattern is swapped for one without the quote characters, so the scanner
+    never enters a quote and ``%``, ``#`` or ``//`` end the line wherever
+    they stand — ``P("100%").`` is cut down to ``P("100``.
+    """
+    monkeypatch.setattr(parser_module, "_FACT_TOKENS", re.compile(r"[(),%#]|//"))
 
 
 def atoms_equal_modulo_nulls(left, right) -> bool:

@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.atoms import Atom
 from repro.core.instances import Database
-from repro.core.parser import _strip_comment, parse_atom, parse_database, parse_rules
+from repro.core.parser import parse_atom, parse_database, parse_fact, parse_rules
 from repro.core.predicates import Predicate
 from repro.core.serializer import serialize_atom, serialize_database
 from repro.core.terms import Constant
@@ -27,24 +27,26 @@ def one_fact_database(name):
 
 
 class TestQuoteAwareCommentStripping:
-    """Bug: ``_strip_comment`` cut quoted constants at %, #, or //."""
+    """Bug: the comment cut went through quoted constants at %, #, or //."""
 
     def test_percent_inside_quotes_is_content(self):
-        assert _strip_comment('R("100%",b).') == 'R("100%",b).'
+        assert parse_fact('R("100%",b).').terms == (Constant("100%"), Constant("b"))
 
     def test_hash_and_slashes_inside_quotes_are_content(self):
-        assert _strip_comment('R("x#y","p//q").') == 'R("x#y","p//q").'
+        assert parse_fact('R("x#y","p//q").').terms == (Constant("x#y"), Constant("p//q"))
 
     def test_comment_after_quoted_constant_is_still_stripped(self):
-        assert _strip_comment('R("100%",b). % trailing') == 'R("100%",b). '
+        assert parse_fact('R("100%",b). % trailing') == parse_fact('R("100%",b).')
 
     def test_single_quotes_guard_too(self):
-        assert _strip_comment("R('a%b').") == "R('a%b')."
+        assert parse_fact("R('a%b').").terms == (Constant("a%b"),)
 
     def test_unterminated_quote_keeps_the_rest_of_the_line(self):
-        # The atom parser owns the error message for a dangling quote; the
-        # stripper must not silently amputate the evidence.
-        assert _strip_comment('R("dangling % rest') == 'R("dangling % rest'
+        # The error is about the dangling quote and shows the whole line; the
+        # comment cut must not silently amputate the evidence.
+        with pytest.raises(ParseError, match="unterminated quote") as excinfo:
+            parse_database('R("dangling % rest')
+        assert "% rest" in str(excinfo.value)
 
     def test_end_to_end_percent_constant_parses(self):
         database = parse_database('R("100%",b).')

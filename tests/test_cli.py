@@ -4,6 +4,7 @@ import pytest
 
 from repro.cli import main
 from repro.obs import read_trace
+from tests.helpers import revert_quote_aware_comments
 
 
 @pytest.fixture
@@ -455,16 +456,7 @@ class TestFuzzCommand:
         assert "INTERRUPTED" in capsys.readouterr().out
 
     def test_divergence_beats_interrupt_in_exit_code(self, tmp_path, capsys, monkeypatch):
-        import repro.core.parser as parser_mod
-
-        def legacy_strip(line):
-            for prefix in ("%", "#", "//"):
-                at = line.find(prefix)
-                if at != -1:
-                    line = line[:at]
-            return line
-
-        monkeypatch.setattr(parser_mod, "_strip_comment", legacy_strip)
+        revert_quote_aware_comments(monkeypatch)
         code = main(["fuzz", "--max-cases", "0", "--families", "heavy_skew"])
         assert code == 1
         assert "DIVERGED" in capsys.readouterr().out
@@ -759,3 +751,52 @@ class TestConsoleEntryPoint:
         )
         assert completed.returncode == 2
         assert "--parallel must be >= 1" in completed.stderr
+
+    SCHEMA_ERRORS = {
+        # file contents -> the line the one-line report must name
+        "arity conflict in the rules": ("R(x,y) -> S(y)\nS(x) -> R(x)\n", "R(a,b).\n", 2),
+        "constant in a rule": ("% header\nR(x) -> S('a')\n", "R(a).\n", 2),
+        "arity conflict in the facts": ("R(x,y) -> S(y)\n", "R(a,b).\n\nR(a).\n", 3),
+    }
+
+    @pytest.mark.parametrize("command", ["check", "chase"])
+    @pytest.mark.parametrize("case", sorted(SCHEMA_ERRORS))
+    def test_schema_error_in_a_file_exits_two_with_one_line(
+        self, entry_point, subprocess_env, tmp_path, command, case
+    ):
+        rules_text, facts_text, line_number = self.SCHEMA_ERRORS[case]
+        rules = tmp_path / "rules.txt"
+        rules.write_text(rules_text)
+        facts = tmp_path / "facts.txt"
+        facts.write_text(facts_text)
+        completed = self._run(
+            entry_point, subprocess_env,
+            command, "--rules", str(rules), "--facts", str(facts),
+        )
+        assert completed.returncode == 2, completed.stderr
+        assert "Traceback" not in completed.stderr
+        (report,) = completed.stderr.splitlines()
+        assert f"(line {line_number})" in report
+
+    def test_byte_order_mark_does_not_change_the_verdict(
+        self, entry_point, subprocess_env, tmp_path
+    ):
+        # With the BOM read as part of the first predicate name, ``\ufeffR`` and ``R``
+        # were two relations and the cycle through R disappeared: FINITE.
+        facts = tmp_path / "facts.txt"
+        facts.write_text("R(a,b).\n")
+        reports = {}
+        for name, encoding in (("plain", "utf-8"), ("bom", "utf-8-sig")):
+            rules = tmp_path / f"{name}.rules"
+            rules.write_text("R(x,y) -> S(y,z)\nS(x,y) -> R(x,z)\n", encoding=encoding)
+            completed = self._run(
+                entry_point, subprocess_env,
+                "check", "--rules", str(rules), "--facts", str(facts),
+            )
+            assert completed.returncode == 0, completed.stderr
+            reports[name] = [
+                line for line in completed.stdout.splitlines() if not line.endswith(" ms")
+            ]
+        assert any("INFINITE" in line for line in reports["plain"])
+        assert any("n_nodes: 4" in line for line in reports["plain"])
+        assert reports["bom"] == reports["plain"]
