@@ -34,18 +34,18 @@ returns without ever loading a store-backed fixpoint into RAM.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Set
+from typing import Iterable, Mapping, Optional, Set
 
 from ..core.atoms import Atom
 from ..core.instances import Database, Instance
 from ..core.substitutions import has_homomorphism
-from ..core.terms import Null, NullFactory
+from ..core.terms import Null, NullFactory, Term
 from ..core.tgds import TGD, TGDSet
 from ..obs.tracer import as_tracer
 from .matching import STRATEGIES, has_homomorphism_indexed, make_trigger_source
 from .result import ChaseLimits, ChaseResult
-from .rounds import RoundOutcome, RoundStep, RuleRow, run_rounds, seed_store
-from .triggers import Trigger
+from .rounds import RoundOutcome, RoundStep, RuleRow, insert_sorted, run_rounds
+from .triggers import FiringKey, FiringPlan
 
 #: Store backends accepted by :func:`chase`.  ``"sqlite"`` chases into a
 #: transient in-memory SQLite database; ``"sqlite:<path>"`` into a
@@ -88,7 +88,8 @@ class ChaseEngine:
     """Base class implementing the breadth-first chase skeleton."""
 
     variant = "abstract"
-    #: Null-naming policy forwarded to Trigger.result (see triggers module).
+    #: The witness a trigger is keyed by — its firing key and the scope of
+    #: the nulls it invents (see :class:`~repro.chase.triggers.FiringPlan`).
     null_scope = "frontier"
 
     def __init__(
@@ -108,13 +109,9 @@ class ChaseEngine:
     # ------------------------------------------------------------------ #
     # Variant-specific policy
 
-    def _should_fire(self, trigger: Trigger, store, fired_keys: Set) -> bool:
-        """Return ``True`` when *trigger* must be fired on *store*."""
-        raise NotImplementedError
-
-    def _firing_key(self, trigger: Trigger):
-        """Return the key recording that *trigger* has been considered."""
-        raise NotImplementedError
+    def _should_fire(self, plan: FiringPlan, mapping: Mapping[Term, Term], store) -> bool:
+        """Return ``True`` when the newly keyed match ``(plan.tgd, mapping)`` must fire."""
+        return True
 
     # ------------------------------------------------------------------ #
     # The round step plugged into the shared driver (repro.chase.rounds)
@@ -141,7 +138,7 @@ class ChaseEngine:
         tracer = as_tracer(tracer)
         if store is None:
             store = Instance()
-        seed_store(store, database.atoms())
+        insert_sorted(store, database.atoms())
         step = self._round_step(tuple(tgds), store, tracer)
         return run_rounds(step, store, self.limits, self.on_limit, self.variant, tracer)
 
@@ -154,20 +151,19 @@ class ChaseEngine:
         nothing read there flows into any chase decision.
         """
         source = make_trigger_source(tgds, self.strategy)
+        plans = [FiringPlan(tgd, index, self.null_scope) for index, tgd in enumerate(tgds)]
         null_factory = NullFactory()
-        null_scope = self.null_scope
-        firing_key = self._firing_key
         should_fire = self._should_fire
-        fired_keys: Set = set()
+        fired_keys: Set[FiringKey] = set()
         frontier: Set[Atom] = set()
         traced = tracer.enabled
 
         def step(round_index: int, delta) -> RoundOutcome:
             nonlocal frontier
             if round_index == 0:
-                triggers = source.initial(store)
+                matches = source.initial(store)
             else:
-                triggers = source.delta(store, frontier)
+                matches = source.delta(store, frontier)
             new_atoms: Set[Atom] = set()
             considered = 0
             fired = 0
@@ -175,21 +171,22 @@ class ChaseEngine:
             rule_stats: dict = {}
             stats: list = []
             last = tracer.now() if traced else 0.0
-            for trigger in triggers:
+            for index, mapping in matches:
                 if traced:
                     considered += 1
-                    stats = rule_stats.get(trigger.tgd_index)
+                    stats = rule_stats.get(index)
                     if stats is None:
-                        stats = rule_stats[trigger.tgd_index] = [0, 0, 0, set(), 0.0]
+                        stats = rule_stats[index] = [0, 0, 0, set(), 0.0]
                     stats[0] += 1
-                key = firing_key(trigger)
+                plan = plans[index]
+                key = plan.key(mapping)
                 if key not in fired_keys:
                     fired_keys.add(key)
-                    if should_fire(trigger, store, fired_keys):
+                    if should_fire(plan, mapping, store):
                         fired += 1
                         if traced:
                             stats[1] += 1
-                        for atom in trigger.result(null_factory, null_scope=null_scope):
+                        for atom in plan.result(key, null_factory):
                             if atom not in new_atoms and not store.has_atom(atom):
                                 new_atoms.add(atom)
                                 if traced:
@@ -219,23 +216,11 @@ class ObliviousChase(ChaseEngine):
     variant = "oblivious"
     null_scope = "homomorphism"
 
-    def _firing_key(self, trigger: Trigger):
-        return trigger.oblivious_key()
-
-    def _should_fire(self, trigger: Trigger, store, fired_keys: Set) -> bool:
-        return True
-
 
 class SemiObliviousChase(ChaseEngine):
     """The semi-oblivious chase: fire once per TGD and frontier assignment."""
 
     variant = "semi-oblivious"
-
-    def _firing_key(self, trigger: Trigger):
-        return trigger.semi_oblivious_key()
-
-    def _should_fire(self, trigger: Trigger, store, fired_keys: Set) -> bool:
-        return True
 
 
 class RestrictedChase(ChaseEngine):
@@ -248,6 +233,11 @@ class RestrictedChase(ChaseEngine):
     the check runs through the same position-index lookups as trigger
     enumeration instead of scanning whole predicate buckets.
 
+    A restricted-chase trigger can become relevant again only with the same
+    frontier assignment, and once satisfied the head stays satisfied (the
+    chase is monotone), so memoising considered triggers on the
+    semi-oblivious key is sound.
+
     Note: the restricted chase is order-sensitive in general.  This engine
     fires all applicable triggers of a round against the instance as it was
     at the *start* of the round, which corresponds to one standard "fair"
@@ -257,22 +247,13 @@ class RestrictedChase(ChaseEngine):
 
     variant = "restricted"
 
-    def _firing_key(self, trigger: Trigger):
-        # Restricted-chase triggers can become relevant again only with the
-        # same key, and once satisfied the head stays satisfied (the chase is
-        # monotone), so memoising on the semi-oblivious key is sound.
-        return trigger.semi_oblivious_key()
-
-    def _should_fire(self, trigger: Trigger, store, fired_keys: Set) -> bool:
-        base = {
-            variable: trigger.homomorphism[variable]
-            for variable in trigger.tgd.frontier()
-        }
+    def _should_fire(self, plan: FiringPlan, mapping: Mapping[Term, Term], store) -> bool:
+        base = {variable: mapping[variable] for variable in plan.variables}
         if self.strategy == "naive":
-            return not has_homomorphism(trigger.tgd.head, store, base=base)
+            return not has_homomorphism(plan.tgd.head, store, base=base)
         # "indexed" and "sql" both satisfy the check through the store's
         # position-index lookups (point queries on the sqlite backend).
-        return not has_homomorphism_indexed(trigger.tgd.head, store, base=base)
+        return not has_homomorphism_indexed(plan.tgd.head, store, base=base)
 
 
 #: Chase variant -> engine class (public so the parallel executor can reuse

@@ -61,13 +61,14 @@ from typing import (
     cast,
 )
 
-from ..core.atoms import Atom
+from ..core.atoms import Atom, atom_sort_key
 from ..core.indexing import atom_partition_of, key_partition_of, partition_hash
 from ..core.predicates import Predicate
 from ..core.terms import Null
 from ..obs.clock import MonotonicClock
 from ..obs.metrics import MetricsRegistry
 from ..storage.atom_store import AtomStore
+from .rounds import insert_atoms
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from .parallel import _MatchWorker
@@ -453,7 +454,7 @@ class ShuffleWorker:
                     work.append((cast(int, entry[1]), cast(Atom, entry[2])))
                 else:
                     delta.append(cast(Atom, entry[1]))
-        delta.sort()
+        delta.sort(key=atom_sort_key)
         worker = self.match_worker
         if round_index == 0:
             considered, fired, _ = worker.initial_round()
@@ -465,8 +466,7 @@ class ShuffleWorker:
             )
         else:
             if not self.shared_store:
-                for atom in delta:
-                    worker.store.add_atom(atom)
+                insert_atoms(worker.store, delta)
             # Work order is free: key/atom dedup is ownership-global and the
             # coordinator sorts the merged new atoms before assigning seqs,
             # so nothing downstream can observe enumeration order.

@@ -27,6 +27,7 @@ chase run unchanged over either backend.
 from __future__ import annotations
 
 from typing import (
+    TYPE_CHECKING,
     AbstractSet,
     Dict,
     Iterable,
@@ -35,15 +36,24 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    cast,
 )
 
 from ..core.atoms import Atom
 from ..core.indexing import partition_hash
+from ..core.instances import Instance
 from ..core.predicates import Predicate
 from ..core.substitutions import Substitution, match_atom
 from ..core.terms import Constant, Term
 from ..core.tgds import TGD
-from .triggers import Trigger, triggers_on
+from .triggers import triggers_on
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; keeps storage out of module load
+    from ..storage.atom_store import AtomStore
+
+#: One enumerated trigger as the firing loops consume it: ``(rule index, body
+#: homomorphism)``; ``Trigger(tgd, index, Substitution(mapping))`` wraps one.
+Match = Tuple[int, Dict[Term, Term]]
 
 #: Trigger-engine strategies accepted by the chase engines and ``chase()``.
 #: ``"sql"`` compiles body joins to SQLite statements and requires the
@@ -73,7 +83,7 @@ def _bound_positions(pattern: Atom, mapping: Dict[Term, Term]) -> Dict[int, Term
 
 
 def _join(
-    store,
+    store: "AtomStore",
     patterns: Sequence[Atom],
     remaining: Tuple[int, ...],
     mapping: Dict[Term, Term],
@@ -89,31 +99,34 @@ def _join(
     if not remaining:
         yield mapping
         return
-    best = None
-    best_rank = None
-    for slot in remaining:
-        pattern = patterns[slot]
-        rank = (
-            -len(_bound_positions(pattern, mapping)),
-            store.predicate_cardinality(pattern.predicate),
-        )
-        if best_rank is None or rank < best_rank:
-            best, best_rank = slot, rank
+    best = remaining[0]
+    bindings = _bound_positions(patterns[best], mapping)
+    if len(remaining) > 1:
+        best_rank = (-len(bindings), store.predicate_cardinality(patterns[best].predicate))
+        for slot in remaining[1:]:
+            pattern = patterns[slot]
+            bound = _bound_positions(pattern, mapping)
+            rank = (-len(bound), store.predicate_cardinality(pattern.predicate))
+            if rank < best_rank:
+                best, best_rank, bindings = slot, rank, bound
     rest = tuple(slot for slot in remaining if slot != best)
     pattern = patterns[best]
-    candidates = store.atoms_matching(pattern.predicate, _bound_positions(pattern, mapping))
-    exclude_delta = delta is not None and best < seed_slot
-    for candidate in candidates:
-        if exclude_delta and candidate in delta:
+    excluded = delta if best < seed_slot else None
+    for candidate in store.atoms_matching(pattern.predicate, bindings):
+        if excluded is not None and candidate in excluded:
             continue
         extended = match_atom(pattern, candidate, mapping)
-        if extended is not None:
+        if extended is None:
+            continue
+        if rest:
             yield from _join(store, patterns, rest, extended, delta, seed_slot)
+        else:
+            yield extended
 
 
 def homomorphisms_indexed(
     atoms: Sequence[Atom],
-    store,
+    store: "AtomStore",
     base: Optional[Dict[Term, Term]] = None,
 ) -> Iterator[Substitution]:
     """Enumerate homomorphisms from *atoms* into *store* via the position indexes.
@@ -131,7 +144,7 @@ def homomorphisms_indexed(
 
 def has_homomorphism_indexed(
     atoms: Sequence[Atom],
-    store,
+    store: "AtomStore",
     base: Optional[Dict[Term, Term]] = None,
 ) -> bool:
     """Return ``True`` when some homomorphism from *atoms* into *store* exists."""
@@ -148,9 +161,9 @@ class JoinPlan:
     body atoms by selectivity-ordered index intersection.
     """
 
-    __slots__ = ("body", "seed_slot", "_others", "partition_positions")
+    __slots__ = ("body", "seed_slot", "_others", "_seed_by_position", "partition_positions")
 
-    def __init__(self, body: Sequence[Atom], seed_slot: int):
+    def __init__(self, body: Sequence[Atom], seed_slot: int) -> None:
         self.body = tuple(body)
         if not 0 <= seed_slot < len(self.body):
             raise ValueError(f"seed slot {seed_slot} out of range for {len(self.body)}-atom body")
@@ -163,6 +176,10 @@ class JoinPlan:
         # for linear TGDs there is no join, so the whole term tuple is the
         # key (empty tuple = "hash all positions" by convention).
         seed = self.body[seed_slot]
+        # Pairwise distinct variables match any atom of the predicate by position.
+        self._seed_by_position = not seed.has_repeated_terms() and not any(
+            isinstance(term, Constant) for term in seed.terms
+        )
         other_variables = {
             term
             for slot in self._others
@@ -175,7 +192,7 @@ class JoinPlan:
             if not isinstance(term, Constant) and term in other_variables
         )
 
-    def __repr__(self):
+    def __repr__(self) -> str:
         return f"JoinPlan(seed={self.body[self.seed_slot]!r}, body={len(self.body)} atoms)"
 
     def partition_key(self, atom: Atom) -> Tuple[Term, ...]:
@@ -201,7 +218,7 @@ class JoinPlan:
 
     def matches(
         self,
-        store,
+        store: "AtomStore",
         seed_atom: Atom,
         delta: Optional[AbstractSet[Atom]] = None,
     ) -> Iterator[Dict[Term, Term]]:
@@ -211,38 +228,53 @@ class JoinPlan:
         outside *delta*, so a homomorphism using several delta atoms is
         reported only by the plan seeded at its first delta slot.
         """
-        mapping = match_atom(self.body[self.seed_slot], seed_atom, None)
+        seed = self.body[self.seed_slot]
+        if self._seed_by_position and seed.predicate == seed_atom.predicate:
+            mapping = dict(zip(seed.terms, seed_atom.terms))
+        else:
+            mapping = match_atom(seed, seed_atom, None)
         if mapping is None:
             return
-        yield from _join(store, self.body, self._others, mapping, delta, self.seed_slot)
+        if self._others:
+            yield from _join(store, self.body, self._others, mapping, delta, self.seed_slot)
+        else:
+            yield mapping
 
 
 class TriggerSource:
-    """Produces the triggers of each breadth-first chase round.
+    """Produces the matches of each breadth-first chase round.
 
     ``initial`` enumerates every trigger on the seed store (round 0);
     ``delta`` enumerates only the triggers created by the atoms added in the
-    previous round.
+    previous round.  Both yield :data:`Match` pairs.
     """
 
-    def initial(self, store) -> Iterator[Trigger]:
+    def initial(self, store: "AtomStore") -> Iterator[Match]:
         raise NotImplementedError
 
-    def delta(self, store, new_atoms: Iterable[Atom]) -> Iterator[Trigger]:
+    def delta(self, store: "AtomStore", new_atoms: Iterable[Atom]) -> Iterator[Match]:
         raise NotImplementedError
 
 
 class NaiveTriggerSource(TriggerSource):
     """The seed engine's enumeration, kept as the differential-testing reference."""
 
-    def __init__(self, tgds: Sequence[TGD]):
+    def __init__(self, tgds: Sequence[TGD]) -> None:
         self.tgds = tuple(tgds)
 
-    def initial(self, store) -> Iterator[Trigger]:
-        return triggers_on(self.tgds, store)
+    def initial(self, store: "AtomStore") -> Iterator[Match]:
+        return self._matches(store, None)
 
-    def delta(self, store, new_atoms: Iterable[Atom]) -> Iterator[Trigger]:
-        return triggers_on(self.tgds, store, restrict_to_atoms=new_atoms)
+    def delta(self, store: "AtomStore", new_atoms: Iterable[Atom]) -> Iterator[Match]:
+        return self._matches(store, new_atoms)
+
+    def _matches(
+        self, store: "AtomStore", restrict_to_atoms: Optional[Iterable[Atom]]
+    ) -> Iterator[Match]:
+        # triggers_on only reads atoms_with_predicate, which every store has.
+        instance = cast(Instance, store)
+        for trigger in triggers_on(self.tgds, instance, restrict_to_atoms=restrict_to_atoms):
+            yield trigger.tgd_index, trigger.homomorphism.as_dict()
 
 
 class IndexedTriggerSource(TriggerSource):
@@ -254,27 +286,27 @@ class IndexedTriggerSource(TriggerSource):
     naive path only had for linear TGDs.
     """
 
-    def __init__(self, tgds: Sequence[TGD]):
+    def __init__(self, tgds: Sequence[TGD]) -> None:
         self.tgds = tuple(tgds)
-        self._slots: Dict[Predicate, List[Tuple[int, TGD, JoinPlan]]] = {}
+        self._slots: Dict[Predicate, List[Tuple[int, JoinPlan]]] = {}
         for index, tgd in enumerate(self.tgds):
             for slot, atom in enumerate(tgd.body):
                 self._slots.setdefault(atom.predicate, []).append(
-                    (index, tgd, JoinPlan(tgd.body, slot))
+                    (index, JoinPlan(tgd.body, slot))
                 )
 
-    def initial(self, store) -> Iterator[Trigger]:
+    def initial(self, store: "AtomStore") -> Iterator[Match]:
         for index, tgd in enumerate(self.tgds):
-            for substitution in homomorphisms_indexed(tgd.body, store):
-                yield Trigger(tgd, index, substitution)
+            for mapping in _join(store, tgd.body, tuple(range(len(tgd.body))), {}, None, -1):
+                yield index, mapping
 
-    def delta(self, store, new_atoms: Iterable[Atom]) -> Iterator[Trigger]:
+    def delta(self, store: "AtomStore", new_atoms: Iterable[Atom]) -> Iterator[Match]:
         delta = new_atoms if isinstance(new_atoms, (set, frozenset)) else set(new_atoms)
         # reprolint: disable=determinism -- trigger enumeration order cannot reach results: engines dedupe by firing key, nulls are content-addressed, and round inserts are sorted; sorting the delta here would tax the hot matching path
         for atom in delta:
-            for index, tgd, plan in self._slots.get(atom.predicate, ()):
+            for index, plan in self._slots.get(atom.predicate, ()):
                 for mapping in plan.matches(store, atom, delta=delta):
-                    yield Trigger(tgd, index, Substitution(mapping))
+                    yield index, mapping
 
 
 def make_trigger_source(tgds: Sequence[TGD], strategy: str = "indexed") -> TriggerSource:

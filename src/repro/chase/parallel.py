@@ -77,13 +77,13 @@ from typing import (
     cast,
 )
 
-from ..core.atoms import Atom
+from ..core.atoms import Atom, atom_sort_key
 from ..core.indexing import atom_partition_of
 from ..core.instances import Database, Instance
 from ..core.predicates import Predicate
-from ..core.substitutions import Substitution
 from ..core.terms import Null, NullFactory, Term
 from ..core.tgds import TGD, TGDSet
+from ..exceptions import ParallelWorkerError
 from ..obs.clock import MonotonicClock
 from ..obs.metrics import MetricsRegistry, StatementMetrics, sql_family_stats
 from ..obs.tracer import AnyTracer, as_tracer
@@ -101,8 +101,8 @@ from .exchange import (
 )
 from .matching import JoinPlan
 from .result import ChaseLimits, ChaseResult
-from .rounds import RoundOutcome, RoundStep, RuleRow, run_rounds, seed_store
-from .triggers import Trigger
+from .rounds import RoundOutcome, RoundStep, RuleRow, insert_atoms, insert_sorted, run_rounds
+from .triggers import FiringPlan
 
 _T = TypeVar("_T")
 
@@ -199,6 +199,10 @@ class _MatchWorker:
         self.store = store
         self.table = _PlanTable(tgds)
         self.policy: ChaseEngine = resolve_engine_class(variant)()
+        self.firing_plans = [
+            FiringPlan(tgd, index, self.policy.null_scope)
+            for index, tgd in enumerate(self.table.tgds)
+        ]
         self.null_factory = NullFactory()
         self.reported_keys: Set[object] = set()
         self.collect_metrics = collect_metrics
@@ -273,8 +277,7 @@ class _MatchWorker:
         the coordinator's store, which already holds them).
         """
         if apply_delta:
-            for atom in delta_atoms:
-                self.store.add_atom(atom)
+            insert_atoms(self.store, delta_atoms)
         delta = set(delta_atoms)
         considered: List[object] = []
         fired: List[Tuple[object, Tuple[Atom, ...]]] = []
@@ -314,16 +317,14 @@ class _MatchWorker:
         considered: List[object],
         fired: List[Tuple[object, Tuple[Atom, ...]]],
     ) -> None:
-        trigger = Trigger(entry.tgd, entry.tgd_index, Substitution(mapping))
-        key = self.policy._firing_key(trigger)
+        plan = self.firing_plans[entry.tgd_index]
+        key = plan.key(mapping)
         if key in self.reported_keys:
             return
         self.reported_keys.add(key)
         considered.append(key)
-        if self.policy._should_fire(trigger, self.store, self.reported_keys):
-            fired.append(
-                (key, trigger.result(self.null_factory, null_scope=self.policy.null_scope))
-            )
+        if self.policy._should_fire(plan, mapping, self.store):
+            fired.append((key, plan.result(key, self.null_factory)))
 
 
 class PushdownMatchWorker(_MatchWorker):
@@ -393,8 +394,7 @@ class PushdownMatchWorker(_MatchWorker):
         # coordinator applied it (shared store) or we do below (replica).
         delta_start = self._last_seq
         if apply_delta:
-            for atom in delta_atoms:
-                self.store.add_atom(atom)
+            insert_atoms(self.store, delta_atoms)
         delta_predicates = {atom.predicate for atom in delta_atoms}
         considered: List[object] = []
         fired: List[Tuple[object, Tuple[Atom, ...]]] = []
@@ -509,7 +509,7 @@ def worker_seed_atoms(
                 atoms.extend(
                     store.atoms_partition(predicate, (), n_workers, worker_id)
                 )
-    return sorted(atoms)
+    return sorted(atoms, key=atom_sort_key)
 
 
 def collect_full_seed_atoms(
@@ -878,7 +878,7 @@ def _worker_main(
                 if kind == "seed":
                     # Chunks arrive sorted (grouped by predicate), so the
                     # sqlite replica loads each predicate as one batch.
-                    seed_store(store, message[1])
+                    insert_atoms(store, message[1])
                     continue
                 conn.send(("ok", serve(message)))
             except Exception:
@@ -907,7 +907,8 @@ class _ProcessPool:
     touches the coordinator.
 
     A worker that reports an error, or dies, fails the round with a
-    ``RuntimeError`` naming it — whichever worker it is and however many
+    :class:`~repro.exceptions.ParallelWorkerError` (a ``RuntimeError``)
+    naming it — whichever worker it is and however many
     healthy workers are still busy (or wedged waiting for the dead one's
     frames): :meth:`_collect` waits on all control pipes at once.
     """
@@ -966,7 +967,7 @@ class _ProcessPool:
             self.close()
             raise
 
-    def _worker_failed(self, worker_id: int, report: Optional[str] = None) -> RuntimeError:
+    def _worker_failed(self, worker_id: int, report: Optional[str] = None) -> ParallelWorkerError:
         """The documented failure for a worker that reported an error or died."""
         if report is None:
             connection = self._connections[worker_id]
@@ -978,10 +979,13 @@ class _ProcessPool:
             except (EOFError, OSError):
                 pass
         if report is not None:
-            return RuntimeError(f"parallel chase worker {worker_id} failed:\n{report}")
+            cause = report.strip().splitlines()[-1]  # a traceback ends in the exception
+            return ParallelWorkerError(
+                f"parallel chase worker {worker_id} failed: {cause}\n{report}"
+            )
         process = self._processes[worker_id]
         process.join(timeout=2)
-        return RuntimeError(
+        return ParallelWorkerError(
             f"parallel chase worker {worker_id} failed: its process exited "
             f"with code {process.exitcode}"
         )
@@ -1420,7 +1424,7 @@ class ParallelChaseExecutor:
         tgd_list = tuple(tgds)
         if store is None:
             store = Instance()
-        seed_store(store, database.atoms())
+        insert_sorted(store, database.atoms())
         table = _PlanTable(tgd_list)
 
         # Traced runs: one registry for the coordinator's own SQL statements

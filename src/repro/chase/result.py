@@ -33,6 +33,11 @@ class ChaseLimits:
     max_atoms: Optional[int] = 100_000
     max_rounds: Optional[int] = None
 
+    def __post_init__(self) -> None:
+        for name, value in (("max_atoms", self.max_atoms), ("max_rounds", self.max_rounds)):
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must be >= 0 (or None for unlimited), got {value}")
+
     def atom_budget_exceeded(self, atom_count: int) -> bool:
         """Return ``True`` when *atom_count* exceeds the atom budget."""
         return self.max_atoms is not None and atom_count > self.max_atoms

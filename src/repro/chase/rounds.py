@@ -14,7 +14,8 @@ only different ways to compute *one* such round, so each of them is a
 * trace emission (:func:`emit_round`): the ``rule_round`` events of a round,
   sorted by rule, then its ``round`` event — the fixpoint-confirming round
   included, so the events sum to the result totals exactly;
-* canonical insertion: a round's new atoms reach the store in sorted order;
+* canonical insertion (:func:`insert_sorted`): seeds and each round's new
+  atoms reach the store in sorted order, in one bulk call where it has one;
 * durability: one ``flush()`` per productive round on stores that have one;
 * :class:`~repro.chase.result.ChaseResult` construction.
 
@@ -33,13 +34,14 @@ from typing import (
     Callable,
     Collection,
     Iterable,
+    List,
     NamedTuple,
     Optional,
     Sequence,
     Union,
 )
 
-from ..core.atoms import Atom
+from ..core.atoms import Atom, atom_sort_key
 from ..exceptions import ChaseLimitExceeded
 from ..obs.tracer import AnyTracer, as_tracer
 from .result import ChaseLimits, ChaseResult
@@ -154,15 +156,32 @@ def emit_round(
     )
 
 
-def seed_store(store: "AtomStore", atoms: Iterable[Atom]) -> None:
-    """Load *atoms* into *store*, through its bulk path when it has one."""
+def insert_atoms(store: "AtomStore", atoms: Iterable[Atom]) -> None:
+    """Add *atoms* to *store* in the given order — the one insertion site.
+
+    One ``add_atoms`` call where the store has a bulk path (sqlite: an
+    ``executemany`` per run of one predicate, so one per predicate in
+    canonical order), atom by atom otherwise.  A worker's delta and seed
+    chunks arrive sorted; everything else goes through :func:`insert_sorted`.
+    """
     add_atoms = getattr(store, "add_atoms", None)
     if add_atoms is not None:
-        # Batched executemany on the sqlite backend.
         add_atoms(atoms)
     else:
         for atom in atoms:
             store.add_atom(atom)
+
+
+def insert_sorted(store: "AtomStore", atoms: Iterable[Atom]) -> List[Atom]:
+    """Insert *atoms* in canonical order; return them in that order.
+
+    Set iteration is hash-salted and stores assign monotone seq numbers at
+    insertion, so unsorted insertion would make seq watermarks (any
+    seq-ordered read, a persisted file's bytes) vary run to run.
+    """
+    ordered = sorted(atoms, key=atom_sort_key)
+    insert_atoms(store, ordered)
+    return ordered
 
 
 def run_rounds(
@@ -205,12 +224,7 @@ def run_rounds(
             )
         if not created:
             return budget.result(store, "fixpoint")
-        # Insert in sorted order: set iteration is hash-salted, and the store
-        # assigns monotone seq numbers at insertion, so unsorted insertion
-        # would make seq watermarks (and any seq-ordered read) vary run to run.
-        delta = sorted(pending)
-        for atom in delta:
-            store.add_atom(atom)
+        delta = insert_sorted(store, pending) if pending else ()
         if flush is not None:
             # Round-granular durability on persistent stores: a hard crash
             # loses at most the current round, keeping the file a resumable

@@ -64,7 +64,7 @@ from .chase.parallel import EXECUTORS
 from .chase.result import ChaseLimits
 from .core.instances import Database, induced_database
 from .core.parser import load_database, load_rules
-from .exceptions import ExperimentConfigError, ParseError, StorageError
+from .exceptions import ExperimentConfigError, ParallelWorkerError, ParseError, StorageError
 from .experiments import (
     ABLATION_RUNNERS,
     ALL_RUNNERS,
@@ -75,6 +75,14 @@ from .experiments.reporting import format_table, summarize_figure, write_csv
 from .experiments.runner import SWEEP_KINDS, run_sweep, sweep_summary
 from .obs.clock import perf_counter_s
 from .termination import is_chase_finite_l, is_chase_finite_sl
+
+
+def non_negative_int(text: str) -> int:
+    """Argparse type of the chase budgets (the name is what a bad value's message shows)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -119,8 +127,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "transient in-memory database, 'sqlite:<path>' a persistent file "
         "(default: instance)",
     )
-    chase_cmd.add_argument("--max-atoms", type=int, default=100_000, help="atom budget (default: 100000)")
-    chase_cmd.add_argument("--max-rounds", type=int, help="round budget (default: unlimited)")
+    chase_cmd.add_argument("--max-atoms", type=non_negative_int, default=100_000, help="atom budget (default: 100000)")
+    chase_cmd.add_argument("--max-rounds", type=non_negative_int, help="round budget (default: unlimited)")
     chase_cmd.add_argument(
         "--parallel",
         type=int,
@@ -280,10 +288,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "fuzz_case per case, periodic fuzz_progress, fuzz_end)",
     )
     fuzz_cmd.add_argument(
-        "--max-atoms", type=int, default=300, help="per-run atom budget (default: 300)"
+        "--max-atoms", type=non_negative_int, default=300, help="per-run atom budget (default: 300)"
     )
     fuzz_cmd.add_argument(
-        "--max-rounds", type=int, default=10, help="per-run round budget (default: 10)"
+        "--max-rounds", type=non_negative_int, default=10, help="per-run round budget (default: 10)"
     )
 
     trace_report = subparsers.add_parser(
@@ -422,6 +430,11 @@ def _command_chase(args) -> int:
         # the backend-spec errors above.
         print(str(error), file=sys.stderr)
         return 2
+    except ParallelWorkerError as error:
+        # The run failed at run time.  chase() flushed a persistent store on
+        # the way out, so the file holds a resumable prefix of the chase.
+        print(str(error).splitlines()[0], file=sys.stderr)
+        return 1
     finally:
         if tracer is not None:
             tracer.close()

@@ -7,7 +7,7 @@ additionally produces atoms whose arguments may be labeled nulls.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Set, Tuple, Union
 
 from ..exceptions import ValidationError
 from .predicates import Position, Predicate
@@ -117,6 +117,21 @@ class Atom:
     def has_repeated_terms(self) -> bool:
         """Return ``True`` when some term occurs more than once in the atom."""
         return len(set(self.terms)) < len(self.terms)
+
+
+def atom_sort_key(atom: Atom) -> List[Union[str, int]]:
+    """Sort key ordering atoms exactly as :meth:`Atom.__lt__` does, in C.
+
+    Predicate name, arity, then each term's type name and name, flat (atoms
+    equal on ``(name, arity)`` have equally many terms).  Only the atom's own
+    strings are referenced, so a round's worth of keys allocates no new ones.
+    """
+    predicate = atom.predicate
+    key: List[Union[str, int]] = [predicate.name, predicate.arity]
+    for term in atom.terms:
+        key.append(type(term).__name__)
+        key.append(term.name)
+    return key
 
 
 def variables_of(atoms: Iterable[Atom]) -> Set[Variable]:

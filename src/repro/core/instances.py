@@ -11,7 +11,7 @@ from collections import defaultdict
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 from ..exceptions import ValidationError
-from .atoms import Atom
+from .atoms import Atom, atom_sort_key
 from .indexing import PositionIndex, atom_partition_of
 from .predicates import Predicate, Schema
 from .terms import Constant, Null, Term
@@ -56,14 +56,16 @@ class Instance:
 
     def add(self, atom: Atom) -> bool:
         """Add *atom*; return ``True`` when it was not already present."""
-        if not atom.is_ground():
-            raise ValidationError(f"instances contain ground atoms only, got {atom!r}")
+        terms = atom.terms
+        for term in terms:
+            if not isinstance(term, (Constant, Null)):
+                raise ValidationError(f"instances contain ground atoms only, got {atom!r}")
         bucket = self._by_predicate[atom.predicate]
         if atom in bucket:
             return False
         bucket.add(atom)
         self._size += 1
-        for term in atom.terms:
+        for term in terms:
             if isinstance(term, Null):
                 self._nulls.add(term)
             else:
@@ -89,7 +91,7 @@ class Instance:
 
     def __iter__(self) -> Iterator[Atom]:
         for predicate in sorted(self._by_predicate):
-            yield from sorted(self._by_predicate[predicate])
+            yield from sorted(self._by_predicate[predicate], key=atom_sort_key)
 
     def __eq__(self, other):
         if not isinstance(other, Instance):

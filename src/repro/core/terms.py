@@ -13,7 +13,7 @@ rely on this heavily).
 from __future__ import annotations
 
 import hashlib
-from typing import Union
+from typing import Iterable, Sequence, Union
 
 
 class Term:
@@ -113,6 +113,40 @@ def variables(names):
     return tuple(Variable(str(name)) for name in names)
 
 
+def null_name(prefix, rendered_key):
+    """Return the content-addressed null name for the key whose ``repr`` is
+    *rendered_key*.  The one place a name is derived: :class:`NullFactory`
+    and the pushdown tier's ``repro_skolem`` SQL function both end here."""
+    digest = hashlib.blake2b(rendered_key.encode("utf-8"), digest_size=9).hexdigest()
+    return f"{prefix}_{digest}"
+
+
+class NullKeyRenderer:
+    """Renders one rule's null keys ``(rule, witness, variable)`` as ``repr`` does.
+
+    *witness* is the tuple of ``(Variable, image)`` pairs the chase keys its
+    nulls by (Definition 3.1).  The rule's own part is rendered once here, so
+    a name costs a C-level ``repr`` per image, not a ``Term.__repr__`` per term.
+    """
+
+    __slots__ = ("_head", "_opens", "_close")
+
+    def __init__(self, rule: int, witness_names: Sequence[str]):
+        self._head = f"({rule}, ("
+        self._opens = tuple(f"(Variable({name!r}), " for name in witness_names)
+        # repr() of a one-element tuple carries a trailing comma.
+        self._close = ",), " if len(self._opens) == 1 else "), "
+
+    def render(self, images: Iterable[Term], variable: str) -> str:
+        """Return exactly ``repr((rule, witness, variable))`` for the witness
+        pairing the renderer's variables with the leading *images*."""
+        pairs = [
+            f"{opening}{type(image).__name__}({image.name!r}))"
+            for opening, image in zip(self._opens, images)
+        ]
+        return f"{self._head}{', '.join(pairs)}{self._close}{variable!r})"
+
+
 class NullFactory:
     """Deterministic factory of labeled nulls.
 
@@ -152,11 +186,14 @@ class NullFactory:
         how many nulls the factory has produced before.  Keys must have a
         deterministic ``repr`` (tuples of terms, strings, and ints do).
         """
-        null = self._by_key.get(key)
+        return self.for_rendered_key(repr(key))
+
+    def for_rendered_key(self, rendered_key):
+        """:meth:`for_key` on a key's ``repr`` (see :class:`NullKeyRenderer`)."""
+        null = self._by_key.get(rendered_key)
         if null is None:
-            digest = hashlib.blake2b(repr(key).encode("utf-8"), digest_size=9).hexdigest()
-            null = Null(f"{self._prefix}_{digest}")
-            self._by_key[key] = null
+            null = Null(null_name(self._prefix, rendered_key))
+            self._by_key[rendered_key] = null
             # __len__ counts keyed nulls too (digest names never collide
             # with the counter-named fresh() nulls).
             self._counter += 1

@@ -66,5 +66,11 @@ class ChaseLimitExceeded(ReproError):
         self.rounds = rounds
 
 
+class ParallelWorkerError(ReproError, RuntimeError):
+    """Raised when a parallel chase worker reports an error or dies mid-run.
+    The message's first line names the worker and what ended it; the
+    worker's own traceback, when it sent one, follows."""
+
+
 class ExperimentConfigError(ReproError):
     """Raised when an experiment or generator is configured inconsistently."""

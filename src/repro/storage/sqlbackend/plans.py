@@ -28,10 +28,9 @@ holds the three strategies to byte-identical ``ChaseResult``.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ...core.atoms import Atom
-from ...core.substitutions import Substitution
 from ...core.terms import Constant, Term, Variable
 from ...core.tgds import TGD
 from ..relation import decode_value, encode_term
@@ -86,7 +85,7 @@ class CompiledBodyQuery:
         self.parameters = parameters
         self.variables = tuple(variables)
 
-    def run(self, store: SqliteAtomStore, delta_start: Optional[int]) -> Iterator[Substitution]:
+    def run(self, store: SqliteAtomStore, delta_start: Optional[int]) -> Iterator[Dict[Term, Term]]:
         """Execute the query and yield one body homomorphism per result row."""
         if not all(store.has_relation(atom.predicate) for atom in self.tgd.body):
             return  # an empty (never-created) relation joins to nothing
@@ -98,11 +97,10 @@ class CompiledBodyQuery:
         # invariant (reprolint: lock-discipline).
         rows = store.query(self.sql, named, family="trigger-join")
         for row in rows:
-            mapping = {
+            yield {
                 variable: decode_value(row[index])
                 for index, variable in enumerate(self.variables)
             }
-            yield Substitution(mapping)
 
 
 class SqlTriggerSource:
@@ -120,9 +118,6 @@ class SqlTriggerSource:
     """
 
     def __init__(self, tgds: Sequence[TGD]) -> None:
-        from ...chase.triggers import Trigger  # deferred: storage must not import chase at module load
-
-        self._trigger_class = Trigger
         self.tgds = tuple(tgds)
         self._initial_queries = [
             CompiledBodyQuery(tgd, None) for tgd in self.tgds
@@ -147,23 +142,25 @@ class SqlTriggerSource:
             )
         return store
 
-    def initial(self, store: object) -> Iterator:
-        """Enumerate every trigger on the seed store (one SQL join per TGD)."""
+    def initial(self, store: object) -> Iterator[Tuple[int, Dict[Term, Term]]]:
+        """Enumerate every match on the seed store (one SQL join per TGD)."""
         sql_store = self._check_store(store)
         # Snapshot eagerly (not inside the generator): the engine consumes
         # the iterator fully before adding the round's atoms, so everything
         # inserted after this point is the next call's delta.
         self._last_seq = sql_store.current_seq()
 
-        def generate() -> Iterator:
+        def generate() -> Iterator[Tuple[int, Dict[Term, Term]]]:
             for index, query in enumerate(self._initial_queries):
-                for substitution in query.run(sql_store, None):
-                    yield self._trigger_class(self.tgds[index], index, substitution)
+                for mapping in query.run(sql_store, None):
+                    yield index, mapping
 
         return generate()
 
-    def delta(self, store: object, new_atoms: Iterable[Atom]) -> Iterator:
-        """Enumerate the triggers created by the previous round's atoms.
+    def delta(
+        self, store: object, new_atoms: Iterable[Atom]
+    ) -> Iterator[Tuple[int, Dict[Term, Term]]]:
+        """Enumerate the matches created by the previous round's atoms.
 
         The delta boundary is the sequence watermark snapshotted at the
         previous enumeration — precisely the rows inserted since — so no
@@ -179,12 +176,12 @@ class SqlTriggerSource:
         self._last_seq = sql_store.current_seq()
         delta_predicates = {atom.predicate for atom in new_atoms}
 
-        def generate() -> Iterator:
+        def generate() -> Iterator[Tuple[int, Dict[Term, Term]]]:
             for index, queries in enumerate(self._delta_queries):
                 for query in queries:
                     if query.tgd.body[query.seed_slot].predicate not in delta_predicates:
                         continue
-                    for substitution in query.run(sql_store, delta_start):
-                        yield self._trigger_class(self.tgds[index], index, substitution)
+                    for mapping in query.run(sql_store, delta_start):
+                        yield index, mapping
 
         return generate()

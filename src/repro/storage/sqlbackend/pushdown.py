@@ -40,14 +40,13 @@ the functions that need them, mirroring :mod:`.plans`.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ...core.atoms import Atom
 from ...core.instances import Database
 from ...core.predicates import Predicate
-from ...core.terms import Term, Variable
+from ...core.terms import NullKeyRenderer, Term, Variable, null_name
 from ...core.tgds import TGD
 from ...obs.tracer import NULL_TRACER, AnyTracer, as_tracer
 from ..relation import NULL_MARKER, decode_value
@@ -79,29 +78,24 @@ def register_skolem_function(store: SqliteAtomStore, prefix: str = "n") -> None:
     ``repro_skolem(tgd_index, names_json, variable_name, *encoded_values)``
     returns the *encoded* null (``"_:" + name``) that
     :meth:`~repro.core.terms.NullFactory.for_key` would mint for the key
-    ``(tgd_index, witness, variable_name)`` — where *witness* is the tuple
-    of ``(Variable, Term)`` pairs reassembled from the JSON-encoded variable
-    names and the encoded column values.  Determinism is what makes the
-    whole strategy exact: the same witness always maps to the same null,
-    whether it is computed here or by the interpreted engines.
+    ``(tgd_index, witness, variable_name)`` — where *witness* pairs the
+    JSON-encoded variable names with the decoded column values.  The key is
+    rendered and digested by the :mod:`repro.core.terms` functions the
+    factory uses, which is what makes the whole strategy exact: a witness
+    maps to the same null here and in the interpreted engines.
     """
 
-    names_cache: Dict[str, Tuple[str, ...]] = {}
+    renderers: Dict[Tuple[int, str], NullKeyRenderer] = {}
 
     def skolem(
         tgd_index: int, names_json: str, variable_name: str, *encoded_values: str
     ) -> str:
-        names = names_cache.get(names_json)
-        if names is None:
-            names = tuple(json.loads(names_json))
-            names_cache[names_json] = names
-        witness = tuple(
-            (Variable(name), decode_value(value))
-            for name, value in zip(names, encoded_values)
-        )
-        key = (int(tgd_index), witness, variable_name)
-        digest = hashlib.blake2b(repr(key).encode("utf-8"), digest_size=9).hexdigest()
-        return f"{NULL_MARKER}{prefix}_{digest}"
+        renderer = renderers.get((tgd_index, names_json))
+        if renderer is None:
+            renderer = NullKeyRenderer(int(tgd_index), json.loads(names_json))
+            renderers[(tgd_index, names_json)] = renderer
+        rendered = renderer.render(map(decode_value, encoded_values), variable_name)
+        return NULL_MARKER + null_name(prefix, rendered)
 
     store.connection.create_function(SKOLEM_FUNCTION, -1, skolem, deterministic=True)
 
@@ -413,7 +407,7 @@ class PushdownExecutor:
         per-rule ``atoms_created``) as 0: that attribution only exists in
         the interpreted engines.  Tracing never changes the result.
         """
-        from ...chase.rounds import run_rounds
+        from ...chase.rounds import insert_sorted, run_rounds
 
         if not isinstance(store, SqliteAtomStore):
             raise ValueError(
@@ -421,7 +415,7 @@ class PushdownExecutor:
                 "requires a SqliteAtomStore"
             )
         active_tracer = as_tracer(tracer)
-        store.load_database(database)
+        insert_sorted(store, database.atoms())
         register_skolem_function(store)
         rules = [
             CompiledRule(index, tgd, self.variant, store)

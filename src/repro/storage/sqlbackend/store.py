@@ -78,7 +78,7 @@ from ...core.atoms import Atom
 from ...core.indexing import partition_hash
 from ...core.instances import Database, Instance
 from ...core.predicates import Predicate
-from ...core.terms import Term
+from ...core.terms import Constant, Null, Term
 from ...exceptions import StorageError, ValidationError
 from ...obs.metrics import StatementMetrics
 from ..relation import decode_value, encode_term
@@ -506,6 +506,16 @@ class SqliteAtomStore:
         return tuple(encode_term(term) for term in atom.terms)
 
     @staticmethod
+    def _ground_row(atom: Atom) -> List[object]:
+        """:meth:`_encode` for a write: one pass that also rejects variables."""
+        row: List[object] = []
+        for term in atom.terms:
+            if not isinstance(term, (Constant, Null)):
+                raise ValidationError(f"stores hold ground atoms only, got {atom!r}")
+            row.append(encode_term(term))
+        return row or ["0"]  # the nullary sentinel value
+
+    @staticmethod
     def _decode(predicate: Predicate, row: Tuple[str, ...]) -> Atom:
         if predicate.arity == 0:
             return Atom(predicate, ())
@@ -516,18 +526,18 @@ class SqliteAtomStore:
 
     def add_atom(self, atom: Atom) -> bool:
         """Add *atom*; return ``True`` when it was not already present."""
-        if not atom.is_ground():
-            raise ValidationError(f"stores hold ground atoms only, got {atom!r}")
+        row = self._ground_row(atom)
         self.create_relation(atom.predicate)
         table = _quote(table_name(atom.predicate.name))
         columns = self._columns(atom.predicate.arity)
         placeholders = ", ".join("?" for _ in columns)
         with self._connection_lock:
             self._begin()
+            row.append(self._seq + 1)
             cursor = self._connection.execute(
                 f"INSERT OR IGNORE INTO {table} ({', '.join(columns)}, seq) "
                 f"VALUES ({placeholders}, ?)",
-                self._encode(atom) + (self._seq + 1,),
+                row,
             )
             if cursor.rowcount != 1:
                 return False
@@ -546,7 +556,7 @@ class SqliteAtomStore:
         (see :class:`~repro.storage.sqlbackend.plans.SqlTriggerSource`).
         """
         added = 0
-        batch: List[Tuple] = []
+        batch: List[List[object]] = []
         batch_predicate: Optional[Predicate] = None
 
         def flush_batch() -> int:
@@ -570,16 +580,15 @@ class SqliteAtomStore:
         with self._connection_lock:
             self._begin()
             for atom in atoms:
-                if not atom.is_ground():
-                    raise ValidationError(
-                        f"stores hold ground atoms only, got {atom!r}"
-                    )
-                if batch_predicate is None or atom.predicate != batch_predicate:
+                row = self._ground_row(atom)
+                predicate = atom.predicate
+                if predicate is not batch_predicate and predicate != batch_predicate:
                     added += flush_batch()
-                    batch_predicate = atom.predicate
-                    self.create_relation(atom.predicate)
+                    batch_predicate = predicate
+                    self.create_relation(predicate)
                 self._seq += 1
-                batch.append(self._encode(atom) + (self._seq,))
+                row.append(self._seq)
+                batch.append(row)
             added += flush_batch()
         return added
 

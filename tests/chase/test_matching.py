@@ -10,6 +10,7 @@ from repro.chase.matching import (
     homomorphisms_indexed,
     make_trigger_source,
 )
+from repro.chase.triggers import Trigger
 from repro.core.instances import Instance
 from repro.core.parser import parse_database, parse_rules
 from repro.core.substitutions import Substitution, homomorphisms
@@ -104,31 +105,26 @@ class TestTriggerSources:
         instance = _instance("R(a,b).\nS(b,c).\nS(b,d).")
         return tgds, instance
 
+    @staticmethod
+    def _triggers(tgds, matches):
+        # Sources yield (rule index, mapping) matches; the Definition-3.1
+        # object is built from one.
+        return [Trigger(tgds[index], index, Substitution(mapping)) for index, mapping in matches]
+
     def test_initial_agrees_with_naive(self):
         tgds, instance = self._setup()
-        naive = {
-            (t.tgd_index, t.homomorphism)
-            for t in NaiveTriggerSource(tgds).initial(instance)
-        }
-        indexed = {
-            (t.tgd_index, t.homomorphism)
-            for t in IndexedTriggerSource(tgds).initial(instance)
-        }
-        assert naive == indexed
+        naive = self._triggers(tgds, NaiveTriggerSource(tgds).initial(instance))
+        indexed = self._triggers(tgds, IndexedTriggerSource(tgds).initial(instance))
+        assert len(naive) == 2  # R(a,b) joins S(b,c) and S(b,d)
+        assert set(naive) == set(indexed)
 
     def test_delta_agrees_with_naive_and_has_no_duplicates(self):
         tgds, instance = self._setup()
         new = set(parse_database("R(e,b).\nS(b,f).").atoms())
         for atom in new:
             instance.add(atom)
-        naive = [
-            (t.tgd_index, t.homomorphism)
-            for t in NaiveTriggerSource(tgds).delta(instance, new)
-        ]
-        indexed = [
-            (t.tgd_index, t.homomorphism)
-            for t in IndexedTriggerSource(tgds).delta(instance, new)
-        ]
+        naive = self._triggers(tgds, NaiveTriggerSource(tgds).delta(instance, new))
+        indexed = self._triggers(tgds, IndexedTriggerSource(tgds).delta(instance, new))
         assert set(naive) == set(indexed)
         assert len(indexed) == len(set(indexed))  # semi-naive dedup: no duplicates
 

@@ -13,11 +13,12 @@ import pytest
 
 from repro.chase.engine import chase
 from repro.chase.result import ChaseLimits
-from repro.chase.rounds import RoundOutcome, RuleRow, run_rounds
+from repro.chase.rounds import RoundOutcome, RuleRow, insert_atoms, insert_sorted, run_rounds
 from repro.core.parser import parse_atom, parse_database, parse_rules
 from repro.exceptions import ChaseLimitExceeded
 from repro.generators import generate_skew_workload
 from repro.obs import ListTraceSink, ManualClock, Tracer
+from repro.storage.sqlbackend import SqliteAtomStore
 
 
 def _atoms(*texts):
@@ -40,6 +41,15 @@ class RecordingStore:
 
     def flush(self):
         self.log.append(("flush",))
+
+
+class BulkRecordingStore(RecordingStore):
+    """The same fake with the bulk method some stores have (sqlite does)."""
+
+    def add_atoms(self, atoms):
+        batch = [str(atom) for atom in atoms]
+        self.log.append(("add_atoms", batch))
+        self.size += len(batch)
 
 
 class ScriptedStep:
@@ -96,6 +106,13 @@ class TestBudgetAutomaton:
             _run(ScriptedStep(), RecordingStore(), ChaseLimits(max_rounds=0), on_limit="raise")
         assert (error.value.rounds, error.value.atoms_created) == (0, 0)
 
+    @pytest.mark.parametrize("budget", ["max_atoms", "max_rounds"])
+    def test_negative_budgets_are_rejected_and_zero_keeps_its_meaning(self, budget):
+        with pytest.raises(ValueError, match=f"{budget} must be >= 0"):
+            ChaseLimits(**{budget: -1})
+        assert getattr(ChaseLimits(**{budget: 0}), budget) == 0
+        assert getattr(ChaseLimits(**{budget: None}), budget) is None
+
     def test_fixpoint_never_raises(self):
         result = _run(ScriptedStep(FIXPOINT), RecordingStore(), on_limit="raise")
         assert (result.terminated, result.stop_reason, result.rounds) == (True, "fixpoint", 0)
@@ -118,6 +135,37 @@ class TestInsertAndFlushDiscipline:
         ]
         assert (result.rounds, result.atoms_created, result.triggers_fired) == (2, 4, 4)
         assert result.store is store
+
+    def test_a_store_with_a_bulk_method_gets_one_sorted_call_per_round(self):
+        # Same script as above: the same atoms in the same order, the same
+        # flush discipline — only the number of store calls differs.
+        store = BulkRecordingStore()
+        step = ScriptedStep(
+            RoundOutcome(3, 3, set(_atoms("Q(c)", "P(b)", "P(a)"))),
+            RoundOutcome(1, 1, _atoms("R(z)")),
+            FIXPOINT,
+            store=store,
+        )
+        result = _run(step, store)
+        assert store.log == [
+            ("step", 0), ("add_atoms", ["P(a)", "P(b)", "Q(c)"]), ("flush",),
+            ("step", 1), ("add_atoms", ["R(z)"]), ("flush",),
+            ("step", 2),
+        ]
+        assert step.calls == [(0, []), (1, ["P(a)", "P(b)", "Q(c)"]), (2, ["R(z)"])]
+        assert (result.rounds, result.atoms_created, store.size) == (2, 4, 6)
+
+    def test_insert_sorted_orders_and_insert_atoms_keeps_the_given_order(self):
+        atoms = _atoms("Q(c)", "P(b)", "P(a)")
+        for store_class in (RecordingStore, BulkRecordingStore):
+            store = store_class()
+            assert [str(atom) for atom in insert_sorted(store, set(atoms))] == [
+                "P(a)", "P(b)", "Q(c)"
+            ]
+            insert_atoms(store, atoms)  # a worker's delta: already in canonical order
+        assert store.log == [
+            ("add_atoms", ["P(a)", "P(b)", "Q(c)"]), ("add_atoms", ["Q(c)", "P(b)", "P(a)"]),
+        ]
 
     def test_each_step_sees_the_previous_rounds_sorted_delta(self):
         step = ScriptedStep(RoundOutcome(2, 2, set(_atoms("P(b)", "P(a)"))), FIXPOINT)
@@ -255,3 +303,50 @@ def test_the_linear_program_exercises_the_cte_tier():
     chase(database, tgds, backend="sqlite", strategy="sql-pushdown", tracer=Tracer(sink))
     families = {event["family"] for event in sink.events if event["type"] == "sql_family"}
     assert "pushdown-cte" in families
+
+
+class TestSeqOrderOnSqlite:
+    """Insertion order is what a persisted file remembers: ``seq`` = sorted order."""
+
+    @staticmethod
+    def _by_seq(store, relation):
+        rows = store.query(f'SELECT c0, c1 FROM "rel_{relation}" ORDER BY seq')
+        return [tuple(row) for row in rows]
+
+    def test_seeds_and_derived_relations_read_back_in_sorted_order(self):
+        facts = "\n".join(f"A(c{i}, d{i % 3})." for i in (7, 2, 9, 4, 0, 5))
+        database, tgds = parse_database(facts), parse_rules("A(x,y) -> B(y,x)")
+        store = SqliteAtomStore()
+        chase(database, tgds, store=store, materialize=False)
+        seeded = self._by_seq(store, "^a")
+        derived = self._by_seq(store, "^b")
+        assert seeded == sorted(seeded) and len(seeded) == 6
+        assert derived == sorted(derived) and len(derived) == 6
+        # one seq range per relation: the seed batch, then round 1's batch
+        seqs = store.query('SELECT MIN(seq), MAX(seq) FROM "rel_^b"')[0]
+        assert tuple(seqs) == (7, 12)
+        store.close()
+
+    def test_every_seeding_path_makes_one_bulk_call_in_sorted_order(self):
+        calls = []
+
+        class Spy(SqliteAtomStore):
+            def add_atoms(self, atoms):
+                batch = list(atoms)
+                calls.append([str(atom) for atom in batch])
+                return super().add_atoms(batch)
+
+        facts = "B(z, z).\nA(b, a).\nB(a, b).\nA(a, b)."
+        seed = ["A(a, b)", "A(b, a)", "B(a, b)", "B(z, z)"]
+        for options in (
+            {},
+            {"strategy": "sql-pushdown"},
+            {"workers": 2, "executor": "serial"},
+            {"workers": 2, "executor": "serial", "exchange": "shuffle"},
+        ):
+            calls.clear()
+            store = Spy()
+            chase(parse_database(facts), parse_rules("A(x,y), B(y,w) -> C(x,w)"), store=store,
+                  **options)
+            assert calls[0] == seed, options
+            store.close()

@@ -1,8 +1,10 @@
 """Unit tests for repro.core.atoms."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.core.atoms import Atom, positions_of, schema_of, variables_of
+from repro.core.atoms import Atom, atom_sort_key, positions_of, schema_of, variables_of
 from repro.core.predicates import Position, Predicate
 from repro.core.terms import Constant, Null, Variable
 from repro.exceptions import ValidationError
@@ -88,3 +90,31 @@ class TestAtomSetHelpers:
     def test_schema_of(self):
         atoms = [Atom(R, (a, b)), Atom(S, (a, a, b))]
         assert schema_of(atoms) == {R, S}
+
+
+# Names chosen to collide across kinds and to be prefixes of one another;
+# predicates that share a name across arities and a prefix across names.
+_TERMS = st.builds(
+    lambda kind, name: kind(name),
+    st.sampled_from([Constant, Null]),
+    st.sampled_from(["a", "aa", "b", "Null", "n_1", "é"]),
+)
+_PREDICATES = st.sampled_from(
+    [Predicate("P", 0), Predicate("P", 1), Predicate("P", 2), Predicate("PP", 1), Predicate("Q", 2)]
+)
+_ATOMS = _PREDICATES.flatmap(
+    lambda predicate: st.tuples(*[_TERMS] * predicate.arity).map(
+        lambda terms: Atom(predicate, terms)
+    )
+)
+
+
+class TestAtomSortKey:
+    @given(st.lists(_ATOMS, max_size=12))
+    def test_orders_exactly_as_atom_less_than(self, atoms):
+        assert sorted(atoms, key=atom_sort_key) == sorted(atoms)
+
+    def test_atom_less_than_stays_for_callers_that_use_it(self):
+        assert Atom(R, (a, b)) < Atom(R, (b, a)) < Atom(S, (a, a, a))
+        assert Atom(R, (a, a)) < Atom(R, (n1, a))  # "Constant" sorts before "Null"
+        assert max(Atom(R, (a, b)), Atom(R, (a, n1))) == Atom(R, (a, n1))

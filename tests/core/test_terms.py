@@ -8,14 +8,17 @@ from repro.core.terms import (
     Constant,
     Null,
     NullFactory,
+    NullKeyRenderer,
     Variable,
     constants,
     is_constant,
     is_ground,
     is_null,
     is_variable,
+    null_name,
     variables,
 )
+from tests.helpers import GOLDEN_NULL_NAMES
 
 
 class TestTermBasics:
@@ -120,3 +123,40 @@ class TestNullFactory:
         factory = NullFactory()
         nulls = [factory.for_key(key) for key in keys]
         assert len(set(nulls)) == len(set(keys))
+
+
+def _render(key):
+    index, witness, variable = key
+    renderer = NullKeyRenderer(index, [pair[0].name for pair in witness])
+    return renderer.render([pair[1] for pair in witness], variable)
+
+
+_NAMES = st.text(min_size=1, max_size=6)
+_IMAGES = st.builds(lambda kind, name: kind(name), st.sampled_from([Constant, Null]), _NAMES)
+
+
+class TestNullKeyRendering:
+    """The renderer is ``repr(key)`` byte for byte — null names depend on it."""
+
+    @pytest.mark.parametrize("key, name", GOLDEN_NULL_NAMES)
+    def test_pinned_keys_render_as_repr_and_keep_their_golden_names(self, key, name):
+        assert _render(key) == repr(key)
+        assert null_name("n", repr(key)) == name
+        assert NullFactory().for_key(key) == Null(name)
+        assert NullFactory().for_rendered_key(_render(key)) == Null(name)
+
+    @given(
+        st.integers(min_value=0, max_value=10_000),
+        st.lists(st.tuples(_NAMES, _IMAGES), max_size=4),
+        _NAMES,
+    )
+    def test_any_key_renders_as_repr(self, index, pairs, variable):
+        witness = tuple((Variable(name), image) for name, image in pairs)
+        assert _render((index, witness, variable)) == repr((index, witness, variable))
+
+    def test_rendered_and_generic_keys_share_one_null(self):
+        key, _ = GOLDEN_NULL_NAMES[2]
+        factory = NullFactory(prefix="w")
+        assert factory.for_rendered_key(_render(key)) is factory.for_key(key)
+        assert len(factory) == 1
+        assert factory.for_key(key).name.startswith("w_")

@@ -18,7 +18,7 @@ import repro.core.parser as parser_module
 from repro.core.atoms import Atom
 from repro.core.instances import Database
 from repro.core.predicates import Predicate
-from repro.core.terms import Constant, Variable
+from repro.core.terms import Constant, Null, Variable
 from repro.core.tgds import TGD, TGDSet
 
 #: Small, fixed vocabulary keeps the search space dense with interesting cases.
@@ -26,6 +26,51 @@ PREDICATE_POOL = [Predicate("P", 1), Predicate("Q", 2), Predicate("R", 2), Predi
 CONSTANT_POOL = [Constant(name) for name in ("a", "b", "c")]
 VARIABLE_POOL = [Variable(name) for name in ("x1", "x2", "x3")]
 EXISTENTIAL_POOL = [Variable(name) for name in ("z1", "z2", "z3")]
+
+
+#: Null keys ``(rule index, witness, existential variable)`` paired with the
+#: name ``NullFactory`` has always minted for them, written out literally:
+#: the names are persisted in sqlite files and compared across engines, so a
+#: drift in the key rendering or the digest must fail without the old code
+#: around.  Covers the empty witness, the one-pair (trailing-comma) tuple,
+#: a ``Null`` image, and names with ``'``, ``"``, both quotes, a backslash,
+#: a newline and non-ASCII characters.
+GOLDEN_NULL_NAMES = (
+    ((0, (), "z"), "n_5975553fa6ce9cf965"),
+    ((3, ((Variable("x"), Constant("a")),), "z"), "n_bc97c2be6eeb6ec23b"),
+    (
+        (
+            12,
+            ((Variable("x"), Constant("a")), (Variable("y"), Null("n_87d76f44a361da459c"))),
+            "z1",
+        ),
+        "n_6668bf40dfd26ea948",
+    ),
+    (
+        (
+            1,
+            (
+                (Variable("x"), Constant("it's")),
+                (Variable("y"), Constant('say "hi"')),
+                (Variable("z"), Constant("both ' and \"")),
+            ),
+            "w",
+        ),
+        "n_e82053d224175afe4b",
+    ),
+    (
+        (
+            7,
+            (
+                (Variable("u"), Constant("back\\slash")),
+                (Variable("v"), Constant("new\nline")),
+                (Variable("w"), Constant("naïve-Ω")),
+            ),
+            "é",
+        ),
+        "n_5d00d9e6917cb770ec",
+    ),
+)
 
 
 def chase_result_fingerprint(result) -> tuple:

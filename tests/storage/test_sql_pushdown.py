@@ -17,6 +17,8 @@ pins what those suites cannot see from the outside:
   serially and in parallel, with actionable errors everywhere else.
 """
 
+import json
+
 import pytest
 
 from repro.chase.engine import chase, make_backend_store
@@ -35,6 +37,7 @@ from repro.storage.sqlbackend import (
     register_skolem_function,
 )
 
+from tests.helpers import GOLDEN_NULL_NAMES
 from tests.helpers import chase_result_fingerprint as fingerprint
 
 #: A join-body program (takes the delta-round tier: S ⋈ R is a two-atom body).
@@ -163,6 +166,22 @@ class TestSkolemFunction:
             (encode_term(Constant("a")), encode_term(Constant("b"))),
         )[0:1][0]
         assert value == NULL_MARKER + expected.name
+        store.close()
+
+    @pytest.mark.parametrize("key, name", GOLDEN_NULL_NAMES)
+    def test_udf_mints_the_golden_names(self, key, name):
+        # Quotes, backslashes, newlines, non-ASCII and Null images all pass
+        # through JSON names and encoded column values unharmed.
+        index, witness, variable = key
+        store = SqliteAtomStore()
+        register_skolem_function(store)
+        placeholders = "".join(", ?" for _ in witness)
+        value = store.query(
+            f"SELECT repro_skolem(?, ?, ?{placeholders})",
+            (index, json.dumps([v.name for v, _ in witness]), variable)
+            + tuple(encode_term(image) for _, image in witness),
+        )[0][0]
+        assert value == NULL_MARKER + name
         store.close()
 
     def test_udf_distinguishes_rules_witnesses_and_variables(self):

@@ -28,6 +28,15 @@ def fact_file(tmp_path):
     return path
 
 
+def _transitive_closure_chase(tmp_path, db_path):
+    """argv of a six-edge, several-round chase into the sqlite file *db_path*."""
+    rules = tmp_path / "tc.txt"
+    rules.write_text("path(X, Y) :- edge(X, Y).\npath(X, Z) :- path(X, Y), edge(Y, Z).\n")
+    facts = tmp_path / "edges.txt"
+    facts.write_text("".join(f"edge(n{i}, n{i + 1}).\n" for i in range(6)))
+    return ["chase", "--rules", str(rules), "--facts", str(facts), "--backend", f"sqlite:{db_path}"]
+
+
 class TestCheckCommand:
     def test_infinite_verdict(self, rule_file, fact_file, capsys):
         assert main(["check", "--rules", str(rule_file), "--facts", str(fact_file)]) == 0
@@ -280,6 +289,53 @@ class TestErrorPaths:
         stderr = capsys.readouterr().err
         assert "already exists with arity" in stderr
         assert "Traceback" not in stderr
+
+    @pytest.mark.parametrize("flag", ["--max-atoms", "--max-rounds"])
+    @pytest.mark.parametrize("command", ["chase", "fuzz"])
+    def test_negative_chase_budgets_exit_two(self, rule_file, capsys, command, flag):
+        # Used to run a round and report "stopped (max_atoms)" with exit 0.
+        argv = [command, flag, "-5"] + (["--rules", str(rule_file)] if command == "chase" else [])
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert f"argument {flag}: must be >= 0, got -5" in capsys.readouterr().err
+
+    def test_zero_budgets_keep_their_meaning(self, rule_file, fact_file, capsys):
+        argv = ["chase", "--rules", str(rule_file), "--facts", str(fact_file)]
+        assert main(argv + ["--max-rounds", "0"]) == 0
+        assert "stopped (max_rounds)" in capsys.readouterr().out
+        assert main(argv + ["--max-atoms", "0"]) == 0
+        assert "stopped (max_atoms)" in capsys.readouterr().out
+
+    def test_a_dead_coordinator_merge_worker_is_one_line_and_exit_one(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # The shuffle topology's twin (an injected crash, through a real
+        # process boundary) is in TestConsoleEntryPoint.
+        from repro.chase import parallel
+        from repro.storage.sqlbackend import SqliteAtomStore
+
+        real_delta = parallel._ProcessPool.delta
+
+        def kill_then_delta(pool, *args):
+            pool._processes[0].kill()
+            pool._processes[0].join(timeout=10)
+            return real_delta(pool, *args)
+
+        monkeypatch.setattr(parallel._ProcessPool, "delta", kill_then_delta)
+        db_path = tmp_path / "killed.db"
+        argv = _transitive_closure_chase(tmp_path, db_path)
+        assert main(argv + ["--parallel", "2", "--executor", "process"]) == 1
+        captured = capsys.readouterr()
+        (report,) = captured.err.splitlines()
+        assert report.startswith("parallel chase worker 0 failed: its process exited")
+        assert "Traceback" not in captured.err and "reached a fixpoint" not in captured.out
+        # round 1 was flushed before the error left chase(): a resumable prefix
+        with SqliteAtomStore(path=str(db_path)) as reopened:
+            assert reopened.atom_count() > 6
+        monkeypatch.undo()
+        assert main(argv) == 0
+        assert "reached a fixpoint" in capsys.readouterr().out
 
     def test_unknown_strategy(self, rule_file, capsys):
         self._assert_argparse_rejects(
@@ -751,6 +807,66 @@ class TestConsoleEntryPoint:
         )
         assert completed.returncode == 2
         assert "--parallel must be >= 1" in completed.stderr
+
+    def test_a_crashed_shuffle_worker_is_one_line_and_exit_one(
+        self, entry_point, subprocess_env, tmp_path
+    ):
+        # Used to be the parent's traceback plus the worker's, 25 lines.
+        from repro.storage.sqlbackend import SqliteAtomStore
+
+        db_path = tmp_path / "crashed.db"
+        argv = _transitive_closure_chase(tmp_path, db_path)
+        crashed = self._run(
+            entry_point, dict(subprocess_env, REPRO_EXCHANGE_CRASH="1:0"),
+            *argv, "--parallel", "2", "--executor", "process", "--exchange", "shuffle",
+        )
+        assert crashed.returncode == 1, crashed.stderr
+        (report,) = crashed.stderr.splitlines()
+        assert report == (
+            "parallel chase worker 0 failed: RuntimeError: injected exchange crash "
+            "(worker 0, round 1)"
+        )
+        with SqliteAtomStore(path=str(db_path)) as reopened:
+            assert reopened.atom_count() > 6  # the seed plus round 1
+        resumed = self._run(entry_point, subprocess_env, *argv)
+        assert resumed.returncode == 0, resumed.stderr
+        assert "reached a fixpoint" in resumed.stdout
+
+    @pytest.mark.parametrize("strategy", ["indexed", "sql-pushdown"])
+    def test_a_persisted_file_does_not_depend_on_the_hash_seed(
+        self, entry_point, subprocess_env, tmp_path, strategy
+    ):
+        # Seed facts used to reach the store in set-iteration order, so the
+        # input relation's seq column (and the file's bytes) changed run to run.
+        import sqlite3
+
+        rules = tmp_path / "chain.txt"
+        rules.write_text("R(x,y) -> S(y,z)\nS(x,y) -> T(y,z)\nT(x,y) -> U(x)\n")
+        facts = tmp_path / "facts.txt"
+        facts.write_text("".join(f"R(a{i},b{i}).\n" for i in range(60)))
+        dumps = []
+        for hash_seed in ("1", "2"):
+            db_path = tmp_path / f"seed-{hash_seed}.db"
+            completed = self._run(
+                entry_point, dict(subprocess_env, PYTHONHASHSEED=hash_seed),
+                "chase", "--rules", str(rules), "--facts", str(facts), "--strategy", strategy,
+                "--backend", f"sqlite:{db_path}", "--no-materialize",
+            )
+            assert completed.returncode == 0, completed.stderr
+            connection = sqlite3.connect(db_path)
+            relations = [name for (name,) in connection.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'table' AND name LIKE 'rel_%' "
+                "ORDER BY name"
+            )]
+            dumps.append([
+                (name, connection.execute(f'SELECT * FROM "{name}" ORDER BY seq').fetchall())
+                for name in relations
+            ])
+            connection.close()
+        assert len(dumps[0]) == 4 and all(rows for _, rows in dumps[0])
+        assert dumps[0] == dumps[1]
+        seeded = [row[:2] for row in dumps[0][0][1]]  # rel_^r sorts first
+        assert seeded == sorted(seeded)
 
     SCHEMA_ERRORS = {
         # file contents -> the line the one-line report must name
