@@ -64,7 +64,14 @@ from .chase.parallel import EXECUTORS
 from .chase.result import ChaseLimits
 from .core.instances import Database, induced_database
 from .core.parser import load_database, load_rules
-from .exceptions import ExperimentConfigError, ParallelWorkerError, ParseError, StorageError
+from .exceptions import (
+    ExperimentConfigError,
+    NotLinearError,
+    NotSimpleLinearError,
+    ParallelWorkerError,
+    ParseError,
+    StorageError,
+)
 from .experiments import (
     ABLATION_RUNNERS,
     ALL_RUNNERS,
@@ -355,10 +362,14 @@ def _command_check(args) -> int:
     algorithm = args.algorithm
     if algorithm == "auto":
         algorithm = "sl" if tgds.is_simple_linear() else "l"
-    if algorithm == "sl":
-        report = is_chase_finite_sl(database, tgds)
-    else:
-        report = is_chase_finite_l(database, tgds)
+    try:
+        if algorithm == "sl":
+            report = is_chase_finite_sl(database, tgds)
+        else:
+            report = is_chase_finite_l(database, tgds)
+    except (NotLinearError, NotSimpleLinearError) as error:
+        print(f"{args.rules}: {error}", file=sys.stderr)
+        return 2
 
     verdict = "FINITE" if report.finite else "INFINITE"
     print(f"{report.algorithm}: the semi-oblivious chase is {verdict}")
@@ -435,6 +446,13 @@ def _command_chase(args) -> int:
         # the way out, so the file holds a resumable prefix of the chase.
         print(str(error).splitlines()[0], file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        # Same flush, so an interrupted persistent run resumes by rerunning it;
+        # 3 is the "work remains pending" code of sweep and fuzz.
+        resumable = isinstance(store, SqliteAtomStore) and store.is_persistent
+        hint = f"; {store.path} holds a resumable prefix, rerun to continue" if resumable else ""
+        print(f"interrupted{hint}", file=sys.stderr)
+        return 3
     finally:
         if tracer is not None:
             tracer.close()

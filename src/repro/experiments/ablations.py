@@ -74,7 +74,7 @@ def ablation_static_vs_dynamic_simplification(
         dynamic = dynamic_simplification(shapes, tgds)
         t_dynamic = perf_counter_s() - start
 
-        dynamic_size = max(1, len(dynamic.tgds))
+        dynamic_size = max(1, dynamic.rule_count)
         rows.append(
             {
                 "ablation": "static_vs_dynamic",
@@ -82,7 +82,7 @@ def ablation_static_vs_dynamic_simplification(
                 "n_rules": len(tgds),
                 "static_size": len(static),
                 "static_size_bound": static_simplification_size_bound(tgds),
-                "dynamic_size": len(dynamic.tgds),
+                "dynamic_size": dynamic.rule_count,
                 "size_ratio": len(static) / dynamic_size,
                 "t_static": t_static,
                 "t_dynamic": t_dynamic,

@@ -25,7 +25,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..core.parser import parse_rules
-from ..graph.dependency_graph import build_dependency_graph
 from ..graph.tarjan import find_special_sccs
 from ..obs.clock import perf_counter_s
 from ..simplification.dynamic import dynamic_simplification
@@ -88,7 +87,7 @@ def _measure_db_independent(rule_set: LinearRuleSet, shapes) -> Row:
 
     start = perf_counter_s()
     simplification = dynamic_simplification(shapes, tgds)
-    graph = build_dependency_graph(simplification.tgds)
+    graph = simplification.dependency_graph()
     t_graph = perf_counter_s() - start
 
     start = perf_counter_s()
@@ -100,7 +99,7 @@ def _measure_db_independent(rule_set: LinearRuleSet, shapes) -> Row:
         "tgd_profile": rule_set.profile.tgds.label,
         "n_rules": len(tgds),
         "n_shapes": len(shapes),
-        "n_simplified_rules": len(simplification.tgds),
+        "n_simplified_rules": simplification.rule_count,
         "n_edges": graph.edge_count(),
         "finite": not special,
         "t_parse": t_parse,
@@ -245,7 +244,7 @@ def figure_edges(config: ExperimentConfig = DEFAULT) -> List[Row]:
         restricted = restrict_view_to_rules(largest, rule_set.tgds)
         shapes = InMemoryShapeFinder(restricted).find_shapes()
         simplification = dynamic_simplification(shapes, rule_set.tgds)
-        graph = build_dependency_graph(simplification.tgds)
+        graph = simplification.dependency_graph()
         rows.append(
             {
                 "figure": "figure_edges",

@@ -16,7 +16,6 @@ from typing import Dict, Iterable, List, Optional
 
 from ..core.parser import parse_rules
 from ..core.serializer import serialize_rules
-from ..graph.dependency_graph import build_dependency_graph
 from ..graph.tarjan import find_special_sccs
 from ..obs.clock import perf_counter_s
 from ..scenarios import PAPER_TABLE_2_MS, Scenario, build_scenario, scenario_names
@@ -90,7 +89,7 @@ def _run_l_breakdown(scenario: Scenario) -> Row:
     shapes = shapes_by_method["in_memory"]
     start = perf_counter_s()
     simplification = dynamic_simplification(shapes, tgds)
-    graph = build_dependency_graph(simplification.tgds)
+    graph = simplification.dependency_graph()
     t_graph = perf_counter_s() - start
 
     start = perf_counter_s()
@@ -108,7 +107,7 @@ def _run_l_breakdown(scenario: Scenario) -> Row:
         "finite": not special,
         "n_rules": len(tgds),
         "n_shapes": len(shapes),
-        "n_simplified_rules": len(simplification.tgds),
+        "n_simplified_rules": simplification.rule_count,
         "shapes_agree": shapes_by_method["in_db"] == shapes_by_method["in_memory"],
     }
 

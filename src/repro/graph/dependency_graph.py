@@ -10,25 +10,29 @@ whose nodes are the predicate positions of ``sch(Σ)``.  For every TGD
 
 Implementation notes (mirroring Section 5.1 of the paper):
 
-* the graph is stored as an adjacency structure with *both* forward and
-  reverse edge lists — the reverse lists are what make the ``Supports``
-  check a cheap reverse traversal;
-* an index from positions to node records gives O(1) access while streaming
-  over the TGDs, so construction is linear in the size of the rule set;
+* nodes are numbered ``0, 1, 2, …`` as they are inserted and the graph is
+  stored as integer-keyed adjacency with *both* forward and reverse edge
+  maps — the reverse maps are what make the ``Supports`` check a cheap
+  reverse traversal.  :class:`~repro.core.predicates.Position` objects exist
+  only at the API edge (``nodes()``, ``edges()``, ``successors()`` …); the
+  builders below, Tarjan and the reachability walks work on the numbers;
+* an index from predicates to the node numbers of their positions gives O(1)
+  access while streaming over the TGDs, so construction is linear in the size
+  of the rule set;
 * parallel edges between the same pair of positions are collapsed into a
-  single edge record that remembers whether *any* of the parallel edges was
-  special (this is sufficient for every algorithm in the paper and keeps the
-  graph small — the appendix of the paper makes the same observation when
+  single edge that remembers whether *any* of the parallel edges was special
+  (this is sufficient for every algorithm in the paper and keeps the graph
+  small — the appendix of the paper makes the same observation when
   discussing edge counts).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from ..core.atoms import positions_of
 from ..core.predicates import Position, Predicate, Schema
+from ..core.terms import Term
 from ..core.tgds import TGD, TGDSet
 
 
@@ -40,123 +44,195 @@ class Edge:
     target: Position
     special: bool
 
-    def __str__(self):
+    def __str__(self) -> str:
         marker = "=*=>" if self.special else "--->"
         return f"{self.source} {marker} {self.target}"
-
-
-class _NodeRecord:
-    """Adjacency record of a single node: outgoing and incoming edge lists."""
-
-    __slots__ = ("position", "out_edges", "in_edges")
-
-    def __init__(self, position: Position):
-        self.position = position
-        self.out_edges: Dict[Position, bool] = {}
-        self.in_edges: Dict[Position, bool] = {}
 
 
 class DependencyGraph:
     """The dependency graph ``dg(Σ)`` with forward and reverse adjacency."""
 
     def __init__(self, schema: Optional[Schema] = None):
-        self._nodes: Dict[Position, _NodeRecord] = {}
+        #: Per predicate, the node number of each position (-1: not a node).
+        self._slots: Dict[Predicate, List[int]] = {}
+        #: Per node, its predicate and 1-based index.
+        self._owners: List[Predicate] = []
+        self._indexes: List[int] = []
+        #: Per node, ``{neighbour: special}`` with parallel edges OR-ed.
+        self.forward: List[Dict[int, bool]] = []
+        self.reverse: List[Dict[int, bool]] = []
+        self._edge_count = 0
+        self._special_edge_count = 0
         if schema is not None:
-            for position in schema.positions():
-                self.add_node(position)
+            for predicate in schema:
+                self.add_predicate(predicate)
+
+    def copy(self) -> "DependencyGraph":
+        """Return an independent graph with the same nodes, numbers and edges."""
+        clone = DependencyGraph()
+        clone._slots = {predicate: list(slots) for predicate, slots in self._slots.items()}
+        clone._owners = list(self._owners)
+        clone._indexes = list(self._indexes)
+        clone.forward = [dict(edges) for edges in self.forward]
+        clone.reverse = [dict(edges) for edges in self.reverse]
+        clone._edge_count = self._edge_count
+        clone._special_edge_count = self._special_edge_count
+        return clone
 
     # ------------------------------------------------------------------ #
     # Construction
 
-    def add_node(self, position: Position) -> None:
-        """Ensure *position* is a node of the graph."""
-        if position not in self._nodes:
-            self._nodes[position] = _NodeRecord(position)
+    def _new_node(self, predicate: Predicate, index: int) -> int:
+        node = len(self._owners)
+        self._owners.append(predicate)
+        self._indexes.append(index)
+        self.forward.append({})
+        self.reverse.append({})
+        return node
+
+    def add_predicate(self, predicate: Predicate) -> List[int]:
+        """Ensure every position of *predicate* is a node.
+
+        Returns the node numbers of positions ``1 … arity``, in that order
+        (the graph's own list: read it, do not change it).
+        """
+        slots = self._slots.get(predicate)
+        if slots is None:
+            slots = self._slots[predicate] = [
+                self._new_node(predicate, index) for index in range(1, predicate.arity + 1)
+            ]
+        elif -1 in slots:
+            for offset, node in enumerate(slots):
+                if node < 0:
+                    slots[offset] = self._new_node(predicate, offset + 1)
+        return slots
+
+    def add_node(self, position: Position) -> int:
+        """Ensure *position* is a node of the graph; return its number."""
+        predicate = position.predicate
+        slots = self._slots.get(predicate)
+        if slots is None:
+            slots = self._slots[predicate] = [-1] * predicate.arity
+        node = slots[position.index - 1]
+        if node < 0:
+            node = slots[position.index - 1] = self._new_node(predicate, position.index)
+        return node
+
+    def link(self, source: int, target: int, special: bool) -> None:
+        """Add an edge between two node numbers (special wins over normal)."""
+        edges = self.forward[source]
+        known = edges.get(target)
+        if known is None:
+            self._edge_count += 1
+        elif known or not special:
+            return
+        edges[target] = special
+        self.reverse[target][source] = special
+        if special:
+            self._special_edge_count += 1
 
     def add_edge(self, source: Position, target: Position, special: bool) -> None:
         """Add an edge, collapsing parallel edges (special wins over normal)."""
-        self.add_node(source)
-        self.add_node(target)
-        source_record = self._nodes[source]
-        target_record = self._nodes[target]
-        source_record.out_edges[target] = source_record.out_edges.get(target, False) or special
-        target_record.in_edges[source] = target_record.in_edges.get(source, False) or special
+        self.link(self.add_node(source), self.add_node(target), bool(special))
 
     # ------------------------------------------------------------------ #
     # Inspection
 
+    def node_of(self, position: Position) -> Optional[int]:
+        """Return the number of *position*, or ``None`` when it is not a node."""
+        slots = self._slots.get(position.predicate)
+        if slots is None or slots[position.index - 1] < 0:
+            return None
+        return slots[position.index - 1]
+
+    def position(self, node: int) -> Position:
+        """Return the position numbered *node*."""
+        return Position(self._owners[node], self._indexes[node])
+
+    def nodes_of_predicates(self, predicates: Iterable[Predicate]) -> List[int]:
+        """Return the numbers of the nodes whose predicate is in *predicates*."""
+        result: List[int] = []
+        for predicate in predicates:
+            result.extend(node for node in self._slots.get(predicate, ()) if node >= 0)
+        return result
+
+    def _sorted_nodes(self) -> List[int]:
+        """Node numbers in :class:`Position` order (name, arity, index)."""
+        result: List[int] = []
+        for predicate in sorted(self._slots, key=lambda p: (p.name, p.arity)):
+            result.extend(node for node in self._slots[predicate] if node >= 0)
+        return result
+
     def __contains__(self, position: Position) -> bool:
-        return position in self._nodes
+        return self.node_of(position) is not None
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        return len(self._owners)
 
     def nodes(self) -> Tuple[Position, ...]:
         """Return every node, sorted for reproducibility."""
-        return tuple(sorted(self._nodes))
+        return tuple(self.position(node) for node in self._sorted_nodes())
 
     def edges(self) -> List[Edge]:
-        """Return every (collapsed) edge of the graph."""
+        """Return every (collapsed) edge of the graph, sorted by source then target."""
+        order = self._sorted_nodes()
+        rank = {node: place for place, node in enumerate(order)}
+        positions = {node: self.position(node) for node in order}
         result = []
-        for position in sorted(self._nodes):
-            record = self._nodes[position]
-            for target in sorted(record.out_edges):
-                result.append(Edge(position, target, record.out_edges[target]))
+        for node in order:
+            edges = self.forward[node]
+            for target in sorted(edges, key=rank.__getitem__):
+                result.append(Edge(positions[node], positions[target], edges[target]))
         return result
 
     def edge_count(self) -> int:
         """Return the number of collapsed edges."""
-        return sum(len(record.out_edges) for record in self._nodes.values())
+        return self._edge_count
 
     def special_edge_count(self) -> int:
         """Return the number of collapsed edges that are special."""
-        return sum(
-            1
-            for record in self._nodes.values()
-            for special in record.out_edges.values()
-            if special
-        )
+        return self._special_edge_count
+
+    def _neighbours(
+        self, adjacency: Sequence[Dict[int, bool]], position: Position
+    ) -> Iterator[Tuple[Position, bool]]:
+        node = self.node_of(position)
+        if node is not None:
+            for neighbour, special in adjacency[node].items():
+                yield self.position(neighbour), special
 
     def successors(self, position: Position) -> Iterator[Tuple[Position, bool]]:
         """Yield ``(target, special)`` pairs for the outgoing edges of *position*."""
-        record = self._nodes.get(position)
-        if record is None:
-            return
-        for target, special in record.out_edges.items():
-            yield target, special
+        return self._neighbours(self.forward, position)
 
     def predecessors(self, position: Position) -> Iterator[Tuple[Position, bool]]:
         """Yield ``(source, special)`` pairs for the incoming edges of *position*."""
-        record = self._nodes.get(position)
-        if record is None:
-            return
-        for source, special in record.in_edges.items():
-            yield source, special
+        return self._neighbours(self.reverse, position)
 
     def has_edge(self, source: Position, target: Position) -> bool:
         """Return ``True`` when the graph has an edge from *source* to *target*."""
-        record = self._nodes.get(source)
-        return record is not None and target in record.out_edges
+        start, end = self.node_of(source), self.node_of(target)
+        return start is not None and end is not None and end in self.forward[start]
 
     def is_special_edge(self, source: Position, target: Position) -> bool:
         """Return ``True`` when the (collapsed) edge is special."""
-        record = self._nodes.get(source)
-        return bool(record and record.out_edges.get(target, False))
+        start, end = self.node_of(source), self.node_of(target)
+        return start is not None and end is not None and self.forward[start].get(end, False)
 
     def predicates(self) -> Set[Predicate]:
         """Return the predicates mentioned by the nodes."""
-        return {position.predicate for position in self._nodes}
+        return set(self._owners)
 
     def positions_of_predicate(self, predicate: Predicate) -> List[Position]:
         """Return the nodes whose predicate is *predicate*."""
-        return [p for p in self._nodes if p.predicate == predicate]
+        return [self.position(node) for node in self.nodes_of_predicates([predicate])]
 
-    def to_networkx(self):
+    def to_networkx(self) -> Any:
         """Export to a ``networkx.DiGraph`` (edge attribute ``special``); optional dependency."""
         import networkx as nx
 
         graph = nx.DiGraph()
-        graph.add_nodes_from(self._nodes)
+        graph.add_nodes_from(self.nodes())
         for edge in self.edges():
             graph.add_edge(edge.source, edge.target, special=edge.special)
         return graph
@@ -180,37 +256,41 @@ def build_support_graph(tgds: TGDSet) -> DependencyGraph:
     for tgd in tgds:
         if not tgd.has_empty_frontier():
             continue
-        body_positions = [
-            position for atom in tgd.body for position in atom.predicate.positions()
-        ]
-        head_positions = [
-            position for atom in tgd.head for position in atom.predicate.positions()
-        ]
-        for source in body_positions:
-            for target in head_positions:
-                graph.add_edge(source, target, special=False)
+        targets = [node for atom in tgd.head for node in graph.add_predicate(atom.predicate)]
+        for atom in tgd.body:
+            for source in graph.add_predicate(atom.predicate):
+                for target in targets:
+                    graph.link(source, target, False)
     return graph
 
 
 def _add_tgd_edges(graph: DependencyGraph, tgd: TGD) -> None:
-    """Add the dependency edges contributed by a single TGD to *graph*."""
+    """Add the nodes and dependency edges contributed by a single TGD to *graph*.
+
+    One walk over the head collects, per frontier variable, the nodes it
+    occurs at (normal targets) and the nodes of the existential variables
+    (special targets); one walk over the body links every frontier
+    occurrence to both.
+    """
     frontier = tgd.frontier()
-    existentials = tgd.existential_variables()
-    # Pre-compute the head positions of every relevant variable once per TGD.
-    head_positions_by_var: Dict = {}
-    for variable in frontier | existentials:
-        head_positions_by_var[variable] = positions_of(tgd.head, variable)
-    special_targets: Set[Position] = set()
-    for variable in existentials:
-        special_targets.update(head_positions_by_var[variable])
-    for variable in frontier:
-        body_positions = positions_of(tgd.body, variable)
-        normal_targets = head_positions_by_var[variable]
-        for source in body_positions:
-            for target in normal_targets:
-                graph.add_edge(source, target, special=False)
+    normal_targets: Dict[Term, List[int]] = {}
+    special_targets: List[int] = []
+    for atom in tgd.head:
+        for node, term in zip(graph.add_predicate(atom.predicate), atom.terms):
+            if term in frontier:
+                normal_targets.setdefault(term, []).append(node)
+            else:
+                special_targets.append(node)
+    link = graph.link
+    for atom in tgd.body:
+        for source, term in zip(graph.add_predicate(atom.predicate), atom.terms):
+            targets = normal_targets.get(term)
+            if targets is None:
+                continue
+            for target in targets:
+                link(source, target, False)
             for target in special_targets:
-                graph.add_edge(source, target, special=True)
+                link(source, target, True)
 
 
 def build_dependency_graph(tgds: TGDSet) -> DependencyGraph:
@@ -221,10 +301,7 @@ def build_dependency_graph(tgds: TGDSet) -> DependencyGraph:
     times, i.e. it is linear in the size of the rule set, as required for the
     ``t-graph`` measurements of the paper.
     """
-    graph = DependencyGraph(schema=tgds.schema())
-    for tgd in tgds:
-        _add_tgd_edges(graph, tgd)
-    return graph
+    return extend_dependency_graph(DependencyGraph(schema=tgds.schema()), tgds)
 
 
 def extend_dependency_graph(graph: DependencyGraph, new_tgds: Iterable[TGD]) -> DependencyGraph:
@@ -232,13 +309,9 @@ def extend_dependency_graph(graph: DependencyGraph, new_tgds: Iterable[TGD]) -> 
 
     Edges are set-collapsed and special-flag ORed exactly as in
     :func:`build_dependency_graph`, so extending ``dg(Σ)`` with ``Σ' \\ Σ``
-    yields the same graph as building ``dg(Σ ∪ Σ')`` from scratch — the
-    invariant the incremental ``IsChaseFinite[L]`` sweep relies on when it
-    grows ``simple_D(Σ)`` across prefix views.  Returns *graph*.
+    yields the same graph as building ``dg(Σ ∪ Σ')`` from scratch.  Returns
+    *graph*.
     """
     for tgd in new_tgds:
-        for predicate in tgd.predicates():
-            for position in predicate.positions():
-                graph.add_node(position)
         _add_tgd_edges(graph, tgd)
     return graph

@@ -21,9 +21,8 @@ Following Section 5.3 it is implemented in two steps:
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Optional, Set
+from typing import Dict, Iterable, Iterator, List, Sequence, Set
 
-from ..core.instances import Database
 from ..core.predicates import Position, Predicate
 from .dependency_graph import DependencyGraph
 
@@ -39,6 +38,18 @@ def extensional_predicates(database) -> Set[Predicate]:
     return set(database.predicates())
 
 
+def _walk(adjacency: Sequence[Dict[int, bool]], start: List[int]) -> Iterator[int]:
+    """Yield the node numbers reachable from *start* over *adjacency*, breadth first."""
+    visited = set(start)
+    queue = deque(start)
+    while queue:
+        for neighbour in adjacency[queue.popleft()]:
+            if neighbour not in visited:
+                visited.add(neighbour)
+                queue.append(neighbour)
+                yield neighbour
+
+
 def reachable_predicates(graph: DependencyGraph, sources: Iterable[Predicate]) -> Set[Predicate]:
     """Return every predicate reachable (w.r.t. the graph) from *sources*.
 
@@ -48,19 +59,8 @@ def reachable_predicates(graph: DependencyGraph, sources: Iterable[Predicate]) -
     reachable from themselves by definition.
     """
     sources = set(sources)
-    reached: Set[Predicate] = set(sources)
-    queue = deque(
-        position for position in graph.nodes() if position.predicate in sources
-    )
-    visited: Set[Position] = set(queue)
-    while queue:
-        position = queue.popleft()
-        reached.add(position.predicate)
-        for target, _special in graph.successors(position):
-            if target not in visited:
-                visited.add(target)
-                queue.append(target)
-    return reached
+    reached = _walk(graph.forward, graph.nodes_of_predicates(sources))
+    return sources | {graph.position(node).predicate for node in reached}
 
 
 def supports(database, positions: Iterable[Position], graph: DependencyGraph) -> bool:
@@ -68,37 +68,20 @@ def supports(database, positions: Iterable[Position], graph: DependencyGraph) ->
 
     A position ``(P, i)`` is supported when ``P`` is reachable from the
     predicate of some database atom.  The implementation walks the graph
-    backwards from the candidate positions over the reverse adjacency lists
+    backwards from the candidate positions over the reverse adjacency maps
     (Section 5.3, step 2) and stops at the first position whose predicate is
     extensional; because reachability is defined at the predicate level, the
     backward walk starts from *every* position of the candidates' predicates.
     """
-    positions = list(positions)
-    if not positions:
-        return False
-    extensional = extensional_predicates(database)
-    if not extensional:
-        return False
-
     candidate_predicates = {position.predicate for position in positions}
+    extensional = extensional_predicates(database)
+    if not candidate_predicates or not extensional:
+        return False
     if candidate_predicates & extensional:
         return True
-
-    start_nodes = [
-        node for node in graph.nodes() if node.predicate in candidate_predicates
-    ]
-    visited: Set[Position] = set(start_nodes)
-    queue = deque(start_nodes)
-    while queue:
-        node = queue.popleft()
-        for source, _special in graph.predecessors(node):
-            if source in visited:
-                continue
-            if source.predicate in extensional:
-                return True
-            visited.add(source)
-            queue.append(source)
-    return False
+    extensional_nodes = set(graph.nodes_of_predicates(extensional))
+    start = graph.nodes_of_predicates(candidate_predicates)
+    return any(node in extensional_nodes for node in _walk(graph.reverse, start))
 
 
 def supported_special_sccs(database, sccs, graph: DependencyGraph):

@@ -5,22 +5,21 @@ exponentially many); instead they look for *special SCCs* — strongly
 connected components containing at least one special edge — because a
 "bad" cycle (a cycle with a special edge) exists iff some SCC is special.
 
-Two implementations are provided:
+One **iterative** Tarjan's algorithm (the recursive textbook version would
+blow the Python stack on the large dependency graphs produced by the
+generators) runs over the graph's node numbers and serves both entry points:
 
-* :func:`find_sccs` — an **iterative** Tarjan's algorithm (the recursive
-  textbook version would blow the Python stack on the large dependency
-  graphs produced by the generators);
-* :func:`find_special_sccs` — the paper's extension that marks an SCC as
-  special; we offer both the *token* mechanism described in Section 5.2
-  (``method="token"``) and a simpler post-pass over the edges
-  (``method="edge-scan"``).  Both are exercised against each other in the
-  test suite.
+* :func:`find_sccs` returns every component;
+* :func:`find_special_sccs` returns the special ones, found by the paper's
+  *token* mechanism: a token is pushed on the Tarjan stack whenever a special
+  edge is traversed, and a component popped together with a token whose
+  edge ends inside it is special.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Sequence, Tuple
 
 from ..core.predicates import Position
 from .dependency_graph import DependencyGraph
@@ -36,7 +35,7 @@ class SCC:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def __contains__(self, node) -> bool:
+    def __contains__(self, node: object) -> bool:
         return node in self.nodes
 
     def representative(self) -> Position:
@@ -44,125 +43,92 @@ class SCC:
         return min(self.nodes)
 
 
-def find_sccs(graph: DependencyGraph) -> List[FrozenSet[Position]]:
-    """Return the strongly connected components of *graph* (iterative Tarjan)."""
-    index_of: Dict[Position, int] = {}
-    lowlink: Dict[Position, int] = {}
-    on_stack: Set[Position] = set()
-    stack: List[Position] = []
-    components: List[FrozenSet[Position]] = []
-    counter = 0
+def _components(forward: Sequence[Dict[int, bool]]) -> Iterator[Tuple[List[int], bool]]:
+    """Yield ``(members, special)`` per component of the int graph *forward*.
 
-    for root in graph.nodes():
-        if root in index_of:
+    The Tarjan stack holds node numbers and, as ``~target``, one token per
+    special edge traversed (pushed even when the edge leads to a visited
+    node, as Section 5.2 describes).  A token sits above its edge's source,
+    so it is popped with the source's component; that component is special
+    when the edge's target was popped with it too — the membership check
+    drops the tokens of edges that *leave* the component.
+    """
+    size = len(forward)
+    index_of = [-1] * size
+    lowlink = [0] * size
+    component_of = [-1] * size  # -1 while unvisited or still on the stack
+    stack: List[int] = []
+    counter = 0
+    component = 0
+
+    for root in range(size):
+        if index_of[root] >= 0:
             continue
-        # Each frame is (node, iterator over successors).
-        work: List[Tuple[Position, Iterable]] = [(root, iter(list(graph.successors(root))))]
         index_of[root] = lowlink[root] = counter
         counter += 1
         stack.append(root)
-        on_stack.add(root)
-
+        # Each frame is (node, iterator over its outgoing edges).
+        work = [(root, iter(forward[root].items()))]
         while work:
-            node, successors = work[-1]
-            advanced = False
-            for target, _special in successors:
-                if target not in index_of:
+            node, edges = work[-1]
+            for target, special in edges:
+                if special:
+                    stack.append(~target)
+                if index_of[target] < 0:
                     index_of[target] = lowlink[target] = counter
                     counter += 1
                     stack.append(target)
-                    on_stack.add(target)
-                    work.append((target, iter(list(graph.successors(target)))))
-                    advanced = True
+                    work.append((target, iter(forward[target].items())))
                     break
-                if target in on_stack:
-                    lowlink[node] = min(lowlink[node], index_of[target])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index_of[node]:
-                component: Set[Position] = set()
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.add(member)
-                    if member == node:
-                        break
-                components.append(frozenset(component))
-    return components
+                if component_of[target] < 0 and index_of[target] < lowlink[node]:
+                    lowlink[node] = index_of[target]
+            else:
+                work.pop()
+                if work and lowlink[node] < lowlink[work[-1][0]]:
+                    lowlink[work[-1][0]] = lowlink[node]
+                if lowlink[node] == index_of[node]:
+                    members: List[int] = []
+                    token_targets: List[int] = []
+                    while True:
+                        entry = stack.pop()
+                        if entry < 0:
+                            token_targets.append(~entry)
+                            continue
+                        members.append(entry)
+                        component_of[entry] = component
+                        if entry == node:
+                            break
+                    yield members, any(component_of[t] == component for t in token_targets)
+                    component += 1
 
 
-def _component_is_special(graph: DependencyGraph, component: FrozenSet[Position]) -> bool:
-    """Return ``True`` when some special edge has both endpoints in *component*.
-
-    A single-node component only counts when it carries a special self-loop
-    (otherwise the node lies on no cycle at all).
-    """
-    for node in component:
-        for target, special in graph.successors(node):
-            if special and target in component:
-                return True
-    return False
-
-
-def _special_sccs_edge_scan(graph: DependencyGraph) -> List[SCC]:
-    components = find_sccs(graph)
-    result = []
-    for component in components:
-        if _component_is_special(graph, component):
-            result.append(SCC(nodes=component, special=True))
-    return result
-
-
-def _special_sccs_token(graph: DependencyGraph) -> List[SCC]:
-    """The paper's token variant: push a token whenever a special edge is traversed.
-
-    While popping an SCC off the stack, the presence of a token among the
-    popped entries marks the SCC as special.  A token is pushed even when the
-    special edge leads to an already-visited node of the current component,
-    matching the description in Section 5.2.  Tokens attributable to edges
-    that *leave* the component (cross-links to already-closed components) are
-    filtered with a final membership check so that the result agrees with the
-    declarative definition of a special SCC.
-    """
-    sccs = find_sccs(graph)
-    component_of: Dict[Position, int] = {}
-    for component_index, component in enumerate(sccs):
-        for node in component:
-            component_of[node] = component_index
-
-    special_components: Set[int] = set()
-    for node in graph.nodes():
-        for target, special in graph.successors(node):
-            if special and component_of[node] == component_of[target]:
-                special_components.add(component_of[node])
-
-    return [
-        SCC(nodes=component, special=True)
-        for index, component in enumerate(sccs)
-        if index in special_components
-    ]
+def find_sccs(graph: DependencyGraph) -> List[FrozenSet[Position]]:
+    """Return the strongly connected components of *graph* (iterative Tarjan)."""
+    return [frozenset(map(graph.position, members)) for members, _ in _components(graph.forward)]
 
 
 def find_special_sccs(graph: DependencyGraph, method: str = "edge-scan") -> List[SCC]:
     """``FindSpecialSCC(G)``: return the special SCCs of a dependency graph.
 
+    A single-node component only counts when it carries a special self-loop
+    (otherwise the node lies on no cycle at all).
+
     Parameters
     ----------
     method:
-        ``"edge-scan"`` (default) or ``"token"``; the two are equivalent and
-        cross-checked in the test suite.
+        ``"edge-scan"`` (default) or ``"token"``.  There is one search — the
+        token mechanism above, whose pop-time membership check is the edge
+        scan — and both names select it.
     """
-    if method == "edge-scan":
-        return _special_sccs_edge_scan(graph)
-    if method == "token":
-        return _special_sccs_token(graph)
-    raise ValueError(f"unknown method {method!r}; expected 'edge-scan' or 'token'")
+    if method not in ("edge-scan", "token"):
+        raise ValueError(f"unknown method {method!r}; expected 'edge-scan' or 'token'")
+    return [
+        SCC(nodes=frozenset(map(graph.position, members)), special=True)
+        for members, special in _components(graph.forward)
+        if special
+    ]
 
 
 def has_special_cycle(graph: DependencyGraph) -> bool:
     """Return ``True`` when the graph has a cycle through a special edge."""
-    return bool(find_special_sccs(graph))
+    return any(special for _members, special in _components(graph.forward))

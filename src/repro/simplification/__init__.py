@@ -2,12 +2,10 @@
 
 from .dynamic import (
     DynamicSimplificationResult,
-    applicable,
     dynamic_simplification,
-    head_shapes,
     resume_dynamic_simplification,
-    shape_from_simplified_predicate,
 )
+from .plans import TransferPlan
 from .shapes import (
     Shape,
     count_shapes,
@@ -25,15 +23,8 @@ from .shapes import (
     simplify_instance,
     unique_tuple,
 )
-from .specialization import (
-    Specialization,
-    enumerate_specializations,
-    h_specialization,
-    identity_specialization,
-)
 from .static import (
     simplifications_of_tgd,
-    simplify_tgd_with,
     static_simplification,
     static_simplification_size,
 )
@@ -41,21 +32,15 @@ from .static import (
 __all__ = [
     "DynamicSimplificationResult",
     "Shape",
-    "Specialization",
-    "applicable",
+    "TransferPlan",
     "count_shapes",
     "database_of_shapes",
     "dynamic_simplification",
-    "enumerate_specializations",
-    "h_specialization",
-    "head_shapes",
     "identifier_tuple",
     "identifier_tuples_of_arity",
-    "identity_specialization",
     "is_identifier_tuple",
     "resolve_shapes",
     "resume_dynamic_simplification",
-    "shape_from_simplified_predicate",
     "shape_of_atom",
     "shapes_of_database",
     "shapes_of_predicate",
@@ -64,7 +49,6 @@ __all__ = [
     "simplify_atom",
     "simplify_database",
     "simplify_instance",
-    "simplify_tgd_with",
     "static_simplification",
     "static_simplification_size",
     "unique_tuple",

@@ -14,102 +14,140 @@ Section 5.4:
 * the database shapes are obtained through a pluggable ``shape_source`` —
   either directly from a :class:`~repro.core.instances.Database`, or from the
   storage substrate's in-memory / in-database ``FindShapes`` implementations;
-* an index from predicates to TGDs provides fast access to the rules that can
-  consume a newly derived shape;
+* every TGD is compiled once into a :class:`~.plans.TransferPlan`, and an
+  index from body predicates to plans provides fast access to the rules that
+  can consume a newly derived shape;
 * at each iteration only the *new* shapes (``ΔS``) are processed — because the
   TGDs are linear, a TGD applicable on an old shape was already applied in a
-  previous iteration.
+  previous iteration;
+* a rule that transfers puts its edges straight into ``dg(simple_D(Σ))``, so
+  ``BuildDepGraph`` is not a second pass and the simplified TGDs need not
+  exist as objects unless a caller asks for them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from ..core.predicates import Predicate
-from ..core.tgds import TGD, TGDSet
+from ..core.tgds import TGDSet
+from ..graph.dependency_graph import DependencyGraph
+from .plans import Identifiers, TransferPlan, plans_by_body
 from .shapes import Shape, resolve_shapes
-from .specialization import h_specialization
-from .static import simplify_tgd_with
+
+ShapeKey = Tuple[str, Identifiers]
 
 
-@dataclass
+class _Fixpoint:
+    """Algorithm 2's state: what is known, and the graph it already implies.
+
+    Shapes are keyed by plain tuples, so asking about one builds no :class:`Shape`.
+    """
+
+    def __init__(self, previous: Optional["_Fixpoint"] = None):
+        #: Every derived shape.
+        self.shapes: Dict[ShapeKey, Shape] = dict(previous.shapes) if previous else {}
+        #: ``simple_D(Σ)`` in derivation order: each rule's syntax (shapes and
+        #: terms — two TGDs can simplify to one rule, the first wins) to its
+        #: (plan, body identifiers).
+        self.rules: Dict[object, Tuple[TransferPlan, Identifiers]] = (
+            dict(previous.rules) if previous else {}
+        )
+        #: ``dg(simple_D(Σ))`` and, per shape occurring in a rule, its nodes.
+        self.graph: DependencyGraph = previous.graph.copy() if previous else DependencyGraph()
+        self.nodes: Dict[ShapeKey, List[int]] = dict(previous.nodes) if previous else {}
+
+    def _nodes_of(self, key: ShapeKey) -> List[int]:
+        nodes = self.nodes.get(key)
+        if nodes is None:
+            nodes = self.nodes[key] = self.graph.add_predicate(self.shapes[key].as_predicate())
+        return nodes
+
+    def run(self, new_shapes: Iterable[Shape], tgds: TGDSet) -> int:
+        """Run the while loop from the frontier *new_shapes*; return the iteration count."""
+        plans = plans_by_body(tgds.tgds)
+        shapes, rules, link = self.shapes, self.rules, self.graph.link
+        delta: List[ShapeKey] = []
+        for shape in new_shapes:
+            key = (shape.predicate_name, shape.identifiers)
+            if key not in shapes:
+                shapes[key] = shape
+                delta.append(key)
+        iterations = 0
+        while delta:
+            iterations += 1
+            produced: List[ShapeKey] = []
+            for key in delta:
+                name, identifiers = key
+                for plan in plans.get((name, len(identifiers)), ()):
+                    transferred = plan.transfer(identifiers)
+                    if transferred is None:
+                        continue
+                    body_terms, heads, normal, special = transferred
+                    syntax = (key, body_terms, heads)
+                    if syntax in rules:
+                        continue
+                    rules[syntax] = (plan, identifiers)
+                    head_nodes = []
+                    for head_name, head_identifiers, _terms in heads:
+                        head_key = (head_name, head_identifiers)
+                        if head_key not in shapes:
+                            shapes[head_key] = Shape(head_name, head_identifiers)
+                            produced.append(head_key)
+                        head_nodes.append(self._nodes_of(head_key))
+                    body_nodes = self._nodes_of(key)
+                    for position, head, place in normal:
+                        link(body_nodes[position - 1], head_nodes[head][place - 1], False)
+                    if special:
+                        for position in {edge[0] for edge in normal}:
+                            source = body_nodes[position - 1]
+                            for head, place in special:
+                                link(source, head_nodes[head][place - 1], True)
+            delta = produced
+        return iterations
+
+
 class DynamicSimplificationResult:
     """Output of :func:`dynamic_simplification` with bookkeeping for experiments.
 
     Attributes
     ----------
-    tgds:
-        The set ``simple_D(Σ)`` of simple-linear TGDs.
     derived_shapes:
         ``Σ(shape(D))`` — every shape derived during the fixpoint.
     initial_shapes:
         ``shape(D)`` — the shapes contributed by the database.
     iterations:
         Number of fixpoint iterations executed (Algorithm 2's while loop).
+
+    The fixpoint produces ``dg(simple_D(Σ))`` directly; the simplified TGDs
+    themselves are only built when :attr:`tgds` is read.
     """
 
-    tgds: TGDSet
-    derived_shapes: Set[Shape]
-    initial_shapes: Set[Shape]
-    iterations: int
+    def __init__(self, fixpoint: _Fixpoint, initial_shapes: Set[Shape], iterations: int):
+        self.derived_shapes: Set[Shape] = set(fixpoint.shapes.values())
+        self.initial_shapes = initial_shapes
+        self.iterations = iterations
+        self._fixpoint = fixpoint
+        self._tgds: Optional[TGDSet] = None
 
+    @property
+    def rule_count(self) -> int:
+        """``|simple_D(Σ)|``, without building the rules."""
+        return len(self._fixpoint.rules)
 
-def applicable(shapes: Iterable[Shape], tgds: TGDSet, index: Optional[Dict[Predicate, List[TGD]]] = None) -> TGDSet:
-    """``Applicable(Ŝ, Σ)``: simplified TGDs whose body shape belongs to *shapes*.
+    def dependency_graph(self) -> DependencyGraph:
+        """Return ``dg(simple_D(Σ))`` — equal to ``build_dependency_graph(self.tgds)``."""
+        return self._fixpoint.graph
 
-    For every linear TGD ``σ`` with body predicate ``R`` and every shape of
-    ``R`` in *shapes*, there is at most one homomorphism from the body atom
-    to the canonical shape atom; when it exists, its ``h``-specialization
-    induces one simplification of ``σ``.
-    """
-    tgds.require_linear()
-    if index is None:
-        index = tgds.by_body_predicate()
-    by_name: Dict[str, List[TGD]] = {}
-    for predicate, rules in index.items():
-        by_name.setdefault(predicate.name, []).extend(rules)
-
-    result = TGDSet()
-    for shape in shapes:
-        for tgd in by_name.get(shape.predicate_name, ()):
-            body_atom = tgd.body_atom()
-            if body_atom.arity != shape.arity:
-                continue
-            specialization = h_specialization(body_atom, shape)
-            if specialization is None:
-                continue
-            result.add(simplify_tgd_with(tgd, specialization))
-    return result
-
-
-def head_shapes(tgds: Iterable[TGD]) -> Set[Shape]:
-    """Return the shapes occurring (as predicates) in the heads of simplified TGDs.
-
-    Simplified TGDs use shape predicates of the form ``R__1_2_1``; this
-    helper recovers the :class:`Shape` objects from the *original* atoms'
-    structure: since the head atoms of a simplified TGD are already
-    simplified (no repeated terms), the shape is re-read from the predicate
-    name suffix.
-    """
-    result: Set[Shape] = set()
-    for tgd in tgds:
-        for atom in tgd.head:
-            result.add(shape_from_simplified_predicate(atom.predicate))
-    return result
-
-
-def shape_from_simplified_predicate(predicate: Predicate) -> Shape:
-    """Invert :meth:`Shape.as_predicate`: recover the shape from ``R__1_2_1``.
-
-    The simplified predicate of a nullary shape is ``R__`` (empty suffix,
-    empty identifier tuple).
-    """
-    name, separator, suffix = predicate.name.rpartition("__")
-    if not separator:
-        raise ValueError(f"{predicate.name!r} is not a simplified (shape) predicate name")
-    identifiers = tuple(int(token) for token in suffix.split("_")) if suffix else ()
-    return Shape(name, identifiers)
+    @property
+    def tgds(self) -> TGDSet:
+        """The set ``simple_D(Σ)`` of simple-linear TGDs, in derivation order."""
+        if self._tgds is None:
+            self._tgds = TGDSet(
+                rule
+                for plan, identifiers in self._fixpoint.rules.values()
+                if (rule := plan.simplify(identifiers)) is not None
+            )
+        return self._tgds
 
 
 def dynamic_simplification(
@@ -130,18 +168,9 @@ def dynamic_simplification(
     """
     tgds.require_linear()
     initial_shapes = resolve_shapes(database_or_shapes)
-    index = tgds.by_body_predicate() if len(tgds) else {}
-
-    known_shapes: Set[Shape] = set(initial_shapes)
-    simplified = TGDSet()
-    iterations = _fixpoint(set(initial_shapes), known_shapes, simplified, tgds, index)
-
-    return DynamicSimplificationResult(
-        tgds=simplified,
-        derived_shapes=known_shapes,
-        initial_shapes=set(initial_shapes),
-        iterations=iterations,
-    )
+    fixpoint = _Fixpoint()
+    iterations = fixpoint.run(initial_shapes, tgds)
+    return DynamicSimplificationResult(fixpoint, set(initial_shapes), iterations)
 
 
 def resume_dynamic_simplification(
@@ -156,51 +185,19 @@ def resume_dynamic_simplification(
     the ``simple_D(Σ)`` fixpoint for the larger view can be obtained by
     seeding Algorithm 2's frontier with only the shapes *not already known*
     at the previous view and continuing from the previous fixpoint — the
-    result is identical to a from-scratch run on the larger view.
+    result (rules, shapes and dependency graph) is identical to a
+    from-scratch run on the larger view.  *previous* is left untouched.
 
     The returned result's :attr:`~DynamicSimplificationResult.tgds` preserves
-    the insertion order of *previous* followed by the newly derived rules, so
-    callers can extend incremental structures (e.g. the dependency graph)
-    from the tail ``result.tgds.tgds[len(previous.tgds):]``.
+    the derivation order of *previous* followed by the newly derived rules:
+    the tail ``result.tgds.tgds[len(previous.tgds):]`` is what is new.
 
     ``iterations`` counts only the iterations of this resumption.
     """
     tgds.require_linear()
     new_shapes = resolve_shapes(database_or_shapes)
-    index = tgds.by_body_predicate() if len(tgds) else {}
-
-    known_shapes: Set[Shape] = set(previous.derived_shapes)
-    simplified = TGDSet(previous.tgds)
-    delta = new_shapes - known_shapes
-    known_shapes |= delta
-    iterations = _fixpoint(delta, known_shapes, simplified, tgds, index)
-
+    fixpoint = _Fixpoint(previous._fixpoint)
+    iterations = fixpoint.run(new_shapes, tgds)
     return DynamicSimplificationResult(
-        tgds=simplified,
-        derived_shapes=known_shapes,
-        initial_shapes=set(previous.initial_shapes) | new_shapes,
-        iterations=iterations,
+        fixpoint, set(previous.initial_shapes) | new_shapes, iterations
     )
-
-
-def _fixpoint(
-    delta: Set[Shape],
-    known_shapes: Set[Shape],
-    simplified: TGDSet,
-    tgds: TGDSet,
-    index: Dict[Predicate, List[TGD]],
-) -> int:
-    """Run Algorithm 2's while loop in place; return the iteration count.
-
-    *known_shapes* and *simplified* are mutated; *delta* is the seed frontier
-    (shapes not yet processed by ``Applicable``).
-    """
-    iterations = 0
-    while delta:
-        iterations += 1
-        new_rules = applicable(delta, tgds, index=index)
-        newly_added = [rule for rule in new_rules if simplified.add(rule)]
-        produced = head_shapes(newly_added)
-        delta = produced - known_shapes
-        known_shapes |= delta
-    return iterations

@@ -15,29 +15,25 @@ because (a) it defines the semantics the dynamic version must preserve and
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional
+from typing import Iterator
 
-from ..core.atoms import Atom
 from ..core.tgds import TGD, TGDSet
-from .shapes import simplify_atom
-from .specialization import Specialization, enumerate_specializations
-
-
-def simplify_tgd_with(tgd: TGD, specialization: Specialization) -> TGD:
-    """Return the simplification of a linear TGD induced by *specialization*."""
-    body_atom = tgd.body_atom()
-    specialized_body = specialization.apply_to_atom(body_atom)
-    specialized_head = specialization.apply_to_atoms(tgd.head)
-    simple_body = simplify_atom(specialized_body)
-    simple_head = tuple(simplify_atom(atom) for atom in specialized_head)
-    return TGD((simple_body,), simple_head, label=tgd.label)
+from .plans import TransferPlan
+from .shapes import identifier_tuples_of_arity
 
 
 def simplifications_of_tgd(tgd: TGD) -> Iterator[TGD]:
-    """Enumerate ``simple(σ)``: one simplification per specialization of the body tuple."""
-    body_atom = tgd.body_atom()
-    for specialization in enumerate_specializations(body_atom.terms):
-        yield simplify_tgd_with(tgd, specialization)
+    """Enumerate ``simple(σ)``: one simplification per specialization of the body tuple.
+
+    The specializations of ``x̄`` are in bijection with the identifier tuples
+    of its arity that repeat an identifier wherever ``x̄`` repeats a variable;
+    the transfer plan rejects the others.
+    """
+    plan = TransferPlan(tgd)
+    for identifiers in identifier_tuples_of_arity(plan.arity):
+        simplified = plan.simplify(identifiers)
+        if simplified is not None:
+            yield simplified
 
 
 def static_simplification(tgds: TGDSet) -> TGDSet:

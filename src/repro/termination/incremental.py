@@ -11,8 +11,7 @@ three inclusions:
   cached shape set;
 * **t-graph** — the ``simple_D(Σ)`` fixpoint of view ``i`` seeds Algorithm
   2's frontier for view ``i+1`` (:func:`resume_dynamic_simplification`), and
-  only the newly derived simplified TGDs are added to the dependency graph
-  (:func:`extend_dependency_graph`);
+  only the newly derived simplified rules add edges to the dependency graph;
 * **t-comp** — the special-SCC search is re-run on the extended graph (it is
   the cheapest step; the paper's Table 2 shows it is negligible).
 
@@ -28,7 +27,7 @@ from typing import Optional, Union
 
 from ..core.parser import parse_rules
 from ..core.tgds import TGDSet
-from ..graph.dependency_graph import DependencyGraph, build_dependency_graph, extend_dependency_graph
+from ..graph.dependency_graph import DependencyGraph
 from ..graph.tarjan import find_special_sccs
 from ..simplification.dynamic import (
     DynamicSimplificationResult,
@@ -72,7 +71,6 @@ class IncrementalLinearChecker:
         self._finder = shape_finder
         self._scc_method = scc_method
         self._simplification: Optional[DynamicSimplificationResult] = None
-        self._graph: Optional[DependencyGraph] = None
         self._last_limit: Optional[float] = None
 
     @property
@@ -83,7 +81,7 @@ class IncrementalLinearChecker:
     @property
     def graph(self) -> Optional[DependencyGraph]:
         """The dependency graph of ``simple_D(Σ)`` for the last checked view."""
-        return self._graph
+        return None if self._simplification is None else self._simplification.dependency_graph()
 
     @property
     def simplification(self) -> Optional[DynamicSimplificationResult]:
@@ -114,18 +112,16 @@ class IncrementalLinearChecker:
 
         with stopwatch.measure("t_graph"):
             if self._simplification is None:
-                self._simplification = dynamic_simplification(shapes, self._tgds)
-                self._graph = build_dependency_graph(self._simplification.tgds)
+                simplification = dynamic_simplification(shapes, self._tgds)
             else:
-                previous_rule_count = len(self._simplification.tgds)
-                self._simplification = resume_dynamic_simplification(
+                simplification = resume_dynamic_simplification(
                     self._simplification, shapes, self._tgds
                 )
-                new_rules = self._simplification.tgds.tgds[previous_rule_count:]
-                extend_dependency_graph(self._graph, new_rules)
+            self._simplification = simplification
+            graph = simplification.dependency_graph()
 
         with stopwatch.measure("t_comp"):
-            special_sccs = find_special_sccs(self._graph, method=self._scc_method)
+            special_sccs = find_special_sccs(graph, method=self._scc_method)
             finite = not special_sccs
 
         return TerminationReport(
@@ -134,13 +130,13 @@ class IncrementalLinearChecker:
             timings=TimingBreakdown.from_stopwatch(stopwatch),
             statistics={
                 "n_rules": len(self._tgds),
-                "n_simplified_rules": len(self._simplification.tgds),
+                "n_simplified_rules": simplification.rule_count,
                 "n_initial_shapes": len(shapes),
-                "n_derived_shapes": len(self._simplification.derived_shapes),
-                "n_iterations": self._simplification.iterations,
-                "n_nodes": len(self._graph),
-                "n_edges": self._graph.edge_count(),
-                "n_special_edges": self._graph.special_edge_count(),
+                "n_derived_shapes": len(simplification.derived_shapes),
+                "n_iterations": simplification.iterations,
+                "n_nodes": len(graph),
+                "n_edges": graph.edge_count(),
+                "n_special_edges": graph.special_edge_count(),
                 "n_special_sccs": len(special_sccs),
             },
         )

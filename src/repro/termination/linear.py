@@ -7,8 +7,8 @@ exponential, the practical algorithm uses *dynamic* simplification and the
 fact that for ``simple_D(Σ)`` plain weak acyclicity suffices (Lemma 4.5):
 
 1. find the database shapes                                (``t-shapes``);
-2. compute ``Σ_s = simple_D(Σ)`` via Algorithm 2 and build its
-   dependency graph                                        (``t-graph``);
+2. compute ``Σ_s = simple_D(Σ)`` via Algorithm 2, which emits its
+   dependency graph as it goes                             (``t-graph``);
 3. look for a special SCC; the chase is finite iff none exists
                                                            (``t-comp``).
 
@@ -23,7 +23,6 @@ from typing import Optional, Union
 
 from ..core.parser import parse_rules
 from ..core.tgds import TGDSet
-from ..graph.dependency_graph import build_dependency_graph
 from ..graph.tarjan import find_special_sccs
 from ..simplification.dynamic import dynamic_simplification
 from ..simplification.shapes import resolve_shapes
@@ -73,7 +72,7 @@ def is_chase_finite_l(
 
     with stopwatch.measure("t_graph"):
         simplification = dynamic_simplification(shapes, tgds)
-        graph = build_dependency_graph(simplification.tgds)
+        graph = simplification.dependency_graph()
 
     with stopwatch.measure("t_comp"):
         special_sccs = find_special_sccs(graph, method=scc_method)
@@ -85,7 +84,7 @@ def is_chase_finite_l(
         timings=TimingBreakdown.from_stopwatch(stopwatch),
         statistics={
             "n_rules": len(tgds),
-            "n_simplified_rules": len(simplification.tgds),
+            "n_simplified_rules": simplification.rule_count,
             "n_initial_shapes": len(simplification.initial_shapes),
             "n_derived_shapes": len(simplification.derived_shapes),
             "n_iterations": simplification.iterations,

@@ -98,18 +98,51 @@ class TestSpecialSCCs:
         graph, _ = _graph_from_edges(1, [(0, 0, False)])
         assert find_special_sccs(graph) == []
 
-    def test_methods_agree(self):
+    def test_methods_agree_with_each_other_and_with_networkx(self):
+        import networkx as nx
+
         rng = random.Random(5)
-        for _ in range(25):
+        for _ in range(60):
             n_nodes = rng.randint(1, 10)
             edges = [
                 (rng.randrange(n_nodes), rng.randrange(n_nodes), rng.random() < 0.4)
-                for _ in range(rng.randint(0, 2 * n_nodes))
+                for _ in range(rng.randint(0, 3 * n_nodes))
             ]
-            graph, _ = _graph_from_edges(n_nodes, edges)
+            graph, positions = _graph_from_edges(n_nodes, edges)
             edge_scan = {scc.nodes for scc in find_special_sccs(graph, method="edge-scan")}
             token = {scc.nodes for scc in find_special_sccs(graph, method="token")}
-            assert edge_scan == token
+            # The definition, on an independent SCC implementation: a component
+            # is special iff some special edge has both ends inside it.
+            reference = nx.DiGraph()
+            reference.add_nodes_from(range(n_nodes))
+            reference.add_edges_from((source, target) for source, target, _ in edges)
+            declared = {
+                frozenset(positions[node] for node in component)
+                for component in nx.strongly_connected_components(reference)
+                if any(s in component and t in component for s, t, special in edges if special)
+            }
+            assert edge_scan == token == declared
+            assert has_special_cycle(graph) == bool(declared)
+
+    def test_special_edge_into_a_closed_component_leaves_no_token_behind(self):
+        # 0 -> 1 <-> 2 with the special edge 0 => 1 leaving {0}: its token is
+        # popped with {0}, whose membership check must discard it; the special
+        # edge 3 => 3 closes a component of its own.
+        graph, positions = _graph_from_edges(
+            4, [(0, 1, True), (1, 2, False), (2, 1, False), (0, 3, False), (3, 3, True)]
+        )
+        assert {scc.nodes for scc in find_special_sccs(graph)} == {frozenset({positions[3]})}
+
+    def test_five_thousand_node_chain_with_a_special_back_edge(self):
+        # No recursion, and no per-node copy of the successor lists.
+        size = 5000
+        chain = [(i, i + 1, False) for i in range(size - 1)]
+        graph, positions = _graph_from_edges(size, chain)
+        assert find_special_sccs(graph) == [] and len(find_sccs(graph)) == size
+        graph.add_edge(positions[-1], positions[0], True)
+        (cycle,) = find_special_sccs(graph, method="token")
+        assert cycle.nodes == frozenset(positions) and cycle.special
+        assert cycle.representative() == min(positions)
 
     def test_unknown_method_rejected(self):
         graph, _ = _graph_from_edges(1, [])

@@ -5,15 +5,15 @@ from hypothesis import given, settings
 
 from repro.core.parser import parse_database, parse_rules
 from repro.core.predicates import Predicate
-from repro.simplification.dynamic import (
-    applicable,
-    dynamic_simplification,
-    head_shapes,
-    shape_from_simplified_predicate,
-)
+from repro.simplification.dynamic import dynamic_simplification
 from repro.simplification.shapes import Shape, shapes_of_database
 from repro.simplification.static import static_simplification
 from tests.helpers import databases, linear_tgd_sets
+from tests.simplification.reference import (
+    applicable,
+    head_shapes,
+    shape_from_simplified_predicate,
+)
 
 
 class TestApplicable:

@@ -172,7 +172,7 @@ class TestNullaryShapes:
 
     def test_parser_to_shape_round_trip(self):
         from repro.core.parser import parse_fact
-        from repro.simplification.dynamic import shape_from_simplified_predicate
+        from tests.simplification.reference import shape_from_simplified_predicate
 
         atom = parse_fact("Flag().")
         shape = shape_of_atom(atom)

@@ -1,4 +1,4 @@
-"""Unit tests for repro.simplification.specialization."""
+"""Unit tests for the reference interpreter's specializations (Definition 3.5)."""
 
 import pytest
 
@@ -7,7 +7,7 @@ from repro.core.atoms import Atom
 from repro.core.predicates import Predicate
 from repro.core.terms import Variable
 from repro.simplification.shapes import Shape
-from repro.simplification.specialization import (
+from tests.simplification.reference import (
     Specialization,
     enumerate_specializations,
     h_specialization,

@@ -4,13 +4,9 @@ from hypothesis import given, settings
 
 from repro.chase.bounds import bell_number, static_simplification_size_bound
 from repro.core.parser import parse_rules, parse_tgd
-from repro.simplification.specialization import identity_specialization
-from repro.simplification.static import (
-    simplifications_of_tgd,
-    simplify_tgd_with,
-    static_simplification,
-)
+from repro.simplification.static import simplifications_of_tgd, static_simplification
 from tests.helpers import linear_tgd_sets
+from tests.simplification.reference import identity_specialization, simplify_tgd_with
 
 
 class TestSimplifyTGD:

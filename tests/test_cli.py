@@ -542,6 +542,23 @@ class TestFuzzCommand:
         assert "cannot read" in stderr
         assert "Traceback" not in stderr
 
+    def test_non_linear_rules_exit_two_with_one_line(self, tmp_path, capsys):
+        # Used to escape as a NotLinearError traceback with exit code 1.
+        rules = tmp_path / "join.rules"
+        rules.write_text("R(x,y), S(y,z) -> T(x,z)\n")
+        assert main(["check", "--rules", str(rules)]) == 2
+        (report,) = capsys.readouterr().err.splitlines()
+        assert report.startswith(str(rules)) and report.endswith("is not linear")
+
+    def test_non_simple_linear_rules_under_sl_exit_two_with_one_line(self, tmp_path, capsys):
+        rules = tmp_path / "repeat.rules"
+        rules.write_text("R(x,x) -> S(x,z)\n")
+        assert main(["check", "--rules", str(rules), "--algorithm", "sl"]) == 2
+        (report,) = capsys.readouterr().err.splitlines()
+        assert report.startswith(str(rules)) and report.endswith("is not simple-linear")
+        # The same rules are in class L: auto picks the algorithm that decides them.
+        assert main(["check", "--rules", str(rules)]) == 0
+
 
 class TestSweepCommand:
     def test_sweep_smoke_runs_and_summarises(self, capsys, tmp_path):
@@ -831,6 +848,75 @@ class TestConsoleEntryPoint:
         resumed = self._run(entry_point, subprocess_env, *argv)
         assert resumed.returncode == 0, resumed.stderr
         assert "reached a fixpoint" in resumed.stdout
+
+    def test_sigint_mid_chase_is_one_line_exit_three_and_resumable(
+        self, entry_point, subprocess_env, tmp_path
+    ):
+        # Used to print a KeyboardInterrupt traceback, although chase() had
+        # already flushed the store on the way out.
+        import signal
+        import sqlite3
+        import subprocess
+        import time
+
+        from repro.chase import chase
+        from repro.core.parser import parse_database, parse_rules
+        from repro.core.serializer import serialize_database
+        from repro.storage.sqlbackend import SqliteAtomStore
+
+        # One cheap round (and one flush) per rule: long enough to interrupt.
+        rules_text = "".join(f"A{i}(x,y) -> A{i + 1}(y,z)\n" for i in range(1500))
+        facts_text = "".join(f"A0(a{i},b{i}).\n" for i in range(5))
+        rules = tmp_path / "chain.txt"
+        rules.write_text(rules_text)
+        facts = tmp_path / "facts.txt"
+        facts.write_text(facts_text)
+        db_path = tmp_path / "interrupted.db"
+        argv = [
+            "chase", "--rules", str(rules), "--facts", str(facts),
+            "--backend", f"sqlite:{db_path}", "--no-materialize",
+        ]
+
+        def relations_on_disk():
+            try:
+                connection = sqlite3.connect(f"file:{db_path}?mode=ro", uri=True)
+                try:
+                    return connection.execute(
+                        "SELECT count(*) FROM sqlite_master WHERE name LIKE 'rel_%'"
+                    ).fetchone()[0]
+                finally:
+                    connection.close()
+            except sqlite3.Error:
+                return 0
+
+        process = subprocess.Popen(
+            entry_point + argv, env=subprocess_env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while relations_on_disk() < 50 and process.poll() is None:
+                assert time.monotonic() < deadline, "the chase never reached round 50"
+                time.sleep(0.01)
+            process.send_signal(signal.SIGINT)
+            _stdout, stderr = process.communicate(timeout=60)
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.communicate()
+        assert process.returncode == 3, stderr
+        (report,) = stderr.splitlines()
+        assert report == f"interrupted; {db_path} holds a resumable prefix, rerun to continue"
+        with SqliteAtomStore(path=str(db_path)) as reopened:
+            assert 5 < reopened.atom_count() < 7505
+
+        resumed = self._run(entry_point, subprocess_env, *argv)
+        assert resumed.returncode == 0, resumed.stderr
+        assert "reached a fixpoint" in resumed.stdout
+        expected = chase(parse_database(facts_text), parse_rules(rules_text)).instance
+        with SqliteAtomStore(path=str(db_path)) as reopened:
+            persisted = serialize_database(sorted(reopened.iter_atoms()))
+        assert persisted == serialize_database(sorted(expected))
 
     @pytest.mark.parametrize("strategy", ["indexed", "sql-pushdown"])
     def test_a_persisted_file_does_not_depend_on_the_hash_seed(
