@@ -17,13 +17,12 @@ body shape is derivable are kept.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Sequence, Set, Tuple
 
 from ..core.atoms import Atom
 from ..core.instances import Database, Instance
 from ..core.predicates import Predicate, Schema
-from ..core.terms import Constant, Term
+from ..core.terms import Constant
 
 
 def unique_tuple(terms: Sequence) -> Tuple:
@@ -46,6 +45,28 @@ def identifier_tuple(terms: Sequence) -> Tuple[int, ...]:
             first_index[term] = len(first_index) + 1
         result.append(first_index[term])
     return tuple(result)
+
+
+def first_occurrence_keys(rows: Iterable[Tuple]) -> Iterator[Tuple[int, ...]]:
+    """Per row one C-level key: ``(x, y, x, z, y)`` gives ``(0, 1, 0, 3, 1)``.
+
+    The first-occurrence index of each position is in bijection with ``id(t̄)``, so the
+    scans below hash a key per row and call :func:`identifier_tuple` once per distinct key.
+    """
+    return (tuple(map(row.index, row)) for row in rows)
+
+
+def row_patterns(rows: Iterable[Tuple]) -> Set[Tuple[int, ...]]:
+    """Return ``{id(t̄) : t̄ ∈ rows}`` — the row scan under every in-process ``FindShapes``."""
+    return {identifier_tuple(key) for key in set(first_occurrence_keys(rows))}
+
+
+def first_rows_of_patterns(rows: Iterable[Tuple], start: int = 0) -> Dict[Tuple[int, ...], int]:
+    """Map each ``id(t̄)`` of *rows* to the count of its first row, counting from ``start + 1``."""
+    first: Dict[Tuple[int, ...], int] = {}
+    for count, key in enumerate(first_occurrence_keys(rows), start + 1):
+        first.setdefault(key, count)
+    return {identifier_tuple(key): count for key, count in first.items()}
 
 
 def is_identifier_tuple(ids: Sequence[int]) -> bool:
@@ -73,7 +94,7 @@ class Shape:
     predicate_name: str
     identifiers: Tuple[int, ...]
 
-    def __post_init__(self):
+    def __post_init__(self) -> None:
         if not is_identifier_tuple(self.identifiers):
             raise ValueError(f"{self.identifiers!r} is not a valid identifier tuple")
 
@@ -125,7 +146,7 @@ class Shape:
             return False
         return self.equal_position_pairs() >= other.equal_position_pairs()
 
-    def __str__(self):
+    def __str__(self) -> str:
         ids = ",".join(str(i) for i in self.identifiers)
         return f"{self.predicate_name}[{ids}]"
 
@@ -159,10 +180,14 @@ def simplify_database(database: Database) -> Database:
 
 def shapes_of_database(database: Instance) -> Set[Shape]:
     """Return ``shape(D)``: the set of shapes of the atoms of *database*."""
-    return {shape_of_atom(atom) for atom in database}
+    return {
+        Shape(predicate.name, ids)
+        for predicate in database.predicates()
+        for ids in row_patterns(atom.terms for atom in database.atoms_with_predicate(predicate))
+    }
 
 
-def resolve_shapes(source) -> Set[Shape]:
+def resolve_shapes(source: Any) -> Set[Shape]:
     """Resolve a pluggable shape source into the set of its shapes.
 
     Every entry point that consumes database shapes (``IsChaseFinite[L]``,

@@ -20,9 +20,9 @@ have sent to PostgreSQL.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
-from ..simplification.shapes import Shape
+from ..simplification.shapes import Shape, first_occurrence_keys
 from .relation import Row
 
 
@@ -50,23 +50,27 @@ def row_matches_shape(row: Sequence[str], shape: Shape, relaxed: bool = False) -
     (equalities and disequalities), i.e. whether the tuple has exactly this
     shape.
     """
-    ids = shape.identifiers
-    if len(row) != len(ids):
-        return False
-    for i in range(len(ids)):
-        for j in range(i + 1, len(ids)):
-            if ids[i] == ids[j] and row[i] != row[j]:
-                return False
-            if not relaxed and ids[i] != ids[j] and row[i] == row[j]:
-                return False
-    return True
+    return shape_exists((tuple(row),), shape, relaxed=relaxed)
 
 
 def shape_exists(rows: Iterable[Row], shape: Shape, relaxed: bool = False) -> bool:
-    """Boolean existence query: does some tuple of *rows* satisfy the shape query?"""
+    """Boolean existence query: does some tuple of *rows* satisfy the shape query?
+
+    ``Q`` holds when the row's first-occurrence key is the shape's, ``Q'`` when
+    every position equals the first of its block — both derived once per query.
+    """
+    (key,) = first_occurrence_keys((shape.identifiers,))
+    if not relaxed:
+        return key in first_occurrence_keys(rows)
+    arity = len(key)
+    equal = [(first, position) for position, first in enumerate(key) if first != position]
     for row in rows:
-        if row_matches_shape(row, shape, relaxed=relaxed):
-            return True
+        if len(row) == arity:
+            for first, position in equal:
+                if row[first] != row[position]:
+                    break
+            else:
+                return True
     return False
 
 

@@ -101,7 +101,7 @@ class Relation:
     def __iter__(self) -> Iterator[Row]:
         return iter(self._rows)
 
-    def __repr__(self):
+    def __repr__(self) -> str:
         return f"Relation({self.predicate}, {len(self)} rows)"
 
     @property
@@ -114,25 +114,19 @@ class Relation:
         """The relation arity."""
         return self.predicate.arity
 
-    def rows(self, limit: Optional[int] = None) -> Iterator[Row]:
-        """Scan the rows in insertion order, optionally stopping after *limit*."""
-        if limit is None:
-            yield from self._rows
-        else:
-            yield from self._rows[:limit]
+    def rows(self, limit: Optional[int] = None, start: int = 0) -> Iterator[Row]:
+        """Scan the rows in insertion order: ``rows[start:limit]``, answered by a list slice."""
+        if limit is None and not start:
+            return iter(self._rows)
+        return iter(self._rows[start:limit])
 
     def chunks(self, chunk_size: int, limit: Optional[int] = None) -> Iterator[List[Row]]:
         """Scan the rows in chunks of *chunk_size* (the in-memory ``FindShapes`` splitter)."""
         if chunk_size <= 0:
             raise StorageError("chunk_size must be positive")
-        buffer: List[Row] = []
-        for row in self.rows(limit=limit):
-            buffer.append(row)
-            if len(buffer) == chunk_size:
-                yield buffer
-                buffer = []
-        if buffer:
-            yield buffer
+        rows = self._rows if limit is None else self._rows[:limit]
+        for start in range(0, len(rows), chunk_size):
+            yield rows[start:start + chunk_size]
 
     def atoms(self, limit: Optional[int] = None) -> Iterator[Atom]:
         """Scan the rows as atoms (decoding stored values back into terms)."""

@@ -27,13 +27,13 @@ where the time goes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import islice
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..chase.bounds import bell_number
 from ..core.predicates import Predicate
-from ..simplification.shapes import Shape, identifier_tuple
+from ..exceptions import StorageError
+from ..simplification.shapes import Shape, first_rows_of_patterns, identifier_tuple, row_patterns
 from .queries import shape_exists
 
 
@@ -66,11 +66,11 @@ class ShapeFinderStats:
 class _BaseShapeFinder:
     """Shared plumbing: relation iteration over a store or a prefix view."""
 
-    def __init__(self, store):
+    def __init__(self, store: Any):
         self._store = store
         self.stats = ShapeFinderStats()
 
-    def _relations(self):
+    def _relations(self) -> List[Any]:
         return self._store.relations()
 
     def find_shapes(self) -> Set[Shape]:
@@ -91,8 +91,10 @@ class InMemoryShapeFinder(_BaseShapeFinder):
         the paper's answer to relations that do not fit in main memory.
     """
 
-    def __init__(self, store, chunk_size: Optional[int] = None):
+    def __init__(self, store: Any, chunk_size: Optional[int] = None):
         super().__init__(store)
+        if chunk_size is not None and chunk_size <= 0:
+            raise StorageError("chunk_size must be positive")
         self._chunk_size = chunk_size
 
     def find_shapes(self) -> Set[Shape]:
@@ -100,15 +102,17 @@ class InMemoryShapeFinder(_BaseShapeFinder):
         self.stats.reset()
         shapes: Set[Shape] = set()
         for relation in self._relations():
-            name = relation.predicate.name
-            if self._chunk_size is None:
+            predicate = relation.predicate
+            if predicate.arity <= 1:
+                # One shape, present iff the relation is non-empty: the first row tells.
+                chunks = [relation.rows(limit=1)]
+            elif self._chunk_size is None:
                 chunks = [relation.rows()]
             else:
                 chunks = relation.chunks(self._chunk_size)
-            for chunk in chunks:
-                for row in chunk:
-                    self.stats.rows_scanned += 1
-                    shapes.add(Shape(name, identifier_tuple(row)))
+            self.stats.rows_scanned += len(relation)
+            patterns = set().union(*map(row_patterns, chunks))
+            shapes |= {Shape(predicate.name, identifiers) for identifiers in patterns}
         self.stats.shapes_found = len(shapes)
         return shapes
 
@@ -135,10 +139,7 @@ class InDatabaseShapeFinder(_BaseShapeFinder):
     argues that most of the Bell-many per-shape queries are never run.
     """
 
-    def __init__(self, store):
-        super().__init__(store)
-
-    def _shape_exists(self, relation, shape: Shape, relaxed: bool) -> bool:
+    def _shape_exists(self, relation: Any, shape: Shape, relaxed: bool) -> bool:
         """Evaluate one (relaxed) shape existence query against *relation*.
 
         The single point where a query touches data: this base implementation
@@ -149,34 +150,20 @@ class InDatabaseShapeFinder(_BaseShapeFinder):
         """
         return shape_exists(relation.rows(), shape, relaxed=relaxed)
 
-    def _mergeable_pairs(self, relation) -> Set[tuple]:
+    def _mergeable_pairs(self, relation: Any) -> Set[tuple]:
         """Relaxed pair queries: the attribute pairs that are equal in some tuple."""
         arity = relation.predicate.arity
         mergeable: Set[tuple] = set()
         for i in range(1, arity + 1):
             for j in range(i + 1, arity + 1):
                 # The most general shape forcing only positions i and j equal.
-                pair_shape = self._pair_shape(relation.predicate.name, arity, i, j)
+                merged = [i if position == j else position for position in range(1, arity + 1)]
+                pair_shape = Shape(relation.predicate.name, identifier_tuple(merged))
                 self.stats.queries_issued += 1
                 self.stats.relaxed_queries_issued += 1
                 if self._shape_exists(relation, pair_shape, relaxed=True):
                     mergeable.add((i, j))
         return mergeable
-
-    @staticmethod
-    def _pair_shape(name: str, arity: int, i: int, j: int) -> Shape:
-        """The most general shape forcing only positions *i* and *j* equal."""
-        identifiers = []
-        next_identifier = 1
-        assigned = {}
-        for position in range(1, arity + 1):
-            if position == j:
-                identifiers.append(assigned[i])
-                continue
-            assigned[position] = next_identifier
-            identifiers.append(next_identifier)
-            next_identifier += 1
-        return Shape(name, tuple(identifiers))
 
     def _candidates(self, predicate: Predicate, mergeable: Set[tuple]) -> List[Shape]:
         """Enumerate the shapes whose blocks are cliques of mergeable attribute pairs."""
@@ -187,7 +174,7 @@ class InDatabaseShapeFinder(_BaseShapeFinder):
 
         candidates: List[Shape] = []
 
-        def extend(position: int, blocks: List[List[int]]):
+        def extend(position: int, blocks: List[List[int]]) -> None:
             if position > arity:
                 identifiers = [0] * arity
                 for block_index, block in enumerate(blocks, start=1):
@@ -214,14 +201,8 @@ class InDatabaseShapeFinder(_BaseShapeFinder):
         shapes: Set[Shape] = set()
         for relation in self._relations():
             predicate = relation.predicate
-            if predicate.arity <= 1:
-                # Arity 0 and 1 admit a single shape each — (()) and ((1,)) —
-                # which exists iff the relation holds at least one tuple.
-                only_shape = Shape(predicate.name, (1,) * predicate.arity)
-                self.stats.queries_issued += 1
-                if self._shape_exists(relation, only_shape, relaxed=False):
-                    shapes.add(only_shape)
-                continue
+            # Arity 0 and 1 have no attribute pair and one candidate, (()) or ((1,)):
+            # a single exact query, which succeeds iff the relation holds a tuple.
             mergeable = self._mergeable_pairs(relation)
             candidates = self._candidates(predicate, mergeable)
             # Shapes outside the mergeable-pair lattice were pruned without
@@ -265,29 +246,27 @@ class DeltaShapeFinder:
     only the delta rows of the most recent call.
     """
 
-    def __init__(self, store):
+    def __init__(self, store: Any):
         self._store = store
         self._scanned: Dict[str, int] = {}
-        self._first_seen: Dict[str, Dict[Shape, int]] = {}
+        self._first_seen: Dict[str, Dict[Tuple[int, ...], Tuple[int, Shape]]] = {}
         self.stats = ShapeFinderStats()
 
-    def _ensure_scanned(self, relation, target: int) -> None:
+    def _ensure_scanned(self, relation: Any, target: int) -> None:
         """Extend the scan of *relation* (a base relation) up to *target* rows."""
         name = relation.predicate.name
         scanned = self._scanned.get(name, 0)
         if target <= scanned:
             return
         first_seen = self._first_seen.setdefault(name, {})
-        for count, row in enumerate(
-            islice(relation.rows(), scanned, target), start=scanned + 1
-        ):
-            self.stats.rows_scanned += 1
-            shape = Shape(name, identifier_tuple(row))
-            if shape not in first_seen:
-                first_seen[shape] = count
+        delta = first_rows_of_patterns(relation.rows(limit=target, start=scanned), scanned)
+        for identifiers, count in delta.items():
+            if identifiers not in first_seen:
+                first_seen[identifiers] = (count, Shape(name, identifiers))
+        self.stats.rows_scanned += target - scanned
         self._scanned[name] = target
 
-    def shapes_for(self, view=None) -> Set[Shape]:
+    def shapes_for(self, view: Any = None) -> Set[Shape]:
         """Return the shapes of *view* (a prefix view of the base store).
 
         ``view=None`` computes the shapes of the whole store.  The view's
@@ -311,9 +290,7 @@ class DeltaShapeFinder:
             target = len(relation) if limit is None else min(limit, len(relation))
             self._ensure_scanned(relation, target)
             first_seen = self._first_seen.get(name, {})
-            shapes.update(
-                shape for shape, first in first_seen.items() if first <= target
-            )
+            shapes.update(shape for first, shape in first_seen.values() if first <= target)
         self.stats.shapes_found = len(shapes)
         return shapes
 
@@ -322,7 +299,9 @@ class DeltaShapeFinder:
         return self.shapes_for(None)
 
 
-def find_shapes(store, method: str = "in-memory", chunk_size: Optional[int] = None) -> Set[Shape]:
+def find_shapes(
+    store: Any, method: str = "in-memory", chunk_size: Optional[int] = None
+) -> Set[Shape]:
     """Convenience wrapper choosing between the two implementations.
 
     Parameters

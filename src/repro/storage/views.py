@@ -43,9 +43,9 @@ class _RelationView:
     def __iter__(self) -> Iterator[Row]:
         return self.rows()
 
-    def rows(self, limit: Optional[int] = None) -> Iterator[Row]:
+    def rows(self, limit: Optional[int] = None, start: int = 0) -> Iterator[Row]:
         effective = self._limit if limit is None else min(limit, self._limit)
-        return self._relation.rows(limit=effective)
+        return self._relation.rows(limit=effective, start=start)
 
     def chunks(self, chunk_size: int, limit: Optional[int] = None):
         effective = self._limit if limit is None else min(limit, self._limit)

@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 
 from repro.chase.bounds import bell_number
 from repro.core.atoms import Atom
+from repro.core.instances import Instance
 from repro.core.parser import parse_database
 from repro.core.predicates import Predicate, Schema
-from repro.core.terms import Constant, Variable
+from repro.core.terms import Constant, Null, Variable
 from repro.simplification.shapes import (
     Shape,
     count_shapes,
@@ -119,6 +120,23 @@ class TestSimplification:
     @given(databases(max_size=6))
     def test_shape_count_never_exceeds_atom_count(self, database):
         assert count_shapes(database) <= len(database)
+
+    @given(databases(max_size=6))
+    def test_shapes_of_database_is_the_per_atom_definition(self, database):
+        assert shapes_of_database(database) == {shape_of_atom(atom) for atom in database}
+
+    def test_shapes_of_an_instance_with_nulls_and_a_name_at_two_arities(self):
+        a, n = Constant("n"), Null("n")  # equal names, different terms
+        instance = Instance([
+            Atom(Predicate("R", 2), (a, n)),
+            Atom(Predicate("R", 2), (n, n)),
+            Atom(Predicate("R", 3), (n, a, n)),
+            Atom(Predicate("N", 0), ()),
+        ])
+        assert shapes_of_database(instance) == {
+            Shape("R", (1, 2)), Shape("R", (1, 1)), Shape("R", (1, 2, 1)), Shape("N", ()),
+        }
+        assert shapes_of_database(Instance()) == set()
 
     @given(databases(max_size=6))
     def test_simplified_database_has_one_atom_per_distinct_simplification(self, database):

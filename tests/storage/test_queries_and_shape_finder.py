@@ -5,7 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.predicates import Predicate
-from repro.simplification.shapes import Shape, identifier_tuple, shapes_of_database
+from repro.exceptions import StorageError
+from repro.simplification.shapes import (
+    Shape,
+    identifier_tuple,
+    identifier_tuples_of_arity,
+    shapes_of_database,
+)
 from repro.storage.database import RelationalDatabase
 from repro.storage.queries import (
     disequality_condition_pairs,
@@ -63,6 +69,24 @@ class TestShapeQueries:
         shape = Shape("R", identifiers)
         expected = any(identifier_tuple(row) == identifiers for row in rows)
         assert shape_exists(rows, shape) == expected
+
+    @given(
+        st.lists(st.sampled_from("abc"), max_size=4),
+        st.integers(0, 4).flatmap(lambda n: st.sampled_from(list(identifier_tuples_of_arity(n)))),
+        st.booleans(),
+    )
+    def test_truth_table_is_the_pairwise_definition(self, row, identifiers, relaxed):
+        # Section 5.4 literally: every forced equality holds and, unless
+        # relaxed, every forced disequality too.
+        shape = Shape("R", identifiers)
+        expected = len(row) == len(identifiers) and all(
+            row[i - 1] == row[j - 1] for i, j in equality_condition_pairs(shape)
+        ) and (relaxed or all(
+            row[i - 1] != row[j - 1] for i, j in disequality_condition_pairs(shape)
+        ))
+        assert row_matches_shape(row, shape, relaxed=relaxed) == expected
+        assert shape_exists([tuple(row)], shape, relaxed=relaxed) == expected
+        assert not shape_exists([], shape, relaxed=relaxed)
 
 
 def _store_from_rows(rows_by_relation):
@@ -184,6 +208,40 @@ class TestShapeFinderStats:
             chunked.find_shapes()
             assert chunked.stats.rows_scanned == unchunked.stats.rows_scanned == 4
             assert chunked.stats.shapes_found == unchunked.stats.shapes_found == 4
+
+    def test_nonpositive_chunk_size_is_rejected_at_construction(self):
+        for chunk_size in (0, -3):
+            with pytest.raises(StorageError, match="chunk_size must be positive"):
+                InMemoryShapeFinder(self._store(), chunk_size=chunk_size)
+        with pytest.raises(StorageError):
+            find_shapes(self._store(), chunk_size=0)
+
+    def test_low_arity_relations_are_counted_not_scanned(self):
+        store = _store_from_rows({("N", 0): [(), ()], ("P", 1): [("a",), ("a",), ("b",)],
+                                  ("E", 1): [], ("Z", 0): []})
+        for chunk_size in (None, 2):
+            finder = InMemoryShapeFinder(store, chunk_size=chunk_size)
+            assert finder.find_shapes() == {Shape("N", ()), Shape("P", (1,))}
+            assert finder.stats.rows_scanned == 5
+
+    def test_in_database_counters_are_pinned(self):
+        # Enumeration order, Apriori pruning and all four counters, as counted
+        # by the per-row interpreter this query layer replaced.
+        store = _store_from_rows(
+            {
+                ("R", 4): [("a", "a", "b", "b"), ("a", "b", "c", "d"),
+                           ("a", "b", "a", "b"), ("c", "c", "c", "d")],
+                ("S", 3): [("a", "b", "c"), ("d", "e", "f")],
+                ("T", 1): [("x",)],
+                ("U", 0): [],
+                ("V", 5): [("a", "a", "a", "a", "a"), ("a", "b", "b", "a", "c")],
+            }
+        )
+        finder = InDatabaseShapeFinder(store)
+        assert finder.find_shapes() == InMemoryShapeFinder(store).find_shapes()
+        stats = finder.stats
+        assert (stats.queries_issued, stats.relaxed_queries_issued,
+                stats.shapes_pruned, stats.shapes_found, stats.rows_scanned) == (143, 79, 10, 8, 0)
 
     def test_repeated_calls_reset_counters(self):
         finder = InMemoryShapeFinder(self._store())

@@ -47,6 +47,25 @@ class TestRelation:
         assert list(relation.chunks(4, limit=5))[-1] == [("4",)]
         with pytest.raises(StorageError):
             list(relation.chunks(0))
+        relation.chunks(0)  # the check is lazy: raised on the first step, not the call
+
+    def test_chunks_are_copies_of_row_log_slices(self):
+        relation = Relation(S)
+        relation.insert_many([(str(i),) for i in range(5)])
+        assert list(relation.chunks(2)) == [[("0",), ("1",)], [("2",), ("3",)], [("4",)]]
+        assert list(relation.chunks(2, limit=3)) == [[("0",), ("1",)], [("2",)]]
+        assert list(relation.chunks(9, limit=0)) == list(Relation(S).chunks(3)) == []
+        (whole,) = relation.chunks(5)
+        whole.clear()
+        assert len(relation) == 5
+
+    def test_rows_from_an_offset(self):
+        relation = Relation(S)
+        relation.insert_many([(str(i),) for i in range(5)])
+        assert list(relation.rows(start=3)) == [("3",), ("4",)]
+        assert list(relation.rows(limit=4, start=2)) == [("2",), ("3",)]
+        assert list(relation.rows(limit=2, start=2)) == list(relation.rows(start=9)) == []
+        assert next(relation.rows()) == ("0",)
 
     def test_is_empty(self):
         assert Relation(R).is_empty()
@@ -144,6 +163,14 @@ class TestPrefixView:
         view = PrefixView(self._store(), 5).restricted_to([R])
         assert view.relation_names() == ["R"]
         assert len(view.schema()) == 1
+
+    def test_relation_view_rows_from_an_offset(self):
+        view = PrefixView(self._store(), 2).relation("R")
+        rows = list(view.rows())
+        assert len(rows) == 2
+        assert list(view.rows(start=1)) == rows[1:]
+        assert list(view.rows(limit=9, start=1)) == rows[1:]
+        assert list(view.rows(limit=1, start=1)) == []
 
     def test_negative_limit_rejected(self):
         with pytest.raises(ValueError):
