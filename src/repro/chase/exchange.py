@@ -458,19 +458,15 @@ class ShuffleWorker:
         worker = self.match_worker
         if round_index == 0:
             considered, fired, _ = worker.initial_round()
-        elif self.pushdown:
-            # The compiled plans self-select their work in SQL (partition
-            # filter + seq watermark); work items are not used.
-            considered, fired, _ = worker.delta_round(
-                delta, (), apply_delta=not self.shared_store
-            )
         else:
             if not self.shared_store:
                 insert_atoms(worker.store, delta)
             # Work order is free: key/atom dedup is ownership-global and the
             # coordinator sorts the merged new atoms before assigning seqs,
-            # so nothing downstream can observe enumeration order.
-            considered, fired = worker.shuffle_round(work, set(delta))
+            # so nothing downstream can observe enumeration order.  (Under
+            # pushdown there is no work: the compiled plans self-select it
+            # in SQL from the broadcast the replica now holds.)
+            considered, fired, _ = worker.delta_round(delta, work)
         self._match_considered = len(considered)
         self._match_fired = len(fired)
         fired_map = dict(fired)

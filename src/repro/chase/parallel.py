@@ -17,9 +17,9 @@ near-optimal parallel binary joins) distributes probe work:
   :class:`~repro.core.instances.Instance` backend, processes holding
   per-worker store replicas for the
   :class:`~repro.storage.database.RelationalDatabase` and
-  :class:`~repro.storage.sqlbackend.SqliteAtomStore` backends (replicas
-  receive each round's merged delta and stay in lock-step with the
-  coordinator; a SQLite connection never crosses a process boundary).
+  :class:`~repro.storage.sqlbackend.SqliteAtomStore` backends (a replica
+  receives of each round's merged delta what :func:`replica_seed_split`
+  says it reads; a SQLite connection never crosses a process boundary).
   Process replicas are seeded *out-of-core*: a persistent SQLite store is
   never pickled at all — each worker attaches the coordinator's file
   read-only and overlays its private deltas in an in-memory
@@ -34,7 +34,9 @@ near-optimal parallel binary joins) distributes probe work:
   force ``executor="process"`` (works for any backend) when real
   core-parallelism is wanted today;
 * **deterministic merge** — workers report the *firing keys* they
-  considered and, per key, the trigger's result atoms.  Because firing
+  considered and, per key, the trigger's result atoms (process workers
+  as int value rows — witness images, then invented nulls — that the
+  coordinator expands through the rule's one ``FiringPlan``).  Because firing
   keys, head atoms, and invented nulls are all functions of the key alone
   (content-addressed :class:`~repro.core.terms.NullFactory` naming), the
   merged round is a set union that does not depend on worker count,
@@ -61,7 +63,6 @@ from concurrent import futures
 from functools import partial
 from multiprocessing.connection import Connection, wait
 from typing import (
-    AbstractSet,
     Any,
     Callable,
     Dict,
@@ -102,7 +103,7 @@ from .exchange import (
 from .matching import JoinPlan
 from .result import ChaseLimits, ChaseResult
 from .rounds import RoundOutcome, RoundStep, RuleRow, insert_atoms, insert_sorted, run_rounds
-from .triggers import FiringPlan
+from .triggers import FiringKey, FiringPlan
 
 _T = TypeVar("_T")
 
@@ -110,9 +111,10 @@ _T = TypeVar("_T")
 EXECUTORS = ("auto", "serial", "thread", "process")
 
 #: The match half of a worker's report: the firing keys it considered (new
-#: to it) and, for the keys that passed the variant's firing policy, the
-#: trigger's result atoms.
-MatchBatch = Tuple[List[object], List[Tuple[object, Tuple[Atom, ...]]]]
+#: to it) and, for the keys that passed the variant's firing policy, what the
+#: trigger fired — its result atoms, or on a process replica of the
+#: coordinator merge its value row (see :attr:`_MatchWorker.fire`).
+MatchBatch = Tuple[List[object], List[Tuple[object, Any]]]
 
 #: A :meth:`~repro.obs.metrics.MetricsRegistry.snapshot` dump.
 RegistrySnapshot = Dict[str, List[Dict[str, object]]]
@@ -129,9 +131,12 @@ WorkerMetrics = Tuple[int, float, int, int, Optional[RegistrySnapshot]]
 #: the worker's metrics payload (``None`` otherwise).  Metrics ride the
 #: same pipe message as the match results, so tracing adds no protocol
 #: round-trips.
-RoundReport = Tuple[
-    List[object], List[Tuple[object, Tuple[Atom, ...]]], Optional[WorkerMetrics]
-]
+RoundReport = Tuple[List[object], List[Tuple[object, Any]], Optional[WorkerMetrics]]
+
+#: The int form of a sequence of ``(lead, terms)`` rows on a control pipe:
+#: runs of ``[lead, row count, flat symbol ids]``.  Rows under one lead are
+#: equally wide, so the count recovers the width — and keeps zero-width rows.
+Runs = List[List[Any]]
 
 
 def _key_rule(key: object) -> int:
@@ -142,13 +147,14 @@ def _key_rule(key: object) -> int:
 class _PlanEntry:
     """One (TGD, body slot) join plan with its stable identifier."""
 
-    __slots__ = ("plan_id", "tgd_index", "tgd", "plan")
+    __slots__ = ("plan_id", "tgd_index", "tgd", "plan", "seed_predicate")
 
     def __init__(self, plan_id: int, tgd_index: int, tgd: TGD, plan: JoinPlan) -> None:
         self.plan_id = plan_id
         self.tgd_index = tgd_index
         self.tgd = tgd
         self.plan = plan
+        self.seed_predicate = plan.body[plan.seed_slot].predicate
 
 
 class _PlanTable:
@@ -204,9 +210,13 @@ class _MatchWorker:
             for index, tgd in enumerate(self.table.tgds)
         ]
         self.null_factory = NullFactory()
+        #: What a fired trigger reports: its result atoms.  A process replica
+        #: of the coordinator merge reports ``FiringPlan.values`` instead —
+        #: the row the coordinator rebuilds key and atoms from.
+        self.fire: Callable[[FiringPlan, Any, NullFactory], Any] = FiringPlan.result
         self.reported_keys: Set[object] = set()
         self.collect_metrics = collect_metrics
-        self._clock = MonotonicClock()
+        self.clock = MonotonicClock()
         #: Worker-local SQL timings; attached by ``_worker_main`` when the
         #: worker owns a private sqlite replica.  Shared-store pools leave
         #: this ``None`` — the coordinator times those statements itself.
@@ -214,32 +224,28 @@ class _MatchWorker:
 
     def initial_round(self) -> RoundReport:
         """Run :meth:`_initial_round`, attaching metrics on traced runs."""
-        return self._report(self._initial_round)
+        started = self.clock.now()
+        considered, fired = self._initial_round()
+        return considered, fired, self.metrics(started, len(considered), len(fired))
 
     def delta_round(
-        self,
-        delta_atoms: Sequence[Atom],
-        work_items: Sequence[Tuple[int, int]],
-        apply_delta: bool,
+        self, replicated: Sequence[Atom], seeds: Sequence[Tuple[int, Atom]]
     ) -> RoundReport:
         """Run :meth:`_delta_round`, attaching metrics on traced runs."""
-        return self._report(partial(self._delta_round, delta_atoms, work_items, apply_delta))
+        started = self.clock.now()
+        considered, fired = self._delta_round(replicated, seeds)
+        return considered, fired, self.metrics(started, len(considered), len(fired))
 
-    def _report(self, match: Callable[[], MatchBatch]) -> RoundReport:
+    def metrics(self, started: float, considered: int, fired: int) -> Optional[WorkerMetrics]:
+        """The traced-run payload of a round this worker began at *started*."""
         if not self.collect_metrics:
-            considered, fired = match()
-            return considered, fired, None
-        started = self._clock.now()
-        considered, fired = match()
+            return None
         snapshot = (
             self.statement_metrics.registry.snapshot()
             if self.statement_metrics is not None
             else None
         )
-        metrics = (
-            self.worker_id, self._clock.now() - started, len(considered), len(fired), snapshot
-        )
-        return considered, fired, metrics
+        return self.worker_id, self.clock.now() - started, considered, fired, snapshot
 
     def _initial_round(self) -> MatchBatch:
         """Match every body homomorphism whose slot-0 atom this worker owns.
@@ -249,7 +255,7 @@ class _MatchWorker:
         that enumeration across workers without any coordinator shipping.
         """
         considered: List[object] = []
-        fired: List[Tuple[object, Tuple[Atom, ...]]] = []
+        fired: List[Tuple[object, Any]] = []
         for entry in self.table.initial_entries:
             plan = entry.plan
             seeds = self.store.atoms_partition(
@@ -264,47 +270,22 @@ class _MatchWorker:
         return considered, fired
 
     def _delta_round(
-        self,
-        delta_atoms: Sequence[Atom],
-        work_items: Sequence[Tuple[int, int]],
-        apply_delta: bool,
+        self, replicated: Sequence[Atom], seeds: Sequence[Tuple[int, Atom]]
     ) -> MatchBatch:
-        """Execute this worker's share of one delta round.
+        """Execute this worker's share of one delta round, in either topology.
 
-        *work_items* are ``(plan_id, delta_index)`` pairs; *apply_delta*
-        is true in process mode, where the worker must first fold the
-        round's merged atoms into its private replica (thread workers share
-        the coordinator's store, which already holds them).
-        """
-        if apply_delta:
-            insert_atoms(self.store, delta_atoms)
-        delta = set(delta_atoms)
-        considered: List[object] = []
-        fired: List[Tuple[object, Tuple[Atom, ...]]] = []
-        for plan_id, delta_index in work_items:
-            entry = self.table.entries[plan_id]
-            seed = delta_atoms[delta_index]
-            for mapping in entry.plan.matches(self.store, seed, delta=delta):
-                self._consider(entry, mapping, considered, fired)
-        return considered, fired
-
-    def shuffle_round(
-        self,
-        work_items: Sequence[Tuple[int, Atom]],
-        exclusion: AbstractSet[Atom],
-    ) -> MatchBatch:
-        """Match shuffle-routed work: ``(plan_id, seed atom)`` pairs.
-
-        Unlike :meth:`_delta_round`, the seed atom rides inside the work
-        item (a partitioned-relation atom need not exist in this worker's
-        replica at all), and *exclusion* — the round's broadcast of
-        fully-replicated delta atoms — stands in for the full delta: only
+        *seeds* are the ``(plan_id, seed atom)`` pairs this worker owns: the
+        seed rides inside the pair (a partitioned-relation atom need not
+        exist in this worker's replica at all).  *replicated* — the round's
+        atoms of fully-replicated predicates, which the store already holds
+        — stands in for the full delta as the semi-naive exclusion set: only
         multi-atom-body predicates can occur at slots before a seed, so the
-        semi-naive constraint sees exactly the candidates it would have.
+        constraint sees exactly the candidates it would have.
         """
+        exclusion = set(replicated)
         considered: List[object] = []
-        fired: List[Tuple[object, Tuple[Atom, ...]]] = []
-        for plan_id, seed in work_items:
+        fired: List[Tuple[object, Any]] = []
+        for plan_id, seed in seeds:
             entry = self.table.entries[plan_id]
             for mapping in entry.plan.matches(self.store, seed, delta=exclusion):
                 self._consider(entry, mapping, considered, fired)
@@ -315,7 +296,7 @@ class _MatchWorker:
         entry: _PlanEntry,
         mapping: Dict[Term, Term],
         considered: List[object],
-        fired: List[Tuple[object, Tuple[Atom, ...]]],
+        fired: List[Tuple[object, Any]],
     ) -> None:
         plan = self.firing_plans[entry.tgd_index]
         key = plan.key(mapping)
@@ -324,7 +305,7 @@ class _MatchWorker:
         self.reported_keys.add(key)
         considered.append(key)
         if self.policy._should_fire(plan, mapping, self.store):
-            fired.append((key, plan.result(key, self.null_factory)))
+            fired.append((key, self.fire(plan, key, self.null_factory)))
 
 
 class PushdownMatchWorker(_MatchWorker):
@@ -338,9 +319,10 @@ class PushdownMatchWorker(_MatchWorker):
     invention — is inherited unchanged, so reports stay byte-identical to
     the indexed worker's and the coordinator's merge needs no changes.
 
-    Coordinator-routed *work_items* are ignored: the seed-slot watermark
+    Routed *seeds* only say which relations grew: the seed-slot watermark
     plus the hash-partition predicate select exactly the (entry, new seed
-    atom) pairs this worker owns.
+    atom) pairs this worker owns — from the store, so a replica must hold
+    this worker's share of every seed relation (see :func:`_serve_match`).
     """
 
     def __init__(
@@ -375,7 +357,7 @@ class PushdownMatchWorker(_MatchWorker):
 
     def _initial_round(self) -> MatchBatch:
         considered: List[object] = []
-        fired: List[Tuple[object, Tuple[Atom, ...]]] = []
+        fired: List[Tuple[object, Any]] = []
         for entry in self.table.initial_entries:
             query = self._queries[entry.plan_id]
             for mapping in query.initial_matches(self.store, self.n_workers, self.worker_id):
@@ -384,22 +366,19 @@ class PushdownMatchWorker(_MatchWorker):
         return considered, fired
 
     def _delta_round(
-        self,
-        delta_atoms: Sequence[Atom],
-        work_items: Sequence[Tuple[int, int]],
-        apply_delta: bool,
+        self, replicated: Sequence[Atom], seeds: Sequence[Tuple[int, Atom]]
     ) -> MatchBatch:
         # The watermark is the snapshot taken at the end of the previous
-        # round — before this round's delta reached the store, whether the
-        # coordinator applied it (shared store) or we do below (replica).
+        # round — before this round's delta reached the store, whoever
+        # inserted it (the coordinator into a shared store, the serving
+        # loop into a replica).
         delta_start = self._last_seq
-        if apply_delta:
-            insert_atoms(self.store, delta_atoms)
-        delta_predicates = {atom.predicate for atom in delta_atoms}
+        delta_predicates = {atom.predicate for atom in replicated}
+        delta_predicates.update(atom.predicate for _, atom in seeds)
         considered: List[object] = []
-        fired: List[Tuple[object, Tuple[Atom, ...]]] = []
+        fired: List[Tuple[object, Any]] = []
         for entry in self.table.entries:
-            if entry.plan.body[entry.plan.seed_slot].predicate not in delta_predicates:
+            if entry.seed_predicate not in delta_predicates:
                 continue
             query = self._queries[entry.plan_id]
             for mapping in query.delta_matches(
@@ -522,15 +501,85 @@ def collect_full_seed_atoms(
     return atoms
 
 
-#: Atoms per ``("seed", chunk)`` message: bounds the size of any single
+#: Atoms per ``("seed", fresh, runs)`` message: bounds the size of any single
 #: pickled payload crossing a worker pipe (the full store is never shipped
 #: as one object).
 SEED_CHUNK_ATOMS = 4096
 
 
-def _seed_chunks(atoms: Sequence[Atom]) -> Iterator[Tuple[Atom, ...]]:
-    for start in range(0, len(atoms), SEED_CHUNK_ATOMS):
-        yield tuple(atoms[start:start + SEED_CHUNK_ATOMS])
+class _Wire(Dict[Any, int]):
+    """One end of a control pipe's symbol dictionary: term or predicate → id.
+
+    The control pipe is strictly request/response, so its two ends grow the
+    same table in lock-step: the sender numbers a symbol the first time it
+    encodes one (``__missing__``) and the symbol's ``(class, constructor
+    arguments)`` entry rides the very message that uses it
+    (:meth:`take_fresh`); the receiver :meth:`absorb`s the entries — through
+    the public constructors — before it decodes.  Everything else on the
+    pipe is ints.  *interned* is shared by one coordinator's wires, so a null
+    invented by one worker and later seeded to another is one object.  A
+    failed worker fails the run, so the two ends never need resynchronising.
+    """
+
+    def __init__(self, interned: Optional[Dict[Any, Any]] = None) -> None:
+        super().__init__()
+        self.symbols: List[Any] = []
+        self._fresh: List[Tuple[Any, Tuple[Any, ...]]] = []
+        self._interned: Dict[Any, Any] = {} if interned is None else interned
+
+    def _define(self, symbol: Any) -> int:
+        self[symbol] = number = len(self.symbols)
+        self.symbols.append(symbol)
+        return number
+
+    def __missing__(self, symbol: Any) -> int:
+        if isinstance(symbol, Predicate):
+            self._fresh.append((Predicate, (symbol.name, symbol.arity)))
+        else:
+            self._fresh.append((type(symbol), (symbol.name,)))
+        return self._define(symbol)
+
+    def take_fresh(self) -> List[Tuple[Any, Tuple[Any, ...]]]:
+        """The entries of the symbols numbered since the last message."""
+        fresh, self._fresh = self._fresh, []
+        return fresh
+
+    def absorb(self, fresh: Iterable[Tuple[Any, Tuple[Any, ...]]]) -> None:
+        """Number the peer's fresh symbols exactly as the peer did."""
+        interned = self._interned
+        for entry in fresh:
+            symbol = interned.get(entry)
+            if symbol is None:
+                symbol = interned[entry] = entry[0](*entry[1])
+            self._define(symbol)
+
+    def encode(self, rows: Iterable[Tuple[int, Sequence[Term]]]) -> Runs:
+        """``(lead, terms)`` rows → runs; *lead* is an int the codec passes through."""
+        runs: Runs = []
+        run: List[Any] = []
+        number = self.__getitem__
+        for lead, terms in rows:
+            if not run or run[0] != lead:
+                run = [lead, 0, []]
+                runs.append(run)
+            run[1] += 1
+            run[2].extend(map(number, terms))
+        return runs
+
+    def decode(self, runs: Runs) -> Iterator[Tuple[int, List[Term]]]:
+        """The inverse of :meth:`encode`, over the absorbed table."""
+        for lead, count, flat in runs:
+            terms = list(map(self.symbols.__getitem__, flat))
+            width = len(terms) // count
+            for start in range(count):
+                yield lead, terms[start * width:(start + 1) * width]
+
+    def encode_atoms(self, atoms: Iterable[Atom]) -> Runs:
+        """Atoms as rows led by their predicate's id."""
+        return self.encode([(self[atom.predicate], atom.terms) for atom in atoms])
+
+    def decode_atoms(self, runs: Runs) -> List[Atom]:
+        return [Atom(self.symbols[lead], terms) for lead, terms in self.decode(runs)]
 
 
 #: A null that never occurs in any store: probing for it builds a
@@ -669,24 +718,32 @@ class _LocalPool:
             _warm_position_indexes(store, tgds)
 
     def _wave(self, calls: Sequence[Callable[[], _T]]) -> List[_T]:
-        if self._pool is None:
-            return [call() for call in calls]
-        submitted = [self._pool.submit(call) for call in calls]
-        return [future.result() for future in submitted]
+        """Run one call per worker, in worker order.  A worker's exception
+        fails the run the way a process worker's does."""
+        pending: Sequence[Callable[[], _T]] = calls
+        if self._pool is not None:
+            pending = [self._pool.submit(call).result for call in calls]
+        wave: List[_T] = []
+        for worker_id, result in enumerate(pending):
+            try:
+                wave.append(result())
+            except Exception as error:
+                raise ParallelWorkerError(
+                    f"parallel chase worker {worker_id} failed: {type(error).__name__}: {error}"
+                ) from error
+        return wave
 
     def initial(self) -> List[RoundReport]:
         return self._wave([worker.initial_round for worker in self._match_workers])
 
     def delta(
         self,
-        delta_atoms: Sequence[Atom],
-        work_by_worker: Sequence[Sequence[Tuple[int, int]]],
+        replicated: Sequence[Atom],
+        seeds_by_worker: Sequence[Sequence[Tuple[int, Atom]]],
     ) -> List[RoundReport]:
         return self._wave(
             [
-                partial(
-                    worker.delta_round, delta_atoms, work_by_worker[worker.worker_id], False
-                )
+                partial(worker.delta_round, replicated, seeds_by_worker[worker.worker_id])
                 for worker in self._match_workers
             ]
         )
@@ -785,12 +842,48 @@ class _PipeTransport:
         return inboxes
 
 
-def _serve_match(worker: _MatchWorker, message: Tuple[Any, ...]) -> RoundReport:
-    """One coordinator-merge round on a process replica."""
+#: A process replica's round report on the wire: its fresh symbols, the fired
+#: triggers as value rows led by their rule (:meth:`FiringPlan.values`), the
+#: considered-but-not-fired keys as witness rows, and the metrics payload.
+WireReport = Tuple[List[Any], Runs, Runs, Optional[WorkerMetrics]]
+
+
+def _serve_match(worker: _MatchWorker, wire: _Wire, message: Tuple[Any, ...]) -> WireReport:
+    """One coordinator-merge round on a process replica, int frames in and out.
+
+    A delta message carries what :func:`replica_seed_split` says this replica
+    reads: the round's *replicated* atoms, inserted here, and the seeds this
+    worker owns, which an indexed worker only matches from — a pushdown
+    worker's SQL reads seeds from its store, so it inserts its share too.
+    """
+    started = worker.clock.now()
     if message[0] == "initial":
-        return worker.initial_round()
-    _, delta_atoms, work_items = message
-    return worker.delta_round(delta_atoms, work_items, apply_delta=True)
+        considered, fired = worker._initial_round()
+    else:
+        _, fresh, replicated_runs, seed_runs = message
+        wire.absorb(fresh)
+        replicated = wire.decode_atoms(replicated_runs)
+        entries = worker.table.entries
+        seeds = [
+            (plan_id, Atom(entries[plan_id].seed_predicate, terms))
+            for plan_id, terms in wire.decode(seed_runs)
+        ]
+        insert_atoms(worker.store, replicated)
+        if isinstance(worker, PushdownMatchWorker):
+            insert_atoms(worker.store, [atom for _, atom in seeds])
+        considered, fired = worker._delta_round(replicated, seeds)
+    skipped: List[Tuple[int, List[Term]]] = []
+    if len(fired) < len(considered):  # restricted only: the head check held keys back
+        fired_keys = {key for key, _ in fired}
+        skipped = [
+            (_key_rule(key), [image for _, image in cast(FiringKey, key)[1]])
+            for key in considered
+            if key not in fired_keys
+        ]
+    fired_runs = wire.encode([(_key_rule(key), values) for key, values in fired])
+    skipped_runs = wire.encode(skipped)
+    metrics = worker.metrics(started, len(considered), len(fired))
+    return wire.take_fresh(), fired_runs, skipped_runs, metrics
 
 
 def _serve_shuffle(
@@ -827,8 +920,8 @@ def _worker_main(
 ) -> None:
     """Entry point of a process worker: build the replica, serve rounds.
 
-    The replica is seeded by ``("seed", chunk)`` messages (streamed by the
-    coordinator before the first round) — or not at all for the
+    The replica is seeded by ``("seed", fresh, runs)`` messages (streamed by
+    the coordinator before the first round) — or not at all for the
     ``sqlite-file`` spec, where the store reads the attached base file.
     Every other message is one round of the pool's protocol, answered with
     an ``("ok", report)`` or ``("error", traceback)`` on the control pipe.
@@ -838,6 +931,7 @@ def _worker_main(
             from ..storage.sqlbackend import SqliteAtomStore
 
             store = _open_replica_store(store_spec, worker_id)
+            wire = _Wire()
             shuffle = exchange == "shuffle"
             worker = _make_match_worker(
                 strategy, worker_id, n_workers, tgds, variant, store,
@@ -865,7 +959,8 @@ def _worker_main(
                 if timed_store is not None:
                     worker.statement_metrics = StatementMetrics()
                     timed_store.set_statement_metrics(worker.statement_metrics)
-                serve = partial(_serve_match, worker)
+                worker.fire = FiringPlan.values
+                serve = partial(_serve_match, worker, wire)
         except Exception:
             conn.send(("error", traceback.format_exc()))
             return
@@ -878,7 +973,8 @@ def _worker_main(
                 if kind == "seed":
                     # Chunks arrive sorted (grouped by predicate), so the
                     # sqlite replica loads each predicate as one batch.
-                    insert_atoms(store, message[1])
+                    wire.absorb(message[1])
+                    insert_atoms(store, wire.decode_atoms(message[2]))
                     continue
                 conn.send(("ok", serve(message)))
             except Exception:
@@ -890,10 +986,15 @@ def _worker_main(
 class _ProcessPool:
     """Process workers with per-worker store replicas.
 
-    Each worker holds a private store kept in lock-step with the
-    coordinator's (by applying every round's merged delta, or the peers'
-    broadcasts under the shuffle exchange), so the coordinator ships
-    *work*, never the instance.  Replicas are seeded out-of-core:
+    Each worker holds a private store that grows by what the worker reads
+    (:func:`replica_seed_split`): every round's atoms of the *full*
+    predicates — from the coordinator's delta message, or the peers'
+    broadcasts under the shuffle exchange — and nothing else, so the
+    coordinator ships *work*, never the instance.  Seed chunks, deltas and
+    match reports cross the control pipes as int frames over a
+    per-connection :class:`_Wire`; a report is value rows, which
+    :meth:`_decode_report` turns back into firing keys and result atoms
+    through each rule's one :class:`FiringPlan`.  Replicas are seeded out-of-core:
     *worker_seeds* (a callable ``worker_id -> sorted atoms``) streams each
     worker only the relations it needs, in bounded chunks over its pipe;
     ``None`` means the workers seed themselves (the ``sqlite-file`` spec,
@@ -925,6 +1026,12 @@ class _ProcessPool:
         exchange: str,
     ) -> None:
         self.workers = workers
+        null_scope = resolve_engine_class(variant).null_scope
+        self._firing_plans = [
+            FiringPlan(tgd, index, null_scope) for index, tgd in enumerate(tgds)
+        ]
+        interned: Dict[Any, Any] = {}
+        self._wires = [_Wire(interned) for _ in range(workers)]
         context = multiprocessing.get_context()
         self._connections: List[Connection] = []
         self._processes: List[multiprocessing.process.BaseProcess] = []
@@ -960,9 +1067,11 @@ class _ProcessPool:
                 for end in peer_ends.values():
                     end.close()
             if worker_seeds is not None:
-                for worker_id in range(workers):
-                    for chunk in _seed_chunks(worker_seeds(worker_id)):
-                        self._send(worker_id, ("seed", chunk))
+                for worker_id, wire in enumerate(self._wires):
+                    atoms = worker_seeds(worker_id)
+                    for start in range(0, len(atoms), SEED_CHUNK_ATOMS):
+                        runs = wire.encode_atoms(atoms[start:start + SEED_CHUNK_ATOMS])
+                        self._send(worker_id, ("seed", wire.take_fresh(), runs))
         except Exception:
             self.close()
             raise
@@ -996,12 +1105,13 @@ class _ProcessPool:
         except (BrokenPipeError, OSError):
             raise self._worker_failed(worker_id) from None
 
-    def _collect(self) -> List[Any]:
+    def _collect(self, decode: Optional[Callable[[int, Any], Any]] = None) -> List[Any]:
         """One report per worker, in worker order; raise on the first failure.
 
         Waits on *all* control pipes: under the shuffle exchange the healthy
         workers block on their failed peer's frames and never report, so
-        receiving in worker order would hang behind them.
+        receiving in worker order would hang behind them.  *decode* runs on
+        each payload as it arrives, while slower workers are still matching.
         """
         reports: List[Any] = [None] * self.workers
         pending = {connection: worker_id for worker_id, connection in enumerate(self._connections)}
@@ -1015,22 +1125,41 @@ class _ProcessPool:
                     raise self._worker_failed(worker_id) from None
                 if status != "ok":
                     raise self._worker_failed(worker_id, payload)
-                reports[worker_id] = payload
+                reports[worker_id] = payload if decode is None else decode(worker_id, payload)
         return reports
+
+    def _decode_report(self, worker_id: int, report: WireReport) -> RoundReport:
+        """Value rows back to ``(firing key, result atoms)``: both are functions
+        of the row alone, evaluated here through the rule's firing plan."""
+        fresh, fired_runs, skipped_runs, metrics = report
+        wire = self._wires[worker_id]
+        wire.absorb(fresh)
+        plans = self._firing_plans
+        fired: List[Tuple[object, Any]] = []
+        for rule, values in wire.decode(fired_runs):
+            plan = plans[rule]
+            fired.append((plan.row_key(values), plan.atoms(values)))
+        considered: List[object] = [key for key, _ in fired]
+        considered.extend(plans[rule].row_key(values) for rule, values in wire.decode(skipped_runs))
+        return considered, fired, metrics
 
     def initial(self) -> List[RoundReport]:
         for worker_id in range(self.workers):
             self._send(worker_id, ("initial",))
-        return self._collect()
+        return self._collect(self._decode_report)
 
     def delta(
         self,
-        delta_atoms: Sequence[Atom],
-        work_by_worker: Sequence[Sequence[Tuple[int, int]]],
+        replicated: Sequence[Atom],
+        seeds_by_worker: Sequence[Sequence[Tuple[int, Atom]]],
     ) -> List[RoundReport]:
-        for worker_id in range(self.workers):
-            self._send(worker_id, ("delta", delta_atoms, work_by_worker[worker_id]))
-        return self._collect()
+        for worker_id, wire in enumerate(self._wires):
+            replicated_runs = wire.encode_atoms(replicated)
+            seed_runs = wire.encode(
+                [(plan_id, atom.terms) for plan_id, atom in seeds_by_worker[worker_id]]
+            )
+            self._send(worker_id, ("delta", wire.take_fresh(), replicated_runs, seed_runs))
+        return self._collect(self._decode_report)
 
     def round(
         self, round_index: int, heavy_routes: Tuple[HeavyRoute, ...]
@@ -1085,26 +1214,41 @@ class _CoordinatorStep:
         self,
         pool: Union[_LocalPool, _ProcessPool],
         table: _PlanTable,
+        variant: str,
         store: AtomStore,
         tracer: AnyTracer,
         worker_sql: Dict[int, RegistrySnapshot],
     ) -> None:
         self._pool = pool
-        self._table = table
         self._store = store
         self._tracer = tracer
         self._worker_sql = worker_sql
         self._fired_keys: Set[object] = set()
+        # predicate -> (every replica holds it in full, the plans it seeds);
+        # a predicate no rule reads has no route and is never shipped.
+        full, partitioned = replica_seed_split(table.tgds, variant)
+        self._routes = {
+            predicate: (predicate in full, table.by_predicate.get(predicate, ()))
+            for predicate in full | partitioned
+        }
 
-    def _partition_work(self, delta_atoms: Sequence[Atom]) -> List[List[Tuple[int, int]]]:
-        """Assign every (plan, delta atom) pair to its owning worker."""
+    def _partition_work(
+        self, delta: Sequence[Atom]
+    ) -> Tuple[List[Atom], List[List[Tuple[int, Atom]]]]:
+        """Split the delta by what each worker reads of it: the atoms of the
+        *full* predicates (every worker, in the driver's sorted order), and
+        per worker the ``(plan, seed atom)`` pairs it owns."""
         workers = self._pool.workers
-        work: List[List[Tuple[int, int]]] = [[] for _ in range(workers)]
-        for delta_index, atom in enumerate(delta_atoms):
-            for entry in self._table.by_predicate.get(atom.predicate, ()):
+        replicated: List[Atom] = []
+        seeds: List[List[Tuple[int, Atom]]] = [[] for _ in range(workers)]
+        for atom in delta:
+            is_full, entries = self._routes.get(atom.predicate, (False, ()))
+            if is_full:
+                replicated.append(atom)
+            for entry in entries:
                 owner = atom_partition_of(atom, entry.plan.partition_positions, workers)
-                work[owner].append((entry.plan_id, delta_index))
-        return work
+                seeds[owner].append((entry.plan_id, atom))
+        return replicated, seeds
 
     def __call__(self, round_index: int, delta: Sequence[Atom]) -> RoundOutcome:
         tracer = self._tracer
@@ -1113,8 +1257,9 @@ class _CoordinatorStep:
             reports = self._pool.initial()
         else:
             # *delta* is already in the driver's sorted insertion order, so
-            # replicas apply it in the order the coordinator's store did.
-            reports = self._pool.delta(delta, self._partition_work(delta))
+            # replicas apply their share in the order the coordinator's
+            # store did.
+            reports = self._pool.delta(*self._partition_work(delta))
 
         round_keys: List[object] = []
         fired_by_key: Dict[object, Tuple[Atom, ...]] = {}
@@ -1385,11 +1530,7 @@ class ParallelChaseExecutor:
             return None
         return SkewDetector(
             [
-                (
-                    entry.plan_id,
-                    entry.plan.body[entry.plan.seed_slot].predicate,
-                    entry.plan.partition_positions,
-                )
+                (entry.plan_id, entry.seed_predicate, entry.plan.partition_positions)
                 for entry in table.entries
             ],
             self.workers,
@@ -1449,7 +1590,9 @@ class ParallelChaseExecutor:
                     pool, self._skew_detector(table, registry), active_tracer, worker_sql
                 )
             else:
-                step = _CoordinatorStep(pool, table, store, active_tracer, worker_sql)
+                step = _CoordinatorStep(
+                    pool, table, self.variant, store, active_tracer, worker_sql
+                )
             return run_rounds(
                 step, store, self.limits, self.on_limit, self.variant, active_tracer
             )

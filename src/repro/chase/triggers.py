@@ -73,10 +73,31 @@ class FiringPlan:
         """Return the key under which the match *mapping* fires at most once."""
         return (self.index, tuple([(variable, mapping[variable]) for variable in self.variables]))
 
+    def values(self, key: FiringKey, null_factory: NullFactory) -> List[Term]:
+        """The first half of :meth:`result`: the witness images, then the null
+        invented for each existential — a fired trigger as one value row."""
+        values: List[Term] = [image for _, image in key[1]]
+        for name in self._existential:
+            rendered = self._null_keys.render(values, name)
+            values.append(null_factory.for_rendered_key(rendered))
+        return values
+
+    def row_key(self, values: Sequence[Term]) -> FiringKey:
+        """The firing key of a value row (its leading witness images)."""
+        return (self.index, tuple(zip(self.variables, values)))
+
+    def atoms(self, values: Sequence[Term]) -> Tuple[Atom, ...]:
+        """The second half of :meth:`result`: the head atoms over a value row."""
+        return tuple(
+            [Atom(predicate, [values[slot] for slot in slots]) for predicate, slots in self._head]
+        )
+
     def result(self, key: FiringKey, null_factory: NullFactory) -> Tuple[Atom, ...]:
         """Compute ``result(σ, h)`` from the firing key of ``(σ, h)``: the head
         atoms with each existential ``x`` replaced by the null keyed
-        ``(σ, witness, x)`` — a function of the key alone."""
+        ``(σ, witness, x)`` — a function of the key alone.  Equals
+        ``atoms(values(key, null_factory))``, fused: the serial engines pay
+        one call per trigger."""
         values: List[Term] = [image for _, image in key[1]]
         for name in self._existential:
             # render() pairs the witness variables with the leading values.

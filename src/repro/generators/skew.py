@@ -6,8 +6,8 @@ one worker — the skew regime the shuffle exchange's K-Join-style heavy-key
 split (:class:`repro.chase.exchange.SkewDetector`) exists for.  This module
 generates that regime on purpose and *deterministically*: the workload is a
 pure function of its knobs, so the skew tests, the conformance property
-suite, and ``benchmarks/bench_shuffle_chase.py`` all chase the exact same
-instance.
+suite, and the benchmark's ``chase_skew_par2`` workload all chase the exact
+same instance.
 
 The shape is a star join with a fan-out chain behind it::
 

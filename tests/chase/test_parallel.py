@@ -14,6 +14,7 @@ from repro.chase.parallel import (
     parallel_chase,
 )
 from repro.chase.result import ChaseLimits
+from repro.core.atoms import Atom
 from repro.core.instances import Instance
 from repro.core.parser import parse_database, parse_rules
 from repro.exceptions import ChaseLimitExceeded
@@ -221,3 +222,103 @@ class TestWorkerDeath:
         # parallel_chase's finally flushed round 1 before the error left it
         with SqliteAtomStore(path=path) as reopened:
             assert reopened.atom_count() > len(self.DATABASE)
+
+
+class TestWireProtocol:
+    """What crosses a coordinator-merge control pipe: each replica's
+    ``replica_seed_split`` share of the round, as ints."""
+
+    MIXED = """
+        A(x,y) -> B(y,x)
+        B(x,y) -> C(x,y)
+        B(x,y), D(y,z) -> E(x,z)
+        C(x,y) -> F(x,z)
+        E(x,y) -> A(y,x)
+    """
+    MIXED_FACTS = "".join(f"A(a{i},a{i + 1}).\nD(a{i},a{(i * 3) % 7}).\n" for i in range(7))
+    CHAIN = "\n".join(f"H{i}(x,y) -> H{i + 1}(x,y)" for i in range(4))
+    CHAIN_FACTS = "".join(f"H0(c{i},d{i}).\n" for i in range(9))
+
+    @staticmethod
+    def _spy(monkeypatch, rules, facts, variant="semi-oblivious"):
+        """Run 2 process workers; return ``(tgds, rounds)`` where a round is
+        ``(delta, {worker: (replicated atoms, (plan_id, atom) seeds)})``."""
+        from repro.chase import parallel
+
+        rounds = []
+        real_call = parallel._CoordinatorStep.__call__
+        real_send = parallel._ProcessPool._send
+
+        def leaves(value):
+            if isinstance(value, (tuple, list)):
+                for item in value:
+                    yield from leaves(item)
+            else:
+                yield value
+
+        def call(step, round_index, delta):
+            rounds.append((list(delta), {}))
+            return real_call(step, round_index, delta)
+
+        def send(pool, worker_id, message):
+            if message[0] == "delta":
+                wire = pool._wires[worker_id]
+                assert all(
+                    value is None or isinstance(value, (int, str, type))
+                    for value in leaves(message)
+                ), message
+                entries = parallel._PlanTable(tgds).entries
+                seeds = [
+                    (plan_id, Atom(entries[plan_id].seed_predicate, terms))
+                    for plan_id, terms in wire.decode(message[3])
+                ]
+                rounds[-1][1][worker_id] = (wire.decode_atoms(message[2]), seeds)
+            return real_send(pool, worker_id, message)
+
+        monkeypatch.setattr(parallel._CoordinatorStep, "__call__", call)
+        monkeypatch.setattr(parallel._ProcessPool, "_send", send)
+        tgds = tuple(parse_rules(rules))
+        database = parse_database(facts)
+        result = parallel_chase(database, tgds, variant=variant, workers=2, executor="process")
+        assert _fingerprint(result) == _fingerprint(chase(database, tgds, variant=variant))
+        return tgds, [entry for entry in rounds if entry[1]]
+
+    @pytest.mark.parametrize("variant", ("semi-oblivious", "restricted"))
+    def test_a_replica_gets_the_full_predicates_and_its_own_seeds_only(
+        self, monkeypatch, variant
+    ):
+        from repro.chase.parallel import _PlanTable, replica_seed_split
+        from repro.core.indexing import atom_partition_of
+
+        tgds, rounds = self._spy(monkeypatch, self.MIXED, self.MIXED_FACTS, variant)
+        full, partitioned = replica_seed_split(tgds, variant)
+        # restricted: the head check reads every head relation, so all are full
+        names = {"semi-oblivious": ({"B", "D"}, {"A", "C", "E"}), "restricted": (set("ABCDEF"), set())}
+        assert ({p.name for p in full}, {p.name for p in partitioned}) == names[variant]
+        table = _PlanTable(tgds)
+        assert len(rounds) > 2
+        for delta, messages in rounds:
+            assert sorted(messages) == [0, 1]
+            for worker_id, (replicated, seeds) in messages.items():
+                assert replicated == [atom for atom in delta if atom.predicate in full]
+                assert seeds == [
+                    (entry.plan_id, atom)
+                    for atom in delta
+                    for entry in table.by_predicate.get(atom.predicate, ())
+                    if atom_partition_of(atom, entry.plan.partition_positions, 2) == worker_id
+                ]
+            shipped = {atom for replicated, seeds in messages.values() for atom in replicated}
+            shipped.update(atom for _, seeds in messages.values() for _, atom in seeds)
+            # F is read by no rule: its atoms are never sent
+            assert shipped == {a for a in delta if a.predicate in full | partitioned}
+
+    def test_a_linear_program_replicates_nothing_and_partitions_every_delta(self, monkeypatch):
+        tgds, rounds = self._spy(monkeypatch, self.CHAIN, self.CHAIN_FACTS)
+        assert len(rounds) == 4
+        for delta, messages in rounds:
+            shares = [[atom for _, atom in seeds] for _, seeds in messages.values()]
+            assert all(replicated == [] for replicated, _ in messages.values())
+            assert not set(shares[0]) & set(shares[1])
+            read = [atom for atom in delta if atom.predicate.name != "H4"]  # H4: read by no rule
+            assert sorted(shares[0] + shares[1]) == read
+        assert all(shares for shares in rounds[0][1].values())

@@ -337,6 +337,25 @@ class TestErrorPaths:
         assert main(argv) == 0
         assert "reached a fixpoint" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("executor", ("serial", "thread"))
+    def test_a_crashed_in_process_worker_is_one_line_and_exit_one(
+        self, tmp_path, capsys, monkeypatch, executor
+    ):
+        # Used to leave the in-process pools as a raw RuntimeError traceback.
+        monkeypatch.setenv("REPRO_EXCHANGE_CRASH", "1:1")
+        argv = _transitive_closure_chase(tmp_path, tmp_path / "crashed.db")
+        pool = ["--parallel", "2", "--executor", executor, "--exchange", "shuffle"]
+        assert main(argv + pool) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "parallel chase worker 1 failed: RuntimeError: injected exchange crash "
+            "(worker 1, round 1)"
+        ]
+        assert "reached a fixpoint" not in captured.out
+        monkeypatch.delenv("REPRO_EXCHANGE_CRASH")
+        assert main(argv) == 0  # the flushed prefix resumes
+        assert "reached a fixpoint" in capsys.readouterr().out
+
     def test_unknown_strategy(self, rule_file, capsys):
         self._assert_argparse_rejects(
             ["chase", "--rules", str(rule_file), "--strategy", "psychic"], capsys, "psychic"

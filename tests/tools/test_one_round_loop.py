@@ -76,12 +76,19 @@ def test_the_firing_sites_build_no_per_trigger_objects():
     engine = (SRC / "chase/engine.py").read_text(encoding="utf-8")
     assert not [needle for needle in per_trigger[:2] if needle in engine]
     parallel = (SRC / "chase/parallel.py").read_text(encoding="utf-8")
-    firing_sites = {"_round_step": engine, "_consider": parallel}
-    for name, source in firing_sites.items():
+    # A worker fires through ``self.fire``: the plan's ``result`` or, on a
+    # process replica of the coordinator merge, only its ``values`` half.
+    firing_sites = {
+        "_round_step": (engine, ".result(key, "),
+        "_consider": (parallel, "self.fire(plan, key, "),
+    }
+    for name, (source, fire) in firing_sites.items():
         (function,) = [
             node for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.FunctionDef) and node.name == name
         ]
         body = ast.get_source_segment(source, function)
-        assert ".key(mapping)" in body and ".result(key, " in body, name
+        assert ".key(mapping)" in body and fire in body, name
         assert not [needle for needle in per_trigger if needle in body], name
+    assigned = re.findall(r"\bfire(?:: [^=\n]+)? = (\S+)", parallel)
+    assert sorted(assigned) == ["FiringPlan.result", "FiringPlan.values"]
