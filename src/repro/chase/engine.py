@@ -251,8 +251,8 @@ class RestrictedChase(ChaseEngine):
         base = {variable: mapping[variable] for variable in plan.variables}
         if self.strategy == "naive":
             return not has_homomorphism(plan.tgd.head, store, base=base)
-        # "indexed" and "sql" both satisfy the check through the store's
-        # position-index lookups (point queries on the sqlite backend).
+        # "indexed" satisfies the check through the store's position-index
+        # lookups (point queries on the sqlite backend).
         return not has_homomorphism_indexed(plan.tgd.head, store, base=base)
 
 
@@ -305,13 +305,12 @@ def chase(
         exhausted, ``"raise"`` to raise :class:`ChaseLimitExceeded`.
     strategy:
         ``"indexed"`` (default) for the delta-driven index-join trigger
-        engine, ``"naive"`` for the seed reference enumeration, ``"sql"``
-        to compile body joins to SQLite statements executed inside the
-        sqlite backend, ``"sql-pushdown"`` to execute *whole rounds* as
-        set-based SQL — one ``INSERT ... SELECT`` batch per (rule, delta
-        round) with in-SQL null invention, and a single recursive CTE for
-        linear rule sets (see :mod:`repro.storage.sqlbackend.pushdown`);
-        both SQL strategies require the sqlite backend.
+        engine, ``"naive"`` for the seed reference enumeration,
+        ``"sql-pushdown"`` to execute *whole rounds* as set-based SQL —
+        one ``INSERT ... SELECT`` batch per (rule, delta round) with
+        in-SQL null invention, and a single recursive CTE for linear rule
+        sets (see :mod:`repro.storage.sqlbackend.pushdown`); it requires
+        the sqlite backend.
     backend:
         ``"instance"`` (default) chases into an in-memory
         :class:`Instance`; ``"relational"`` directly into a
@@ -387,15 +386,6 @@ def chase(
         return result
     if store is None:
         store = make_backend_store(backend)
-    if strategy == "sql":
-        from ..storage.sqlbackend import SqliteAtomStore
-
-        if not isinstance(store, SqliteAtomStore):
-            raise ValueError(
-                "strategy='sql' pushes body joins into SQLite and requires "
-                "the sqlite backend (backend='sqlite[:path]' or an explicit "
-                "SqliteAtomStore store)"
-            )
     statement_metrics = None
     if traced:
         from ..obs.metrics import StatementMetrics

@@ -56,13 +56,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only; keeps storage out of module
 Match = Tuple[int, Dict[Term, Term]]
 
 #: Trigger-engine strategies accepted by the chase engines and ``chase()``.
-#: ``"sql"`` compiles body joins to SQLite statements and requires the
-#: sqlite backend (see :mod:`repro.storage.sqlbackend.plans`);
-#: ``"sql-pushdown"`` goes further and applies *whole rounds* as set-based
-#: SQL batches (see :mod:`repro.storage.sqlbackend.pushdown`) — it is
-#: routed by :func:`repro.chase.engine.chase` rather than through a
-#: trigger source.
-STRATEGIES = ("indexed", "naive", "sql", "sql-pushdown")
+#: ``"indexed"`` and ``"naive"`` are trigger sources; ``"sql-pushdown"``
+#: applies *whole rounds* as set-based SQL batches inside the sqlite backend
+#: (see :mod:`repro.storage.sqlbackend.pushdown`) — it is routed by
+#: :func:`repro.chase.engine.chase` rather than through a trigger source.
+STRATEGIES = ("indexed", "naive", "sql-pushdown")
 
 
 def _bound_positions(pattern: Atom, mapping: Dict[Term, Term]) -> Dict[int, Term]:
@@ -315,12 +313,6 @@ def make_trigger_source(tgds: Sequence[TGD], strategy: str = "indexed") -> Trigg
         return IndexedTriggerSource(tgds)
     if strategy == "naive":
         return NaiveTriggerSource(tgds)
-    if strategy == "sql":
-        # Deferred import: keeps the chase layer from importing the storage
-        # package at module load (the dependency points the other way).
-        from ..storage.sqlbackend.plans import SqlTriggerSource
-
-        return SqlTriggerSource(tgds)
     if strategy == "sql-pushdown":
         raise ValueError(
             "the 'sql-pushdown' strategy applies whole rounds through "

@@ -34,8 +34,7 @@ Examples
     repro-experiments check --rules rules.txt --facts data.txt
     repro-experiments chase --rules rules.txt --facts data.txt --variant restricted
     repro-experiments chase --rules rules.txt --strategy naive --backend relational
-    repro-experiments chase --rules rules.txt --backend sqlite:chase.db --strategy sql
-    repro-experiments chase --rules rules.txt --backend sqlite --strategy sql-pushdown
+    repro-experiments chase --rules rules.txt --backend sqlite:chase.db --strategy sql-pushdown
     repro-experiments chase --rules rules.txt --backend sqlite:chase.db --no-materialize
     repro-experiments chase --rules rules.txt --parallel 4
     repro-experiments chase --rules rules.txt --parallel 4 --backend relational --executor process
@@ -123,8 +122,8 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=STRATEGIES,
         default="indexed",
         help="trigger engine: delta-driven index joins, the naive reference, "
-        "SQL joins pushed into the sqlite backend, or sql-pushdown — whole "
-        "set-based rounds compiled into SQLite (default: indexed)",
+        "or sql-pushdown — whole set-based rounds compiled into SQLite "
+        "(default: indexed)",
     )
     chase_cmd.add_argument(
         "--backend",
@@ -404,9 +403,9 @@ def _command_chase(args) -> int:
         return 2
     from .storage.sqlbackend import SqliteAtomStore
 
-    if args.strategy in ("sql", "sql-pushdown") and not isinstance(store, SqliteAtomStore):
+    if args.strategy == "sql-pushdown" and not isinstance(store, SqliteAtomStore):
         print(
-            f"--strategy {args.strategy} pushes work into SQLite and "
+            "--strategy sql-pushdown pushes work into SQLite and "
             "requires --backend sqlite[:path]",
             file=sys.stderr,
         )

@@ -42,7 +42,7 @@ from .workloads import (
     simple_linear_workloads,
 )
 
-#: Every runner keyed by experiment id (used by the CLI and the benchmarks).
+#: Every runner keyed by experiment id (used by the CLI).
 ALL_RUNNERS = {**FIGURE_RUNNERS, **TABLE_RUNNERS}
 
 __all__ = [

@@ -10,9 +10,9 @@ preserved, which is what EXPERIMENTS.md compares against the paper.
 Four presets are provided:
 
 * ``smoke``   — seconds; used by the test suite;
-* ``medium``  — tens of seconds; the non-smoke scale the repo-root
-  ``BENCH_*.json`` perf trajectory is recorded at;
-* ``default`` — a couple of minutes; used by the benchmark harness;
+* ``medium``  — tens of seconds; the smallest scale at which the figures'
+  trends are visible;
+* ``default`` — a couple of minutes; what ``repro-experiments run`` uses;
 * ``paper``   — the nominal sizes of the paper (hours; memory hungry).
 """
 
@@ -145,8 +145,8 @@ SMOKE = ExperimentConfig(
     sets_per_profile_l=1,
 )
 
-#: Non-smoke trajectory preset: big enough that engine differences show up
-#: in the timings, small enough to run on every push (tens of seconds).
+#: Between smoke and default: big enough that the figures' trends show up
+#: in the timings, small enough to run in tens of seconds.
 MEDIUM = ExperimentConfig(
     tgd_scale=0.001,
     predicate_scale=0.1,
@@ -157,7 +157,7 @@ MEDIUM = ExperimentConfig(
     sets_per_profile_l=1,
 )
 
-#: Preset used by the benchmark harness (a few minutes end to end).
+#: Preset ``repro-experiments run`` uses by default (a few minutes end to end).
 DEFAULT = ExperimentConfig()
 
 #: The paper's nominal sizes (hours of runtime, tens of GB of data).

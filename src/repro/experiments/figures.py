@@ -1,8 +1,8 @@
 """Runners for every figure of the paper's evaluation (Sections 7, 8, Appendix A).
 
 Each runner returns a list of plain-dict rows (one per measured point) so the
-results can be printed (:mod:`repro.experiments.reporting`), dumped to CSV,
-or aggregated by the benchmark harness.  Times are reported in seconds.
+results can be printed (:mod:`repro.experiments.reporting`) or dumped to CSV.
+Times are reported in seconds.
 
 Figure map
 ----------

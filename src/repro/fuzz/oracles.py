@@ -79,7 +79,6 @@ SERIAL_COMBOS: Tuple[Combo, ...] = (
     Combo("indexed", "instance"),
     Combo("indexed", "relational"),
     Combo("indexed", "sqlite"),
-    Combo("sql", "sqlite"),
     Combo("sql-pushdown", "sqlite"),
 )
 

@@ -8,10 +8,11 @@ run emits versioned events through :class:`Tracer` into a JSONL sink that
 ``repro-experiments trace-report`` turns into hot-rule / hot-statement /
 per-round tables.
 
-The cardinal rule — enforced by the property suite and
-``benchmarks/bench_trace_overhead.py`` — is that observing a run never
-changes it: chase results are byte-identical with tracing on or off, and
-the disabled tracer costs one attribute test on the hot path.
+The cardinal rule — enforced by the property suite
+(``tests/property/test_conformance.py::TestTracingTransparency``) — is
+that observing a run never changes it: chase results are byte-identical
+with tracing on or off, and the disabled tracer costs one attribute test
+on the hot path.
 """
 
 from .clock import DEFAULT_CLOCK, Clock, ManualClock, MonotonicClock, monotonic_s, perf_counter_s

@@ -1,6 +1,6 @@
 """Aggregate a trace's event stream into the ``trace-report`` tables.
 
-The profiler's contract (gated in ``benchmarks/bench_trace_overhead.py``):
+The profiler's contract (held by ``tests/property/test_conformance.py``):
 summing the ``round`` events of a chase trace reproduces the run's
 ``triggers_fired`` and ``atoms_created`` totals *exactly* — the trace is a
 lossless decomposition of the end-of-run aggregates, not a sample.

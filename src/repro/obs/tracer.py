@@ -6,9 +6,7 @@ Two implementations share one interface:
   and writes them to a :class:`~repro.obs.events.TraceSink`;
 * :data:`NULL_TRACER` — the disabled singleton.  Its ``enabled`` flag is
   ``False`` and all methods are no-ops, so instrumented code guards its
-  bookkeeping with one attribute test and the untraced hot path stays
-  within the ≤5% overhead budget ``benchmarks/bench_trace_overhead.py``
-  gates.
+  bookkeeping with one attribute test on the untraced hot path.
 
 The invariant the whole layer is built around: **a tracer observes, it
 never participates**.  Nothing read from a clock or a sink may flow into

@@ -15,10 +15,8 @@ from .shape_finder import (
     InDatabaseShapeFinder,
     InMemoryShapeFinder,
     ShapeFinderStats,
-    find_shapes,
 )
 from .sqlbackend import (
-    SqlTriggerSource,
     SqliteAtomStore,
     SqliteOverlayStore,
     SqliteShapeFinder,
@@ -28,7 +26,6 @@ from .views import PrefixView
 __all__ = [
     "AtomStore",
     "InstanceView",
-    "SqlTriggerSource",
     "SqliteAtomStore",
     "SqliteOverlayStore",
     "SqliteShapeFinder",
@@ -41,7 +38,6 @@ __all__ = [
     "ShapeFinderStats",
     "disequality_condition_pairs",
     "equality_condition_pairs",
-    "find_shapes",
     "row_matches_shape",
     "shape_exists",
     "shape_query_sql",

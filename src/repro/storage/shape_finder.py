@@ -298,21 +298,3 @@ class DeltaShapeFinder:
         """Whole-store ``FindShapes`` (the shared finder interface)."""
         return self.shapes_for(None)
 
-
-def find_shapes(
-    store: Any, method: str = "in-memory", chunk_size: Optional[int] = None
-) -> Set[Shape]:
-    """Convenience wrapper choosing between the two implementations.
-
-    Parameters
-    ----------
-    method:
-        ``"in-memory"`` or ``"in-database"``.
-    chunk_size:
-        Forwarded to :class:`InMemoryShapeFinder`.
-    """
-    if method in ("in-memory", "memory", "in_memory"):
-        return InMemoryShapeFinder(store, chunk_size=chunk_size).find_shapes()
-    if method in ("in-database", "database", "in_database", "in-db", "db"):
-        return InDatabaseShapeFinder(store).find_shapes()
-    raise ValueError(f"unknown FindShapes method {method!r}")

@@ -6,8 +6,6 @@ exactly as they run in memory:
 
 * :class:`SqliteAtomStore` — the :class:`~repro.storage.atom_store.AtomStore`
   over one SQLite database (``chase --backend sqlite[:path]``);
-* :class:`SqlTriggerSource` — trigger matching as parameterized SQL joins
-  executed inside SQLite (``chase --strategy sql``);
 * :class:`PushdownExecutor` — the whole chase fixpoint compiled into the
   database (``chase --strategy sql-pushdown``): one set-based statement
   batch per (rule, delta round), nulls invented in SQL, and a single
@@ -21,7 +19,6 @@ and overlays private deltas in memory, which is how the parallel chase's
 process workers share a disk-resident seed without pickling it.
 """
 
-from .plans import CompiledBodyQuery, SqlTriggerSource
 from .pushdown import (
     SKOLEM_FUNCTION,
     CompiledPlanQuery,
@@ -33,13 +30,11 @@ from .shapes import SqliteShapeFinder, shape_query_sqlite
 from .store import MEMORY_PATH, SqliteAtomStore, SqliteOverlayStore, table_name
 
 __all__ = [
-    "CompiledBodyQuery",
     "CompiledPlanQuery",
     "CompiledRule",
     "MEMORY_PATH",
     "PushdownExecutor",
     "SKOLEM_FUNCTION",
-    "SqlTriggerSource",
     "SqliteAtomStore",
     "SqliteOverlayStore",
     "SqliteShapeFinder",

@@ -1,10 +1,9 @@
 """The ``sql-pushdown`` execution layer: whole chase rounds as compiled SQL.
 
-The ``sql`` strategy (:mod:`.plans`) pushes *body matching* into SQLite but
-still streams every binding back into Python, invents nulls one
-``Substitution`` at a time, and re-inserts head atoms row by row.  This
-module pushes the rest of the loop down too: each (rule, delta round) pair
-executes as one set-based ``INSERT ... SELECT`` batch, with
+The trigger-source strategies match in Python, invent nulls one trigger at
+a time, and hand head atoms back to the store.  This module pushes the
+whole loop into SQLite: each (rule, delta round) pair executes as one
+set-based ``INSERT ... SELECT`` batch, with
 
 * the semi-naive discipline expressed as ``seq`` watermark predicates in the
   ``WHERE`` clause (the seed slot reads only the previous round's delta,
@@ -35,7 +34,7 @@ the ordinary trigger/report protocol of :mod:`repro.chase.parallel`.
 
 Layering: this package must stay importable without :mod:`repro.chase`, so
 chase-side classes (``ChaseResult``, ``ChaseLimits``) are imported inside
-the functions that need them, mirroring :mod:`.plans`.
+the functions that need them.
 """
 
 from __future__ import annotations
@@ -134,7 +133,7 @@ class CompiledRule:
 
         # Body layout: first-occurrence column per variable, equality
         # conditions for repeated occurrences (the same rendering as
-        # plans.CompiledBodyQuery, so both strategies see the same joins).
+        # CompiledPlanQuery, so serial rounds and workers see the same joins).
         first_seen: Dict[Variable, str] = {}
         conditions: List[str] = []
         for slot, atom in enumerate(tgd.body):
@@ -826,8 +825,8 @@ class CompiledPlanQuery:
     """Partition-aware body join for one (TGD, seed slot) — the parallel
     worker's matching unit under ``--strategy sql-pushdown``.
 
-    Selects one column per body variable (first occurrence), exactly like
-    :class:`.plans.CompiledBodyQuery`, but (a) reads every relation through
+    Selects one column per body variable (first occurrence), so each result
+    row *is* a body homomorphism; it (a) reads every relation through
     :meth:`SqliteAtomStore.read_source` so overlay replicas resolve to
     base-snapshot + delta, (b) watermarks the seed slot by the worker's own
     ``seq`` snapshot for semi-naive delta rounds, and (c) filters seed rows

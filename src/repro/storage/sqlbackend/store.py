@@ -16,7 +16,7 @@ Design notes
   identifiers are case-insensitive even quoted) with
   ``TEXT`` columns ``c0..c{n-1}``, a monotone ``seq`` column (global
   insertion order, the semi-naive round watermark used by
-  :class:`~repro.storage.sqlbackend.plans.SqlTriggerSource`), and a
+  :mod:`~repro.storage.sqlbackend.pushdown`), and a
   ``UNIQUE`` index over the value columns for O(log n) dedup.  The
   ``repro_catalog`` table records name/arity pairs so a reopened file
   reconstructs its predicates without scanning data.
@@ -553,7 +553,7 @@ class SqliteAtomStore:
         monotone in iteration order; a duplicate (ignored) row still
         consumes one, leaving a gap — harmless, because the semi-naive
         watermark is a snapshot of ``current_seq()``, never row arithmetic
-        (see :class:`~repro.storage.sqlbackend.plans.SqlTriggerSource`).
+        (see :mod:`~repro.storage.sqlbackend.pushdown`).
         """
         added = 0
         batch: List[List[object]] = []

@@ -27,11 +27,11 @@ from repro.core.parser import parse_database, parse_rules
 from tests.helpers import chase_result_fingerprint as _fingerprint
 
 VARIANTS = ("oblivious", "semi-oblivious", "restricted")
-#: Every valid (strategy, backend) pairing — "sql" compiles the body join
-#: into SQLite and exists only on the sqlite backend, where its seq-watermark
-#: slot constraints must reproduce these exact pinned semantics;
-#: "sql-pushdown" goes further and applies whole set-based rounds (and, for
-#: the linear cases here, the recursive-CTE fixpoint tier) inside SQLite.
+#: Every valid (strategy, backend) pairing — "sql-pushdown" exists only on
+#: the sqlite backend, where its seq-watermark slot constraints must
+#: reproduce these exact pinned semantics: it applies whole set-based rounds
+#: (and, for the linear cases here, the recursive-CTE fixpoint tier) inside
+#: SQLite.
 STRATEGY_BACKEND_COMBOS = (
     ("naive", "instance"),
     ("naive", "relational"),
@@ -39,7 +39,6 @@ STRATEGY_BACKEND_COMBOS = (
     ("indexed", "instance"),
     ("indexed", "relational"),
     ("indexed", "sqlite"),
-    ("sql", "sqlite"),
     ("sql-pushdown", "sqlite"),
 )
 LIMITS = ChaseLimits(max_atoms=500, max_rounds=20)

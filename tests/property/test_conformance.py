@@ -9,9 +9,8 @@ Three families of properties, all over random programs from
   trigger counts, and the exact instance, null names included;
 * **backend conformance** — the relational and sqlite stores chase to the
   same result as the in-memory instance, serial and parallel, and the
-  pushed-down ``"sql"`` and ``"sql-pushdown"`` strategies (per-binding SQL
-  joins and whole compiled set-based rounds, respectively) agree with the
-  in-memory engines;
+  ``"sql-pushdown"`` strategy (whole compiled set-based rounds) agrees with
+  the in-memory engines;
   lazy results (``materialize=False``) stay byte-identical to eager ones,
   both read through the store view and after on-demand materialization;
 * **oracle conformance** — on inputs where the materialization baseline is
@@ -150,18 +149,6 @@ class TestEngineConformance:
             materialize=False,
         )
         assert_lazy_matches(lazy, expected, "sqlite lazy")
-
-        # The pushed-down SQL join strategy: body matching runs inside
-        # SQLite, yet the ChaseResult must stay byte-identical.
-        pushed = chase(
-            database,
-            tgds,
-            variant=variant,
-            limits=LIMITS,
-            backend="sqlite",
-            strategy="sql",
-        )
-        assert fingerprint(pushed) == expected, "sqlite sql strategy != instance"
 
         for workers, executor in ((2, "serial"), (3, "thread"), (2, "process")):
             # materialize=False across worker counts: the lazy result must
@@ -306,8 +293,9 @@ class TestTracingTransparency:
     def test_traced_equals_untraced(self, program, variant):
         """Tracing must never perturb the chase: with a live tracer attached
         the ``ChaseResult`` stays byte-identical to the untraced run — for
-        the serial engines, the compiled pushdown, and the parallel
-        executor — and the per-round events sum exactly to the run totals."""
+        the serial engines on every backend, the compiled pushdown, and the
+        parallel executor's thread and process pools — and the per-round
+        events sum exactly to the run totals."""
         from repro.obs import ListTraceSink, Tracer, round_totals
 
         database, tgds = program
@@ -336,6 +324,28 @@ class TestTracingTransparency:
                 ),
             ),
             (
+                "naive",
+                lambda tracer: chase(
+                    database,
+                    tgds,
+                    variant=variant,
+                    limits=LIMITS,
+                    strategy="naive",
+                    tracer=tracer,
+                ),
+            ),
+            (
+                "relational",
+                lambda tracer: chase(
+                    database,
+                    tgds,
+                    variant=variant,
+                    limits=LIMITS,
+                    backend="relational",
+                    tracer=tracer,
+                ),
+            ),
+            (
                 "parallel",
                 lambda tracer: parallel_chase(
                     database,
@@ -343,6 +353,33 @@ class TestTracingTransparency:
                     variant=variant,
                     workers=2,
                     limits=LIMITS,
+                    executor="thread",
+                    tracer=tracer,
+                ),
+            ),
+            (
+                "parallel-process-sqlite",
+                lambda tracer: parallel_chase(
+                    database,
+                    tgds,
+                    variant=variant,
+                    workers=2,
+                    limits=LIMITS,
+                    backend="sqlite",
+                    executor="process",
+                    tracer=tracer,
+                ),
+            ),
+            (
+                "parallel-sql-pushdown",
+                lambda tracer: parallel_chase(
+                    database,
+                    tgds,
+                    variant=variant,
+                    workers=2,
+                    limits=LIMITS,
+                    backend="sqlite",
+                    strategy="sql-pushdown",
                     executor="thread",
                     tracer=tracer,
                 ),

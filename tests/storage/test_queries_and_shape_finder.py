@@ -24,7 +24,6 @@ from repro.storage.shape_finder import (
     DeltaShapeFinder,
     InDatabaseShapeFinder,
     InMemoryShapeFinder,
-    find_shapes,
 )
 from repro.storage.views import PrefixView
 
@@ -146,11 +145,10 @@ class TestShapeFinders:
         assert finder.stats.rows_scanned == 4
         assert finder.stats.shapes_found == 4
 
-    def test_find_shapes_wrapper(self):
+    def test_in_memory_and_in_database_agree(self):
         store = self._example_store()
-        assert find_shapes(store, "in-memory") == find_shapes(store, "in-database")
-        with pytest.raises(ValueError):
-            find_shapes(store, "magic")
+        in_memory = InMemoryShapeFinder(store).find_shapes()
+        assert in_memory == InDatabaseShapeFinder(store).find_shapes()
 
     def test_works_on_prefix_views(self):
         store = self._example_store()
@@ -178,7 +176,8 @@ class TestShapeFinders:
                 continue
             rows_by_relation[(name, arity)] = [tuple((row * arity)[:arity]) for row in rows]
         store = _store_from_rows(rows_by_relation)
-        assert InMemoryShapeFinder(store).find_shapes() == InDatabaseShapeFinder(store).find_shapes()
+        in_memory = InMemoryShapeFinder(store).find_shapes()
+        assert in_memory == InDatabaseShapeFinder(store).find_shapes()
 
     def test_nullary_relation_shapes(self):
         store = _store_from_rows({("Flag", 0): [()], ("Empty", 0): []})
@@ -213,8 +212,6 @@ class TestShapeFinderStats:
         for chunk_size in (0, -3):
             with pytest.raises(StorageError, match="chunk_size must be positive"):
                 InMemoryShapeFinder(self._store(), chunk_size=chunk_size)
-        with pytest.raises(StorageError):
-            find_shapes(self._store(), chunk_size=0)
 
     def test_low_arity_relations_are_counted_not_scanned(self):
         store = _store_from_rows({("N", 0): [(), ()], ("P", 1): [("a",), ("a",), ("b",)],

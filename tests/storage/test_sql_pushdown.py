@@ -360,10 +360,11 @@ class TestPushdownWiring:
         with pytest.raises(ValueError, match="sqlite"):
             parallel_chase(database, tgds, workers=2, strategy="sql-pushdown")
 
-    def test_parallel_chase_rejects_unknown_strategies(self):
+    def test_parallel_chase_rejects_other_strategies(self):
         database, tgds = _join_program()
-        with pytest.raises(ValueError, match="indexed"):
-            parallel_chase(database, tgds, workers=2, strategy="sql")
+        for strategy in ("naive", "psychic"):
+            with pytest.raises(ValueError, match="indexed"):
+                parallel_chase(database, tgds, workers=2, strategy=strategy)
 
     def test_trigger_source_routes_elsewhere(self):
         # sql-pushdown is not a per-trigger enumeration strategy; asking

@@ -2,8 +2,8 @@
 
 The protocol-compliance tests live in ``test_store_contract.py``; this
 module covers what is *specific* to the SQLite backend — files that survive
-the process and resume a chase, the compiled-join trigger strategy, the
-pushed-down ``FindShapes``, and the backend-spec parsing the CLI leans on.
+the process and resume a chase, seq-gap and budget behaviour of chases into
+the store, the pushed-down ``FindShapes``, and the backend-spec parsing the CLI leans on.
 """
 
 import os
@@ -15,7 +15,7 @@ from repro.chase.matching import make_trigger_source
 from repro.chase.parallel import parallel_chase
 from repro.chase.result import ChaseLimits
 from repro.core.atoms import Atom
-from repro.core.instances import Instance
+from repro.core.instances import Database, Instance
 from repro.core.parser import parse_database, parse_rules
 from repro.core.predicates import Predicate
 from repro.core.terms import Constant, Null
@@ -192,66 +192,37 @@ class TestPersistence:
         resumed.store.close()
 
 
-class TestSqlTriggerStrategy:
-    def test_sql_strategy_requires_the_sqlite_store(self):
-        database, tgds = _program()
-        source = make_trigger_source(tuple(tgds), "sql")
-        with pytest.raises(ValueError, match="requires a SqliteAtomStore"):
-            list(source.initial(Instance()))
+class TestChaseOnTheSqliteBackend:
+    def test_unknown_strategy_is_a_value_error(self):
+        _, tgds = _program()
         with pytest.raises(ValueError, match="unknown trigger strategy"):
             make_trigger_source(tuple(tgds), "psychic")
-        # chase() validates eagerly, before any work is seeded.
-        with pytest.raises(ValueError, match="requires\\s+the sqlite backend"):
-            chase(database, tgds, strategy="sql")
-        with pytest.raises(ValueError, match="requires\\s+the sqlite backend"):
-            chase(database, tgds, strategy="sql", backend="relational")
 
-    @pytest.mark.parametrize("variant", ["oblivious", "semi-oblivious", "restricted"])
-    def test_sql_strategy_matches_the_in_memory_engines(self, variant):
-        database, tgds = _program()
-        expected = fingerprint(chase(database, tgds, variant=variant))
-        pushed = chase(database, tgds, variant=variant, strategy="sql", backend="sqlite")
-        assert fingerprint(pushed) == expected
-
-    def test_sql_strategy_under_a_budget_stops_at_the_same_round(self):
+    def test_pushdown_under_an_atom_budget_stops_at_the_same_round(self):
         database, tgds = _program()
         limits = ChaseLimits(max_atoms=4)
         expected = fingerprint(chase(database, tgds, limits=limits))
-        pushed = chase(database, tgds, strategy="sql", backend="sqlite", limits=limits)
+        pushed = chase(database, tgds, strategy="sql-pushdown", backend="sqlite", limits=limits)
         assert fingerprint(pushed) == expected
 
-    def test_delta_watermark_survives_bulk_load_seq_gaps(self):
-        # add_atoms consumes a seq for ignored duplicate rows; the snapshot
-        # watermark must still see every genuinely-new row as delta (the
-        # old `current_seq - len(delta)` arithmetic silently dropped them).
+    @pytest.mark.parametrize("variant", ["oblivious", "semi-oblivious", "restricted"])
+    @pytest.mark.parametrize("strategy", ["indexed", "sql-pushdown"])
+    def test_round_watermarks_survive_bulk_load_seq_gaps(self, strategy, variant):
+        # add_atoms consumes a seq for every ignored duplicate row, so a store
+        # loaded with repeats has gaps below and at the top of its sequence;
+        # the round watermarks (and the restricted variant's round-start
+        # snapshot) are readings of current_seq(), never row arithmetic, so
+        # every genuinely new row must still count as delta.
         database, tgds = _program()
+        expected = fingerprint(chase(database, tgds, variant=variant))
+        atoms = sorted(database, key=str)
         store = SqliteAtomStore()
-        old = Atom(R, (Constant("a"), Constant("b")))
-        store.add_atom(old)
-        source = make_trigger_source(tuple(tgds), "sql")
-        list(source.initial(store))  # snapshot after the seed
-        fresh = Atom(R, (Constant("p"), Constant("q")))
-        store.add_atoms([fresh, old])  # duplicate burns a seq: gap at the top
-        matches = list(source.delta(store, [fresh]))
-        images = {image.name for _, mapping in matches for image in mapping.values()}
-        assert "p" in images, matches
-
-    def test_delta_skips_queries_for_predicates_outside_the_delta(self):
-        # Semi-naive dispatch: a round whose delta holds no atom over a
-        # query's seed predicate must not execute that query at all.
-        database, tgds = _program()
-        store = SqliteAtomStore.from_database(database)
-        source = make_trigger_source(tuple(tgds), "sql")
-        executed = []
-        store.connection.set_trace_callback(
-            lambda statement: executed.append(statement)
-        )
-        unrelated = [Atom(Predicate("Unrelated", 1), (Constant("a"),))]
-        store.add_atoms(unrelated)
-        executed.clear()
-        assert list(source.delta(store, unrelated)) == []
-        assert [s for s in executed if s.lstrip().upper().startswith("SELECT")] == []
-        store.connection.set_trace_callback(None)
+        store.add_atoms(atoms[:1])
+        assert store.add_atoms(atoms + atoms[:2]) == len(atoms) - 1
+        assert store.current_seq() > store.atom_count()
+        result = chase(Database(), tgds, variant=variant, store=store, strategy=strategy)
+        assert fingerprint(result) == expected
+        store.close()
 
     def test_parallel_chase_on_sqlite_backend(self):
         database, tgds = _program()
@@ -267,8 +238,6 @@ class TestSqlTriggerStrategy:
         # A reopened (fully committed) store enters the thread pool with no
         # transaction open, so the worker threads' first lazy-index writes
         # race through _begin — the connection lock must serialise them.
-        from repro.core.instances import Database
-
         database, tgds = _program()
         expected = fingerprint(chase(database, tgds))
         path = str(tmp_path / "warm.db")
@@ -429,9 +398,12 @@ class TestSqliteOverlayStore:
         # ChaseResult stays byte-identical to the serial engine's.
         database, tgds = _program()
         expected = fingerprint(chase(database, tgds))
-        store = make_backend_store(f"sqlite:{tmp_path / 'parallel.db'}")
-        result = parallel_chase(
-            database, tgds, workers=3, store=store, executor="process"
-        )
-        assert fingerprint(result) == expected
-        store.close()
+        for materialize in (True, False):
+            store = make_backend_store(f"sqlite:{tmp_path / f'parallel-{materialize}.db'}")
+            result = parallel_chase(
+                database, tgds, workers=3, store=store, executor="process",
+                materialize=materialize,
+            )
+            assert result.is_materialized == materialize
+            assert fingerprint(result) == expected
+            store.close()

@@ -89,18 +89,18 @@ class TestChaseCommand:
                 assert code == 0
                 assert f"[{strategy}/{backend}]" in capsys.readouterr().out
 
-    def test_chase_sql_strategy_on_sqlite_backend(self, join_rule_file, fact_file, capsys):
+    def test_chase_pushdown_strategy_on_sqlite_backend(self, join_rule_file, fact_file, capsys):
         code = main(
             [
                 "chase",
                 "--rules", str(join_rule_file),
                 "--facts", str(fact_file),
-                "--strategy", "sql",
+                "--strategy", "sql-pushdown",
                 "--backend", "sqlite",
             ]
         )
         assert code == 0
-        assert "[sql/sqlite]" in capsys.readouterr().out
+        assert "[sql-pushdown/sqlite]" in capsys.readouterr().out
 
     def test_chase_persistent_sqlite_reports_store_stats(
         self, join_rule_file, fact_file, tmp_path, capsys
@@ -268,9 +268,15 @@ class TestErrorPaths:
         ) == 2
         assert "cannot open sqlite database" in capsys.readouterr().err
 
-    def test_sql_strategy_requires_sqlite_backend(self, rule_file, capsys):
-        assert main(["chase", "--rules", str(rule_file), "--strategy", "sql"]) == 2
+    def test_pushdown_strategy_requires_sqlite_backend(self, rule_file, capsys):
+        assert main(["chase", "--rules", str(rule_file), "--strategy", "sql-pushdown"]) == 2
         assert "--backend sqlite" in capsys.readouterr().err
+
+    def test_removed_sql_strategy_is_an_argparse_error(self, rule_file, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["chase", "--rules", str(rule_file), "--strategy", "sql", "--backend", "sqlite"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'sql'" in capsys.readouterr().err
 
     def test_reopened_file_with_conflicting_arity_exits_two(self, tmp_path, capsys):
         # Reopening a persisted file with rules that recreate one of its

@@ -1,6 +1,6 @@
 """The documentation suite stays truthful.
 
-Two guards:
+Three guards:
 
 * **help snapshots** — ``docs/cli.md`` embeds the exact ``--help`` output
   of the top-level parser and every subcommand between
@@ -8,15 +8,19 @@ Two guards:
   :func:`repro.cli._build_parser` (at the same 80-column width) and fails
   on any drift, so a flag change cannot ship without its documentation;
 * **link check** — every relative markdown link in README.md,
-  ARCHITECTURE.md, ROADMAP.md, and docs/ must point at a file that exists.
+  ARCHITECTURE.md, ROADMAP.md, and docs/ must point at a file that exists;
+* **retired estate** — ``benchmarks/``, its artifacts and environment knobs,
+  and the ``sql`` strategy are gone from the tree and from the documentation.
 """
 
+import importlib
 import os
 import re
 from pathlib import Path
 
 import pytest
 
+from repro.chase.matching import STRATEGIES
 from repro.cli import _build_parser
 
 REPO = Path(__file__).resolve().parents[1]
@@ -96,3 +100,32 @@ class TestMarkdownLinks:
             if not (document.parent / path).exists():
                 broken.append(target)
         assert not broken, f"{document.name} has broken relative links: {broken}"
+
+
+class TestRetiredEstate:
+    """``python -m bench`` is the one benchmark and ``sql-pushdown`` the one
+    SQL strategy; what they replaced must not drift back in."""
+
+    SCANNED = ("README.md", "ARCHITECTURE.md", "docs", "src", "tools", ".github", ".claude",
+               "pyproject.toml")
+    BANNED = ("benchmarks/bench_", "REPRO_BENCH_", "pytest-benchmark")
+
+    def test_old_benchmarks_and_the_sql_strategy_stay_gone(self):
+        assert not (REPO / "benchmarks").exists()
+        assert {path.name for path in REPO.glob("BENCH_*")} <= {
+            "BENCHMARK.json", "BENCH_HISTORY.jsonl",
+        }
+        offenders = []
+        for root in map(REPO.joinpath, self.SCANNED):
+            files = [root] if root.is_file() else sorted(root.rglob("*"))
+            for path in files:
+                if not path.is_file() or "__pycache__" in path.parts:
+                    continue
+                text = path.read_text(encoding="utf-8", errors="ignore")
+                offenders += [
+                    f"{path.relative_to(REPO)}: {banned}" for banned in self.BANNED if banned in text
+                ]
+        assert not offenders, offenders
+        assert STRATEGIES == ("indexed", "naive", "sql-pushdown")
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.storage.sqlbackend.plans")

@@ -52,8 +52,8 @@ def test_dropping_join_indexes_turns_the_audit_red():
 
 
 def test_full_enumeration_families_still_reject_rowid_scans():
-    # The initial body join is allowed a covering-index scan (full
+    # The workers' initial body join is allowed a covering-index scan (full
     # enumeration is its semantics) but never a bare rowid walk.
-    case = next(case for case in collect_cases() if case.family == "body-initial")
+    case = next(case for case in collect_cases() if case.family == "worker-initial")
     assert case.full_enumeration
     assert case.audit() == []

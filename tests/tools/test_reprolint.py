@@ -318,7 +318,7 @@ class TestDeterminism:
             def shuffle(rows, seed):
                 rng = random.Random(seed)
                 rng.shuffle(rows)
-                tags = set(os.environ["REPRO_BENCH_PRESET"].split(","))
+                tags = set(os.environ["SWEEP_TAGS"].split(","))
                 return [(id(row), row) for row in rows], list(tags)
             """,
         )

@@ -114,7 +114,6 @@ def _program_cases() -> Iterable[PlanCase]:
     """Instantiate every compiled statement family over the program panel."""
     _bootstrap_src()
     from repro.core.parser import parse_database, parse_rules
-    from repro.storage.sqlbackend.plans import CompiledBodyQuery
     from repro.storage.sqlbackend.pushdown import (
         CompiledPlanQuery,
         CompiledRule,
@@ -150,23 +149,6 @@ def _program_cases() -> Iterable[PlanCase]:
                 yield PlanCase(
                     "insert", f"{label} head insert",
                     head_sql, {"round_seq": 11}, store,
-                )
-
-    def body_query_cases(tag: str, facts: str, rules_text: str) -> Iterable[PlanCase]:
-        """plans.py tier: initial and per-slot delta body joins."""
-        store = SqliteAtomStore()
-        store.load_database(parse_database(facts))
-        for tgd in parse_rules(rules_text):
-            initial = CompiledBodyQuery(tgd, None)
-            yield PlanCase(
-                "body-initial", f"{tag} body initial", initial.sql,
-                dict(initial.parameters), store, full_enumeration=True,
-            )
-            for slot in range(len(tgd.body)):
-                delta = CompiledBodyQuery(tgd, slot)
-                yield PlanCase(
-                    "body-delta", f"{tag} body delta(seed_slot={slot})",
-                    delta.sql, {**delta.parameters, "delta_start": 0}, store,
                 )
 
     def plan_query_cases(tag: str, facts: str, rules_text: str) -> Iterable[PlanCase]:
@@ -235,8 +217,6 @@ def _program_cases() -> Iterable[PlanCase]:
     yield from compiled_rule_cases(
         "multi-head", multi_head_facts, multi_head_rules, "restricted"
     )
-    yield from body_query_cases("join", join_facts, join_rules)
-    yield from body_query_cases("self-join", self_join_facts, self_join_rules)
     yield from plan_query_cases("join", join_facts, join_rules)
     yield from cte_cases("linear", linear_facts, linear_rules)
 
@@ -249,8 +229,6 @@ REQUIRED_FAMILIES = frozenset(
         "record",
         "filter",
         "insert",
-        "body-initial",
-        "body-delta",
         "worker-initial",
         "worker-delta",
         "cte",
