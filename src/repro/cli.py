@@ -7,8 +7,8 @@ Subcommands
 ``chase``
     Run one of the chase engines on a rule file (and optional fact file),
     choosing the variant, the trigger strategy
-    (indexed/naive/sql/sql-pushdown), and the store backend
-    (instance/relational/sqlite[:path]).
+    (indexed/naive/sql-pushdown), and the store backend
+    (instance/sqlite[:path]).
 ``run``
     Regenerate one of the paper's figures or tables and print its rows
     (optionally writing them to CSV).
@@ -33,11 +33,11 @@ Examples
 
     repro-experiments check --rules rules.txt --facts data.txt
     repro-experiments chase --rules rules.txt --facts data.txt --variant restricted
-    repro-experiments chase --rules rules.txt --strategy naive --backend relational
+    repro-experiments chase --rules rules.txt --strategy naive --backend sqlite
     repro-experiments chase --rules rules.txt --backend sqlite:chase.db --strategy sql-pushdown
     repro-experiments chase --rules rules.txt --backend sqlite:chase.db --no-materialize
     repro-experiments chase --rules rules.txt --parallel 4
-    repro-experiments chase --rules rules.txt --parallel 4 --backend relational --executor process
+    repro-experiments chase --rules rules.txt --parallel 4 --backend instance --executor process
     repro-experiments run figure1 --preset smoke
     repro-experiments run table2 --csv table2.csv
     repro-experiments sweep --preset smoke --workers 4 --checkpoint sweep.jsonl
@@ -128,7 +128,7 @@ def _build_parser() -> argparse.ArgumentParser:
     chase_cmd.add_argument(
         "--backend",
         default="instance",
-        metavar="{instance,relational,sqlite[:path]}",
+        metavar="{instance,sqlite[:path]}",
         help="store backend the chase materialises into; 'sqlite' is a "
         "transient in-memory database, 'sqlite:<path>' a persistent file "
         "(default: instance)",
@@ -146,9 +146,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--executor",
         choices=EXECUTORS,
         default="auto",
-        help="worker pool kind for --parallel > 1: threads for the instance "
-        "backend, processes with store replicas for the relational and "
-        "sqlite ones (default: auto)",
+        help="worker pool kind for --parallel > 1: in-process workers for "
+        "the instance backend, processes with store replicas for sqlite "
+        "(default: auto)",
     )
     chase_cmd.add_argument(
         "--exchange",

@@ -1,11 +1,11 @@
-"""Positional hash indexing shared by every :class:`AtomStore` backend.
+"""Positional hash indexing and the partition hash every :class:`AtomStore` shares.
 
 A :class:`PositionIndex` maps ``(position, term)`` pairs to the atoms of one
-predicate holding *term* at *position*.  Both the in-memory
-:class:`~repro.core.instances.Instance` and the relational backend keep one
-per predicate (built lazily on the first indexed lookup, then maintained
-incrementally), and the trigger engine's join resolves candidates through
-:meth:`lookup` instead of scanning whole predicate buckets.
+predicate holding *term* at *position*.  The in-memory
+:class:`~repro.core.instances.Instance` keeps one per predicate (built
+lazily on the first indexed lookup, then maintained incrementally), and
+the trigger engine's join resolves candidates through :meth:`lookup`
+instead of scanning whole predicate buckets.
 """
 
 from __future__ import annotations

@@ -77,7 +77,6 @@ class PoolCombo:
 SERIAL_COMBOS: Tuple[Combo, ...] = (
     Combo("naive", "instance"),
     Combo("indexed", "instance"),
-    Combo("indexed", "relational"),
     Combo("indexed", "sqlite"),
     Combo("sql-pushdown", "sqlite"),
 )
@@ -87,17 +86,17 @@ SERIAL_COMBOS: Tuple[Combo, ...] = (
 POOL_PROFILES = {
     "quick": (
         PoolCombo(2, "serial"),
-        PoolCombo(3, "thread"),
-        PoolCombo(2, "thread", backend="sqlite"),
+        PoolCombo(3, "serial"),
+        PoolCombo(2, "serial", backend="sqlite"),
         PoolCombo(3, "serial", exchange="shuffle"),
     ),
     "full": (
         PoolCombo(2, "serial"),
-        PoolCombo(3, "thread"),
-        PoolCombo(2, "thread", backend="sqlite"),
+        PoolCombo(3, "serial"),
+        PoolCombo(2, "serial", backend="sqlite"),
         PoolCombo(2, "process"),
         PoolCombo(2, "process", backend="sqlite"),
-        PoolCombo(3, "thread", exchange="shuffle"),
+        PoolCombo(3, "serial", exchange="shuffle"),
         PoolCombo(2, "process", backend="sqlite", exchange="shuffle"),
     ),
 }

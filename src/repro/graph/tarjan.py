@@ -107,21 +107,12 @@ def find_sccs(graph: DependencyGraph) -> List[FrozenSet[Position]]:
     return [frozenset(map(graph.position, members)) for members, _ in _components(graph.forward)]
 
 
-def find_special_sccs(graph: DependencyGraph, method: str = "edge-scan") -> List[SCC]:
+def find_special_sccs(graph: DependencyGraph) -> List[SCC]:
     """``FindSpecialSCC(G)``: return the special SCCs of a dependency graph.
 
     A single-node component only counts when it carries a special self-loop
     (otherwise the node lies on no cycle at all).
-
-    Parameters
-    ----------
-    method:
-        ``"edge-scan"`` (default) or ``"token"``.  There is one search — the
-        token mechanism above, whose pop-time membership check is the edge
-        scan — and both names select it.
     """
-    if method not in ("edge-scan", "token"):
-        raise ValueError(f"unknown method {method!r}; expected 'edge-scan' or 'token'")
     return [
         SCC(nodes=frozenset(map(graph.position, members)), special=True)
         for members, special in _components(graph.forward)

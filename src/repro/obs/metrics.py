@@ -9,8 +9,8 @@ constraints come from the parallel chase:
   and merges peer snapshots back in (:meth:`MetricsRegistry.merge_snapshot`).
 * **Deterministic iteration** — snapshots are sorted by ``(name, labels)``
   so traces and reports are byte-stable run to run.
-* **Thread safety** — under the thread pool several workers time statements
-  against one shared store; all mutation goes through the registry lock.
+* **Thread safety** — all mutation goes through the registry lock, so
+  callers that share one registry across threads need no lock of their own.
 
 :class:`StatementMetrics` is the thin adapter the sqlite store holds: it
 owns the clock, so the storage layer itself never reads wall time.

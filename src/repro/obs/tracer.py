@@ -53,9 +53,9 @@ class Span:
 class Tracer:
     """Emits validated, origin-relative events to a sink.
 
-    Thread-safe: the sink write is serialised under a lock (thread-pool
-    workers and the coordinator may emit concurrently).  The first event is
-    ``trace_start`` carrying the schema version.
+    Thread-safe: the sink write is serialised under a lock (callers may
+    share one tracer across threads and emit concurrently).  The first
+    event is ``trace_start`` carrying the schema version.
     """
 
     enabled = True

@@ -1,14 +1,14 @@
 """The ``AtomStore`` protocol: the storage interface the chase runs against.
 
-Historically the chase engines worked directly on
-:class:`repro.core.instances.Instance` while the ``FindShapes`` machinery of
-the termination checkers used :class:`repro.storage.database.RelationalDatabase`
-— two disjoint stores with incompatible APIs.  ``AtomStore`` closes that
-split: it names the small set of operations the trigger engine
+``AtomStore`` names the small set of operations the trigger engine
 (:mod:`repro.chase.matching`) and the parallel executor's partitioned scans
-need, and every backend implements it, so a chase can run in memory,
-against the relational backend, or against a persistent SQLite file (and
-future backends only have to provide these nine methods).
+need.  Two backends implement it — the in-memory
+:class:`~repro.core.instances.Instance` and the SQLite store
+(:class:`~repro.storage.sqlbackend.SqliteAtomStore`, transient or a
+persistent file) — and a future backend only has to provide these nine
+methods.  :class:`~repro.storage.database.RelationalDatabase` is not one:
+it is the FindShapes substrate of the termination checkers, with its own
+catalog/scan/query surface.
 
 The protocol is *structural* (:class:`typing.Protocol`):
 ``core.Instance`` implements it without importing this module, which keeps

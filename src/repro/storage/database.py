@@ -15,63 +15,21 @@ algorithms rely on:
 
 from __future__ import annotations
 
-from itertools import islice
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Optional
 
 from ..core.atoms import Atom
-from ..core.indexing import PositionIndex, atom_partition_of
-from ..core.instances import Database, Instance
+from ..core.instances import Database
 from ..core.predicates import Predicate, Schema
-from ..core.terms import Term
-from ..exceptions import StorageError, UnknownRelationError, ValidationError
-from .relation import Relation, Row, decode_value
-
-
-def _decode_rows(predicate: Predicate, rows: Iterable[Row]) -> Iterator[Atom]:
-    for row in rows:
-        yield Atom(predicate, tuple(decode_value(value) for value in row))
-
-
-class _RelationCache:
-    """Decoded-atom cache and lazily-built position index for one relation.
-
-    The cache is synchronised against the relation's append-only row log by
-    row count, so raw ``insert`` calls that bypass the atom API are picked up
-    on the next indexed read.
-    """
-
-    __slots__ = ("atoms", "rows_seen", "index")
-
-    def __init__(self):
-        self.atoms: Set[Atom] = set()
-        self.rows_seen: int = 0
-        self.index: Optional[PositionIndex] = None
-
-    def register(self, atom: Atom) -> None:
-        self.atoms.add(atom)
-        if self.index is not None:
-            self.index.register(atom)
-
-    def build_index(self) -> PositionIndex:
-        if self.index is None:
-            self.index = PositionIndex(self.atoms)
-        return self.index
+from ..exceptions import StorageError, UnknownRelationError
+from .relation import Relation
 
 
 class RelationalDatabase:
-    """A named collection of relations with a catalog.
-
-    Besides the DDL/DML/catalog surface the store implements the
-    :class:`repro.storage.atom_store.AtomStore` protocol, so the chase
-    engines can run directly against it instead of requiring a
-    :class:`~repro.core.instances.Instance` copy.  Chase-invented nulls
-    round-trip through the row encoding of :mod:`repro.storage.relation`.
-    """
+    """A named collection of relations with a catalog."""
 
     def __init__(self, name: str = "db"):
         self.name = name
         self._relations: Dict[str, Relation] = {}
-        self._caches: Dict[str, _RelationCache] = {}
 
     # ------------------------------------------------------------------ #
     # DDL
@@ -93,7 +51,6 @@ class RelationalDatabase:
     def drop_relation(self, name: str) -> None:
         """Drop the relation called *name* (missing relations are ignored)."""
         self._relations.pop(name, None)
-        self._caches.pop(name, None)
 
     # ------------------------------------------------------------------ #
     # DML
@@ -163,123 +120,6 @@ class RelationalDatabase:
     def row_counts(self) -> Dict[str, int]:
         """Return a name → row-count mapping."""
         return {name: len(relation) for name, relation in self._relations.items()}
-
-    # ------------------------------------------------------------------ #
-    # AtomStore protocol (see repro.storage.atom_store)
-
-    def _cache(self, relation: Relation) -> _RelationCache:
-        """Return the decoded-atom cache for *relation*, synchronised with its rows."""
-        cache = self._caches.get(relation.name)
-        if cache is None:
-            cache = _RelationCache()
-            self._caches[relation.name] = cache
-        if cache.rows_seen < len(relation):
-            fresh = islice(relation.rows(), cache.rows_seen, None)
-            cache.rows_seen = len(relation)
-            for atom in _decode_rows(relation.predicate, fresh):
-                if atom not in cache.atoms:
-                    cache.register(atom)
-        return cache
-
-    def _relation_for(self, predicate: Predicate) -> Optional[Relation]:
-        relation = self._relations.get(predicate.name)
-        if relation is None or relation.predicate != predicate:
-            return None
-        return relation
-
-    def add_atom(self, atom: Atom) -> bool:
-        """Add a ground atom; return ``True`` when it was not already present."""
-        if not atom.is_ground():
-            raise ValidationError(f"stores hold ground atoms only, got {atom!r}")
-        relation = self.create_relation(atom.predicate)
-        cache = self._cache(relation)
-        if atom in cache.atoms:
-            return False
-        relation.insert_atom(atom)
-        cache.rows_seen = len(relation)
-        cache.register(atom)
-        return True
-
-    def has_atom(self, atom: Atom) -> bool:
-        """Return ``True`` when *atom* is stored."""
-        relation = self._relation_for(atom.predicate)
-        return relation is not None and atom in self._cache(relation).atoms
-
-    def iter_atoms(self) -> Iterator[Atom]:
-        """Iterate over all (distinct) stored atoms."""
-        for relation in self.relations():
-            yield from self._cache(relation).atoms
-
-    def atom_count(self) -> int:
-        """Return the number of distinct stored atoms."""
-        return sum(
-            len(self._cache(relation).atoms) for relation in self._relations.values()
-        )
-
-    def atoms_with_predicate(self, predicate: Predicate) -> Iterable[Atom]:
-        """Return the stored atoms over *predicate* (read-only collection)."""
-        relation = self._relation_for(predicate)
-        if relation is None:
-            return frozenset()
-        return frozenset(self._cache(relation).atoms)
-
-    def atoms_matching(
-        self, predicate: Predicate, bindings: Optional[Mapping[int, Term]] = None
-    ) -> Iterable[Atom]:
-        """Return the stored atoms over *predicate* matching positional *bindings*.
-
-        Same contract as :meth:`repro.core.instances.Instance.atoms_matching`:
-        the ``(position, term)`` hash indexes are intersected and the result
-        must be treated as read-only.
-        """
-        relation = self._relation_for(predicate)
-        if relation is None:
-            return ()
-        cache = self._cache(relation)
-        if not cache.atoms:
-            return ()
-        if not bindings:
-            return cache.atoms
-        return cache.build_index().lookup(bindings)
-
-    def atoms_partition(
-        self,
-        predicate: Predicate,
-        key_positions: Tuple[int, ...],
-        n_partitions: int,
-        partition_index: int,
-    ) -> Iterator[Atom]:
-        """Yield the stored atoms over *predicate* owned by one hash partition.
-
-        Same contract as :meth:`repro.core.instances.Instance.atoms_partition`
-        (stable hash of the terms at *key_positions*), evaluated over the
-        decoded-atom cache so nulls participate with their decoded identity.
-        """
-        relation = self._relation_for(predicate)
-        if relation is None:
-            return
-        atoms = self._cache(relation).atoms
-        if n_partitions <= 1:
-            yield from atoms
-            return
-        for atom in atoms:
-            if atom_partition_of(atom, key_positions, n_partitions) == partition_index:
-                yield atom
-
-    def predicate_cardinality(self, predicate: Predicate) -> int:
-        """Return the number of distinct atoms over *predicate*."""
-        relation = self._relation_for(predicate)
-        if relation is None:
-            return 0
-        return len(self._cache(relation).atoms)
-
-    def predicates(self) -> List[Predicate]:
-        """Return the predicates with at least one tuple (AtomStore surface)."""
-        return self.non_empty_predicates()
-
-    def to_instance(self) -> Instance:
-        """Materialise the stored atoms (constants *and* nulls) as an :class:`Instance`."""
-        return Instance(self.iter_atoms())
 
     # ------------------------------------------------------------------ #
     # Conversion

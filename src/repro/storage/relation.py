@@ -30,7 +30,7 @@ def encode_term(term: GroundTerm) -> str:
 
     Constants are stored by name; labeled nulls are prefixed with
     ``NULL_MARKER`` so that chase-produced atoms survive a round-trip through
-    the relational backend with their null identity intact.  The rare
+    a stored row with their null identity intact.  The rare
     constant whose name itself starts with a marker is escaped with
     ``ESCAPE_MARKER``, keeping the encoding injective.
     """

@@ -54,22 +54,18 @@ class IncrementalLinearChecker:
         A :class:`~repro.storage.shape_finder.DeltaShapeFinder` bound to the
         views' base store.  Pass a shared instance to amortise the scan
         across several rule sets over the same ``D*``.
-    scc_method:
-        Forwarded to :func:`repro.graph.tarjan.find_special_sccs`.
     """
 
     def __init__(
         self,
         tgds: Union[TGDSet, str],
         shape_finder: DeltaShapeFinder,
-        scc_method: str = "edge-scan",
     ):
         if isinstance(tgds, str):
             tgds = parse_rules(tgds)
         tgds.require_linear()
         self._tgds = tgds
         self._finder = shape_finder
-        self._scc_method = scc_method
         self._simplification: Optional[DynamicSimplificationResult] = None
         self._last_limit: Optional[float] = None
 
@@ -121,7 +117,7 @@ class IncrementalLinearChecker:
             graph = simplification.dependency_graph()
 
         with stopwatch.measure("t_comp"):
-            special_sccs = find_special_sccs(graph, method=self._scc_method)
+            special_sccs = find_special_sccs(graph)
             finite = not special_sccs
 
         return TerminationReport(

@@ -44,7 +44,6 @@ def _find_shapes(shape_source, stopwatch: Stopwatch):
 def is_chase_finite_l(
     shape_source,
     tgds: Union[TGDSet, str],
-    scc_method: str = "edge-scan",
 ) -> TerminationReport:
     """Run ``IsChaseFinite[L]`` and return a :class:`TerminationReport`.
 
@@ -58,8 +57,6 @@ def is_chase_finite_l(
     tgds:
         The set ``Σ`` of linear TGDs, or the text of a rule program (parsing
         is then measured as ``t-parse``).
-    scc_method:
-        Special-SCC detection method.
     """
     stopwatch = Stopwatch()
 
@@ -75,7 +72,7 @@ def is_chase_finite_l(
         graph = simplification.dependency_graph()
 
     with stopwatch.measure("t_comp"):
-        special_sccs = find_special_sccs(graph, method=scc_method)
+        special_sccs = find_special_sccs(graph)
         finite = not special_sccs
 
     return TerminationReport(

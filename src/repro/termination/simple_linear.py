@@ -31,7 +31,6 @@ from .report import Stopwatch, TerminationReport, TimingBreakdown
 def is_chase_finite_sl(
     database: Database,
     tgds: Union[TGDSet, str],
-    scc_method: str = "edge-scan",
 ) -> TerminationReport:
     """Run ``IsChaseFinite[SL]`` and return a :class:`TerminationReport`.
 
@@ -42,9 +41,6 @@ def is_chase_finite_sl(
     tgds:
         The set ``Σ`` of simple-linear TGDs, or the text of a rule program
         (in which case parsing is measured as ``t-parse``).
-    scc_method:
-        Special-SCC detection method, forwarded to
-        :func:`repro.graph.tarjan.find_special_sccs`.
     """
     stopwatch = Stopwatch()
 
@@ -57,7 +53,7 @@ def is_chase_finite_sl(
         graph = build_dependency_graph(tgds)
 
     with stopwatch.measure("t_comp"):
-        special_sccs = find_special_sccs(graph, method=scc_method)
+        special_sccs = find_special_sccs(graph)
         if not special_sccs:
             finite = True
             supported = False

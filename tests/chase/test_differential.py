@@ -6,7 +6,7 @@ variant: same termination verdict, same round count, same number of fired
 triggers and created atoms, and — thanks to content-addressed null naming —
 the exact same instance, atom for atom.  The suite checks this on the three
 literature scenario families (iBench, LUBM, Deep), on randomly generated
-multi-atom TGD sets, and across both store backends.
+multi-atom TGD sets, and across the in-memory and sqlite store backends.
 """
 
 import random
@@ -116,30 +116,31 @@ class TestRandomDifferential:
 
 
 class TestBackendDifferential:
-    """The relational backend must chase to the same instance as the in-memory one."""
+    """The sqlite store, transient or file-backed, must chase to the same
+    instance as the in-memory one."""
 
+    @pytest.mark.parametrize("persistent", [False, True], ids=["memory", "file"])
     @pytest.mark.parametrize("seed", range(10))
-    def test_relational_matches_instance_backend(self, seed):
+    def test_sqlite_matches_instance_backend(self, tmp_path, seed, persistent):
         database, tgds = random_case(seed)
         limits = ChaseLimits(max_atoms=200, max_rounds=12)
         for variant in VARIANTS:
+            backend = f"sqlite:{tmp_path / variant}.db" if persistent else "sqlite"
             memory = chase(database, tgds, variant=variant, limits=limits)
-            relational = chase(
-                database, tgds, variant=variant, limits=limits, backend="relational"
-            )
-            assert memory.terminated == relational.terminated
-            assert memory.atoms_created == relational.atoms_created
-            assert memory.triggers_fired == relational.triggers_fired
-            assert memory.instance == relational.instance
-            # The relational store itself holds the chased atoms (incl. nulls).
-            assert relational.store.atom_count() == len(relational.instance)
-            assert relational.store.to_instance() == memory.instance
+            sqlite = chase(database, tgds, variant=variant, limits=limits, backend=backend)
+            assert memory.terminated == sqlite.terminated
+            assert memory.atoms_created == sqlite.atoms_created
+            assert memory.triggers_fired == sqlite.triggers_fired
+            assert memory.instance == sqlite.instance
+            # The sqlite store itself holds the chased atoms (incl. nulls).
+            assert sqlite.store.atom_count() == len(sqlite.instance)
+            assert sqlite.store.to_instance() == memory.instance
+            sqlite.store.close()
 
-    def test_naive_strategy_on_relational_backend(self):
+    def test_naive_strategy_on_sqlite_backend(self):
         database, tgds = random_case(3)
         limits = ChaseLimits(max_atoms=200, max_rounds=12)
         memory = chase(database, tgds, strategy="naive", limits=limits)
-        relational = chase(
-            database, tgds, strategy="naive", limits=limits, backend="relational"
-        )
-        assert memory.instance == relational.instance
+        sqlite = chase(database, tgds, strategy="naive", limits=limits, backend="sqlite")
+        assert memory.instance == sqlite.instance
+        sqlite.store.close()

@@ -43,11 +43,22 @@ def _program(rules=RULES):
     return parse_database(FACTS), parse_rules(rules)
 
 
+def _backend(backend, tmp_path, name):
+    """Resolve ``sqlite-file`` to a fresh ``sqlite:<path>`` spec per run."""
+    if backend == "sqlite-file":
+        return f"sqlite:{tmp_path / name}.db"
+    return backend
+
+
 class TestLazyMaterialization:
-    @pytest.mark.parametrize("backend", ["relational", "sqlite"])
-    def test_store_backed_result_materializes_at_most_once(self, backend, monkeypatch):
+    @pytest.mark.parametrize("backend", ["sqlite", "sqlite-file"])
+    def test_store_backed_result_materializes_at_most_once(
+        self, backend, tmp_path, monkeypatch
+    ):
         database, tgds = _program()
-        result = chase(database, tgds, backend=backend, materialize=False)
+        result = chase(
+            database, tgds, backend=_backend(backend, tmp_path, "lazy"), materialize=False
+        )
         assert not result.is_materialized
         calls = []
         original = type(result.store).to_instance
@@ -100,11 +111,15 @@ class TestLazyMaterialization:
 
 
 class TestLazyEqualsEager:
-    @pytest.mark.parametrize("backend", ["instance", "relational", "sqlite"])
-    def test_fingerprints_agree(self, backend):
+    @pytest.mark.parametrize("backend", ["instance", "sqlite", "sqlite-file"])
+    def test_fingerprints_agree(self, backend, tmp_path):
         database, tgds = _program()
-        eager = chase(database, tgds, backend=backend, materialize=True)
-        lazy = chase(database, tgds, backend=backend, materialize=False)
+        eager = chase(
+            database, tgds, backend=_backend(backend, tmp_path, "eager"), materialize=True
+        )
+        lazy = chase(
+            database, tgds, backend=_backend(backend, tmp_path, "lazy"), materialize=False
+        )
         # The view iterates sorted like Instance, so the comparison holds
         # before any materialization happens...
         assert tuple(sorted(str(atom) for atom in lazy.view)) == tuple(

@@ -15,7 +15,7 @@ from repro.core.instances import Instance
 from repro.core.parser import parse_database, parse_rules
 from repro.core.substitutions import Substitution, homomorphisms
 from repro.core.terms import Constant, Variable
-from repro.storage.database import RelationalDatabase
+from repro.storage.sqlbackend import SqliteAtomStore
 
 
 def _instance(facts_text):
@@ -56,9 +56,9 @@ class TestHomomorphismsIndexed:
         instance = _instance("R(a,a).\nR(a,b).\nR(b,b).")
         assert len(list(homomorphisms_indexed(tgd.body, instance))) == 2
 
-    def test_works_against_relational_store(self):
+    def test_works_against_sqlite_store(self):
         tgd = _tgd("R(x,y), S(y,z) -> T(x,z)")
-        store = RelationalDatabase.from_database(parse_database("R(a,b).\nS(b,c).\nS(d,e)."))
+        store = SqliteAtomStore.from_database(parse_database("R(a,b).\nS(b,c).\nS(d,e)."))
         results = list(homomorphisms_indexed(tgd.body, store))
         assert len(results) == 1
         assert results[0][Variable("z")] == Constant("c")

@@ -5,6 +5,9 @@ pins the executor's API surface — worker pools, backends, budgets, error
 paths — and the determinism claim on the literature scenarios.
 """
 
+import multiprocessing
+import threading
+
 import pytest
 
 from repro.chase.engine import chase
@@ -19,7 +22,7 @@ from repro.core.instances import Instance
 from repro.core.parser import parse_database, parse_rules
 from repro.exceptions import ChaseLimitExceeded
 from repro.scenarios import build_ibench
-from repro.storage.database import RelationalDatabase
+from repro.storage.sqlbackend import SqliteAtomStore
 
 from tests.chase.test_differential import random_case
 from tests.helpers import chase_result_fingerprint as _fingerprint
@@ -41,26 +44,11 @@ class TestDeterminism:
         database = scenario.store.to_database()
         limits = ChaseLimits(max_atoms=5_000, max_rounds=30)
         expected = _fingerprint(chase(database, scenario.tgds, limits=limits))
-        for executor in ("serial", "thread", "process"):
+        for executor in ("serial", "process"):
             result = parallel_chase(
                 database, scenario.tgds, workers=2, limits=limits, executor=executor
             )
             assert _fingerprint(result) == expected, executor
-
-    def test_process_pool_with_relational_replicas(self):
-        database, tgds = random_case(2)
-        expected = _fingerprint(chase(database, tgds, limits=LIMITS))
-        result = parallel_chase(
-            database,
-            tgds,
-            workers=2,
-            limits=LIMITS,
-            backend="relational",
-            executor="process",
-        )
-        assert _fingerprint(result) == expected
-        assert isinstance(result.store, RelationalDatabase)
-        assert result.store.to_instance() == result.instance
 
     @pytest.mark.parametrize("variant", ("oblivious", "semi-oblivious", "restricted"))
     def test_variants_through_the_delegating_chase_api(self, variant):
@@ -150,15 +138,29 @@ class TestApiSurface:
             parallel_chase(database, tgds, variant="bogus")
         with pytest.raises(ValueError):
             ParallelChaseExecutor(on_limit="bogus")
-        assert set(EXECUTORS) == {"auto", "serial", "thread", "process"}
+        with pytest.raises(ValueError):
+            parallel_chase(database, tgds, executor="thread")
+        assert EXECUTORS == ("auto", "serial", "process")
 
-    def test_auto_picks_processes_for_relational_stores(self):
+    def test_auto_runs_an_instance_in_process_without_threads(self, monkeypatch):
+        started = []
+        monkeypatch.setattr(threading.Thread, "start", started.append)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", started.append)
+        database, tgds = random_case(3)
+        expected = _fingerprint(chase(database, tgds, limits=LIMITS))
+        result = parallel_chase(database, tgds, workers=2, limits=LIMITS)
+        assert _fingerprint(result) == expected
+        assert started == []
+
+    def test_auto_picks_processes_for_sqlite_stores(self):
         executor = ParallelChaseExecutor(workers=2)
-        database = parse_database("R(a,b).")
-        tgds = parse_rules("R(x,y) -> S(y)")
-        result = executor.run(database, tgds, store=RelationalDatabase(name="t"))
-        assert result.terminated
-        assert isinstance(result.store, RelationalDatabase)
+        assert executor._resolve_executor(Instance()) == "serial"
+        with SqliteAtomStore() as store:
+            assert executor._resolve_executor(store) == "process"
+            result = executor.run(
+                parse_database("R(a,b)."), parse_rules("R(x,y) -> S(y)"), store=store
+            )
+            assert result.terminated and result.store is store
 
 
 class TestWorkerDeath:

@@ -34,10 +34,8 @@ VARIANTS = ("oblivious", "semi-oblivious", "restricted")
 #: SQLite.
 STRATEGY_BACKEND_COMBOS = (
     ("naive", "instance"),
-    ("naive", "relational"),
     ("naive", "sqlite"),
     ("indexed", "instance"),
-    ("indexed", "relational"),
     ("indexed", "sqlite"),
     ("sql-pushdown", "sqlite"),
 )
@@ -119,7 +117,7 @@ class TestEdgeCaseGrid:
         expected = _fingerprint(
             chase(database, tgds, variant=variant, strategy="naive", limits=LIMITS)
         )
-        for workers, executor in ((1, "auto"), (2, "serial"), (4, "thread")):
+        for workers, executor in ((1, "auto"), (2, "serial"), (4, "serial")):
             result = parallel_chase(
                 database,
                 tgds,
@@ -142,7 +140,7 @@ class TestEdgeCaseGrid:
         expected = _fingerprint(
             chase(database, tgds, variant=variant, strategy="naive", limits=LIMITS)
         )
-        for workers, executor in ((2, "serial"), (3, "thread")):
+        for workers, executor in ((2, "serial"), (3, "serial")):
             result = parallel_chase(
                 database,
                 tgds,

@@ -2,7 +2,6 @@
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -98,7 +97,7 @@ class TestSpecialSCCs:
         graph, _ = _graph_from_edges(1, [(0, 0, False)])
         assert find_special_sccs(graph) == []
 
-    def test_methods_agree_with_each_other_and_with_networkx(self):
+    def test_agrees_with_networkx(self):
         import networkx as nx
 
         rng = random.Random(5)
@@ -109,8 +108,7 @@ class TestSpecialSCCs:
                 for _ in range(rng.randint(0, 3 * n_nodes))
             ]
             graph, positions = _graph_from_edges(n_nodes, edges)
-            edge_scan = {scc.nodes for scc in find_special_sccs(graph, method="edge-scan")}
-            token = {scc.nodes for scc in find_special_sccs(graph, method="token")}
+            found = {scc.nodes for scc in find_special_sccs(graph)}
             # The definition, on an independent SCC implementation: a component
             # is special iff some special edge has both ends inside it.
             reference = nx.DiGraph()
@@ -121,7 +119,7 @@ class TestSpecialSCCs:
                 for component in nx.strongly_connected_components(reference)
                 if any(s in component and t in component for s, t, special in edges if special)
             }
-            assert edge_scan == token == declared
+            assert found == declared
             assert has_special_cycle(graph) == bool(declared)
 
     def test_special_edge_into_a_closed_component_leaves_no_token_behind(self):
@@ -140,14 +138,9 @@ class TestSpecialSCCs:
         graph, positions = _graph_from_edges(size, chain)
         assert find_special_sccs(graph) == [] and len(find_sccs(graph)) == size
         graph.add_edge(positions[-1], positions[0], True)
-        (cycle,) = find_special_sccs(graph, method="token")
+        (cycle,) = find_special_sccs(graph)
         assert cycle.nodes == frozenset(positions) and cycle.special
         assert cycle.representative() == min(positions)
-
-    def test_unknown_method_rejected(self):
-        graph, _ = _graph_from_edges(1, [])
-        with pytest.raises(ValueError):
-            find_special_sccs(graph, method="bogus")
 
     def test_on_rule_graphs(self):
         finite = build_dependency_graph(parse_rules("R(x,y) -> S(y,z)\nS(x,y) -> T(x)"))

@@ -7,7 +7,7 @@ Three families of properties, all over random programs from
   serial engine, and the hash-partitioned parallel executor (every pool
   kind) produce the *same* ``ChaseResult``: termination verdict, round and
   trigger counts, and the exact instance, null names included;
-* **backend conformance** — the relational and sqlite stores chase to the
+* **backend conformance** — the sqlite store chases to the
   same result as the in-memory instance, serial and parallel, and the
   ``"sql-pushdown"`` strategy (whole compiled set-based rounds) agrees with
   the in-memory engines;
@@ -76,8 +76,8 @@ class TestEngineConformance:
 
         for workers, executor in (
             (1, "serial"),
+            (2, "serial"),
             (3, "serial"),
-            (2, "thread"),
             (2, "process"),  # replicas, pipes, and pickling per example
         ):
             result = parallel_chase(
@@ -91,41 +91,6 @@ class TestEngineConformance:
             assert fingerprint(result) == expected, (
                 f"parallel(workers={workers}, executor={executor}) != naive"
             )
-
-    @given(chase_programs(), st.sampled_from(VARIANTS))
-    def test_relational_backend_conforms(self, program, variant):
-        database, tgds = program
-        note(describe_program(database, tgds))
-        expected = fingerprint(
-            chase(database, tgds, variant=variant, limits=LIMITS)
-        )
-        serial = chase(
-            database, tgds, variant=variant, limits=LIMITS, backend="relational"
-        )
-        assert fingerprint(serial) == expected, "relational serial != instance"
-        assert serial.store.atom_count() == len(serial.instance)
-
-        lazy = chase(
-            database,
-            tgds,
-            variant=variant,
-            limits=LIMITS,
-            backend="relational",
-            materialize=False,
-        )
-        assert_lazy_matches(lazy, expected, "relational lazy")
-
-        parallel = parallel_chase(
-            database,
-            tgds,
-            variant=variant,
-            workers=3,
-            limits=LIMITS,
-            backend="relational",
-            executor="thread",
-        )
-        assert fingerprint(parallel) == expected, "relational parallel != instance"
-        assert parallel.store.atom_count() == len(parallel.instance)
 
     @given(chase_programs(), st.sampled_from(VARIANTS))
     def test_sqlite_backend_conforms(self, program, variant):
@@ -150,7 +115,7 @@ class TestEngineConformance:
         )
         assert_lazy_matches(lazy, expected, "sqlite lazy")
 
-        for workers, executor in ((2, "serial"), (3, "thread"), (2, "process")):
+        for workers, executor in ((2, "serial"), (3, "serial"), (2, "process")):
             # materialize=False across worker counts: the lazy result must
             # stay byte-identical to the eager serial instance too.
             parallel = parallel_chase(
@@ -204,7 +169,7 @@ class TestEngineConformance:
         )
         assert_lazy_matches(lazy, expected, "sql-pushdown lazy")
 
-        for workers, executor in ((2, "serial"), (3, "thread"), (2, "process")):
+        for workers, executor in ((2, "serial"), (3, "serial"), (2, "process")):
             parallel = parallel_chase(
                 database,
                 tgds,
@@ -239,7 +204,7 @@ class TestEngineConformance:
         assert fingerprint(coordinator) == expected, "coordinator != serial"
 
         # in-memory pools across the worker-count grid
-        for workers, executor in ((1, "serial"), (2, "thread"), (4, "serial")):
+        for workers, executor in ((1, "serial"), (2, "serial"), (4, "serial")):
             shuffled = parallel_chase(
                 database,
                 tgds,
@@ -253,18 +218,18 @@ class TestEngineConformance:
                 f"shuffle(workers={workers}, executor={executor}) != serial"
             )
 
-        # the relational store shares the coordinator's backend in-process
-        relational = parallel_chase(
+        # in-process workers share the coordinator's sqlite store
+        shared = parallel_chase(
             database,
             tgds,
             variant=variant,
             workers=4,
             limits=LIMITS,
-            backend="relational",
+            backend="sqlite",
             executor="serial",
             exchange="shuffle",
         )
-        assert fingerprint(relational) == expected, "shuffle relational != serial"
+        assert fingerprint(shared) == expected, "shuffle in-process sqlite != serial"
 
         # process pools: pipe-mesh replicas over sqlite, indexed and
         # compiled-pushdown matching, with a lazy result each
@@ -294,7 +259,7 @@ class TestTracingTransparency:
         """Tracing must never perturb the chase: with a live tracer attached
         the ``ChaseResult`` stays byte-identical to the untraced run — for
         the serial engines on every backend, the compiled pushdown, and the
-        parallel executor's thread and process pools — and the per-round
+        parallel executor's in-process and process pools — and the per-round
         events sum exactly to the run totals."""
         from repro.obs import ListTraceSink, Tracer, round_totals
 
@@ -335,17 +300,6 @@ class TestTracingTransparency:
                 ),
             ),
             (
-                "relational",
-                lambda tracer: chase(
-                    database,
-                    tgds,
-                    variant=variant,
-                    limits=LIMITS,
-                    backend="relational",
-                    tracer=tracer,
-                ),
-            ),
-            (
                 "parallel",
                 lambda tracer: parallel_chase(
                     database,
@@ -353,7 +307,7 @@ class TestTracingTransparency:
                     variant=variant,
                     workers=2,
                     limits=LIMITS,
-                    executor="thread",
+                    executor="serial",
                     tracer=tracer,
                 ),
             ),
@@ -380,7 +334,7 @@ class TestTracingTransparency:
                     limits=LIMITS,
                     backend="sqlite",
                     strategy="sql-pushdown",
-                    executor="thread",
+                    executor="serial",
                     tracer=tracer,
                 ),
             ),
@@ -392,7 +346,7 @@ class TestTracingTransparency:
                     variant=variant,
                     workers=2,
                     limits=LIMITS,
-                    executor="thread",
+                    executor="serial",
                     exchange="shuffle",
                     tracer=tracer,
                 ),

@@ -191,7 +191,6 @@ class TestEndToEnd:
         "backend,strategy",
         (
             ("instance", "indexed"),
-            ("relational", "indexed"),
             ("sqlite", "indexed"),
             ("sqlite", "sql-pushdown"),
             ("sqlite-file", "indexed"),

@@ -11,8 +11,9 @@ trigger engine and the parallel executor silently rely on:
 * null identity surviving storage (the ``_:`` encoding round-trip,
   marker-shaped constant names included — the escape regression);
 * ``atoms_matching`` binding semantics (empty bindings = full relation,
-  out-of-range positions match nothing, arity mismatches are empty rather
-  than errors);
+  nulls bound by identity, out-of-range positions match nothing, arity
+  mismatches are empty rather than errors, inserts after a lookup stay
+  visible);
 * ``atoms_partition`` agreeing with :func:`repro.core.indexing.atom_partition_of`
   so every store — shared or replica — assigns each atom to the same owner.
 
@@ -146,6 +147,50 @@ class AtomStoreContract:
         assert list(loaded.atoms_matching(R, {1: a("z")})) == []
         assert list(loaded.atoms_matching(EMPTY, {0: a("a")})) == []
 
+    def test_empty_bindings_select_the_whole_relation(self, loaded):
+        assert set(loaded.atoms_matching(R, {})) == set(loaded.atoms_with_predicate(R))
+
+    def test_atoms_matching_binds_nulls_by_identity(self, store):
+        with_null = Atom(R, (a("a"), Null("n")))
+        with_constant = Atom(R, (a("a"), a("n")))
+        store.add_atom(with_null)
+        store.add_atom(with_constant)
+        assert list(store.atoms_matching(R, {1: Null("n")})) == [with_null]
+        assert list(store.atoms_matching(R, {1: a("n")})) == [with_constant]
+        assert list(store.atoms_matching(R, {1: Null("m")})) == []
+
+    def test_a_shared_null_joins_across_predicates(self, store):
+        # The trigger engine joins on invented nulls: a null stored under one
+        # predicate must look up the atoms of another that carry it.
+        store.add_atom(Atom(R, (a("a"), Null("n1"))))
+        store.add_atom(Atom(S, (Null("n1"), a("b"), a("c"))))
+        store.add_atom(Atom(S, (Null("n2"), a("b"), a("c"))))
+        assert list(store.atoms_matching(S, {0: Null("n1")})) == [
+            Atom(S, (Null("n1"), a("b"), a("c")))
+        ]
+
+    def test_atoms_added_after_a_lookup_are_found(self, loaded):
+        # A lookup may build a position index lazily; later inserts must
+        # still reach it.
+        assert len(list(loaded.atoms_matching(R, {1: a("c")}))) == 2
+        late = Atom(R, (a("d"), a("c")))
+        assert loaded.add_atom(late)
+        assert late in set(loaded.atoms_matching(R, {1: a("c")}))
+        assert loaded.predicate_cardinality(R) == 4
+
+    def test_has_atom_of_an_unknown_relation_is_false(self, loaded):
+        assert not loaded.has_atom(Atom(EMPTY, (a("a"),)))
+        assert not loaded.has_atom(Atom(Predicate("R", 3), (a("a"), a("b"), a("c"))))
+        assert not loaded.has_atom(Atom(NULLARY, ()))
+
+    def test_iter_atoms_is_the_union_of_the_predicate_scans(self, loaded):
+        scanned = [
+            atom
+            for predicate in loaded.predicates()
+            for atom in loaded.atoms_with_predicate(predicate)
+        ]
+        assert sorted(loaded.iter_atoms()) == sorted(scanned)
+
     def test_atoms_matching_out_of_range_position_is_empty(self, loaded):
         assert list(loaded.atoms_matching(R, {7: a("a")})) == []
 
@@ -180,6 +225,20 @@ class AtomStoreContract:
             seen.extend(part)
         assert set(seen) == everything
         assert len(seen) == len(everything)
+
+    def test_partition_sizes_sum_to_the_cardinality(self, store):
+        for i in range(40):
+            store.add_atom(Atom(R, (a(f"c{i % 7}"), a(f"c{i}"))))
+        sizes = [len(list(store.atoms_partition(R, (0,), 4, index))) for index in range(4)]
+        assert sum(sizes) == store.predicate_cardinality(R) == 40
+
+    def test_nullary_atom_has_exactly_one_owner(self, store):
+        atom = Atom(NULLARY, ())
+        store.add_atom(atom)
+        owners = [
+            index for index in range(3) if list(store.atoms_partition(NULLARY, (), 3, index))
+        ]
+        assert owners == [atom_partition_of(atom, (), 3)]
 
     def test_atoms_partition_of_unknown_predicate_is_empty(self, loaded):
         assert list(loaded.atoms_partition(EMPTY, (), 2, 0)) == []

@@ -1,16 +1,14 @@
 """Tests for the AtomStore protocol and its two implementations."""
 
-import pytest
-
 from repro.core.atoms import Atom
 from repro.core.instances import Instance
 from repro.core.parser import parse_database
 from repro.core.predicates import Predicate
-from repro.core.terms import Constant, Null, Variable
-from repro.exceptions import ValidationError
+from repro.core.terms import Constant, Null
 from repro.storage.atom_store import AtomStore
 from repro.storage.database import RelationalDatabase
 from repro.storage.relation import decode_value, encode_term
+from repro.storage.sqlbackend import SqliteAtomStore
 
 R = Predicate("R", 2)
 
@@ -18,7 +16,9 @@ R = Predicate("R", 2)
 class TestProtocol:
     def test_both_stores_implement_the_protocol(self):
         assert isinstance(Instance(), AtomStore)
-        assert isinstance(RelationalDatabase(), AtomStore)
+        assert isinstance(SqliteAtomStore(), AtomStore)
+        # The FindShapes substrate is not a chase store.
+        assert not isinstance(RelationalDatabase(), AtomStore)
 
 
 class TestTermEncoding:
@@ -39,67 +39,11 @@ class TestTermEncoding:
             assert decode_value(encode_term(Null(name))) == Null(name)
 
     def test_marker_shaped_constants_survive_the_store(self):
-        store = RelationalDatabase()
+        store = SqliteAtomStore()
         tricky = Atom(R, (Constant("_:x"), Null("x")))
         store.add_atom(tricky)
         assert store.has_atom(tricky)
         assert set(store.iter_atoms()) == {tricky}
-
-
-class TestRelationalAtomStore:
-    def test_add_atom_deduplicates(self):
-        store = RelationalDatabase()
-        atom = Atom(R, (Constant("a"), Constant("b")))
-        assert store.add_atom(atom)
-        assert not store.add_atom(atom)
-        assert store.atom_count() == 1
-        assert store.has_atom(atom)
-        assert list(store.iter_atoms()) == [atom]
-
-    def test_add_atom_rejects_non_ground(self):
-        with pytest.raises(ValidationError):
-            RelationalDatabase().add_atom(Atom(R, (Variable("x"), Constant("b"))))
-
-    def test_nulls_survive_storage(self):
-        store = RelationalDatabase()
-        atom = Atom(R, (Constant("a"), Null("n1")))
-        store.add_atom(atom)
-        assert store.has_atom(atom)
-        assert not store.has_atom(Atom(R, (Constant("a"), Constant("n1"))))
-        assert store.to_instance() == Instance([atom])
-
-    def test_cache_picks_up_raw_inserts(self):
-        store = RelationalDatabase()
-        store.create_relation(R)
-        atom = Atom(R, (Constant("a"), Constant("b")))
-        assert not store.has_atom(atom)
-        store.insert("R", ("a", "b"))
-        assert store.has_atom(atom)
-        assert store.predicate_cardinality(R) == 1
-
-    def test_atoms_matching_uses_position_bindings(self):
-        store = RelationalDatabase.from_database(
-            parse_database("R(a,b).\nR(a,c).\nR(b,c).")
-        )
-        hits = list(store.atoms_matching(R, {0: Constant("a")}))
-        assert len(hits) == 2
-        hits = list(store.atoms_matching(R, {0: Constant("a"), 1: Constant("c")}))
-        assert hits == [Atom(R, (Constant("a"), Constant("c")))]
-        assert list(store.atoms_matching(R, {1: Constant("z")})) == []
-        assert list(store.atoms_matching(Predicate("S", 1), {0: Constant("a")})) == []
-
-    def test_arity_mismatch_is_empty_not_error(self):
-        store = RelationalDatabase.from_database(parse_database("R(a,b)."))
-        assert list(store.atoms_matching(Predicate("R", 3))) == []
-        assert store.predicate_cardinality(Predicate("R", 3)) == 0
-
-    def test_drop_relation_clears_the_cache(self):
-        store = RelationalDatabase.from_database(parse_database("R(a,b)."))
-        atom = Atom(R, (Constant("a"), Constant("b")))
-        assert store.has_atom(atom)
-        store.drop_relation("R")
-        assert not store.has_atom(atom)
-        assert store.atom_count() == 0
 
 
 class TestInstanceAtomStore:

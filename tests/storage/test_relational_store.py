@@ -119,6 +119,26 @@ class TestRelationalDatabase:
         assert "R" not in store
         store.drop_relation("R")  # idempotent
 
+    def test_load_database_returns_the_row_count(self):
+        store = RelationalDatabase()
+        assert store.load_database(parse_database("R(a,b).\nR(b,c).\nS(c).")) == 3
+        assert store.row_counts() == {"R": 2, "S": 1}
+
+    def test_schema_includes_empty_relations(self):
+        schema = self._store().schema()
+        assert set(schema) == {R, S}
+
+    def test_relations_are_sorted_by_name(self):
+        store = RelationalDatabase()
+        for predicate in (S, R):
+            store.create_relation(predicate)
+        assert [relation.predicate for relation in store.relations()] == [R, S]
+        assert store.relation_names() == ["R", "S"]
+
+    def test_to_database_with_a_row_limit(self):
+        store = RelationalDatabase.from_database(parse_database("R(a,b).\nR(b,c).\nS(c)."))
+        assert store.to_database(limit_per_relation=1) == parse_database("R(a,b).\nS(c).")
+
 
 class TestPrefixView:
     def _store(self):

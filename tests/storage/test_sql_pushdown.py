@@ -352,8 +352,6 @@ class TestPushdownWiring:
         database, tgds = _join_program()
         with pytest.raises(ValueError, match="requires the sqlite backend"):
             chase(database, tgds, strategy="sql-pushdown")
-        with pytest.raises(ValueError, match="requires the sqlite backend"):
-            chase(database, tgds, strategy="sql-pushdown", backend="relational")
 
     def test_parallel_chase_requires_the_sqlite_backend(self):
         database, tgds = _join_program()

@@ -7,6 +7,8 @@ the store, the pushed-down ``FindShapes``, and the backend-spec parsing the CLI 
 """
 
 import os
+import sqlite3
+import threading
 
 import pytest
 
@@ -45,7 +47,6 @@ def _program():
 class TestBackendSpecs:
     def test_known_backends(self, tmp_path):
         assert isinstance(make_backend_store("instance"), Instance)
-        assert isinstance(make_backend_store("relational"), RelationalDatabase)
         memory = make_backend_store("sqlite")
         assert isinstance(memory, SqliteAtomStore) and not memory.is_persistent
         path = str(tmp_path / "chase.db")
@@ -227,17 +228,17 @@ class TestChaseOnTheSqliteBackend:
     def test_parallel_chase_on_sqlite_backend(self):
         database, tgds = _program()
         expected = fingerprint(chase(database, tgds))
-        for executor in ("serial", "thread", "process"):
+        for executor in ("serial", "process"):
             result = parallel_chase(
                 database, tgds, workers=2, backend="sqlite", executor=executor
             )
             assert fingerprint(result) == expected, executor
             assert isinstance(result.store, SqliteAtomStore)
 
-    def test_thread_pool_over_a_committed_store(self, tmp_path):
-        # A reopened (fully committed) store enters the thread pool with no
-        # transaction open, so the worker threads' first lazy-index writes
-        # race through _begin — the connection lock must serialise them.
+    def test_in_process_pool_over_a_committed_store(self, tmp_path):
+        # A reopened (fully committed) store enters the in-process pool with
+        # no transaction open, so the workers' first lazy-index writes must
+        # open one themselves.
         database, tgds = _program()
         expected = fingerprint(chase(database, tgds))
         path = str(tmp_path / "warm.db")
@@ -245,10 +246,31 @@ class TestChaseOnTheSqliteBackend:
             store.flush()
         reopened = SqliteAtomStore(path=path)
         result = parallel_chase(
-            Database(), tgds, workers=4, store=reopened, executor="thread"
+            Database(), tgds, workers=4, store=reopened, executor="serial"
         )
         assert fingerprint(result) == expected
         reopened.close()
+
+    def test_a_second_thread_is_refused(self):
+        # One thread per store: sqlite3 binds the connection to the thread
+        # that opened it, so another thread fails loudly instead of being
+        # serialised (or hanging) behind a lock.
+        store = SqliteAtomStore.from_database(parse_database(FACTS))
+        errors = []
+
+        def use_store():
+            try:
+                store.has_atom(Atom(R, (Constant("a"), Constant("b"))))
+            except (sqlite3.ProgrammingError, StorageError) as error:
+                errors.append(error)
+
+        worker = threading.Thread(target=use_store)
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert len(errors) == 1
+        assert store.atom_count() == 3
+        store.close()
 
 
 class TestSqliteShapeFinder:

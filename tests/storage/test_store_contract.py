@@ -8,7 +8,6 @@ adding a subclass here.  The harness itself lives in
 """
 
 from repro.core.instances import Instance
-from repro.storage.database import RelationalDatabase
 from repro.storage.sqlbackend import SqliteAtomStore, SqliteOverlayStore
 
 from tests.storage.store_contract import AtomStoreContract
@@ -17,11 +16,6 @@ from tests.storage.store_contract import AtomStoreContract
 class TestInstanceContract(AtomStoreContract):
     def make_store(self, tmp_path):
         return Instance()
-
-
-class TestRelationalDatabaseContract(AtomStoreContract):
-    def make_store(self, tmp_path):
-        return RelationalDatabase(name="contract")
 
 
 class TestSqliteMemoryContract(AtomStoreContract):

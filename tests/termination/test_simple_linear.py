@@ -67,15 +67,6 @@ class TestIsChaseFiniteSL:
         rules2 = parse_rules("S(y) -> T(y,w)\nT(u,v) -> S(v)\nR(x) -> U(x)")
         assert is_chase_finite_sl(parse_database("R(a)."), rules2).finite
 
-    def test_token_scc_method_agrees(self):
-        database = parse_database("R(a,b).")
-        for rules_text in ("R(x,y) -> R(y,z)", "R(x,y) -> S(y,z)"):
-            rules = parse_rules(rules_text)
-            assert (
-                is_chase_finite_sl(database, rules, scc_method="token").finite
-                == is_chase_finite_sl(database, rules, scc_method="edge-scan").finite
-            )
-
     def test_boolean_protocol(self):
         report = is_chase_finite_sl(parse_database("R(a,b)."), parse_rules("R(x,y) -> S(y,z)"))
         assert bool(report) is True

@@ -76,7 +76,7 @@ class TestChaseCommand:
 
     def test_chase_strategy_and_backend_flags(self, join_rule_file, fact_file, capsys):
         for strategy in ("indexed", "naive"):
-            for backend in ("instance", "relational", "sqlite"):
+            for backend in ("instance", "sqlite"):
                 code = main(
                     [
                         "chase",
@@ -250,10 +250,11 @@ class TestErrorPaths:
     def test_unknown_backend(self, rule_file, capsys):
         # --backend is free-form (it must admit sqlite:<path>), so the CLI
         # validates it itself: exit 2 with a one-line message, no traceback.
-        assert main(["chase", "--rules", str(rule_file), "--backend", "oracle"]) == 2
-        stderr = capsys.readouterr().err
-        assert "oracle" in stderr and "sqlite" in stderr
-        assert "Traceback" not in stderr
+        # The retired relational chase backend is just another unknown name.
+        for backend in ("oracle", "relational"):
+            assert main(["chase", "--rules", str(rule_file), "--backend", backend]) == 2
+            (stderr,) = capsys.readouterr().err.splitlines()
+            assert backend in stderr and "sqlite" in stderr
 
     def test_malformed_sqlite_spec(self, rule_file, capsys):
         assert main(["chase", "--rules", str(rule_file), "--backend", "sqlite:"]) == 2
@@ -343,7 +344,7 @@ class TestErrorPaths:
         assert main(argv) == 0
         assert "reached a fixpoint" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("executor", ("serial", "thread"))
+    @pytest.mark.parametrize("executor", ("serial",))
     def test_a_crashed_in_process_worker_is_one_line_and_exit_one(
         self, tmp_path, capsys, monkeypatch, executor
     ):
@@ -365,6 +366,13 @@ class TestErrorPaths:
     def test_unknown_strategy(self, rule_file, capsys):
         self._assert_argparse_rejects(
             ["chase", "--rules", str(rule_file), "--strategy", "psychic"], capsys, "psychic"
+        )
+
+    def test_retired_thread_executor(self, rule_file, capsys):
+        self._assert_argparse_rejects(
+            ["chase", "--rules", str(rule_file), "--parallel", "2", "--executor", "thread"],
+            capsys,
+            "thread",
         )
 
     def test_unknown_variant(self, rule_file, capsys):

@@ -10,7 +10,9 @@ Three guards:
 * **link check** — every relative markdown link in README.md,
   ARCHITECTURE.md, ROADMAP.md, and docs/ must point at a file that exists;
 * **retired estate** — ``benchmarks/``, its artifacts and environment knobs,
-  and the ``sql`` strategy are gone from the tree and from the documentation.
+  and the ``sql`` strategy are gone from the tree and from the documentation;
+  so are the ``thread`` executor, the SQLite connection lock and its lint
+  rule, and the ``relational`` chase backend.
 """
 
 import importlib
@@ -20,8 +22,12 @@ from pathlib import Path
 
 import pytest
 
+from repro.chase.engine import BACKENDS
 from repro.chase.matching import STRATEGIES
+from repro.chase.parallel import EXECUTORS
 from repro.cli import _build_parser
+from repro.storage.database import RelationalDatabase
+from tools.reprolint.checkers import ALL_CHECKERS
 
 REPO = Path(__file__).resolve().parents[1]
 CLI_DOC = REPO / "docs" / "cli.md"
@@ -129,3 +135,14 @@ class TestRetiredEstate:
         assert STRATEGIES == ("indexed", "naive", "sql-pushdown")
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module("repro.storage.sqlbackend.plans")
+
+    def test_one_thread_per_store(self):
+        assert "thread" not in EXECUTORS
+        assert BACKENDS == ("instance", "sqlite")
+        for path in sorted((REPO / "src" / "repro" / "storage").rglob("*.py")):
+            text = path.read_text(encoding="utf-8")
+            for banned in ("_connection_lock", "check_same_thread=False", "import threading"):
+                assert banned not in text, f"{path.relative_to(REPO)}: {banned}"
+        assert "lock-discipline" not in {checker.name for checker in ALL_CHECKERS}
+        assert not hasattr(RelationalDatabase, "add_atom")
+        assert not hasattr(RelationalDatabase, "atoms_matching")

@@ -3,14 +3,9 @@
 The test suite proves the engines *currently* agree — byte-identical
 ``ChaseResult``s across strategies, backends, and worker counts — but each of
 those guarantees rests on coding disciplines that dynamic tests only catch
-when a violation happens to fire (the PR 5 GIL/SQLite-mutex deadlock
-reproduced about one run in four).  This package checks the disciplines
+when a violation happens to fire.  This package checks the disciplines
 themselves, statically, so a violation fails the lint on every run:
 
-``lock-discipline``
-    Every read of ``self._connection`` in the SQLite stores happens under
-    ``self._connection_lock`` (or only ever on call paths that already hold
-    it) — the invariant whose absence caused the PR 5 deadlock.
 ``determinism``
     No unordered ``set`` iteration and no wall-clock / randomness / address
     dependence on the code paths that produce chase results.

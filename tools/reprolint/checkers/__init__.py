@@ -7,12 +7,10 @@ before reporting, so registry order is cosmetic).
 """
 
 from .determinism import DeterminismChecker
-from .lock_discipline import LockDisciplineChecker
 from .process_boundary import ProcessBoundaryChecker
 from .sql_identifiers import SqlIdentifierChecker
 
 ALL_CHECKERS = (
-    LockDisciplineChecker(),
     DeterminismChecker(),
     ProcessBoundaryChecker(),
     SqlIdentifierChecker(),
@@ -21,7 +19,6 @@ ALL_CHECKERS = (
 __all__ = [
     "ALL_CHECKERS",
     "DeterminismChecker",
-    "LockDisciplineChecker",
     "ProcessBoundaryChecker",
     "SqlIdentifierChecker",
 ]

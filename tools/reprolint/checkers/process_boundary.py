@@ -10,7 +10,7 @@ unpicklables out of those crossings:
 
 * ``lambda`` and generator expressions anywhere in a payload — both fail to
   pickle at runtime, but only when that code path fires under the process
-  pool (the serial and thread pools mask the bug).
+  pool (the in-process pool masks the bug).
 * Names or attributes that look like live handles: ``*store``, ``*pool``,
   ``*lock``, ``*conn``/``*connection``, ``*cursor``.  The designed
   exceptions: ``store_spec`` (the picklable description of a store) is

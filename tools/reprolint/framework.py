@@ -11,7 +11,7 @@ Waivers
 A finding is waived by a comment on the finding's line (or a standalone
 comment on the line directly above it)::
 
-    conn.close()  # reprolint: disable=lock-discipline -- <justification>
+    for atom in pending:  # reprolint: disable=determinism -- <justification>
 
 The justification text after ``--`` is mandatory: the waiver *is* the
 documentation of why the invariant may be broken here, so an empty one is
