@@ -1,4 +1,4 @@
-"""Chase engines (oblivious, semi-oblivious, restricted), triggers, and size bounds."""
+"""Chase engines (oblivious, semi-oblivious, restricted), trigger matching, and size bounds."""
 
 from .bounds import bell_number, chase_size_bound, static_simplification_size_bound
 from .engine import (
@@ -16,15 +16,11 @@ from .matching import (
     STRATEGIES,
     IndexedTriggerSource,
     JoinPlan,
-    NaiveTriggerSource,
-    TriggerSource,
-    has_homomorphism_indexed,
-    homomorphisms_indexed,
+    has_homomorphism,
     make_trigger_source,
 )
 from .parallel import EXECUTORS, ParallelChaseExecutor, parallel_chase
 from .result import ChaseLimits, ChaseResult
-from .triggers import Trigger, trigger_count, triggers_on
 
 __all__ = [
     "BACKENDS",
@@ -37,22 +33,16 @@ __all__ = [
     "resolve_engine_class",
     "IndexedTriggerSource",
     "JoinPlan",
-    "NaiveTriggerSource",
-    "TriggerSource",
-    "has_homomorphism_indexed",
-    "homomorphisms_indexed",
+    "has_homomorphism",
     "make_trigger_source",
     "ChaseLimits",
     "ChaseResult",
     "ObliviousChase",
     "RestrictedChase",
     "SemiObliviousChase",
-    "Trigger",
     "bell_number",
     "chase",
     "chase_size_bound",
     "satisfies",
     "static_simplification_size_bound",
-    "trigger_count",
-    "triggers_on",
 ]

@@ -13,16 +13,14 @@ differ only in the firing policy:
 * **restricted** — fire only when the head is not already satisfied by some
   extension of ``h|fr(σ)``.
 
-Orthogonally to the variant, every engine is parameterised by
-
-* a **trigger strategy** — ``"indexed"`` (default) runs the delta-driven
-  :class:`~repro.chase.matching.IndexedTriggerSource`; ``"naive"`` keeps the
-  seed enumeration as a reference implementation for differential testing;
-* a **store** — any :class:`~repro.storage.atom_store.AtomStore`; by default
-  an in-memory :class:`~repro.core.instances.Instance`, but the chase can
-  run directly against a SQLite database (``chase(..., backend="sqlite")``,
-  or ``"sqlite:<path>"`` for a persistent file; see
-  :mod:`repro.storage.sqlbackend`).
+Every engine enumerates triggers through its ``trigger_source`` — the
+delta-driven :class:`~repro.chase.matching.IndexedTriggerSource` — and
+writes into a **store**: any :class:`~repro.storage.atom_store.AtomStore`;
+by default an in-memory :class:`~repro.core.instances.Instance`, but the
+chase can run directly against a SQLite database
+(``chase(..., backend="sqlite")``, or ``"sqlite:<path>"`` for a persistent
+file; see :mod:`repro.storage.sqlbackend`).  ``chase(...,
+strategy="sql-pushdown")`` routes to the set-based SQL executor instead.
 
 The engines run under a :class:`~repro.chase.result.ChaseLimits` budget and
 report whether a fixpoint was reached.  They return a *lazy*
@@ -34,15 +32,14 @@ returns without ever loading a store-backed fixpoint into RAM.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional, Set
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, Set
 
 from ..core.atoms import Atom
 from ..core.instances import Database, Instance
-from ..core.substitutions import has_homomorphism
 from ..core.terms import Null, NullFactory, Term
 from ..core.tgds import TGD, TGDSet
 from ..obs.tracer import as_tracer
-from .matching import STRATEGIES, has_homomorphism_indexed, make_trigger_source
+from .matching import STRATEGIES, IndexedTriggerSource, has_homomorphism, make_trigger_source
 from .result import ChaseLimits, ChaseResult
 from .rounds import RoundOutcome, RoundStep, RuleRow, insert_sorted, run_rounds
 from .triggers import FiringKey, FiringPlan
@@ -87,20 +84,15 @@ class ChaseEngine:
     #: The witness a trigger is keyed by — its firing key and the scope of
     #: the nulls it invents (see :class:`~repro.chase.triggers.FiringPlan`).
     null_scope = "frontier"
+    #: Builds the round matches from the rule tuple: ``initial(store)`` and
+    #: ``delta(store, new_atoms)`` yield ``(rule index, mapping)`` pairs.
+    trigger_source: Callable[[Sequence[TGD]], Any] = IndexedTriggerSource
 
-    def __init__(
-        self,
-        limits: Optional[ChaseLimits] = None,
-        on_limit: str = "return",
-        strategy: str = "indexed",
-    ):
+    def __init__(self, limits: Optional[ChaseLimits] = None, on_limit: str = "return"):
         if on_limit not in ("return", "raise"):
             raise ValueError("on_limit must be 'return' or 'raise'")
-        if strategy not in STRATEGIES:
-            raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
         self.limits = limits if limits is not None else ChaseLimits()
         self.on_limit = on_limit
-        self.strategy = strategy
 
     # ------------------------------------------------------------------ #
     # Variant-specific policy
@@ -146,7 +138,7 @@ class ChaseEngine:
         invention, atom creation) and read the clock around each trigger —
         nothing read there flows into any chase decision.
         """
-        source = make_trigger_source(tgds, self.strategy)
+        source = self.trigger_source(tgds)
         plans = [FiringPlan(tgd, index, self.null_scope) for index, tgd in enumerate(tgds)]
         null_factory = NullFactory()
         should_fire = self._should_fire
@@ -225,9 +217,9 @@ class RestrictedChase(ChaseEngine):
     The head-satisfaction check looks for a homomorphism from the head atoms
     into the current instance that agrees with ``h`` on the frontier; this is
     the potentially expensive check the paper contrasts with the
-    semi-oblivious policy (Section 1.2).  Under the ``"indexed"`` strategy
-    the check runs through the same position-index lookups as trigger
-    enumeration instead of scanning whole predicate buckets.
+    semi-oblivious policy (Section 1.2).  The check runs through the same
+    position-index lookups as trigger enumeration (point queries on the
+    sqlite backend).
 
     A restricted-chase trigger can become relevant again only with the same
     frontier assignment, and once satisfied the head stays satisfied (the
@@ -245,11 +237,7 @@ class RestrictedChase(ChaseEngine):
 
     def _should_fire(self, plan: FiringPlan, mapping: Mapping[Term, Term], store) -> bool:
         base = {variable: mapping[variable] for variable in plan.variables}
-        if self.strategy == "naive":
-            return not has_homomorphism(plan.tgd.head, store, base=base)
-        # "indexed" satisfies the check through the store's position-index
-        # lookups (point queries on the sqlite backend).
-        return not has_homomorphism_indexed(plan.tgd.head, store, base=base)
+        return not has_homomorphism(plan.tgd.head, store, base=base)
 
 
 #: Chase variant -> engine class (public so the parallel executor can reuse
@@ -257,7 +245,6 @@ class RestrictedChase(ChaseEngine):
 ENGINE_CLASSES = {
     "oblivious": ObliviousChase,
     "semi-oblivious": SemiObliviousChase,
-    "semi_oblivious": SemiObliviousChase,
     "restricted": RestrictedChase,
 }
 
@@ -269,7 +256,7 @@ def resolve_engine_class(variant: str):
     except KeyError:
         raise ValueError(
             f"unknown chase variant {variant!r}; "
-            f"expected one of {sorted(set(ENGINE_CLASSES))}"
+            f"expected one of {sorted(ENGINE_CLASSES)}"
         ) from None
 
 
@@ -301,12 +288,11 @@ def chase(
         exhausted, ``"raise"`` to raise :class:`ChaseLimitExceeded`.
     strategy:
         ``"indexed"`` (default) for the delta-driven index-join trigger
-        engine, ``"naive"`` for the seed reference enumeration,
-        ``"sql-pushdown"`` to execute *whole rounds* as set-based SQL —
-        one ``INSERT ... SELECT`` batch per (rule, delta round) with
+        engine, ``"sql-pushdown"`` to execute *whole rounds* as set-based
+        SQL — one ``INSERT ... SELECT`` batch per (rule, delta round) with
         in-SQL null invention, and a single recursive CTE for linear rule
         sets (see :mod:`repro.storage.sqlbackend.pushdown`); it requires
-        the sqlite backend.
+        the sqlite backend.  Anything else is a ``ValueError``.
     backend:
         ``"instance"`` (default) chases into an in-memory
         :class:`Instance`; ``"sqlite"`` into a transient SQLite database
@@ -343,6 +329,8 @@ def chase(
         observation only: the result is byte-identical with or without it.
     """
     engine_class = resolve_engine_class(variant)
+    if strategy not in STRATEGIES:
+        raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
     tracer = as_tracer(tracer)
     traced = tracer.enabled
     if traced:
@@ -401,7 +389,7 @@ def chase(
             )
         engine = PushdownExecutor(variant=variant, limits=limits, on_limit=on_limit)
     else:
-        engine = engine_class(limits=limits, on_limit=on_limit, strategy=strategy)
+        engine = engine_class(limits=limits, on_limit=on_limit)
     try:
         result = engine.run(database, tgds, store=store, tracer=tracer)
     finally:
@@ -446,11 +434,10 @@ def _emit_chase_end(tracer, result: ChaseResult, started: float) -> None:
 
 def satisfies(instance: Instance, tgds: Iterable[TGD]) -> bool:
     """Return ``True`` when *instance* satisfies every TGD of *tgds* (``I |= Σ``)."""
-    from ..core.substitutions import homomorphisms
-
-    for tgd in tgds:
-        for body_hom in homomorphisms(tgd.body, instance):
-            base = {variable: body_hom[variable] for variable in tgd.frontier()}
-            if not has_homomorphism(tgd.head, instance, base=base):
-                return False
+    rules = tuple(tgds)
+    for index, mapping in make_trigger_source(rules).initial(instance):
+        tgd = rules[index]
+        base = {variable: mapping[variable] for variable in tgd.frontier()}
+        if not has_homomorphism(tgd.head, instance, base=base):
+            return False
     return True

@@ -1,10 +1,9 @@
 """Indexed, delta-driven trigger matching (the semi-naive join subsystem).
 
-The naive reference path (:func:`repro.chase.triggers.triggers_on`) treats a
-round's trigger enumeration as a full backtracking join over whole
-per-predicate buckets and, for multi-atom bodies, enumerates *all*
-homomorphisms before post-filtering against the round's frontier.  This
-module replaces that with the two classic database techniques:
+Every homomorphism search of the chase runs through :func:`_join` — round
+enumeration, the parallel workers' seeded plans, the restricted chase's
+head-satisfaction check and :func:`repro.chase.engine.satisfies`.  It
+applies the two classic database techniques:
 
 * **index intersection** — candidate atoms for a body atom are resolved
   through the store's ``(predicate, position, term)`` hash indexes
@@ -18,10 +17,12 @@ module replaces that with the two classic database techniques:
   exactly once thanks to the standard ordering trick: when slot ``j`` is
   the seed, slots before ``j`` may only match *old* (pre-delta) atoms.
 
-Both paths work against any :class:`repro.storage.atom_store.AtomStore`
+The search works against any :class:`repro.storage.atom_store.AtomStore`
 (:class:`~repro.core.instances.Instance` or
 :class:`~repro.storage.sqlbackend.SqliteAtomStore`), which is what lets the
-chase run unchanged over either backend.
+chase run unchanged over either backend.  The seed engine's bucket-scan
+enumeration survives only as the fuzz oracle's reference
+(:mod:`repro.fuzz.reference`).
 """
 
 from __future__ import annotations
@@ -33,34 +34,30 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    Mapping,
     Optional,
     Sequence,
     Tuple,
-    cast,
 )
 
-from ..core.atoms import Atom
+from ..core.atoms import Atom, match_atom
 from ..core.indexing import partition_hash
-from ..core.instances import Instance
 from ..core.predicates import Predicate
-from ..core.substitutions import Substitution, match_atom
 from ..core.terms import Constant, Term
 from ..core.tgds import TGD
-from .triggers import triggers_on
 
 if TYPE_CHECKING:  # pragma: no cover - typing only; keeps storage out of module load
     from ..storage.atom_store import AtomStore
 
 #: One enumerated trigger as the firing loops consume it: ``(rule index, body
-#: homomorphism)``; ``Trigger(tgd, index, Substitution(mapping))`` wraps one.
+#: homomorphism)``.
 Match = Tuple[int, Dict[Term, Term]]
 
-#: Trigger-engine strategies accepted by the chase engines and ``chase()``.
-#: ``"indexed"`` and ``"naive"`` are trigger sources; ``"sql-pushdown"``
-#: applies *whole rounds* as set-based SQL batches inside the sqlite backend
-#: (see :mod:`repro.storage.sqlbackend.pushdown`) — it is routed by
-#: :func:`repro.chase.engine.chase` rather than through a trigger source.
-STRATEGIES = ("indexed", "naive", "sql-pushdown")
+#: Chase strategies accepted by ``chase()``, ``parallel_chase()`` and the
+#: CLI.  ``"indexed"`` runs the engines over :class:`IndexedTriggerSource`;
+#: ``"sql-pushdown"`` applies *whole rounds* as set-based SQL batches inside
+#: the sqlite backend (see :mod:`repro.storage.sqlbackend.pushdown`).
+STRATEGIES = ("indexed", "sql-pushdown")
 
 
 def _bound_positions(pattern: Atom, mapping: Dict[Term, Term]) -> Dict[int, Term]:
@@ -122,31 +119,15 @@ def _join(
             yield extended
 
 
-def homomorphisms_indexed(
+def has_homomorphism(
     atoms: Sequence[Atom],
     store: "AtomStore",
-    base: Optional[Dict[Term, Term]] = None,
-) -> Iterator[Substitution]:
-    """Enumerate homomorphisms from *atoms* into *store* via the position indexes.
-
-    Drop-in indexed replacement for
-    :func:`repro.core.substitutions.homomorphisms`; works against any
-    :class:`~repro.storage.atom_store.AtomStore`.
-    """
-    patterns = tuple(atoms)
-    for assignment in _join(
-        store, patterns, tuple(range(len(patterns))), dict(base or {}), None, -1
-    ):
-        yield Substitution(assignment)
-
-
-def has_homomorphism_indexed(
-    atoms: Sequence[Atom],
-    store: "AtomStore",
-    base: Optional[Dict[Term, Term]] = None,
+    base: Optional[Mapping[Term, Term]] = None,
 ) -> bool:
-    """Return ``True`` when some homomorphism from *atoms* into *store* exists."""
-    for _ in homomorphisms_indexed(atoms, store, base):
+    """Return ``True`` when some homomorphism from *atoms* into *store* extends *base*."""
+    patterns = tuple(atoms)
+    mapping = dict(base or {})
+    for _ in _join(store, patterns, tuple(range(len(patterns))), mapping, None, -1):
         return True
     return False
 
@@ -239,49 +220,14 @@ class JoinPlan:
             yield mapping
 
 
-class TriggerSource:
-    """Produces the matches of each breadth-first chase round.
-
-    ``initial`` enumerates every trigger on the seed store (round 0);
-    ``delta`` enumerates only the triggers created by the atoms added in the
-    previous round.  Both yield :data:`Match` pairs.
-    """
-
-    def initial(self, store: "AtomStore") -> Iterator[Match]:
-        raise NotImplementedError
-
-    def delta(self, store: "AtomStore", new_atoms: Iterable[Atom]) -> Iterator[Match]:
-        raise NotImplementedError
-
-
-class NaiveTriggerSource(TriggerSource):
-    """The seed engine's enumeration, kept as the differential-testing reference."""
-
-    def __init__(self, tgds: Sequence[TGD]) -> None:
-        self.tgds = tuple(tgds)
-
-    def initial(self, store: "AtomStore") -> Iterator[Match]:
-        return self._matches(store, None)
-
-    def delta(self, store: "AtomStore", new_atoms: Iterable[Atom]) -> Iterator[Match]:
-        return self._matches(store, new_atoms)
-
-    def _matches(
-        self, store: "AtomStore", restrict_to_atoms: Optional[Iterable[Atom]]
-    ) -> Iterator[Match]:
-        # triggers_on only reads atoms_with_predicate, which every store has.
-        instance = cast(Instance, store)
-        for trigger in triggers_on(self.tgds, instance, restrict_to_atoms=restrict_to_atoms):
-            yield trigger.tgd_index, trigger.homomorphism.as_dict()
-
-
-class IndexedTriggerSource(TriggerSource):
+class IndexedTriggerSource:
     """Delta-driven enumeration through :class:`JoinPlan` index joins.
 
     For every TGD body atom slot whose predicate matches a delta atom, the
-    precomputed plan for that slot is executed with the delta atom as seed.
-    This gives multi-atom bodies the same "only new triggers" guarantee the
-    naive path only had for linear TGDs.
+    precomputed plan for that slot is executed with the delta atom as seed,
+    so a round enumerates only the triggers its delta created.  ``initial``
+    enumerates every trigger on the seed store (round 0); both yield
+    :data:`Match` pairs.
     """
 
     def __init__(self, tgds: Sequence[TGD]) -> None:
@@ -307,16 +253,6 @@ class IndexedTriggerSource(TriggerSource):
                     yield index, mapping
 
 
-def make_trigger_source(tgds: Sequence[TGD], strategy: str = "indexed") -> TriggerSource:
-    """Build the :class:`TriggerSource` for *strategy* (one of :data:`STRATEGIES`)."""
-    if strategy == "indexed":
-        return IndexedTriggerSource(tgds)
-    if strategy == "naive":
-        return NaiveTriggerSource(tgds)
-    if strategy == "sql-pushdown":
-        raise ValueError(
-            "the 'sql-pushdown' strategy applies whole rounds through "
-            "compiled SQL statements and does not enumerate triggers; run "
-            "it via repro.chase.engine.chase(strategy='sql-pushdown')"
-        )
-    raise ValueError(f"unknown trigger strategy {strategy!r}; expected one of {STRATEGIES}")
+def make_trigger_source(tgds: Sequence[TGD]) -> IndexedTriggerSource:
+    """Build the trigger source the chase engines enumerate *tgds* with."""
+    return IndexedTriggerSource(tgds)

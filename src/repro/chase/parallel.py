@@ -96,7 +96,7 @@ from .exchange import (
     SkewDetector,
     iter_frames,
 )
-from .matching import JoinPlan
+from .matching import STRATEGIES, JoinPlan
 from .result import ChaseLimits, ChaseResult
 from .rounds import RoundOutcome, RoundStep, RuleRow, insert_atoms, insert_sorted, run_rounds
 from .triggers import FiringKey, FiringPlan
@@ -1383,11 +1383,8 @@ class ParallelChaseExecutor:
             raise ValueError("on_limit must be 'return' or 'raise'")
         if executor not in EXECUTORS:
             raise ValueError(f"executor must be one of {EXECUTORS}, got {executor!r}")
-        if strategy not in ("indexed", "sql-pushdown"):
-            raise ValueError(
-                "the parallel chase runs the 'indexed' or 'sql-pushdown' "
-                f"matching engines, got {strategy!r}"
-            )
+        if strategy not in STRATEGIES:
+            raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
         if exchange not in EXCHANGES:
             raise ValueError(f"exchange must be one of {EXCHANGES}, got {exchange!r}")
         resolve_engine_class(variant)  # validate eagerly
@@ -1597,11 +1594,8 @@ def parallel_chase(
     — atoms, null names, round and trigger counts — to the serial
     engine's, for every worker count and executor kind.
     """
-    if strategy not in ("indexed", "sql-pushdown"):
-        raise ValueError(
-            "the parallel chase runs the 'indexed' or 'sql-pushdown' "
-            f"matching engines, got {strategy!r}"
-        )
+    if strategy not in STRATEGIES:
+        raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
     if store is None:
         store = make_backend_store(backend)
     if strategy == "sql-pushdown":

@@ -10,15 +10,12 @@ frontier restriction of ``h``, and the variable itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Sequence, Tuple
 
 from ..core.atoms import Atom
-from ..core.instances import Instance
 from ..core.predicates import Predicate
-from ..core.substitutions import Substitution, homomorphisms, match_atom
 from ..core.terms import NullFactory, NullKeyRenderer, Term, Variable
-from ..core.tgds import TGD, TGDSet
+from ..core.tgds import TGD
 
 #: ``h`` restricted to a plan's witness variables, sorted by variable name.
 Witness = Tuple[Tuple[Variable, Term], ...]
@@ -38,8 +35,8 @@ class FiringPlan:
     Compiled once per rule and run, so a match — a body homomorphism as a
     plain mapping — becomes its firing key and its ``result(σ, h)`` without
     re-deriving, per trigger, which variables are frontier, their order, or
-    which head slots are existential.  The one implementation of both: the
-    engines' firing loops call it, and :class:`Trigger` delegates to it.
+    which head slots are existential.  The one implementation of both: every
+    firing loop calls it.
 
     ``null_scope`` selects the witness: ``"frontier"`` is ``h|fr(σ)`` — the
     semi-oblivious firing key and the null naming ``⊥^x_{σ, h|fr(σ)}`` of
@@ -106,78 +103,3 @@ class FiringPlan:
         return tuple(
             [Atom(predicate, [values[slot] for slot in slots]) for predicate, slots in self._head]
         )
-
-
-@dataclass(frozen=True)
-class Trigger:
-    """A trigger ``(σ, h)`` together with the index of ``σ`` in its TGD set.
-
-    ``tgd_index`` disambiguates syntactically equal TGDs that may appear in
-    different rule sets and keys the invented nulls, mirroring the paper's
-    ``⊥^x_{σ, h|fr(σ)}`` naming scheme.  Keys and results come from the
-    rule's :class:`FiringPlan`, which the engines' firing loops call directly.
-    """
-
-    tgd: TGD
-    tgd_index: int
-    homomorphism: Substitution
-
-    def _key(self, null_scope: str) -> FiringKey:
-        return FiringPlan(self.tgd, self.tgd_index, null_scope).key(self.homomorphism)
-
-    def frontier_assignment(self) -> Witness:
-        """Return ``h|fr(σ)`` as a sorted, hashable tuple of pairs."""
-        return self._key("frontier")[1]
-
-    def semi_oblivious_key(self) -> FiringKey:
-        """Key under which the semi-oblivious chase fires this trigger at most once."""
-        return self._key("frontier")
-
-    def oblivious_key(self) -> FiringKey:
-        """Key under which the oblivious chase fires this trigger at most once."""
-        return self._key("homomorphism")
-
-    def result(self, null_factory: NullFactory, null_scope: str = "frontier") -> Tuple[Atom, ...]:
-        """Compute ``result(σ, h)``: the head atoms with nulls for existential
-        variables, named under *null_scope* (see :class:`FiringPlan`)."""
-        plan = FiringPlan(self.tgd, self.tgd_index, null_scope)
-        return plan.result(plan.key(self.homomorphism), null_factory)
-
-
-def triggers_on(
-    tgds: Sequence[TGD], instance: Instance, restrict_to_atoms: Optional[Iterable[Atom]] = None
-) -> Iterator[Trigger]:
-    """Enumerate ``T(Σ, I)``: all triggers for *tgds* on *instance*.
-
-    When *restrict_to_atoms* is given (a collection of atoms), only
-    homomorphisms that use at least one of those atoms for some body atom are
-    produced.  The chase engines use this to enumerate only the *new*
-    triggers created by the atoms added in the previous round, which is what
-    keeps round ``i`` from re-discovering every trigger of rounds ``< i``.
-    """
-    restricted = None if restrict_to_atoms is None else set(restrict_to_atoms)
-    for index, tgd in enumerate(tgds):
-        if restricted is not None and len(tgd.body) == 1:
-            # Fast path for linear TGDs: a new trigger must match one of the
-            # newly added atoms, so enumerate those directly instead of
-            # re-scanning the whole relation every round.
-            body_atom = tgd.body[0]
-            # reprolint: disable=determinism -- candidate order cannot reach results: triggers dedupe by firing key, nulls are content-addressed, and round inserts are sorted before seq assignment
-            for candidate in restricted:
-                if candidate.predicate != body_atom.predicate:
-                    continue
-                assignment = match_atom(body_atom, candidate, None)
-                if assignment is not None:
-                    yield Trigger(tgd, index, Substitution(assignment))
-            continue
-        for substitution in homomorphisms(tgd.body, instance):
-            if restricted is not None:
-                images = substitution.apply_all(tgd.body)
-                if not any(atom in restricted for atom in images):
-                    continue
-            yield Trigger(tgd, index, substitution)
-
-
-def trigger_count(tgds: TGDSet, instance: Instance) -> int:
-    """Return ``|T(Σ, I)|`` — mostly useful in tests and diagnostics."""
-    return sum(1 for _ in triggers_on(tuple(tgds), instance))

@@ -6,9 +6,8 @@ Subcommands
     Run a termination check on a rule file (and optional fact file).
 ``chase``
     Run one of the chase engines on a rule file (and optional fact file),
-    choosing the variant, the trigger strategy
-    (indexed/naive/sql-pushdown), and the store backend
-    (instance/sqlite[:path]).
+    choosing the variant, the strategy (indexed/sql-pushdown), and the
+    store backend (instance/sqlite[:path]).
 ``run``
     Regenerate one of the paper's figures or tables and print its rows
     (optionally writing them to CSV).
@@ -33,7 +32,7 @@ Examples
 
     repro-experiments check --rules rules.txt --facts data.txt
     repro-experiments chase --rules rules.txt --facts data.txt --variant restricted
-    repro-experiments chase --rules rules.txt --strategy naive --backend sqlite
+    repro-experiments chase --rules rules.txt --backend sqlite
     repro-experiments chase --rules rules.txt --backend sqlite:chase.db --strategy sql-pushdown
     repro-experiments chase --rules rules.txt --backend sqlite:chase.db --no-materialize
     repro-experiments chase --rules rules.txt --parallel 4
@@ -121,9 +120,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--strategy",
         choices=STRATEGIES,
         default="indexed",
-        help="trigger engine: delta-driven index joins, the naive reference, "
-        "or sql-pushdown — whole set-based rounds compiled into SQLite "
-        "(default: indexed)",
+        help="chase engine: indexed (delta-driven index joins, the default) "
+        "or sql-pushdown (whole set-based rounds compiled into SQLite)",
     )
     chase_cmd.add_argument(
         "--backend",
@@ -388,13 +386,6 @@ def _command_chase(args) -> int:
 
     if args.parallel < 1:
         print("--parallel must be >= 1", file=sys.stderr)
-        return 2
-    if args.parallel > 1 and args.strategy not in ("indexed", "sql-pushdown"):
-        print(
-            "--parallel runs the indexed or sql-pushdown engines; drop "
-            f"--strategy {args.strategy} or use --parallel 1",
-            file=sys.stderr,
-        )
         return 2
     try:
         store = make_backend_store(args.backend)

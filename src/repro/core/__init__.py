@@ -1,6 +1,6 @@
-"""Logical core: terms, atoms, predicates, TGDs, instances, homomorphisms, parsing."""
+"""Logical core: terms, atoms, predicates, TGDs, instances, parsing."""
 
-from .atoms import Atom, positions_of, schema_of, variables_of
+from .atoms import Atom, match_atom, positions_of, schema_of, variables_of
 from .instances import Database, Instance, induced_database
 from .parser import (
     load_database,
@@ -21,7 +21,6 @@ from .serializer import (
     serialize_rules,
     serialize_tgd,
 )
-from .substitutions import Substitution, has_homomorphism, homomorphisms, is_homomorphism, match_atom
 from .terms import (
     Constant,
     Null,
@@ -47,7 +46,6 @@ __all__ = [
     "Position",
     "Predicate",
     "Schema",
-    "Substitution",
     "TGD",
     "TGDSet",
     "Term",
@@ -55,12 +53,9 @@ __all__ = [
     "constants",
     "dump_database",
     "dump_rules",
-    "has_homomorphism",
-    "homomorphisms",
     "induced_database",
     "is_constant",
     "is_ground",
-    "is_homomorphism",
     "is_null",
     "is_variable",
     "load_database",

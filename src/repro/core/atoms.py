@@ -7,7 +7,7 @@ additionally produces atoms whose arguments may be labeled nulls.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
 
 from ..exceptions import ValidationError
 from .predicates import Position, Predicate
@@ -132,6 +132,31 @@ def atom_sort_key(atom: Atom) -> List[Union[str, int]]:
         key.append(type(term).__name__)
         key.append(term.name)
     return key
+
+
+def match_atom(
+    pattern: Atom, target: Atom, base: Optional[Dict[Term, Term]] = None
+) -> Optional[Dict[Term, Term]]:
+    """Try to extend *base* into a mapping that sends *pattern* onto *target*.
+
+    Returns the extended mapping (a fresh dict), or ``None`` when no
+    consistent extension exists.  Constants in the pattern must match
+    verbatim: a homomorphism is the identity on constants.
+    """
+    if pattern.predicate != target.predicate:
+        return None
+    mapping = dict(base or {})
+    for source, image in zip(pattern.terms, target.terms):
+        if isinstance(source, Constant):
+            if source != image:
+                return None
+            continue
+        bound = mapping.get(source)
+        if bound is None:
+            mapping[source] = image
+        elif bound != image:
+            return None
+    return mapping
 
 
 def variables_of(atoms: Iterable[Atom]) -> Set[Variable]:

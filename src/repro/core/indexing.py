@@ -107,9 +107,9 @@ def _encode_key(value: object, out: List[str]) -> None:
 def stable_key_hash(key: object) -> int:
     """A stable, process-independent hash of a chase firing key.
 
-    Firing keys (:meth:`repro.chase.triggers.Trigger.semi_oblivious_key` and
-    friends) are nested tuples of ints, strings, and ground terms.  The
-    shuffle exchange assigns each key a unique owning worker by hashing it,
+    Firing keys (:meth:`repro.chase.triggers.FiringPlan.key`) are nested
+    tuples of ints, strings, and ground terms.  The shuffle exchange assigns
+    each key a unique owning worker by hashing it,
     and — like :func:`partition_hash` — that assignment must agree between
     the coordinator and every process replica, so the hash is a CRC over a
     type-tagged recursive encoding rather than Python's randomized ``hash``.

@@ -163,7 +163,7 @@ class NullFactory:
     the same witnesses produce identically named nulls regardless of the
     order in which triggers were enumerated.  This is what lets the
     delta-driven trigger engine (and any future parallel/sharded chase) be
-    compared atom-for-atom against the naive reference engine.
+    compared atom-for-atom against the naive reference chase.
     """
 
     def __init__(self, prefix="n"):

@@ -1,7 +1,9 @@
 """Differential fuzzing harness for the chase engines.
 
 See :mod:`repro.fuzz.harness` for the loop, :mod:`repro.fuzz.oracles` for
-the oracle catalogue, and ``docs/fuzzing.md`` for the operator's guide.
+the oracle catalogue, :mod:`repro.fuzz.reference` for the naive reference
+chase the oracles compare against, and ``docs/fuzzing.md`` for the
+operator's guide.
 """
 
 from .corpus import (
@@ -37,6 +39,7 @@ from .oracles import (
     result_fingerprint,
     run_all_oracles,
 )
+from .reference import reference_chase
 from .shrink import program_size, shrink
 
 __all__ = [
@@ -64,6 +67,7 @@ __all__ = [
     "mutate_many",
     "parse_case",
     "program_size",
+    "reference_chase",
     "render_case",
     "replay_case",
     "replay_corpus",

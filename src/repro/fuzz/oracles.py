@@ -5,8 +5,8 @@ Four oracle families, mirroring the claims the test suite makes piecewise:
 * **round-trip** — ``parse(serialize(program)) == program`` for both the
   rule set and the database, through the real :mod:`repro.core.parser`;
 * **byte-identity** — every (strategy × backend × pool) combination produces
-  the same :func:`chase_result_fingerprint` as the naive in-memory reference,
-  for every chase variant;
+  the same :func:`result_fingerprint` as the naive in-memory reference
+  (:func:`repro.fuzz.reference.reference_chase`), for every chase variant;
 * **budget accounting** — each result's internal bookkeeping is coherent:
   ``size == seed atoms + atoms_created``, ``terminated ⇔ fixpoint``, the
   stop reason is one of the documented three and consistent with the limits;
@@ -21,6 +21,7 @@ program can surface several independent disagreements in a single run.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..chase.engine import chase
@@ -34,6 +35,7 @@ from ..core.tgds import TGDSet
 from ..exceptions import ReproError
 from ..termination.linear import is_chase_finite_l
 from ..termination.materialization import is_chase_finite_materialization
+from .reference import reference_chase
 
 #: Same default budget as the property-based conformance suite: small enough
 #: that non-terminating programs produce a comparable deterministic prefix.
@@ -73,9 +75,8 @@ class PoolCombo:
         return label
 
 
-#: The reference combo comes first; every later combo is compared against it.
+#: The product's serial combos; each is compared against the reference run.
 SERIAL_COMBOS: Tuple[Combo, ...] = (
-    Combo("naive", "instance"),
     Combo("indexed", "instance"),
     Combo("indexed", "sqlite"),
     Combo("sql-pushdown", "sqlite"),
@@ -223,23 +224,39 @@ def check_engine_identity(
     pools: str = "quick",
     variants: Sequence[str] = VARIANTS,
 ) -> List[Divergence]:
-    """Run every configured combo and compare against the naive reference."""
+    """Run every configured combo and compare it against the reference chase."""
     divergences: List[Divergence] = []
-    pool_combos = POOL_PROFILES[pools]
     seed_atoms = len(database)
     for variant in variants:
-        reference: Optional[tuple] = None
-        for combo in SERIAL_COMBOS:
-            subject = f"{variant} {combo.label}"
-            try:
-                result = chase(
-                    database,
-                    tgds,
-                    variant=variant,
-                    strategy=combo.strategy,
-                    backend=combo.backend,
+        runs: List[Tuple[str, Callable[[], ChaseResult]]] = [
+            ("reference/instance", partial(reference_chase, database, tgds, variant, limits))
+        ]
+        runs += [
+            (
+                combo.label,
+                partial(
+                    chase, database, tgds, variant=variant, strategy=combo.strategy,
+                    backend=combo.backend, limits=limits,
+                ),
+            )
+            for combo in SERIAL_COMBOS
+        ]
+        runs += [
+            (
+                pool.label,
+                partial(
+                    parallel_chase, database, tgds, variant=variant, workers=pool.workers,
+                    executor=pool.executor, backend=pool.backend, exchange=pool.exchange,
                     limits=limits,
-                )
+                ),
+            )
+            for pool in POOL_PROFILES[pools]
+        ]
+        reference: Optional[tuple] = None
+        for label, run in runs:
+            subject = f"{variant} {label}"
+            try:
+                result = run()
             except ReproError as error:
                 divergences.append(
                     Divergence("identity", subject, f"raised {type(error).__name__}: {error}")
@@ -250,34 +267,6 @@ def check_engine_identity(
             if reference is None:
                 reference = fingerprint
             elif fingerprint != reference:
-                divergences.append(
-                    Divergence(
-                        "identity", subject, _diff_fingerprints(reference, fingerprint)
-                    )
-                )
-        if reference is None:
-            continue
-        for pool in pool_combos:
-            subject = f"{variant} {pool.label}"
-            try:
-                result = parallel_chase(
-                    database,
-                    tgds,
-                    variant=variant,
-                    workers=pool.workers,
-                    executor=pool.executor,
-                    backend=pool.backend,
-                    exchange=pool.exchange,
-                    limits=limits,
-                )
-            except ReproError as error:
-                divergences.append(
-                    Divergence("identity", subject, f"raised {type(error).__name__}: {error}")
-                )
-                continue
-            divergences.extend(check_budget_accounting(result, seed_atoms, limits, subject))
-            fingerprint = result_fingerprint(result)
-            if fingerprint != reference:
                 divergences.append(
                     Divergence(
                         "identity", subject, _diff_fingerprints(reference, fingerprint)

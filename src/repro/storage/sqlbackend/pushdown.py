@@ -369,7 +369,7 @@ class PushdownExecutor:
     ``NOT EXISTS`` check must observe round-start snapshots.
     """
 
-    VARIANTS = ("oblivious", "semi-oblivious", "semi_oblivious", "restricted")
+    VARIANTS = ("oblivious", "semi-oblivious", "restricted")
 
     def __init__(
         self,
@@ -385,7 +385,7 @@ class PushdownExecutor:
             raise ValueError(f"on_limit must be 'return' or 'raise', got {on_limit!r}")
         from ...chase.result import ChaseLimits
 
-        self.variant = "semi-oblivious" if variant == "semi_oblivious" else variant
+        self.variant = variant
         self.limits = limits if limits is not None else ChaseLimits()
         self.on_limit = on_limit
 

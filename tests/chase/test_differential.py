@@ -1,7 +1,7 @@
-"""Differential tests: the delta-driven indexed trigger engine vs the naive seed engine.
+"""Differential tests: the delta-driven indexed trigger engine vs the naive reference.
 
-The indexed engine (``strategy="indexed"``) must be observationally
-equivalent to the seed enumeration (``strategy="naive"``) on every chase
+The indexed engine must be observationally equivalent to the seed
+enumeration (:func:`repro.fuzz.reference.reference_chase`) on every chase
 variant: same termination verdict, same round count, same number of fired
 triggers and created atoms, and — thanks to content-addressed null naming —
 the exact same instance, atom for atom.  The suite checks this on the three
@@ -20,16 +20,17 @@ from repro.core.instances import Database
 from repro.core.predicates import Predicate
 from repro.core.terms import Constant, Variable
 from repro.core.tgds import TGD, TGDSet
+from repro.fuzz.reference import reference_chase
 from repro.scenarios import build_deep, build_ibench, build_lubm
 
 VARIANTS = ("oblivious", "semi-oblivious", "restricted")
 
 
 def assert_engines_agree(database, tgds, limits, variants=VARIANTS):
-    """Assert naive and indexed engines produce identical ChaseResults."""
+    """Assert the reference and the indexed engine produce identical ChaseResults."""
     for variant in variants:
-        old = chase(database, tgds, variant=variant, strategy="naive", limits=limits)
-        new = chase(database, tgds, variant=variant, strategy="indexed", limits=limits)
+        old = reference_chase(database, tgds, variant, limits)
+        new = chase(database, tgds, variant=variant, limits=limits)
         context = f"variant={variant}"
         assert old.terminated == new.terminated, context
         assert old.stop_reason == new.stop_reason, context
@@ -137,10 +138,10 @@ class TestBackendDifferential:
             assert sqlite.store.to_instance() == memory.instance
             sqlite.store.close()
 
-    def test_naive_strategy_on_sqlite_backend(self):
+    def test_reference_matches_the_sqlite_backend(self):
         database, tgds = random_case(3)
         limits = ChaseLimits(max_atoms=200, max_rounds=12)
-        memory = chase(database, tgds, strategy="naive", limits=limits)
-        sqlite = chase(database, tgds, strategy="naive", limits=limits, backend="sqlite")
-        assert memory.instance == sqlite.instance
+        reference = reference_chase(database, tgds, limits=limits)
+        sqlite = chase(database, tgds, limits=limits, backend="sqlite")
+        assert reference.instance == sqlite.instance
         sqlite.store.close()

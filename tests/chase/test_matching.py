@@ -5,16 +5,13 @@ import pytest
 from repro.chase.matching import (
     IndexedTriggerSource,
     JoinPlan,
-    NaiveTriggerSource,
-    has_homomorphism_indexed,
-    homomorphisms_indexed,
+    has_homomorphism,
     make_trigger_source,
 )
-from repro.chase.triggers import Trigger
 from repro.core.instances import Instance
 from repro.core.parser import parse_database, parse_rules
-from repro.core.substitutions import Substitution, homomorphisms
 from repro.core.terms import Constant, Variable
+from repro.fuzz.reference import NaiveTriggerSource, homomorphisms
 from repro.storage.sqlbackend import SqliteAtomStore
 
 
@@ -26,42 +23,59 @@ def _tgd(rules_text):
     return next(iter(parse_rules(rules_text)))
 
 
-class TestHomomorphismsIndexed:
-    def test_matches_naive_enumeration(self):
+def _body_matches(tgd, store):
+    """The body homomorphisms of *tgd* the indexed source enumerates on *store*."""
+    return [mapping for _, mapping in IndexedTriggerSource((tgd,)).initial(store)]
+
+
+def _as_set(mappings):
+    return {frozenset(mapping.items()) for mapping in mappings}
+
+
+class TestIndexedHomomorphisms:
+    def test_matches_the_reference_enumeration(self):
         tgd = _tgd("R(x,y), S(y,z), R(z,w) -> T(x,w)")
         instance = _instance("R(a,b).\nR(b,c).\nR(c,d).\nS(b,c).\nS(c,a).\nS(d,d).")
-        naive = set(homomorphisms(tgd.body, instance))
-        indexed = set(homomorphisms_indexed(tgd.body, instance))
-        assert naive == indexed
+        reference = _as_set(homomorphisms(tgd.body, instance))
+        indexed = _as_set(_body_matches(tgd, instance))
+        assert reference == indexed
         assert len(indexed) > 0
 
     def test_base_assignment_is_respected(self):
         tgd = _tgd("R(x,y) -> T(x)")
         instance = _instance("R(a,b).\nR(c,d).")
-        base = {Variable("x"): Constant("a")}
-        results = list(homomorphisms_indexed(tgd.body, instance, base=base))
-        assert len(results) == 1
-        assert results[0][Variable("y")] == Constant("b")
+        x, y = Variable("x"), Variable("y")
+        assert has_homomorphism(tgd.body, instance, base={x: Constant("a")})
+        assert has_homomorphism(tgd.body, instance, base={x: Constant("a"), y: Constant("b")})
+        assert not has_homomorphism(tgd.body, instance, base={x: Constant("a"), y: Constant("d")})
 
-    def test_has_homomorphism_indexed(self):
+    def test_has_homomorphism(self):
         tgd = _tgd("R(x,y), S(y,z) -> T(x)")
         instance = _instance("R(a,b).\nS(b,c).")
-        assert has_homomorphism_indexed(tgd.body, instance)
-        assert not has_homomorphism_indexed(
+        assert has_homomorphism(tgd.body, instance)
+        assert not has_homomorphism(
             tgd.body, instance, base={Variable("y"): Constant("c")}
         )
+
+    def test_the_base_mapping_is_not_mutated(self):
+        tgd = _tgd("R(x,y), S(y,z) -> T(x)")
+        base = {Variable("x"): Constant("a")}
+        assert has_homomorphism(tgd.body, _instance("R(a,b).\nS(b,c)."), base=base)
+        assert base == {Variable("x"): Constant("a")}
 
     def test_repeated_variables_prune_via_index(self):
         tgd = _tgd("R(x,x) -> T(x)")
         instance = _instance("R(a,a).\nR(a,b).\nR(b,b).")
-        assert len(list(homomorphisms_indexed(tgd.body, instance))) == 2
+        assert len(_body_matches(tgd, instance)) == 2
 
     def test_works_against_sqlite_store(self):
         tgd = _tgd("R(x,y), S(y,z) -> T(x,z)")
         store = SqliteAtomStore.from_database(parse_database("R(a,b).\nS(b,c).\nS(d,e)."))
-        results = list(homomorphisms_indexed(tgd.body, store))
+        results = _body_matches(tgd, store)
         assert len(results) == 1
         assert results[0][Variable("z")] == Constant("c")
+        assert has_homomorphism(tgd.body, store, base={Variable("z"): Constant("c")})
+        assert not has_homomorphism(tgd.body, store, base={Variable("z"): Constant("e")})
 
 
 class TestJoinPlan:
@@ -82,7 +96,7 @@ class TestJoinPlan:
         instance = _instance("R(a,b).\nS(b,c).\nS(b,d).")
         seed = next(a for a in instance if a.predicate.name == "R")
         plan = JoinPlan(tgd.body, 0)
-        images = {Substitution(m)[Variable("z")] for m in plan.matches(instance, seed)}
+        images = {m[Variable("z")] for m in plan.matches(instance, seed)}
         assert images == {Constant("c"), Constant("d")}
 
     def test_delta_excludes_earlier_slots(self):
@@ -106,31 +120,26 @@ class TestTriggerSources:
         return tgds, instance
 
     @staticmethod
-    def _triggers(tgds, matches):
-        # Sources yield (rule index, mapping) matches; the Definition-3.1
-        # object is built from one.
-        return [Trigger(tgds[index], index, Substitution(mapping)) for index, mapping in matches]
+    def _triggers(matches):
+        return [(index, frozenset(mapping.items())) for index, mapping in matches]
 
-    def test_initial_agrees_with_naive(self):
+    def test_initial_agrees_with_the_reference(self):
         tgds, instance = self._setup()
-        naive = self._triggers(tgds, NaiveTriggerSource(tgds).initial(instance))
-        indexed = self._triggers(tgds, IndexedTriggerSource(tgds).initial(instance))
-        assert len(naive) == 2  # R(a,b) joins S(b,c) and S(b,d)
-        assert set(naive) == set(indexed)
+        reference = self._triggers(NaiveTriggerSource(tgds).initial(instance))
+        indexed = self._triggers(IndexedTriggerSource(tgds).initial(instance))
+        assert len(reference) == 2  # R(a,b) joins S(b,c) and S(b,d)
+        assert set(reference) == set(indexed)
 
-    def test_delta_agrees_with_naive_and_has_no_duplicates(self):
+    def test_delta_agrees_with_the_reference_and_has_no_duplicates(self):
         tgds, instance = self._setup()
         new = set(parse_database("R(e,b).\nS(b,f).").atoms())
         for atom in new:
             instance.add(atom)
-        naive = self._triggers(tgds, NaiveTriggerSource(tgds).delta(instance, new))
-        indexed = self._triggers(tgds, IndexedTriggerSource(tgds).delta(instance, new))
-        assert set(naive) == set(indexed)
+        reference = self._triggers(NaiveTriggerSource(tgds).delta(instance, new))
+        indexed = self._triggers(IndexedTriggerSource(tgds).delta(instance, new))
+        assert set(reference) == set(indexed)
         assert len(indexed) == len(set(indexed))  # semi-naive dedup: no duplicates
 
     def test_make_trigger_source(self):
         tgds, _ = self._setup()
-        assert isinstance(make_trigger_source(tgds, "indexed"), IndexedTriggerSource)
-        assert isinstance(make_trigger_source(tgds, "naive"), NaiveTriggerSource)
-        with pytest.raises(ValueError):
-            make_trigger_source(tgds, "quantum")
+        assert isinstance(make_trigger_source(tgds), IndexedTriggerSource)

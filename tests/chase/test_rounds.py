@@ -5,7 +5,8 @@ emission, sorted insertion, the per-round flush and the result.  The first
 half of this file drives it with a scripted step and a recording fake store
 (no engine runs), so every clause of that contract has a test that names it.
 The second half checks the other side of the seam: every real round step —
-serial, coordinator-merge, shuffle, the pushdown tiers — produces the same
+serial, the fuzz oracle's naive reference, coordinator-merge, shuffle, the
+pushdown tiers — produces the same
 per-round ``(round, fired, atoms_created)`` stream under the driver.
 """
 
@@ -16,6 +17,7 @@ from repro.chase.result import ChaseLimits
 from repro.chase.rounds import RoundOutcome, RuleRow, insert_atoms, insert_sorted, run_rounds
 from repro.core.parser import parse_atom, parse_database, parse_rules
 from repro.exceptions import ChaseLimitExceeded
+from repro.fuzz.reference import REFERENCE_ENGINES
 from repro.generators import generate_skew_workload
 from repro.obs import ListTraceSink, ManualClock, Tracer
 from repro.storage.sqlbackend import SqliteAtomStore
@@ -253,7 +255,7 @@ LINEAR_CYCLE = (LINEAR[0], LINEAR[1] + "\nE(x) -> A(x,w)")
 #: and skew programs and the recursive-CTE tier on the linear one.
 STEPS = {
     "serial-indexed": {},
-    "serial-naive": {"strategy": "naive"},
+    "reference": {"reference": True},
     "coordinator-serial": {"workers": 2, "executor": "serial"},
     "coordinator-process": {"workers": 2, "executor": "process"},
     "shuffle-serial": {"workers": 2, "executor": "serial", "exchange": "shuffle"},
@@ -265,9 +267,13 @@ STEPS = {
 }
 
 
-def _round_stream(database, tgds, limits, **options):
+def _round_stream(database, tgds, limits, reference=False, **options):
     sink = ListTraceSink()
-    chase(database, tgds, limits=limits, tracer=Tracer(sink), **options)
+    if reference:
+        engine = REFERENCE_ENGINES["semi-oblivious"](limits=limits)
+        engine.run(database, tgds, tracer=Tracer(sink))
+    else:
+        chase(database, tgds, limits=limits, tracer=Tracer(sink), **options)
     return [
         (event["round"], event["fired"], event["atoms_created"])
         for event in sink.events

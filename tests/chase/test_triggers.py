@@ -1,92 +1,93 @@
-"""Unit tests for repro.chase.triggers."""
+"""Unit tests for repro.chase.triggers, over the reference trigger enumeration."""
 
 import pytest
 
-from repro.chase.triggers import FiringPlan, Trigger, trigger_count, triggers_on
+from repro.chase.matching import IndexedTriggerSource
+from repro.chase.triggers import FiringPlan
 from repro.core.atoms import Atom
 from repro.core.instances import Instance
 from repro.core.parser import parse_database, parse_rules
 from repro.core.predicates import Predicate
-from repro.core.substitutions import Substitution
 from repro.core.terms import Constant, Null, NullFactory, Variable
 from repro.core.tgds import TGD
+from repro.fuzz.reference import triggers_on
+
+
+def _triggers(rules_text, facts_text, restrict_to_atoms=None):
+    """``(plan, mapping)`` per trigger the reference enumerates."""
+    rules = tuple(parse_rules(rules_text))
+    instance = Instance(parse_database(facts_text).atoms())
+    return [
+        (FiringPlan(rules[index], index), mapping)
+        for index, mapping in triggers_on(rules, instance, restrict_to_atoms)
+    ]
 
 
 def _single_trigger(rules_text, facts_text):
-    rules = parse_rules(rules_text)
-    instance = Instance(parse_database(facts_text).atoms())
-    triggers = list(triggers_on(tuple(rules), instance))
+    triggers = _triggers(rules_text, facts_text)
     assert len(triggers) == 1
     return triggers[0]
 
 
+def _result(plan, mapping, factory):
+    return plan.result(plan.key(mapping), factory)
+
+
 class TestTriggerEnumeration:
     def test_counts_one_per_homomorphism(self):
-        rules = parse_rules("R(x,y) -> S(y,z)")
-        instance = Instance(parse_database("R(a,b).\nR(b,c).").atoms())
-        assert trigger_count(rules, instance) == 2
+        assert len(_triggers("R(x,y) -> S(y,z)", "R(a,b).\nR(b,c).")) == 2
 
     def test_repeated_body_variable_restricts_matches(self):
-        rules = parse_rules("R(x,x) -> S(x,z)")
-        instance = Instance(parse_database("R(a,a).\nR(a,b).").atoms())
-        assert trigger_count(rules, instance) == 1
+        assert len(_triggers("R(x,x) -> S(x,z)", "R(a,a).\nR(a,b).")) == 1
 
     def test_restrict_to_atoms_filters(self):
-        rules = parse_rules("R(x,y) -> S(y,z)")
-        database = parse_database("R(a,b).\nR(b,c).")
-        instance = Instance(database.atoms())
         new_atom = next(iter(parse_database("R(b,c).")))
-        restricted = list(triggers_on(tuple(rules), instance, restrict_to_atoms={new_atom}))
+        restricted = _triggers("R(x,y) -> S(y,z)", "R(a,b).\nR(b,c).", {new_atom})
         assert len(restricted) == 1
-        assert restricted[0].homomorphism[Variable("x")] == Constant("b")
+        assert restricted[0][1][Variable("x")] == Constant("b")
 
     def test_multi_body_restriction_keeps_joins_touching_new_atoms(self):
-        rules = parse_rules("R(x,y), S(y,w) -> T(x,w)")
-        instance = Instance(parse_database("R(a,b).\nS(b,c).").atoms())
         new_atom = next(iter(parse_database("S(b,c).")))
-        restricted = list(triggers_on(tuple(rules), instance, restrict_to_atoms={new_atom}))
+        restricted = _triggers("R(x,y), S(y,w) -> T(x,w)", "R(a,b).\nS(b,c).", {new_atom})
         assert len(restricted) == 1
 
 
 class TestTriggerResults:
     def test_frontier_variables_are_copied(self):
-        trigger = _single_trigger("R(x,y) -> S(y,z)", "R(a,b).")
-        atoms = trigger.result(NullFactory())
+        plan, mapping = _single_trigger("R(x,y) -> S(y,z)", "R(a,b).")
+        atoms = _result(plan, mapping, NullFactory())
         assert len(atoms) == 1
         assert atoms[0].terms[0] == Constant("b")
         assert atoms[0].terms[1].name  # a null
 
     def test_null_is_deterministic_per_trigger_and_variable(self):
-        trigger = _single_trigger("R(x,y) -> S(y,z), T(z)", "R(a,b).")
+        plan, mapping = _single_trigger("R(x,y) -> S(y,z), T(z)", "R(a,b).")
         factory = NullFactory()
-        first = trigger.result(factory)
-        second = trigger.result(factory)
+        first = _result(plan, mapping, factory)
+        second = _result(plan, mapping, factory)
         assert first == second
         # The same existential variable z is mapped to the same null in both head atoms.
         assert first[0].terms[1] == first[1].terms[0]
 
     def test_semi_oblivious_key_ignores_non_frontier_variables(self):
-        rules = parse_rules("R(x,y) -> S(y,z)")
-        instance = Instance(parse_database("R(a,b).\nR(c,b).").atoms())
-        triggers = list(triggers_on(tuple(rules), instance))
-        keys = {trigger.semi_oblivious_key() for trigger in triggers}
+        triggers = _triggers("R(x,y) -> S(y,z)", "R(a,b).\nR(c,b).")
+        keys = {plan.key(mapping) for plan, mapping in triggers}
         assert len(triggers) == 2
         assert len(keys) == 1  # same frontier witness y=b
 
     def test_oblivious_key_distinguishes_full_homomorphisms(self):
-        rules = parse_rules("R(x,y) -> S(y,z)")
-        instance = Instance(parse_database("R(a,b).\nR(c,b).").atoms())
-        triggers = list(triggers_on(tuple(rules), instance))
-        keys = {trigger.oblivious_key() for trigger in triggers}
+        triggers = _triggers("R(x,y) -> S(y,z)", "R(a,b).\nR(c,b).")
+        keys = {
+            FiringPlan(plan.tgd, plan.index, "homomorphism").key(mapping)
+            for plan, mapping in triggers
+        }
         assert len(keys) == 2
 
     def test_different_tgd_indices_key_different_nulls(self):
-        rules = parse_rules("R(x,y) -> S(y,z)\nT(x,y) -> S(y,z)")
-        instance = Instance(parse_database("R(a,b).\nT(a,b).").atoms())
         factory = NullFactory()
         atoms = set()
-        for trigger in triggers_on(tuple(rules), instance):
-            atoms.update(trigger.result(factory))
+        for plan, mapping in _triggers("R(x,y) -> S(y,z)\nT(x,y) -> S(y,z)", "R(a,b).\nT(a,b)."):
+            atoms.update(_result(plan, mapping, factory))
         assert len(atoms) == 2  # two distinct nulls, one per TGD
 
 
@@ -140,7 +141,7 @@ EDGE_RULES = (
 
 
 class TestFiringPlan:
-    """The compiled plan ≡ Definition 3.1, and ``Trigger`` delegates to it."""
+    """The compiled plan ≡ Definition 3.1."""
 
     @pytest.mark.parametrize("null_scope", ["frontier", "homomorphism"])
     @pytest.mark.parametrize("case", EDGE_RULES, ids=[case[0] for case in EDGE_RULES])
@@ -153,23 +154,19 @@ class TestFiringPlan:
         assert plan.result(key, NullFactory()) == expected_atoms
 
     @pytest.mark.parametrize("case", EDGE_RULES, ids=[case[0] for case in EDGE_RULES])
-    def test_trigger_methods_delegate_with_unchanged_results(self, case):
+    def test_both_enumerations_find_the_homomorphism(self, case):
+        # Over the body's own image, the reference and the indexed source
+        # each enumerate exactly the homomorphism the plan is keyed on.
         _, tgd, homomorphism = case
-        trigger = Trigger(tgd, 4, Substitution(homomorphism))
-        frontier_key, frontier_atoms = _definition_3_1(tgd, 4, homomorphism, "frontier")
-        body_key, body_atoms = _definition_3_1(tgd, 4, homomorphism, "homomorphism")
-        assert trigger.frontier_assignment() == frontier_key[1]
-        assert trigger.semi_oblivious_key() == frontier_key
-        assert trigger.oblivious_key() == body_key
-        assert trigger.result(NullFactory()) == frontier_atoms
-        assert trigger.result(NullFactory(), null_scope="homomorphism") == body_atoms
+        instance = Instance(atom.substitute(homomorphism) for atom in tgd.body)
+        assert [mapping for _, mapping in triggers_on((tgd,), instance)] == [homomorphism]
+        indexed = IndexedTriggerSource((tgd,)).initial(instance)
+        assert [mapping for _, mapping in indexed] == [homomorphism]
 
     def test_an_unknown_null_scope_is_rejected_when_the_plan_is_built(self):
         tgd = _rule("R(x,y) -> S(y,z)")
         with pytest.raises(ValueError, match="null_scope"):
             FiringPlan(tgd, 0, "body")
-        with pytest.raises(ValueError, match="null_scope"):
-            Trigger(tgd, 0, Substitution({_X: _A, _Y: _B})).result(NullFactory(), null_scope="body")
 
     def test_the_result_is_a_function_of_the_key_alone(self):
         # Two body homomorphisms with one frontier witness: one key, one result.

@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.atoms import Atom, atom_sort_key, positions_of, schema_of, variables_of
+from repro.core.atoms import (
+    Atom,
+    atom_sort_key,
+    match_atom,
+    positions_of,
+    schema_of,
+    variables_of,
+)
 from repro.core.predicates import Position, Predicate
 from repro.core.terms import Constant, Null, Variable
 from repro.exceptions import ValidationError
@@ -118,3 +125,25 @@ class TestAtomSortKey:
         assert Atom(R, (a, b)) < Atom(R, (b, a)) < Atom(S, (a, a, a))
         assert Atom(R, (a, a)) < Atom(R, (n1, a))  # "Constant" sorts before "Null"
         assert max(Atom(R, (a, b)), Atom(R, (a, n1))) == Atom(R, (a, n1))
+
+
+class TestMatchAtom:
+    def test_basic_match(self):
+        assert match_atom(Atom(R, (x, y)), Atom(R, (a, b))) == {x: a, y: b}
+
+    def test_predicate_mismatch(self):
+        assert match_atom(Atom(R, (x, y)), Atom(Predicate("T", 2), (a, b))) is None
+
+    def test_repeated_variable_requires_equal_values(self):
+        assert match_atom(Atom(R, (x, x)), Atom(R, (a, a))) == {x: a}
+        assert match_atom(Atom(R, (x, x)), Atom(R, (a, b))) is None
+
+    def test_constants_match_verbatim(self):
+        assert match_atom(Atom(R, (a, y)), Atom(R, (a, b))) == {y: b}
+        assert match_atom(Atom(R, (a, y)), Atom(R, (b, b))) is None
+
+    def test_base_is_respected_and_left_unchanged(self):
+        base = {x: a}
+        assert match_atom(Atom(R, (x, y)), Atom(R, (a, b)), {x: b}) is None
+        assert match_atom(Atom(R, (x, y)), Atom(R, (a, b)), base) == {x: a, y: b}
+        assert base == {x: a}

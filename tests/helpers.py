@@ -102,16 +102,6 @@ def revert_quote_aware_comments(monkeypatch) -> None:
     monkeypatch.setattr(parser_module, "_FACT_TOKENS", re.compile(r"[(),%#]|//"))
 
 
-def atoms_equal_modulo_nulls(left, right) -> bool:
-    """Compare two instances ignoring the concrete names of nulls (isomorphism test)."""
-    from repro.core.substitutions import homomorphisms
-    from repro.core.instances import Instance
-
-    left_instance = Instance(left.atoms()) if not isinstance(left, Instance) else left
-    right_instance = Instance(right.atoms()) if not isinstance(right, Instance) else right
-    return len(left_instance) == len(right_instance)
-
-
 @st.composite
 def predicates(draw):
     """Draw a predicate from the small pool."""

@@ -3,7 +3,7 @@
 Three families of properties, all over random programs from
 ``tests/property/strategies.py``:
 
-* **engine conformance** — the naive reference enumeration, the indexed
+* **engine conformance** — the naive reference chase, the indexed
   serial engine, and the hash-partitioned parallel executor (every pool
   kind) produce the *same* ``ChaseResult``: termination verdict, round and
   trigger counts, and the exact instance, null names included;
@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 from repro.chase.engine import chase
 from repro.chase.parallel import parallel_chase
 from repro.chase.result import ChaseLimits
+from repro.fuzz.reference import reference_chase
 from repro.termination.linear import is_chase_finite_l
 from repro.termination.materialization import is_chase_finite_materialization
 
@@ -61,18 +62,13 @@ def assert_lazy_matches(lazy, expected_fingerprint, label):
 
 class TestEngineConformance:
     @given(chase_programs(), st.sampled_from(VARIANTS))
-    def test_parallel_equals_serial_equals_naive(self, program, variant):
+    def test_parallel_equals_serial_equals_reference(self, program, variant):
         database, tgds = program
         note(describe_program(database, tgds))
-        reference = chase(
-            database, tgds, variant=variant, strategy="naive", limits=LIMITS
-        )
-        expected = fingerprint(reference)
+        expected = fingerprint(reference_chase(database, tgds, variant, LIMITS))
 
-        indexed = chase(
-            database, tgds, variant=variant, strategy="indexed", limits=LIMITS
-        )
-        assert fingerprint(indexed) == expected, "indexed serial != naive"
+        indexed = chase(database, tgds, variant=variant, limits=LIMITS)
+        assert fingerprint(indexed) == expected, "indexed serial != reference"
 
         for workers, executor in (
             (1, "serial"),
@@ -89,7 +85,7 @@ class TestEngineConformance:
                 executor=executor,
             )
             assert fingerprint(result) == expected, (
-                f"parallel(workers={workers}, executor={executor}) != naive"
+                f"parallel(workers={workers}, executor={executor}) != reference"
             )
 
     @given(chase_programs(), st.sampled_from(VARIANTS))
@@ -259,15 +255,14 @@ class TestTracingTransparency:
         """Tracing must never perturb the chase: with a live tracer attached
         the ``ChaseResult`` stays byte-identical to the untraced run — for
         the serial engines on every backend, the compiled pushdown, and the
-        parallel executor's in-process and process pools — and the per-round
-        events sum exactly to the run totals."""
+        parallel executor's in-process and process pools; that result is the
+        reference chase's — and the per-round events sum exactly to the run
+        totals."""
         from repro.obs import ListTraceSink, Tracer, round_totals
 
         database, tgds = program
         note(describe_program(database, tgds))
-        expected = fingerprint(
-            chase(database, tgds, variant=variant, limits=LIMITS)
-        )
+        expected = fingerprint(reference_chase(database, tgds, variant, LIMITS))
 
         for label, run in (
             (
@@ -285,17 +280,6 @@ class TestTracingTransparency:
                     limits=LIMITS,
                     backend="sqlite",
                     strategy="sql-pushdown",
-                    tracer=tracer,
-                ),
-            ),
-            (
-                "naive",
-                lambda tracer: chase(
-                    database,
-                    tgds,
-                    variant=variant,
-                    limits=LIMITS,
-                    strategy="naive",
                     tracer=tracer,
                 ),
             ),
@@ -356,7 +340,7 @@ class TestTracingTransparency:
             tracer = Tracer(sink, tool="chase")
             result = run(tracer)
             tracer.close()
-            assert fingerprint(result) == expected, f"traced {label} != untraced"
+            assert fingerprint(result) == expected, f"traced {label} != untraced reference"
             fired, atoms = round_totals(sink.events)
             assert fired == result.triggers_fired, f"{label}: round-event fired sum"
             assert atoms == result.atoms_created, f"{label}: round-event atom sum"

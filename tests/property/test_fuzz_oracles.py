@@ -21,7 +21,6 @@ import random
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.chase.engine import chase
 from repro.core.atoms import Atom
 from repro.core.instances import Database
 from repro.core.terms import Constant
@@ -32,6 +31,7 @@ from repro.fuzz import (
     check_budget_accounting,
     check_round_trip,
     mutate_many,
+    reference_chase,
 )
 from repro.generators.adversarial import GNARLY_CONSTANTS
 
@@ -68,9 +68,9 @@ def test_round_trip_oracle_is_clean_on_gnarly_programs(program):
 @given(chase_programs())
 def test_budget_accounting_oracle_is_clean_on_random_programs(program):
     database, tgds = program
-    result = chase(database, tgds, limits=DEFAULT_LIMITS)
+    result = reference_chase(database, tgds, limits=DEFAULT_LIMITS)
     divergences = check_budget_accounting(
-        result, len(database), DEFAULT_LIMITS, "naive/instance"
+        result, len(database), DEFAULT_LIMITS, "reference/instance"
     )
     assert not divergences, "\n".join(
         [str(d) for d in divergences] + [describe_program(database, tgds)]

@@ -15,9 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.core.atoms import Atom
+from repro.core.atoms import Atom, match_atom
 from repro.core.predicates import Predicate
-from repro.core.substitutions import match_atom
 from repro.core.terms import Term, Variable
 from repro.core.tgds import TGD, TGDSet
 from repro.simplification.shapes import Shape, resolve_shapes, simplify_atom

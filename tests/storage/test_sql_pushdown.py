@@ -22,7 +22,6 @@ import json
 import pytest
 
 from repro.chase.engine import chase, make_backend_store
-from repro.chase.matching import make_trigger_source
 from repro.chase.parallel import parallel_chase
 from repro.chase.result import ChaseLimits
 from repro.core.parser import parse_database, parse_rules
@@ -364,27 +363,21 @@ class TestPushdownWiring:
             with pytest.raises(ValueError, match="indexed"):
                 parallel_chase(database, tgds, workers=2, strategy=strategy)
 
-    def test_trigger_source_routes_elsewhere(self):
-        # sql-pushdown is not a per-trigger enumeration strategy; asking
-        # the trigger-source factory for it must say where to go instead.
-        _, tgds = _join_program()
-        with pytest.raises(ValueError, match="does not enumerate triggers"):
-            make_trigger_source(tuple(tgds), "sql-pushdown")
-
     def test_executor_validates_its_configuration(self):
-        with pytest.raises(ValueError, match="unknown chase variant"):
-            PushdownExecutor(variant="core")
+        for variant in ("core", "semi_oblivious"):
+            with pytest.raises(ValueError, match="unknown chase variant"):
+                PushdownExecutor(variant=variant)
         with pytest.raises(ValueError, match="on_limit"):
             PushdownExecutor(on_limit="ignore")
         database, tgds = _join_program()
         with pytest.raises(ValueError, match="requires a SqliteAtomStore"):
             PushdownExecutor().run(database, tgds, store=None)
 
-    def test_executor_accepts_the_underscore_variant_alias(self):
+    def test_executor_run_matches_the_engine(self):
         database, tgds = _join_program()
         expected = fingerprint(chase(database, tgds, variant="semi-oblivious"))
         store = SqliteAtomStore()
-        result = PushdownExecutor("semi_oblivious").run(database, tgds, store)
+        result = PushdownExecutor("semi-oblivious").run(database, tgds, store)
         result.materialize()
         assert fingerprint(result) == expected
         store.close()

@@ -13,7 +13,6 @@ import threading
 import pytest
 
 from repro.chase.engine import chase, make_backend_store
-from repro.chase.matching import make_trigger_source
 from repro.chase.parallel import parallel_chase
 from repro.chase.result import ChaseLimits
 from repro.core.atoms import Atom
@@ -195,9 +194,10 @@ class TestPersistence:
 
 class TestChaseOnTheSqliteBackend:
     def test_unknown_strategy_is_a_value_error(self):
-        _, tgds = _program()
-        with pytest.raises(ValueError, match="unknown trigger strategy"):
-            make_trigger_source(tuple(tgds), "psychic")
+        database, tgds = _program()
+        for strategy in ("psychic", "naive"):
+            with pytest.raises(ValueError, match="strategy must be one of"):
+                chase(database, tgds, strategy=strategy, backend="sqlite")
 
     def test_pushdown_under_an_atom_budget_stops_at_the_same_round(self):
         database, tgds = _program()

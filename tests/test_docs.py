@@ -12,7 +12,8 @@ Three guards:
 * **retired estate** — ``benchmarks/``, its artifacts and environment knobs,
   and the ``sql`` strategy are gone from the tree and from the documentation;
   so are the ``thread`` executor, the SQLite connection lock and its lint
-  rule, and the ``relational`` chase backend.
+  rule, the ``relational`` chase backend, and the ``naive`` strategy with
+  the ``Trigger`` / ``Substitution`` objects only it built.
 """
 
 import importlib
@@ -22,6 +23,8 @@ from pathlib import Path
 
 import pytest
 
+import repro.chase
+import repro.core
 from repro.chase.engine import BACKENDS
 from repro.chase.matching import STRATEGIES
 from repro.chase.parallel import EXECUTORS
@@ -108,6 +111,14 @@ class TestMarkdownLinks:
         assert not broken, f"{document.name} has broken relative links: {broken}"
 
 
+def _text_files(*roots):
+    """``(path relative to the repo, text)`` of every file under *roots*."""
+    for root in map(REPO.joinpath, roots):
+        for path in [root] if root.is_file() else sorted(root.rglob("*")):
+            if path.is_file() and "__pycache__" not in path.parts:
+                yield path.relative_to(REPO), path.read_text(encoding="utf-8", errors="ignore")
+
+
 class TestRetiredEstate:
     """``python -m bench`` is the one benchmark and ``sql-pushdown`` the one
     SQL strategy; what they replaced must not drift back in."""
@@ -121,18 +132,14 @@ class TestRetiredEstate:
         assert {path.name for path in REPO.glob("BENCH_*")} <= {
             "BENCHMARK.json", "BENCH_HISTORY.jsonl",
         }
-        offenders = []
-        for root in map(REPO.joinpath, self.SCANNED):
-            files = [root] if root.is_file() else sorted(root.rglob("*"))
-            for path in files:
-                if not path.is_file() or "__pycache__" in path.parts:
-                    continue
-                text = path.read_text(encoding="utf-8", errors="ignore")
-                offenders += [
-                    f"{path.relative_to(REPO)}: {banned}" for banned in self.BANNED if banned in text
-                ]
+        offenders = [
+            f"{path}: {banned}"
+            for path, text in _text_files(*self.SCANNED)
+            for banned in self.BANNED
+            if banned in text
+        ]
         assert not offenders, offenders
-        assert STRATEGIES == ("indexed", "naive", "sql-pushdown")
+        assert STRATEGIES == ("indexed", "sql-pushdown")
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module("repro.storage.sqlbackend.plans")
 
@@ -146,3 +153,18 @@ class TestRetiredEstate:
         assert "lock-discipline" not in {checker.name for checker in ALL_CHECKERS}
         assert not hasattr(RelationalDatabase, "add_atom")
         assert not hasattr(RelationalDatabase, "atoms_matching")
+
+    def test_reference_left_the_product(self):
+        assert STRATEGIES == ("indexed", "sql-pushdown")
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.core.substitutions")
+        for name in ("Trigger", "triggers_on", "NaiveTriggerSource", "TriggerSource"):
+            assert not hasattr(repro.chase, name), name
+        for name in ("Substitution", "homomorphisms"):
+            assert not hasattr(repro.core, name), name
+        offenders = [
+            str(path)
+            for path, text in _text_files("README.md", "ARCHITECTURE.md", "docs", "src", ".claude")
+            if "--strategy naive" in text
+        ]
+        assert not offenders, offenders

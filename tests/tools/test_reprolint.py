@@ -503,8 +503,9 @@ class TestCli:
         result = self.run_cli("src/repro", "--list-waivers")
         assert result.returncode == 0
         assert "waiver(s)" in result.stdout
-        # The two order-insensitive trigger enumerations are designed
-        # waivers; the SQLite store, bound to one thread, needs none.
+        # The hot indexed delta enumeration is a designed waiver; the naive
+        # reference sorts its delta instead, and the SQLite store, bound to
+        # one thread, needs none.
         assert "chase/matching.py" in result.stdout
-        assert "chase/triggers.py" in result.stdout
+        assert "fuzz/reference.py" not in result.stdout
         assert "storage/sqlbackend/store.py" not in result.stdout
