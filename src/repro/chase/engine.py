@@ -32,17 +32,23 @@ returns without ever loading a store-backed fixpoint into RAM.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, Set
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Type
 
-from ..core.atoms import Atom
+from ..core.indexing import Row
 from ..core.instances import Database, Instance
-from ..core.terms import Null, NullFactory, Term
+from ..core.predicates import Predicate
+from ..core.terms import Null, NullFactory
 from ..core.tgds import TGD, TGDSet
-from ..obs.tracer import as_tracer
-from .matching import STRATEGIES, IndexedTriggerSource, has_homomorphism, make_trigger_source
+from ..obs.tracer import AnyTracer, as_tracer
+from .matching import STRATEGIES, IndexedTriggerSource, make_trigger_source
 from .result import ChaseLimits, ChaseResult
-from .rounds import RoundOutcome, RoundStep, RuleRow, insert_sorted, run_rounds
+from .rounds import Delta, RoundOutcome, RoundStep, RuleRow, run_rounds, seed_store
 from .triggers import FiringKey, FiringPlan
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; keeps storage out of module load
+    from ..obs.metrics import StatementMetrics
+    from ..storage.atom_store import AtomStore
+    from ..storage.sqlbackend import SqliteAtomStore
 
 #: Store backends accepted by :func:`chase`.  ``"sqlite"`` chases into a
 #: transient in-memory SQLite database; ``"sqlite:<path>"`` into a
@@ -50,7 +56,7 @@ from .triggers import FiringKey, FiringPlan
 BACKENDS = ("instance", "sqlite")
 
 
-def make_backend_store(backend: str, name: str = "chase"):
+def make_backend_store(backend: str, name: str = "chase") -> "AtomStore":
     """Build the :class:`~repro.storage.atom_store.AtomStore` named by *backend*.
 
     ``"instance"`` builds the in-memory backend; ``"sqlite"`` builds a
@@ -85,10 +91,11 @@ class ChaseEngine:
     #: the nulls it invents (see :class:`~repro.chase.triggers.FiringPlan`).
     null_scope = "frontier"
     #: Builds the round matches from the rule tuple: ``initial(store)`` and
-    #: ``delta(store, new_atoms)`` yield ``(rule index, mapping)`` pairs.
+    #: ``delta(store, delta)`` yield ``(rule index, slot tuple)`` pairs
+    #: (:data:`~repro.chase.matching.Match`).
     trigger_source: Callable[[Sequence[TGD]], Any] = IndexedTriggerSource
 
-    def __init__(self, limits: Optional[ChaseLimits] = None, on_limit: str = "return"):
+    def __init__(self, limits: Optional[ChaseLimits] = None, on_limit: str = "return") -> None:
         if on_limit not in ("return", "raise"):
             raise ValueError("on_limit must be 'return' or 'raise'")
         self.limits = limits if limits is not None else ChaseLimits()
@@ -97,14 +104,20 @@ class ChaseEngine:
     # ------------------------------------------------------------------ #
     # Variant-specific policy
 
-    def _should_fire(self, plan: FiringPlan, mapping: Mapping[Term, Term], store) -> bool:
-        """Return ``True`` when the newly keyed match ``(plan.tgd, mapping)`` must fire."""
+    def _should_fire(self, plan: FiringPlan, key: FiringKey, store: "AtomStore") -> bool:
+        """Return ``True`` when the newly keyed trigger *key* of ``plan.tgd`` must fire."""
         return True
 
     # ------------------------------------------------------------------ #
     # The round step plugged into the shared driver (repro.chase.rounds)
 
-    def run(self, database: Database, tgds: TGDSet, store=None, tracer=None) -> ChaseResult:
+    def run(
+        self,
+        database: Database,
+        tgds: Iterable[TGD],
+        store: Optional["AtomStore"] = None,
+        tracer: Optional[AnyTracer] = None,
+    ) -> ChaseResult:
         """Run the chase of *database* with *tgds* under the configured budget.
 
         *store* is the :class:`~repro.storage.atom_store.AtomStore` the
@@ -123,14 +136,16 @@ class ChaseEngine:
         (both emitted by :func:`~repro.chase.rounds.run_rounds`).  Tracing
         never changes the result.
         """
-        tracer = as_tracer(tracer)
+        active = as_tracer(tracer)
         if store is None:
             store = Instance()
-        insert_sorted(store, database.atoms())
-        step = self._round_step(tuple(tgds), store, tracer)
-        return run_rounds(step, store, self.limits, self.on_limit, self.variant, tracer)
+        seed_store(store, database)
+        step = self._round_step(tuple(tgds), store, active)
+        return run_rounds(step, store, self.limits, self.on_limit, self.variant, active)
 
-    def _round_step(self, tgds, store, tracer) -> RoundStep:
+    def _round_step(
+        self, tgds: Sequence[TGD], store: "AtomStore", tracer: AnyTracer
+    ) -> RoundStep:
         """The serial round step: this engine's trigger source and firing policy.
 
         One loop serves traced and untraced runs; the ``if traced`` blocks
@@ -142,24 +157,23 @@ class ChaseEngine:
         plans = [FiringPlan(tgd, index, self.null_scope) for index, tgd in enumerate(tgds)]
         null_factory = NullFactory()
         should_fire = self._should_fire
+        has_row = store.has_row
         fired_keys: Set[FiringKey] = set()
-        frontier: Set[Atom] = set()
         traced = tracer.enabled
 
-        def step(round_index: int, delta) -> RoundOutcome:
-            nonlocal frontier
+        def step(round_index: int, delta: Delta) -> RoundOutcome:
             if round_index == 0:
                 matches = source.initial(store)
             else:
-                matches = source.delta(store, frontier)
-            new_atoms: Set[Atom] = set()
+                matches = source.delta(store, delta)
+            new_rows: Dict[Predicate, Set[Row]] = {}
             considered = 0
             fired = 0
             # rule index -> [enumerated, fired, atoms, nulls-set, seconds]
-            rule_stats: dict = {}
-            stats: list = []
+            rule_stats: Dict[int, List[Any]] = {}
+            stats: List[Any] = []
             last = tracer.now() if traced else 0.0
-            for index, mapping in matches:
+            for index, values in matches:
                 if traced:
                     considered += 1
                     stats = rule_stats.get(index)
@@ -167,33 +181,35 @@ class ChaseEngine:
                         stats = rule_stats[index] = [0, 0, 0, set(), 0.0]
                     stats[0] += 1
                 plan = plans[index]
-                key = plan.key(mapping)
+                key = plan.key(values)
                 if key not in fired_keys:
                     fired_keys.add(key)
-                    if should_fire(plan, mapping, store):
+                    if should_fire(plan, key, store):
                         fired += 1
                         if traced:
                             stats[1] += 1
-                        for atom in plan.result(key, null_factory):
-                            if atom not in new_atoms and not store.has_atom(atom):
-                                new_atoms.add(atom)
-                                if traced:
-                                    stats[2] += 1
-                                    for term in atom.terms:
-                                        if isinstance(term, Null):
-                                            stats[3].add(term)
+                        for predicate, row in plan.head_rows(plan.values(key, null_factory)):
+                            if has_row(predicate, row):
+                                continue
+                            bucket = new_rows.get(predicate)
+                            if bucket is None:
+                                bucket = new_rows[predicate] = set()
+                            size = len(bucket)
+                            bucket.add(row)
+                            if traced and len(bucket) > size:
+                                stats[2] += 1
+                                for term in row:
+                                    if isinstance(term, Null):
+                                        stats[3].add(term)
                 if traced:
                     now = tracer.now()
                     stats[4] += now - last
                     last = now
-            # The set itself is next round's frontier (the driver's sorted
-            # *delta* holds the same atoms; the trigger sources want a set).
-            frontier = new_atoms
             rule_rows = [
                 RuleRow(rule, enumerated, rule_fired, atoms, len(nulls), seconds)
                 for rule, (enumerated, rule_fired, atoms, nulls, seconds) in rule_stats.items()
             ]
-            return RoundOutcome(considered, fired, new_atoms, rule_rows)
+            return RoundOutcome(considered, fired, new_rows, rule_rows)
 
         return step
 
@@ -235,9 +251,8 @@ class RestrictedChase(ChaseEngine):
 
     variant = "restricted"
 
-    def _should_fire(self, plan: FiringPlan, mapping: Mapping[Term, Term], store) -> bool:
-        base = {variable: mapping[variable] for variable in plan.variables}
-        return not has_homomorphism(plan.tgd.head, store, base=base)
+    def _should_fire(self, plan: FiringPlan, key: FiringKey, store: "AtomStore") -> bool:
+        return not plan.head_holds(key, store)
 
 
 #: Chase variant -> engine class (public so the parallel executor can reuse
@@ -249,7 +264,7 @@ ENGINE_CLASSES = {
 }
 
 
-def resolve_engine_class(variant: str):
+def resolve_engine_class(variant: str) -> Type[ChaseEngine]:
     """Return the engine class for *variant* or raise ``ValueError``."""
     try:
         return ENGINE_CLASSES[variant]
@@ -268,11 +283,11 @@ def chase(
     on_limit: str = "return",
     strategy: str = "indexed",
     backend: str = "instance",
-    store=None,
+    store: Optional["AtomStore"] = None,
     workers: int = 1,
     executor: str = "auto",
     materialize: bool = True,
-    tracer=None,
+    tracer: Optional[AnyTracer] = None,
     exchange: str = "coordinator",
 ) -> ChaseResult:
     """Run the chase of *database* with *tgds*.
@@ -368,14 +383,16 @@ def chase(
         return result
     if store is None:
         store = make_backend_store(backend)
-    statement_metrics = None
+    statement_metrics: Optional["StatementMetrics"] = None
+    timed_store: Optional["SqliteAtomStore"] = None
     if traced:
         from ..obs.metrics import StatementMetrics
         from ..storage.sqlbackend import SqliteAtomStore
 
         if isinstance(store, SqliteAtomStore):
             statement_metrics = StatementMetrics()
-            store.set_statement_metrics(statement_metrics)
+            timed_store = store
+            timed_store.set_statement_metrics(statement_metrics)
     if strategy == "sql-pushdown":
         from ..storage.sqlbackend import SqliteAtomStore
         from ..storage.sqlbackend.pushdown import PushdownExecutor
@@ -387,7 +404,7 @@ def chase(
                 "(backend='sqlite[:path]' or an explicit SqliteAtomStore "
                 "store)"
             )
-        engine = PushdownExecutor(variant=variant, limits=limits, on_limit=on_limit)
+        engine: Any = PushdownExecutor(variant=variant, limits=limits, on_limit=on_limit)
     else:
         engine = engine_class(limits=limits, on_limit=on_limit)
     try:
@@ -399,8 +416,8 @@ def chase(
         flush = getattr(store, "flush", None)
         if flush is not None:
             flush()
-        if statement_metrics is not None:
-            store.set_statement_metrics(None)
+        if timed_store is not None:
+            timed_store.set_statement_metrics(None)
     if materialize:
         result.materialize()
     if traced:
@@ -409,7 +426,7 @@ def chase(
     return result
 
 
-def _emit_sql_families(tracer, statement_metrics) -> None:
+def _emit_sql_families(tracer: AnyTracer, statement_metrics: Optional["StatementMetrics"]) -> None:
     """Emit one ``sql_family`` event per statement family that ran."""
     if statement_metrics is None:
         return
@@ -419,7 +436,7 @@ def _emit_sql_families(tracer, statement_metrics) -> None:
         tracer.emit("sql_family", **stats)
 
 
-def _emit_chase_end(tracer, result: ChaseResult, started: float) -> None:
+def _emit_chase_end(tracer: AnyTracer, result: ChaseResult, started: float) -> None:
     tracer.emit(
         "chase_end",
         terminated=result.terminated,
@@ -432,12 +449,11 @@ def _emit_chase_end(tracer, result: ChaseResult, started: float) -> None:
     )
 
 
-def satisfies(instance: Instance, tgds: Iterable[TGD]) -> bool:
+def satisfies(instance: "AtomStore", tgds: Iterable[TGD]) -> bool:
     """Return ``True`` when *instance* satisfies every TGD of *tgds* (``I |= Σ``)."""
-    rules = tuple(tgds)
-    for index, mapping in make_trigger_source(rules).initial(instance):
-        tgd = rules[index]
-        base = {variable: mapping[variable] for variable in tgd.frontier()}
-        if not has_homomorphism(tgd.head, instance, base=base):
+    plans = [FiringPlan(tgd, index) for index, tgd in enumerate(tgds)]
+    for index, values in make_trigger_source([plan.tgd for plan in plans]).initial(instance):
+        plan = plans[index]
+        if not plan.head_holds(plan.key(values), instance):
             return False
     return True

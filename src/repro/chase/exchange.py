@@ -10,11 +10,11 @@ coordinator to round-barrier control, budget accounting, and trace merging.
 Every round runs four worker-side phases, separated by all-to-all exchanges
 (pipe frames between processes, plain lists between in-process workers):
 
-1. **route** — each worker ships the new atoms it came to own last round to
-   the workers that must act on them: one ``("w", plan_id, atom)`` work item
-   to the owner of the atom's join-key hash under that plan (with heavy
+1. **route** — each worker ships the new rows it came to own last round to
+   the workers that must act on them: one ``("w", plan_id, row)`` work item
+   to the owner of the row's join-key hash under that plan (with heavy
    hashes split across workers — see :class:`RoutingTable`), plus a
-   ``("d", atom)`` broadcast for atoms of fully-replicated predicates
+   ``("d", predicate, row)`` broadcast for rows of fully-replicated predicates
    (non-seed join slots and the restricted head check read those relations
    in full; they also form the exact semi-naive exclusion set, because only
    multi-atom-body predicates can appear at slots before a seed);
@@ -24,17 +24,18 @@ Every round runs four worker-side phases, separated by all-to-all exchanges
    (stable hash of the key, :func:`repro.core.indexing.key_partition_of`);
 3. **keys** — the key owner performs the global firing-key dedup the
    coordinator used to do: a key fires at most once per run, and because
-   firing keys, head atoms, and invented nulls are functions of the key
-   alone, *which* worker enumerated it first is unobservable.  Result atoms
-   of newly-fired keys are routed to their atom owners (whole-tuple hash);
-4. **atoms** — the atom owner dedups against its partition of the global
-   instance, stages the genuinely new atoms for next round's route phase,
+   firing keys, head rows, and invented nulls are functions of the key
+   alone, *which* worker enumerated it first is unobservable.  The head
+   rows of newly-fired keys (built from the reported value rows) are routed
+   to their owners (whole-tuple hash);
+4. **atoms** — the row owner dedups against its partition of the global
+   instance, stages the genuinely new rows for next round's route phase,
    and sends the coordinator one report: counts, per-rule stats, its new
-   atoms (the coordinator sorts the merged union), and comms counters.
+   rows (the coordinator sorts the merged union), and comms counters.
 
 Determinism argument: ownership makes both dedups global functions of the
 run's derivations (not of scheduling), the coordinator inserts the merged
-new atoms in sorted order exactly like the serial engine, and skew splits
+new rows in sorted order exactly like the serial engine, and skew splits
 only move *enumeration* work between workers — duplicates collapse at the
 unique key owner — so results stay byte-identical to the serial chase at
 every worker count, pool kind, and routing table.
@@ -61,14 +62,14 @@ from typing import (
     cast,
 )
 
-from ..core.atoms import Atom, atom_sort_key
-from ..core.indexing import atom_partition_of, key_partition_of, partition_hash
+from ..core.atoms import row_sort_key
+from ..core.indexing import Row, key_partition_of, partition_hash, row_partition_of
 from ..core.predicates import Predicate
 from ..core.terms import Null
 from ..obs.clock import MonotonicClock
 from ..obs.metrics import MetricsRegistry
 from ..storage.atom_store import AtomStore
-from .rounds import insert_atoms
+from .rounds import Delta, insert_rows
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from .parallel import _MatchWorker
@@ -108,8 +109,11 @@ HeavyRoute = Tuple[Tuple[int, int], Tuple[int, ...]]
 # per-item phase loops (it profiled at ~5% of a shuffle worker's round).
 _LeadKey = Tuple[int, object]
 _WorkWire = Tuple[object, ...]
-_KeyWire = Tuple[object, Optional[Tuple[Atom, ...]]]
-_AtomWire = Tuple[int, Atom]
+_KeyWire = Tuple[object, Optional[Sequence[object]]]
+_RowWire = Tuple[int, Predicate, Row]
+
+#: One stored atom as the exchange carries it.
+Fact = Tuple[Predicate, Row]
 
 
 def iter_frames(
@@ -184,16 +188,17 @@ class RoutingTable:
 
     Three independent ownership maps, all stable across processes:
 
-    * **work** — a ``(plan, seed atom)`` pair belongs to the worker owning
-      the stable hash of the atom's terms at the plan's join-key positions
-      (:meth:`JoinPlan.partition_key <repro.chase.matching.JoinPlan.partition_key>`),
+    * **work** — a ``(plan, seed row)`` pair belongs to the worker owning
+      the stable hash of the row's terms at the plan's join-key positions
+      (:attr:`JoinPlan.partition_positions
+      <repro.chase.matching.JoinPlan.partition_positions>`),
       unless the heavy table splits that hash: then the pair goes to one of
       the split workers chosen by the whole-tuple hash.  Splitting is pure
       load balancing — seed co-location is not a correctness requirement,
       because non-seed join inputs are fully replicated and all dedup
       happens at key/atom owners;
     * **keys** — a firing key belongs to ``stable_key_hash(key) % n``;
-    * **atoms** — an atom belongs to ``partition_hash(atom.terms) % n``.
+    * **atoms** — a row belongs to ``partition_hash(row) % n``.
 
     The table itself never crosses a process boundary: workers rebuild it
     from the TGD set and apply the plain-tuple heavy table carried by each
@@ -221,34 +226,30 @@ class RoutingTable:
     def heavy_routes(self) -> Tuple[HeavyRoute, ...]:
         return tuple(sorted(self._heavy.items()))
 
-    def plan_route_hash(self, plan_id: int, atom: Atom) -> int:
+    def plan_route_hash(self, plan_id: int, row: Row) -> int:
         positions = self.plan_positions[plan_id]
-        terms = (
-            atom.terms
-            if not positions
-            else tuple(atom.terms[position] for position in positions)
-        )
+        terms = row if not positions else tuple(row[position] for position in positions)
         return partition_hash(terms)
 
-    def work_owner(self, plan_id: int, atom: Atom) -> int:
-        route_hash = self.plan_route_hash(plan_id, atom)
+    def work_owner(self, plan_id: int, row: Row) -> int:
+        route_hash = self.plan_route_hash(plan_id, row)
         split = self._heavy.get((plan_id, route_hash))
         if split:
-            return split[partition_hash(atom.terms) % len(split)]
+            return split[partition_hash(row) % len(split)]
         return route_hash % self.n_workers
 
     def key_owner(self, key: object) -> int:
         return key_partition_of(key, self.n_workers)
 
-    def atom_owner(self, atom: Atom) -> int:
-        return atom_partition_of(atom, (), self.n_workers)
+    def atom_owner(self, row: Row) -> int:
+        return row_partition_of(row, (), self.n_workers)
 
 
 class SkewDetector:
     """Flags heavy join-key hashes from per-partition delta-count histograms.
 
-    Fed each round's merged delta, it counts seeds per ``(plan,
-    route_hash)`` for every multi-way plan, records the counts as
+    Fed each round's merged delta (predicate -> rows), it counts seeds per
+    ``(plan, route_hash)`` for every multi-way plan, records the counts as
     ``exchange_partition_delta`` histograms in the (obs) metrics registry,
     and returns the routes whose count exceeds both :data:`SKEW_MIN_COUNT`
     and ``factor`` times the plan's fair per-worker share.  Detection is a
@@ -273,18 +274,18 @@ class SkewDetector:
             if positions:  # only multi-way joins have a splittable key
                 self._by_predicate.setdefault(predicate, []).append((plan_id, positions))
 
-    def heavy_routes(self, delta: Sequence[Atom]) -> Tuple[HeavyRoute, ...]:
+    def heavy_routes(self, delta: Delta) -> Tuple[HeavyRoute, ...]:
         """The heavy table the next round's routing should apply."""
         if self.n_workers < 2 or not self._by_predicate:
             return ()
         counts: Dict[Tuple[int, int], int] = {}
         totals: Dict[int, int] = {}
-        for atom in delta:
-            for plan_id, positions in self._by_predicate.get(atom.predicate, ()):
-                terms = tuple(atom.terms[position] for position in positions)
-                route = (plan_id, partition_hash(terms))
-                counts[route] = counts.get(route, 0) + 1
-                totals[plan_id] = totals.get(plan_id, 0) + 1
+        for predicate, rows in delta.items():
+            for plan_id, positions in self._by_predicate.get(predicate, ()):
+                for row in rows:
+                    route = (plan_id, partition_hash(tuple(row[p] for p in positions)))
+                    counts[route] = counts.get(route, 0) + 1
+                    totals[plan_id] = totals.get(plan_id, 0) + 1
         heavy: List[HeavyRoute] = []
         split = tuple(range(self.n_workers))
         for route in sorted(counts):
@@ -311,9 +312,9 @@ class ShuffleReport(NamedTuple):
     fired: int
     fired_by_rule: Tuple[Tuple[int, int], ...]
     enumerated_by_rule: Tuple[Tuple[int, int], ...]
-    #: The genuinely new atoms this worker owns (unsorted; the shares are
+    #: The genuinely new rows this worker owns (unsorted; the shares are
     #: disjoint and the coordinator sorts the merged union).
-    new_atoms: Tuple[Atom, ...]
+    new_rows: Tuple[Fact, ...]
     atoms_by_rule: Tuple[Tuple[int, int], ...]
     nulls_by_rule: Tuple[Tuple[int, int], ...]
     #: Comms counters: items shipped to *other* workers per phase.
@@ -375,10 +376,10 @@ class ShuffleWorker:
         #: coordinator's registry and ship nothing).
         self.report_metrics = report_metrics
         self.owned_keys: Set[object] = set()
-        self.owned_atoms: Set[Atom] = set()
-        #: New atoms this worker came to own last round — the input of the
+        self.owned_atoms: Set[Fact] = set()
+        #: New rows this worker came to own last round — the input of the
         #: next route phase (order free, see :meth:`phase_atoms`).
-        self._staged: List[Atom] = []
+        self._staged: List[Fact] = []
         self._clock = MonotonicClock()
         self._round_started = 0.0
         self._match_considered = 0
@@ -397,11 +398,12 @@ class ShuffleWorker:
 
         The owned set must mirror global instance membership for this
         worker's share exactly — it is the distributed replacement for the
-        coordinator's ``store.has_atom`` dedup.
+        coordinator's ``store.has_row`` dedup.
         """
         for predicate in store.predicates():
             self.owned_atoms.update(
-                store.atoms_partition(predicate, (), self.n_workers, self.worker_id)
+                (predicate, atom.terms)
+                for atom in store.atoms_partition(predicate, (), self.n_workers, self.worker_id)
             )
 
     def _count(self, name: str, amount: int) -> None:
@@ -416,24 +418,24 @@ class ShuffleWorker:
     def phase_route(
         self, round_index: int, heavy_routes: Sequence[HeavyRoute]
     ) -> List[List[object]]:
-        """Ship last round's owned new atoms as work items and broadcasts."""
+        """Ship last round's owned new rows as work items and broadcasts."""
         self._round_started = self._clock.now()
         self.routing.set_heavy(heavy_routes)
         outboxes = self._outboxes()
         routed = 0
-        for atom in self._staged:
-            if self.pushdown or atom.predicate in self.full_predicates:
+        for predicate, row in self._staged:
+            if self.pushdown or predicate in self.full_predicates:
                 # Replica/exclusion broadcast: every worker needs these
                 # rows (all rows, under pushdown — the compiled SQL scans
                 # its own store).
                 for destination in range(self.n_workers):
-                    outboxes[destination].append(("d", atom))
+                    outboxes[destination].append(("d", predicate, row))
                     if destination != self.worker_id:
                         routed += 1
             if not self.pushdown:
-                for plan_id in self.plans_by_predicate.get(atom.predicate, ()):
-                    destination = self.routing.work_owner(plan_id, atom)
-                    outboxes[destination].append(("w", plan_id, atom))
+                for plan_id in self.plans_by_predicate.get(predicate, ()):
+                    destination = self.routing.work_owner(plan_id, row)
+                    outboxes[destination].append(("w", plan_id, row))
                     if destination != self.worker_id:
                         routed += 1
         self._staged = []
@@ -445,24 +447,29 @@ class ShuffleWorker:
         self, round_index: int, inboxes: Sequence[Sequence[object]]
     ) -> List[List[object]]:
         """Apply the routed delta, match owned work, route firing keys."""
-        work: List[Tuple[int, Atom]] = []
-        delta: List[Atom] = []
+        work: List[Tuple[int, Row]] = []
+        broadcast: Dict[Predicate, List[Row]] = {}
         for payload in inboxes:
             for item in payload:
                 entry = cast(_WorkWire, item)
                 if entry[0] == "w":
-                    work.append((cast(int, entry[1]), cast(Atom, entry[2])))
+                    work.append((cast(int, entry[1]), cast(Row, entry[2])))
                 else:
-                    delta.append(cast(Atom, entry[1]))
-        delta.sort(key=atom_sort_key)
+                    broadcast.setdefault(cast(Predicate, entry[1]), []).append(
+                        cast(Row, entry[2])
+                    )
+        delta = {
+            predicate: sorted(broadcast[predicate], key=row_sort_key)
+            for predicate in sorted(broadcast)
+        }
         worker = self.match_worker
         if round_index == 0:
             considered, fired, _ = worker.initial_round()
         else:
             if not self.shared_store:
-                insert_atoms(worker.store, delta)
-            # Work order is free: key/atom dedup is ownership-global and the
-            # coordinator sorts the merged new atoms before assigning seqs,
+                insert_rows(worker.store, delta)
+            # Work order is free: key/row dedup is ownership-global and the
+            # coordinator sorts the merged new rows before assigning seqs,
             # so nothing downstream can observe enumeration order.  (Under
             # pushdown there is no work: the compiled plans self-select it
             # in SQL from the broadcast the replica now holds.)
@@ -484,37 +491,38 @@ class ShuffleWorker:
     def phase_keys(
         self, round_index: int, inboxes: Sequence[Sequence[object]]
     ) -> List[List[object]]:
-        """Globally dedup owned firing keys; route new result atoms."""
+        """Globally dedup owned firing keys; route the new head rows."""
         if self.crash is not None and round_index == self.crash[0]:
             if self.crash[1] is None or self.crash[1] == self.worker_id:
                 raise RuntimeError(
                     f"injected exchange crash (worker {self.worker_id}, "
                     f"round {round_index})"
                 )
-        new_fired: Dict[object, Tuple[Atom, ...]] = {}
+        new_fired: Dict[object, Sequence[object]] = {}
         enumerated: Dict[int, int] = {}
         round_keys: List[object] = []
         for payload in inboxes:
             for item in payload:
-                key, atoms = cast(_KeyWire, item)
+                key, values = cast(_KeyWire, item)
                 round_keys.append(key)
                 rule = _rule_of(key)
                 enumerated[rule] = enumerated.get(rule, 0) + 1
-                if atoms is not None and key not in self.owned_keys:
+                if values is not None and key not in self.owned_keys:
                     # setdefault mirrors the coordinator merge: within a
                     # round, every worker reporting a key as fired reports
-                    # the same atoms (functions of the key alone).
-                    new_fired.setdefault(key, atoms)
+                    # the same value row (a function of the key alone).
+                    new_fired.setdefault(key, values)
         self.owned_keys.update(round_keys)
         fired_by_rule: Dict[int, int] = {}
         outboxes = self._outboxes()
         routed = 0
-        for key, atoms in new_fired.items():
+        plans = self.match_worker.firing_plans
+        for key, values in new_fired.items():
             rule = _rule_of(key)
             fired_by_rule[rule] = fired_by_rule.get(rule, 0) + 1
-            for atom in atoms:
-                destination = self.routing.atom_owner(atom)
-                outboxes[destination].append((rule, atom))
+            for predicate, row in plans[rule].head_rows(cast(Sequence, values)):
+                destination = self.routing.atom_owner(row)
+                outboxes[destination].append((rule, predicate, row))
                 if destination != self.worker_id:
                     routed += 1
         self._owner_fired = len(new_fired)
@@ -527,28 +535,29 @@ class ShuffleWorker:
     def phase_atoms(
         self, round_index: int, inboxes: Sequence[Sequence[object]]
     ) -> ShuffleReport:
-        """Dedup owned atoms against the global instance; report the round."""
-        new_atoms: Dict[Atom, int] = {}
+        """Dedup owned rows against the global instance; report the round."""
+        new_rows: Dict[Fact, int] = {}
         for payload in inboxes:
             for item in payload:
-                rule, atom = cast(_AtomWire, item)
-                if atom in self.owned_atoms:
+                rule, predicate, row = cast(_RowWire, item)
+                fact = (predicate, row)
+                if fact in self.owned_atoms:
                     continue
-                current = new_atoms.get(atom)
+                current = new_rows.get(fact)
                 if current is None or rule < current:
                     # Deterministic attribution: the smallest rule index
-                    # among this round's producers gets the atom.
-                    new_atoms[atom] = rule
-        self.owned_atoms.update(new_atoms)
+                    # among this round's producers gets the row.
+                    new_rows[fact] = rule
+        self.owned_atoms.update(new_rows)
         # No sort: staged order only shapes next round's wire traffic, and
-        # the coordinator canonicalises by sorting the merged atoms anyway.
-        self._staged = list(new_atoms)
+        # the coordinator canonicalises by sorting the merged rows anyway.
+        self._staged = list(new_rows)
         atoms_by_rule: Dict[int, int] = {}
         nulls_by_rule: Dict[int, Set[Null]] = {}
-        for atom in self._staged:
-            rule = new_atoms[atom]
+        for fact in self._staged:
+            rule = new_rows[fact]
             atoms_by_rule[rule] = atoms_by_rule.get(rule, 0) + 1
-            for term in atom.terms:
+            for term in fact[1]:
                 if isinstance(term, Null):
                     nulls_by_rule.setdefault(rule, set()).add(term)
         snapshot = (
@@ -563,7 +572,7 @@ class ShuffleWorker:
             fired=self._owner_fired,
             fired_by_rule=tuple(sorted(self._fired_by_rule.items())),
             enumerated_by_rule=tuple(sorted(self._enumerated_by_rule.items())),
-            new_atoms=tuple(self._staged),
+            new_rows=tuple(self._staged),
             atoms_by_rule=tuple(sorted(atoms_by_rule.items())),
             nulls_by_rule=tuple(
                 sorted((rule, len(nulls)) for rule, nulls in nulls_by_rule.items())

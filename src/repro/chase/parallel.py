@@ -6,9 +6,9 @@ embarrassingly parallel join.  This module fans that matching out across a
 worker pool the way the shared-nothing parallel-join literature (K-Join,
 near-optimal parallel binary joins) distributes probe work:
 
-* **partitioning** — every unit of match work is a ``(JoinPlan, seed atom)``
+* **partitioning** — every unit of match work is a ``(JoinPlan, seed row)``
   pair; it is assigned to the worker owning the stable hash of the seed
-  atom's terms at the plan's join-key positions
+  row's terms at the plan's join-key positions
   (:attr:`~repro.chase.matching.JoinPlan.partition_positions`), so seeds
   sharing a join key land on the same worker.  Round 0 does not ship seeds
   at all: each worker scans its own partition of every seed relation
@@ -31,10 +31,11 @@ near-optimal parallel binary joins) distributes probe work:
   pure-Python matching more than one core; ``executor="process"`` works
   for any backend;
 * **deterministic merge** — workers report the *firing keys* they
-  considered and, per key, the trigger's result atoms (process workers
-  as int value rows — witness images, then invented nulls — that the
-  coordinator expands through the rule's one ``FiringPlan``).  Because firing
-  keys, head atoms, and invented nulls are all functions of the key alone
+  considered and, per fired key, the trigger's value row — witness images,
+  then invented nulls (ints on a process pipe) — that the coordinator
+  expands into head rows through the rule's one ``FiringPlan`` and inserts
+  as rows.  Because firing keys, head rows, and invented nulls are all
+  functions of the key alone
   (content-addressed :class:`~repro.core.terms.NullFactory` naming), the
   merged round is a set union that does not depend on worker count,
   scheduling, or enumeration order — the ``ChaseResult`` (atoms, null
@@ -65,6 +66,7 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    Mapping,
     Optional,
     Sequence,
     Set,
@@ -75,7 +77,7 @@ from typing import (
 )
 
 from ..core.atoms import Atom, atom_sort_key
-from ..core.indexing import atom_partition_of
+from ..core.indexing import Row, row_partition_of
 from ..core.instances import Database, Instance
 from ..core.predicates import Predicate
 from ..core.terms import Null, NullFactory, Term
@@ -98,7 +100,7 @@ from .exchange import (
 )
 from .matching import STRATEGIES, JoinPlan
 from .result import ChaseLimits, ChaseResult
-from .rounds import RoundOutcome, RoundStep, RuleRow, insert_atoms, insert_sorted, run_rounds
+from .rounds import Delta, RoundOutcome, RoundStep, RuleRow, insert_rows, run_rounds, seed_store
 from .triggers import FiringKey, FiringPlan
 
 _T = TypeVar("_T")
@@ -107,10 +109,12 @@ _T = TypeVar("_T")
 EXECUTORS = ("auto", "serial", "process")
 
 #: The match half of a worker's report: the firing keys it considered (new
-#: to it) and, for the keys that passed the variant's firing policy, what the
-#: trigger fired — its result atoms, or on a process replica of the
-#: coordinator merge its value row (see :attr:`_MatchWorker.fire`).
+#: to it) and, for the keys that passed the variant's firing policy, the
+#: trigger's value row (:meth:`FiringPlan.values`).
 MatchBatch = Tuple[List[object], List[Tuple[object, Any]]]
+
+#: A replica's work of a round: ``(plan id, seed row)`` pairs.
+Seeds = Sequence[Tuple[int, Row]]
 
 #: A :meth:`~repro.obs.metrics.MetricsRegistry.snapshot` dump.
 RegistrySnapshot = Dict[str, List[Dict[str, object]]]
@@ -206,10 +210,6 @@ class _MatchWorker:
             for index, tgd in enumerate(self.table.tgds)
         ]
         self.null_factory = NullFactory()
-        #: What a fired trigger reports: its result atoms.  A process replica
-        #: of the coordinator merge reports ``FiringPlan.values`` instead —
-        #: the row the coordinator rebuilds key and atoms from.
-        self.fire: Callable[[FiringPlan, Any, NullFactory], Any] = FiringPlan.result
         self.reported_keys: Set[object] = set()
         self.collect_metrics = collect_metrics
         self.clock = MonotonicClock()
@@ -224,9 +224,7 @@ class _MatchWorker:
         considered, fired = self._initial_round()
         return considered, fired, self.metrics(started, len(considered), len(fired))
 
-    def delta_round(
-        self, replicated: Sequence[Atom], seeds: Sequence[Tuple[int, Atom]]
-    ) -> RoundReport:
+    def delta_round(self, replicated: Delta, seeds: Seeds) -> RoundReport:
         """Run :meth:`_delta_round`, attaching metrics on traced runs."""
         started = self.clock.now()
         considered, fired = self._delta_round(replicated, seeds)
@@ -261,47 +259,45 @@ class _MatchWorker:
                 self.worker_id,
             )
             for seed in seeds:
-                for mapping in plan.matches(self.store, seed):
-                    self._consider(entry, mapping, considered, fired)
+                for values in plan.matches(self.store, seed.terms):
+                    self._consider(entry, values, considered, fired)
         return considered, fired
 
-    def _delta_round(
-        self, replicated: Sequence[Atom], seeds: Sequence[Tuple[int, Atom]]
-    ) -> MatchBatch:
+    def _delta_round(self, replicated: Delta, seeds: Seeds) -> MatchBatch:
         """Execute this worker's share of one delta round, in either topology.
 
-        *seeds* are the ``(plan_id, seed atom)`` pairs this worker owns: the
-        seed rides inside the pair (a partitioned-relation atom need not
+        *seeds* are the ``(plan_id, seed row)`` pairs this worker owns: the
+        seed rides inside the pair (a partitioned-relation row need not
         exist in this worker's replica at all).  *replicated* — the round's
-        atoms of fully-replicated predicates, which the store already holds
+        rows of fully-replicated predicates, which the store already holds
         — stands in for the full delta as the semi-naive exclusion set: only
         multi-atom-body predicates can occur at slots before a seed, so the
         constraint sees exactly the candidates it would have.
         """
-        exclusion = set(replicated)
+        exclusion = {predicate: set(rows) for predicate, rows in replicated.items()}
         considered: List[object] = []
         fired: List[Tuple[object, Any]] = []
         for plan_id, seed in seeds:
             entry = self.table.entries[plan_id]
-            for mapping in entry.plan.matches(self.store, seed, delta=exclusion):
-                self._consider(entry, mapping, considered, fired)
+            for values in entry.plan.matches(self.store, seed, exclusion):
+                self._consider(entry, values, considered, fired)
         return considered, fired
 
     def _consider(
         self,
         entry: _PlanEntry,
-        mapping: Dict[Term, Term],
+        values: Row,
         considered: List[object],
         fired: List[Tuple[object, Any]],
     ) -> None:
         plan = self.firing_plans[entry.tgd_index]
-        key = plan.key(mapping)
+        key = plan.key(values)
         if key in self.reported_keys:
             return
         self.reported_keys.add(key)
         considered.append(key)
-        if self.policy._should_fire(plan, mapping, self.store):
-            fired.append((key, self.fire(plan, key, self.null_factory)))
+        if self.policy._should_fire(plan, key, self.store):
+            fired.append((key, plan.values(key, self.null_factory)))
 
 
 class PushdownMatchWorker(_MatchWorker):
@@ -317,7 +313,7 @@ class PushdownMatchWorker(_MatchWorker):
 
     Routed *seeds* only say which relations grew: the seed-slot watermark
     plus the hash-partition predicate select exactly the (entry, new seed
-    atom) pairs this worker owns — from the store, so a replica must hold
+    row) pairs this worker owns — from the store, so a replica must hold
     this worker's share of every seed relation (see :func:`_serve_match`).
     """
 
@@ -356,31 +352,29 @@ class PushdownMatchWorker(_MatchWorker):
         fired: List[Tuple[object, Any]] = []
         for entry in self.table.initial_entries:
             query = self._queries[entry.plan_id]
-            for mapping in query.initial_matches(self.store, self.n_workers, self.worker_id):
-                self._consider(entry, mapping, considered, fired)
+            for values in query.initial_matches(self.store, self.n_workers, self.worker_id):
+                self._consider(entry, values, considered, fired)
         self._last_seq = self.store.current_seq()
         return considered, fired
 
-    def _delta_round(
-        self, replicated: Sequence[Atom], seeds: Sequence[Tuple[int, Atom]]
-    ) -> MatchBatch:
+    def _delta_round(self, replicated: Delta, seeds: Seeds) -> MatchBatch:
         # The watermark is the snapshot taken at the end of the previous
         # round — before this round's delta reached the store, whoever
         # inserted it (the coordinator into a shared store, the serving
         # loop into a replica).
         delta_start = self._last_seq
-        delta_predicates = {atom.predicate for atom in replicated}
-        delta_predicates.update(atom.predicate for _, atom in seeds)
+        delta_predicates = set(replicated)
+        delta_predicates.update(self.table.entries[plan_id].seed_predicate for plan_id, _ in seeds)
         considered: List[object] = []
         fired: List[Tuple[object, Any]] = []
         for entry in self.table.entries:
             if entry.seed_predicate not in delta_predicates:
                 continue
             query = self._queries[entry.plan_id]
-            for mapping in query.delta_matches(
+            for values in query.delta_matches(
                 self.store, delta_start, self.n_workers, self.worker_id
             ):
-                self._consider(entry, mapping, considered, fired)
+                self._consider(entry, values, considered, fired)
         self._last_seq = self.store.current_seq()
         return considered, fired
 
@@ -562,20 +556,30 @@ class _Wire(Dict[Any, int]):
             run[2].extend(map(number, terms))
         return runs
 
-    def decode(self, runs: Runs) -> Iterator[Tuple[int, List[Term]]]:
+    def decode(self, runs: Runs) -> Iterator[Tuple[int, Row]]:
         """The inverse of :meth:`encode`, over the absorbed table."""
         for lead, count, flat in runs:
-            terms = list(map(self.symbols.__getitem__, flat))
+            terms = tuple(map(self.symbols.__getitem__, flat))
             width = len(terms) // count
             for start in range(count):
                 yield lead, terms[start * width:(start + 1) * width]
 
+    def encode_rows(self, rows: Mapping[Predicate, Iterable[Row]]) -> Runs:
+        """Rows led by their predicate's id."""
+        return self.encode(
+            [(self[predicate], row) for predicate, run in rows.items() for row in run]
+        )
+
     def encode_atoms(self, atoms: Iterable[Atom]) -> Runs:
-        """Atoms as rows led by their predicate's id."""
+        """:meth:`encode_rows` for atoms."""
         return self.encode([(self[atom.predicate], atom.terms) for atom in atoms])
 
-    def decode_atoms(self, runs: Runs) -> List[Atom]:
-        return [Atom(self.symbols[lead], terms) for lead, terms in self.decode(runs)]
+    def decode_rows(self, runs: Runs) -> Dict[Predicate, List[Row]]:
+        """The inverse of :meth:`encode_rows` (and :meth:`encode_atoms`)."""
+        rows: Dict[Predicate, List[Row]] = {}
+        for lead, terms in self.decode(runs):
+            rows.setdefault(self.symbols[lead], []).append(terms)
+        return rows
 
 
 def _open_replica_store(store_spec: Tuple[str, ...], worker_id: int) -> AtomStore:
@@ -693,11 +697,7 @@ class _LocalPool:
     def initial(self) -> List[RoundReport]:
         return self._wave([worker.initial_round for worker in self._match_workers])
 
-    def delta(
-        self,
-        replicated: Sequence[Atom],
-        seeds_by_worker: Sequence[Sequence[Tuple[int, Atom]]],
-    ) -> List[RoundReport]:
+    def delta(self, replicated: Delta, seeds_by_worker: Sequence[Seeds]) -> List[RoundReport]:
         return self._wave(
             [
                 partial(worker.delta_round, replicated, seeds_by_worker[worker.worker_id])
@@ -800,7 +800,8 @@ class _PipeTransport:
 
 #: A process replica's round report on the wire: its fresh symbols, the fired
 #: triggers as value rows led by their rule (:meth:`FiringPlan.values`), the
-#: considered-but-not-fired keys as witness rows, and the metrics payload.
+#: considered-but-not-fired keys (rule-led witness rows), and the metrics
+#: payload.
 WireReport = Tuple[List[Any], Runs, Runs, Optional[WorkerMetrics]]
 
 
@@ -808,7 +809,7 @@ def _serve_match(worker: _MatchWorker, wire: _Wire, message: Tuple[Any, ...]) ->
     """One coordinator-merge round on a process replica, int frames in and out.
 
     A delta message carries what :func:`replica_seed_split` says this replica
-    reads: the round's *replicated* atoms, inserted here, and the seeds this
+    reads: the round's *replicated* rows, inserted here, and the seeds this
     worker owns, which an indexed worker only matches from — a pushdown
     worker's SQL reads seeds from its store, so it inserts its share too.
     """
@@ -818,23 +819,21 @@ def _serve_match(worker: _MatchWorker, wire: _Wire, message: Tuple[Any, ...]) ->
     else:
         _, fresh, replicated_runs, seed_runs = message
         wire.absorb(fresh)
-        replicated = wire.decode_atoms(replicated_runs)
-        entries = worker.table.entries
-        seeds = [
-            (plan_id, Atom(entries[plan_id].seed_predicate, terms))
-            for plan_id, terms in wire.decode(seed_runs)
-        ]
-        insert_atoms(worker.store, replicated)
+        replicated = wire.decode_rows(replicated_runs)
+        seeds = list(wire.decode(seed_runs))
+        insert_rows(worker.store, replicated)
         if isinstance(worker, PushdownMatchWorker):
-            insert_atoms(worker.store, [atom for _, atom in seeds])
+            entries = worker.table.entries
+            owned: Dict[Predicate, List[Row]] = {}
+            for plan_id, row in seeds:
+                owned.setdefault(entries[plan_id].seed_predicate, []).append(row)
+            insert_rows(worker.store, owned)
         considered, fired = worker._delta_round(replicated, seeds)
-    skipped: List[Tuple[int, List[Term]]] = []
+    skipped: List[FiringKey] = []
     if len(fired) < len(considered):  # restricted only: the head check held keys back
         fired_keys = {key for key, _ in fired}
         skipped = [
-            (_key_rule(key), [image for _, image in cast(FiringKey, key)[1]])
-            for key in considered
-            if key not in fired_keys
+            cast(FiringKey, key) for key in considered if key not in fired_keys
         ]
     fired_runs = wire.encode([(_key_rule(key), values) for key, values in fired])
     skipped_runs = wire.encode(skipped)
@@ -915,7 +914,6 @@ def _worker_main(
                 if timed_store is not None:
                     worker.statement_metrics = StatementMetrics()
                     timed_store.set_statement_metrics(worker.statement_metrics)
-                worker.fire = FiringPlan.values
                 serve = partial(_serve_match, worker, wire)
         except Exception:
             conn.send(("error", traceback.format_exc()))
@@ -930,7 +928,7 @@ def _worker_main(
                     # Chunks arrive sorted (grouped by predicate), so the
                     # sqlite replica loads each predicate as one batch.
                     wire.absorb(message[1])
-                    insert_atoms(store, wire.decode_atoms(message[2]))
+                    insert_rows(store, wire.decode_rows(message[2]))
                     continue
                 conn.send(("ok", serve(message)))
             except Exception:
@@ -949,8 +947,8 @@ class _ProcessPool:
     coordinator ships *work*, never the instance.  Seed chunks, deltas and
     match reports cross the control pipes as int frames over a
     per-connection :class:`_Wire`; a report is value rows, which
-    :meth:`_decode_report` turns back into firing keys and result atoms
-    through each rule's one :class:`FiringPlan`.  Replicas are seeded out-of-core:
+    :meth:`_decode_report` turns back into firing keys through each rule's
+    one :class:`FiringPlan`.  Replicas are seeded out-of-core:
     *worker_seeds* (a callable ``worker_id -> sorted atoms``) streams each
     worker only the relations it needs, in bounded chunks over its pipe;
     ``None`` means the workers seed themselves (the ``sqlite-file`` spec,
@@ -1085,18 +1083,17 @@ class _ProcessPool:
         return reports
 
     def _decode_report(self, worker_id: int, report: WireReport) -> RoundReport:
-        """Value rows back to ``(firing key, result atoms)``: both are functions
-        of the row alone, evaluated here through the rule's firing plan."""
+        """Value rows back to ``(firing key, value row)``: the key is a
+        function of the row alone, read through the rule's firing plan."""
         fresh, fired_runs, skipped_runs, metrics = report
         wire = self._wires[worker_id]
         wire.absorb(fresh)
         plans = self._firing_plans
-        fired: List[Tuple[object, Any]] = []
-        for rule, values in wire.decode(fired_runs):
-            plan = plans[rule]
-            fired.append((plan.row_key(values), plan.atoms(values)))
+        fired: List[Tuple[object, Any]] = [
+            (plans[rule].row_key(values), values) for rule, values in wire.decode(fired_runs)
+        ]
         considered: List[object] = [key for key, _ in fired]
-        considered.extend(plans[rule].row_key(values) for rule, values in wire.decode(skipped_runs))
+        considered.extend(wire.decode(skipped_runs))
         return considered, fired, metrics
 
     def initial(self) -> List[RoundReport]:
@@ -1104,16 +1101,10 @@ class _ProcessPool:
             self._send(worker_id, ("initial",))
         return self._collect(self._decode_report)
 
-    def delta(
-        self,
-        replicated: Sequence[Atom],
-        seeds_by_worker: Sequence[Sequence[Tuple[int, Atom]]],
-    ) -> List[RoundReport]:
+    def delta(self, replicated: Delta, seeds_by_worker: Sequence[Seeds]) -> List[RoundReport]:
         for worker_id, wire in enumerate(self._wires):
-            replicated_runs = wire.encode_atoms(replicated)
-            seed_runs = wire.encode(
-                [(plan_id, atom.terms) for plan_id, atom in seeds_by_worker[worker_id]]
-            )
+            replicated_runs = wire.encode_rows(replicated)
+            seed_runs = wire.encode(seeds_by_worker[worker_id])
             self._send(worker_id, ("delta", wire.take_fresh(), replicated_runs, seed_runs))
         return self._collect(self._decode_report)
 
@@ -1163,7 +1154,9 @@ class _CoordinatorStep:
 
     Owns the global firing-key set.  The merge is order-insensitive: what a
     key fires (and whether it does) is a function of the key alone, so
-    "first worker wins" and "union of everything" coincide.
+    "first worker wins" and "union of everything" coincide.  Fired value
+    rows become head rows through the rule's :class:`FiringPlan` and reach
+    the driver as rows — no :class:`Atom` on the coordinator.
     """
 
     def __init__(
@@ -1180,6 +1173,8 @@ class _CoordinatorStep:
         self._tracer = tracer
         self._worker_sql = worker_sql
         self._fired_keys: Set[object] = set()
+        null_scope = resolve_engine_class(variant).null_scope
+        self._plans = [FiringPlan(tgd, index, null_scope) for index, tgd in enumerate(table.tgds)]
         # predicate -> (every replica holds it in full, the plans it seeds);
         # a predicate no rule reads has no route and is never shipped.
         full, partitioned = replica_seed_split(table.tgds, variant)
@@ -1189,24 +1184,25 @@ class _CoordinatorStep:
         }
 
     def _partition_work(
-        self, delta: Sequence[Atom]
-    ) -> Tuple[List[Atom], List[List[Tuple[int, Atom]]]]:
-        """Split the delta by what each worker reads of it: the atoms of the
+        self, delta: Delta
+    ) -> Tuple[Dict[Predicate, Sequence[Row]], List[List[Tuple[int, Row]]]]:
+        """Split the delta by what each worker reads of it: the rows of the
         *full* predicates (every worker, in the driver's sorted order), and
-        per worker the ``(plan, seed atom)`` pairs it owns."""
+        per worker the ``(plan, seed row)`` pairs it owns."""
         workers = self._pool.workers
-        replicated: List[Atom] = []
-        seeds: List[List[Tuple[int, Atom]]] = [[] for _ in range(workers)]
-        for atom in delta:
-            is_full, entries = self._routes.get(atom.predicate, (False, ()))
+        replicated: Dict[Predicate, Sequence[Row]] = {}
+        seeds: List[List[Tuple[int, Row]]] = [[] for _ in range(workers)]
+        for predicate, rows in delta.items():
+            is_full, entries = self._routes.get(predicate, (False, ()))
             if is_full:
-                replicated.append(atom)
-            for entry in entries:
-                owner = atom_partition_of(atom, entry.plan.partition_positions, workers)
-                seeds[owner].append((entry.plan_id, atom))
+                replicated[predicate] = rows
+            for row in rows:
+                for entry in entries:
+                    owner = row_partition_of(row, entry.plan.partition_positions, workers)
+                    seeds[owner].append((entry.plan_id, row))
         return replicated, seeds
 
-    def __call__(self, round_index: int, delta: Sequence[Atom]) -> RoundOutcome:
+    def __call__(self, round_index: int, delta: Delta) -> RoundOutcome:
         tracer = self._tracer
         traced = tracer.enabled
         if round_index == 0:
@@ -1218,11 +1214,11 @@ class _CoordinatorStep:
             reports = self._pool.delta(*self._partition_work(delta))
 
         round_keys: List[object] = []
-        fired_by_key: Dict[object, Tuple[Atom, ...]] = {}
+        fired_by_key: Dict[object, Sequence[Term]] = {}
         for considered, fired, metrics in reports:
             round_keys.extend(considered)
-            for key, atoms in fired:
-                fired_by_key.setdefault(key, atoms)
+            for key, values in fired:
+                fired_by_key.setdefault(key, values)
             if metrics is not None:
                 worker_id, seconds, n_considered, n_fired, snapshot = metrics
                 _emit_worker_round(
@@ -1231,29 +1227,34 @@ class _CoordinatorStep:
                 if snapshot is not None:
                     self._worker_sql[worker_id] = snapshot
 
-        store = self._store
+        has_row = self._store.has_row
+        plans = self._plans
         fired_keys = self._fired_keys
-        new_atoms: Set[Atom] = set()
+        new_rows: Dict[Predicate, Set[Row]] = {}
         n_fired = 0
         # Traced runs only: rule -> [enumerated, fired, atoms, nulls-set],
         # attributed through the leading tgd_index of every firing key.
         rule_stats: Dict[int, List[Any]] = {}
         stats: List[Any] = []
-        for key, atoms in fired_by_key.items():
+        for key, values in fired_by_key.items():
             if key in fired_keys:
                 continue
             n_fired += 1
+            rule = _key_rule(key)
             if traced:
-                stats = rule_stats.setdefault(_key_rule(key), [0, 0, 0, set()])
+                stats = rule_stats.setdefault(rule, [0, 0, 0, set()])
                 stats[1] += 1
-            for atom in atoms:
-                if atom not in new_atoms and not store.has_atom(atom):
-                    new_atoms.add(atom)
-                    if traced:
-                        stats[2] += 1
-                        for term in atom.terms:
-                            if isinstance(term, Null):
-                                stats[3].add(term)
+            for predicate, row in plans[rule].head_rows(values):
+                if has_row(predicate, row):
+                    continue
+                bucket = new_rows.setdefault(predicate, set())
+                size = len(bucket)
+                bucket.add(row)
+                if traced and len(bucket) > size:
+                    stats[2] += 1
+                    for term in row:
+                        if isinstance(term, Null):
+                            stats[3].add(term)
         fired_keys.update(round_keys)
         if traced:
             for key in round_keys:
@@ -1263,7 +1264,7 @@ class _CoordinatorStep:
             RuleRow(rule, enumerated, rule_fired, atoms_created, len(nulls), 0.0)
             for rule, (enumerated, rule_fired, atoms_created, nulls) in rule_stats.items()
         ]
-        return RoundOutcome(len(round_keys), n_fired, new_atoms, rule_rows)
+        return RoundOutcome(len(round_keys), n_fired, new_rows, rule_rows)
 
 
 class _ShuffleStep:
@@ -1273,7 +1274,7 @@ class _ShuffleStep:
     repartitioning (:mod:`repro.chase.exchange`); the coordinator's share
     of a round is the barrier message — carrying the skew detector's heavy
     table for the delta the driver just inserted — and the fold of
-    per-worker reports into counts, trace events, and the merged new atoms
+    per-worker reports into counts, trace events, and the merged new rows
     (already globally deduplicated, each owned by exactly one worker; the
     driver's sort merges the disjoint shares).
     """
@@ -1291,7 +1292,7 @@ class _ShuffleStep:
         self._worker_sql = worker_sql
         self._known_heavy: Set[Tuple[int, int]] = set()
 
-    def __call__(self, round_index: int, delta: Sequence[Atom]) -> RoundOutcome:
+    def __call__(self, round_index: int, delta: Delta) -> RoundOutcome:
         tracer = self._tracer
         traced = tracer.enabled
         heavy: Tuple[HeavyRoute, ...] = ()
@@ -1312,13 +1313,14 @@ class _ShuffleStep:
 
         considered = 0
         fired = 0
-        new_atoms: List[Atom] = []
+        new_rows: Dict[Predicate, List[Row]] = {}
         # Traced runs only: rule -> [enumerated, fired, atoms, nulls].
         rule_stats: Dict[int, List[int]] = {}
         for report in reports:
             considered += report.considered
             fired += report.fired
-            new_atoms.extend(report.new_atoms)
+            for predicate, row in report.new_rows:
+                new_rows.setdefault(predicate, []).append(row)
             if traced:
                 _emit_worker_round(
                     tracer, round_index + 1, report.worker, report.considered,
@@ -1349,7 +1351,7 @@ class _ShuffleStep:
             RuleRow(rule, enumerated, rule_fired, atoms_created, nulls, 0.0)
             for rule, (enumerated, rule_fired, atoms_created, nulls) in rule_stats.items()
         ]
-        return RoundOutcome(considered, fired, new_atoms, rule_rows)
+        return RoundOutcome(considered, fired, new_rows, rule_rows)
 
 
 # --------------------------------------------------------------------------- #
@@ -1508,7 +1510,7 @@ class ParallelChaseExecutor:
         tgd_list = tuple(tgds)
         if store is None:
             store = Instance()
-        insert_sorted(store, database.atoms())
+        seed_store(store, database)
         table = _PlanTable(tgd_list)
 
         # Traced runs: one registry for the coordinator's own SQL statements

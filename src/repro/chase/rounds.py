@@ -14,17 +14,23 @@ only different ways to compute *one* such round, so each of them is a
 * trace emission (:func:`emit_round`): the ``rule_round`` events of a round,
   sorted by rule, then its ``round`` event — the fixpoint-confirming round
   included, so the events sum to the result totals exactly;
-* canonical insertion (:func:`insert_sorted`): seeds and each round's new
-  atoms reach the store in sorted order, in one bulk call where it has one;
+* canonical insertion (:func:`insert_sorted`): seeds (:func:`seed_store`)
+  and each round's new rows reach the store in sorted order, one
+  ``add_rows`` call per predicate;
 * durability: one ``flush()`` per productive round on stores that have one;
 * :class:`~repro.chase.result.ChaseResult` construction.
 
 A step is a callable ``step(round_index, delta) -> RoundOutcome``.
-*round_index* counts from 0; *delta* is the sorted sequence of atoms the
-driver inserted after the previous round (empty for round 0, and for steps
-that write their own rows).  The step keeps what is specific to it — its
-trigger source and firing policy, its worker pool and key dedup, its staged
-SQL — and never touches a budget or builds a result.
+*round_index* counts from 0; *delta* is what the driver inserted after the
+previous round — predicate -> its sorted rows, predicates in sorted order
+(empty for round 0, and for steps that write their own rows).  The step
+keeps what is specific to it — its trigger source and firing policy, its
+worker pool and key dedup, its staged SQL — and never touches a budget or
+builds a result.
+
+Rows are term tuples stored under their predicate: the chase between
+seeding and its :class:`~repro.chase.result.ChaseResult` builds no
+:class:`~repro.core.atoms.Atom`.
 """
 
 from __future__ import annotations
@@ -33,21 +39,33 @@ from typing import (
     TYPE_CHECKING,
     Callable,
     Collection,
+    Dict,
     Iterable,
     List,
+    Mapping,
     NamedTuple,
     Optional,
     Sequence,
     Union,
 )
 
-from ..core.atoms import Atom, atom_sort_key
+from ..core.atoms import row_sort_key
+from ..core.indexing import Row
+from ..core.predicates import Predicate
 from ..exceptions import ChaseLimitExceeded
 from ..obs.tracer import AnyTracer, as_tracer
 from .result import ChaseLimits, ChaseResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only; keeps storage out of module load
+    from ..core.instances import Instance
     from ..storage.atom_store import AtomStore
+
+#: Rows grouped by predicate, as rounds produce and the driver inserts them.
+Rows = Mapping[Predicate, Collection[Row]]
+
+#: What a step receives: the rows the driver inserted after the previous
+#: round, as sorted runs (predicates in order, each predicate's rows sorted).
+Delta = Mapping[Predicate, Sequence[Row]]
 
 
 class RuleRow(NamedTuple):
@@ -68,14 +86,15 @@ class RoundOutcome(NamedTuple):
     considered: int
     #: Triggers the round fired.
     fired: int
-    #: The round's new atoms, for the driver to sort and insert — or, for a
-    #: step that executes in SQL, the count of rows it already wrote.
-    new_atoms: Union[int, Collection[Atom]]
+    #: The round's new rows by predicate, for the driver to sort and insert
+    #: — or, for a step that executes in SQL, the count of rows it already
+    #: wrote.
+    new_rows: Union[int, Rows]
     #: Per-rule attribution; steps leave it empty on untraced runs.
     rule_rows: Sequence[RuleRow] = ()
 
 
-RoundStep = Callable[[int, Sequence[Atom]], RoundOutcome]
+RoundStep = Callable[[int, Delta], RoundOutcome]
 
 
 class RoundBudget:
@@ -156,32 +175,43 @@ def emit_round(
     )
 
 
-def insert_atoms(store: "AtomStore", atoms: Iterable[Atom]) -> None:
-    """Add *atoms* to *store* in the given order — the one insertion site.
+def insert_rows(store: "AtomStore", rows: Mapping[Predicate, Iterable[Row]]) -> None:
+    """Add *rows* to *store* in the given order — the one insertion site.
 
-    One ``add_atoms`` call where the store has a bulk path (sqlite: an
-    ``executemany`` per run of one predicate, so one per predicate in
-    canonical order), atom by atom otherwise.  A worker's delta and seed
-    chunks arrive sorted; everything else goes through :func:`insert_sorted`.
+    One ``add_rows`` call per predicate run (sqlite: one ``executemany``).
+    A worker's delta and seed chunks arrive sorted; everything else goes
+    through :func:`insert_sorted`.
     """
-    add_atoms = getattr(store, "add_atoms", None)
-    if add_atoms is not None:
-        add_atoms(atoms)
-    else:
-        for atom in atoms:
-            store.add_atom(atom)
+    for predicate, run in rows.items():
+        store.add_rows(predicate, run)
 
 
-def insert_sorted(store: "AtomStore", atoms: Iterable[Atom]) -> List[Atom]:
-    """Insert *atoms* in canonical order; return them in that order.
+def insert_sorted(store: "AtomStore", rows: Rows) -> Dict[Predicate, List[Row]]:
+    """Insert *rows* in canonical order; return them in that order.
 
-    Set iteration is hash-salted and stores assign monotone seq numbers at
-    insertion, so unsorted insertion would make seq watermarks (any
-    seq-ordered read, a persisted file's bytes) vary run to run.
+    Predicates sort by ``(name, arity)`` and each run by
+    :func:`~repro.core.atoms.row_sort_key` — together exactly the order of
+    :func:`~repro.core.atoms.atom_sort_key`.  Set iteration is hash-salted
+    and stores assign monotone seq numbers at insertion, so unsorted
+    insertion would make seq watermarks (any seq-ordered read, a persisted
+    file's bytes) vary run to run.
     """
-    ordered = sorted(atoms, key=atom_sort_key)
-    insert_atoms(store, ordered)
+    ordered = {
+        predicate: sorted(rows[predicate], key=row_sort_key)
+        for predicate in sorted(rows)
+        if rows[predicate]
+    }
+    insert_rows(store, ordered)
     return ordered
+
+
+def seed_store(store: "AtomStore", database: "Instance") -> None:
+    """Seed *store* with *database*'s facts, as rows in canonical order —
+    the start of every chase."""
+    insert_sorted(
+        store,
+        {predicate: database.rows_matching(predicate) for predicate in database.predicates()},
+    )
 
 
 def run_rounds(
@@ -201,8 +231,8 @@ def run_rounds(
     traced = tracer.enabled
     budget = RoundBudget(limits, on_limit, variant)
     flush = getattr(store, "flush", None)
-    delta: Sequence[Atom] = ()
-    pending: Collection[Atom] = ()
+    delta: Delta = {}
+    pending: Optional[Rows] = None
     created = 0
     started = 0.0
     delta_size = 0
@@ -210,13 +240,13 @@ def run_rounds(
         if traced:
             started = tracer.now()
             delta_size = created if budget.rounds else store.atom_count()
-        considered, fired, new_atoms, rule_rows = step(budget.rounds, delta)
+        considered, fired, new_rows, rule_rows = step(budget.rounds, delta)
         budget.triggers_fired += fired
-        if isinstance(new_atoms, int):
+        if isinstance(new_rows, int):
             # The step already wrote its rows (in SQL); nothing to insert.
-            created, pending = new_atoms, ()
+            created, pending = new_rows, None
         else:
-            created, pending = len(new_atoms), new_atoms
+            created, pending = sum(map(len, new_rows.values())), new_rows
         if traced:
             emit_round(
                 tracer, budget.rounds + 1, delta_size, considered, fired, created,
@@ -224,7 +254,7 @@ def run_rounds(
             )
         if not created:
             return budget.result(store, "fixpoint")
-        delta = insert_sorted(store, pending) if pending else ()
+        delta = insert_sorted(store, pending) if pending is not None else {}
         if flush is not None:
             # Round-granular durability on persistent stores: a hard crash
             # loses at most the current round, keeping the file a resumable

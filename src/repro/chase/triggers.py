@@ -10,18 +10,26 @@ frontier restriction of ``h``, and the variable itself.
 
 from __future__ import annotations
 
-from typing import List, Mapping, Sequence, Tuple
+from operator import itemgetter
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
-from ..core.atoms import Atom
+from ..core.indexing import Row
 from ..core.predicates import Predicate
 from ..core.terms import NullFactory, NullKeyRenderer, Term, Variable
 from ..core.tgds import TGD
+from .matching import Pattern, variable_slots
 
-#: ``h`` restricted to a plan's witness variables, sorted by variable name.
-Witness = Tuple[Tuple[Variable, Term], ...]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..storage.atom_store import AtomStore
 
-#: A firing key ``(rule index, witness)``.  ``stable_key_hash``, the shuffle
-#: routing table and the pushdown key tables are all defined on this shape.
+#: The images of a plan's witness variables, in the order of
+#: :attr:`FiringPlan.variables`.
+Witness = Tuple[Term, ...]
+
+#: A firing key ``(rule index, witness)``.  The witness variables are a
+#: function of the rule, so the key carries only their images.
+#: ``stable_key_hash``, the shuffle routing table and the pushdown key
+#: tables are all defined on this shape.
 FiringKey = Tuple[int, Witness]
 
 
@@ -29,14 +37,25 @@ def _name(variable: Variable) -> str:
     return variable.name
 
 
+def _picker(slots: Sequence[int]) -> Callable[[Sequence[Term]], Row]:
+    """The function picking ``tuple(values[slot] for slot in slots)``, in C."""
+    if len(slots) > 1:
+        return itemgetter(*slots)
+    if slots:
+        (slot,) = slots
+        return lambda values: (values[slot],)
+    return lambda values: ()
+
+
 class FiringPlan:
     """Everything about firing one TGD that depends only on the rule.
 
-    Compiled once per rule and run, so a match — a body homomorphism as a
-    plain mapping — becomes its firing key and its ``result(σ, h)`` without
-    re-deriving, per trigger, which variables are frontier, their order, or
-    which head slots are existential.  The one implementation of both: every
-    firing loop calls it.
+    Compiled once per rule and run, so a match — a body homomorphism as the
+    slot tuple :mod:`repro.chase.matching` yields — becomes its firing key
+    and its ``result(σ, h)`` without re-deriving, per trigger, which
+    variables are frontier, their order, or which head slots are
+    existential.  The one implementation of both: every firing loop calls
+    :meth:`key`, then :meth:`values` and :meth:`head_rows`.
 
     ``null_scope`` selects the witness: ``"frontier"`` is ``h|fr(σ)`` — the
     semi-oblivious firing key and the null naming ``⊥^x_{σ, h|fr(σ)}`` of
@@ -45,7 +64,10 @@ class FiringPlan:
     every distinct body witness fires and invents fresh nulls.
     """
 
-    __slots__ = ("tgd", "index", "variables", "_existential", "_null_keys", "_head")
+    __slots__ = (
+        "tgd", "index", "variables", "width", "_witness", "_existential", "_null_keys",
+        "_head", "_head_pattern",
+    )
 
     def __init__(self, tgd: TGD, index: int, null_scope: str = "frontier") -> None:
         if null_scope not in ("frontier", "homomorphism"):
@@ -55,51 +77,47 @@ class FiringPlan:
         scope = tgd.frontier() if null_scope == "frontier" else tgd.body_variables()
         #: The witness variables, sorted by name.
         self.variables: Tuple[Variable, ...] = tuple(sorted(scope, key=_name))
+        self.width = len(self.variables)
+        body_slots = variable_slots(tgd.body)
+        self._witness = _picker([body_slots[variable] for variable in self.variables])
         existential = sorted(tgd.existential_variables(), key=_name)
         self._existential = tuple(variable.name for variable in existential)
         self._null_keys = NullKeyRenderer(index, [v.name for v in self.variables])
-        # Head atoms as (predicate, slots) templates; a slot indexes the
+        # Head atoms as (predicate, picker) templates over a value row: the
         # witness images followed by the invented nulls.
-        values = list(self.variables) + existential
-        self._head: Tuple[Tuple[Predicate, Tuple[int, ...]], ...] = tuple(
-            (atom.predicate, tuple(values.index(term) for term in atom.terms))
+        layout: List[Term] = list(self.variables) + existential
+        self._head: Tuple[Tuple[Predicate, Callable[[Sequence[Term]], Row]], ...] = tuple(
+            (atom.predicate, _picker([layout.index(term) for term in atom.terms]))
             for atom in tgd.head
         )
+        self._head_pattern: Optional[Pattern] = None
 
-    def key(self, mapping: Mapping[Term, Term]) -> FiringKey:
-        """Return the key under which the match *mapping* fires at most once."""
-        return (self.index, tuple([(variable, mapping[variable]) for variable in self.variables]))
+    def key(self, values: Sequence[Term]) -> FiringKey:
+        """Return the key under which the match *values* fires at most once."""
+        return (self.index, self._witness(values))
 
     def values(self, key: FiringKey, null_factory: NullFactory) -> List[Term]:
-        """The first half of :meth:`result`: the witness images, then the null
-        invented for each existential — a fired trigger as one value row."""
-        values: List[Term] = [image for _, image in key[1]]
+        """A fired trigger as one value row: the witness images, then the
+        null invented for each existential ``x`` — the one keyed
+        ``(σ, witness, x)``, a function of the key alone."""
+        values: List[Term] = list(key[1])
         for name in self._existential:
+            # render() pairs the witness variables with the leading values.
             rendered = self._null_keys.render(values, name)
             values.append(null_factory.for_rendered_key(rendered))
         return values
 
     def row_key(self, values: Sequence[Term]) -> FiringKey:
         """The firing key of a value row (its leading witness images)."""
-        return (self.index, tuple(zip(self.variables, values)))
+        return (self.index, tuple(values[: self.width]))
 
-    def atoms(self, values: Sequence[Term]) -> Tuple[Atom, ...]:
-        """The second half of :meth:`result`: the head atoms over a value row."""
-        return tuple(
-            [Atom(predicate, [values[slot] for slot in slots]) for predicate, slots in self._head]
-        )
+    def head_rows(self, values: Sequence[Term]) -> List[Tuple[Predicate, Row]]:
+        """``result(σ, h)`` over a value row: each head atom as ``(predicate, row)``."""
+        return [(predicate, pick(values)) for predicate, pick in self._head]
 
-    def result(self, key: FiringKey, null_factory: NullFactory) -> Tuple[Atom, ...]:
-        """Compute ``result(σ, h)`` from the firing key of ``(σ, h)``: the head
-        atoms with each existential ``x`` replaced by the null keyed
-        ``(σ, witness, x)`` — a function of the key alone.  Equals
-        ``atoms(values(key, null_factory))``, fused: the serial engines pay
-        one call per trigger."""
-        values: List[Term] = [image for _, image in key[1]]
-        for name in self._existential:
-            # render() pairs the witness variables with the leading values.
-            rendered = self._null_keys.render(values, name)
-            values.append(null_factory.for_rendered_key(rendered))
-        return tuple(
-            [Atom(predicate, [values[slot] for slot in slots]) for predicate, slots in self._head]
-        )
+    def head_holds(self, key: FiringKey, store: "AtomStore") -> bool:
+        """Whether some extension of the key's witness maps the head into
+        *store* — the restricted chase's head-satisfaction check."""
+        if self._head_pattern is None:
+            self._head_pattern = Pattern(self.tgd.head, self.variables)
+        return self._head_pattern.exists(store, key[1])

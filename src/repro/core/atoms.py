@@ -119,18 +119,26 @@ class Atom:
         return len(set(self.terms)) < len(self.terms)
 
 
-def atom_sort_key(atom: Atom) -> List[Union[str, int]]:
-    """Sort key ordering atoms exactly as :meth:`Atom.__lt__` does, in C.
+def row_sort_key(terms: Iterable[Term]) -> List[str]:
+    """Sort key ordering the rows of one predicate as :meth:`Atom.__lt__` does.
 
-    Predicate name, arity, then each term's type name and name, flat (atoms
-    equal on ``(name, arity)`` have equally many terms).  Only the atom's own
-    strings are referenced, so a round's worth of keys allocates no new ones.
+    Each term's type name and name, flat (rows of one predicate are equally
+    wide).  Only the terms' own strings are referenced, so a round's worth of
+    keys allocates no new ones.
     """
-    predicate = atom.predicate
-    key: List[Union[str, int]] = [predicate.name, predicate.arity]
-    for term in atom.terms:
+    key: List[str] = []
+    for term in terms:
         key.append(type(term).__name__)
         key.append(term.name)
+    return key
+
+
+def atom_sort_key(atom: Atom) -> List[Union[str, int]]:
+    """Sort key ordering atoms exactly as :meth:`Atom.__lt__` does, in C:
+    predicate name, arity, then :func:`row_sort_key` of the terms."""
+    predicate = atom.predicate
+    key: List[Union[str, int]] = [predicate.name, predicate.arity]
+    key.extend(row_sort_key(atom.terms))
     return key
 
 

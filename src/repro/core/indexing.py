@@ -1,64 +1,41 @@
-"""Positional hash indexing and the partition hash every :class:`AtomStore` shares.
+"""Position postings and the partition hash every :class:`AtomStore` shares.
 
-A :class:`PositionIndex` maps ``(position, term)`` pairs to the atoms of one
-predicate holding *term* at *position*.  The in-memory
-:class:`~repro.core.instances.Instance` keeps one per predicate (built
-lazily on the first indexed lookup, then maintained incrementally), and
-the trigger engine's join resolves candidates through :meth:`lookup`
-instead of scanning whole predicate buckets.
+A *row* is the term tuple of one atom, stored under its predicate.  The
+in-memory :class:`~repro.core.instances.Instance` indexes the rows of a
+predicate per position — a ``term -> [rows]`` posting dict, built by
+:func:`post_rows` on the first lookup binding that position and fed every
+later insert — so the trigger engine's join resolves candidates instead of
+scanning whole predicate buckets.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .atoms import Atom
 from .terms import Term
 
+#: The terms of one stored atom, in argument order.
+Row = Tuple[Term, ...]
 
-class PositionIndex:
-    """Hash index on ``(position, term)`` for the atoms of one predicate."""
+#: One position's postings: term -> the rows holding it there.
+Postings = Dict[Term, List[Row]]
 
-    __slots__ = ("_postings",)
 
-    def __init__(self, atoms: Iterable[Atom] = ()):
-        self._postings: Dict[Tuple[int, Term], Set[Atom]] = {}
-        for atom in atoms:
-            self.register(atom)
+def post_rows(postings: Postings, position: int, rows: Iterable[Row]) -> None:
+    """Post each of *rows* under its term at *position*.
 
-    def register(self, atom: Atom) -> None:
-        """Index *atom* under every ``(position, term)`` pair it realises."""
-        postings = self._postings
-        for position, term in enumerate(atom.terms):
-            entry = postings.get((position, term))
-            if entry is None:
-                postings[(position, term)] = {atom}
-            else:
-                entry.add(atom)
-
-    def lookup(self, bindings) -> Union[Set[Atom], List[Atom], Tuple]:
-        """Return the indexed atoms matching the non-empty positional *bindings*.
-
-        The smallest posting list is scanned and the remaining bindings are
-        checked directly on each candidate.  The returned collection must be
-        treated as read-only.
-        """
-        smallest: Optional[Set[Atom]] = None
-        for position, term in bindings.items():
-            posting = self._postings.get((position, term))
-            if not posting:
-                return ()
-            if smallest is None or len(posting) < len(smallest):
-                smallest = posting
-        if len(bindings) == 1:
-            return smallest
-        items = tuple(bindings.items())
-        return [
-            atom
-            for atom in smallest
-            if all(atom.terms[position] == term for position, term in items)
-        ]
+    The rows must be new to *postings* (callers dedup before posting), so a
+    posting is a plain list.
+    """
+    for row in rows:
+        term = row[position]
+        entry = postings.get(term)
+        if entry is None:
+            postings[term] = [row]
+        else:
+            entry.append(row)
 
 
 def partition_hash(terms: Sequence[Term]) -> int:
@@ -74,16 +51,21 @@ def partition_hash(terms: Sequence[Term]) -> int:
     return zlib.crc32(payload.encode("utf-8"))
 
 
-def atom_partition_of(atom: Atom, key_positions: Sequence[int], n_partitions: int) -> int:
-    """Return the partition (``0 <= p < n_partitions``) that owns *atom*.
+def row_partition_of(row: Row, key_positions: Sequence[int], n_partitions: int) -> int:
+    """Return the partition (``0 <= p < n_partitions``) that owns *row*.
 
     *key_positions* names the argument positions forming the partition key;
     an empty sequence hashes the whole term tuple.
     """
     if n_partitions <= 1:
         return 0
-    terms = atom.terms if not key_positions else tuple(atom.terms[p] for p in key_positions)
+    terms = row if not key_positions else tuple(row[p] for p in key_positions)
     return partition_hash(terms) % n_partitions
+
+
+def atom_partition_of(atom: Atom, key_positions: Sequence[int], n_partitions: int) -> int:
+    """:func:`row_partition_of` for an atom's terms."""
+    return row_partition_of(atom.terms, key_positions, n_partitions)
 
 
 def _encode_key(value: object, out: List[str]) -> None:

@@ -7,136 +7,211 @@ chase starts from a database and produces an instance.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import (
+    Any,
+    Collection,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from ..exceptions import ValidationError
-from .atoms import Atom, atom_sort_key
-from .indexing import PositionIndex, atom_partition_of
+from .atoms import Atom, row_sort_key
+from .indexing import Postings, Row, post_rows, row_partition_of
 from .predicates import Predicate, Schema
 from .terms import Constant, Null, Term
 
 
 class Instance:
-    """A mutable set of ground atoms indexed by predicate.
+    """A mutable set of ground atoms, stored as rows per predicate.
 
-    The per-predicate index is what makes trigger enumeration for linear
-    TGDs (one body atom) linear in the number of matching atoms rather than
-    in the size of the whole instance.
+    A *row* is the term tuple of one atom; the instance keeps
+    ``predicate -> {rows}`` and builds an :class:`Atom` only when a caller
+    asks for one (iteration, :meth:`atoms`, the ``atoms_*`` queries).  The
+    chase engines trade rows through :meth:`add_rows`, :meth:`rows_matching`
+    and :meth:`has_row` and never build one.
 
-    On top of the predicate buckets the instance maintains two further
-    structures used by the indexed trigger engine
-    (:mod:`repro.chase.matching`):
+    On top of the per-predicate rows the instance maintains two structures
+    used by the indexed trigger engine (:mod:`repro.chase.matching`):
 
-    * **position indexes** — for each predicate, a lazily-built hash index
-      mapping ``(position, term)`` to the atoms holding *term* at
-      *position*; once built for a predicate it is maintained
-      incrementally on every ``add``;
-    * an **incremental term index** — the sets of constants and nulls
-      occurring in the instance, updated on ``add`` so that ``domain()``/
-      ``constants()``/``nulls()`` never rescan the atoms.
+    * **position postings** — for each ``(predicate, position)``, a
+      ``term -> [rows]`` dict built on the first lookup binding that
+      position and fed every later insert (:func:`~repro.core.indexing.post_rows`);
+    * an **incremental term index** — the terms occurring in the instance,
+      updated on insert so that ``domain()``/``constants()``/``nulls()``
+      never rescan the rows.
 
     The class structurally implements the
     :class:`repro.storage.atom_store.AtomStore` protocol, which is the
     store interface the chase engines run against.
     """
 
-    def __init__(self, atoms: Iterable[Atom] = ()):
-        self._by_predicate: Dict[Predicate, Set[Atom]] = defaultdict(set)
+    #: The term classes a row may hold, and what a row breaking that is told.
+    _term_types: FrozenSet[type] = frozenset({Constant, Null})
+    _term_error = "instances contain ground atoms only"
+
+    def __init__(self, atoms: Iterable[Atom] = ()) -> None:
+        self._rows: Dict[Predicate, Set[Row]] = {}
         self._size = 0
-        self._constants: Set[Constant] = set()
-        self._nulls: Set[Null] = set()
-        # Built on the first indexed lookup for a predicate, then kept up
-        # to date by every add.
-        self._position_index: Dict[Predicate, PositionIndex] = {}
+        self._terms: Set[Term] = set()
+        # Per predicate, one postings dict per position (None until a lookup
+        # binds that position).
+        self._postings: Dict[Predicate, List[Optional[Postings]]] = {}
         self.add_all(atoms)
 
     # ------------------------------------------------------------------ #
     # Mutation
 
+    def add_rows(self, predicate: Predicate, rows: Iterable[Row]) -> int:
+        """Add the term tuples *rows* over *predicate*; return how many were new.
+
+        Every row must have the predicate's arity and hold ground terms only
+        (constants only, for a :class:`Database`); the first row breaking
+        that raises :class:`ValidationError`, after the rows before it went
+        in.
+        """
+        bucket = self._rows.get(predicate)
+        if bucket is None:
+            bucket = self._rows[predicate] = set()
+        arity = predicate.arity
+        allowed = self._term_types
+        terms = self._terms
+        new: List[Row] = []
+        size = len(bucket)
+        try:
+            for row in rows:
+                bucket.add(row)
+                if len(bucket) == size:
+                    continue  # already present
+                if len(row) != arity or not allowed.issuperset(map(type, row)):
+                    bucket.discard(row)
+                    raise ValidationError(self._invalid(predicate, row))
+                size += 1
+                terms.update(row)
+                new.append(row)
+        finally:
+            if new:
+                self._size += len(new)
+                for position, postings in enumerate(self._postings.get(predicate, ())):
+                    if postings is not None:
+                        post_rows(postings, position, new)
+        return len(new)
+
+    def _invalid(self, predicate: Predicate, row: Row) -> str:
+        if len(row) != predicate.arity:
+            return (
+                f"atom over {predicate} must have {predicate.arity} arguments, "
+                f"got {len(row)}"
+            )
+        return f"{self._term_error}, got {predicate.name}({', '.join(map(str, row))})"
+
     def add(self, atom: Atom) -> bool:
         """Add *atom*; return ``True`` when it was not already present."""
-        terms = atom.terms
-        for term in terms:
-            if not isinstance(term, (Constant, Null)):
-                raise ValidationError(f"instances contain ground atoms only, got {atom!r}")
-        bucket = self._by_predicate[atom.predicate]
-        if atom in bucket:
-            return False
-        bucket.add(atom)
-        self._size += 1
-        for term in terms:
-            if isinstance(term, Null):
-                self._nulls.add(term)
-            else:
-                self._constants.add(term)
-        index = self._position_index.get(atom.predicate)
-        if index is not None:
-            index.register(atom)
-        return True
+        return self.add_rows(atom.predicate, (atom.terms,)) == 1
 
     def add_all(self, atoms: Iterable[Atom]) -> int:
         """Add every atom of *atoms*; return how many were new."""
-        return sum(1 for atom in atoms if self.add(atom))
+        groups: Dict[Predicate, List[Row]] = {}
+        for atom in atoms:
+            groups.setdefault(atom.predicate, []).append(atom.terms)
+        return sum(self.add_rows(predicate, rows) for predicate, rows in groups.items())
 
     # ------------------------------------------------------------------ #
-    # Queries
+    # Row queries (the chase engines' access path)
+
+    def has_row(self, predicate: Predicate, row: Row) -> bool:
+        """Return ``True`` when the row *row* over *predicate* is stored."""
+        bucket = self._rows.get(predicate)
+        return bucket is not None and row in bucket
+
+    def rows_matching(
+        self, predicate: Predicate, bindings: Optional[Mapping[int, Term]] = None
+    ) -> Collection[Row]:
+        """Return the rows over *predicate* whose term at each position of
+        *bindings* equals the bound term.
+
+        *bindings* maps 0-based argument positions to ground terms; ``None``
+        or an empty mapping selects the whole relation.  The smallest bound
+        posting is scanned and the other bindings are checked on each row.
+        The returned collection must be treated as read-only.
+        """
+        bucket = self._rows.get(predicate)
+        if not bucket:
+            return ()
+        if not bindings:
+            return bucket
+        postings = self._postings.get(predicate)
+        if postings is None:
+            postings = self._postings[predicate] = [None] * predicate.arity
+        smallest: Optional[List[Row]] = None
+        for position, term in bindings.items():
+            if not 0 <= position < predicate.arity:
+                return ()
+            index = postings[position]
+            if index is None:
+                index = postings[position] = {}
+                post_rows(index, position, bucket)
+            posting = index.get(term)
+            if posting is None:
+                return ()
+            if smallest is None or len(posting) < len(smallest):
+                smallest = posting
+        if smallest is None or len(bindings) == 1:
+            return smallest or ()
+        items = tuple(bindings.items())
+        return [
+            row for row in smallest if all(row[position] == term for position, term in items)
+        ]
+
+    # ------------------------------------------------------------------ #
+    # Atom queries (the public API edge)
 
     def __contains__(self, atom: Atom) -> bool:
-        bucket = self._by_predicate.get(atom.predicate)
-        return bucket is not None and atom in bucket
+        return self.has_row(atom.predicate, atom.terms)
 
     def __len__(self) -> int:
         return self._size
 
     def __iter__(self) -> Iterator[Atom]:
-        for predicate in sorted(self._by_predicate):
-            yield from sorted(self._by_predicate[predicate], key=atom_sort_key)
+        for predicate in sorted(self._rows):
+            for row in sorted(self._rows[predicate], key=row_sort_key):
+                yield Atom(predicate, row)
 
-    def __eq__(self, other):
+    def __eq__(self, other: object) -> bool:
         if not isinstance(other, Instance):
             return NotImplemented
-        return set(self) == set(other)
+        return self._nonempty() == other._nonempty()
 
-    def __repr__(self):
-        return f"{type(self).__name__}({self._size} atoms, {len(self._by_predicate)} predicates)"
+    def _nonempty(self) -> Dict[Predicate, Set[Row]]:
+        return {predicate: bucket for predicate, bucket in self._rows.items() if bucket}
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._size} atoms, {len(self._nonempty())} predicates)"
 
     def atoms(self) -> FrozenSet[Atom]:
         """Return all atoms as a frozen set."""
-        return frozenset(a for bucket in self._by_predicate.values() for a in bucket)
+        return frozenset(self.iter_atoms())
 
     def atoms_with_predicate(self, predicate: Predicate) -> FrozenSet[Atom]:
         """Return the atoms whose predicate is *predicate* (possibly empty)."""
-        return frozenset(self._by_predicate.get(predicate, frozenset()))
+        return frozenset(Atom(predicate, row) for row in self._rows.get(predicate, ()))
 
     def predicate_cardinality(self, predicate: Predicate) -> int:
         """Return ``|R^I|``: the number of atoms over *predicate* (cached)."""
-        bucket = self._by_predicate.get(predicate)
+        bucket = self._rows.get(predicate)
         return 0 if bucket is None else len(bucket)
-
-    def _ensure_position_index(self, predicate: Predicate) -> PositionIndex:
-        index = self._position_index.get(predicate)
-        if index is None:
-            index = PositionIndex(self._by_predicate.get(predicate, ()))
-            self._position_index[predicate] = index
-        return index
 
     def atoms_matching(
         self, predicate: Predicate, bindings: Optional[Mapping[int, Term]] = None
     ) -> Iterable[Atom]:
-        """Return the atoms over *predicate* whose term at each position of
-        *bindings* equals the bound term.
-
-        *bindings* maps 0-based argument positions to ground terms; the
-        lookup goes through the predicate's :class:`PositionIndex`.  The
-        returned collection must be treated as read-only.
-        """
-        bucket = self._by_predicate.get(predicate)
-        if not bucket:
-            return ()
-        if not bindings:
-            return bucket
-        return self._ensure_position_index(predicate).lookup(bindings)
+        """:meth:`rows_matching` as atoms."""
+        return [Atom(predicate, row) for row in self.rows_matching(predicate, bindings)]
 
     def atoms_partition(
         self,
@@ -153,15 +228,9 @@ class Instance:
         coordinator or per-worker replica — agrees on who owns which atom.
         The parallel chase uses this for its partitioned initial-round scans.
         """
-        bucket = self._by_predicate.get(predicate)
-        if not bucket:
-            return
-        if n_partitions <= 1:
-            yield from bucket
-            return
-        for atom in bucket:
-            if atom_partition_of(atom, key_positions, n_partitions) == partition_index:
-                yield atom
+        for row in self._rows.get(predicate, ()):
+            if row_partition_of(row, key_positions, n_partitions) == partition_index:
+                yield Atom(predicate, row)
 
     # ------------------------------------------------------------------ #
     # AtomStore protocol surface (see repro.storage.atom_store)
@@ -176,8 +245,9 @@ class Instance:
 
     def iter_atoms(self) -> Iterator[Atom]:
         """Iterate over all atoms without the sorted-order guarantee of ``__iter__``."""
-        for bucket in self._by_predicate.values():
-            yield from bucket
+        for predicate, bucket in self._rows.items():
+            for row in bucket:
+                yield Atom(predicate, row)
 
     def atom_count(self) -> int:
         """AtomStore alias for ``len(self)``."""
@@ -185,7 +255,7 @@ class Instance:
 
     def predicates(self) -> FrozenSet[Predicate]:
         """Return the predicates that have at least one atom."""
-        return frozenset(p for p, bucket in self._by_predicate.items() if bucket)
+        return frozenset(self._nonempty())
 
     def schema(self) -> Schema:
         """Return a :class:`Schema` over the non-empty predicates."""
@@ -194,47 +264,44 @@ class Instance:
     def domain(self) -> FrozenSet[Term]:
         """Return ``dom(I)``: the constants and nulls occurring in the instance.
 
-        Answered from the incremental term index maintained by :meth:`add`,
-        so it costs one set copy instead of a scan over every atom.
+        Answered from the incremental term index maintained on insert, so it
+        costs one set copy instead of a scan over every row.
         """
-        return frozenset(self._constants) | frozenset(self._nulls)
+        return frozenset(self._terms)
 
     def constants(self) -> FrozenSet[Constant]:
         """Return the constants occurring in the instance."""
-        return frozenset(self._constants)
+        return frozenset(term for term in self._terms if type(term) is Constant)
 
     def nulls(self) -> FrozenSet[Null]:
         """Return the labeled nulls occurring in the instance."""
-        return frozenset(self._nulls)
+        return frozenset(term for term in self._terms if type(term) is Null)
 
     def copy(self) -> "Instance":
-        """Return a shallow copy (atoms are immutable so this is safe)."""
-        clone = type(self)()
-        for predicate, bucket in self._by_predicate.items():
-            clone._by_predicate[predicate] = set(bucket)
-            clone._size += len(bucket)
-        clone._constants = set(self._constants)
-        clone._nulls = set(self._nulls)
-        # Position indexes are rebuilt lazily on the clone.
+        """Return a shallow copy (rows are immutable so this is safe)."""
+        return self._copy_into(type(self)())
+
+    def _copy_into(self, clone: "Instance") -> "Instance":
+        for predicate, bucket in self._rows.items():
+            clone._rows[predicate] = set(bucket)
+        clone._size = self._size
+        clone._terms = set(self._terms)
+        # Postings are rebuilt lazily on the clone.
         return clone
 
 
 class Database(Instance):
     """A finite set of facts (atoms over constants only)."""
 
-    def add(self, atom: Atom) -> bool:
-        if not atom.is_fact():
-            raise ValidationError(
-                f"databases contain facts (constants only), got {atom!r}"
-            )
-        return super().add(atom)
+    _term_types = frozenset({Constant})
+    _term_error = "databases contain facts (constants only)"
 
     def to_instance(self) -> Instance:
         """Return a plain :class:`Instance` copy (used as the chase seed)."""
-        return Instance(self.atoms())
+        return self._copy_into(Instance())
 
 
-def induced_database(schema_or_tgds, constant_prefix: str = "c") -> Database:
+def induced_database(schema_or_tgds: Any, constant_prefix: str = "c") -> Database:
     """Build the database ``D_Σ`` induced by a schema or TGD set (Remark 1, §7).
 
     ``D_Σ`` has exactly one atom ``R(c1, ..., cn)`` with pairwise distinct
@@ -253,9 +320,9 @@ def induced_database(schema_or_tgds, constant_prefix: str = "c") -> Database:
 
     database = Database()
     for predicate in schema:
-        terms = tuple(
+        row = tuple(
             Constant(f"{constant_prefix}_{predicate.name}_{i}")
             for i in range(1, predicate.arity + 1)
         )
-        database.add(Atom(predicate, terms))
+        database.add_rows(predicate, (row,))
     return database

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import os
 import re
-from typing import Dict, Iterable, List, Optional, Pattern, Union
+from typing import Callable, Dict, Iterable, List, Optional, Pattern, Tuple, TypeVar, Union
 
 from ..exceptions import ParseError, ValidationError
 from .atoms import Atom
@@ -53,6 +53,7 @@ _RULE_TOKENS: Pattern[str] = re.compile(r"""["'(),%#]|//|->|=>|:-(?!>)""")
 _COMMENT_PREFIXES = ("%", "#", "//")
 
 _Lines = Union[str, Iterable[str]]
+_Item = TypeVar("_Item")
 _Path = Union[str, os.PathLike]
 
 
@@ -94,6 +95,10 @@ class _AtomBuilder:
         self.terms: Dict[str, Term] = {}
 
     def atom(self, name: str, tokens: List[str]) -> Atom:
+        return Atom(*self.row(name, tokens))
+
+    def row(self, name: str, tokens: List[str]) -> Tuple[Predicate, Tuple[Term, ...]]:
+        """The ``(predicate, terms)`` of the atom ``name(tokens)``."""
         terms = self.terms
         arguments = []
         for token in tokens:
@@ -102,20 +107,21 @@ class _AtomBuilder:
                 term = terms[token] = _parse_term(token, self.as_variable)
             arguments.append(term)
         if self.schema is None:
-            return Atom(Predicate(name, len(arguments)), arguments)
-        return Atom(self.schema.declare(name, len(arguments)), arguments)
+            return Predicate(name, len(arguments)), tuple(arguments)
+        return self.schema.declare(name, len(arguments)), tuple(arguments)
 
 
 def _scan(
-    line: str, tokens: Pattern[str], builder: _AtomBuilder, rule: bool
-) -> Optional[List[List[Atom]]]:
+    line: str, tokens: Pattern[str], build: Callable[[str, List[str]], _Item], rule: bool
+) -> Optional[List[List[_Item]]]:
     """Read one line in a single pass over its structural *tokens*.
 
     Returns ``None`` for a blank or comment-only line, else the atoms of the
-    line: one list, or ``[body, head]`` when an arrow split it (*rule* lines
-    only; elsewhere a top-level comma is an error, not an atom separator).
+    line, each made by ``build(name, argument tokens)``: one list, or
+    ``[body, head]`` when an arrow split it (*rule* lines only; elsewhere a
+    top-level comma is an error, not an atom separator).
     """
-    sides: List[List[Atom]] = [[]]
+    sides: List[List[_Item]] = [[]]
     atoms = sides[0]
     arrow = None
     quote = None  # the one place that tracks quote state
@@ -151,7 +157,7 @@ def _scan(
                     arguments.append(argument)
                 elif arguments:  # R(a,) — only R() is the nullary atom
                     raise ParseError(f"empty term in {line.strip()!r}")
-                atoms.append(builder.atom(name, arguments))
+                atoms.append(build(name, arguments))
                 closed = True
                 start = at + 1
             elif depth < 0:
@@ -203,7 +209,7 @@ def parse_atom(text: str, as_variable: bool = True, schema: Optional[Schema] = N
     # The trailing dot belongs to fact and rule *lines*, not to a bare atom.
     sides = None
     if text.rstrip().endswith(")"):
-        sides = _scan(text, _ATOM_TOKENS, _AtomBuilder(as_variable, schema), False)
+        sides = _scan(text, _ATOM_TOKENS, _AtomBuilder(as_variable, schema).atom, False)
     if sides is None:
         raise ParseError(f"malformed atom {text.strip()!r}")
     return sides[0][0]
@@ -211,7 +217,7 @@ def parse_atom(text: str, as_variable: bool = True, schema: Optional[Schema] = N
 
 def _tgd(line: str, builder: _AtomBuilder, label: Optional[str]) -> Optional[TGD]:
     """The TGD on *line*, or ``None`` for a blank or comment-only line."""
-    sides = _scan(line, _RULE_TOKENS, builder, True)
+    sides = _scan(line, _RULE_TOKENS, builder.atom, True)
     if sides is None:
         return None
     if len(sides) != 2:
@@ -222,17 +228,18 @@ def _tgd(line: str, builder: _AtomBuilder, label: Optional[str]) -> Optional[TGD
     return TGD(body, head, label=label)
 
 
-def _fact(line: str, builder: _AtomBuilder) -> Optional[Atom]:
-    """The fact on *line*, or ``None`` for a blank or comment-only line."""
-    sides = _scan(line, _FACT_TOKENS, builder, False)
+def _fact(line: str, builder: _AtomBuilder) -> Optional[Tuple[Predicate, Tuple[Term, ...]]]:
+    """The fact on *line* as ``(predicate, terms)``, or ``None`` for a blank
+    or comment-only line."""
+    sides = _scan(line, _FACT_TOKENS, builder.row, False)
     if sides is None:
         return None
     if not sides[0]:
         raise ParseError(f"malformed atom {line.strip()!r}")
-    atom = sides[0][0]
-    if not atom.is_fact():
+    fact = sides[0][0]
+    if not all(isinstance(term, Constant) for term in fact[1]):
         raise ParseError(f"fact {line.strip()!r} contains non-constant terms")
-    return atom
+    return fact
 
 
 def parse_tgd(text: str, schema: Optional[Schema] = None, label: Optional[str] = None) -> TGD:
@@ -245,10 +252,10 @@ def parse_tgd(text: str, schema: Optional[Schema] = None, label: Optional[str] =
 
 def parse_fact(text: str, schema: Optional[Schema] = None) -> Atom:
     """Parse a single fact like ``R(a, b).``."""
-    atom = _fact(text, _AtomBuilder(False, schema))
-    if atom is None:
+    fact = _fact(text, _AtomBuilder(False, schema))
+    if fact is None:
         raise ParseError(f"malformed atom {text.strip()!r}")
-    return atom
+    return Atom(*fact)
 
 
 def _lines(text_or_lines: _Lines) -> Iterable[str]:
@@ -274,16 +281,28 @@ def parse_rules(text_or_lines: _Lines, schema: Optional[Schema] = None) -> TGDSe
 
 
 def parse_database(text_or_lines: _Lines, schema: Optional[Schema] = None) -> Database:
-    """Parse a fact file (string or iterable of lines) into a :class:`Database`."""
+    """Parse a fact file (string or iterable of lines) into a :class:`Database`.
+
+    Facts go in as rows, one :meth:`Database.add_rows` call per predicate:
+    no :class:`Atom` is built.
+    """
     builder = _AtomBuilder(False, schema if schema is not None else Schema())
-    database = Database()
+    rows: Dict[Predicate, List[Tuple[Term, ...]]] = {}
     for number, line in enumerate(_lines(text_or_lines), start=1):
         try:
-            atom = _fact(line, builder)
+            fact = _fact(line, builder)
         except (ParseError, ValidationError) as error:
             raise ParseError(str(error), line_number=number, line=line.strip()) from error
-        if atom is not None:
-            database.add(atom)
+        if fact is not None:
+            predicate, terms = fact
+            group = rows.get(predicate)
+            if group is None:
+                rows[predicate] = [terms]
+            else:
+                group.append(terms)
+    database = Database()
+    for predicate, group in rows.items():
+        database.add_rows(predicate, group)
     return database
 
 

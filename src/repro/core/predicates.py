@@ -8,7 +8,7 @@ used by the acyclicity-based termination algorithms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Tuple
 
 from ..exceptions import ValidationError
@@ -20,6 +20,7 @@ class Predicate:
 
     name: str
     arity: int
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.name:
@@ -28,6 +29,16 @@ class Predicate:
             raise ValidationError(
                 f"predicate {self.name!r} must have non-negative arity, got {self.arity}"
             )
+        # Cached like Term._hash: every stored row is keyed by its predicate.
+        object.__setattr__(self, "_hash", hash((self.name, self.arity)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild through __init__: a cached str hash is only valid under the
+        # PYTHONHASHSEED of the process that computed it.
+        return (type(self), (self.name, self.arity))
 
     def positions(self):
         """Return the tuple of positions ``(R, 1), ..., (R, n)`` of this predicate."""

@@ -14,27 +14,70 @@ chase round — firing keys, null naming, and the breadth-first driver
 (:func:`repro.chase.rounds.run_rounds`) — so its result is byte-identical
 to every engine's, null names included.  The one seam is
 :attr:`ChaseEngine.trigger_source`: each reference engine subclasses the
-product's engine for its variant and swaps in :class:`NaiveTriggerSource`.
+product's engine for its variant and swaps in :class:`NaiveTriggerSource`,
+which searches over atoms and dicts and converts each homomorphism to the
+rule's slot tuple (:func:`~repro.chase.matching.variable_slots`) only at
+that seam.  Its searches read a :class:`_Snapshot` — the store's atoms per
+predicate, decoded once per round — instead of the store.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import (
+    Collection,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Protocol,
+    Sequence,
+    Tuple,
+)
 
 from ..chase.engine import ObliviousChase, RestrictedChase, SemiObliviousChase
-from ..chase.matching import Match
+from ..chase.matching import Match, variable_slots
 from ..chase.result import ChaseLimits, ChaseResult
-from ..chase.triggers import FiringPlan
+from ..chase.rounds import Delta
+from ..chase.triggers import FiringKey, FiringPlan
 from ..core.atoms import Atom, atom_sort_key, match_atom
 from ..core.instances import Database
+from ..core.predicates import Predicate
 from ..core.terms import Term
 from ..core.tgds import TGD, TGDSet
 from ..storage.atom_store import AtomStore
 
+#: A match as the reference finds it: ``(rule index, body homomorphism as a dict)``.
+DictMatch = Tuple[int, Dict[Term, Term]]
+
+
+class AtomSource(Protocol):
+    """What the reference searches read: a store, or a :class:`_Snapshot` of one."""
+
+    def atoms_with_predicate(self, predicate: Predicate) -> Collection[Atom]:
+        ...
+
+
+class _Snapshot:
+    """A store's atoms per predicate, decoded on first read and kept while
+    the store does not grow — within one round it does not."""
+
+    def __init__(self, store: AtomStore) -> None:
+        self.store = store
+        self.size = store.atom_count()
+        self._atoms: Dict[Predicate, List[Atom]] = {}
+
+    def atoms_with_predicate(self, predicate: Predicate) -> List[Atom]:
+        atoms = self._atoms.get(predicate)
+        if atoms is None:
+            atoms = self._atoms[predicate] = list(self.store.atoms_with_predicate(predicate))
+        return atoms
+
 
 def homomorphisms(
     atoms: Sequence[Atom],
-    store: AtomStore,
+    store: AtomSource,
     base: Optional[Mapping[Term, Term]] = None,
 ) -> Iterator[Dict[Term, Term]]:
     """Enumerate the homomorphisms from *atoms* into *store* that extend *base*.
@@ -60,7 +103,7 @@ def homomorphisms(
 
 def has_homomorphism(
     atoms: Sequence[Atom],
-    store: AtomStore,
+    store: AtomSource,
     base: Optional[Mapping[Term, Term]] = None,
 ) -> bool:
     """Return ``True`` when some homomorphism from *atoms* into *store* extends *base*."""
@@ -69,9 +112,9 @@ def has_homomorphism(
 
 def triggers_on(
     tgds: Sequence[TGD],
-    store: AtomStore,
+    store: AtomSource,
     restrict_to_atoms: Optional[Iterable[Atom]] = None,
-) -> Iterator[Match]:
+) -> Iterator[DictMatch]:
     """Enumerate ``T(Σ, I)`` as ``(rule index, body homomorphism)`` pairs.
 
     When *restrict_to_atoms* is given, only homomorphisms that map some body
@@ -98,16 +141,23 @@ def triggers_on(
 
 
 class NaiveTriggerSource:
-    """The reference round enumeration: :func:`triggers_on` per round."""
+    """The reference round enumeration: :func:`triggers_on` per round, over a
+    :class:`_Snapshot` of the store."""
 
     def __init__(self, tgds: Sequence[TGD]) -> None:
         self.tgds = tuple(tgds)
+        self._slots = [tuple(variable_slots(tgd.body)) for tgd in self.tgds]
+
+    def _matches(self, triggers: Iterator[DictMatch]) -> Iterator[Match]:
+        for index, mapping in triggers:
+            yield index, tuple(mapping[variable] for variable in self._slots[index])
 
     def initial(self, store: AtomStore) -> Iterator[Match]:
-        return triggers_on(self.tgds, store)
+        return self._matches(triggers_on(self.tgds, _Snapshot(store)))
 
-    def delta(self, store: AtomStore, new_atoms: Iterable[Atom]) -> Iterator[Match]:
-        return triggers_on(self.tgds, store, restrict_to_atoms=new_atoms)
+    def delta(self, store: AtomStore, delta: Delta) -> Iterator[Match]:
+        new_atoms = [Atom(predicate, row) for predicate, rows in delta.items() for row in rows]
+        return self._matches(triggers_on(self.tgds, _Snapshot(store), new_atoms))
 
 
 class ReferenceObliviousChase(ObliviousChase):
@@ -120,12 +170,14 @@ class ReferenceSemiObliviousChase(SemiObliviousChase):
 
 class ReferenceRestrictedChase(RestrictedChase):
     trigger_source = NaiveTriggerSource
+    _snapshot: Optional[_Snapshot] = None
 
-    def _should_fire(
-        self, plan: FiringPlan, mapping: Mapping[Term, Term], store: AtomStore
-    ) -> bool:
-        base = {variable: mapping[variable] for variable in plan.variables}
-        return not has_homomorphism(plan.tgd.head, store, base=base)
+    def _should_fire(self, plan: FiringPlan, key: FiringKey, store: AtomStore) -> bool:
+        snapshot = self._snapshot
+        if snapshot is None or snapshot.store is not store or snapshot.size != store.atom_count():
+            snapshot = self._snapshot = _Snapshot(store)
+        base = dict(zip(plan.variables, key[1]))
+        return not has_homomorphism(plan.tgd.head, snapshot, base=base)
 
 
 #: Chase variant -> reference engine class.

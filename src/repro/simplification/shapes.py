@@ -179,11 +179,12 @@ def simplify_database(database: Database) -> Database:
 
 
 def shapes_of_database(database: Instance) -> Set[Shape]:
-    """Return ``shape(D)``: the set of shapes of the atoms of *database*."""
+    """Return ``shape(D)``: the set of shapes of the atoms of *database*
+    (read as rows, so no :class:`Atom` is built)."""
     return {
         Shape(predicate.name, ids)
         for predicate in database.predicates()
-        for ids in row_patterns(atom.terms for atom in database.atoms_with_predicate(predicate))
+        for ids in row_patterns(database.rows_matching(predicate))
     }
 
 

@@ -5,8 +5,14 @@
 need.  Two backends implement it — the in-memory
 :class:`~repro.core.instances.Instance` and the SQLite store
 (:class:`~repro.storage.sqlbackend.SqliteAtomStore`, transient or a
-persistent file) — and a future backend only has to provide these nine
-methods.  :class:`~repro.storage.database.RelationalDatabase` is not one:
+persistent file) — and a future backend only has to provide these twelve
+methods.
+
+The chase itself only speaks the **row** half: ``add_rows``,
+``rows_matching`` and ``has_row`` trade ``(predicate, term tuple)`` rows,
+so no :class:`~repro.core.atoms.Atom` is built between seeding and the
+result.  The ``*_atom*`` half is the same store seen through atoms — the
+public API edge.  :class:`~repro.storage.database.RelationalDatabase` is not one:
 it is the FindShapes substrate of the termination checkers, with its own
 catalog/scan/query surface.
 
@@ -37,6 +43,7 @@ from typing import (
 )
 
 from ..core.atoms import Atom
+from ..core.indexing import Row
 from ..core.predicates import Predicate
 from ..core.terms import Constant, Null, Term
 
@@ -45,11 +52,34 @@ from ..core.terms import Constant, Null, Term
 class AtomStore(Protocol):
     """A mutable set of ground atoms with indexed positional access.
 
-    Implementations must treat atoms as immutable values and must return
-    read-only collections from the query methods (callers never mutate
-    them).  ``atoms_matching`` is the work-horse: the indexed join resolves
-    every candidate lookup through it.
+    Implementations must treat atoms and rows as immutable values and must
+    return read-only collections from the query methods (callers never
+    mutate them).  ``rows_matching`` is the work-horse: the indexed join
+    resolves every candidate lookup through it.
     """
+
+    def add_rows(self, predicate: Predicate, rows: Iterable[Row]) -> int:
+        """Add the term tuples *rows* over *predicate*; return how many were new.
+
+        Rows must be ground and as wide as the predicate's arity
+        (``ValidationError`` otherwise); the chase inserts each round's rows
+        of one predicate in one call, in canonical order.
+        """
+        ...
+
+    def has_row(self, predicate: Predicate, row: Row) -> bool:
+        """Return ``True`` when the row *row* over *predicate* is stored."""
+        ...
+
+    def rows_matching(
+        self, predicate: Predicate, bindings: Optional[Mapping[int, Term]] = None
+    ) -> Collection[Row]:
+        """Return the rows over *predicate* matching the positional *bindings*.
+
+        *bindings* maps 0-based argument positions to ground terms; ``None``
+        or an empty mapping selects the whole relation.
+        """
+        ...
 
     def add_atom(self, atom: Atom) -> bool:
         """Add *atom*; return ``True`` when it was not already present."""
@@ -135,6 +165,14 @@ class InstanceView:
     # -------------------------------------------------------------- #
     # AtomStore read surface (plain delegation)
 
+    def has_row(self, predicate: Predicate, row: Row) -> bool:
+        return self._store.has_row(predicate, row)
+
+    def rows_matching(
+        self, predicate: Predicate, bindings: Optional[Mapping[int, Term]] = None
+    ) -> Collection[Row]:
+        return self._store.rows_matching(predicate, bindings)
+
     def has_atom(self, atom: Atom) -> bool:
         return self._store.has_atom(atom)
 
@@ -217,6 +255,9 @@ class InstanceView:
     # Mutation is refused
 
     def add_atom(self, atom: Atom) -> bool:
+        raise TypeError("InstanceView is read-only; mutate the underlying store")
+
+    def add_rows(self, predicate: Predicate, rows: Iterable[Row]) -> int:
         raise TypeError("InstanceView is read-only; mutate the underlying store")
 
     add = add_atom

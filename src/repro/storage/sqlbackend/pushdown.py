@@ -43,6 +43,7 @@ import json
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ...core.atoms import Atom
+from ...core.indexing import Row
 from ...core.instances import Database
 from ...core.predicates import Predicate
 from ...core.terms import NullKeyRenderer, Term, Variable, null_name
@@ -53,7 +54,7 @@ from .store import SqliteAtomStore, _quote, table_name
 
 if TYPE_CHECKING:
     from ...chase.result import ChaseLimits, ChaseResult
-    from ...chase.rounds import RoundBudget, RoundOutcome, RoundStep, RuleRow
+    from ...chase.rounds import Delta, RoundBudget, RoundOutcome, RoundStep, RuleRow
 
 #: Name of the deterministic null-inventing SQL function registered by
 #: :func:`register_skolem_function`.
@@ -406,7 +407,7 @@ class PushdownExecutor:
         per-rule ``atoms_created``) as 0: that attribution only exists in
         the interpreted engines.  Tracing never changes the result.
         """
-        from ...chase.rounds import insert_sorted, run_rounds
+        from ...chase.rounds import run_rounds, seed_store
 
         if not isinstance(store, SqliteAtomStore):
             raise ValueError(
@@ -414,7 +415,7 @@ class PushdownExecutor:
                 "requires a SqliteAtomStore"
             )
         active_tracer = as_tracer(tracer)
-        insert_sorted(store, database.atoms())
+        seed_store(store, database)
         register_skolem_function(store)
         rules = [
             CompiledRule(index, tgd, self.variant, store)
@@ -451,7 +452,7 @@ class PushdownExecutor:
         delta_predicates: Optional[Set[str]] = None  # None = initial round
         prev_watermark = 0
 
-        def step(round_index: int, delta: Sequence[Atom]) -> "RoundOutcome":
+        def step(round_index: int, delta: "Delta") -> "RoundOutcome":
             nonlocal delta_predicates, prev_watermark
             round_start = store.current_seq()
             round_seq = round_start + 1
@@ -923,16 +924,15 @@ class CompiledPlanQuery:
             f"SELECT {select} FROM {tables} WHERE {' AND '.join(delta_conditions)}"
         )
 
-    def _rows(self, store: SqliteAtomStore, sql: str, parameters: Dict) -> Iterator[Dict]:
+    def _rows(self, store: SqliteAtomStore, sql: str, parameters: Dict) -> Iterator[Row]:
+        """The homomorphisms as slot tuples: the select lists the body
+        variables in first-occurrence order, the matching's slot layout."""
         if not all(store.has_relation(p) for p in self.body_predicates):
             return
         for row in store.query(sql, parameters, family="pushdown-match"):
-            yield {
-                variable: decode_value(value)
-                for variable, value in zip(self.variables, row)
-            }
+            yield tuple(map(decode_value, row)) if self.variables else ()
 
-    def initial_matches(self, store: SqliteAtomStore, n_workers: int, worker_id: int) -> Iterator[Dict]:
+    def initial_matches(self, store: SqliteAtomStore, n_workers: int, worker_id: int) -> Iterator[Row]:
         """All body homomorphisms whose seed atom this worker owns."""
         parameters: Dict = {}
         if self._partitioned:
@@ -940,7 +940,7 @@ class CompiledPlanQuery:
         return self._rows(store, self._initial_sql, parameters)
 
     def delta_matches(self, store: SqliteAtomStore, delta_start: int, n_workers: int,
-                      worker_id: int) -> Iterator[Dict]:
+                      worker_id: int) -> Iterator[Row]:
         """Owned homomorphisms whose seed atom is newer than *delta_start*."""
         parameters: Dict = {"delta_start": delta_start}
         if self._partitioned:

@@ -33,8 +33,12 @@ Design notes
   transaction that is committed on :meth:`flush`/:meth:`close`.  The chase
   engines flush at every round boundary (and in a ``finally`` on return or
   raise), so a round's inserts cost one fsync, not one per atom, and a hard
-  crash loses at most the round in flight.  ``add_atoms`` bulk loads via
-  ``executemany``.
+  crash loses at most the round in flight.  ``add_rows`` bulk loads one
+  predicate's rows via ``executemany``.
+* **Rows** — the chase engines trade rows (term tuples under a predicate)
+  through ``add_rows``/``rows_matching``/``has_row``; a decoded row is a
+  tuple of terms, and an :class:`Atom` is built only by the ``atoms_*`` /
+  ``iter_atoms`` API.
 * **Partitioned scans** — ``atoms_partition`` pushes the stable partition
   hash into SQLite through a registered deterministic SQL function, so the
   parallel executor's round-0 scans filter rows inside the database rather
@@ -68,8 +72,8 @@ from typing import (
 )
 from urllib.parse import quote
 
-from ...core.atoms import Atom
-from ...core.indexing import partition_hash
+from ...core.atoms import Atom, row_sort_key
+from ...core.indexing import Row, partition_hash
 from ...core.instances import Database, Instance
 from ...core.predicates import Predicate
 from ...core.terms import Constant, Null, Term
@@ -465,114 +469,161 @@ class SqliteAtomStore:
     # Row encoding
 
     @staticmethod
-    def _encode(atom: Atom) -> Tuple[str, ...]:
-        if not atom.terms:
+    def _encode(row: Row) -> Tuple[str, ...]:
+        if not row:
             return ("0",)  # the nullary sentinel value
-        return tuple(encode_term(term) for term in atom.terms)
+        return tuple(map(encode_term, row))
 
     @staticmethod
-    def _ground_row(atom: Atom) -> List[object]:
-        """:meth:`_encode` for a write: one pass that also rejects variables."""
-        row: List[object] = []
-        for term in atom.terms:
+    def _ground_row(predicate: Predicate, row: Row) -> List[object]:
+        """:meth:`_encode` for a write: one pass that also rejects variables
+        and rows of the wrong width."""
+        if len(row) != predicate.arity:
+            raise ValidationError(
+                f"atom over {predicate} must have {predicate.arity} arguments, got {len(row)}"
+            )
+        values: List[object] = []
+        for term in row:
             if not isinstance(term, (Constant, Null)):
-                raise ValidationError(f"stores hold ground atoms only, got {atom!r}")
-            row.append(encode_term(term))
-        return row or ["0"]  # the nullary sentinel value
+                raise ValidationError(
+                    f"stores hold ground atoms only, got "
+                    f"{predicate.name}({', '.join(map(str, row))})"
+                )
+            values.append(encode_term(term))
+        return values or ["0"]  # the nullary sentinel value
 
     @staticmethod
-    def _decode(predicate: Predicate, row: Tuple[str, ...]) -> Atom:
+    def _decode(predicate: Predicate, values: Tuple[str, ...]) -> Row:
         if predicate.arity == 0:
-            return Atom(predicate, ())
-        return Atom(predicate, tuple(decode_value(value) for value in row))
+            return ()
+        return tuple(map(decode_value, values))
+
+    def _insert_sql(self, predicate: Predicate) -> str:
+        columns = self._columns(predicate.arity)
+        return (
+            f"INSERT OR IGNORE INTO {_quote(table_name(predicate.name))} "
+            f"({', '.join(columns)}, seq) VALUES ({', '.join('?' for _ in columns)}, ?)"
+        )
 
     # ------------------------------------------------------------------ #
     # AtomStore protocol: mutation
 
-    def add_atom(self, atom: Atom) -> bool:
-        """Add *atom*; return ``True`` when it was not already present."""
-        row = self._ground_row(atom)
-        self.create_relation(atom.predicate)
-        table = _quote(table_name(atom.predicate.name))
-        columns = self._columns(atom.predicate.arity)
-        placeholders = ", ".join("?" for _ in columns)
-        self._begin()
-        row.append(self._seq + 1)
-        cursor = self._connection.execute(
-            f"INSERT OR IGNORE INTO {table} ({', '.join(columns)}, seq) "
-            f"VALUES ({placeholders}, ?)",
-            row,
-        )
-        if cursor.rowcount != 1:
-            return False
-        self._seq += 1
-        self._counts[atom.predicate.name] += 1
-        return True
+    def add_rows(self, predicate: Predicate, rows: Iterable[Row]) -> int:
+        """Bulk-insert the term tuples *rows* over *predicate*; return how many were new.
 
-    def add_atoms(self, atoms: Iterable[Atom]) -> int:
-        """Bulk-insert *atoms* (batched per predicate); return how many were new.
-
-        The batch runs inside the store's open transaction, so loading a
-        million-row database costs one commit.  Sequence numbers stay
+        One ``executemany`` inside the store's open transaction, so loading
+        a million-row relation costs one commit.  Sequence numbers stay
         monotone in iteration order; a duplicate (ignored) row still
         consumes one, leaving a gap — harmless, because the semi-naive
         watermark is a snapshot of ``current_seq()``, never row arithmetic
         (see :mod:`~repro.storage.sqlbackend.pushdown`).
         """
-        added = 0
         batch: List[List[object]] = []
-        batch_predicate: Optional[Predicate] = None
-
-        def flush_batch() -> int:
-            nonlocal batch
-            if not batch or batch_predicate is None:
-                return 0
-            table = _quote(table_name(batch_predicate.name))
-            columns = self._columns(batch_predicate.arity)
-            placeholders = ", ".join("?" for _ in columns)
-            before = self._connection.total_changes
-            self._connection.executemany(
-                f"INSERT OR IGNORE INTO {table} ({', '.join(columns)}, seq) "
-                f"VALUES ({placeholders}, ?)",
-                batch,
-            )
-            inserted = self._connection.total_changes - before
-            self._counts[batch_predicate.name] += inserted
-            batch = []
-            return inserted
-
-        self._begin()
-        for atom in atoms:
-            row = self._ground_row(atom)
-            predicate = atom.predicate
-            if predicate is not batch_predicate and predicate != batch_predicate:
-                added += flush_batch()
-                batch_predicate = predicate
-                self.create_relation(predicate)
+        for row in rows:
+            values = self._ground_row(predicate, row)
             self._seq += 1
-            row.append(self._seq)
-            batch.append(row)
-        added += flush_batch()
+            values.append(self._seq)
+            batch.append(values)
+        if not batch:
+            return 0
+        self.create_relation(predicate)
+        self._begin()
+        before = self._connection.total_changes
+        self._connection.executemany(self._insert_sql(predicate), batch)
+        inserted = self._connection.total_changes - before
+        self._counts[predicate.name] += inserted
+        return inserted
+
+    def add_atom(self, atom: Atom) -> bool:
+        """Add *atom*; return ``True`` when it was not already present."""
+        predicate = atom.predicate
+        values = self._ground_row(predicate, atom.terms)
+        self.create_relation(predicate)
+        self._begin()
+        values.append(self._seq + 1)
+        cursor = self._connection.execute(self._insert_sql(predicate), values)
+        if cursor.rowcount != 1:
+            return False
+        self._seq += 1
+        self._counts[predicate.name] += 1
+        return True
+
+    def add_atoms(self, atoms: Iterable[Atom]) -> int:
+        """Bulk-insert *atoms*, one :meth:`add_rows` call per run of one
+        predicate; return how many were new."""
+        added = 0
+        run: List[Row] = []
+        run_predicate: Optional[Predicate] = None
+        for atom in atoms:
+            predicate = atom.predicate
+            if predicate is not run_predicate and predicate != run_predicate:
+                if run_predicate is not None:
+                    added += self.add_rows(run_predicate, run)
+                run, run_predicate = [], predicate
+            run.append(atom.terms)
+        if run_predicate is not None:
+            added += self.add_rows(run_predicate, run)
         return added
 
     def load_database(self, database: Database) -> int:
-        """Bulk-load a :class:`~repro.core.instances.Database`; return the new-row count."""
-        return self.add_atoms(database)
+        """Bulk-load a :class:`~repro.core.instances.Database` in canonical
+        order; return the new-row count."""
+        return sum(
+            self.add_rows(predicate, sorted(database.rows_matching(predicate), key=row_sort_key))
+            for predicate in sorted(database.predicates())
+        )
 
     # ------------------------------------------------------------------ #
-    # AtomStore protocol: queries
+    # AtomStore protocol: row queries
+
+    def has_row(self, predicate: Predicate, row: Row) -> bool:
+        """Return ``True`` when the row *row* over *predicate* is stored."""
+        table = self._table_for(predicate)
+        if table is None:
+            return False
+        columns = self._columns(predicate.arity)
+        where = " AND ".join(f"{column} = ?" for column in columns)
+        found = self._connection.execute(
+            f"SELECT 1 FROM {table} WHERE {where} LIMIT 1", self._encode(row)
+        ).fetchone()
+        return found is not None
+
+    def rows_matching(
+        self, predicate: Predicate, bindings: Optional[Mapping[int, Term]] = None
+    ) -> Collection[Row]:
+        """Return the decoded rows over *predicate* matching positional *bindings*.
+
+        Bound positions are pushed down as ``WHERE`` equalities over the
+        encoded values; each bound position (beyond 0) lazily gets its
+        covering index on first use.  ``None`` or empty *bindings* select
+        the whole relation.
+        """
+        table = self._table_for(predicate)
+        if table is None:
+            return ()
+        columns = self._columns(predicate.arity)
+        conditions = []
+        parameters: List[str] = []
+        for position in sorted(bindings or ()):
+            if not 0 <= position < predicate.arity:
+                # Same semantics as the in-memory postings: a binding on a
+                # position the predicate does not have matches nothing.
+                return ()
+            self._ensure_position_index(predicate, position)
+            conditions.append(f"c{position} = ?")
+            parameters.append(encode_term(bindings[position]))  # type: ignore[index]
+        where = f" WHERE {' AND '.join(conditions)}" if conditions else ""
+        found = self._connection.execute(
+            f"SELECT {', '.join(columns)} FROM {table}{where}", parameters
+        ).fetchall()
+        return [self._decode(predicate, values) for values in found]
+
+    # ------------------------------------------------------------------ #
+    # AtomStore protocol: atom queries (the API edge)
 
     def has_atom(self, atom: Atom) -> bool:
         """Return ``True`` when *atom* is stored."""
-        table = self._table_for(atom.predicate)
-        if table is None:
-            return False
-        columns = self._columns(atom.predicate.arity)
-        where = " AND ".join(f"{column} = ?" for column in columns)
-        row = self._connection.execute(
-            f"SELECT 1 FROM {table} WHERE {where} LIMIT 1", self._encode(atom)
-        ).fetchone()
-        return row is not None
+        return self.has_row(atom.predicate, atom.terms)
 
     def iter_atoms(self) -> Iterator[Atom]:
         """Iterate over all stored atoms (no ordering guarantee)."""
@@ -586,46 +637,13 @@ class SqliteAtomStore:
 
     def atoms_with_predicate(self, predicate: Predicate) -> Collection[Atom]:
         """Return the stored atoms over *predicate* (decoded scan)."""
-        table = self._table_for(predicate)
-        if table is None:
-            return ()
-        columns = self._columns(predicate.arity)
-        rows = self._connection.execute(
-            f"SELECT {', '.join(columns)} FROM {table}"
-        ).fetchall()
-        return [self._decode(predicate, row) for row in rows]
+        return self.atoms_matching(predicate)
 
     def atoms_matching(
         self, predicate: Predicate, bindings: Optional[Mapping[int, Term]] = None
-    ) -> Iterable[Atom]:
-        """Return the atoms over *predicate* matching positional *bindings*.
-
-        Bound positions are pushed down as ``WHERE`` equalities over the
-        encoded values; each bound position (beyond 0) lazily gets its
-        covering index on first use.
-        """
-        if not bindings:
-            return self.atoms_with_predicate(predicate)
-        table = self._table_for(predicate)
-        if table is None:
-            return ()
-        columns = self._columns(predicate.arity)
-        conditions = []
-        parameters: List[str] = []
-        for position in sorted(bindings):
-            if not 0 <= position < predicate.arity:
-                # Same semantics as the hash-index backends: a binding on a
-                # position the predicate does not have matches nothing.
-                return ()
-            self._ensure_position_index(predicate, position)
-            conditions.append(f"c{position} = ?")
-            parameters.append(encode_term(bindings[position]))
-        rows = self._connection.execute(
-            f"SELECT {', '.join(columns)} FROM {table} "
-            f"WHERE {' AND '.join(conditions)}",
-            parameters,
-        ).fetchall()
-        return [self._decode(predicate, row) for row in rows]
+    ) -> List[Atom]:
+        """:meth:`rows_matching` as atoms."""
+        return [Atom(predicate, row) for row in self.rows_matching(predicate, bindings)]
 
     def atoms_partition(
         self,
@@ -662,7 +680,7 @@ class SqliteAtomStore:
                 (n_partitions, partition_index),
             ).fetchall()
         for row in rows:
-            yield self._decode(predicate, row)
+            yield Atom(predicate, self._decode(predicate, row))
 
     def predicate_cardinality(self, predicate: Predicate) -> int:
         """Return the number of atoms over *predicate* (answered from the count cache)."""
@@ -687,7 +705,10 @@ class SqliteAtomStore:
 
     def to_instance(self) -> Instance:
         """Materialise the stored atoms (constants *and* nulls) as an :class:`Instance`."""
-        return Instance(self.iter_atoms())
+        instance = Instance()
+        for predicate in self.predicates():
+            instance.add_rows(predicate, self.rows_matching(predicate))
+        return instance
 
     @classmethod
     def from_database(
@@ -882,20 +903,18 @@ class SqliteOverlayStore(SqliteAtomStore):
         if predicate.name in self._main_relations:
             yield f"main.{table}", "", ()
 
-    def _base_has(self, atom: Atom) -> bool:
-        if atom.predicate.name not in self._base_predicates:
+    def _base_has(self, predicate: Predicate, row: Row) -> bool:
+        existing = self._base_predicates.get(predicate.name)
+        if existing is None or existing.arity != predicate.arity:
             return False
-        existing = self._base_predicates[atom.predicate.name]
-        if existing.arity != atom.predicate.arity:
-            return False
-        table = f"base.{_quote(table_name(atom.predicate.name))}"
-        columns = self._columns(atom.predicate.arity)
+        table = f"base.{_quote(table_name(predicate.name))}"
+        columns = self._columns(predicate.arity)
         where = " AND ".join(f"{column} = ?" for column in columns)
-        row = self._connection.execute(
+        found = self._connection.execute(
             f"SELECT 1 FROM {table} WHERE {where} AND seq <= ? LIMIT 1",
-            self._encode(atom) + (self._base_snapshot_seq,),
+            self._encode(row) + (self._base_snapshot_seq,),
         ).fetchone()
-        return row is not None
+        return found is not None
 
     # ------------------------------------------------------------------ #
     # AtomStore protocol: mutation (deduplicated against the base snapshot)
@@ -903,70 +922,51 @@ class SqliteOverlayStore(SqliteAtomStore):
     def add_atom(self, atom: Atom) -> bool:
         if not atom.is_ground():
             raise ValidationError(f"stores hold ground atoms only, got {atom!r}")
-        if self._base_has(atom):
+        if self._base_has(atom.predicate, atom.terms):
             return False
         return super().add_atom(atom)
 
-    def add_atoms(self, atoms: Iterable[Atom]) -> int:
-        return super().add_atoms(
-            atom
-            for atom in atoms
-            if not (atom.is_ground() and self._base_has(atom))
+    def add_rows(self, predicate: Predicate, rows: Iterable[Row]) -> int:
+        return super().add_rows(
+            predicate, [row for row in rows if not self._base_has(predicate, row)]
         )
 
     # ------------------------------------------------------------------ #
-    # AtomStore protocol: queries (union of both sides)
+    # AtomStore protocol: row queries (union of both sides)
 
-    def has_atom(self, atom: Atom) -> bool:
-        columns = self._columns(atom.predicate.arity)
-        values = self._encode(atom)
-        for table, extra, params in self._read_targets(atom.predicate):
+    def has_row(self, predicate: Predicate, row: Row) -> bool:
+        columns = self._columns(predicate.arity)
+        values = self._encode(row)
+        for table, extra, params in self._read_targets(predicate):
             where = " AND ".join(f"{column} = ?" for column in columns)
             if extra:
                 where = f"{where} AND {extra}"
-            row = self._connection.execute(
+            found = self._connection.execute(
                 f"SELECT 1 FROM {table} WHERE {where} LIMIT 1", values + params
             ).fetchone()
-            if row is not None:
+            if found is not None:
                 return True
         return False
 
-    def atoms_with_predicate(self, predicate: Predicate) -> Collection[Atom]:
-        columns = ", ".join(self._columns(predicate.arity))
-        atoms: List[Atom] = []
-        for table, extra, params in self._read_targets(predicate):
-            sql = f"SELECT {columns} FROM {table}"
-            if extra:
-                sql = f"{sql} WHERE {extra}"
-            rows = self._connection.execute(sql, params).fetchall()
-            atoms.extend(self._decode(predicate, row) for row in rows)
-        return atoms
-
-    def atoms_matching(
+    def rows_matching(
         self, predicate: Predicate, bindings: Optional[Mapping[int, Term]] = None
-    ) -> Iterable[Atom]:
-        if not bindings:
-            return self.atoms_with_predicate(predicate)
+    ) -> Collection[Row]:
         conditions = []
         parameters: List[str] = []
-        for position in sorted(bindings):
+        for position in sorted(bindings or ()):
             if not 0 <= position < predicate.arity:
                 return ()
             self._ensure_position_index(predicate, position)
             conditions.append(f"c{position} = ?")
-            parameters.append(encode_term(bindings[position]))
+            parameters.append(encode_term(bindings[position]))  # type: ignore[index]
         columns = ", ".join(self._columns(predicate.arity))
-        atoms: List[Atom] = []
+        rows: List[Row] = []
         for table, extra, params in self._read_targets(predicate):
-            where = " AND ".join(conditions)
-            if extra:
-                where = f"{where} AND {extra}"
-            rows = self._connection.execute(
-                f"SELECT {columns} FROM {table} WHERE {where}",
-                tuple(parameters) + params,
-            ).fetchall()
-            atoms.extend(self._decode(predicate, row) for row in rows)
-        return atoms
+            where = " AND ".join(conditions + [extra] if extra else conditions)
+            sql = f"SELECT {columns} FROM {table}" + (f" WHERE {where}" if where else "")
+            found = self._connection.execute(sql, tuple(parameters) + params).fetchall()
+            rows.extend(self._decode(predicate, values) for values in found)
+        return rows
 
     def atoms_partition(
         self,
@@ -999,4 +999,4 @@ class SqliteOverlayStore(SqliteAtomStore):
                     (n_partitions, partition_index) + params,
                 ).fetchall()
             for row in rows:
-                yield self._decode(predicate, row)
+                yield Atom(predicate, self._decode(predicate, row))

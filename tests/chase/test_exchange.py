@@ -40,8 +40,9 @@ from tests.helpers import chase_result_fingerprint as _fingerprint
 LIMITS = ChaseLimits(max_atoms=400, max_rounds=12)
 
 
-def _ground(text: str) -> Atom:
-    return parse_atom(text, as_variable=False)
+def _ground(text: str):
+    """The row of a ground atom."""
+    return parse_atom(text, as_variable=False).terms
 
 
 def _join_plan() -> JoinPlan:
@@ -80,16 +81,16 @@ class TestRoutingTable:
     def test_every_unit_has_exactly_one_owner(self):
         plan = _join_plan()
         table = RoutingTable(4, (plan.partition_positions,))
-        atoms = [_ground(f"mid(k{i % 3}, v{i})") for i in range(30)]
-        for atom in atoms:
-            owners = {table.work_owner(0, atom)}
+        rows = [_ground(f"mid(k{i % 3}, v{i})") for i in range(30)]
+        for row in rows:
+            owners = {table.work_owner(0, row)}
             assert len(owners) == 1
             assert 0 <= owners.pop() < 4
-            assert 0 <= table.atom_owner(atom) < 4
+            assert 0 <= table.atom_owner(row) < 4
         # co-location: same join key, same worker (no heavy table)
         by_key = {}
-        for atom in atoms:
-            by_key.setdefault(atom.terms[0], set()).add(table.work_owner(0, atom))
+        for row in rows:
+            by_key.setdefault(row[0], set()).add(table.work_owner(0, row))
         assert all(len(owners) == 1 for owners in by_key.values())
 
     def test_heavy_split_spreads_then_reunifies(self):
@@ -192,9 +193,9 @@ class TestFraming:
 
 class TestSkewDetector:
     def _delta(self, heavy: int, light: int):
-        atoms = [_ground(f"mid(hub, v{i})") for i in range(heavy)]
-        atoms += [_ground(f"mid(k{i}, w{i})") for i in range(light)]
-        return atoms
+        rows = [_ground(f"mid(hub, v{i})") for i in range(heavy)]
+        rows += [_ground(f"mid(k{i}, w{i})") for i in range(light)]
+        return {Predicate("mid", 2): rows}
 
     def _detector(self, n_workers=4, **kwargs):
         plan = _join_plan()
@@ -214,8 +215,8 @@ class TestSkewDetector:
 
     def test_balanced_delta_is_not_flagged(self):
         detector = self._detector()
-        atoms = [_ground(f"mid(k{i % 8}, v{i})") for i in range(64)]
-        assert detector.heavy_routes(atoms) == ()
+        rows = [_ground(f"mid(k{i % 8}, v{i})") for i in range(64)]
+        assert detector.heavy_routes({Predicate("mid", 2): rows}) == ()
 
     def test_min_count_floor_suppresses_tiny_routes(self):
         detector = self._detector(min_count=16)

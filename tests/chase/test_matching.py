@@ -7,6 +7,7 @@ from repro.chase.matching import (
     JoinPlan,
     has_homomorphism,
     make_trigger_source,
+    variable_slots,
 )
 from repro.core.instances import Instance
 from repro.core.parser import parse_database, parse_rules
@@ -24,8 +25,16 @@ def _tgd(rules_text):
 
 
 def _body_matches(tgd, store):
-    """The body homomorphisms of *tgd* the indexed source enumerates on *store*."""
-    return [mapping for _, mapping in IndexedTriggerSource((tgd,)).initial(store)]
+    """The body homomorphisms of *tgd* the indexed source enumerates on *store*,
+    as mappings (the source yields slot tuples)."""
+    slots = tuple(variable_slots(tgd.body))
+    return [dict(zip(slots, values)) for _, values in IndexedTriggerSource((tgd,)).initial(store)]
+
+
+def _row(store, predicate_name):
+    """The only row over the named predicate."""
+    (atom,) = [atom for atom in store if atom.predicate.name == predicate_name]
+    return atom.predicate, atom.terms
 
 
 def _as_set(mappings):
@@ -88,29 +97,38 @@ class TestJoinPlan:
         tgd = _tgd("R(x,x) -> T(x)")
         plan = JoinPlan(tgd.body, 0)
         instance = _instance("R(a,b).")
-        seed = next(iter(instance))
+        _, seed = _row(instance, "R")
         assert list(plan.matches(instance, seed)) == []
 
     def test_joins_outward_from_seed(self):
         tgd = _tgd("R(x,y), S(y,z) -> T(x,z)")
         instance = _instance("R(a,b).\nS(b,c).\nS(b,d).")
-        seed = next(a for a in instance if a.predicate.name == "R")
+        _, seed = _row(instance, "R")
         plan = JoinPlan(tgd.body, 0)
-        images = {m[Variable("z")] for m in plan.matches(instance, seed)}
-        assert images == {Constant("c"), Constant("d")}
+        # slots x, y, z: the seed fills the first two, the join the third
+        matches = set(plan.matches(instance, seed))
+        assert matches == {seed + (Constant("c"),), seed + (Constant("d"),)}
 
     def test_delta_excludes_earlier_slots(self):
-        # Body R(x,y), S(y,z): a homomorphism using delta atoms at both slots
+        # Body R(x,y), S(y,z): a homomorphism using delta rows at both slots
         # must only be reported by the plan seeded at the *first* delta slot.
         tgd = _tgd("R(x,y), S(y,z) -> T(x,z)")
         instance = _instance("R(a,b).\nS(b,c).")
-        r_atom = next(a for a in instance if a.predicate.name == "R")
-        s_atom = next(a for a in instance if a.predicate.name == "S")
-        delta = {r_atom, s_atom}
-        seeded_at_r = list(JoinPlan(tgd.body, 0).matches(instance, r_atom, delta=delta))
-        seeded_at_s = list(JoinPlan(tgd.body, 1).matches(instance, s_atom, delta=delta))
+        r_predicate, r_row = _row(instance, "R")
+        s_predicate, s_row = _row(instance, "S")
+        delta = {r_predicate: {r_row}, s_predicate: {s_row}}
+        seeded_at_r = list(JoinPlan(tgd.body, 0).matches(instance, r_row, delta))
+        seeded_at_s = list(JoinPlan(tgd.body, 1).matches(instance, s_row, delta))
         assert len(seeded_at_r) == 1
-        assert seeded_at_s == []  # slot 0 < seed slot may not use a delta atom
+        assert seeded_at_s == []  # slot 0 < seed slot may not use a delta row
+
+    def test_a_seed_at_a_later_slot_binds_its_own_variables(self):
+        tgd = _tgd("R(x,y), S(y,z) -> T(x,z)")
+        instance = _instance("R(a,b).\nS(b,c).")
+        _, s_row = _row(instance, "S")
+        assert list(JoinPlan(tgd.body, 1).matches(instance, s_row)) == [
+            (Constant("a"), Constant("b"), Constant("c"))
+        ]
 
 
 class TestTriggerSources:
@@ -121,7 +139,7 @@ class TestTriggerSources:
 
     @staticmethod
     def _triggers(matches):
-        return [(index, frozenset(mapping.items())) for index, mapping in matches]
+        return list(matches)
 
     def test_initial_agrees_with_the_reference(self):
         tgds, instance = self._setup()
@@ -132,11 +150,12 @@ class TestTriggerSources:
 
     def test_delta_agrees_with_the_reference_and_has_no_duplicates(self):
         tgds, instance = self._setup()
-        new = set(parse_database("R(e,b).\nS(b,f).").atoms())
+        new = parse_database("R(e,b).\nS(b,f).")
         for atom in new:
             instance.add(atom)
-        reference = self._triggers(NaiveTriggerSource(tgds).delta(instance, new))
-        indexed = self._triggers(IndexedTriggerSource(tgds).delta(instance, new))
+        delta = {predicate: sorted(new.rows_matching(predicate)) for predicate in new.predicates()}
+        reference = self._triggers(NaiveTriggerSource(tgds).delta(instance, delta))
+        indexed = self._triggers(IndexedTriggerSource(tgds).delta(instance, delta))
         assert set(reference) == set(indexed)
         assert len(indexed) == len(set(indexed))  # semi-naive dedup: no duplicates
 

@@ -181,7 +181,7 @@ class TestWorkerDeath:
     def _round(pool, exchange, index):
         if exchange == "shuffle":
             return pool.round(index, ())
-        return pool.initial() if index == 0 else pool.delta((), ((), ()))
+        return pool.initial() if index == 0 else pool.delta({}, ((), ()))
 
     @pytest.mark.parametrize("when", ("before-first-round", "after-first-round"))
     @pytest.mark.parametrize("exchange", ("coordinator", "shuffle"))
@@ -244,7 +244,8 @@ class TestWireProtocol:
     @staticmethod
     def _spy(monkeypatch, rules, facts, variant="semi-oblivious"):
         """Run 2 process workers; return ``(tgds, rounds)`` where a round is
-        ``(delta, {worker: (replicated atoms, (plan_id, atom) seeds)})``."""
+        ``(delta, {worker: (replicated atoms, (plan_id, atom) seeds)})``, the
+        delta and the replicated rows read back as atoms."""
         from repro.chase import parallel
 
         rounds = []
@@ -259,7 +260,7 @@ class TestWireProtocol:
                 yield value
 
         def call(step, round_index, delta):
-            rounds.append((list(delta), {}))
+            rounds.append(([Atom(p, row) for p, rows in delta.items() for row in rows], {}))
             return real_call(step, round_index, delta)
 
         def send(pool, worker_id, message):
@@ -274,7 +275,12 @@ class TestWireProtocol:
                     (plan_id, Atom(entries[plan_id].seed_predicate, terms))
                     for plan_id, terms in wire.decode(message[3])
                 ]
-                rounds[-1][1][worker_id] = (wire.decode_atoms(message[2]), seeds)
+                replicated = [
+                    Atom(predicate, row)
+                    for predicate, rows in wire.decode_rows(message[2]).items()
+                    for row in rows
+                ]
+                rounds[-1][1][worker_id] = (replicated, seeds)
             return real_send(pool, worker_id, message)
 
         monkeypatch.setattr(parallel._CoordinatorStep, "__call__", call)

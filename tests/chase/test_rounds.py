@@ -14,7 +14,7 @@ import pytest
 
 from repro.chase.engine import chase
 from repro.chase.result import ChaseLimits
-from repro.chase.rounds import RoundOutcome, RuleRow, insert_atoms, insert_sorted, run_rounds
+from repro.chase.rounds import RoundOutcome, RuleRow, insert_rows, insert_sorted, run_rounds
 from repro.core.parser import parse_atom, parse_database, parse_rules
 from repro.exceptions import ChaseLimitExceeded
 from repro.fuzz.reference import REFERENCE_ENGINES
@@ -23,8 +23,17 @@ from repro.obs import ListTraceSink, ManualClock, Tracer
 from repro.storage.sqlbackend import SqliteAtomStore
 
 
-def _atoms(*texts):
-    return [parse_atom(text, as_variable=False) for text in texts]
+def _rows(*texts):
+    """Ground atoms as the driver trades them: predicate -> rows, in the given order."""
+    rows = {}
+    for text in texts:
+        atom = parse_atom(text, as_variable=False)
+        rows.setdefault(atom.predicate, []).append(atom.terms)
+    return rows
+
+
+def _texts(predicate, rows):
+    return [f"{predicate.name}({', '.join(map(str, row))})" for row in rows]
 
 
 class RecordingStore:
@@ -34,24 +43,16 @@ class RecordingStore:
         self.size = seed_size
         self.log = []
 
-    def add_atom(self, atom):
-        self.log.append(("add", str(atom)))
-        self.size += 1
+    def add_rows(self, predicate, rows):
+        batch = _texts(predicate, rows)
+        self.log.append(("add_rows", batch))
+        self.size += len(batch)
 
     def atom_count(self):
         return self.size
 
     def flush(self):
         self.log.append(("flush",))
-
-
-class BulkRecordingStore(RecordingStore):
-    """The same fake with the bulk method some stores have (sqlite does)."""
-
-    def add_atoms(self, atoms):
-        batch = [str(atom) for atom in atoms]
-        self.log.append(("add_atoms", batch))
-        self.size += len(batch)
 
 
 class ScriptedStep:
@@ -63,13 +64,14 @@ class ScriptedStep:
         self.calls = []
 
     def __call__(self, round_index, delta):
-        self.calls.append((round_index, [str(atom) for atom in delta]))
+        texts = [text for predicate, rows in delta.items() for text in _texts(predicate, rows)]
+        self.calls.append((round_index, texts))
         if self.store is not None:
             self.store.log.append(("step", round_index))
         return self.outcomes[round_index]
 
 
-FIXPOINT = RoundOutcome(considered=1, fired=0, new_atoms=[])
+FIXPOINT = RoundOutcome(considered=1, fired=0, new_rows={})
 
 
 def _run(step, store, limits=ChaseLimits(), on_limit="return", tracer=None):
@@ -78,7 +80,7 @@ def _run(step, store, limits=ChaseLimits(), on_limit="return", tracer=None):
 
 class TestBudgetAutomaton:
     def test_max_rounds_is_checked_before_the_step_is_called(self):
-        step = ScriptedStep(RoundOutcome(1, 1, _atoms("P(a)")), FIXPOINT)
+        step = ScriptedStep(RoundOutcome(1, 1, _rows("P(a)")), FIXPOINT)
         result = _run(step, RecordingStore(), ChaseLimits(max_rounds=1))
         assert [index for index, _ in step.calls] == [0]
         assert (result.terminated, result.stop_reason, result.rounds) == (False, "max_rounds", 1)
@@ -91,15 +93,15 @@ class TestBudgetAutomaton:
 
     def test_max_atoms_is_checked_after_the_insert(self):
         store = RecordingStore(seed_size=2)
-        step = ScriptedStep(RoundOutcome(2, 2, _atoms("P(a)", "P(b)")), FIXPOINT, store=store)
+        step = ScriptedStep(RoundOutcome(2, 2, _rows("P(a)", "P(b)")), FIXPOINT, store=store)
         result = _run(step, store, ChaseLimits(max_atoms=3))
         # both atoms are in the store (and flushed) before the budget trips
-        assert store.log == [("step", 0), ("add", "P(a)"), ("add", "P(b)"), ("flush",)]
+        assert store.log == [("step", 0), ("add_rows", ["P(a)", "P(b)"]), ("flush",)]
         assert (result.stop_reason, result.rounds, result.atoms_created) == ("max_atoms", 1, 2)
         assert result.triggers_fired == 2 and not result.terminated
 
     def test_on_limit_raise_carries_the_counts(self):
-        step = ScriptedStep(RoundOutcome(2, 2, _atoms("P(a)", "P(b)")), FIXPOINT)
+        step = ScriptedStep(RoundOutcome(2, 2, _rows("P(a)", "P(b)")), FIXPOINT)
         message = "scripted chase exceeded its max_atoms budget"
         with pytest.raises(ChaseLimitExceeded, match=message) as error:
             _run(step, RecordingStore(), ChaseLimits(max_atoms=3), on_limit="raise")
@@ -124,53 +126,53 @@ class TestInsertAndFlushDiscipline:
     def test_atoms_reach_the_store_sorted_one_flush_per_productive_round(self):
         store = RecordingStore()
         step = ScriptedStep(
-            RoundOutcome(3, 3, set(_atoms("Q(c)", "P(b)", "P(a)"))),
-            RoundOutcome(1, 1, _atoms("R(z)")),
+            RoundOutcome(3, 3, _rows("Q(c)", "P(b)", "P(a)")),
+            RoundOutcome(1, 1, _rows("R(z)")),
             FIXPOINT,
             store=store,
         )
         result = _run(step, store)
         assert store.log == [
-            ("step", 0), ("add", "P(a)"), ("add", "P(b)"), ("add", "Q(c)"), ("flush",),
-            ("step", 1), ("add", "R(z)"), ("flush",),
+            ("step", 0), ("add_rows", ["P(a)", "P(b)"]), ("add_rows", ["Q(c)"]), ("flush",),
+            ("step", 1), ("add_rows", ["R(z)"]), ("flush",),
             ("step", 2),  # the fixpoint round: nothing inserted, nothing flushed
         ]
         assert (result.rounds, result.atoms_created, result.triggers_fired) == (2, 4, 4)
         assert result.store is store
 
-    def test_a_store_with_a_bulk_method_gets_one_sorted_call_per_round(self):
-        # Same script as above: the same atoms in the same order, the same
-        # flush discipline — only the number of store calls differs.
-        store = BulkRecordingStore()
+    def test_each_predicate_gets_one_sorted_add_rows_call_per_round(self):
+        # Rows arrive as unsorted sets under unsorted predicates; predicates
+        # with no rows make no call.
+        store = RecordingStore()
+        unsorted = {p: set(rows) for p, rows in _rows("Q(c)", "P(b)", "P(a)").items()}
+        unsorted[next(iter(_rows("S(s)")))] = set()
         step = ScriptedStep(
-            RoundOutcome(3, 3, set(_atoms("Q(c)", "P(b)", "P(a)"))),
-            RoundOutcome(1, 1, _atoms("R(z)")),
-            FIXPOINT,
-            store=store,
+            RoundOutcome(3, 3, unsorted), RoundOutcome(1, 1, _rows("R(z)")), FIXPOINT, store=store
         )
         result = _run(step, store)
         assert store.log == [
-            ("step", 0), ("add_atoms", ["P(a)", "P(b)", "Q(c)"]), ("flush",),
-            ("step", 1), ("add_atoms", ["R(z)"]), ("flush",),
+            ("step", 0), ("add_rows", ["P(a)", "P(b)"]), ("add_rows", ["Q(c)"]), ("flush",),
+            ("step", 1), ("add_rows", ["R(z)"]), ("flush",),
             ("step", 2),
         ]
         assert step.calls == [(0, []), (1, ["P(a)", "P(b)", "Q(c)"]), (2, ["R(z)"])]
         assert (result.rounds, result.atoms_created, store.size) == (2, 4, 6)
 
-    def test_insert_sorted_orders_and_insert_atoms_keeps_the_given_order(self):
-        atoms = _atoms("Q(c)", "P(b)", "P(a)")
-        for store_class in (RecordingStore, BulkRecordingStore):
-            store = store_class()
-            assert [str(atom) for atom in insert_sorted(store, set(atoms))] == [
-                "P(a)", "P(b)", "Q(c)"
-            ]
-            insert_atoms(store, atoms)  # a worker's delta: already in canonical order
+    def test_insert_sorted_orders_and_insert_rows_keeps_the_given_order(self):
+        rows = _rows("Q(c)", "P(b)", "P(a)")
+        store = RecordingStore()
+        ordered = insert_sorted(store, rows)
+        assert [text for p, run in ordered.items() for text in _texts(p, run)] == [
+            "P(a)", "P(b)", "Q(c)"
+        ]
+        insert_rows(store, rows)  # a worker's delta: already in canonical order
         assert store.log == [
-            ("add_atoms", ["P(a)", "P(b)", "Q(c)"]), ("add_atoms", ["Q(c)", "P(b)", "P(a)"]),
+            ("add_rows", ["P(a)", "P(b)"]), ("add_rows", ["Q(c)"]),
+            ("add_rows", ["Q(c)"]), ("add_rows", ["P(b)", "P(a)"]),
         ]
 
     def test_each_step_sees_the_previous_rounds_sorted_delta(self):
-        step = ScriptedStep(RoundOutcome(2, 2, set(_atoms("P(b)", "P(a)"))), FIXPOINT)
+        step = ScriptedStep(RoundOutcome(2, 2, _rows("P(b)", "P(a)")), FIXPOINT)
         _run(step, RecordingStore())
         assert step.calls == [(0, []), (1, ["P(a)", "P(b)"])]
 
@@ -190,15 +192,15 @@ class TestInsertAndFlushDiscipline:
     def test_stores_without_flush_are_fine(self):
         class Plain:
             def __init__(self):
-                self.atoms = []
+                self.rows = []
 
-            def add_atom(self, atom):
-                self.atoms.append(atom)
+            def add_rows(self, predicate, rows):
+                self.rows.extend(rows)
 
             def atom_count(self):
-                return len(self.atoms)
+                return len(self.rows)
 
-        result = _run(ScriptedStep(RoundOutcome(1, 1, _atoms("P(a)")), FIXPOINT), Plain())
+        result = _run(ScriptedStep(RoundOutcome(1, 1, _rows("P(a)")), FIXPOINT), Plain())
         assert (result.terminated, result.rounds) == (True, 1)
 
 
@@ -208,10 +210,10 @@ class TestTraceEmission:
         tracer = Tracer(sink, clock=ManualClock(step=0.25), tool="test")
         step = ScriptedStep(
             RoundOutcome(
-                5, 3, _atoms("P(a)", "P(b)"),
+                5, 3, _rows("P(a)", "P(b)"),
                 [RuleRow(2, 3, 1, 0, 0, 0.5), RuleRow(0, 2, 2, 2, 1, 0.125)],
             ),
-            RoundOutcome(1, 0, [], [RuleRow(1, 1, 0, 0, 0, 0.0)]),
+            RoundOutcome(1, 0, {}, [RuleRow(1, 1, 0, 0, 0, 0.0)]),
         )
         result = _run(step, RecordingStore(seed_size=4), tracer=tracer)
         events = [event for event in sink.events if event["type"] in ("round", "rule_round")]
@@ -230,7 +232,7 @@ class TestTraceEmission:
 
     def test_budget_stops_emit_no_event_for_the_round_that_never_ran(self):
         sink = ListTraceSink()
-        step = ScriptedStep(RoundOutcome(1, 1, _atoms("P(a)")), FIXPOINT)
+        step = ScriptedStep(RoundOutcome(1, 1, _rows("P(a)")), FIXPOINT)
         _run(step, RecordingStore(), ChaseLimits(max_rounds=1), tracer=Tracer(sink, tool="test"))
         assert [e["round"] for e in sink.events if e["type"] == "round"] == [1]
 
@@ -333,17 +335,17 @@ class TestSeqOrderOnSqlite:
         assert tuple(seqs) == (7, 12)
         store.close()
 
-    def test_every_seeding_path_makes_one_bulk_call_in_sorted_order(self):
+    def test_every_seeding_path_makes_one_bulk_call_per_predicate_in_sorted_order(self):
         calls = []
 
         class Spy(SqliteAtomStore):
-            def add_atoms(self, atoms):
-                batch = list(atoms)
-                calls.append([str(atom) for atom in batch])
-                return super().add_atoms(batch)
+            def add_rows(self, predicate, rows):
+                batch = list(rows)
+                calls.append(_texts(predicate, batch))
+                return super().add_rows(predicate, batch)
 
         facts = "B(z, z).\nA(b, a).\nB(a, b).\nA(a, b)."
-        seed = ["A(a, b)", "A(b, a)", "B(a, b)", "B(z, z)"]
+        seed = [["A(a, b)", "A(b, a)"], ["B(a, b)", "B(z, z)"]]
         for options in (
             {},
             {"strategy": "sql-pushdown"},
@@ -354,5 +356,5 @@ class TestSeqOrderOnSqlite:
             store = Spy()
             chase(parse_database(facts), parse_rules("A(x,y), B(y,w) -> C(x,w)"), store=store,
                   **options)
-            assert calls[0] == seed, options
+            assert calls[:2] == seed, options
             store.close()

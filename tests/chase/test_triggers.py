@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.chase.matching import IndexedTriggerSource
+from repro.chase.matching import IndexedTriggerSource, variable_slots
 from repro.chase.triggers import FiringPlan
 from repro.core.atoms import Atom
 from repro.core.instances import Instance
@@ -11,6 +11,11 @@ from repro.core.predicates import Predicate
 from repro.core.terms import Constant, Null, NullFactory, Variable
 from repro.core.tgds import TGD
 from repro.fuzz.reference import triggers_on
+
+
+def _slots(tgd, mapping):
+    """A body homomorphism as the slot tuple the matching yields."""
+    return tuple(mapping[variable] for variable in variable_slots(tgd.body))
 
 
 def _triggers(rules_text, facts_text, restrict_to_atoms=None):
@@ -29,8 +34,13 @@ def _single_trigger(rules_text, facts_text):
     return triggers[0]
 
 
+def _fire(plan, key, factory):
+    """``result(σ, h)`` of the trigger keyed *key*, as atoms."""
+    return tuple(Atom(*head) for head in plan.head_rows(plan.values(key, factory)))
+
+
 def _result(plan, mapping, factory):
-    return plan.result(plan.key(mapping), factory)
+    return _fire(plan, plan.key(_slots(plan.tgd, mapping)), factory)
 
 
 class TestTriggerEnumeration:
@@ -71,14 +81,14 @@ class TestTriggerResults:
 
     def test_semi_oblivious_key_ignores_non_frontier_variables(self):
         triggers = _triggers("R(x,y) -> S(y,z)", "R(a,b).\nR(c,b).")
-        keys = {plan.key(mapping) for plan, mapping in triggers}
+        keys = {plan.key(_slots(plan.tgd, mapping)) for plan, mapping in triggers}
         assert len(triggers) == 2
         assert len(keys) == 1  # same frontier witness y=b
 
     def test_oblivious_key_distinguishes_full_homomorphisms(self):
         triggers = _triggers("R(x,y) -> S(y,z)", "R(a,b).\nR(c,b).")
         keys = {
-            FiringPlan(plan.tgd, plan.index, "homomorphism").key(mapping)
+            FiringPlan(plan.tgd, plan.index, "homomorphism").key(_slots(plan.tgd, mapping))
             for plan, mapping in triggers
         }
         assert len(keys) == 2
@@ -96,7 +106,8 @@ def _definition_3_1(tgd, index, homomorphism, null_scope):
 
     The reference the compiled plan is held to: sort the witness by variable
     name, key every existential by ``(σ, witness, x)`` through the generic
-    ``NullFactory.for_key``, substitute into the head.
+    ``NullFactory.for_key``, substitute into the head.  The firing key keeps
+    only the witness images: the variables are the rule's.
     """
     frontier = tgd.frontier()
     scope = frontier if null_scope == "frontier" else tgd.body_variables()
@@ -108,7 +119,8 @@ def _definition_3_1(tgd, index, homomorphism, null_scope):
         v: homomorphism[v] if v in frontier else factory.for_key((index, witness, v.name))
         for v in tgd.head_variables()
     }
-    return (index, witness), tuple(atom.substitute(images) for atom in tgd.head)
+    key = (index, tuple(image for _, image in witness))
+    return key, tuple(atom.substitute(images) for atom in tgd.head)
 
 
 def _rule(text):
@@ -149,9 +161,9 @@ class TestFiringPlan:
         _, tgd, homomorphism = case
         expected_key, expected_atoms = _definition_3_1(tgd, 4, homomorphism, null_scope)
         plan = FiringPlan(tgd, 4, null_scope)
-        key = plan.key(homomorphism)
+        key = plan.key(_slots(tgd, homomorphism))
         assert key == expected_key
-        assert plan.result(key, NullFactory()) == expected_atoms
+        assert _fire(plan, key, NullFactory()) == expected_atoms
 
     @pytest.mark.parametrize("case", EDGE_RULES, ids=[case[0] for case in EDGE_RULES])
     def test_both_enumerations_find_the_homomorphism(self, case):
@@ -161,7 +173,7 @@ class TestFiringPlan:
         instance = Instance(atom.substitute(homomorphism) for atom in tgd.body)
         assert [mapping for _, mapping in triggers_on((tgd,), instance)] == [homomorphism]
         indexed = IndexedTriggerSource((tgd,)).initial(instance)
-        assert [mapping for _, mapping in indexed] == [homomorphism]
+        assert [values for _, values in indexed] == [_slots(tgd, homomorphism)]
 
     def test_an_unknown_null_scope_is_rejected_when_the_plan_is_built(self):
         tgd = _rule("R(x,y) -> S(y,z)")
@@ -171,8 +183,8 @@ class TestFiringPlan:
     def test_the_result_is_a_function_of_the_key_alone(self):
         # Two body homomorphisms with one frontier witness: one key, one result.
         plan = FiringPlan(_rule("R(x,y) -> S(y,z)"), 0)
-        first, second = {_X: _A, _Y: _B}, {_X: _N, _Y: _B}
+        first, second = (_A, _B), (_N, _B)  # slot tuples (x, y)
         assert plan.key(first) == plan.key(second)
         factory = NullFactory()
-        assert plan.result(plan.key(first), factory) == plan.result(plan.key(second), factory)
+        assert _fire(plan, plan.key(first), factory) == _fire(plan, plan.key(second), factory)
         assert len(factory) == 1

@@ -1,9 +1,25 @@
 """Unit tests for repro.core.predicates."""
 
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 
 from repro.core.predicates import Position, Predicate, Schema
 from repro.exceptions import ValidationError
+
+#: Unpickles ``(table, positions)`` from stdin in a fresh interpreter and
+#: looks the pickled keys up with predicates built there.
+LOOKUP_SCRIPT = """
+import pickle, sys
+from repro.core.predicates import Position, Predicate
+
+table, positions = pickle.load(sys.stdin.buffer)
+fresh = Predicate("R", 2)
+print(table[fresh], table[Predicate("Flag", 0)], Position(fresh, 1) in positions, hash(fresh))
+"""
 
 
 class TestPredicate:
@@ -28,6 +44,30 @@ class TestPredicate:
 
     def test_str(self):
         assert str(Predicate("R", 2)) == "R/2"
+
+    def test_the_hash_is_cached_and_equals_the_field_hash(self):
+        predicate = Predicate("R", 2)
+        assert hash(predicate) == hash(("R", 2)) == hash(Predicate("R", 2))
+        assert repr(predicate) == "Predicate(name='R', arity=2)"
+        assert Predicate("R", 2) < Predicate("R", 3) < Predicate("S", 0)
+
+    def test_a_pickled_predicate_rehashes_under_the_receivers_hash_seed(self):
+        # A cached str hash is only valid in the interpreter that computed
+        # it: a spawned worker runs under its own PYTHONHASHSEED, so keys it
+        # unpickles must hash (and be found) as its own predicates do.
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        environment = dict(os.environ, PYTHONHASHSEED=seed)
+        environment["PYTHONPATH"] = os.pathsep.join(sys.path)
+        table = {Predicate("R", 2): "r", Predicate("Flag", 0): "flag"}
+        payload = pickle.dumps((table, {Position(Predicate("R", 2), 1)}))
+        child = subprocess.run(
+            [sys.executable, "-c", LOOKUP_SCRIPT],
+            input=payload, env=environment, capture_output=True, timeout=60,
+        )
+        assert child.returncode == 0, child.stderr.decode()
+        r, flag, found, child_hash = child.stdout.decode().split()
+        assert (r, flag, found) == ("r", "flag", "True")
+        assert int(child_hash) != hash(Predicate("R", 2)), "the child must run under another seed"
 
     def test_equality_and_hash(self):
         assert Predicate("R", 2) == Predicate("R", 2)

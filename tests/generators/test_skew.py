@@ -102,10 +102,8 @@ class TestGenerateSkewWorkload:
             n_workers=4,
         )
         # Round 1's delta is exactly the mid() copy of the src profile.
-        mid_delta = [
-            atom for atom in chase(workload.database, workload.tgds).instance
-            if atom.predicate.name == "mid"
-        ]
+        mid = plan.body[mid_slot].predicate
+        mid_delta = {mid: chase(workload.database, workload.tgds).instance.rows_matching(mid)}
         heavy = detector.heavy_routes(mid_delta)
         assert heavy, "default knobs must trigger at least one heavy split"
         for (_, _), split in heavy:

@@ -3,14 +3,15 @@
 The coordinator-merge control pipes carry no ``Atom`` or ``Term``: both ends
 of a pipe grow one symbol table in lock-step (:class:`_Wire`), seed chunks,
 deltas and reports are runs of ints over it, and a fired trigger is a value
-row the coordinator turns back into key and atoms through the rule's
+row the coordinator turns back into key and head rows through the rule's
 ``FiringPlan``.  Three families of properties:
 
 * **codec** — any conversation of ``(lead, terms)`` rows round-trips, the two
   tables stay equal symbol for symbol, and wires sharing an intern table hold
   one object per symbol;
-* **firing-plan halves** — ``atoms(values(key))`` is ``result(key)`` and
-  ``row_key(values)`` is ``key``, in both null scopes;
+* **firing-plan halves** — ``head_rows(values(key))`` is the head under the
+  value row's substitution and ``row_key(values)`` is ``key``, in both null
+  scopes;
 * **end to end** — over random programs the traffic of a real process pool
   replays into the coordinator's tables, and a program pinning the cases
   that are easy to get wrong chases byte-identically to the serial engine in
@@ -25,6 +26,7 @@ from hypothesis import strategies as st
 
 from repro.chase import parallel
 from repro.chase.engine import chase
+from repro.chase.matching import variable_slots
 from repro.chase.parallel import _Wire, parallel_chase
 from repro.chase.result import ChaseLimits
 from repro.chase.triggers import FiringPlan
@@ -75,7 +77,7 @@ class TestCodec:
             fresh = sender.take_fresh()
             assert all(isinstance(arg, str) for _, args in fresh for arg in args)
             receiver.absorb(fresh)
-            assert list(receiver.decode(runs)) == rows
+            assert list(receiver.decode(runs)) == [(lead, tuple(terms)) for lead, terms in rows]
             assert sender.symbols == receiver.symbols
             assert list(map(type, sender.symbols)) == list(map(type, receiver.symbols))
             assert sender.take_fresh() == []  # an entry rides exactly one message
@@ -86,33 +88,40 @@ class TestCodec:
         interned = {}
         to_a, to_b = _Wire(interned), _Wire(interned)
         worker_a, worker_b = _Wire(), _Wire()
+        rows = {atom.predicate: [atom.terms] for atom in atoms}
         # worker A invents the symbols; the coordinator seeds them to worker B
         runs = worker_a.encode_atoms(atoms)
         to_a.absorb(worker_a.take_fresh())
-        decoded = to_a.decode_atoms(runs)
-        assert decoded == atoms
-        runs = to_b.encode_atoms(decoded)
+        decoded = to_a.decode_rows(runs)
+        assert decoded == rows
+        runs = to_b.encode_rows(decoded)
         worker_b.absorb(to_b.take_fresh())
-        assert worker_b.decode_atoms(runs) == atoms
+        assert worker_b.decode_rows(runs) == rows
         # a second worker reporting the same symbols yields the same objects
         runs = worker_b.encode([(0, terms)])
         assert worker_b.take_fresh() == []
         ((_, again),) = to_b.decode(runs)
-        assert all(one is other for one, other in zip(again, decoded[0].terms))
+        (first_row,) = decoded[atoms[0].predicate]
+        assert all(one is other for one, other in zip(again, first_row))
 
 
 class TestFiringPlanHalves:
     @given(general_tgds(), st.sampled_from(("frontier", "homomorphism")), st.data())
-    def test_result_is_atoms_of_values_and_a_row_knows_its_key(self, tgd, scope, data):
+    def test_head_rows_substitute_the_value_row_and_a_row_knows_its_key(self, tgd, scope, data):
         plan = FiringPlan(tgd, 3, scope)
         mapping = {
             variable: data.draw(st.sampled_from(TERMS)) for variable in tgd.body_variables()
         }
-        key = plan.key(mapping)
+        key = plan.key(tuple(mapping[variable] for variable in variable_slots(tgd.body)))
+        assert key == (3, tuple(mapping[variable] for variable in plan.variables))
         values = plan.values(key, NullFactory())
-        assert len(values) == len(plan.variables) + len(tgd.existential_variables())
+        existential = sorted(tgd.existential_variables(), key=lambda variable: variable.name)
+        assert len(values) == len(plan.variables) + len(existential)
         assert plan.row_key(values) == key
-        assert plan.atoms(values) == plan.result(key, NullFactory())
+        images = dict(zip(list(plan.variables) + existential, values))
+        assert [Atom(*head) for head in plan.head_rows(values)] == [
+            atom.substitute(images) for atom in tgd.head
+        ]
 
 
 def _round_counts(events):

@@ -15,7 +15,10 @@ trigger engine and the parallel executor silently rely on:
   mismatches are empty rather than errors, inserts after a lookup stay
   visible);
 * ``atoms_partition`` agreeing with :func:`repro.core.indexing.atom_partition_of`
-  so every store — shared or replica — assigns each atom to the same owner.
+  so every store — shared or replica — assigns each atom to the same owner;
+* the row half (``add_rows``/``rows_matching``/``has_row``, what the chase
+  engines call) agreeing with the atom half: the same count, the same
+  ``seq`` order, the same matches, nullary rows ``()`` included.
 
 See ``tests/storage/test_store_contract.py`` for the three shipped
 backends, and ARCHITECTURE.md ("Plugging in a new backend") for how to
@@ -206,6 +209,82 @@ class AtomStoreContract:
         assert loaded.predicate_cardinality(EMPTY) == 0
         assert loaded.atom_count() == 4
         assert len(list(loaded.iter_atoms())) == 4
+
+    # ------------------------------------------------------------------ #
+    # Rows ≡ atoms (the chase engines' access path)
+
+    ROWS = [
+        (a("b"), a("c")),
+        (a("a"), Null("n")),
+        (a("a"), a("b")),
+        (a("b"), a("c")),  # a duplicate within the batch
+        (Null("n"), a("a")),
+    ]
+
+    @staticmethod
+    def _by_seq(store, predicate):
+        """The relation's rows in insertion order, where the store keeps one."""
+        if not hasattr(store, "read_source"):
+            return None
+        columns = ", ".join(f"c{position}" for position in range(predicate.arity)) or "1"
+        return store.query(f"SELECT {columns} FROM {store.read_source(predicate)} ORDER BY seq")
+
+    def test_add_rows_matches_an_add_atom_loop(self, store, tmp_path):
+        twin_path = tmp_path / "twin"
+        twin_path.mkdir()
+        twin = self.make_store(twin_path)
+        try:
+            store.add_atom(Atom(R, (a("a"), a("b"))))
+            twin.add_atom(Atom(R, (a("a"), a("b"))))
+            added = store.add_rows(R, self.ROWS)
+            looped = sum(twin.add_atom(Atom(R, row)) for row in self.ROWS)
+            assert added == looped == 3
+            assert store.add_rows(R, []) == 0
+            assert store.atom_count() == twin.atom_count() == 4
+            assert set(store.iter_atoms()) == set(twin.iter_atoms())
+            assert self._by_seq(store, R) == self._by_seq(twin, R)
+        finally:
+            close = getattr(twin, "close", None)
+            if close is not None:
+                close()
+
+    def test_rows_matching_agrees_with_atoms_matching(self, store):
+        store.add_rows(R, self.ROWS)
+        store.add_rows(S, [(a("a"), a("b"), a("b")), (a("a"), Null("n"), a("b"))])
+        for predicate, bindings in (
+            (R, None), (R, {}), (R, {0: a("a")}), (R, {1: Null("n")}), (R, {0: a("b"), 1: a("c")}),
+            (R, {0: a("z")}), (R, {7: a("a")}), (S, {0: a("a"), 2: a("b")}), (S, {1: Null("n")}),
+            (EMPTY, {0: a("a")}), (Predicate("R", 3), None),
+        ):
+            rows = store.rows_matching(predicate, bindings)
+            atoms = store.atoms_matching(predicate, bindings)
+            assert sorted(Atom(predicate, row) for row in rows) == sorted(atoms), bindings
+            assert len(list(rows)) == len(set(rows))
+
+    def test_has_row_agrees_with_has_atom(self, store):
+        store.add_rows(R, self.ROWS)
+        for predicate, row in (
+            (R, (a("a"), Null("n"))), (R, (a("a"), a("n"))), (R, (Null("n"), a("a"))),
+            (EMPTY, (a("a"),)), (S, (a("a"), a("b"), a("c"))),
+        ):
+            assert store.has_row(predicate, row) == store.has_atom(Atom(predicate, row))
+        assert store.has_row(R, (a("a"), Null("n")))
+        assert not store.has_row(Predicate("R", 3), (a("a"), a("b"), a("c")))
+
+    def test_nullary_rows(self, store):
+        assert store.add_rows(NULLARY, [(), ()]) == 1
+        assert store.add_rows(NULLARY, [()]) == 0
+        assert store.has_row(NULLARY, ())
+        assert list(store.rows_matching(NULLARY)) == [()]
+        assert list(store.atoms_matching(NULLARY)) == [Atom(NULLARY, ())]
+        assert store.predicate_cardinality(NULLARY) == 1
+
+    def test_add_rows_rejects_non_ground_and_misfit_rows(self, store):
+        with pytest.raises(ValidationError):
+            store.add_rows(R, [(Variable("x"), a("b"))])
+        with pytest.raises(ValidationError):
+            store.add_rows(R, [(a("a"),)])
+        assert store.atom_count() == 0
 
     # ------------------------------------------------------------------ #
     # Partitioned scans (the parallel executor's round-0 access path)

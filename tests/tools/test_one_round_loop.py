@@ -7,8 +7,9 @@ driver.  A new call site anywhere else under ``src/repro/`` is a sixth copy
 of the automaton in the making, and fails here.
 
 The same goes for the firing path: one function digests a null key, one
-helper inserts atoms into a store, and the two firing sites run matches
-through the rule's ``FiringPlan`` without building per-trigger objects.
+helper inserts rows into a store, and the two firing sites run matches
+through the rule's ``FiringPlan`` without building per-trigger objects —
+an :class:`Atom` included: matches, firing keys and results are rows.
 """
 
 from __future__ import annotations
@@ -60,35 +61,35 @@ def test_null_names_are_digested_in_one_module():
     assert _files_containing("blake2b(") == {"core/terms.py"}
 
 
-def test_atoms_are_inserted_one_by_one_only_in_the_insertion_helper():
+def test_rows_reach_stores_only_through_the_insertion_helper():
     calls = [
         (path.relative_to(SRC).as_posix(), line.strip())
         for path in sorted((SRC / "chase").rglob("*.py"))
         for line in path.read_text(encoding="utf-8").splitlines()
-        if ".add_atom(" in line
+        if ".add_rows(" in line or ".add_atom(" in line or ".add_atoms(" in line
     ]
-    # insert_atoms' fallback for stores without a bulk add_atoms
-    assert calls == [("chase/rounds.py", "store.add_atom(atom)")]
+    # insert_rows: one add_rows call per predicate run
+    assert calls == [("chase/rounds.py", "store.add_rows(predicate, run)")]
 
 
 def test_the_firing_sites_build_no_per_trigger_objects():
-    per_trigger = ("Trigger(", "Substitution(", "sorted(")
+    per_trigger = ("Trigger(", "Substitution(", "Atom(", "sorted(")
     engine = (SRC / "chase/engine.py").read_text(encoding="utf-8")
-    assert not [needle for needle in per_trigger[:2] if needle in engine]
+    assert not [needle for needle in per_trigger[:3] if needle in engine]
     parallel = (SRC / "chase/parallel.py").read_text(encoding="utf-8")
-    # A worker fires through ``self.fire``: the plan's ``result`` or, on a
-    # process replica of the coordinator merge, only its ``values`` half.
-    firing_sites = {
-        "_round_step": (engine, ".result(key, "),
-        "_consider": (parallel, "self.fire(plan, key, "),
-    }
-    for name, (source, fire) in firing_sites.items():
+    # Both sites key the match's slot tuple and fire its value row; the
+    # serial one expands it into head rows on the spot.
+    firing_sites = {"_round_step": engine, "_consider": parallel}
+    for name, source in firing_sites.items():
         (function,) = [
             node for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.FunctionDef) and node.name == name
         ]
         body = ast.get_source_segment(source, function)
-        assert ".key(mapping)" in body and fire in body, name
+        assert ".key(values)" in body and ".values(key, " in body, name
         assert not [needle for needle in per_trigger if needle in body], name
-    assigned = re.findall(r"\bfire(?:: [^=\n]+)? = (\S+)", parallel)
-    assert sorted(assigned) == ["FiringPlan.result", "FiringPlan.values"]
+    assert ".head_rows(plan.values(key, " in engine
+    # The fused firing plan has no atom-building half left.
+    triggers = (SRC / "chase/triggers.py").read_text(encoding="utf-8")
+    assert "def result(" not in triggers and "def atoms(" not in triggers
+    assert "match_atom" not in (SRC / "chase/matching.py").read_text(encoding="utf-8")

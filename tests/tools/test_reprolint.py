@@ -503,9 +503,10 @@ class TestCli:
         result = self.run_cli("src/repro", "--list-waivers")
         assert result.returncode == 0
         assert "waiver(s)" in result.stdout
-        # The hot indexed delta enumeration is a designed waiver; the naive
-        # reference sorts its delta instead, and the SQLite store, bound to
-        # one thread, needs none.
-        assert "chase/matching.py" in result.stdout
+        # The indexed delta enumeration walks the driver's sorted runs and
+        # the naive reference sorts its delta, so neither needs a waiver;
+        # nor does the SQLite store, bound to one thread.
+        assert "3 waiver(s)" in result.stdout
+        assert "chase/matching.py" not in result.stdout
         assert "fuzz/reference.py" not in result.stdout
         assert "storage/sqlbackend/store.py" not in result.stdout
