@@ -305,9 +305,9 @@ def chase(
         ``"indexed"`` (default) for the delta-driven index-join trigger
         engine, ``"sql-pushdown"`` to execute *whole rounds* as set-based
         SQL — one ``INSERT ... SELECT`` batch per (rule, delta round) with
-        in-SQL null invention, and a single recursive CTE for linear rule
-        sets (see :mod:`repro.storage.sqlbackend.pushdown`); it requires
-        the sqlite backend.  Anything else is a ``ValueError``.
+        in-SQL null invention (see :mod:`repro.storage.sqlbackend.pushdown`);
+        it requires the sqlite backend and ``workers == 1``.  Anything else
+        is a ``ValueError``.
     backend:
         ``"instance"`` (default) chases into an in-memory
         :class:`Instance`; ``"sqlite"`` into a transient SQLite database
@@ -320,7 +320,8 @@ def chase(
         ``1`` (default) runs the serial engine; ``> 1`` delegates to the
         hash-partitioned parallel executor
         (:func:`repro.chase.parallel.parallel_chase`), whose result is
-        guaranteed identical to the serial one.
+        guaranteed identical to the serial one.  Its workers match with the
+        indexed strategy only.
     executor:
         Worker backend for ``workers > 1``: ``"auto"``, ``"serial"``, or
         ``"process"`` (see :mod:`repro.chase.parallel`).
@@ -346,6 +347,8 @@ def chase(
     engine_class = resolve_engine_class(variant)
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
+    if workers != 1 and strategy == "sql-pushdown":
+        raise ValueError("strategy='sql-pushdown' runs serially; it requires workers=1")
     tracer = as_tracer(tracer)
     traced = tracer.enabled
     if traced:
@@ -370,7 +373,6 @@ def chase(
             workers=workers,
             limits=limits,
             on_limit=on_limit,
-            strategy=strategy,
             backend=backend,
             store=store,
             executor=executor,

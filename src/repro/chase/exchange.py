@@ -353,7 +353,6 @@ class ShuffleWorker:
         plans_by_predicate: Dict[Predicate, Tuple[int, ...]],
         full_predicates: Set[Predicate],
         shared_store: bool,
-        pushdown: bool,
         crash_spec: Optional[str] = None,
         metrics: Optional[MetricsRegistry] = None,
         report_metrics: bool = False,
@@ -368,7 +367,6 @@ class ShuffleWorker:
         self.plans_by_predicate = plans_by_predicate
         self.full_predicates = full_predicates
         self.shared_store = shared_store
-        self.pushdown = pushdown
         self.crash = parse_crash_spec(crash_spec)
         self.metrics = metrics
         #: Ship the registry snapshot home in reports (process pools, whose
@@ -424,20 +422,17 @@ class ShuffleWorker:
         outboxes = self._outboxes()
         routed = 0
         for predicate, row in self._staged:
-            if self.pushdown or predicate in self.full_predicates:
-                # Replica/exclusion broadcast: every worker needs these
-                # rows (all rows, under pushdown — the compiled SQL scans
-                # its own store).
+            if predicate in self.full_predicates:
+                # Replica/exclusion broadcast: every worker needs these rows.
                 for destination in range(self.n_workers):
                     outboxes[destination].append(("d", predicate, row))
                     if destination != self.worker_id:
                         routed += 1
-            if not self.pushdown:
-                for plan_id in self.plans_by_predicate.get(predicate, ()):
-                    destination = self.routing.work_owner(plan_id, row)
-                    outboxes[destination].append(("w", plan_id, row))
-                    if destination != self.worker_id:
-                        routed += 1
+            for plan_id in self.plans_by_predicate.get(predicate, ()):
+                destination = self.routing.work_owner(plan_id, row)
+                outboxes[destination].append(("w", plan_id, row))
+                if destination != self.worker_id:
+                    routed += 1
         self._staged = []
         self._work_routed = routed
         self._count("exchange_work_items", routed)
@@ -470,9 +465,7 @@ class ShuffleWorker:
                 insert_rows(worker.store, delta)
             # Work order is free: key/row dedup is ownership-global and the
             # coordinator sorts the merged new rows before assigning seqs,
-            # so nothing downstream can observe enumeration order.  (Under
-            # pushdown there is no work: the compiled plans self-select it
-            # in SQL from the broadcast the replica now holds.)
+            # so nothing downstream can observe enumeration order.
             considered, fired, _ = worker.delta_round(delta, work)
         self._match_considered = len(considered)
         self._match_fired = len(fired)

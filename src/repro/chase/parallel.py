@@ -98,7 +98,7 @@ from .exchange import (
     SkewDetector,
     iter_frames,
 )
-from .matching import STRATEGIES, JoinPlan
+from .matching import JoinPlan
 from .result import ChaseLimits, ChaseResult
 from .rounds import Delta, RoundOutcome, RoundStep, RuleRow, insert_rows, run_rounds, seed_store
 from .triggers import FiringKey, FiringPlan
@@ -298,102 +298,6 @@ class _MatchWorker:
         considered.append(key)
         if self.policy._should_fire(plan, key, self.store):
             fired.append((key, plan.values(key, self.null_factory)))
-
-
-class PushdownMatchWorker(_MatchWorker):
-    """A :class:`_MatchWorker` whose body matching runs as compiled SQL.
-
-    The ``sql-pushdown`` strategy's worker: homomorphism enumeration moves
-    into SQLite (:class:`~repro.storage.sqlbackend.pushdown.CompiledPlanQuery`
-    — partition-filtered with ``repro_partition`` and watermarked by the
-    worker's own ``seq`` snapshot for semi-naive delta rounds), while the
-    consider/report path — firing keys, the restricted check, null
-    invention — is inherited unchanged, so reports stay byte-identical to
-    the indexed worker's and the coordinator's merge needs no changes.
-
-    Routed *seeds* only say which relations grew: the seed-slot watermark
-    plus the hash-partition predicate select exactly the (entry, new seed
-    row) pairs this worker owns — from the store, so a replica must hold
-    this worker's share of every seed relation (see :func:`_serve_match`).
-    """
-
-    def __init__(
-        self,
-        worker_id: int,
-        n_workers: int,
-        tgds: Sequence[TGD],
-        variant: str,
-        store: AtomStore,
-        collect_metrics: bool = False,
-    ) -> None:
-        super().__init__(worker_id, n_workers, tgds, variant, store, collect_metrics)
-        from ..storage.sqlbackend import SqliteAtomStore
-        from ..storage.sqlbackend.pushdown import CompiledPlanQuery
-
-        if not isinstance(store, SqliteAtomStore):
-            raise ValueError(
-                "the sql-pushdown strategy matches inside SQLite and "
-                "requires SqliteAtomStore worker stores"
-            )
-        self._queries = [
-            CompiledPlanQuery(
-                entry.tgd,
-                entry.plan.seed_slot,
-                entry.plan.partition_positions,
-                store,
-                n_workers > 1,
-            )
-            for entry in self.table.entries
-        ]
-        self._last_seq = 0
-
-    def _initial_round(self) -> MatchBatch:
-        considered: List[object] = []
-        fired: List[Tuple[object, Any]] = []
-        for entry in self.table.initial_entries:
-            query = self._queries[entry.plan_id]
-            for values in query.initial_matches(self.store, self.n_workers, self.worker_id):
-                self._consider(entry, values, considered, fired)
-        self._last_seq = self.store.current_seq()
-        return considered, fired
-
-    def _delta_round(self, replicated: Delta, seeds: Seeds) -> MatchBatch:
-        # The watermark is the snapshot taken at the end of the previous
-        # round — before this round's delta reached the store, whoever
-        # inserted it (the coordinator into a shared store, the serving
-        # loop into a replica).
-        delta_start = self._last_seq
-        delta_predicates = set(replicated)
-        delta_predicates.update(self.table.entries[plan_id].seed_predicate for plan_id, _ in seeds)
-        considered: List[object] = []
-        fired: List[Tuple[object, Any]] = []
-        for entry in self.table.entries:
-            if entry.seed_predicate not in delta_predicates:
-                continue
-            query = self._queries[entry.plan_id]
-            for values in query.delta_matches(
-                self.store, delta_start, self.n_workers, self.worker_id
-            ):
-                self._consider(entry, values, considered, fired)
-        self._last_seq = self.store.current_seq()
-        return considered, fired
-
-
-def _make_match_worker(
-    strategy: str,
-    worker_id: int,
-    n_workers: int,
-    tgds: Sequence[TGD],
-    variant: str,
-    store: AtomStore,
-    collect_metrics: bool = False,
-) -> _MatchWorker:
-    """Build the per-partition worker for *strategy* (indexed or pushdown)."""
-    if strategy == "sql-pushdown":
-        return PushdownMatchWorker(
-            worker_id, n_workers, tgds, variant, store, collect_metrics
-        )
-    return _MatchWorker(worker_id, n_workers, tgds, variant, store, collect_metrics)
 
 
 # --------------------------------------------------------------------------- #
@@ -613,7 +517,6 @@ def _build_shuffle_worker(
     match_worker: _MatchWorker,
     tgds: Sequence[TGD],
     variant: str,
-    strategy: str,
     shared_store: bool,
     metrics: Optional[MetricsRegistry] = None,
     report_metrics: bool = False,
@@ -629,7 +532,6 @@ def _build_shuffle_worker(
         plans_by_predicate,
         full,
         shared_store=shared_store,
-        pushdown=strategy == "sql-pushdown",
         crash_spec=os.environ.get("REPRO_EXCHANGE_CRASH"),
         metrics=metrics,
         report_metrics=report_metrics,
@@ -655,7 +557,6 @@ class _LocalPool:
         tgds: Sequence[TGD],
         variant: str,
         store: AtomStore,
-        strategy: str,
         exchange: str,
         metrics: Optional[MetricsRegistry],
     ) -> None:
@@ -665,17 +566,13 @@ class _LocalPool:
         # match workers attach metrics to their reports.
         collect_metrics = metrics is not None and not shuffle
         self._match_workers = [
-            _make_match_worker(
-                strategy, worker_id, workers, tgds, variant, store, collect_metrics
-            )
+            _MatchWorker(worker_id, workers, tgds, variant, store, collect_metrics)
             for worker_id in range(workers)
         ]
         self._shuffle_workers: List[ShuffleWorker] = []
         if shuffle:
             self._shuffle_workers = [
-                _build_shuffle_worker(
-                    worker, tgds, variant, strategy, shared_store=True, metrics=metrics
-                )
+                _build_shuffle_worker(worker, tgds, variant, shared_store=True, metrics=metrics)
                 for worker in self._match_workers
             ]
             for shuffle_worker in self._shuffle_workers:
@@ -810,8 +707,7 @@ def _serve_match(worker: _MatchWorker, wire: _Wire, message: Tuple[Any, ...]) ->
 
     A delta message carries what :func:`replica_seed_split` says this replica
     reads: the round's *replicated* rows, inserted here, and the seeds this
-    worker owns, which an indexed worker only matches from — a pushdown
-    worker's SQL reads seeds from its store, so it inserts its share too.
+    worker owns, which it only matches from.
     """
     started = worker.clock.now()
     if message[0] == "initial":
@@ -822,12 +718,6 @@ def _serve_match(worker: _MatchWorker, wire: _Wire, message: Tuple[Any, ...]) ->
         replicated = wire.decode_rows(replicated_runs)
         seeds = list(wire.decode(seed_runs))
         insert_rows(worker.store, replicated)
-        if isinstance(worker, PushdownMatchWorker):
-            entries = worker.table.entries
-            owned: Dict[Predicate, List[Row]] = {}
-            for plan_id, row in seeds:
-                owned.setdefault(entries[plan_id].seed_predicate, []).append(row)
-            insert_rows(worker.store, owned)
         considered, fired = worker._delta_round(replicated, seeds)
     skipped: List[FiringKey] = []
     if len(fired) < len(considered):  # restricted only: the head check held keys back
@@ -869,7 +759,6 @@ def _worker_main(
     tgds: Sequence[TGD],
     variant: str,
     store_spec: Tuple[str, ...],
-    strategy: str,
     collect_metrics: bool,
     exchange: str,
 ) -> None:
@@ -888,9 +777,8 @@ def _worker_main(
             store = _open_replica_store(store_spec, worker_id)
             wire = _Wire()
             shuffle = exchange == "shuffle"
-            worker = _make_match_worker(
-                strategy, worker_id, n_workers, tgds, variant, store,
-                collect_metrics and not shuffle,
+            worker = _MatchWorker(
+                worker_id, n_workers, tgds, variant, store, collect_metrics and not shuffle
             )
             # The replica is private to this process, so its SQL timings
             # ride home inside the round reports.
@@ -905,7 +793,7 @@ def _worker_main(
                 serve = partial(
                     _serve_shuffle,
                     _build_shuffle_worker(
-                        worker, tgds, variant, strategy,
+                        worker, tgds, variant,
                         shared_store=False, metrics=registry, report_metrics=True,
                     ),
                     _PipeTransport(worker_id, peer_conns),
@@ -975,7 +863,6 @@ class _ProcessPool:
         variant: str,
         store_spec: Tuple[str, ...],
         worker_seeds: Optional[Callable[[int], List[Atom]]],
-        strategy: str,
         collect_metrics: bool,
         exchange: str,
     ) -> None:
@@ -1007,7 +894,6 @@ class _ProcessPool:
                         tuple(tgds),
                         variant,
                         store_spec,
-                        strategy,
                         collect_metrics,
                         exchange,
                     ),
@@ -1282,7 +1168,7 @@ class _ShuffleStep:
     def __init__(
         self,
         pool: Union[_LocalPool, _ProcessPool],
-        detector: Optional[SkewDetector],
+        detector: SkewDetector,
         tracer: AnyTracer,
         worker_sql: Dict[int, RegistrySnapshot],
     ) -> None:
@@ -1295,20 +1181,18 @@ class _ShuffleStep:
     def __call__(self, round_index: int, delta: Delta) -> RoundOutcome:
         tracer = self._tracer
         traced = tracer.enabled
-        heavy: Tuple[HeavyRoute, ...] = ()
-        if self._detector is not None:
-            heavy = self._detector.heavy_routes(delta)
-            if traced:
-                for route, split in heavy:
-                    if route not in self._known_heavy:
-                        self._known_heavy.add(route)
-                        tracer.emit(
-                            "repartition",
-                            round=round_index,
-                            plan=route[0],
-                            key_hash=route[1],
-                            workers=list(split),
-                        )
+        heavy = self._detector.heavy_routes(delta)
+        if traced:
+            for route, split in heavy:
+                if route not in self._known_heavy:
+                    self._known_heavy.add(route)
+                    tracer.emit(
+                        "repartition",
+                        round=round_index,
+                        plan=route[0],
+                        key_hash=route[1],
+                        workers=list(split),
+                    )
         reports = self._pool.round(round_index, heavy)
 
         considered = 0
@@ -1376,7 +1260,6 @@ class ParallelChaseExecutor:
         limits: Optional[ChaseLimits] = None,
         on_limit: str = "return",
         executor: str = "auto",
-        strategy: str = "indexed",
         exchange: str = "coordinator",
     ) -> None:
         if workers < 1:
@@ -1385,8 +1268,6 @@ class ParallelChaseExecutor:
             raise ValueError("on_limit must be 'return' or 'raise'")
         if executor not in EXECUTORS:
             raise ValueError(f"executor must be one of {EXECUTORS}, got {executor!r}")
-        if strategy not in STRATEGIES:
-            raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
         if exchange not in EXCHANGES:
             raise ValueError(f"exchange must be one of {EXCHANGES}, got {exchange!r}")
         resolve_engine_class(variant)  # validate eagerly
@@ -1395,7 +1276,6 @@ class ParallelChaseExecutor:
         self.limits = limits if limits is not None else ChaseLimits()
         self.on_limit = on_limit
         self.executor = executor
-        self.strategy = strategy
         self.exchange = exchange
 
     # ------------------------------------------------------------------ #
@@ -1427,7 +1307,7 @@ class ParallelChaseExecutor:
 
         if self._resolve_executor(store) != "process" or self.workers == 1:
             return _LocalPool(
-                self.workers, tgds, self.variant, store, self.strategy,
+                self.workers, tgds, self.variant, store,
                 exchange=self.exchange, metrics=metrics,
             )
         worker_seeds: Optional[Callable[[int], List[Atom]]] = None
@@ -1461,18 +1341,13 @@ class ParallelChaseExecutor:
                 )
 
         return _ProcessPool(
-            self.workers, tgds, self.variant, store_spec, worker_seeds, self.strategy,
+            self.workers, tgds, self.variant, store_spec, worker_seeds,
             collect_metrics=metrics is not None, exchange=self.exchange,
         )
 
     def _skew_detector(
         self, table: _PlanTable, metrics: Optional[MetricsRegistry]
-    ) -> Optional[SkewDetector]:
-        # The in-SQL partition filter of the pushdown strategy cannot see a
-        # heavy table, so skew splitting stays off there; routing is then
-        # degenerate (replicas are broadcast-complete) and still correct.
-        if self.strategy == "sql-pushdown":
-            return None
+    ) -> SkewDetector:
         return SkewDetector(
             [
                 (entry.plan_id, entry.seed_predicate, entry.plan.partition_positions)
@@ -1560,7 +1435,6 @@ def parallel_chase(
     workers: int = 2,
     limits: Optional[ChaseLimits] = None,
     on_limit: str = "return",
-    strategy: str = "indexed",
     backend: str = "instance",
     store: Optional[AtomStore] = None,
     executor: str = "auto",
@@ -1570,7 +1444,9 @@ def parallel_chase(
 ) -> ChaseResult:
     """Run the hash-partitioned parallel chase of *database* with *tgds*.
 
-    Accepts the same parameters as :func:`repro.chase.engine.chase` plus
+    Accepts the same parameters as :func:`repro.chase.engine.chase` except
+    *strategy* — workers always match with the indexed trigger source;
+    ``sql-pushdown`` is serial — plus
 
     workers:
         Number of partition workers (``1`` degenerates to an in-process
@@ -1596,26 +1472,14 @@ def parallel_chase(
     — atoms, null names, round and trigger counts — to the serial
     engine's, for every worker count and executor kind.
     """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
     if store is None:
         store = make_backend_store(backend)
-    if strategy == "sql-pushdown":
-        from ..storage.sqlbackend import SqliteAtomStore
-
-        if not isinstance(store, SqliteAtomStore):
-            raise ValueError(
-                "strategy='sql-pushdown' matches inside SQLite and requires "
-                "the sqlite backend (backend='sqlite[:path]' or an explicit "
-                "SqliteAtomStore store)"
-            )
     coordinator = ParallelChaseExecutor(
         variant=variant,
         workers=workers,
         limits=limits,
         on_limit=on_limit,
         executor=executor,
-        strategy=strategy,
         exchange=exchange,
     )
     try:

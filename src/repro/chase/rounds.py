@@ -3,7 +3,7 @@
 The paper defines the chase once, as the sequence ``chase_0, chase_1, ...``
 where round ``i`` fires the triggers created by round ``i-1``'s atoms
 (Section 3).  The serial engines, the coordinator-merge and shuffle
-topologies of the parallel executor, and the ``sql-pushdown`` round tier are
+topologies of the parallel executor, and the ``sql-pushdown`` executor are
 only different ways to compute *one* such round, so each of them is a
 **round step** plugged into :func:`run_rounds`, which alone owns
 

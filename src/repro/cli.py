@@ -138,7 +138,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="hash-partitioned chase workers; the result is identical for every N (default: 1)",
+        help="hash-partitioned chase workers (indexed strategy only); the result "
+        "is identical for every N (default: 1)",
     )
     chase_cmd.add_argument(
         "--executor",
@@ -386,6 +387,9 @@ def _command_chase(args) -> int:
 
     if args.parallel < 1:
         print("--parallel must be >= 1", file=sys.stderr)
+        return 2
+    if args.parallel > 1 and args.strategy == "sql-pushdown":
+        print("--strategy sql-pushdown runs serially; drop --parallel", file=sys.stderr)
         return 2
     try:
         store = make_backend_store(args.backend)

@@ -116,7 +116,7 @@ def variables(names):
 def null_name(prefix, rendered_key):
     """Return the content-addressed null name for the key whose ``repr`` is
     *rendered_key*.  The one place a name is derived: :class:`NullFactory`
-    and the pushdown tier's ``repro_skolem`` SQL function both end here."""
+    and the pushdown executor's ``repro_skolem`` SQL function both end here."""
     digest = hashlib.blake2b(rendered_key.encode("utf-8"), digest_size=9).hexdigest()
     return f"{prefix}_{digest}"
 

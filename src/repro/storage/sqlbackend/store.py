@@ -288,31 +288,6 @@ class SqliteAtomStore:
     # ------------------------------------------------------------------ #
     # Compiled-statement entry points (the sql-pushdown strategy)
 
-    def read_source(self, predicate: Predicate) -> str:
-        """Return the SQL source reading *predicate*'s relation.
-
-        For a plain store this is simply the quoted table name; the overlay
-        store overrides it with a two-schema union subquery.  Compiled
-        pushdown statements must reference relations through this hook —
-        a bare table name silently resolves against the wrong schema on an
-        overlay (SQLite resolves unqualified names temp → main → attached,
-        so a ``main`` delta table would shadow the attached base relation).
-        The relation must already exist (:meth:`create_relation`).
-        """
-        return _quote(table_name(predicate.name))
-
-    def insert_guard(self, predicate: Predicate, value_exprs: Sequence[str]) -> str:
-        """Extra ``WHERE`` fragment deduplicating compiled inserts.
-
-        *value_exprs* are the SQL expressions producing the row's value
-        columns in the inserting ``SELECT``.  A plain store needs no guard
-        (the per-relation ``UNIQUE`` index plus ``INSERT OR IGNORE``
-        already dedups); the overlay store returns a ``NOT EXISTS``
-        anti-join against the read-only base snapshot, whose rows the
-        ``main``-side unique index cannot see.
-        """
-        return ""
-
     def set_statement_metrics(self, metrics: Optional[StatementMetrics]) -> None:
         """Attach (or detach, with ``None``) per-statement-family timing.
 
@@ -333,8 +308,8 @@ class SqliteAtomStore:
     ) -> List[Tuple]:
         """Run one read statement; fetch all rows.
 
-        The entry point for compiled pushdown reads (trigger-witness
-        enumeration, ``EXPLAIN QUERY PLAN`` introspection).  *family* names
+        The entry point for reads of compiled statements (the shape
+        queries, ``EXPLAIN QUERY PLAN`` introspection).  *family* names
         the compiled statement family for the attached metrics (ignored when
         detached).
         """
@@ -840,52 +815,6 @@ class SqliteOverlayStore(SqliteAtomStore):
             f"ON {_quote(table)} (c{position})"
         )
         self._indexed.add((predicate.name, position))
-
-    # ------------------------------------------------------------------ #
-    # Compiled-statement entry points (two-schema variants)
-
-    def read_source(self, predicate: Predicate) -> str:
-        """The union of the base snapshot and the main delta, as one source.
-
-        Compiled pushdown joins reference this as a derived table, so the
-        semi-naive ``seq`` watermarks apply across both schemas: base rows
-        keep their snapshot-bounded sequence numbers, delta rows continue
-        above them (``__init__`` starts the overlay's watermark at the base
-        snapshot).
-        """
-        table = _quote(table_name(predicate.name))
-        columns = ", ".join(self._columns(predicate.arity) + ["seq"])
-        in_base = predicate.name in self._base_predicates
-        in_main = predicate.name in self._main_relations
-        if in_base and in_main:
-            return (
-                f"(SELECT {columns} FROM base.{table} "
-                f"WHERE seq <= {self._base_snapshot_seq} "
-                f"UNION ALL SELECT {columns} FROM main.{table})"
-            )
-        if in_base:
-            return (
-                f"(SELECT {columns} FROM base.{table} "
-                f"WHERE seq <= {self._base_snapshot_seq})"
-            )
-        return f"main.{table}"
-
-    def insert_guard(self, predicate: Predicate, value_exprs: Sequence[str]) -> str:
-        """Anti-join against the read-only base: writes only land in main,
-        so the main-side ``UNIQUE`` index cannot see base rows — the same
-        dedup :meth:`add_atom` does per-row, as one set-based clause."""
-        if predicate.name not in self._base_predicates:
-            return ""
-        table = _quote(table_name(predicate.name))
-        conditions = [
-            f"b.{column} = {expression}"
-            for column, expression in zip(self._columns(predicate.arity), value_exprs)
-        ]
-        conditions.append(f"b.seq <= {self._base_snapshot_seq}")
-        return (
-            f"NOT EXISTS (SELECT 1 FROM base.{table} AS b "
-            f"WHERE {' AND '.join(conditions)})"
-        )
 
     # ------------------------------------------------------------------ #
     # Read targets: the base snapshot plus the main delta

@@ -131,8 +131,6 @@ class TestApiSurface:
         with pytest.raises(ValueError):
             parallel_chase(database, tgds, executor="bogus")
         with pytest.raises(ValueError):
-            parallel_chase(database, tgds, strategy="naive")
-        with pytest.raises(ValueError):
             parallel_chase(database, tgds, backend="bogus")
         with pytest.raises(ValueError):
             parallel_chase(database, tgds, variant="bogus")

@@ -5,8 +5,8 @@ emission, sorted insertion, the per-round flush and the result.  The first
 half of this file drives it with a scripted step and a recording fake store
 (no engine runs), so every clause of that contract has a test that names it.
 The second half checks the other side of the seam: every real round step —
-serial, the fuzz oracle's naive reference, coordinator-merge, shuffle, the
-pushdown tiers — produces the same
+serial, the fuzz oracle's naive reference, coordinator-merge, shuffle,
+pushdown — produces the same
 per-round ``(round, fired, atoms_created)`` stream under the driver.
 """
 
@@ -249,12 +249,11 @@ LINEAR = (
     "A(x,y) -> B(y,z)\nB(x,y) -> C(x,w)\nC(x,y) -> D(y,x)\nD(x,y) -> E(x)",
 )
 #: Never reaches a fixpoint; run under ``max_rounds`` so the stream ends on
-#: a budget stop (which the CTE tier must replay, not observe).
+#: a budget stop, observed by the driver like any other.
 LINEAR_CYCLE = (LINEAR[0], LINEAR[1] + "\nE(x) -> A(x,w)")
 
-#: Every round step, twice where a step has two pool kinds under it.  The
-#: serial sqlite + ``sql-pushdown`` entry takes the round tier on the join
-#: and skew programs and the recursive-CTE tier on the linear one.
+#: Every round step, twice where a step has two pool kinds under it.
+#: ``sql-pushdown`` is serial and takes its one round step on every program.
 STEPS = {
     "serial-indexed": {},
     "reference": {"reference": True},
@@ -263,9 +262,6 @@ STEPS = {
     "shuffle-serial": {"workers": 2, "executor": "serial", "exchange": "shuffle"},
     "shuffle-process": {"workers": 2, "executor": "process", "exchange": "shuffle"},
     "pushdown": {"backend": "sqlite", "strategy": "sql-pushdown"},
-    "pushdown-parallel": {
-        "backend": "sqlite", "strategy": "sql-pushdown", "workers": 2, "executor": "process",
-    },
 }
 
 
@@ -305,12 +301,22 @@ def test_round_stream_is_identical_across_steps(program):
         assert _round_stream(database, tgds, limits, **options) == expected, name
 
 
-def test_the_linear_program_exercises_the_cte_tier():
+def test_the_linear_program_runs_the_round_statements_with_per_rule_atoms():
     database, tgds = _program("linear")
     sink = ListTraceSink()
     chase(database, tgds, backend="sqlite", strategy="sql-pushdown", tracer=Tracer(sink))
     families = {event["family"] for event in sink.events if event["type"] == "sql_family"}
-    assert "pushdown-cte" in families
+    assert {"pushdown-stage", "pushdown-apply"} <= families
+    assert not [family for family in families if family.startswith("pushdown-cte")]
+    rounds = [event for event in sink.events if event["type"] == "round"]
+    assert len(rounds) >= 2
+    for event in rounds:
+        per_rule = [
+            e["atoms_created"]
+            for e in sink.events
+            if e["type"] == "rule_round" and e["round"] == event["round"]
+        ]
+        assert sum(per_rule) == event["atoms_created"], event
 
 
 class TestSeqOrderOnSqlite:

@@ -12,9 +12,10 @@ Three families the delta-driven join machinery handles specially:
 * **single-atom bodies** — the linear fast path, with and without repeated
   body variables (the non-simple matching filter).
 
-Every case runs under every (variant, strategy, backend) combination and
-through the parallel executor at several worker counts, and must produce
-the naive reference chase's result everywhere.
+Every case runs under every (variant, strategy, backend) combination — to
+its fixpoint and under round and atom budgets — and through the parallel
+executor at several worker counts, and must produce the naive reference
+chase's result everywhere.
 """
 
 import pytest
@@ -31,8 +32,7 @@ VARIANTS = ("oblivious", "semi-oblivious", "restricted")
 #: Every valid (strategy, backend) pairing — "sql-pushdown" exists only on
 #: the sqlite backend, where its seq-watermark slot constraints must
 #: reproduce these exact pinned semantics: it applies whole set-based rounds
-#: (and, for the linear cases here, the recursive-CTE fixpoint tier) inside
-#: SQLite.
+#: inside SQLite.
 STRATEGY_BACKEND_COMBOS = (
     ("indexed", "instance"),
     ("indexed", "sqlite"),
@@ -108,6 +108,28 @@ class TestEdgeCaseGrid:
 
     @pytest.mark.parametrize("case", [case[0] for case in EDGE_CASES])
     @pytest.mark.parametrize("variant", VARIANTS)
+    def test_budget_stops_agree(self, case, variant):
+        # Every combination stops after the same round with the same prefix
+        # under a round budget and a tight atom budget, on linear and join
+        # bodies alike.
+        database, tgds = _load(case)
+        for limits in (ChaseLimits(max_rounds=1), ChaseLimits(max_atoms=len(database) + 1)):
+            expected = _fingerprint(reference_chase(database, tgds, variant, limits))
+            for strategy, backend in STRATEGY_BACKEND_COMBOS:
+                result = chase(
+                    database,
+                    tgds,
+                    variant=variant,
+                    strategy=strategy,
+                    backend=backend,
+                    limits=limits,
+                )
+                assert _fingerprint(result) == expected, (
+                    f"{case}: {strategy}/{backend} disagrees under {limits}"
+                )
+
+    @pytest.mark.parametrize("case", [case[0] for case in EDGE_CASES])
+    @pytest.mark.parametrize("variant", VARIANTS)
     def test_parallel_executor_agrees(self, case, variant):
         database, tgds = _load(case)
         expected = _fingerprint(reference_chase(database, tgds, variant, LIMITS))
@@ -122,29 +144,6 @@ class TestEdgeCaseGrid:
             )
             assert _fingerprint(result) == expected, (
                 f"{case}: parallel workers={workers}/{executor} disagrees"
-            )
-
-    @pytest.mark.parametrize("case", [case[0] for case in EDGE_CASES])
-    @pytest.mark.parametrize("variant", VARIANTS)
-    def test_parallel_pushdown_agrees(self, case, variant):
-        # The sql-pushdown matching worker: compiled partition-filtered SQL
-        # joins must own exactly the same (entry, seed atom) pairs the
-        # coordinator would have routed, on these same edge cases.
-        database, tgds = _load(case)
-        expected = _fingerprint(reference_chase(database, tgds, variant, LIMITS))
-        for workers, executor in ((2, "serial"), (3, "serial")):
-            result = parallel_chase(
-                database,
-                tgds,
-                variant=variant,
-                workers=workers,
-                limits=LIMITS,
-                backend="sqlite",
-                executor=executor,
-                strategy="sql-pushdown",
-            )
-            assert _fingerprint(result) == expected, (
-                f"{case}: pushdown workers={workers}/{executor} disagrees"
             )
 
 

@@ -9,8 +9,8 @@ Three families of properties, all over random programs from
   trigger counts, and the exact instance, null names included;
 * **backend conformance** — the sqlite store chases to the
   same result as the in-memory instance, serial and parallel, and the
-  ``"sql-pushdown"`` strategy (whole compiled set-based rounds) agrees with
-  the in-memory engines;
+  ``"sql-pushdown"`` strategy (whole compiled set-based rounds, serial)
+  agrees with the in-memory engines;
   lazy results (``materialize=False``) stay byte-identical to eager ones,
   both read through the store view and after on-demand materialization;
 * **oracle conformance** — on inputs where the materialization baseline is
@@ -132,11 +132,10 @@ class TestEngineConformance:
 
     @given(chase_programs(), st.sampled_from(VARIANTS))
     def test_sql_pushdown_conforms(self, program, variant):
-        """The compiled set-based strategy: whole rounds (or, for linear
-        rules, the whole fixpoint as one recursive CTE) execute inside
+        """The compiled set-based strategy: whole rounds execute inside
         SQLite with in-SQL null invention — and the ChaseResult must stay
         byte-identical to the in-memory instance chase, counts and null
-        names included, serially and across every worker pool kind."""
+        names included, eager and lazy."""
         database, tgds = program
         note(describe_program(database, tgds))
         expected = fingerprint(
@@ -165,30 +164,12 @@ class TestEngineConformance:
         )
         assert_lazy_matches(lazy, expected, "sql-pushdown lazy")
 
-        for workers, executor in ((2, "serial"), (3, "serial"), (2, "process")):
-            parallel = parallel_chase(
-                database,
-                tgds,
-                variant=variant,
-                workers=workers,
-                limits=LIMITS,
-                backend="sqlite",
-                executor=executor,
-                strategy="sql-pushdown",
-                materialize=False,
-            )
-            assert_lazy_matches(
-                parallel,
-                expected,
-                f"sql-pushdown parallel(workers={workers}, executor={executor})",
-            )
-
     @given(chase_programs(), st.sampled_from(VARIANTS))
     def test_shuffle_exchange_conforms(self, program, variant):
         """The peer-to-peer shuffle exchange: results must stay
         byte-identical to both the coordinator-merge protocol and the
-        serial engine across worker counts, pool kinds, backends, and
-        strategies — including lazy results."""
+        serial engine across worker counts, pool kinds and backends —
+        including lazy results."""
         database, tgds = program
         note(describe_program(database, tgds))
         expected = fingerprint(
@@ -227,26 +208,19 @@ class TestEngineConformance:
         )
         assert fingerprint(shared) == expected, "shuffle in-process sqlite != serial"
 
-        # process pools: pipe-mesh replicas over sqlite, indexed and
-        # compiled-pushdown matching, with a lazy result each
-        for strategy, workers in (("indexed", 2), ("sql-pushdown", 4)):
-            shuffled = parallel_chase(
-                database,
-                tgds,
-                variant=variant,
-                workers=workers,
-                limits=LIMITS,
-                backend="sqlite",
-                executor="process",
-                strategy=strategy,
-                exchange="shuffle",
-                materialize=False,
-            )
-            assert_lazy_matches(
-                shuffled,
-                expected,
-                f"shuffle process({strategy}, workers={workers})",
-            )
+        # process pools: pipe-mesh replicas over sqlite, with a lazy result
+        shuffled = parallel_chase(
+            database,
+            tgds,
+            variant=variant,
+            workers=2,
+            limits=LIMITS,
+            backend="sqlite",
+            executor="process",
+            exchange="shuffle",
+            materialize=False,
+        )
+        assert_lazy_matches(shuffled, expected, "shuffle process(workers=2)")
 
 
 class TestTracingTransparency:
@@ -305,20 +279,6 @@ class TestTracingTransparency:
                     limits=LIMITS,
                     backend="sqlite",
                     executor="process",
-                    tracer=tracer,
-                ),
-            ),
-            (
-                "parallel-sql-pushdown",
-                lambda tracer: parallel_chase(
-                    database,
-                    tgds,
-                    variant=variant,
-                    workers=2,
-                    limits=LIMITS,
-                    backend="sqlite",
-                    strategy="sql-pushdown",
-                    executor="serial",
                     tracer=tracer,
                 ),
             ),

@@ -15,7 +15,7 @@ row the coordinator turns back into key and head rows through the rule's
 * **end to end** — over random programs the traffic of a real process pool
   replays into the coordinator's tables, and a program pinning the cases
   that are easy to get wrong chases byte-identically to the serial engine in
-  every variant × replica kind × matching strategy.
+  every variant × replica kind.
 
 Run with ``HYPOTHESIS_PROFILE=ci`` for the pinned 200-example sweep.
 """
@@ -196,18 +196,9 @@ class TestEndToEnd:
     )
 
     @pytest.mark.parametrize("variant", ("oblivious", "semi-oblivious", "restricted"))
-    @pytest.mark.parametrize(
-        "backend,strategy",
-        (
-            ("instance", "indexed"),
-            ("sqlite", "indexed"),
-            ("sqlite", "sql-pushdown"),
-            ("sqlite-file", "indexed"),
-            ("sqlite-file", "sql-pushdown"),
-        ),
-    )
+    @pytest.mark.parametrize("backend", ("instance", "sqlite", "sqlite-file"))
     def test_the_pinned_cases_chase_identically_on_every_replica_kind(
-        self, tmp_path, variant, backend, strategy
+        self, tmp_path, variant, backend
     ):
         """Empty witness (``E``: zero-width rows, under restricted a
         zero-width *skipped* row), a head-only predicate under restricted
@@ -222,7 +213,7 @@ class TestEndToEnd:
         sink = ListTraceSink()
         result = parallel_chase(
             database, tgds, variant=variant, workers=3, limits=LIMITS, executor="process",
-            backend=backend, strategy=strategy, tracer=Tracer(sink),
+            backend=backend, tracer=Tracer(sink),
         )
         assert fingerprint(result) == expected
         close = getattr(result.store, "close", None)

@@ -35,6 +35,7 @@ from repro.core.predicates import Predicate
 from repro.core.terms import Constant, Null, Variable
 from repro.exceptions import ValidationError
 from repro.storage.atom_store import AtomStore
+from repro.storage.sqlbackend import SqliteAtomStore, SqliteOverlayStore, table_name
 
 R = Predicate("R", 2)
 S = Predicate("S", 3)
@@ -224,10 +225,21 @@ class AtomStoreContract:
     @staticmethod
     def _by_seq(store, predicate):
         """The relation's rows in insertion order, where the store keeps one."""
-        if not hasattr(store, "read_source"):
+        if not isinstance(store, SqliteAtomStore):
             return None
         columns = ", ".join(f"c{position}" for position in range(predicate.arity)) or "1"
-        return store.query(f"SELECT {columns} FROM {store.read_source(predicate)} ORDER BY seq")
+        table = f'"{table_name(predicate.name)}"'
+        source = table
+        if isinstance(store, SqliteOverlayStore):
+            # The overlay's rows: the base snapshot ∪ the in-memory delta.
+            parts = [f"SELECT {columns}, seq FROM main.{table}"]
+            if predicate.name in store._base_predicates:
+                parts.append(
+                    f"SELECT {columns}, seq FROM base.{table} "
+                    f"WHERE seq <= {store._base_snapshot_seq}"
+                )
+            source = f"({' UNION ALL '.join(parts)})"
+        return store.query(f"SELECT {columns} FROM {source} ORDER BY seq")
 
     def test_add_rows_matches_an_add_atom_loop(self, store, tmp_path):
         twin_path = tmp_path / "twin"

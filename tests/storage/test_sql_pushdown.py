@@ -13,8 +13,10 @@ pins what those suites cannot see from the outside:
 * **pragma tuning** — the connection settings the strategy leans on, and
   the proof that the tuned file stores still survive a mid-chase crash and
   resume to the same fixpoint;
-* **wiring** — the strategy is reachable only through the sqlite backend,
-  serially and in parallel, with actionable errors everywhere else.
+* **one path** — every program, linear or not, under every variant, runs
+  the round step under the round driver, so it flushes once per round;
+* **wiring** — the strategy is reachable only through a plain sqlite store
+  and one worker, with actionable errors everywhere else.
 """
 
 import json
@@ -22,28 +24,27 @@ import json
 import pytest
 
 from repro.chase.engine import chase, make_backend_store
-from repro.chase.parallel import parallel_chase
 from repro.chase.result import ChaseLimits
 from repro.core.parser import parse_database, parse_rules
 from repro.core.terms import Constant, NullFactory, Variable
 from repro.exceptions import ChaseLimitExceeded
 from repro.storage.relation import NULL_MARKER, encode_term
 from repro.storage.sqlbackend import (
-    CompiledPlanQuery,
     CompiledRule,
     PushdownExecutor,
     SqliteAtomStore,
+    SqliteOverlayStore,
     register_skolem_function,
 )
 
 from tests.helpers import GOLDEN_NULL_NAMES
 from tests.helpers import chase_result_fingerprint as fingerprint
 
-#: A join-body program (takes the delta-round tier: S ⋈ R is a two-atom body).
+#: A join-body program (S ⋈ R is a two-atom body).
 JOIN_RULES = "R(x,y) -> S(y,z)\nS(x,y), R(z,x) -> T(z,y)\n"
 JOIN_FACTS = "R(a,b).\nR(b,a).\nR(b,c).\n"
 
-#: A linear program (every body a single atom: eligible for the CTE tier).
+#: A linear program (every body a single atom).
 LINEAR_RULES = "R(x,y) -> S(y,z)\nS(x,y) -> T(x)\n"
 LINEAR_FACTS = "R(a,b).\nR(b,b).\n"
 
@@ -54,6 +55,16 @@ def _join_program():
 
 def _linear_program():
     return parse_database(LINEAR_FACTS), parse_rules(LINEAR_RULES)
+
+
+def _chain_program():
+    """A 12-round linear chain: ``P0(a)`` copied down ``P0 -> ... -> P12``."""
+    return parse_database("P0(a).\n"), parse_rules(
+        "".join(f"P{i}(x) -> P{i + 1}(x)\n" for i in range(12))
+    )
+
+
+PROGRAMS = {"join": _join_program, "linear": _linear_program, "chain": _chain_program}
 
 
 def _plan_details(store, sql, parameters):
@@ -139,17 +150,6 @@ class TestCompiledQueryPlans:
             details = _plan_details(store, head_sql, {"round_seq": 11})
             _assert_no_relation_scan(details, "head insert")
 
-    def test_parallel_plan_query_searches_indexes(self):
-        database, tgds = _join_program()
-        store = SqliteAtomStore()
-        store.load_database(database)
-        join_rule = tuple(tgds)[1]  # S(x,y), R(z,x) -> T(z,y)
-        query = CompiledPlanQuery(join_rule, 0, (), store, partitioned=False)
-        details = _plan_details(store, query._delta_sql, {"delta_start": 0})
-        _assert_no_relation_scan(details, "CompiledPlanQuery delta join")
-        assert any("USING INDEX" in d or "COVERING INDEX" in d for d in details)
-        store.close()
-
 
 class TestSkolemFunction:
     def test_udf_matches_null_factory_names(self):
@@ -217,61 +217,52 @@ class TestSkolemFunction:
         store.close()
 
 
-class TestTierSelection:
-    """Which tier ran is observable through the temp-table footprint."""
+class TestOneRoundStep:
+    """Every program takes the round step under ``run_rounds``."""
 
-    def _temp_tables(self, store):
-        return {
+    @pytest.mark.parametrize("variant", ("oblivious", "semi-oblivious", "restricted"))
+    @pytest.mark.parametrize("program", sorted(PROGRAMS))
+    def test_every_program_takes_the_round_step(self, program, variant):
+        database, tgds = PROGRAMS[program]()
+        expected = fingerprint(chase(database, tgds, variant=variant))
+        store = SqliteAtomStore()
+        result = PushdownExecutor(variant).run(database, tgds, store)
+        result.materialize()
+        assert fingerprint(result) == expected
+        tables = {
             name
             for (name,) in store.query(
                 "SELECT name FROM sqlite_temp_master WHERE type = 'table'"
             )
         }
+        # The round step's per-rule temp tables, and nothing else.
+        assert {"pd_stage_0", "pd_fired_0"} <= tables
+        assert ("pd_fire_0" in tables) == (variant == "restricted")
+        assert all(name.startswith(("pd_stage_", "pd_fired_", "pd_fire_")) for name in tables)
+        if program == "chain":
+            assert result.rounds == 12
+        store.close()
 
-    def test_linear_rules_take_the_recursive_cte_tier(self):
+    def test_linear_pushdown_flushes_once_per_round_like_indexed(self):
+        # Round-granular durability: a hard crash loses at most the round in
+        # flight, on the linear programs the paper studies too.
+        class FlushCounter(SqliteAtomStore):
+            flushes = 0
+
+            def flush(self):
+                self.flushes += 1
+                super().flush()
+
         database, tgds = _linear_program()
-        store = SqliteAtomStore()
-        result = PushdownExecutor("semi-oblivious").run(database, tgds, store)
-        assert result.terminated
-        tables = self._temp_tables(store)
-        assert "pd_cte_atoms" in tables
-        store.close()
-
-    def test_join_bodies_take_the_delta_round_tier(self):
-        database, tgds = _join_program()
-        store = SqliteAtomStore()
-        result = PushdownExecutor("semi-oblivious").run(database, tgds, store)
-        assert result.terminated
-        tables = self._temp_tables(store)
-        assert "pd_cte_atoms" not in tables
-        assert "pd_stage_0" in tables and "pd_fired_0" in tables
-        store.close()
-
-    def test_restricted_never_takes_the_cte_tier(self):
-        # The restricted check needs round-start snapshots, which a single
-        # recursive statement cannot observe — even linear programs must
-        # run the round loop.
-        database, tgds = _linear_program()
-        store = SqliteAtomStore()
-        result = PushdownExecutor("restricted").run(database, tgds, store)
-        assert result.terminated
-        tables = self._temp_tables(store)
-        assert "pd_cte_atoms" not in tables
-        assert "pd_fire_0" in tables  # the restricted firing filter ran
-        store.close()
-
-    def test_cte_tier_grows_its_cap_past_the_initial_depth(self):
-        # A chain needing more than _CTE_INITIAL_CAP (8) rounds: the first
-        # capped recursion sees a truncated fixpoint, the replay reports it
-        # inconclusive, and the tier reruns with a grown cap.
-        facts = parse_database("P0(a).\n")
-        rules = parse_rules(
-            "".join(f"P{i}(x) -> P{i + 1}(x)\n" for i in range(12))
-        )
-        expected = fingerprint(chase(facts, rules))
-        pushed = chase(facts, rules, backend="sqlite", strategy="sql-pushdown")
-        assert pushed.rounds == 12
-        assert fingerprint(pushed) == expected
+        counts = {}
+        for strategy in ("indexed", "sql-pushdown"):
+            store = FlushCounter()
+            result = chase(database, tgds, store=store, strategy=strategy)
+            assert result.terminated and result.rounds == 2
+            counts[strategy] = store.flushes
+            store.close()
+        # one per productive round, plus the final one
+        assert counts == {"indexed": 3, "sql-pushdown": 3}
 
 
 class TestPragmaTuning:
@@ -352,16 +343,24 @@ class TestPushdownWiring:
         with pytest.raises(ValueError, match="requires the sqlite backend"):
             chase(database, tgds, strategy="sql-pushdown")
 
-    def test_parallel_chase_requires_the_sqlite_backend(self):
+    def test_chase_refuses_pushdown_with_workers(self):
         database, tgds = _join_program()
-        with pytest.raises(ValueError, match="sqlite"):
-            parallel_chase(database, tgds, workers=2, strategy="sql-pushdown")
+        for workers in (2, 4):
+            with pytest.raises(ValueError, match="runs serially"):
+                chase(database, tgds, strategy="sql-pushdown", backend="sqlite", workers=workers)
 
-    def test_parallel_chase_rejects_other_strategies(self):
+    def test_executor_refuses_an_overlay_store(self, tmp_path):
+        # An overlay's tables hold only its delta: compiled statements over
+        # them would silently miss the base file's rows.
         database, tgds = _join_program()
-        for strategy in ("naive", "psychic"):
-            with pytest.raises(ValueError, match="indexed"):
-                parallel_chase(database, tgds, workers=2, strategy=strategy)
+        base = str(tmp_path / "base.db")
+        SqliteAtomStore.from_database(database, path=base).close()
+        overlay = SqliteOverlayStore(base)
+        with pytest.raises(ValueError, match="requires a SqliteAtomStore"):
+            PushdownExecutor().run(database, tgds, store=overlay)
+        with pytest.raises(ValueError, match="not an overlay replica"):
+            chase(database, tgds, store=overlay, strategy="sql-pushdown")
+        overlay.close()
 
     def test_executor_validates_its_configuration(self):
         for variant in ("core", "semi_oblivious"):

@@ -277,6 +277,21 @@ class TestErrorPaths:
         assert main(["chase", "--rules", str(rule_file), "--strategy", "sql-pushdown"]) == 2
         assert "--backend sqlite" in capsys.readouterr().err
 
+    def test_pushdown_strategy_refuses_parallel_workers(self, rule_file, tmp_path, capsys):
+        # sql-pushdown is serial: one stderr line, no traceback, and no
+        # store file opened for the refused run.
+        db_path = tmp_path / "never.db"
+        for backend in ("sqlite", f"sqlite:{db_path}"):
+            assert main(
+                [
+                    "chase", "--rules", str(rule_file), "--parallel", "2",
+                    "--strategy", "sql-pushdown", "--backend", backend,
+                ]
+            ) == 2
+            (stderr,) = capsys.readouterr().err.splitlines()
+            assert "sql-pushdown runs serially" in stderr and "--parallel" in stderr
+        assert not db_path.exists()
+
     def test_removed_sql_strategy_is_an_argparse_error(self, rule_file, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["chase", "--rules", str(rule_file), "--strategy", "sql", "--backend", "sqlite"])

@@ -12,11 +12,13 @@ Three guards:
 * **retired estate** — ``benchmarks/``, its artifacts and environment knobs,
   and the ``sql`` strategy are gone from the tree and from the documentation;
   so are the ``thread`` executor, the SQLite connection lock and its lint
-  rule, the ``relational`` chase backend, and the ``naive`` strategy with
-  the ``Trigger`` / ``Substitution`` objects only it built.
+  rule, the ``relational`` chase backend, the ``naive`` strategy with
+  the ``Trigger`` / ``Substitution`` objects only it built, and the
+  recursive-query tier and parallel worker of ``sql-pushdown``.
 """
 
 import importlib
+import inspect
 import os
 import re
 from pathlib import Path
@@ -166,5 +168,20 @@ class TestRetiredEstate:
             str(path)
             for path, text in _text_files("README.md", "ARCHITECTURE.md", "docs", "src", ".claude")
             if "--strategy naive" in text
+        ]
+        assert not offenders, offenders
+
+    def test_pushdown_is_one_serial_round_step(self):
+        import repro.storage.sqlbackend
+        from repro.chase import parallel
+
+        assert not hasattr(repro.storage.sqlbackend, "CompiledPlanQuery")
+        assert not hasattr(parallel, "PushdownMatchWorker")
+        assert "strategy" not in inspect.signature(parallel.parallel_chase).parameters
+        offenders = [
+            f"{path}: {banned}"
+            for path, text in _text_files("README.md", "ARCHITECTURE.md", "docs", "src", ".claude")
+            for banned in ("recursive cte", "recursive-cte")
+            if banned in text.lower()
         ]
         assert not offenders, offenders

@@ -1,9 +1,9 @@
 """Structural guard: the round loop and its budget automaton exist once.
 
-``repro.chase.rounds`` is the only module that may test a budget or build
-the budget-exceeded error; every execution path (serial engines, both
-parallel topologies, both pushdown tiers) plugs a round step into its
-driver.  A new call site anywhere else under ``src/repro/`` is a sixth copy
+``repro.chase.rounds`` is the only module that may test a budget, build the
+budget automaton or the budget-exceeded error, or emit a round's events;
+every execution path (serial engines, both parallel topologies, the
+pushdown executor) plugs a round step into its driver.  A new call site anywhere else under ``src/repro/`` is a sixth copy
 of the automaton in the making, and fails here.
 
 The same goes for the firing path: one function digests a null key, one
@@ -25,6 +25,8 @@ ALLOWED = {
     "round_budget_exceeded(": {"chase/result.py", "chase/rounds.py"},
     "atom_budget_exceeded(": {"chase/result.py", "chase/rounds.py"},
     "ChaseLimitExceeded(": {"exceptions.py", "chase/rounds.py"},
+    "RoundBudget(": {"chase/rounds.py"},
+    "emit_round(": {"chase/rounds.py"},
 }
 
 

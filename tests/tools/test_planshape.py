@@ -18,7 +18,7 @@ from tools.reprolint.planshape import (
 def test_panel_covers_every_statement_family():
     cases = collect_cases()
     families = {case.family for case in cases}
-    assert REQUIRED_FAMILIES <= families
+    assert REQUIRED_FAMILIES == families
     # Multi-slot joins must contribute one stage statement per seed slot.
     stage_labels = [case.label for case in cases if case.family == "stage"]
     assert any("seed_slot=0" in label for label in stage_labels)
@@ -51,9 +51,8 @@ def test_dropping_join_indexes_turns_the_audit_red():
     assert any("degraded" in problem for problem in problems)
 
 
-def test_full_enumeration_families_still_reject_rowid_scans():
-    # The workers' initial body join is allowed a covering-index scan (full
-    # enumeration is its semantics) but never a bare rowid walk.
-    case = next(case for case in collect_cases() if case.family == "worker-initial")
-    assert case.full_enumeration
-    assert case.audit() == []
+def test_the_linear_program_is_audited_through_the_round_statements():
+    # Linear rules run the same stage/record/insert statements as joins,
+    # with no family of their own.
+    linear = {case.family for case in collect_cases() if case.label.startswith("linear[")}
+    assert linear == {"stage", "record", "insert"}

@@ -15,7 +15,7 @@ themselves, statically, so a violation fails the lint on every run:
 ``sql-identifier``
     SQL built by string interpolation in ``storage/sqlbackend/`` routes
     identifiers through the case-escaping helpers (``_quote`` /
-    ``table_name`` / ``read_source``) and nothing else.
+    ``table_name``) and nothing else.
 
 Run it from the repository root::
 

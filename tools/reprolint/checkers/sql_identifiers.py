@@ -15,10 +15,9 @@ then taints each interpolated expression:
 
 * ``<anything>.name`` is tainted (the raw predicate/variable name);
 * calls to ``table_name`` are tainted (case-escaped but *unquoted*);
-* calls to ``_quote`` (and the SQL-emitting helpers ``read_source``,
-  ``insert_guard``, ``stage_sql``, ``cte_sql``, ``record_sql``,
-  ``final_insert_sql``, ``firing_sql``, ``_sql_string``, ``encode_term``)
-  are safe regardless of their arguments;
+* calls to ``_quote`` (and the SQL-emitting helpers ``stage_sql``,
+  ``record_sql``, ``firing_sql``, ``_sql_string``, ``encode_term``) are
+  safe regardless of their arguments;
 * local names inherit the taint of what was assigned to them;
 * subscripts take the taint of the container (a dict of precomputed quoted
   names indexed by a raw name is safe);
@@ -49,12 +48,8 @@ SAFE_CALLS = frozenset(
     {
         "_quote",
         "quote_identifier",
-        "read_source",
-        "insert_guard",
         "stage_sql",
-        "cte_sql",
         "record_sql",
-        "final_insert_sql",
         "firing_sql",
         "_sql_string",
         "encode_term",

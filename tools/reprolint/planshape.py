@@ -1,27 +1,21 @@
 """Plan-shape mode: EXPLAIN every compiled statement family, flag scans.
 
-The two hand-written ``EXPLAIN QUERY PLAN`` tests in
+The hand-written ``EXPLAIN QUERY PLAN`` tests in
 ``tests/storage/test_sql_pushdown.py`` pin the plans of one rule shape.
 This module generalises them: it instantiates every compiled statement
 family over a panel of representative programs — multi-slot joins,
-self-joins, multi-head rules, and a linear set exercising the
-recursive-CTE tier — runs ``EXPLAIN QUERY PLAN`` on each against a live
-:class:`SqliteAtomStore` schema, and reports a finding for every relation
-access that degraded to a table scan.
+self-joins, multi-head rules, and a linear set — runs ``EXPLAIN QUERY
+PLAN`` on each against a live :class:`SqliteAtomStore` schema, and reports
+a finding for every relation access that degraded to a table scan.
 
 Scan policy (mirroring the strict test convention):
 
 * ``SCAN`` over the compiler's temp artifacts is expected — the per-rule
-  ``pd_stage_*``/``pd_fired_*``/``pd_fire_*`` tables (aliases ``w``/``f``),
-  the CTE recursion ``ch``, ``pd_cte_atoms``, and SQLite's own subquery /
-  materialization nodes.  They hold per-round frontiers, not relations.
-* A ``SCAN`` of a ``rel_*`` table or a body/head alias (``t0``, ``h1``)
-  is allowed only as a **covering-index** scan inside a statement family
-  whose semantics *are* full enumeration: the initial (non-delta) body
-  join and the CTE base branches, which by definition read every seed
-  atom once.
-* Everything else — a bare rowid ``SCAN`` anywhere, or any relation scan
-  in a delta-parameterized statement — is a finding: the semi-naive
+  ``pd_stage_*``/``pd_fired_*``/``pd_fire_*`` tables (aliases ``w``/``f``)
+  and SQLite's own subquery / materialization nodes.  They hold per-round
+  frontiers, not relations.
+* Every other ``SCAN`` — of a ``rel_*`` table or a body/head alias
+  (``t0``, ``h1``), covering index or not — is a finding: the semi-naive
   watermarks or join indexes stopped being used.
 
 Run through ``python -m tools.reprolint --plan-shape`` (from the repo
@@ -44,7 +38,7 @@ RULE_NAME = "plan-shape"
 #: ``SCAN <target> [USING ...]`` — EXPLAIN QUERY PLAN detail rows.
 _SCAN_RE = re.compile(r"^SCAN\s+(?P<target>\S+)(?P<rest>.*)$")
 #: Temp-artifact scan targets that are always fine.
-_TEMP_TARGETS = ("w", "f", "ch")
+_TEMP_TARGETS = ("w", "f")
 _TEMP_PREFIXES = ("pd_", "sqlite_", "(")
 #: Per-process EXPLAIN nonce (see :meth:`PlanCase.audit`).
 _AUDIT_COUNTER = itertools.count()
@@ -57,28 +51,14 @@ def _bootstrap_src() -> None:
 
 
 class PlanCase:
-    """One compiled statement to EXPLAIN.
+    """One compiled statement to EXPLAIN."""
 
-    *full_enumeration* marks families whose job is to read whole relations
-    (initial joins, CTE base branches): covering-index relation scans are
-    expected there and only rowid scans are flagged.
-    """
-
-    def __init__(
-        self,
-        family: str,
-        label: str,
-        sql: str,
-        parameters: dict,
-        store,
-        full_enumeration: bool = False,
-    ) -> None:
+    def __init__(self, family: str, label: str, sql: str, parameters: dict, store) -> None:
         self.family = family
         self.label = label
         self.sql = sql
         self.parameters = parameters
         self.store = store
-        self.full_enumeration = full_enumeration
 
     def audit(self) -> List[str]:
         """Return one message per plan violation in this statement."""
@@ -100,8 +80,6 @@ class PlanCase:
             if target in _TEMP_TARGETS or target.startswith(_TEMP_PREFIXES):
                 continue
             covered = "COVERING INDEX" in detail
-            if self.full_enumeration and covered:
-                continue
             kind = "covering-index scan" if covered else "table scan"
             problems.append(
                 f"{self.label}: relation access degraded to a {kind}: "
@@ -114,12 +92,7 @@ def _program_cases() -> Iterable[PlanCase]:
     """Instantiate every compiled statement family over the program panel."""
     _bootstrap_src()
     from repro.core.parser import parse_database, parse_rules
-    from repro.storage.sqlbackend.pushdown import (
-        CompiledPlanQuery,
-        CompiledRule,
-        _RecursiveCteTier,
-        register_skolem_function,
-    )
+    from repro.storage.sqlbackend.pushdown import CompiledRule, register_skolem_function
     from repro.storage.sqlbackend.store import SqliteAtomStore
 
     delta_params = {"delta_start": 0, "round_start": 10}
@@ -151,54 +124,6 @@ def _program_cases() -> Iterable[PlanCase]:
                     head_sql, {"round_seq": 11}, store,
                 )
 
-    def plan_query_cases(tag: str, facts: str, rules_text: str) -> Iterable[PlanCase]:
-        """CompiledPlanQuery: the parallel workers' partitioned joins."""
-        store = SqliteAtomStore()
-        store.load_database(parse_database(facts))
-        for tgd in parse_rules(rules_text):
-            for partitioned in (False, True):
-                query = CompiledPlanQuery(tgd, 0, (), store, partitioned=partitioned)
-                suffix = "partitioned" if partitioned else "unpartitioned"
-                part_params = (
-                    {"n_workers": 4, "worker_id": 0} if partitioned else {}
-                )
-                yield PlanCase(
-                    "worker-initial", f"{tag} worker initial ({suffix})",
-                    query._initial_sql, part_params, store, full_enumeration=True,
-                )
-                yield PlanCase(
-                    "worker-delta", f"{tag} worker delta ({suffix})",
-                    query._delta_sql, {**part_params, "delta_start": 0}, store,
-                )
-
-    def cte_cases(tag: str, facts: str, rules_text: str) -> Iterable[PlanCase]:
-        """The recursive-CTE tier: recursion, trigger counts, final inserts."""
-        store = SqliteAtomStore()
-        store.load_database(parse_database(facts))
-        register_skolem_function(store)
-        rules = [
-            CompiledRule(index, tgd, "semi-oblivious", store)
-            for index, tgd in enumerate(parse_rules(rules_text))
-        ]
-        tier = _RecursiveCteTier(rules, store)
-        params = {**tier._params, "cap": 8}
-        yield PlanCase(
-            "cte", f"{tag} recursive CTE", tier.cte_sql, params, store,
-            full_enumeration=True,
-        )
-        for index, count_sql in enumerate(tier._count_sqls):
-            yield PlanCase(
-                "cte-count", f"{tag} trigger count[rule {index}]",
-                count_sql, {**tier._params, "cutoff": 3}, store,
-            )
-        for predicate in tier.predicates:
-            yield PlanCase(
-                "cte-insert", f"{tag} final insert[{predicate.name}]",
-                tier.final_insert_sql(predicate),
-                {**tier._params, "base": 0, "pred": predicate.name, "stop": 3},
-                store,
-            )
-
     join_facts = "Q(a,b).\nR(b,c).\nS(a,c,d).\n"
     join_rules = "Q(x1,x2), R(x2,x3) -> S(x1,x3,z1)\n"
     self_join_facts = "R(a,b).\nR(b,c).\n"
@@ -217,25 +142,13 @@ def _program_cases() -> Iterable[PlanCase]:
     yield from compiled_rule_cases(
         "multi-head", multi_head_facts, multi_head_rules, "restricted"
     )
-    yield from plan_query_cases("join", join_facts, join_rules)
-    yield from cte_cases("linear", linear_facts, linear_rules)
+    # Linear rules run the same round statements as joins.
+    yield from compiled_rule_cases("linear", linear_facts, linear_rules, "semi-oblivious")
 
 
 #: Families the panel must produce at least one statement for — a guard
 #: against the audit silently going vacuous after a refactor.
-REQUIRED_FAMILIES = frozenset(
-    {
-        "stage",
-        "record",
-        "filter",
-        "insert",
-        "worker-initial",
-        "worker-delta",
-        "cte",
-        "cte-count",
-        "cte-insert",
-    }
-)
+REQUIRED_FAMILIES = frozenset({"stage", "record", "filter", "insert"})
 
 
 def collect_cases() -> List[PlanCase]:
