@@ -17,18 +17,34 @@ ChaseBench) adapted to plain text:
 The grammar is permissive: any text is a predicate name or a term, and
 parentheses may nest inside an argument.  Only the *structural tokens* —
 the quotes, ``(``, ``)``, ``,``, the comment prefixes and, on rule lines,
-the arrows — are ever interpreted, so each line is read in **one scan**: a
-compiled alternation finds the tokens, everything between two of them is
-skipped in C, and a small state machine (quote, depth, current part) cuts
-the comment, checks the balance, splits sides, atoms and arguments, and
-slices names and argument tokens straight out of the line.
+the arrows — are ever interpreted.  Two readers share that grammar:
+
+* the **plain-line recogniser** (``_plain_rule`` / ``_plain_fact``) takes
+  the lines machines write: identifier names and identifier arguments
+  (``?x`` too, in rules), spaces and tabs, one ``->``/``=>`` on a rule line,
+  optional trailing dots and line ending.  One anchored compiled match per
+  atom and a ``split`` (or, with whitespace, a ``findall``) over its
+  argument text yield exactly the atoms (or the row) the scanner would, and
+  a repeated atom text is looked up, not read again.  Anything else —
+  quotes, comments, nesting, ``:-``, stray commas, other characters,
+  malformed text — it declines with ``None``, and never raises on syntax;
+* the **scanner** (``_scan``) reads every declined line in one pass: a
+  compiled alternation finds the tokens, everything between two of them is
+  skipped in C, and a small state machine (quote, depth, current part) cuts
+  the comment, checks the balance, splits sides, atoms and arguments, and
+  slices names and argument tokens straight out of the line.  It is the only
+  reader of the full grammar and the only source of :class:`ParseError`.
 
 ``t-parse`` is one of the quantities the paper measures, so parse time must
 grow linearly with the input and never hinge on regex backtracking.  The
 token patterns are alternations of fixed strings with no quantifier (one
 alternative looks a single character ahead): there is nothing to backtrack
-into, and the scan visits each token once.  ``tests/core/test_parser.py``
-pins the linear growth on pathological lines.
+into, and the scan visits each token once.  The recogniser's patterns hold
+no nested repetition, and each is anchored where the previous atom ended, so
+a failed match gives back one run of one character class.
+``tests/core/test_parser.py`` pins the linear growth on pathological lines,
+and ``tests/property/test_parser_fast_path.py`` holds the recogniser to the
+scanner.
 """
 
 from __future__ import annotations
@@ -51,6 +67,19 @@ _ATOM_TOKENS: Pattern[str] = re.compile(r"""["'(),]""")
 _FACT_TOKENS: Pattern[str] = re.compile(r"""["'(),%#]|//""")
 _RULE_TOKENS: Pattern[str] = re.compile(r"""["'(),%#]|//|->|=>|:-(?!>)""")
 _COMMENT_PREFIXES = ("%", "#", "//")
+
+# The plain-line recogniser.  A rule atom ends in what follows it: a comma,
+# an arrow, or the end of the line (trailing dots, then the line ending a
+# file iterator leaves).  Argument text is checked by _plain_arguments.
+_PLAIN_END = r"(?:\.+[ \t]*)?(?:\r?\n)?\Z"
+_PLAIN_RULE_ATOM: Pattern[str] = re.compile(
+    r"[ \t]*([A-Za-z0-9_]+)[ \t]*\(([A-Za-z0-9_?, \t]*)\)[ \t]*(,|->|=>|" + _PLAIN_END + ")"
+)
+_PLAIN_FACT: Pattern[str] = re.compile(
+    r"[ \t]*([A-Za-z0-9_]+)[ \t]*\(([A-Za-z0-9_, \t]*)\)[ \t]*" + _PLAIN_END
+)
+_PLAIN_TOKEN: Pattern[str] = re.compile(r"[^ \t,]+")
+_PLAIN_GAP: Pattern[str] = re.compile(r"[^ \t,][ \t]+[^ \t,]")  # two tokens, no comma
 
 _Lines = Union[str, Iterable[str]]
 _Item = TypeVar("_Item")
@@ -80,22 +109,56 @@ def _parse_term(token: str, as_variable: bool) -> Term:
         raise ParseError(f"invalid term {token!r}: {error}") from error
 
 
+def _plain_arguments(text: str) -> Optional[List[str]]:
+    """The argument tokens of a plain atom's argument *text* (identifier
+    characters, commas, spaces and tabs only), or ``None`` when a comma is
+    stray or two tokens have no comma between them.
+
+    Without whitespace the parts between commas are the tokens.  Otherwise
+    the tokens are the maximal runs between commas and whitespace, and the
+    text is one token per part exactly when there is one more token than
+    commas and no two tokens are apart by whitespace alone.
+    """
+    if not text.strip(" \t"):
+        return []  # ``R()`` is the nullary atom
+    if " " not in text and "\t" not in text:
+        tokens = text.split(",")
+        return None if "" in tokens else tokens
+    tokens = _PLAIN_TOKEN.findall(text)
+    commas = text.count(",")
+    if len(tokens) != commas + 1 or (commas and _PLAIN_GAP.search(text)):
+        return None
+    return tokens
+
+
 class _AtomBuilder:
     """Builds the atoms of one ``parse_*`` call, interning as it goes: each
-    distinct argument token becomes one :class:`Term`, and a predicate is
-    looked up in the schema before one is constructed.  A program repeats the
-    same few variables on every line; the tables live and die with the call.
+    distinct argument token becomes one :class:`Term`, each distinct plain
+    atom text one :class:`Atom`, and a predicate is looked up in the schema
+    before one is constructed.  A program repeats the same few variables and
+    atoms on every line; the tables live and die with the call.
     """
 
-    __slots__ = ("as_variable", "schema", "terms")
+    __slots__ = ("as_variable", "schema", "terms", "atoms")
 
     def __init__(self, as_variable: bool, schema: Optional[Schema]) -> None:
         self.as_variable = as_variable
         self.schema = schema
         self.terms: Dict[str, Term] = {}
+        self.atoms: Dict[Tuple[str, ...], Atom] = {}
 
     def atom(self, name: str, tokens: List[str]) -> Atom:
         return Atom(*self.row(name, tokens))
+
+    def plain_atom(self, text: Tuple[str, ...]) -> Optional[Atom]:
+        """The atom of a plain line's ``(name, argument text)``, or ``None``
+        when the argument text is not plain.  Callers look *text* up in
+        :attr:`atoms` first: this is the miss."""
+        tokens = _plain_arguments(text[1])
+        if tokens is None:
+            return None
+        atom = self.atoms[text] = self.atom(text[0], tokens)
+        return atom
 
     def row(self, name: str, tokens: List[str]) -> Tuple[Predicate, Tuple[Term, ...]]:
         """The ``(predicate, terms)`` of the atom ``name(tokens)``."""
@@ -109,6 +172,56 @@ class _AtomBuilder:
         if self.schema is None:
             return Predicate(name, len(arguments)), tuple(arguments)
         return self.schema.declare(name, len(arguments)), tuple(arguments)
+
+
+def _plain_rule(line: str, builder: _AtomBuilder) -> Optional[List[List[Atom]]]:
+    """``[body, head]`` of a plain rule *line*, or ``None`` to hand the line
+    to :func:`_scan`.
+
+    Atoms are built as they are recognised.  A plain prefix reads the same to
+    the scanner, so a schema conflict the builder raises on one of them is the
+    one the scanner would raise there too.
+    """
+    body: List[Atom] = []
+    head: Optional[List[Atom]] = None
+    atoms = body
+    match = _PLAIN_RULE_ATOM.match
+    interned = builder.atoms
+    position = 0
+    while True:
+        found = match(line, position)
+        if found is None:
+            return None
+        text = found.group(1, 2)
+        atom = interned.get(text)
+        if atom is None:
+            atom = builder.plain_atom(text)
+            if atom is None:
+                return None
+        atoms.append(atom)
+        position = found.end()
+        separator = line[position - 1]  # "," or the ">" of an arrow; the end is neither
+        if separator == ",":
+            continue
+        if separator == ">":
+            if head is not None:
+                return None
+            head = atoms = []
+            continue
+        return None if head is None else [body, head]
+
+
+def _plain_fact(line: str, builder: _AtomBuilder) -> Optional[Tuple[Predicate, Tuple[Term, ...]]]:
+    """The ``(predicate, terms)`` of a plain fact *line*, or ``None`` to hand
+    the line to :func:`_scan`."""
+    found = _PLAIN_FACT.match(line)
+    if found is None:
+        return None
+    name, arguments = found.groups()
+    tokens = _plain_arguments(arguments)
+    if tokens is None:
+        return None
+    return builder.row(name, tokens)
 
 
 def _scan(
@@ -217,11 +330,13 @@ def parse_atom(text: str, as_variable: bool = True, schema: Optional[Schema] = N
 
 def _tgd(line: str, builder: _AtomBuilder, label: Optional[str]) -> Optional[TGD]:
     """The TGD on *line*, or ``None`` for a blank or comment-only line."""
-    sides = _scan(line, _RULE_TOKENS, builder.atom, True)
+    sides = _plain_rule(line, builder)
     if sides is None:
-        return None
-    if len(sides) != 2:
-        raise ParseError(f"no implication arrow in rule {line.strip()!r}")
+        sides = _scan(line, _RULE_TOKENS, builder.atom, True)
+        if sides is None:
+            return None
+        if len(sides) != 2:
+            raise ParseError(f"no implication arrow in rule {line.strip()!r}")
     body, head = sides
     if not body or not head:
         raise ParseError(f"rule {line.strip()!r} must have a non-empty body and head")
@@ -231,6 +346,9 @@ def _tgd(line: str, builder: _AtomBuilder, label: Optional[str]) -> Optional[TGD
 def _fact(line: str, builder: _AtomBuilder) -> Optional[Tuple[Predicate, Tuple[Term, ...]]]:
     """The fact on *line* as ``(predicate, terms)``, or ``None`` for a blank
     or comment-only line."""
+    fact = _plain_fact(line, builder)
+    if fact is not None:
+        return fact  # a plain fact has no "?": every term is a constant
     sides = _scan(line, _FACT_TOKENS, builder.row, False)
     if sides is None:
         return None

@@ -16,9 +16,24 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..exceptions import NotLinearError, NotSimpleLinearError, ValidationError
-from .atoms import Atom, variables_of
+from .atoms import Atom
 from .predicates import Predicate, Schema
-from .terms import Constant, Variable
+from .terms import Constant, Term, Variable
+
+_EMPTY: FrozenSet[Term] = frozenset()
+_VARIABLE = frozenset({Variable})
+
+
+def _check_variables(atoms: Tuple[Atom, ...]) -> None:
+    """Raise for the first term of *atoms*, in order, that is no Variable."""
+    for atom in atoms:
+        for term in atom.terms:
+            if isinstance(term, Constant):
+                raise ValidationError(f"TGDs are constant-free, found constant {term} in {atom}")
+            if not isinstance(term, Variable):
+                raise ValidationError(
+                    f"TGD atoms may only mention variables, found {term!r} in {atom}"
+                )
 
 
 class TGD:
@@ -53,29 +68,27 @@ class TGD:
             raise ValidationError("a TGD must have a non-empty body")
         if not head:
             raise ValidationError("a TGD must have a non-empty head")
-        for atom in body + head:
-            for term in atom.terms:
-                if isinstance(term, Constant):
-                    raise ValidationError(
-                        f"TGDs are constant-free, found constant {term} in {atom}"
-                    )
-                if not isinstance(term, Variable):
-                    raise ValidationError(
-                        f"TGD atoms may only mention variables, found {term!r} in {atom}"
-                    )
-        object.__setattr__(self, "body", body)
-        object.__setattr__(self, "head", head)
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "_hash", hash((body, head)))
-        # The variable sets are queried for every trigger the chase fires
-        # (firing keys, null naming), so they are computed once here; TGDs
-        # are immutable, which makes the caching safe.
-        body_variables = frozenset(variables_of(body))
-        head_variables = frozenset(variables_of(head))
-        object.__setattr__(self, "_body_variables", body_variables)
-        object.__setattr__(self, "_head_variables", head_variables)
-        object.__setattr__(self, "_frontier", body_variables & head_variables)
-        object.__setattr__(self, "_existential", head_variables - body_variables)
+        # One sweep collects each side's terms; they are the variable sets
+        # once every one of them is checked to be a Variable.  The variable
+        # sets are queried for every trigger the chase fires (firing keys,
+        # null naming), so they are computed once here; TGDs are immutable,
+        # which makes the caching safe.
+        body_variables = _EMPTY.union(*[atom.terms for atom in body])
+        head_variables = _EMPTY.union(*[atom.terms for atom in head])
+        if not (
+            _VARIABLE.issuperset(map(type, body_variables))
+            and _VARIABLE.issuperset(map(type, head_variables))
+        ):
+            _check_variables(body + head)
+        setter = object.__setattr__
+        setter(self, "body", body)
+        setter(self, "head", head)
+        setter(self, "label", label)
+        setter(self, "_hash", hash((body, head)))
+        setter(self, "_body_variables", body_variables)
+        setter(self, "_head_variables", head_variables)
+        setter(self, "_frontier", body_variables & head_variables)
+        setter(self, "_existential", head_variables - body_variables)
 
     def __setattr__(self, key, value):
         raise AttributeError("TGD is immutable")

@@ -4,6 +4,7 @@ import io
 
 import pytest
 
+from repro.core import parser
 from repro.core.parser import (
     load_database,
     load_rules,
@@ -293,9 +294,11 @@ class TestScannerContract:
         assert sorted(map(repr, database)) == ["R(a)", "S(b)"]
 
     def test_terms_and_predicates_are_shared_within_one_call(self):
-        first, second = parse_rules("R(x,y) -> S(y,z)\nS(x,y) -> R(y,x)")
+        first, second, third = parse_rules("R(x,y) -> S(y,z)\nS(x,y) -> R(y,x)\nR(x,y) -> T(y)")
         assert first.body[0].terms[0] is second.head[0].terms[1]
         assert first.body[0].predicate is second.head[0].predicate
+        # A repeated atom text is one Atom.
+        assert third.body[0] is first.body[0]
 
     def test_parse_atom_reads_no_comments_and_no_trailing_dot(self):
         assert repr(parse_atom("R(a%b)", as_variable=False)) == "R(a%b)"
@@ -353,6 +356,14 @@ PATHOLOGICAL_LINES = {
     "long argument list": lambda n: "R(" + "a," * n + "a).",
     "comment characters": lambda n: "R(a). %" + "%" * n,
     "empty quoted arguments": lambda n: "R(" + '"",' * n,
+    "an unclosed argument with a long gap": lambda n: "R(a" + " " * n + "x",
+}
+
+# Rule lines the plain-line recogniser reads far before it declines.
+PATHOLOGICAL_RULE_LINES = {
+    "many body atoms": lambda n: "R(x), " * n + "!",
+    "many head atoms": lambda n: "R(x) -> " + "S(x), " * n + "!",
+    "an unclosed argument list": lambda n: "R(" + "x, " * n + "!",
 }
 
 
@@ -376,3 +387,60 @@ class TestLinearTime:
         assert kind(small) == kind(large)
         # Below a millisecond the clock measures the interpreter, not the scan.
         assert best_of(5, kind, large) < 3 * max(best_of(5, kind, small), 1e-3)
+
+    @pytest.mark.parametrize("shape", sorted(PATHOLOGICAL_RULE_LINES))
+    def test_doubling_a_rule_line_at_most_triples_the_time(self, shape):
+        def kind(text):
+            return outcome(parse_rules, text)
+
+        small, large = (PATHOLOGICAL_RULE_LINES[shape](n) for n in (20_000, 40_000))
+        assert kind(small) == kind(large) == ParseError
+        assert best_of(3, kind, large) < 3 * max(best_of(3, kind, small), 1e-3)
+
+
+PLAIN_RULES = "R(x,y) -> S(y,z)\nS(x, y), T(y) => R(y, ?x).\n T(x) -> U() \n"
+PLAIN_FACTS = "R(a,b).\nS(c, d)\nT(1) .\nU().\n"
+
+
+class TestPlainLines:
+    """Plain lines, as the CLI reads them from files, never reach the scanner."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        calls = []
+        scan = parser._scan
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return scan(*args, **kwargs)
+
+        monkeypatch.setattr(parser, "_scan", counted)
+        return calls
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        paths = {}
+        for name, text in (("rules", PLAIN_RULES), ("facts", PLAIN_FACTS)):
+            for ending in ("\n", "\r\n"):
+                path = tmp_path / f"{name}{len(ending)}.txt"
+                path.write_bytes(text.replace("\n", ending).encode("utf-8"))
+                paths[name, ending] = path
+        return paths
+
+    def test_plain_files_make_no_scan(self, scans, files):
+        for ending in ("\n", "\r\n"):
+            assert len(load_rules(files["rules", ending])) == 3
+            assert len(load_database(files["facts", ending])) == 4
+        assert scans == []
+
+    def test_plain_lines_with_crlf_endings_make_no_scan(self, scans):
+        rules = parse_rules(PLAIN_RULES.replace("\n", "\r\n").splitlines(keepends=True))
+        facts = parse_database(PLAIN_FACTS.replace("\n", "\r\n").splitlines(keepends=True))
+        assert (len(rules), len(facts)) == (3, 4)
+        assert scans == []
+
+    def test_a_crlf_file_parses_equal_to_the_lf_file(self, files):
+        assert load_rules(files["rules", "\r\n"]) == load_rules(files["rules", "\n"])
+        assert set(load_database(files["facts", "\r\n"])) == set(
+            load_database(files["facts", "\n"])
+        )

@@ -5,7 +5,7 @@ import pytest
 from repro.core.atoms import Atom
 from repro.core.parser import parse_rules, parse_tgd
 from repro.core.predicates import Predicate
-from repro.core.terms import Constant, Variable
+from repro.core.terms import Constant, Null, Variable
 from repro.core.tgds import TGD, TGDSet
 from repro.exceptions import NotLinearError, NotSimpleLinearError, ValidationError
 
@@ -26,6 +26,11 @@ class TestTGDConstruction:
     def test_constants_rejected(self):
         with pytest.raises(ValidationError):
             TGD((Atom(R, (x, Constant("a"))),), (Atom(S, (x, x)),))
+        # The first term that is no variable, body before head, is the one named.
+        with pytest.raises(ValidationError, match=r"constant-free, found constant a in R\(\?x, a\)"):
+            TGD((Atom(R, (x, Constant("a"))),), (Atom(S, (Null("n"), x)),))
+        with pytest.raises(ValidationError, match=r"found Null\('n'\) in S\(_:n, a\)"):
+            TGD((Atom(R, (x, y)),), (Atom(S, (Null("n"), Constant("a"))),))
 
     def test_equality_ignores_label(self):
         first = TGD((Atom(R, (x, y)),), (Atom(S, (y, z)),), label="a")

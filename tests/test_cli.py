@@ -60,6 +60,22 @@ class TestCheckCommand:
         assert main(["check", "--rules", str(path), "--facts", str(facts)]) == 0
         assert "IsChaseFinite[L]" in capsys.readouterr().out
 
+    def test_timings_include_the_parse(self, tmp_path, capsys):
+        rules = tmp_path / "rules.txt"
+        rules.write_text("".join(f"R{i}(x,y) -> R{i + 1}(y,z)\n" for i in range(2000)))
+        facts = tmp_path / "facts.txt"
+        facts.write_text("R0(a,b).\n")
+        assert main(["check", "--rules", str(rules), "--facts", str(facts)]) == 0
+        timings = {}
+        for line in capsys.readouterr().out.splitlines():
+            key, _, value = line.strip().partition(": ")
+            if value.endswith(" ms"):
+                timings[key] = float(value[: -len(" ms")])
+        assert timings["t_parse"] > 0
+        parameters = ("t_parse", "t_shapes", "t_graph", "t_comp")
+        # Each printed value is rounded to 0.01 ms.
+        assert timings["t_total"] == pytest.approx(sum(timings[p] for p in parameters), abs=0.03)
+
 
 class TestChaseCommand:
     @pytest.fixture
