@@ -341,7 +341,8 @@ def chase(
         A :class:`repro.obs.Tracer` (or ``None``, the default).  When given,
         the run narrates itself — ``chase_start``, per-round and per-(rule,
         round) events, per-SQL-statement-family timings on the sqlite
-        backend, and a ``chase_end`` with the result totals.  Tracing is
+        backend (serial runs; ``workers > 1`` adds ``worker_round`` events
+        instead), and a ``chase_end`` with the result totals.  Tracing is
         observation only: the result is byte-identical with or without it.
     """
     engine_class = resolve_engine_class(variant)

@@ -63,11 +63,16 @@ from typing import (
 )
 
 from ..core.atoms import row_sort_key
-from ..core.indexing import Row, key_partition_of, partition_hash, row_partition_of
+from ..core.indexing import (
+    Row,
+    key_partition_of,
+    partition_hash,
+    partition_rows,
+    row_partition_of,
+)
 from ..core.predicates import Predicate
 from ..core.terms import Null
 from ..obs.clock import MonotonicClock
-from ..obs.metrics import MetricsRegistry
 from ..storage.atom_store import AtomStore
 from .rounds import Delta, insert_rows
 
@@ -246,15 +251,14 @@ class RoutingTable:
 
 
 class SkewDetector:
-    """Flags heavy join-key hashes from per-partition delta-count histograms.
+    """Flags heavy join-key hashes from per-route delta counts.
 
     Fed each round's merged delta (predicate -> rows), it counts seeds per
-    ``(plan, route_hash)`` for every multi-way plan, records the counts as
-    ``exchange_partition_delta`` histograms in the (obs) metrics registry,
-    and returns the routes whose count exceeds both :data:`SKEW_MIN_COUNT`
-    and ``factor`` times the plan's fair per-worker share.  Detection is a
-    pure function of the sorted delta, so every run — whatever its worker
-    count — computes the same heavy table at the same round.
+    ``(plan, route_hash)`` for every multi-way plan and returns the routes
+    whose count exceeds both :data:`SKEW_MIN_COUNT` and ``factor`` times the
+    plan's fair per-worker share.  Detection is a pure function of the
+    sorted delta, so every run — whatever its worker count — computes the
+    same heavy table at the same round.
     """
 
     def __init__(
@@ -263,12 +267,10 @@ class SkewDetector:
         n_workers: int,
         factor: float = SKEW_FACTOR,
         min_count: int = SKEW_MIN_COUNT,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.n_workers = n_workers
         self.factor = factor
         self.min_count = min_count
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._by_predicate: Dict[Predicate, List[Tuple[int, Tuple[int, ...]]]] = {}
         for plan_id, predicate, positions in plans:
             if positions:  # only multi-way joins have a splittable key
@@ -291,9 +293,6 @@ class SkewDetector:
         for route in sorted(counts):
             count = counts[route]
             plan_id = route[0]
-            self.metrics.histogram(
-                "exchange_partition_delta", plan=str(plan_id)
-            ).observe(float(count))
             threshold = max(self.min_count, self.factor * totals[plan_id] / self.n_workers)
             if count > threshold:
                 heavy.append((route, split))
@@ -322,7 +321,6 @@ class ShuffleReport(NamedTuple):
     atoms_routed: int
     work_routed: int
     dur: float
-    sql: Optional[Dict[str, List[Dict[str, object]]]]
 
 
 def _rule_of(key: object) -> int:
@@ -354,8 +352,6 @@ class ShuffleWorker:
         full_predicates: Set[Predicate],
         shared_store: bool,
         crash_spec: Optional[str] = None,
-        metrics: Optional[MetricsRegistry] = None,
-        report_metrics: bool = False,
     ) -> None:
         self.match_worker = match_worker
         self.worker_id = match_worker.worker_id
@@ -368,11 +364,6 @@ class ShuffleWorker:
         self.full_predicates = full_predicates
         self.shared_store = shared_store
         self.crash = parse_crash_spec(crash_spec)
-        self.metrics = metrics
-        #: Ship the registry snapshot home in reports (process pools, whose
-        #: registry is private; shared-store pools write straight into the
-        #: coordinator's registry and ship nothing).
-        self.report_metrics = report_metrics
         self.owned_keys: Set[object] = set()
         self.owned_atoms: Set[Fact] = set()
         #: New rows this worker came to own last round — the input of the
@@ -400,13 +391,11 @@ class ShuffleWorker:
         """
         for predicate in store.predicates():
             self.owned_atoms.update(
-                (predicate, atom.terms)
-                for atom in store.atoms_partition(predicate, (), self.n_workers, self.worker_id)
+                (predicate, row)
+                for row in partition_rows(
+                    store.rows_matching(predicate), (), self.n_workers, self.worker_id
+                )
             )
-
-    def _count(self, name: str, amount: int) -> None:
-        if self.metrics is not None and amount:
-            self.metrics.counter(name, worker=str(self.worker_id)).add(amount)
 
     def _outboxes(self) -> List[List[object]]:
         return [[] for _ in range(self.n_workers)]
@@ -435,7 +424,6 @@ class ShuffleWorker:
                     routed += 1
         self._staged = []
         self._work_routed = routed
-        self._count("exchange_work_items", routed)
         return outboxes
 
     def phase_match(
@@ -478,7 +466,6 @@ class ShuffleWorker:
             if destination != self.worker_id:
                 routed += 1
         self._keys_routed = routed
-        self._count("exchange_keys", routed)
         return outboxes
 
     def phase_keys(
@@ -522,7 +509,6 @@ class ShuffleWorker:
         self._fired_by_rule = fired_by_rule
         self._enumerated_by_rule = enumerated
         self._atoms_routed = routed
-        self._count("exchange_atoms", routed)
         return outboxes
 
     def phase_atoms(
@@ -553,11 +539,6 @@ class ShuffleWorker:
             for term in fact[1]:
                 if isinstance(term, Null):
                     nulls_by_rule.setdefault(rule, set()).add(term)
-        snapshot = (
-            self.metrics.snapshot()
-            if self.metrics is not None and self.report_metrics
-            else None
-        )
         report = ShuffleReport(
             worker=self.worker_id,
             considered=self._match_considered,
@@ -574,7 +555,6 @@ class ShuffleWorker:
             atoms_routed=self._atoms_routed,
             work_routed=self._work_routed,
             dur=self._clock.now() - self._round_started,
-            sql=snapshot,
         )
         self._fired_by_rule = {}
         self._enumerated_by_rule = {}

@@ -10,26 +10,23 @@ near-optimal parallel binary joins) distributes probe work:
   pair; it is assigned to the worker owning the stable hash of the seed
   row's terms at the plan's join-key positions
   (:attr:`~repro.chase.matching.JoinPlan.partition_positions`), so seeds
-  sharing a join key land on the same worker.  Round 0 does not ship seeds
-  at all: each worker scans its own partition of every seed relation
-  through ``AtomStore.atoms_partition``;
+  sharing a join key land on the same worker.  Round 0 does not ship seed
+  work: each worker matches from its own partition of every seed relation
+  (:func:`~repro.core.indexing.partition_rows` over ``rows_matching``);
 * **workers** — in-process partition workers run one after another on
   the coordinator's thread against its store (one thread per store: a
   :class:`~repro.storage.sqlbackend.SqliteAtomStore` connection refuses
-  any other), or processes holding per-worker store replicas (a replica
-  receives of each round's merged delta what :func:`replica_seed_split`
-  says it reads; a SQLite connection never crosses a process boundary).
-  Process replicas are seeded *out-of-core*: a persistent SQLite store is
-  never pickled at all — each worker attaches the coordinator's file
-  read-only and overlays its private deltas in an in-memory
-  :class:`~repro.storage.sqlbackend.SqliteOverlayStore`; in-memory stores
-  stream their seed through the worker pipe in chunks, and each worker
-  receives only the relations the TGD set makes it responsible for
-  (:func:`worker_seed_atoms`): relations joined by multi-atom bodies in
-  full, single-atom-body relations only in the worker's own hash
-  partition, everything else not at all.  Only processes give the
-  pure-Python matching more than one core; ``executor="process"`` works
-  for any backend;
+  any other), or processes each holding an in-memory
+  :class:`~repro.core.instances.Instance` replica, whatever the
+  coordinator's store (a SQLite connection never crosses a process
+  boundary).  A replica is built from a seed streamed through the worker
+  pipe in chunks, holding only the relations the TGD set makes it
+  responsible for (:func:`worker_seed_atoms`): relations joined by
+  multi-atom bodies in full, single-atom-body relations only in the
+  worker's own hash partition, everything else not at all; of each round's
+  merged delta it receives what :func:`replica_seed_split` says it reads.
+  Only processes give the pure-Python matching more than one core;
+  ``executor="process"`` works for any backend;
 * **deterministic merge** — workers report the *firing keys* they
   considered and, per fired key, the trigger's value row — witness images,
   then invented nulls (ints on a process pipe) — that the coordinator
@@ -77,14 +74,13 @@ from typing import (
 )
 
 from ..core.atoms import Atom, atom_sort_key
-from ..core.indexing import Row, row_partition_of
+from ..core.indexing import Row, partition_rows, row_partition_of
 from ..core.instances import Database, Instance
 from ..core.predicates import Predicate
 from ..core.terms import Null, NullFactory, Term
 from ..core.tgds import TGD, TGDSet
 from ..exceptions import ParallelWorkerError
 from ..obs.clock import MonotonicClock
-from ..obs.metrics import MetricsRegistry, StatementMetrics, sql_family_stats
 from ..obs.tracer import AnyTracer, as_tracer
 from ..storage.atom_store import AtomStore
 from .engine import ChaseEngine, make_backend_store, resolve_engine_class
@@ -116,16 +112,10 @@ MatchBatch = Tuple[List[object], List[Tuple[object, Any]]]
 #: A replica's work of a round: ``(plan id, seed row)`` pairs.
 Seeds = Sequence[Tuple[int, Row]]
 
-#: A :meth:`~repro.obs.metrics.MetricsRegistry.snapshot` dump.
-RegistrySnapshot = Dict[str, List[Dict[str, object]]]
-
 #: Per-round observability payload attached when the coordinator runs
-#: traced: ``(worker_id, seconds, considered, fired, sql_snapshot)``.  The
-#: snapshot is the worker-local :class:`~repro.obs.metrics.MetricsRegistry`
-#: dump — cumulative, so the coordinator keeps only the latest one per
-#: worker (process replicas only: shared-store pools time SQL on the
-#: coordinator's own registry instead).
-WorkerMetrics = Tuple[int, float, int, int, Optional[RegistrySnapshot]]
+#: traced: ``(worker_id, seconds, considered, fired)`` — one
+#: ``worker_round`` event.
+WorkerMetrics = Tuple[int, float, int, int]
 
 #: A worker's report for one round: the match batch plus, on traced runs,
 #: the worker's metrics payload (``None`` otherwise).  Metrics ride the
@@ -213,10 +203,6 @@ class _MatchWorker:
         self.reported_keys: Set[object] = set()
         self.collect_metrics = collect_metrics
         self.clock = MonotonicClock()
-        #: Worker-local SQL timings; attached by ``_worker_main`` when the
-        #: worker owns a private sqlite replica.  Shared-store pools leave
-        #: this ``None`` — the coordinator times those statements itself.
-        self.statement_metrics: Optional[StatementMetrics] = None
 
     def initial_round(self) -> RoundReport:
         """Run :meth:`_initial_round`, attaching metrics on traced runs."""
@@ -234,32 +220,28 @@ class _MatchWorker:
         """The traced-run payload of a round this worker began at *started*."""
         if not self.collect_metrics:
             return None
-        snapshot = (
-            self.statement_metrics.registry.snapshot()
-            if self.statement_metrics is not None
-            else None
-        )
-        return self.worker_id, self.clock.now() - started, considered, fired, snapshot
+        return self.worker_id, self.clock.now() - started, considered, fired
 
     def _initial_round(self) -> MatchBatch:
         """Match every body homomorphism whose slot-0 atom this worker owns.
 
         Seeding only slot-0 plans (with no delta constraint) enumerates each
-        homomorphism exactly once, and the partitioned relation scan splits
-        that enumeration across workers without any coordinator shipping.
+        homomorphism exactly once, and filtering the relation by partition
+        splits that enumeration across workers without any coordinator
+        shipping.
         """
         considered: List[object] = []
         fired: List[Tuple[object, Any]] = []
         for entry in self.table.initial_entries:
             plan = entry.plan
-            seeds = self.store.atoms_partition(
-                plan.body[0].predicate,
+            seeds = partition_rows(
+                self.store.rows_matching(entry.seed_predicate),
                 plan.partition_positions,
                 self.n_workers,
                 self.worker_id,
             )
             for seed in seeds:
-                for values in plan.matches(self.store, seed.terms):
+                for values in plan.matches(self.store, seed):
                     self._consider(entry, values, considered, fired)
         return considered, fired
 
@@ -301,7 +283,7 @@ class _MatchWorker:
 
 
 # --------------------------------------------------------------------------- #
-# Out-of-core replica seeding
+# Replica seeding
 
 
 def replica_seed_split(
@@ -345,15 +327,14 @@ def worker_seed_atoms(
     full_atoms: Optional[Sequence[Atom]] = None,
     include_unused_share: bool = False,
 ) -> List[Atom]:
-    """The seed atoms one streaming process replica actually needs.
+    """The seed atoms one process replica actually needs.
 
-    This is the out-of-core replacement for pickling
-    ``sorted(store.iter_atoms())`` into every worker: relations are shipped
-    per :func:`replica_seed_split`, so for a linear TGD set the workers'
-    seeds partition the store instead of replicating it ``n_workers``
-    times.  The result is sorted (grouped by predicate), which keeps
-    replica construction deterministic and lets the sqlite replica bulk
-    load each predicate as one ``executemany`` batch.
+    Instead of pickling ``sorted(store.iter_atoms())`` into every worker,
+    relations are shipped per :func:`replica_seed_split`, so for a linear
+    TGD set the workers' seeds partition the store instead of replicating
+    it ``n_workers`` times.  The result is sorted (grouped by predicate),
+    which keeps replica construction deterministic and lets the replica
+    load each predicate as one ``add_rows`` batch.
 
     *full_atoms* optionally supplies the fully-replicated portion (the
     per-worker-invariant scan of the *full* predicates), so a coordinator
@@ -373,15 +354,14 @@ def worker_seed_atoms(
         if full_atoms is not None
         else collect_full_seed_atoms(store, full)
     )
-    for predicate in partitioned:
-        atoms.extend(store.atoms_partition(predicate, (), n_workers, worker_id))
+    shared = set(partitioned)
     if include_unused_share:
-        shipped = full | partitioned
-        for predicate in store.predicates():
-            if predicate not in shipped:
-                atoms.extend(
-                    store.atoms_partition(predicate, (), n_workers, worker_id)
-                )
+        shared.update(predicate for predicate in store.predicates() if predicate not in full)
+    for predicate in sorted(shared):
+        atoms.extend(
+            Atom(predicate, row)
+            for row in partition_rows(store.rows_matching(predicate), (), n_workers, worker_id)
+        )
     return sorted(atoms, key=atom_sort_key)
 
 
@@ -486,27 +466,6 @@ class _Wire(Dict[Any, int]):
         return rows
 
 
-def _open_replica_store(store_spec: Tuple[str, ...], worker_id: int) -> AtomStore:
-    """Build a worker's private store from its spec (never a live object)."""
-    kind = store_spec[0]
-    if kind == "sqlite":
-        # SQLite connections cannot cross process boundaries, so every
-        # replica is a private in-memory database rebuilt from the
-        # streamed seed (the coordinator alone owns its store).
-        from ..storage.sqlbackend import SqliteAtomStore
-
-        return SqliteAtomStore(name=f"chase-replica-{worker_id}")
-    if kind == "sqlite-file":
-        # Out-of-core seeding: attach the coordinator's persistent file
-        # read-only and overlay private deltas in memory — no seed atom
-        # ever crosses the pipe, and the disk-resident relations are read
-        # where they already live.
-        from ..storage.sqlbackend import SqliteOverlayStore
-
-        return SqliteOverlayStore(store_spec[1], name=f"chase-replica-{worker_id}")
-    return Instance()
-
-
 # --------------------------------------------------------------------------- #
 # Worker pools: one in-process, one of processes.  Each serves both round
 # protocols — ``initial``/``delta`` for the coordinator-merge topology,
@@ -518,8 +477,6 @@ def _build_shuffle_worker(
     tgds: Sequence[TGD],
     variant: str,
     shared_store: bool,
-    metrics: Optional[MetricsRegistry] = None,
-    report_metrics: bool = False,
 ) -> ShuffleWorker:
     """Assemble one worker's shuffle state machine around its match worker."""
     full, _ = replica_seed_split(tgds, variant)
@@ -533,8 +490,6 @@ def _build_shuffle_worker(
         full,
         shared_store=shared_store,
         crash_spec=os.environ.get("REPRO_EXCHANGE_CRASH"),
-        metrics=metrics,
-        report_metrics=report_metrics,
     )
 
 
@@ -558,13 +513,13 @@ class _LocalPool:
         variant: str,
         store: AtomStore,
         exchange: str,
-        metrics: Optional[MetricsRegistry],
+        traced: bool,
     ) -> None:
         self.workers = workers
         shuffle = exchange == "shuffle"
         # Shuffle workers time their own rounds; only coordinator-merge
         # match workers attach metrics to their reports.
-        collect_metrics = metrics is not None and not shuffle
+        collect_metrics = traced and not shuffle
         self._match_workers = [
             _MatchWorker(worker_id, workers, tgds, variant, store, collect_metrics)
             for worker_id in range(workers)
@@ -572,7 +527,7 @@ class _LocalPool:
         self._shuffle_workers: List[ShuffleWorker] = []
         if shuffle:
             self._shuffle_workers = [
-                _build_shuffle_worker(worker, tgds, variant, shared_store=True, metrics=metrics)
+                _build_shuffle_worker(worker, tgds, variant, shared_store=True)
                 for worker in self._match_workers
             ]
             for shuffle_worker in self._shuffle_workers:
@@ -697,8 +652,8 @@ class _PipeTransport:
 
 #: A process replica's round report on the wire: its fresh symbols, the fired
 #: triggers as value rows led by their rule (:meth:`FiringPlan.values`), the
-#: considered-but-not-fired keys (rule-led witness rows), and the metrics
-#: payload.
+#: considered-but-not-fired keys (rule-led witness rows), and the traced-run
+#: metrics payload.
 WireReport = Tuple[List[Any], Runs, Runs, Optional[WorkerMetrics]]
 
 
@@ -758,50 +713,33 @@ def _worker_main(
     n_workers: int,
     tgds: Sequence[TGD],
     variant: str,
-    store_spec: Tuple[str, ...],
     collect_metrics: bool,
     exchange: str,
 ) -> None:
     """Entry point of a process worker: build the replica, serve rounds.
 
-    The replica is seeded by ``("seed", fresh, runs)`` messages (streamed by
-    the coordinator before the first round) — or not at all for the
-    ``sqlite-file`` spec, where the store reads the attached base file.
-    Every other message is one round of the pool's protocol, answered with
-    an ``("ok", report)`` or ``("error", traceback)`` on the control pipe.
+    The replica is an in-memory :class:`Instance` seeded by ``("seed",
+    fresh, runs)`` messages, streamed by the coordinator before the first
+    round.  Every other message is one round of the pool's protocol,
+    answered with an ``("ok", report)`` or ``("error", traceback)`` on the
+    control pipe.
     """
     try:
         try:
-            from ..storage.sqlbackend import SqliteAtomStore
-
-            store = _open_replica_store(store_spec, worker_id)
+            store = Instance()
             wire = _Wire()
             shuffle = exchange == "shuffle"
             worker = _MatchWorker(
                 worker_id, n_workers, tgds, variant, store, collect_metrics and not shuffle
             )
-            # The replica is private to this process, so its SQL timings
-            # ride home inside the round reports.
-            timed_store = (
-                store if collect_metrics and isinstance(store, SqliteAtomStore) else None
-            )
             serve: Callable[[Tuple[Any, ...]], object]
             if shuffle:
-                registry = MetricsRegistry() if collect_metrics else None
-                if timed_store is not None:
-                    timed_store.set_statement_metrics(StatementMetrics(registry))
                 serve = partial(
                     _serve_shuffle,
-                    _build_shuffle_worker(
-                        worker, tgds, variant,
-                        shared_store=False, metrics=registry, report_metrics=True,
-                    ),
+                    _build_shuffle_worker(worker, tgds, variant, shared_store=False),
                     _PipeTransport(worker_id, peer_conns),
                 )
             else:
-                if timed_store is not None:
-                    worker.statement_metrics = StatementMetrics()
-                    timed_store.set_statement_metrics(worker.statement_metrics)
                 serve = partial(_serve_match, worker, wire)
         except Exception:
             conn.send(("error", traceback.format_exc()))
@@ -814,7 +752,7 @@ def _worker_main(
             try:
                 if kind == "seed":
                     # Chunks arrive sorted (grouped by predicate), so the
-                    # sqlite replica loads each predicate as one batch.
+                    # replica loads each predicate as one batch.
                     wire.absorb(message[1])
                     insert_rows(store, wire.decode_rows(message[2]))
                     continue
@@ -826,7 +764,7 @@ def _worker_main(
 
 
 class _ProcessPool:
-    """Process workers with per-worker store replicas.
+    """Process workers, each with an in-memory :class:`Instance` replica.
 
     Each worker holds a private store that grows by what the worker reads
     (:func:`replica_seed_split`): every round's atoms of the *full*
@@ -836,14 +774,13 @@ class _ProcessPool:
     match reports cross the control pipes as int frames over a
     per-connection :class:`_Wire`; a report is value rows, which
     :meth:`_decode_report` turns back into firing keys through each rule's
-    one :class:`FiringPlan`.  Replicas are seeded out-of-core:
-    *worker_seeds* (a callable ``worker_id -> sorted atoms``) streams each
-    worker only the relations it needs, in bounded chunks over its pipe;
-    ``None`` means the workers seed themselves (the ``sqlite-file`` spec,
-    whose replicas attach the coordinator's persistent file read-only).
-    Workers are dedicated processes on private control pipes — unlike a
-    task pool, round ``i``'s message to worker ``w`` is guaranteed to be
-    processed by the same replica that saw rounds ``< i``.
+    one :class:`FiringPlan`.  *worker_seeds* (a callable ``worker_id ->
+    sorted atoms``) streams each worker only the relations it needs, in
+    bounded chunks over its pipe — whatever the coordinator's store holds,
+    nulls of an interrupted run included.  Workers are dedicated processes
+    on private control pipes — unlike a task pool, round ``i``'s message to
+    worker ``w`` is guaranteed to be processed by the same replica that saw
+    rounds ``< i``.
 
     The shuffle exchange adds one thing: every worker pair is wired with a
     private duplex pipe before any process starts, so peer traffic never
@@ -861,8 +798,7 @@ class _ProcessPool:
         workers: int,
         tgds: Sequence[TGD],
         variant: str,
-        store_spec: Tuple[str, ...],
-        worker_seeds: Optional[Callable[[int], List[Atom]]],
+        worker_seeds: Callable[[int], List[Atom]],
         collect_metrics: bool,
         exchange: str,
     ) -> None:
@@ -893,7 +829,6 @@ class _ProcessPool:
                         workers,
                         tuple(tgds),
                         variant,
-                        store_spec,
                         collect_metrics,
                         exchange,
                     ),
@@ -906,12 +841,11 @@ class _ProcessPool:
             for peer_ends in mesh:
                 for end in peer_ends.values():
                     end.close()
-            if worker_seeds is not None:
-                for worker_id, wire in enumerate(self._wires):
-                    atoms = worker_seeds(worker_id)
-                    for start in range(0, len(atoms), SEED_CHUNK_ATOMS):
-                        runs = wire.encode_atoms(atoms[start:start + SEED_CHUNK_ATOMS])
-                        self._send(worker_id, ("seed", wire.take_fresh(), runs))
+            for worker_id, wire in enumerate(self._wires):
+                atoms = worker_seeds(worker_id)
+                for start in range(0, len(atoms), SEED_CHUNK_ATOMS):
+                    runs = wire.encode_atoms(atoms[start:start + SEED_CHUNK_ATOMS])
+                    self._send(worker_id, ("seed", wire.take_fresh(), runs))
         except Exception:
             self.close()
             raise
@@ -1052,12 +986,10 @@ class _CoordinatorStep:
         variant: str,
         store: AtomStore,
         tracer: AnyTracer,
-        worker_sql: Dict[int, RegistrySnapshot],
     ) -> None:
         self._pool = pool
         self._store = store
         self._tracer = tracer
-        self._worker_sql = worker_sql
         self._fired_keys: Set[object] = set()
         null_scope = resolve_engine_class(variant).null_scope
         self._plans = [FiringPlan(tgd, index, null_scope) for index, tgd in enumerate(table.tgds)]
@@ -1106,12 +1038,10 @@ class _CoordinatorStep:
             for key, values in fired:
                 fired_by_key.setdefault(key, values)
             if metrics is not None:
-                worker_id, seconds, n_considered, n_fired, snapshot = metrics
+                worker_id, seconds, n_considered, n_fired = metrics
                 _emit_worker_round(
                     tracer, round_index + 1, worker_id, n_considered, n_fired, seconds
                 )
-                if snapshot is not None:
-                    self._worker_sql[worker_id] = snapshot
 
         has_row = self._store.has_row
         plans = self._plans
@@ -1170,12 +1100,10 @@ class _ShuffleStep:
         pool: Union[_LocalPool, _ProcessPool],
         detector: SkewDetector,
         tracer: AnyTracer,
-        worker_sql: Dict[int, RegistrySnapshot],
     ) -> None:
         self._pool = pool
         self._detector = detector
         self._tracer = tracer
-        self._worker_sql = worker_sql
         self._known_heavy: Set[Tuple[int, int]] = set()
 
     def __call__(self, round_index: int, delta: Delta) -> RoundOutcome:
@@ -1229,8 +1157,6 @@ class _ShuffleStep:
                 ):
                     for rule, count in counts:
                         rule_stats.setdefault(rule, [0, 0, 0, 0])[column] += count
-                if report.sql is not None:
-                    self._worker_sql[report.worker] = report.sql
         rule_rows = [
             RuleRow(rule, enumerated, rule_fired, atoms_created, nulls, 0.0)
             for rule, (enumerated, rule_fired, atoms_created, nulls) in rule_stats.items()
@@ -1288,7 +1214,8 @@ class ParallelChaseExecutor:
         CPython 3.11): serial engine 0.207 s, in-process pool 0.223 s,
         process pool 0.339 s — shipping an in-memory store's work to
         processes costs more than it buys.  A SQLite store keeps the
-        process pool: each worker gets a private replica on its own core.
+        process pool: its connection is bound to the coordinator's thread,
+        and each worker matches over an in-memory replica on its own core.
         """
         from ..storage.sqlbackend import SqliteAtomStore
 
@@ -1299,62 +1226,39 @@ class ParallelChaseExecutor:
         return "serial"
 
     def _make_pool(
-        self, tgds: Sequence[TGD], store: AtomStore, metrics: Optional[MetricsRegistry]
+        self, tgds: Sequence[TGD], store: AtomStore, traced: bool
     ) -> Union[_LocalPool, _ProcessPool]:
-        """The worker pool for *store*; *metrics* is the coordinator's
-        registry on traced runs (workers then collect theirs too)."""
-        from ..storage.sqlbackend import SqliteAtomStore
-
+        """The worker pool for *store*; on *traced* runs the workers time
+        their rounds for the ``worker_round`` events."""
         if self._resolve_executor(store) != "process" or self.workers == 1:
             return _LocalPool(
                 self.workers, tgds, self.variant, store,
-                exchange=self.exchange, metrics=metrics,
+                exchange=self.exchange, traced=traced,
             )
-        worker_seeds: Optional[Callable[[int], List[Atom]]] = None
-        if isinstance(store, SqliteAtomStore) and store.is_persistent:
-            # Out-of-core seeding: commit the seed so workers attaching the
-            # file read-only see it, and ship no atoms at all — each replica
-            # is an overlay over the coordinator's own file.
-            store.flush()
-            store_spec: Tuple[str, ...] = ("sqlite-file", store.path)
-        else:
-            store_spec = ("sqlite",) if isinstance(store, SqliteAtomStore) else ("instance",)
-            # The fully-replicated portion is identical for every worker:
-            # collect it once, not once per worker.
-            full, _ = replica_seed_split(tgds, self.variant)
-            full_atoms = collect_full_seed_atoms(store, full)
+        # The fully-replicated portion is identical for every worker:
+        # collect it once, not once per worker.
+        full, _ = replica_seed_split(tgds, self.variant)
+        full_atoms = collect_full_seed_atoms(store, full)
 
-            def worker_seeds(worker_id: int) -> List[Atom]:
-                # Partition-streamed seeding (see worker_seed_atoms): sorted,
-                # so per-worker replica construction order stays
-                # deterministic.  A shuffle worker also gets its hash share
-                # of the relations matching never reads — it is the
-                # atom-dedup owner of that share.
-                return worker_seed_atoms(
-                    store,
-                    tgds,
-                    self.variant,
-                    self.workers,
-                    worker_id,
-                    full_atoms=full_atoms,
-                    include_unused_share=self.exchange == "shuffle",
-                )
+        def worker_seeds(worker_id: int) -> List[Atom]:
+            # Partition-streamed seeding (see worker_seed_atoms): sorted,
+            # so per-worker replica construction order stays
+            # deterministic.  A shuffle worker also gets its hash share
+            # of the relations matching never reads — it is the
+            # atom-dedup owner of that share.
+            return worker_seed_atoms(
+                store,
+                tgds,
+                self.variant,
+                self.workers,
+                worker_id,
+                full_atoms=full_atoms,
+                include_unused_share=self.exchange == "shuffle",
+            )
 
         return _ProcessPool(
-            self.workers, tgds, self.variant, store_spec, worker_seeds,
-            collect_metrics=metrics is not None, exchange=self.exchange,
-        )
-
-    def _skew_detector(
-        self, table: _PlanTable, metrics: Optional[MetricsRegistry]
-    ) -> SkewDetector:
-        return SkewDetector(
-            [
-                (entry.plan_id, entry.seed_predicate, entry.plan.partition_positions)
-                for entry in table.entries
-            ],
-            self.workers,
-            metrics=metrics,
+            self.workers, tgds, self.variant, worker_seeds,
+            collect_metrics=traced, exchange=self.exchange,
         )
 
     def run(
@@ -1369,10 +1273,8 @@ class ParallelChaseExecutor:
         *tracer* makes the run emit the same ``round``/``rule_round``
         stream as the serial engines (sums reproduce the result totals
         exactly; per-rule ``dur`` is 0.0 — matching time lives in the
-        workers) plus one ``worker_round`` event per (worker, round) and,
-        on sqlite stores, merged ``sql_family`` timings — worker replicas
-        ship their cumulative registry snapshots home inside the round
-        reports.  ``chase_start``/``chase_end`` are the caller's job
+        workers) plus one ``worker_round`` event per (worker, round).
+        ``chase_start``/``chase_end`` are the caller's job
         (:func:`repro.chase.engine.chase` emits them).  Tracing never
         changes the result.
 
@@ -1387,45 +1289,25 @@ class ParallelChaseExecutor:
             store = Instance()
         seed_store(store, database)
         table = _PlanTable(tgd_list)
-
-        # Traced runs: one registry for the coordinator's own SQL statements
-        # (and the in-process workers' queries), the shuffle counters and
-        # the skew histograms.
-        registry = MetricsRegistry() if active_tracer.enabled else None
-        timed_store = None
-        if registry is not None:
-            from ..storage.sqlbackend import SqliteAtomStore
-
-            if isinstance(store, SqliteAtomStore):
-                timed_store = store
-                timed_store.set_statement_metrics(StatementMetrics(registry))
-        # Latest cumulative registry snapshot per process worker.
-        worker_sql: Dict[int, RegistrySnapshot] = {}
-
-        pool = self._make_pool(tgd_list, store, registry)
+        pool = self._make_pool(tgd_list, store, active_tracer.enabled)
         try:
             step: RoundStep
             if self.exchange == "shuffle":
-                step = _ShuffleStep(
-                    pool, self._skew_detector(table, registry), active_tracer, worker_sql
+                detector = SkewDetector(
+                    [
+                        (entry.plan_id, entry.seed_predicate, entry.plan.partition_positions)
+                        for entry in table.entries
+                    ],
+                    self.workers,
                 )
+                step = _ShuffleStep(pool, detector, active_tracer)
             else:
-                step = _CoordinatorStep(
-                    pool, table, self.variant, store, active_tracer, worker_sql
-                )
+                step = _CoordinatorStep(pool, table, self.variant, store, active_tracer)
             return run_rounds(
                 step, store, self.limits, self.on_limit, self.variant, active_tracer
             )
         finally:
             pool.close()
-            if registry is not None:
-                # The merged coordinator+worker ``sql_family`` events.
-                for snapshot in worker_sql.values():
-                    registry.merge_snapshot(snapshot)
-                for stats in sql_family_stats(registry.snapshot()):
-                    active_tracer.emit("sql_family", **stats)
-            if timed_store is not None:
-                timed_store.set_statement_metrics(None)
 
 
 def parallel_chase(
@@ -1455,10 +1337,10 @@ def parallel_chase(
         ``"auto"`` (default) runs the workers in-process for the in-memory
         backend — on the ``chase_skew_par2`` inputs that beats shipping
         them to processes (0.223 s vs 0.339 s, 2 workers) — and in
-        processes with per-worker store replicas for sqlite;
-        ``"serial"`` / ``"process"`` force a pool kind.  Process replicas
-        of a persistent sqlite store attach the coordinator's file
-        read-only instead of receiving a seed.
+        processes for sqlite; ``"serial"`` / ``"process"`` force a pool
+        kind.  Process workers hold in-memory replicas built from a
+        streamed seed, whatever the backend: the out-of-core path is the
+        serial chase into a ``sqlite:<file>`` store.
     exchange:
         ``"coordinator"`` (default) round-trips every round's results
         through the coordinator merge; ``"shuffle"`` has workers

@@ -146,7 +146,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=EXECUTORS,
         default="auto",
         help="worker pool kind for --parallel > 1: in-process workers for "
-        "the instance backend, processes with store replicas for sqlite "
+        "the instance backend, processes with in-memory replicas for sqlite "
         "(default: auto)",
     )
     chase_cmd.add_argument(

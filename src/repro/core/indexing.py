@@ -1,4 +1,4 @@
-"""Position postings and the partition hash every :class:`AtomStore` shares.
+"""Position postings and the partition hash of the parallel chase.
 
 A *row* is the term tuple of one atom, stored under its predicate.  The
 in-memory :class:`~repro.core.instances.Instance` indexes the rows of a
@@ -13,7 +13,6 @@ from __future__ import annotations
 import zlib
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .atoms import Atom
 from .terms import Term
 
 #: The terms of one stored atom, in argument order.
@@ -63,9 +62,19 @@ def row_partition_of(row: Row, key_positions: Sequence[int], n_partitions: int) 
     return partition_hash(terms) % n_partitions
 
 
-def atom_partition_of(atom: Atom, key_positions: Sequence[int], n_partitions: int) -> int:
-    """:func:`row_partition_of` for an atom's terms."""
-    return row_partition_of(atom.terms, key_positions, n_partitions)
+def partition_rows(
+    rows: Iterable[Row], key_positions: Sequence[int], n_partitions: int, partition_index: int
+) -> List[Row]:
+    """The rows of *rows* that :func:`row_partition_of` assigns to *partition_index*.
+
+    The parallel chase's one ownership filter: fed a store's
+    ``rows_matching(predicate)``, it gives a worker its share of a relation,
+    whatever the store — so the coordinator and every replica agree on who
+    owns which row.
+    """
+    return [
+        row for row in rows if row_partition_of(row, key_positions, n_partitions) == partition_index
+    ]
 
 
 def _encode_key(value: object, out: List[str]) -> None:

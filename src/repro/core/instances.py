@@ -18,12 +18,11 @@ from typing import (
     Mapping,
     Optional,
     Set,
-    Tuple,
 )
 
 from ..exceptions import ValidationError
 from .atoms import Atom, row_sort_key
-from .indexing import Postings, Row, post_rows, row_partition_of
+from .indexing import Postings, Row, post_rows
 from .predicates import Predicate, Schema
 from .terms import Constant, Null, Term
 
@@ -212,25 +211,6 @@ class Instance:
     ) -> Iterable[Atom]:
         """:meth:`rows_matching` as atoms."""
         return [Atom(predicate, row) for row in self.rows_matching(predicate, bindings)]
-
-    def atoms_partition(
-        self,
-        predicate: Predicate,
-        key_positions: Tuple[int, ...],
-        n_partitions: int,
-        partition_index: int,
-    ) -> Iterator[Atom]:
-        """Yield the atoms over *predicate* owned by one hash partition.
-
-        Partition membership is decided by the stable
-        :func:`~repro.core.indexing.partition_hash` of the terms at
-        *key_positions* (the whole term tuple when empty), so every store —
-        coordinator or per-worker replica — agrees on who owns which atom.
-        The parallel chase uses this for its partitioned initial-round scans.
-        """
-        for row in self._rows.get(predicate, ()):
-            if row_partition_of(row, key_positions, n_partitions) == partition_index:
-                yield Atom(predicate, row)
 
     # ------------------------------------------------------------------ #
     # AtomStore protocol surface (see repro.storage.atom_store)

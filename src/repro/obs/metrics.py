@@ -1,14 +1,10 @@
-"""Counters, histograms, and the registry that ships them across processes.
+"""Counters, histograms, and the registry that snapshots them.
 
-A :class:`MetricsRegistry` holds named, labelled instruments.  The design
-constraints come from the parallel chase:
+A :class:`MetricsRegistry` holds named, labelled instruments:
 
-* **Picklable snapshots** — process-pool workers cannot send live objects
-  over their pipes (reprolint's process-boundary rule), so a registry
-  serialises to a plain JSON-able dict (:meth:`MetricsRegistry.snapshot`)
-  and merges peer snapshots back in (:meth:`MetricsRegistry.merge_snapshot`).
-* **Deterministic iteration** — snapshots are sorted by ``(name, labels)``
-  so traces and reports are byte-stable run to run.
+* **Deterministic iteration** — :meth:`MetricsRegistry.snapshot` is a plain
+  JSON-able dict sorted by ``(name, labels)``, so traces and reports are
+  byte-stable run to run.
 * **Thread safety** — all mutation goes through the registry lock, so
   callers that share one registry across threads need no lock of their own.
 
@@ -60,7 +56,7 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Named, labelled counters and histograms with mergeable snapshots."""
+    """Named, labelled counters and histograms with sorted snapshots."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -84,7 +80,7 @@ class MetricsRegistry:
         return instrument
 
     def snapshot(self) -> Dict[str, List[Dict[str, object]]]:
-        """A JSON-able, sorted, picklable copy of every instrument."""
+        """A JSON-able, sorted copy of every instrument."""
         with self._lock:
             counters = [
                 {"name": name, "labels": dict(labels), "value": counter.value}
@@ -102,19 +98,6 @@ class MetricsRegistry:
             ]
         return {"counters": counters, "histograms": histograms}
 
-    def merge_snapshot(self, snapshot: Dict[str, List[Dict[str, object]]]) -> None:
-        """Fold a peer registry's :meth:`snapshot` into this one."""
-        for entry in snapshot.get("counters", []):
-            self.counter(str(entry["name"]), **entry["labels"]).add(  # type: ignore[arg-type]
-                int(entry["value"])  # type: ignore[call-overload]
-            )
-        for entry in snapshot.get("histograms", []):
-            histogram = self.histogram(str(entry["name"]), **entry["labels"])  # type: ignore[arg-type]
-            with self._lock:
-                histogram.count += int(entry["count"])  # type: ignore[call-overload]
-                histogram.total += float(entry["total"])  # type: ignore[arg-type]
-                histogram.maximum = max(histogram.maximum, float(entry["max"]))  # type: ignore[arg-type]
-
 
 #: Instrument names used by the SQL statement timing layer.
 SQL_SECONDS = "sql_statement_seconds"
@@ -125,10 +108,10 @@ SQL_ROWS_READ = "sql_rows_read"
 class StatementMetrics:
     """Per-statement-family timing the sqlite store calls into.
 
-    The store's locked entry points (``query`` / ``bulk_apply``) bracket a
-    statement with ``started = metrics.start()`` … ``metrics.record(...)``;
-    the adapter owns the clock, keeping wall-clock reads out of the storage
-    layer entirely.  ``None`` instead of an adapter (the default) keeps the
+    The store's labelled entry points (``query`` / ``bulk_apply`` with a
+    ``family``) bracket a statement with ``started = metrics.start()`` …
+    ``metrics.record(...)``; the adapter owns the clock, keeping wall-clock
+    reads out of the storage layer entirely.  ``None`` instead of an adapter (the default) keeps the
     untraced hot path to a single attribute test.
     """
 

@@ -18,7 +18,6 @@ from .shape_finder import (
 )
 from .sqlbackend import (
     SqliteAtomStore,
-    SqliteOverlayStore,
     SqliteShapeFinder,
 )
 from .views import PrefixView
@@ -27,7 +26,6 @@ __all__ = [
     "AtomStore",
     "InstanceView",
     "SqliteAtomStore",
-    "SqliteOverlayStore",
     "SqliteShapeFinder",
     "DeltaShapeFinder",
     "InDatabaseShapeFinder",

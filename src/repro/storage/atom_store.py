@@ -1,12 +1,13 @@
 """The ``AtomStore`` protocol: the storage interface the chase runs against.
 
 ``AtomStore`` names the small set of operations the trigger engine
-(:mod:`repro.chase.matching`) and the parallel executor's partitioned scans
-need.  Two backends implement it — the in-memory
-:class:`~repro.core.instances.Instance` and the SQLite store
-(:class:`~repro.storage.sqlbackend.SqliteAtomStore`, transient or a
-persistent file) — and a future backend only has to provide these twelve
-methods.
+(:mod:`repro.chase.matching`) and the parallel executor need.  Two backends
+implement it — the in-memory :class:`~repro.core.instances.Instance` and
+the SQLite store (:class:`~repro.storage.sqlbackend.SqliteAtomStore`,
+transient or a persistent file) — and a future backend only has to provide
+these eleven methods.  (Partition ownership is not a store method: the
+parallel executor filters ``rows_matching`` through
+:func:`repro.core.indexing.partition_rows`.)
 
 The chase itself only speaks the **row** half: ``add_rows``,
 ``rows_matching`` and ``has_row`` trade ``(predicate, term tuple)`` rows,
@@ -38,7 +39,6 @@ from typing import (
     Mapping,
     Optional,
     Protocol,
-    Tuple,
     runtime_checkable,
 )
 
@@ -111,23 +111,6 @@ class AtomStore(Protocol):
         """
         ...
 
-    def atoms_partition(
-        self,
-        predicate: Predicate,
-        key_positions: "tuple",
-        n_partitions: int,
-        partition_index: int,
-    ) -> Iterable[Atom]:
-        """Yield the atoms over *predicate* owned by one hash partition.
-
-        Membership is decided by the stable partition hash of the terms at
-        *key_positions* (whole tuple when empty) modulo *n_partitions* — see
-        :func:`repro.core.indexing.atom_partition_of`.  The parallel chase
-        relies on every store (shared or replica) agreeing on ownership, so
-        implementations must delegate to that helper rather than ``hash()``.
-        """
-        ...
-
     def predicate_cardinality(self, predicate: Predicate) -> int:
         """Return the number of atoms over *predicate* (used for join ordering)."""
         ...
@@ -189,17 +172,6 @@ class InstanceView:
         self, predicate: Predicate, bindings: Optional[Mapping[int, Term]] = None
     ) -> Iterable[Atom]:
         return self._store.atoms_matching(predicate, bindings)
-
-    def atoms_partition(
-        self,
-        predicate: Predicate,
-        key_positions: Tuple[int, ...],
-        n_partitions: int,
-        partition_index: int,
-    ) -> Iterable[Atom]:
-        return self._store.atoms_partition(
-            predicate, key_positions, n_partitions, partition_index
-        )
 
     def predicate_cardinality(self, predicate: Predicate) -> int:
         return self._store.predicate_cardinality(predicate)

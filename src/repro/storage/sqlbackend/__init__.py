@@ -12,12 +12,6 @@ exactly as they run in memory:
   :mod:`.pushdown`);
 * :class:`SqliteShapeFinder` — the paper's in-database ``FindShapes``
   issuing real ``EXISTS`` queries instead of Python row scans.
-
-:class:`SqliteOverlayStore` is the out-of-core worker-side companion of
-:class:`SqliteAtomStore`: it attaches a persistent store file *read-only*
-and overlays private deltas in memory, which is how the parallel chase's
-process workers share a disk-resident seed without pickling it.  The
-pushdown strategy refuses it: compiled statements read plain tables.
 """
 
 from .pushdown import (
@@ -27,7 +21,7 @@ from .pushdown import (
     register_skolem_function,
 )
 from .shapes import SqliteShapeFinder, shape_query_sqlite
-from .store import MEMORY_PATH, SqliteAtomStore, SqliteOverlayStore, table_name
+from .store import MEMORY_PATH, SqliteAtomStore, table_name
 
 __all__ = [
     "CompiledRule",
@@ -35,7 +29,6 @@ __all__ = [
     "PushdownExecutor",
     "SKOLEM_FUNCTION",
     "SqliteAtomStore",
-    "SqliteOverlayStore",
     "SqliteShapeFinder",
     "shape_query_sqlite",
     "register_skolem_function",

@@ -41,7 +41,7 @@ from ...core.terms import NullKeyRenderer, Term, Variable, null_name
 from ...core.tgds import TGD
 from ...obs.tracer import AnyTracer, as_tracer
 from ..relation import NULL_MARKER, decode_value
-from .store import SqliteAtomStore, SqliteOverlayStore, _quote, table_name
+from .store import SqliteAtomStore, _quote, table_name
 
 if TYPE_CHECKING:
     from ...chase.result import ChaseLimits, ChaseResult
@@ -385,12 +385,10 @@ class PushdownExecutor:
         """
         from ...chase.rounds import run_rounds, seed_store
 
-        if not isinstance(store, SqliteAtomStore) or isinstance(store, SqliteOverlayStore):
-            # An overlay replica's tables hold only its delta; compiled
-            # statements read the plain relation tables.
+        if not isinstance(store, SqliteAtomStore):
             raise ValueError(
                 "the sql-pushdown strategy executes inside SQLite and "
-                "requires a SqliteAtomStore (not an overlay replica)"
+                "requires a SqliteAtomStore"
             )
         active_tracer = as_tracer(tracer)
         seed_store(store, database)

@@ -79,7 +79,7 @@ class SqliteShapeFinder(InDatabaseShapeFinder):
 
     def _shape_exists(self, relation: object, shape: Shape, relaxed: bool) -> bool:
         sql = shape_query_sqlite(shape, relaxed=relaxed)
-        # query() runs under the store's connection lock, so shape probes
-        # are safe against concurrent chase writers on the same store.
+        # query() runs on the store's one connection, from the thread that
+        # opened it; the "shape-probe" family times the probe when traced.
         (exists,) = self._store.query(sql, family="shape-probe")[0]
         return bool(exists)

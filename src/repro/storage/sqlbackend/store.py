@@ -39,18 +39,13 @@ Design notes
   through ``add_rows``/``rows_matching``/``has_row``; a decoded row is a
   tuple of terms, and an :class:`Atom` is built only by the ``atoms_*`` /
   ``iter_atoms`` API.
-* **Partitioned scans** — ``atoms_partition`` pushes the stable partition
-  hash into SQLite through a registered deterministic SQL function, so the
-  parallel executor's round-0 scans filter rows inside the database rather
-  than decoding every atom in Python first.
 
 Connection lifecycle: one connection per store, bound to the thread that
 opened it (``sqlite3``'s default ``check_same_thread``): use from another
 thread raises instead of being serialised.  Process pools never share a
-store — each worker opens its own replica (an in-memory rebuild from the
-streamed seed, or a :class:`SqliteOverlayStore` attaching a persistent
-file read-only), because connections are not picklable — which is exactly
-why the parallel executor ships *work*, never stores.
+store — connections are not picklable, so each worker holds an in-memory
+:class:`~repro.core.instances.Instance` replica built from the streamed
+seed, and the parallel executor ships *work*, never stores.
 """
 
 from __future__ import annotations
@@ -70,10 +65,9 @@ from typing import (
     Tuple,
     Union,
 )
-from urllib.parse import quote
 
 from ...core.atoms import Atom, row_sort_key
-from ...core.indexing import Row, partition_hash
+from ...core.indexing import Row
 from ...core.instances import Database, Instance
 from ...core.predicates import Predicate
 from ...core.terms import Constant, Null, Term
@@ -113,17 +107,6 @@ def table_name(predicate_name: str) -> str:
     return "rel_" + "".join(encoded)
 
 
-def _partition_udf(n_partitions: int, *values: str) -> int:
-    """The SQL-side partition function: stable hash of encoded key values.
-
-    Values arrive encoded (``_:``-prefixed nulls), so decoding restores the
-    exact term identity :func:`~repro.core.indexing.partition_hash` hashes —
-    every store, SQL or in-memory, agrees on ownership.
-    """
-    terms = tuple(decode_value(value) for value in values)
-    return partition_hash(terms) % int(n_partitions)
-
-
 class SqliteAtomStore:
     """A persistent :class:`AtomStore` over one SQLite database.
 
@@ -135,26 +118,19 @@ class SqliteAtomStore:
         watermark, so a chase can resume from persisted atoms.
     name:
         Cosmetic store name used in ``repr``.
-    uri:
-        Enable SQLite URI filename interpretation on the connection.  Not
-        needed for plain paths; :class:`SqliteOverlayStore` uses it so its
-        read-only ``ATTACH 'file:…?mode=ro'`` is honoured.
     """
 
-    def __init__(self, path: str = MEMORY_PATH, name: str = "sqlite", uri: bool = False) -> None:
+    def __init__(self, path: str = MEMORY_PATH, name: str = "sqlite") -> None:
         self.name = name
         self.path = path
         try:
-            self._connection = sqlite3.connect(path, isolation_level=None, uri=uri)
+            self._connection = sqlite3.connect(path, isolation_level=None)
         except sqlite3.Error as error:
             raise StorageError(
                 f"cannot open sqlite database at {path!r}: {error}"
             ) from None
         self._closed = False
         self._in_transaction = False
-        self._connection.create_function(
-            "repro_partition", -1, _partition_udf, deterministic=True
-        )
         #: predicate name -> Predicate (the catalog, mirrored in memory).
         self._predicates: Dict[str, Predicate] = {}
         #: predicate name -> row count (kept incrementally; avoids COUNT(*)
@@ -620,43 +596,6 @@ class SqliteAtomStore:
         """:meth:`rows_matching` as atoms."""
         return [Atom(predicate, row) for row in self.rows_matching(predicate, bindings)]
 
-    def atoms_partition(
-        self,
-        predicate: Predicate,
-        key_positions: Tuple[int, ...],
-        n_partitions: int,
-        partition_index: int,
-    ) -> Iterator[Atom]:
-        """Yield the atoms over *predicate* owned by one hash partition.
-
-        The stable partition hash runs *inside* SQLite (a registered
-        deterministic function over the encoded key columns), so non-owned
-        rows are filtered before any Python-side decoding happens.
-        """
-        table = self._table_for(predicate)
-        if table is None:
-            return
-        columns = self._columns(predicate.arity)
-        if n_partitions <= 1:
-            rows = self._connection.execute(
-                f"SELECT {', '.join(columns)} FROM {table}"
-            ).fetchall()
-        else:
-            if key_positions:
-                key_columns = ", ".join(f"c{position}" for position in key_positions)
-            elif predicate.arity == 0:
-                key_columns = ""  # hash of the empty tuple
-            else:
-                key_columns = ", ".join(columns)
-            hash_args = f"?, {key_columns}" if key_columns else "?"
-            rows = self._connection.execute(
-                f"SELECT {', '.join(columns)} FROM {table} "
-                f"WHERE repro_partition({hash_args}) = ?",
-                (n_partitions, partition_index),
-            ).fetchall()
-        for row in rows:
-            yield Atom(predicate, self._decode(predicate, row))
-
     def predicate_cardinality(self, predicate: Predicate) -> int:
         """Return the number of atoms over *predicate* (answered from the count cache)."""
         if self._table_for(predicate) is None:
@@ -694,238 +633,3 @@ class SqliteAtomStore:
         store.load_database(database)
         return store
 
-
-class SqliteOverlayStore(SqliteAtomStore):
-    """A read-only attached base file with a private in-memory delta overlay.
-
-    The parallel chase's process workers used to be seeded by pickling the
-    coordinator's whole store into every replica.  For a *persistent*
-    :class:`SqliteAtomStore` that is both slow and RAM-bound; this store is
-    the out-of-core replacement: the worker ``ATTACH``-es the coordinator's
-    file **read-only** (``file:<path>?mode=ro``) as schema ``base`` and
-    keeps its private deltas in the in-memory ``main`` schema.  Reads union
-    the two sides; writes only ever touch ``main`` — the base file cannot
-    be modified through this store by construction.
-
-    **Snapshot isolation.**  At open time the store records the base file's
-    sequence watermark, and every base-side read carries ``seq <=
-    snapshot``.  The coordinator keeps committing merged rounds to the same
-    file while workers run (WAL allows the concurrent reader), but those
-    later rows are invisible here: the overlay sees exactly the seed
-    snapshot plus whatever the worker added itself — the same contents a
-    pickled replica would hold, which is what keeps the parallel merge
-    byte-identical to the serial chase.
-
-    Position indexes are created on the ``main`` delta tables only (the
-    base is read-only); base-side lookups lean on the indexes persisted in
-    the file — the ``UNIQUE`` value index covers position 0.
-    """
-
-    def __init__(self, base_path: str, name: str = "sqlite-overlay") -> None:
-        super().__init__(path=MEMORY_PATH, name=name, uri=True)
-        self.base_path = base_path
-        #: Predicates whose relation exists in the attached base file.
-        self._base_predicates: Dict[str, Predicate] = {}
-        #: Predicates with a delta table created in the in-memory schema.
-        self._main_relations: Set[str] = set()
-        self._base_snapshot_seq = 0
-        try:
-            # Percent-encode the path before embedding it in the URI: a
-            # literal '#', '?', or '%' would otherwise be parsed as URI
-            # structure and attach the wrong file.
-            self._connection.execute(
-                "ATTACH DATABASE ? AS base", (f"file:{quote(base_path)}?mode=ro",)
-            )
-            rows = self._connection.execute(
-                f"SELECT name, arity FROM base.{CATALOG_TABLE} ORDER BY name"
-            ).fetchall()
-            for predicate_name, arity in rows:
-                predicate = Predicate(predicate_name, arity)
-                self._base_predicates[predicate_name] = predicate
-                self._predicates[predicate_name] = predicate
-                table = f"base.{_quote(table_name(predicate_name))}"
-                count, top = self._connection.execute(
-                    f"SELECT COUNT(*), COALESCE(MAX(seq), 0) FROM {table}"
-                ).fetchone()
-                self._counts[predicate_name] = count
-                self._base_snapshot_seq = max(self._base_snapshot_seq, top)
-        except sqlite3.Error as error:
-            self._connection.close()
-            self._closed = True
-            raise StorageError(
-                f"cannot attach base sqlite database at {base_path!r}: {error}"
-            ) from None
-        self._seq = max(self._seq, self._base_snapshot_seq)
-
-    def __repr__(self) -> str:
-        return (
-            f"SqliteOverlayStore({self.name!r}, base={self.base_path}, "
-            f"{self.atom_count()} atoms)"
-        )
-
-    # ------------------------------------------------------------------ #
-    # Schema management (writes go to main only)
-
-    def create_relation(self, predicate: Predicate) -> None:
-        """Create (or validate) the in-memory delta table for *predicate*."""
-        existing = self._predicates.get(predicate.name)
-        if existing is not None and existing.arity != predicate.arity:
-            raise StorageError(
-                f"relation {predicate.name!r} already exists with arity "
-                f"{existing.arity}, cannot recreate with arity {predicate.arity}"
-            )
-        if predicate.name in self._main_relations:
-            return
-        columns = self._columns(predicate.arity)
-        column_ddl = ", ".join(f"{column} TEXT NOT NULL" for column in columns)
-        unique = ", ".join(columns)
-        table = table_name(predicate.name)
-        self._begin()
-        self._connection.execute(
-            f"CREATE TABLE IF NOT EXISTS main.{_quote(table)} "
-            f"({column_ddl}, seq INTEGER NOT NULL, UNIQUE({unique}))"
-        )
-        self._connection.execute(
-            f"CREATE INDEX IF NOT EXISTS main.{_quote(f'idx_{table}_seq')} "
-            f"ON {_quote(table)} (seq)"
-        )
-        self._connection.execute(
-            f"INSERT OR IGNORE INTO main.{CATALOG_TABLE} (name, arity) "
-            "VALUES (?, ?)",
-            (predicate.name, predicate.arity),
-        )
-        self._predicates[predicate.name] = predicate
-        self._counts.setdefault(predicate.name, 0)
-        self._main_relations.add(predicate.name)
-
-    def _ensure_position_index(self, predicate: Predicate, position: int) -> None:
-        # Only the main-side delta table can be indexed; the base file keeps
-        # whatever indexes were persisted into it.  Not marking the pair in
-        # ``_indexed`` when the delta table does not exist yet means the
-        # index is created as soon as a delta over the predicate appears.
-        if predicate.name not in self._main_relations:
-            return
-        if position == 0 or (predicate.name, position) in self._indexed:
-            return
-        table = table_name(predicate.name)
-        index = _quote(f"idx_{table}_p{position}")
-        self._begin()
-        self._connection.execute(
-            f"CREATE INDEX IF NOT EXISTS main.{index} "
-            f"ON {_quote(table)} (c{position})"
-        )
-        self._indexed.add((predicate.name, position))
-
-    # ------------------------------------------------------------------ #
-    # Read targets: the base snapshot plus the main delta
-
-    def _read_targets(
-        self, predicate: Predicate
-    ) -> Iterator[Tuple[str, str, Tuple[object, ...]]]:
-        """Yield ``(table, extra_where, extra_params)`` covering both sides."""
-        existing = self._predicates.get(predicate.name)
-        if existing is None or existing.arity != predicate.arity:
-            return
-        table = _quote(table_name(predicate.name))
-        if predicate.name in self._base_predicates:
-            yield f"base.{table}", "seq <= ?", (self._base_snapshot_seq,)
-        if predicate.name in self._main_relations:
-            yield f"main.{table}", "", ()
-
-    def _base_has(self, predicate: Predicate, row: Row) -> bool:
-        existing = self._base_predicates.get(predicate.name)
-        if existing is None or existing.arity != predicate.arity:
-            return False
-        table = f"base.{_quote(table_name(predicate.name))}"
-        columns = self._columns(predicate.arity)
-        where = " AND ".join(f"{column} = ?" for column in columns)
-        found = self._connection.execute(
-            f"SELECT 1 FROM {table} WHERE {where} AND seq <= ? LIMIT 1",
-            self._encode(row) + (self._base_snapshot_seq,),
-        ).fetchone()
-        return found is not None
-
-    # ------------------------------------------------------------------ #
-    # AtomStore protocol: mutation (deduplicated against the base snapshot)
-
-    def add_atom(self, atom: Atom) -> bool:
-        if not atom.is_ground():
-            raise ValidationError(f"stores hold ground atoms only, got {atom!r}")
-        if self._base_has(atom.predicate, atom.terms):
-            return False
-        return super().add_atom(atom)
-
-    def add_rows(self, predicate: Predicate, rows: Iterable[Row]) -> int:
-        return super().add_rows(
-            predicate, [row for row in rows if not self._base_has(predicate, row)]
-        )
-
-    # ------------------------------------------------------------------ #
-    # AtomStore protocol: row queries (union of both sides)
-
-    def has_row(self, predicate: Predicate, row: Row) -> bool:
-        columns = self._columns(predicate.arity)
-        values = self._encode(row)
-        for table, extra, params in self._read_targets(predicate):
-            where = " AND ".join(f"{column} = ?" for column in columns)
-            if extra:
-                where = f"{where} AND {extra}"
-            found = self._connection.execute(
-                f"SELECT 1 FROM {table} WHERE {where} LIMIT 1", values + params
-            ).fetchone()
-            if found is not None:
-                return True
-        return False
-
-    def rows_matching(
-        self, predicate: Predicate, bindings: Optional[Mapping[int, Term]] = None
-    ) -> Collection[Row]:
-        conditions = []
-        parameters: List[str] = []
-        for position in sorted(bindings or ()):
-            if not 0 <= position < predicate.arity:
-                return ()
-            self._ensure_position_index(predicate, position)
-            conditions.append(f"c{position} = ?")
-            parameters.append(encode_term(bindings[position]))  # type: ignore[index]
-        columns = ", ".join(self._columns(predicate.arity))
-        rows: List[Row] = []
-        for table, extra, params in self._read_targets(predicate):
-            where = " AND ".join(conditions + [extra] if extra else conditions)
-            sql = f"SELECT {columns} FROM {table}" + (f" WHERE {where}" if where else "")
-            found = self._connection.execute(sql, tuple(parameters) + params).fetchall()
-            rows.extend(self._decode(predicate, values) for values in found)
-        return rows
-
-    def atoms_partition(
-        self,
-        predicate: Predicate,
-        key_positions: Tuple[int, ...],
-        n_partitions: int,
-        partition_index: int,
-    ) -> Iterator[Atom]:
-        column_names = self._columns(predicate.arity)
-        columns = ", ".join(column_names)
-        if key_positions:
-            key_columns = ", ".join(f"c{position}" for position in key_positions)
-        elif predicate.arity == 0:
-            key_columns = ""  # hash of the empty tuple
-        else:
-            key_columns = ", ".join(column_names)
-        hash_args = f"?, {key_columns}" if key_columns else "?"
-        for table, extra, params in self._read_targets(predicate):
-            if n_partitions <= 1:
-                sql = f"SELECT {columns} FROM {table}"
-                if extra:
-                    sql = f"{sql} WHERE {extra}"
-                rows = self._connection.execute(sql, params).fetchall()
-            else:
-                where = f"repro_partition({hash_args}) = ?"
-                if extra:
-                    where = f"{where} AND {extra}"
-                rows = self._connection.execute(
-                    f"SELECT {columns} FROM {table} WHERE {where}",
-                    (n_partitions, partition_index) + params,
-                ).fetchall()
-            for row in rows:
-                yield Atom(predicate, self._decode(predicate, row))

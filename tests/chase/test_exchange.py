@@ -238,19 +238,6 @@ class TestSkewDetector:
             delta
         )
 
-    def test_histograms_feed_the_metrics_registry(self):
-        from repro.obs.metrics import MetricsRegistry
-
-        registry = MetricsRegistry()
-        detector = self._detector(metrics=registry)
-        detector.heavy_routes(self._delta(heavy=40, light=8))
-        snapshot = registry.snapshot()
-        histograms = snapshot.get("histograms", [])
-        assert any(
-            entry["name"] == "exchange_partition_delta" for entry in histograms
-        )
-
-
 class TestParseCrashSpec:
     def test_shapes(self):
         assert parse_crash_spec(None) is None

@@ -1,4 +1,4 @@
-"""The lazy ``ChaseResult`` and the out-of-core worker seeding.
+"""The lazy ``ChaseResult`` and the partition-streamed worker seeding.
 
 Four families:
 
@@ -155,10 +155,9 @@ class TestLazyEqualsEager:
         assert set(view.atoms_matching(predicate, bindings)) == set(
             instance.atoms_matching(predicate, bindings)
         )
-        partitioned = set()
-        for index in range(2):
-            partitioned.update(view.atoms_partition(predicate, (), 2, index))
-        assert partitioned == set(instance.atoms_with_predicate(predicate))
+        assert set(view.rows_matching(predicate, bindings)) == set(
+            instance.rows_matching(predicate, bindings)
+        )
         assert view.atom_count() == len(instance)
         assert set(view.iter_atoms()) == set(instance.iter_atoms())
         assert list(view) == sorted(instance)
@@ -265,6 +264,50 @@ class TestWorkerSeedStreaming:
             for w in range(workers)
         ]
         assert max(payloads) < full_pickle / 2
+
+    @pytest.mark.parametrize("rules", [RULES, LINEAR_RULES])
+    @pytest.mark.parametrize("backend", ["sqlite", "sqlite-file", "sqlite-reopened"])
+    def test_every_store_streams_the_seed_an_instance_streams(self, backend, rules, tmp_path):
+        # Process replicas are always in-memory Instances built from this
+        # stream, so a sqlite coordinator (a reopened file holding an
+        # interrupted run's round-1 nulls included) must ship each worker
+        # exactly the seed an Instance holding the same atoms ships.
+        database, tgds = _program(rules)
+        partial = chase(database, tgds, limits=ChaseLimits(max_rounds=1))
+        assert partial.instance.nulls()
+        atoms = sorted(partial.instance)
+        reference = Instance()
+        for atom in atoms:
+            reference.add_atom(atom)
+        if backend == "sqlite-reopened":
+            path = str(tmp_path / "seed.db")
+            with SqliteAtomStore(path=path) as earlier:
+                earlier.add_atoms(atoms)
+            store = SqliteAtomStore(path=path)
+        else:
+            store = make_backend_store(_backend(backend, tmp_path, "seed"))
+            store.add_atoms(atoms)
+        workers = 3
+        for variant in ("oblivious", "semi-oblivious", "restricted"):
+            for unused in (False, True):
+                seeds = [
+                    worker_seed_atoms(
+                        store, tgds, variant, workers, w, include_unused_share=unused
+                    )
+                    for w in range(workers)
+                ]
+                assert seeds == [
+                    worker_seed_atoms(
+                        reference, tgds, variant, workers, w, include_unused_share=unused
+                    )
+                    for w in range(workers)
+                ], (variant, unused)
+                if unused:
+                    # With the unused share every worker owns a disjoint
+                    # slice of each partitioned relation, so the union is
+                    # the whole store.
+                    assert set().union(*map(set, seeds)) == set(atoms)
+        store.close()
 
     @pytest.mark.parametrize("rules", [RULES, LINEAR_RULES])
     @pytest.mark.parametrize("variant", ["oblivious", "semi-oblivious", "restricted"])

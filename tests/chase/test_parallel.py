@@ -294,7 +294,7 @@ class TestWireProtocol:
         self, monkeypatch, variant
     ):
         from repro.chase.parallel import _PlanTable, replica_seed_split
-        from repro.core.indexing import atom_partition_of
+        from repro.core.indexing import row_partition_of
 
         tgds, rounds = self._spy(monkeypatch, self.MIXED, self.MIXED_FACTS, variant)
         full, partitioned = replica_seed_split(tgds, variant)
@@ -311,7 +311,8 @@ class TestWireProtocol:
                     (entry.plan_id, atom)
                     for atom in delta
                     for entry in table.by_predicate.get(atom.predicate, ())
-                    if atom_partition_of(atom, entry.plan.partition_positions, 2) == worker_id
+                    if row_partition_of(atom.terms, entry.plan.partition_positions, 2)
+                    == worker_id
                 ]
             shipped = {atom for replicated, seeds in messages.values() for atom in replicated}
             shipped.update(atom for _, seeds in messages.values() for _, atom in seeds)

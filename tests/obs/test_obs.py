@@ -80,21 +80,6 @@ class TestMetricsRegistry:
         assert names == [("a", "b"), ("a", "c"), ("z", "b")]
         json.dumps(snapshot)  # must not raise
 
-    def test_merge_snapshot_folds_a_peer_registry_in(self):
-        worker = MetricsRegistry()
-        worker.counter("hits", family="a").add(3)
-        worker.histogram("seconds", family="a").observe(0.5)
-        coordinator = MetricsRegistry()
-        coordinator.counter("hits", family="a").add(1)
-        coordinator.histogram("seconds", family="a").observe(0.2)
-        coordinator.merge_snapshot(worker.snapshot())
-        snapshot = coordinator.snapshot()
-        assert snapshot["counters"][0]["value"] == 4
-        (histogram,) = snapshot["histograms"]
-        assert histogram["count"] == 2
-        assert histogram["total"] == 0.7
-        assert histogram["max"] == 0.5
-
     def test_statement_metrics_records_through_an_injected_clock(self):
         clock = ManualClock(step=0.25)
         metrics = StatementMetrics(clock=clock)
@@ -240,6 +225,40 @@ class TestTracer:
         sink = ListTraceSink()
         tracer = Tracer(sink, clock=ManualClock())
         assert as_tracer(tracer) is tracer
+
+
+class TestParallelTrace:
+    """What a traced ``workers=2`` chase over sqlite carries: the round
+    stream, one ``worker_round`` per (worker, round) — plus ``exchange`` under
+    the shuffle — and no ``sql_family`` (the workers' indexed matching issues
+    no labelled statement, and no worker ships a metrics snapshot)."""
+
+    @pytest.mark.parametrize("exchange", ["coordinator", "shuffle"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_event_types_of_a_parallel_sqlite_run(self, executor, exchange):
+        from repro.chase.engine import chase
+        from repro.core.parser import parse_database, parse_rules
+
+        database = parse_database("R(a,b).\nR(b,a).\nR(b,c).\n")
+        tgds = parse_rules("R(x,y) -> S(y,z)\nS(x,y), R(z,x) -> T(z,y)\n")
+        sink = ListTraceSink()
+        chase(
+            database, tgds, backend="sqlite", workers=2, executor=executor,
+            exchange=exchange, tracer=Tracer(sink),
+        )
+        expected = {
+            "trace_start", "chase_start", "round", "rule_round", "worker_round", "chase_end",
+        }
+        if exchange == "shuffle":
+            expected.add("exchange")
+        assert {event["type"] for event in sink.events} == expected
+        rounds = {event["round"] for event in sink.events if event["type"] == "round"}
+        workers = {
+            (event["round"], event["worker"])
+            for event in sink.events
+            if event["type"] == "worker_round"
+        }
+        assert workers == {(round, worker) for round in rounds for worker in (0, 1)}
 
 
 def _round(round, fired, atoms, dur=0.0):

@@ -22,10 +22,13 @@ Failures print the shrunk program as parseable rule/fact text via
 Run with ``HYPOTHESIS_PROFILE=ci`` for the pinned 200-example CI sweep.
 """
 
+import tempfile
+
 from hypothesis import given, note
 from hypothesis import strategies as st
 
-from repro.chase.engine import chase
+from repro.chase.engine import chase, make_backend_store
+from repro.chase.exchange import EXCHANGES
 from repro.chase.parallel import parallel_chase
 from repro.chase.result import ChaseLimits
 from repro.fuzz.reference import reference_chase
@@ -129,6 +132,24 @@ class TestEngineConformance:
                 expected,
                 f"sqlite parallel(workers={workers}, executor={executor})",
             )
+
+        # A persistent file: process replicas are in-memory all the same,
+        # seeded from the file's rows.
+        with tempfile.TemporaryDirectory() as directory:
+            for exchange in EXCHANGES:
+                store = make_backend_store(f"sqlite:{directory}/{exchange}.db")
+                parallel = parallel_chase(
+                    database,
+                    tgds,
+                    variant=variant,
+                    workers=2,
+                    limits=LIMITS,
+                    store=store,
+                    executor="process",
+                    exchange=exchange,
+                )
+                assert fingerprint(parallel) == expected, f"sqlite file {exchange} != instance"
+                store.close()
 
     @given(chase_programs(), st.sampled_from(VARIANTS))
     def test_sql_pushdown_conforms(self, program, variant):

@@ -14,13 +14,14 @@ trigger engine and the parallel executor silently rely on:
   nulls bound by identity, out-of-range positions match nothing, arity
   mismatches are empty rather than errors, inserts after a lookup stay
   visible);
-* ``atoms_partition`` agreeing with :func:`repro.core.indexing.atom_partition_of`
-  so every store — shared or replica — assigns each atom to the same owner;
+* :func:`repro.core.indexing.partition_rows` over ``rows_matching``
+  splitting a relation into disjoint per-worker shares, so the coordinator
+  and every replica assign each row to the same owner;
 * the row half (``add_rows``/``rows_matching``/``has_row``, what the chase
   engines call) agreeing with the atom half: the same count, the same
   ``seq`` order, the same matches, nullary rows ``()`` included.
 
-See ``tests/storage/test_store_contract.py`` for the three shipped
+See ``tests/storage/test_store_contract.py`` for the shipped
 backends, and ARCHITECTURE.md ("Plugging in a new backend") for how to
 certify a new one.
 """
@@ -30,12 +31,12 @@ from __future__ import annotations
 import pytest
 
 from repro.core.atoms import Atom
-from repro.core.indexing import atom_partition_of
+from repro.core.indexing import partition_rows, row_partition_of
 from repro.core.predicates import Predicate
 from repro.core.terms import Constant, Null, Variable
 from repro.exceptions import ValidationError
 from repro.storage.atom_store import AtomStore
-from repro.storage.sqlbackend import SqliteAtomStore, SqliteOverlayStore, table_name
+from repro.storage.sqlbackend import SqliteAtomStore, table_name
 
 R = Predicate("R", 2)
 S = Predicate("S", 3)
@@ -229,17 +230,7 @@ class AtomStoreContract:
             return None
         columns = ", ".join(f"c{position}" for position in range(predicate.arity)) or "1"
         table = f'"{table_name(predicate.name)}"'
-        source = table
-        if isinstance(store, SqliteOverlayStore):
-            # The overlay's rows: the base snapshot ∪ the in-memory delta.
-            parts = [f"SELECT {columns}, seq FROM main.{table}"]
-            if predicate.name in store._base_predicates:
-                parts.append(
-                    f"SELECT {columns}, seq FROM base.{table} "
-                    f"WHERE seq <= {store._base_snapshot_seq}"
-                )
-            source = f"({' UNION ALL '.join(parts)})"
-        return store.query(f"SELECT {columns} FROM {source} ORDER BY seq")
+        return store.query(f"SELECT {columns} FROM {table} ORDER BY seq")
 
     def test_add_rows_matches_an_add_atom_loop(self, store, tmp_path):
         twin_path = tmp_path / "twin"
@@ -299,46 +290,53 @@ class AtomStoreContract:
         assert store.atom_count() == 0
 
     # ------------------------------------------------------------------ #
-    # Partitioned scans (the parallel executor's round-0 access path)
+    # Partition shares (the parallel executor's round-0 and seeding path)
+
+    @staticmethod
+    def _shares(store, predicate, key_positions, n_partitions):
+        rows = store.rows_matching(predicate)
+        return [
+            partition_rows(rows, key_positions, n_partitions, index)
+            for index in range(n_partitions)
+        ]
 
     @pytest.mark.parametrize("key_positions", [(), (0,), (1,), (0, 1)])
     @pytest.mark.parametrize("n_partitions", [1, 2, 3])
-    def test_atoms_partition_is_a_disjoint_cover(self, loaded, key_positions, n_partitions):
-        everything = set(loaded.atoms_with_predicate(R))
+    def test_partition_rows_is_a_disjoint_cover(self, loaded, key_positions, n_partitions):
+        everything = set(loaded.rows_matching(R))
         seen = []
-        for index in range(n_partitions):
-            part = list(loaded.atoms_partition(R, key_positions, n_partitions, index))
-            assert len(part) == len(set(part))
-            for atom in part:
+        for index, share in enumerate(self._shares(loaded, R, key_positions, n_partitions)):
+            assert len(share) == len(set(share))
+            for row in share:
                 # Ownership must agree with the shared stable hash, or
                 # replicas and the coordinator would disagree.
-                assert atom_partition_of(atom, key_positions, n_partitions) == index
-            seen.extend(part)
+                assert row_partition_of(row, key_positions, n_partitions) == index
+            seen.extend(share)
         assert set(seen) == everything
         assert len(seen) == len(everything)
 
     def test_partition_sizes_sum_to_the_cardinality(self, store):
         for i in range(40):
             store.add_atom(Atom(R, (a(f"c{i % 7}"), a(f"c{i}"))))
-        sizes = [len(list(store.atoms_partition(R, (0,), 4, index))) for index in range(4)]
+        sizes = [len(share) for share in self._shares(store, R, (0,), 4)]
         assert sum(sizes) == store.predicate_cardinality(R) == 40
 
-    def test_nullary_atom_has_exactly_one_owner(self, store):
-        atom = Atom(NULLARY, ())
-        store.add_atom(atom)
+    def test_nullary_row_has_exactly_one_owner(self, store):
+        store.add_rows(NULLARY, [()])
         owners = [
-            index for index in range(3) if list(store.atoms_partition(NULLARY, (), 3, index))
+            index
+            for index, share in enumerate(self._shares(store, NULLARY, (), 3))
+            if share == [()]
         ]
-        assert owners == [atom_partition_of(atom, (), 3)]
+        assert owners == [row_partition_of((), (), 3)]
 
-    def test_atoms_partition_of_unknown_predicate_is_empty(self, loaded):
-        assert list(loaded.atoms_partition(EMPTY, (), 2, 0)) == []
+    def test_partition_rows_of_unknown_predicate_is_empty(self, loaded):
+        assert self._shares(loaded, EMPTY, (), 2) == [[], []]
 
-    def test_atoms_partition_with_nulls(self, store):
-        atoms = {Atom(R, (Null(f"n{i}"), a("b"))) for i in range(6)}
-        for atom in atoms:
-            store.add_atom(atom)
+    def test_partition_rows_with_nulls(self, store):
+        rows = {(Null(f"n{i}"), a("b")) for i in range(6)}
+        store.add_rows(R, sorted(rows, key=str))
         collected = set()
-        for index in range(3):
-            collected.update(store.atoms_partition(R, (0,), 3, index))
-        assert collected == atoms
+        for share in self._shares(store, R, (0,), 3):
+            collected.update(share)
+        assert collected == rows

@@ -33,7 +33,6 @@ from repro.storage.sqlbackend import (
     CompiledRule,
     PushdownExecutor,
     SqliteAtomStore,
-    SqliteOverlayStore,
     register_skolem_function,
 )
 
@@ -348,19 +347,6 @@ class TestPushdownWiring:
         for workers in (2, 4):
             with pytest.raises(ValueError, match="runs serially"):
                 chase(database, tgds, strategy="sql-pushdown", backend="sqlite", workers=workers)
-
-    def test_executor_refuses_an_overlay_store(self, tmp_path):
-        # An overlay's tables hold only its delta: compiled statements over
-        # them would silently miss the base file's rows.
-        database, tgds = _join_program()
-        base = str(tmp_path / "base.db")
-        SqliteAtomStore.from_database(database, path=base).close()
-        overlay = SqliteOverlayStore(base)
-        with pytest.raises(ValueError, match="requires a SqliteAtomStore"):
-            PushdownExecutor().run(database, tgds, store=overlay)
-        with pytest.raises(ValueError, match="not an overlay replica"):
-            chase(database, tgds, store=overlay, strategy="sql-pushdown")
-        overlay.close()
 
     def test_executor_validates_its_configuration(self):
         for variant in ("core", "semi_oblivious"):

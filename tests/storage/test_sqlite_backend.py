@@ -26,7 +26,6 @@ from repro.storage.database import RelationalDatabase
 from repro.storage.shape_finder import InDatabaseShapeFinder
 from repro.storage.sqlbackend import (
     SqliteAtomStore,
-    SqliteOverlayStore,
     SqliteShapeFinder,
     shape_query_sqlite,
 )
@@ -140,10 +139,13 @@ class TestPersistence:
         with SqliteAtomStore(path=path) as reopened:
             assert set(reopened.iter_atoms()) == set(result.instance.atoms())
 
-    def test_interrupted_chase_resumes_from_persisted_atoms(self, tmp_path):
+    @pytest.mark.parametrize("parallel", [False, True])
+    def test_interrupted_chase_resumes_from_persisted_atoms(self, tmp_path, parallel):
         """A chase over a reopened file continues from the persisted prefix
         and lands on the same instance as an uninterrupted fresh run —
-        null names included (content-addressed NullFactory)."""
+        null names included (content-addressed NullFactory).  The parallel
+        resume streams the persisted round-1 nulls to its process replicas
+        through the seed."""
         database, tgds = _program()
         fresh = chase(database, tgds)
         assert fresh.terminated
@@ -157,15 +159,44 @@ class TestPersistence:
         )
         assert not partial.terminated
         assert len(partial.instance) < len(fresh.instance)
+        assert partial.instance.nulls()
         partial.store.close()
 
-        resumed = chase(database, tgds, store=SqliteAtomStore(path=path))
+        reopened_store = SqliteAtomStore(path=path)
+        if parallel:
+            resumed = parallel_chase(
+                database, tgds, workers=2, store=reopened_store, executor="process"
+            )
+        else:
+            resumed = chase(database, tgds, store=reopened_store)
         assert resumed.terminated
         assert sorted(map(str, resumed.instance)) == sorted(map(str, fresh.instance))
         resumed.store.close()
         # And the resumed fixpoint is what the file now holds.
         with SqliteAtomStore(path=path) as reopened:
             assert reopened.atom_count() == len(fresh.instance)
+
+    @pytest.mark.parametrize("directory", ["plain", "odd dir#1 %x?y"])
+    def test_parallel_process_chase_over_a_persistent_file_is_identical(
+        self, tmp_path, directory
+    ):
+        # Process workers build in-memory replicas from the streamed seed
+        # of the coordinator's file, and the ChaseResult stays
+        # byte-identical to the serial engine's — also under a path full
+        # of URI metacharacters.
+        database, tgds = _program()
+        expected = fingerprint(chase(database, tgds))
+        where = tmp_path / directory
+        where.mkdir()
+        for materialize in (True, False):
+            store = make_backend_store(f"sqlite:{where / f'parallel-{materialize}.db'}")
+            result = parallel_chase(
+                database, tgds, workers=3, store=store, executor="process",
+                materialize=materialize,
+            )
+            assert result.is_materialized == materialize
+            assert fingerprint(result) == expected
+            store.close()
 
     def test_budget_raise_still_persists_the_prefix(self, tmp_path):
         # on_limit='raise' must not roll back the open transaction: the
@@ -314,118 +345,3 @@ class TestSqliteShapeFinder:
         ).find_shapes()
         assert pushed == reference
 
-
-class TestSqliteOverlayStore:
-    """The read-only-attach overlay the out-of-core process workers run on."""
-
-    def _base(self, tmp_path):
-        path = str(tmp_path / "base.db")
-        store = SqliteAtomStore(path=path, name="base")
-        store.load_database(parse_database(FACTS))
-        store.flush()
-        return path, store
-
-    def test_base_atoms_read_through_the_overlay(self, tmp_path):
-        path, base = self._base(tmp_path)
-        overlay = SqliteOverlayStore(path)
-        assert overlay.atom_count() == base.atom_count()
-        assert set(overlay.iter_atoms()) == set(base.iter_atoms())
-        assert overlay.predicate_cardinality(R) == base.predicate_cardinality(R)
-        assert set(overlay.atoms_matching(R, {0: Constant("b")})) == set(
-            base.atoms_matching(R, {0: Constant("b")})
-        )
-        overlay.close()
-        base.close()
-
-    def test_overlay_writes_never_touch_the_base_file(self, tmp_path):
-        path, base = self._base(tmp_path)
-        seed_count = base.atom_count()
-        overlay = SqliteOverlayStore(path)
-        delta = Atom(R, (Constant("z"), Null("nz")))
-        assert overlay.add_atom(delta)
-        assert overlay.has_atom(delta)
-        assert overlay.atom_count() == seed_count + 1
-        # Unioned reads cover both sides of the same predicate.
-        assert delta in set(overlay.atoms_with_predicate(R))
-        assert len(set(overlay.atoms_with_predicate(R))) == seed_count + 1
-        overlay.close()
-        base.close()
-        with SqliteAtomStore(path=path) as reopened:
-            assert reopened.atom_count() == seed_count
-            assert not reopened.has_atom(delta)
-
-    def test_add_atom_deduplicates_against_the_base_snapshot(self, tmp_path):
-        path, base = self._base(tmp_path)
-        existing = next(iter(base.iter_atoms()))
-        overlay = SqliteOverlayStore(path)
-        assert not overlay.add_atom(existing)
-        assert overlay.add_atoms([existing, Atom(R, (Constant("q"), Constant("r")))]) == 1
-        assert overlay.atom_count() == base.atom_count() + 1
-        overlay.close()
-        base.close()
-
-    def test_snapshot_isolation_from_coordinator_commits(self, tmp_path):
-        # The coordinator keeps committing merged rounds to the file while
-        # workers run; an overlay opened before those commits must not see
-        # them (the replica semantics the deterministic merge relies on).
-        path, base = self._base(tmp_path)
-        overlay = SqliteOverlayStore(path)
-        late = Atom(R, (Constant("late"), Constant("late")))
-        base.add_atom(late)
-        base.flush()
-        assert not overlay.has_atom(late)
-        assert late not in set(overlay.atoms_with_predicate(R))
-        assert overlay.atom_count() == base.atom_count() - 1
-        # ... but the overlay's own copy of the atom is a fresh delta.
-        assert overlay.add_atom(late)
-        assert overlay.has_atom(late)
-        overlay.close()
-        base.close()
-
-    def test_partitions_cover_both_sides(self, tmp_path):
-        path, base = self._base(tmp_path)
-        overlay = SqliteOverlayStore(path)
-        overlay.add_atom(Atom(R, (Constant("p"), Constant("q"))))
-        everything = set(overlay.atoms_with_predicate(R))
-        seen = []
-        for index in range(3):
-            seen.extend(overlay.atoms_partition(R, (0,), 3, index))
-        assert set(seen) == everything
-        assert len(seen) == len(everything)
-        overlay.close()
-        base.close()
-
-    def test_missing_base_file_raises_storage_error(self, tmp_path):
-        with pytest.raises(StorageError, match="cannot attach base"):
-            SqliteOverlayStore(str(tmp_path / "nowhere" / "base.db"))
-
-    def test_base_path_with_uri_metacharacters(self, tmp_path):
-        # Regression: the read-only ATTACH goes through a file: URI, so a
-        # literal '#', '?', '%', or space in the path must be
-        # percent-encoded or SQLite attaches the wrong file.
-        odd_dir = tmp_path / "odd dir#1 %x?y"
-        odd_dir.mkdir()
-        path = str(odd_dir / "base.db")
-        store = SqliteAtomStore(path=path)
-        store.load_database(parse_database(FACTS))
-        store.flush()
-        overlay = SqliteOverlayStore(path)
-        assert overlay.atom_count() == store.atom_count()
-        overlay.close()
-        store.close()
-
-    def test_parallel_process_chase_over_a_persistent_file_is_identical(self, tmp_path):
-        # The end-to-end overlay path: process workers attach the
-        # coordinator's file read-only, ship zero seed atoms, and the
-        # ChaseResult stays byte-identical to the serial engine's.
-        database, tgds = _program()
-        expected = fingerprint(chase(database, tgds))
-        for materialize in (True, False):
-            store = make_backend_store(f"sqlite:{tmp_path / f'parallel-{materialize}.db'}")
-            result = parallel_chase(
-                database, tgds, workers=3, store=store, executor="process",
-                materialize=materialize,
-            )
-            assert result.is_materialized == materialize
-            assert fingerprint(result) == expected
-            store.close()

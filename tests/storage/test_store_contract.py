@@ -1,16 +1,15 @@
 """Every ``AtomStore`` backend certified against the shared contract.
 
-One subclass per backend (plus the file-backed sqlite variant, whose rows
-survive on disk, and the read-only-attach overlay the parallel chase's
-out-of-core process workers run on) — adding a backend to the system means
-adding a subclass here.  The harness itself lives in
-``tests/storage/store_contract.py``.
+One subclass per backend (plus the file-backed sqlite variants: a fresh
+file, whose rows survive on disk, and a reopened one, the store a resumed
+chase runs on) — adding a backend to the system means adding a subclass
+here.  The harness itself lives in ``tests/storage/store_contract.py``.
 """
 
 from repro.core.instances import Instance
-from repro.storage.sqlbackend import SqliteAtomStore, SqliteOverlayStore
+from repro.storage.sqlbackend import SqliteAtomStore
 
-from tests.storage.store_contract import AtomStoreContract
+from tests.storage.store_contract import EMPTY, NULLARY, AtomStoreContract, R, S
 
 
 class TestInstanceContract(AtomStoreContract):
@@ -28,16 +27,18 @@ class TestSqliteFileContract(AtomStoreContract):
         return SqliteAtomStore(path=str(tmp_path / "contract.db"), name="contract")
 
 
-class TestSqliteOverlayContract(AtomStoreContract):
-    """The overlay store over an (empty) read-only base file.
+class TestSqliteReopenedFileContract(AtomStoreContract):
+    """A file store reopened after an earlier session catalogued the
+    contract's relations and closed with them empty.
 
-    Exercises the overlay's write path end to end: every contract atom
-    lands in the in-memory delta schema while the attached base stays
-    untouched.  The base-union read path is pinned by
-    ``tests/storage/test_sqlite_backend.py::TestSqliteOverlayStore``.
+    The open restores the catalog, zero counts and a zero sequence
+    watermark from disk, as a resumed serial or parallel chase does, and
+    every write and read after it must behave as on a fresh store.
     """
 
     def make_store(self, tmp_path):
-        base_path = str(tmp_path / "overlay-base.db")
-        SqliteAtomStore(path=base_path, name="base").close()
-        return SqliteOverlayStore(base_path, name="contract")
+        path = str(tmp_path / "reopened.db")
+        with SqliteAtomStore(path=path, name="earlier") as earlier:
+            for predicate in (R, S, EMPTY, NULLARY):
+                earlier.create_relation(predicate)
+        return SqliteAtomStore(path=path, name="contract")

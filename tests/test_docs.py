@@ -13,8 +13,10 @@ Three guards:
   and the ``sql`` strategy are gone from the tree and from the documentation;
   so are the ``thread`` executor, the SQLite connection lock and its lint
   rule, the ``relational`` chase backend, the ``naive`` strategy with
-  the ``Trigger`` / ``Substitution`` objects only it built, and the
-  recursive-query tier and parallel worker of ``sql-pushdown``.
+  the ``Trigger`` / ``Substitution`` objects only it built, the
+  recursive-query tier and parallel worker of ``sql-pushdown``, and the
+  SQLite replica kinds with the store-level partition scan and the worker
+  metrics merge.
 """
 
 import importlib
@@ -31,6 +33,7 @@ from repro.chase.engine import BACKENDS
 from repro.chase.matching import STRATEGIES
 from repro.chase.parallel import EXECUTORS
 from repro.cli import _build_parser
+from repro.storage.atom_store import AtomStore
 from repro.storage.database import RelationalDatabase
 from tools.reprolint.checkers import ALL_CHECKERS
 
@@ -185,3 +188,20 @@ class TestRetiredEstate:
             if banned in text.lower()
         ]
         assert not offenders, offenders
+
+    def test_one_replica_kind(self):
+        offenders = [
+            f"{path}: {banned}"
+            for path, text in _text_files("src", "tools")
+            for banned in (
+                "SqliteOverlayStore", "atoms_partition", "repro_partition",
+                "atom_partition_of", "merge_snapshot", "store_spec",
+            )
+            if banned in text
+        ]
+        assert not offenders, offenders
+        assert {name for name in vars(AtomStore) if not name.startswith("_")} == {
+            "add_rows", "has_row", "rows_matching", "add_atom", "has_atom", "iter_atoms",
+            "atom_count", "atoms_with_predicate", "atoms_matching", "predicate_cardinality",
+            "predicates",
+        }

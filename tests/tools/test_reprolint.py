@@ -295,13 +295,13 @@ class TestProcessBoundary:
         )
         assert rules_of(report) == ["process-boundary"]
 
-    def test_spec_tuples_and_plain_messages_pass(self, tmp_path):
+    def test_plain_tuple_messages_pass(self, tmp_path):
         report = lint_snippet(
             tmp_path,
             "chase/parallel.py",
             """
-            def seed(conn, store_spec, atoms, items):
-                conn.send(("seed", store_spec))
+            def seed(conn, fresh, runs, atoms, items):
+                conn.send(("seed", fresh, runs))
                 conn.send(("delta", atoms, items))
                 conn.send(("stop",))
             """,
@@ -313,8 +313,8 @@ class TestProcessBoundary:
             tmp_path,
             "chase/parallel.py",
             """
-            def spawn(worker_main, child_conn, store_spec):
-                return Process(target=worker_main, args=(child_conn, store_spec))
+            def spawn(worker_main, child_conn, worker_id):
+                return Process(target=worker_main, args=(child_conn, worker_id))
             """,
         )
         assert clean.ok

@@ -4,17 +4,16 @@
 (``conn.send(...)``, or the process pool's ``self._send(worker_id, ...)``
 wrapper that maps a dead pipe to the documented error), pool submissions
 (``pool.submit(fn, *args)``), and the ``Process(target=..., args=(...))``
-constructor.  PR 5 deliberately made every crossing zero-pickle-weight: store
-*specs* (tuples of strings) travel, live stores do not.  This checker keeps
-unpicklables out of those crossings:
+constructor.  No live store ever crosses: a worker builds its own in-memory
+replica from the rows streamed to it.  This checker keeps unpicklables out
+of those crossings:
 
 * ``lambda`` and generator expressions anywhere in a payload — both fail to
   pickle at runtime, but only when that code path fires under the process
   pool (the in-process pool masks the bug).
 * Names or attributes that look like live handles: ``*store``, ``*pool``,
   ``*lock``, ``*conn``/``*connection``, ``*cursor``.  The designed
-  exceptions: ``store_spec`` (the picklable description of a store) is
-  allowlisted everywhere, and connection-suffixed names are allowed inside
+  exception: connection-suffixed names are allowed inside
   ``Process(args=...)`` because handing the child its pipe end through
   process inheritance is exactly how the pipe is established.
 * A ``lambda`` as the callable of ``submit`` (bound methods and functions
@@ -41,8 +40,6 @@ BANNED_SUFFIXES: Tuple[str, ...] = (
     "connection",
     "cursor",
 )
-#: Names that end with a banned suffix but are picklable by design.
-ALLOWLIST = frozenset({"store_spec", "spec"})
 #: Suffixes additionally allowed inside ``Process(args=...)``: the child's
 #: pipe end is *meant* to cross via fork/spawn inheritance.
 PROCESS_ARG_ALLOWED_SUFFIXES: Tuple[str, ...] = ("conn", "connection")
@@ -55,8 +52,6 @@ ROUTING_ALLOWLIST = frozenset({"heavy_routes", "routes"})
 
 def _handle_suffix(name: str, allowed: Tuple[str, ...] = ()) -> Optional[str]:
     lowered = name.lower()
-    if lowered in ALLOWLIST:
-        return None
     for suffix in BANNED_SUFFIXES:
         if lowered == suffix or lowered.endswith("_" + suffix) or lowered.endswith(suffix):
             if suffix in allowed:
@@ -176,8 +171,8 @@ class ProcessBoundaryChecker(Checker):
                             module,
                             node,
                             f"name '{node.id}' (suffix '{suffix}') inside a "
-                            f"{crossing} payload looks like a live handle; send a "
-                            "picklable spec (cf. store_spec) and rebuild the "
+                            f"{crossing} payload looks like a live handle; send "
+                            "plain values (rows, int frames) and rebuild the "
                             "handle inside the worker",
                         )
                     )
@@ -204,8 +199,8 @@ class ProcessBoundaryChecker(Checker):
                             node,
                             f"attribute '.{node.attr}' (suffix '{suffix}') inside "
                             f"a {crossing} payload looks like a live handle; send "
-                            "a picklable spec and rebuild the handle inside the "
-                            "worker",
+                            "plain values (rows, int frames) and rebuild the "
+                            "handle inside the worker",
                         )
                     )
                     continue
