@@ -41,7 +41,7 @@ Examples
     repro-experiments run table2 --csv table2.csv
     repro-experiments sweep --preset smoke --workers 4 --checkpoint sweep.jsonl
     repro-experiments sweep --kinds l --from-scratch --csv sweep.csv
-    repro-experiments sweep --kinds chase --chase-workers 4 --chase-backend sqlite
+    repro-experiments sweep --kinds sl --workers 2 --limit 3 --checkpoint sl.jsonl
     repro-experiments fuzz --time-budget 30 --corpus tests/regressions/corpus
     repro-experiments fuzz --replay tests/regressions/corpus
     repro-experiments fuzz --max-cases 20 --families heavy_skew,null_churn --seed 7
@@ -55,7 +55,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from .chase.engine import BACKENDS, chase, make_backend_store
+from .chase.engine import chase, make_backend_store
 from .chase.matching import STRATEGIES
 from .chase.exchange import EXCHANGES
 from .chase.parallel import EXECUTORS
@@ -194,24 +194,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--kinds",
         default=",".join(SWEEP_KINDS),
-        help="comma-separated workload kinds: sl, l, chase (default: all)",
-    )
-    sweep.add_argument(
-        "--chase-workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="parallel-chase workers per 'chase' task; aggregate tables are "
-        "identical for every N (raw rows keep the timing and worker count) "
-        "(default: 1)",
-    )
-    sweep.add_argument(
-        "--chase-backend",
-        choices=BACKENDS,
-        default="instance",
-        help="store backend for 'chase' tasks; like --chase-workers it is an "
-        "execution knob that never changes the aggregate tables "
-        "(default: instance)",
+        help="comma-separated workload kinds: sl (Section 7's simple-linear "
+        "grid), l (Section 8's linear prefix-view ladder) (default: both)",
     )
     sweep.add_argument(
         "--checkpoint",
@@ -516,9 +500,6 @@ def _command_sweep(args) -> int:
     if args.workers < 1:
         print("--workers must be >= 1", file=sys.stderr)
         return 2
-    if args.chase_workers < 1:
-        print("--chase-workers must be >= 1", file=sys.stderr)
-        return 2
     if args.limit is not None and args.limit < 1:
         print("--limit must be >= 1", file=sys.stderr)
         return 2
@@ -539,8 +520,6 @@ def _command_sweep(args) -> int:
             incremental=not args.from_scratch,
             max_tasks=args.limit,
             progress=print,
-            chase_workers=args.chase_workers,
-            chase_backend=args.chase_backend,
             tracer=tracer,
         )
     except ExperimentConfigError as error:

@@ -22,13 +22,11 @@ Figure map
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from ..core.parser import parse_rules
-from ..graph.tarjan import find_special_sccs
 from ..obs.clock import perf_counter_s
-from ..simplification.dynamic import dynamic_simplification
 from ..storage.shape_finder import InDatabaseShapeFinder, InMemoryShapeFinder
+from ..termination.linear import is_chase_finite_l
 from ..termination.simple_linear import is_chase_finite_sl
 from .config import DEFAULT, ExperimentConfig
 from .workloads import (
@@ -79,33 +77,26 @@ def figure1(config: ExperimentConfig = DEFAULT) -> List[Row]:
 # Section 8 — linear TGDs: shared measurement helper
 
 
-def _measure_db_independent(rule_set: LinearRuleSet, shapes) -> Row:
-    """Measure the db-independent component for one (rule set, shape set) pair."""
-    start = perf_counter_s()
-    tgds = parse_rules(rule_set.rules_text)
-    t_parse = perf_counter_s() - start
+def _measure_db_independent(rule_set: LinearRuleSet, restricted) -> Row:
+    """Measure the db-independent component for one (rule set, view) pair.
 
-    start = perf_counter_s()
-    simplification = dynamic_simplification(shapes, tgds)
-    graph = simplification.dependency_graph()
-    t_graph = perf_counter_s() - start
-
-    start = perf_counter_s()
-    special = find_special_sccs(graph)
-    t_comp = perf_counter_s() - start
-
+    ``t_total`` is the report's db-independent component: FindShapes runs
+    inside the check but is not part of these figures.
+    """
+    report = is_chase_finite_l(InMemoryShapeFinder(restricted), rule_set.rules_text)
+    statistics, timings = report.statistics, report.timings
     return {
         "predicate_profile": rule_set.profile.predicates.label,
         "tgd_profile": rule_set.profile.tgds.label,
-        "n_rules": len(tgds),
-        "n_shapes": len(shapes),
-        "n_simplified_rules": simplification.rule_count,
-        "n_edges": graph.edge_count(),
-        "finite": not special,
-        "t_parse": t_parse,
-        "t_graph": t_graph,
-        "t_comp": t_comp,
-        "t_total": t_parse + t_graph + t_comp,
+        "n_rules": statistics["n_rules"],
+        "n_shapes": statistics["n_initial_shapes"],
+        "n_simplified_rules": statistics["n_simplified_rules"],
+        "n_edges": statistics["n_edges"],
+        "finite": report.finite,
+        "t_parse": timings.t_parse,
+        "t_graph": timings.t_graph,
+        "t_comp": timings.t_comp,
+        "t_total": timings.db_independent,
     }
 
 
@@ -128,8 +119,7 @@ def figure_db_independent_vs_size(config: ExperimentConfig = DEFAULT) -> List[Ro
     """
     rows: List[Row] = []
     for rule_set, view, restricted in _linear_grid(config):
-        shapes = InMemoryShapeFinder(restricted).find_shapes()
-        row = _measure_db_independent(rule_set, shapes)
+        row = _measure_db_independent(rule_set, restricted)
         row.update(
             {
                 "figure": "figure_db_independent_vs_size",
@@ -204,8 +194,7 @@ def _figure_db_independent_for_profile(
     for rule_set, view, restricted in _linear_grid(config):
         if rule_set.profile.predicates.label != profile_label:
             continue
-        shapes = InMemoryShapeFinder(restricted).find_shapes()
-        row = _measure_db_independent(rule_set, shapes)
+        row = _measure_db_independent(rule_set, restricted)
         row.update(
             {
                 "figure": figure,
@@ -242,17 +231,15 @@ def figure_edges(config: ExperimentConfig = DEFAULT) -> List[Row]:
     largest = views[-1]
     for rule_set in linear_rule_sets(config):
         restricted = restrict_view_to_rules(largest, rule_set.tgds)
-        shapes = InMemoryShapeFinder(restricted).find_shapes()
-        simplification = dynamic_simplification(shapes, rule_set.tgds)
-        graph = simplification.dependency_graph()
+        statistics = is_chase_finite_l(InMemoryShapeFinder(restricted), rule_set.tgds).statistics
         rows.append(
             {
                 "figure": "figure_edges",
                 "predicate_profile": rule_set.profile.predicates.label,
                 "tgd_profile": rule_set.profile.tgds.label,
                 "n_rules": rule_set.n_rules,
-                "n_edges": graph.edge_count(),
-                "n_special_edges": graph.special_edge_count(),
+                "n_edges": statistics["n_edges"],
+                "n_special_edges": statistics["n_special_edges"],
             }
         )
     return rows

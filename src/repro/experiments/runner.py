@@ -37,9 +37,6 @@ from concurrent import futures
 from dataclasses import asdict, dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..chase.engine import BACKENDS
-from ..chase.parallel import parallel_chase
-from ..chase.result import ChaseLimits
 from ..exceptions import ExperimentConfigError
 from ..obs.clock import perf_counter_s
 from ..obs.tracer import AnyTracer, as_tracer
@@ -50,7 +47,6 @@ from ..termination.simple_linear import is_chase_finite_sl
 from .config import ExperimentConfig
 from .reporting import format_table, group_mean
 from .workloads import (
-    build_chase_database,
     build_dstar,
     build_linear_rule_set,
     build_simple_linear_workload,
@@ -64,21 +60,13 @@ Row = Dict[str, object]
 #: Checkpoint format version (bumped on incompatible record changes).
 CHECKPOINT_VERSION = 1
 
-#: The workload kinds a sweep can cover: the simple-linear grid, the linear
-#: prefix-view ladder, and the chase-materialization workload (one parallel
-#: chase per generated linear rule set).
-SWEEP_KINDS = ("sl", "l", "chase")
+#: The workload kinds a sweep can cover: the simple-linear grid (Section 7)
+#: and the linear prefix-view ladder (Section 8).
+SWEEP_KINDS = ("sl", "l")
 
-#: Budget for ``chase`` sweep tasks: generated linear rule sets may chase
-#: forever, so every task runs under the same fixed, config-independent cap
-#: (capped tasks still yield deterministic rows — the breadth-first prefix
-#: of the chase is unique).
-CHASE_TASK_LIMITS = ChaseLimits(max_atoms=2_000, max_rounds=20)
-
-#: Row columns that are deterministic given the configuration (no timings,
-#: no worker counts).  Aggregate tables are built from these only, which is
-#: what makes resumed sweeps byte-identical to uninterrupted ones — and
-#: chase rows byte-identical across ``--chase-workers`` settings.
+#: Row columns that are deterministic given the configuration (no timings).
+#: Aggregate tables are built from these only, which is what makes resumed
+#: sweeps byte-identical to uninterrupted ones.
 DETERMINISTIC_COLUMNS = (
     "task_id",
     "kind",
@@ -90,11 +78,6 @@ DETERMINISTIC_COLUMNS = (
     "n_simplified_rules",
     "n_edges",
     "finite",
-    "terminated",
-    "rounds",
-    "atoms_created",
-    "triggers_fired",
-    "instance_size",
 )
 
 
@@ -103,9 +86,7 @@ class SweepTask:
     """One unit of sweep work: a cell of the workload grid, named by indices.
 
     ``sl`` tasks run ``IsChaseFinite[SL]`` on one generated workload; ``l``
-    tasks sweep one linear rule set across every ``D*`` prefix view;
-    ``chase`` tasks materialise one linear rule set over its ``D*`` slice
-    with the (optionally parallel) chase.
+    tasks sweep one linear rule set across every ``D*`` prefix view.
     """
 
     kind: str
@@ -135,7 +116,6 @@ def plan_sweep(config: ExperimentConfig, kinds: Sequence[str] = SWEEP_KINDS) -> 
             raise ExperimentConfigError(
                 f"unknown sweep kind {kind!r}; expected a subset of {SWEEP_KINDS}"
             )
-        # "l" and "chase" draw the same rule sets, so they share the knob.
         samples = config.sets_per_profile_sl if kind == "sl" else config.sets_per_profile_l
         for profile_index in range(len(profiles)):
             for sample_index in range(samples):
@@ -167,50 +147,37 @@ class _WorkerState:
     are scanned at most once per process no matter how many rule sets run.
     """
 
-    def __init__(
-        self,
-        config: ExperimentConfig,
-        kinds: Sequence[str],
-        incremental: bool,
-        chase_workers: int = 1,
-        chase_backend: str = "instance",
-    ):
+    def __init__(self, config: ExperimentConfig, kinds: Sequence[str], incremental: bool):
         self.config = config
         self.incremental = incremental
-        self.chase_workers = chase_workers
-        self.chase_backend = chase_backend
         self.schema = global_schema(config)
-        self.store = None
         self.views = None
         self.finder = None
-        if "l" in kinds or "chase" in kinds:
-            self.store = build_dstar(config)
         if "l" in kinds:
-            self.views = dstar_views(config, self.store)
-            self.finder = DeltaShapeFinder(self.store)
+            store = build_dstar(config)
+            self.views = dstar_views(config, store)
+            self.finder = DeltaShapeFinder(store)
 
 
 _WORKER_STATE: Optional[_WorkerState] = None
 
 
-def _init_worker(
-    config: ExperimentConfig,
-    kinds: Sequence[str],
-    incremental: bool,
-    chase_workers: int,
-    chase_backend: str,
-) -> None:
+def _init_worker(config: ExperimentConfig, kinds: Sequence[str], incremental: bool) -> None:
     global _WORKER_STATE
-    _WORKER_STATE = _WorkerState(config, kinds, incremental, chase_workers, chase_backend)
+    _WORKER_STATE = _WorkerState(config, kinds, incremental)
+
+
+def _run_task(state: _WorkerState, task: SweepTask) -> Tuple[str, List[Row], float]:
+    """Execute one task; elapsed is measured here so the checkpoint records
+    task cost, not queue wait."""
+    start = perf_counter_s()
+    rows = _execute_task(state, task)
+    return task.task_id, rows, perf_counter_s() - start
 
 
 def _run_task_in_worker(task: SweepTask) -> Tuple[str, List[Row], float]:
-    """Execute one task in a pool worker; elapsed is measured here so the
-    checkpoint records task cost, not queue wait."""
     assert _WORKER_STATE is not None, "worker initializer did not run"
-    start = perf_counter_s()
-    rows = _execute_task(_WORKER_STATE, task)
-    return task.task_id, rows, perf_counter_s() - start
+    return _run_task(_WORKER_STATE, task)
 
 
 # --------------------------------------------------------------------------- #
@@ -219,8 +186,6 @@ def _run_task_in_worker(task: SweepTask) -> Tuple[str, List[Row], float]:
 def _execute_task(state: _WorkerState, task: SweepTask) -> List[Row]:
     if task.kind == "sl":
         return _execute_sl_task(state, task)
-    if task.kind == "chase":
-        return _execute_chase_task(state, task)
     return _execute_linear_task(state, task)
 
 
@@ -243,53 +208,6 @@ def _execute_sl_task(state: _WorkerState, task: SweepTask) -> List[Row]:
             "t_graph": timings.t_graph,
             "t_comp": timings.t_comp,
             "t_total": timings.t_total,
-        }
-    ]
-
-
-def _execute_chase_task(state: _WorkerState, task: SweepTask) -> List[Row]:
-    """Materialise one generated linear rule set over its ``D*`` slice.
-
-    Every deterministic column is independent of ``chase_workers`` — the
-    parallel executor's determinism guarantee — so aggregate tables from
-    sweeps run with different worker counts are byte-identical (the raw
-    row keeps the timing and the worker count for observability).
-    """
-    rule_set = build_linear_rule_set(
-        state.config, task.profile_index, task.sample_index, schema=state.schema
-    )
-    database = build_chase_database(state.config, state.store, rule_set.tgds)
-    start = perf_counter_s()
-    # Each task builds (and discards) its own store, so pooled sweeps hold
-    # one connection per worker process — SQLite connections never cross
-    # process boundaries.
-    # materialize=False: the row only needs counts, which the lazy result
-    # reads straight from the store — no fixpoint is decoded into RAM.
-    result = parallel_chase(
-        database,
-        rule_set.tgds,
-        workers=state.chase_workers,
-        limits=CHASE_TASK_LIMITS,
-        backend=state.chase_backend,
-        materialize=False,
-    )
-    elapsed = perf_counter_s() - start
-    return [
-        {
-            "task_id": task.task_id,
-            "kind": "chase",
-            "predicate_profile": rule_set.profile.predicates.label,
-            "tgd_profile": rule_set.profile.tgds.label,
-            "n_rules": rule_set.n_rules,
-            "n_database_atoms": len(database),
-            "terminated": result.terminated,
-            "rounds": result.rounds,
-            "atoms_created": result.atoms_created,
-            "triggers_fired": result.triggers_fired,
-            "instance_size": result.size(),
-            "chase_workers": state.chase_workers,
-            "chase_backend": state.chase_backend,
-            "t_chase": elapsed,
         }
     ]
 
@@ -434,8 +352,6 @@ def run_sweep(
     incremental: bool = True,
     max_tasks: Optional[int] = None,
     progress: Optional[Callable[[str], None]] = None,
-    chase_workers: int = 1,
-    chase_backend: str = "instance",
     tracer: Optional[AnyTracer] = None,
 ) -> SweepResult:
     """Run (or resume) a workload sweep and return its rows in plan order.
@@ -443,7 +359,7 @@ def run_sweep(
     Parameters
     ----------
     kinds:
-        Which workload grids to cover: ``"sl"``, ``"l"``, and/or ``"chase"``.
+        Which workload grids to cover: ``"sl"`` and/or ``"l"``.
     workers:
         Process-pool size; ``1`` executes in-process (no pool).
     checkpoint_path:
@@ -459,21 +375,6 @@ def run_sweep(
         sweep; the checkpoint stays valid for resumption).
     progress:
         Optional callable receiving one human-readable line per event.
-    chase_workers:
-        Per-task worker count for ``chase`` tasks (the hash-partitioned
-        parallel chase).  An execution knob like *workers*: it changes a
-        row's timing and recorded worker count but never its
-        :data:`DETERMINISTIC_COLUMNS`, so it does not enter the checkpoint
-        fingerprint and a checkpoint may be resumed under a different
-        setting with byte-identical aggregate tables.
-    chase_backend:
-        Store backend for ``chase`` tasks (one of
-        :data:`~repro.chase.engine.BACKENDS`; ``"sqlite"`` chases each task
-        into a transient per-worker SQLite database).  Another execution
-        knob: the cross-backend conformance guarantee keeps every
-        deterministic column identical, so it stays out of the fingerprint
-        too.  Persistent ``sqlite:<path>`` specs are rejected — pooled
-        workers must not share one database file.
     tracer:
         A :class:`repro.obs.Tracer` (or ``None``).  When given, the sweep
         emits ``sweep_start``, one ``sweep_task`` per task (resumed tasks
@@ -482,13 +383,6 @@ def run_sweep(
     """
     if workers < 1:
         raise ExperimentConfigError("workers must be >= 1")
-    if chase_workers < 1:
-        raise ExperimentConfigError("chase_workers must be >= 1")
-    if chase_backend not in BACKENDS:
-        raise ExperimentConfigError(
-            f"chase_backend must be one of {BACKENDS}, got {chase_backend!r} "
-            "(persistent sqlite:<path> stores cannot be shared by sweep workers)"
-        )
     kinds = tuple(dict.fromkeys(kinds))
     tasks = plan_sweep(config, kinds)
     fingerprint = sweep_fingerprint(config, kinds, incremental)
@@ -536,53 +430,39 @@ def run_sweep(
 
     start = perf_counter_s()
     fresh: Dict[str, List[Row]] = {}
+
+    def finish(task_id: str, rows: List[Row], task_elapsed: float) -> None:
+        rows = _json_roundtrip(rows)
+        fresh[task_id] = rows
+        if handle is not None:
+            _append_checkpoint(handle, task_id, rows, task_elapsed)
+        if traced:
+            active_tracer.emit(
+                "sweep_task",
+                task_id=task_id,
+                kind=kind_of[task_id],
+                rows=len(rows),
+                resumed=False,
+                dur=round(task_elapsed, 9),
+            )
+        note(f"done {task_id} ({len(rows)} rows)")
+
     try:
         if not pending:
             pass  # fully resumed: nothing to build, nothing to run
         elif workers == 1:
-            state = _WorkerState(
-                config, pending_kinds, incremental, chase_workers, chase_backend
-            )
+            state = _WorkerState(config, pending_kinds, incremental)
             for task in pending:
-                task_start = perf_counter_s()
-                rows = _json_roundtrip(_execute_task(state, task))
-                task_elapsed = perf_counter_s() - task_start
-                fresh[task.task_id] = rows
-                if handle is not None:
-                    _append_checkpoint(handle, task.task_id, rows, task_elapsed)
-                if traced:
-                    active_tracer.emit(
-                        "sweep_task",
-                        task_id=task.task_id,
-                        kind=task.kind,
-                        rows=len(rows),
-                        resumed=False,
-                        dur=round(task_elapsed, 9),
-                    )
-                note(f"done {task.task_id} ({len(rows)} rows)")
+                finish(*_run_task(state, task))
         else:
             with futures.ProcessPoolExecutor(
                 max_workers=workers,
                 initializer=_init_worker,
-                initargs=(config, pending_kinds, incremental, chase_workers, chase_backend),
+                initargs=(config, pending_kinds, incremental),
             ) as pool:
                 submitted = [pool.submit(_run_task_in_worker, task) for task in pending]
                 for future in futures.as_completed(submitted):
-                    task_id, rows, task_elapsed = future.result()
-                    rows = _json_roundtrip(rows)
-                    fresh[task_id] = rows
-                    if handle is not None:
-                        _append_checkpoint(handle, task_id, rows, task_elapsed)
-                    if traced:
-                        active_tracer.emit(
-                            "sweep_task",
-                            task_id=task_id,
-                            kind=kind_of[task_id],
-                            rows=len(rows),
-                            resumed=False,
-                            dur=round(task_elapsed, 9),
-                        )
-                    note(f"done {task_id} ({len(rows)} rows)")
+                    finish(*future.result())
     finally:
         if handle is not None:
             handle.close()
@@ -661,14 +541,6 @@ def sweep_summary(rows: Iterable[Row]) -> str:
         parts.append(
             format_table(aggregated, title="sweep[l] (means per profile and view size)")
         )
-    chase_rows = [row for row in rows if row.get("kind") == "chase"]
-    if chase_rows:
-        aggregated = group_mean(
-            chase_rows,
-            ("predicate_profile", "tgd_profile"),
-            ("n_rules", "terminated", "rounds", "atoms_created", "triggers_fired", "instance_size"),
-        )
-        parts.append(format_table(aggregated, title="sweep[chase] (means per profile)"))
     if not parts:
         return "(no rows)"
     return "\n\n".join(parts)

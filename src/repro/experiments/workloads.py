@@ -219,27 +219,6 @@ def restrict_view_to_rules(view: PrefixView, tgds: TGDSet) -> PrefixView:
     return view.restricted_to(tgds.schema().predicates)
 
 
-def build_chase_database(
-    config: ExperimentConfig, store: RelationalDatabase, tgds: TGDSet
-) -> Database:
-    """Build the fact set a ``chase`` sweep task runs on.
-
-    The middle rung of the ``D*`` prefix ladder, restricted to ``sch(Σ)`` —
-    big enough that the chase does real join work, small enough for the
-    sweep's per-task budget.  Purely a deterministic function of the
-    configuration and the rule set, like every other workload builder.
-    """
-    sizes = config.database_sizes()
-    limit = sizes[len(sizes) // 2]
-    visible = {predicate.name for predicate in tgds.schema().predicates}
-    database = Database()
-    for relation in store.relations():
-        if relation.name in visible:
-            for atom in relation.atoms(limit=limit):
-                database.add(atom)
-    return database
-
-
 def dstar_views(config: ExperimentConfig, store: Optional[RelationalDatabase] = None) -> List[PrefixView]:
     """Return the prefix views of ``D*`` (one per configured database size)."""
     if store is None:

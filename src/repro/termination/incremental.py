@@ -10,12 +10,14 @@ three inclusions:
   scans only the rows beyond the previous view's offset and unions with the
   cached shape set;
 * **t-graph** — the ``simple_D(Σ)`` fixpoint of view ``i`` seeds Algorithm
-  2's frontier for view ``i+1`` (:func:`resume_dynamic_simplification`), and
+  2's frontier for view ``i+1`` (``is_chase_finite_l(..., resume=...)``), and
   only the newly derived simplified rules add edges to the dependency graph;
 * **t-comp** — the special-SCC search is re-run on the extended graph (it is
   the cheapest step; the paper's Table 2 shows it is negligible).
 
-The produced verdicts, shape sets, and dependency graphs are identical to
+The checker itself is only the ascending-order guard around one
+:func:`~repro.termination.linear.is_chase_finite_l` call per view.  The
+produced verdicts, shape sets, and dependency graphs are identical to
 from-scratch runs — ``tests/termination/test_incremental.py`` proves this
 differentially on iBench/LUBM/Deep-derived workloads and on the synthetic
 ``D*`` grid.
@@ -23,19 +25,16 @@ differentially on iBench/LUBM/Deep-derived workloads and on the synthetic
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Optional, Union
 
 from ..core.parser import parse_rules
 from ..core.tgds import TGDSet
 from ..graph.dependency_graph import DependencyGraph
-from ..graph.tarjan import find_special_sccs
-from ..simplification.dynamic import (
-    DynamicSimplificationResult,
-    dynamic_simplification,
-    resume_dynamic_simplification,
-)
+from ..simplification.dynamic import DynamicSimplificationResult
 from ..storage.shape_finder import DeltaShapeFinder
-from .report import Stopwatch, TerminationReport, TimingBreakdown
+from .linear import is_chase_finite_l
+from .report import TerminationReport
 
 
 class IncrementalLinearChecker:
@@ -101,38 +100,9 @@ class IncrementalLinearChecker:
                 f"{limit} after {self._last_limit} (use a fresh checker per ladder)"
             )
         self._last_limit = effective
-        stopwatch = Stopwatch()
-
-        with stopwatch.measure("t_shapes"):
-            shapes = self._finder.shapes_for(view)
-
-        with stopwatch.measure("t_graph"):
-            if self._simplification is None:
-                simplification = dynamic_simplification(shapes, self._tgds)
-            else:
-                simplification = resume_dynamic_simplification(
-                    self._simplification, shapes, self._tgds
-                )
-            self._simplification = simplification
-            graph = simplification.dependency_graph()
-
-        with stopwatch.measure("t_comp"):
-            special_sccs = find_special_sccs(graph)
-            finite = not special_sccs
-
-        return TerminationReport(
-            finite=finite,
-            algorithm="IsChaseFinite[L]",
-            timings=TimingBreakdown.from_stopwatch(stopwatch),
-            statistics={
-                "n_rules": len(self._tgds),
-                "n_simplified_rules": simplification.rule_count,
-                "n_initial_shapes": len(shapes),
-                "n_derived_shapes": len(simplification.derived_shapes),
-                "n_iterations": simplification.iterations,
-                "n_nodes": len(graph),
-                "n_edges": graph.edge_count(),
-                "n_special_edges": graph.special_edge_count(),
-                "n_special_sccs": len(special_sccs),
-            },
-        )
+        # The delta finder's scan of *view* is the shape source, so t-shapes
+        # times it.
+        source = SimpleNamespace(find_shapes=lambda: self._finder.shapes_for(view))
+        report = is_chase_finite_l(source, self._tgds, resume=self._simplification)
+        self._simplification = report.simplification
+        return report

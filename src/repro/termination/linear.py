@@ -24,28 +24,27 @@ from typing import Optional, Union
 from ..core.parser import parse_rules
 from ..core.tgds import TGDSet
 from ..graph.tarjan import find_special_sccs
-from ..simplification.dynamic import dynamic_simplification
+from ..simplification.dynamic import (
+    DynamicSimplificationResult,
+    dynamic_simplification,
+    resume_dynamic_simplification,
+)
 from ..simplification.shapes import resolve_shapes
 from .report import Stopwatch, TerminationReport, TimingBreakdown
-
-
-def _find_shapes(shape_source, stopwatch: Stopwatch):
-    """Resolve the shape source and measure ``t-shapes``.
-
-    Resolution is delegated to
-    :func:`repro.simplification.shapes.resolve_shapes` — the same helper
-    dynamic simplification uses — so a given input takes the same path no
-    matter the entry point.
-    """
-    with stopwatch.measure("t_shapes"):
-        return resolve_shapes(shape_source)
 
 
 def is_chase_finite_l(
     shape_source,
     tgds: Union[TGDSet, str],
+    *,
+    resume: Optional[DynamicSimplificationResult] = None,
 ) -> TerminationReport:
     """Run ``IsChaseFinite[L]`` and return a :class:`TerminationReport`.
+
+    This is the one implementation of the pipeline and of its timings: the
+    experiment runners, the sweep and
+    :class:`~repro.termination.incremental.IncrementalLinearChecker` all
+    call it and read the report.
 
     Parameters
     ----------
@@ -53,10 +52,20 @@ def is_chase_finite_l(
         The database ``D`` (a :class:`~repro.core.instances.Database`), a
         shape finder exposing ``find_shapes()`` (see
         :mod:`repro.storage.shape_finder`), or a pre-computed iterable of
-        :class:`~repro.simplification.shapes.Shape`.
+        :class:`~repro.simplification.shapes.Shape`.  Resolution is
+        delegated to :func:`repro.simplification.shapes.resolve_shapes`, so
+        a given input takes the same path no matter the entry point.
     tgds:
         The set ``Σ`` of linear TGDs, or the text of a rule program (parsing
         is then measured as ``t-parse``).
+    resume:
+        The ``simplification`` of a previous report for the same ``Σ`` whose
+        shapes are a subset of this source's (a smaller prefix view).
+        Algorithm 2 then continues from that fixpoint
+        (:func:`~repro.simplification.dynamic.resume_dynamic_simplification`)
+        instead of starting over; the verdict and every statistic except
+        ``n_iterations`` (which counts only the resumed iterations) equal a
+        from-scratch run's.
     """
     stopwatch = Stopwatch()
 
@@ -65,10 +74,14 @@ def is_chase_finite_l(
             tgds = parse_rules(tgds)
     tgds.require_linear()
 
-    shapes = _find_shapes(shape_source, stopwatch)
+    with stopwatch.measure("t_shapes"):
+        shapes = resolve_shapes(shape_source)
 
     with stopwatch.measure("t_graph"):
-        simplification = dynamic_simplification(shapes, tgds)
+        if resume is None:
+            simplification = dynamic_simplification(shapes, tgds)
+        else:
+            simplification = resume_dynamic_simplification(resume, shapes, tgds)
         graph = simplification.dependency_graph()
 
     with stopwatch.measure("t_comp"):
@@ -90,4 +103,5 @@ def is_chase_finite_l(
             "n_special_edges": graph.special_edge_count(),
             "n_special_sccs": len(special_sccs),
         },
+        simplification=simplification,
     )

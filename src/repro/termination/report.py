@@ -19,9 +19,12 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from ..obs.clock import perf_counter_s
+
+if TYPE_CHECKING:
+    from ..simplification.dynamic import DynamicSimplificationResult
 
 
 class Stopwatch:
@@ -116,12 +119,19 @@ class TerminationReport:
         The per-phase timing breakdown.
     statistics:
         Free-form integer statistics (graph sizes, shape counts, ...).
+    simplification:
+        ``IsChaseFinite[L]`` only: the ``simple_D(Σ)`` state behind the
+        verdict, which a later call can continue from (``resume=``).  It
+        takes no part in equality or ``repr``.
     """
 
     finite: bool
     algorithm: str
     timings: TimingBreakdown = field(default_factory=TimingBreakdown)
     statistics: Dict[str, int] = field(default_factory=dict)
+    simplification: Optional["DynamicSimplificationResult"] = field(
+        default=None, compare=False, repr=False
+    )
 
     def __bool__(self) -> bool:
         return self.finite

@@ -8,6 +8,7 @@ from repro.exceptions import ExperimentConfigError
 from repro.experiments.config import SMOKE, ExperimentConfig
 from repro.experiments.runner import (
     DETERMINISTIC_COLUMNS,
+    SWEEP_KINDS,
     SweepTask,
     load_checkpoint,
     plan_sweep,
@@ -35,11 +36,10 @@ def _deterministic(rows):
 class TestPlan:
     def test_plan_covers_the_grid_in_order(self):
         tasks = plan_sweep(SMOKE)
-        # "chase" draws the same rule sets as "l", so it shares its knob.
-        assert len(tasks) == 9 * (SMOKE.sets_per_profile_sl + 2 * SMOKE.sets_per_profile_l)
+        assert len(tasks) == 9 * (SMOKE.sets_per_profile_sl + SMOKE.sets_per_profile_l)
         ids = [task.task_id for task in tasks]
         assert len(set(ids)) == len(ids)
-        assert tasks[0].kind == "sl" and tasks[-1].kind == "chase"
+        assert tasks[0].kind == "sl" and tasks[-1].kind == "l"
         assert ids == [task.task_id for task in plan_sweep(SMOKE)]
 
     def test_unknown_kind_rejected(self):
@@ -123,7 +123,7 @@ class TestCheckpointResume:
         run_sweep(TINY, workers=1, checkpoint_path=checkpoint, max_tasks=3)
         content = checkpoint.read_text()
         checkpoint.write_text(content + '{"task_id": "l:p0:s0", "rows": [tru')
-        fingerprint = sweep_fingerprint(TINY, ("sl", "l", "chase"), True)
+        fingerprint = sweep_fingerprint(TINY, SWEEP_KINDS, True)
         completed = load_checkpoint(checkpoint, fingerprint)
         assert len(completed) == 3
         resumed = run_sweep(TINY, workers=1, checkpoint_path=checkpoint)
@@ -137,7 +137,7 @@ class TestCheckpointResume:
         with open(checkpoint, "a", encoding="utf-8") as handle:
             handle.write('{"task_id": "l:p0:s0", "rows": [tru')  # no newline
         run_sweep(TINY, workers=1, checkpoint_path=checkpoint, max_tasks=2)
-        fingerprint = sweep_fingerprint(TINY, ("sl", "l", "chase"), True)
+        fingerprint = sweep_fingerprint(TINY, SWEEP_KINDS, True)
         assert len(load_checkpoint(checkpoint, fingerprint)) == 4
         for line in checkpoint.read_text().splitlines():
             json.loads(line)  # every line is valid JSON
@@ -174,44 +174,6 @@ class TestCheckpointResume:
         pooled = run_sweep(TINY, workers=2, checkpoint_path=checkpoint)
         assert pooled.finished and pooled.rows == full.rows
 
-    def test_resume_ignores_chase_worker_count(self, tmp_path):
-        # chase_workers is an execution knob: a checkpoint written under one
-        # setting resumes under another, and fresh rows match resumed rows.
-        checkpoint = tmp_path / "sweep.jsonl"
-        first = run_sweep(
-            TINY, kinds=("chase",), workers=1, checkpoint_path=checkpoint,
-            max_tasks=4, chase_workers=1,
-        )
-        assert not first.finished
-        resumed = run_sweep(
-            TINY, kinds=("chase",), workers=1, checkpoint_path=checkpoint,
-            chase_workers=3,
-        )
-        assert resumed.finished
-        fresh = run_sweep(TINY, kinds=("chase",), workers=1, chase_workers=2)
-        assert _deterministic(resumed.rows) == _deterministic(fresh.rows)
-        assert sweep_summary(resumed.rows) == sweep_summary(fresh.rows)
-
-    def test_chase_workers_validation(self):
-        with pytest.raises(ExperimentConfigError):
-            run_sweep(TINY, chase_workers=0)
-
-    def test_chase_backend_is_an_execution_knob(self):
-        # Same deterministic rows and aggregates on every store backend; the
-        # raw rows record which backend materialised them.
-        reference = run_sweep(TINY, kinds=("chase",), workers=1)
-        sqlite = run_sweep(TINY, kinds=("chase",), workers=1, chase_backend="sqlite")
-        assert _deterministic(sqlite.rows) == _deterministic(reference.rows)
-        assert sweep_summary(sqlite.rows) == sweep_summary(reference.rows)
-        assert {row["chase_backend"] for row in sqlite.rows} == {"sqlite"}
-
-    def test_chase_backend_validation(self):
-        with pytest.raises(ExperimentConfigError, match="chase_backend"):
-            run_sweep(TINY, chase_backend="oracle")
-        with pytest.raises(ExperimentConfigError, match="chase_backend"):
-            # Pooled workers must not share one database file.
-            run_sweep(TINY, chase_backend="sqlite:/tmp/sweep.db")
-
     def test_fully_resumed_sweep_skips_worker_state(self, tmp_path, monkeypatch):
         checkpoint = tmp_path / "sweep.jsonl"
         run_sweep(TINY, workers=1, checkpoint_path=checkpoint)
@@ -230,7 +192,7 @@ class TestCheckpointResume:
         run_sweep(TINY, workers=1, checkpoint_path=checkpoint, max_tasks=2)
         lines = checkpoint.read_text().splitlines()
         header = json.loads(lines[0])
-        assert header["fingerprint"] == sweep_fingerprint(TINY, ("sl", "l", "chase"), True)
+        assert header["fingerprint"] == sweep_fingerprint(TINY, SWEEP_KINDS, True)
         for line in lines[1:]:
             record = json.loads(line)
             assert set(record) == {"task_id", "elapsed", "rows"}

@@ -444,8 +444,18 @@ class TestErrorPaths:
         assert "--workers" in capsys.readouterr().err
 
     def test_sweep_invalid_chase_workers(self, capsys):
-        assert main(["sweep", "--chase-workers", "0"]) == 2
-        assert "--chase-workers" in capsys.readouterr().err
+        # The sweep runs only the paper's experiments: the chase-kind knobs
+        # are gone, so argparse rejects them like any unknown option.
+        for argv in (["--chase-workers", "2"], ["--chase-backend", "sqlite"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["sweep", *argv])
+            assert excinfo.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_sweep_chase_kind_is_unknown(self, capsys):
+        assert main(["sweep", "--kinds", "chase"]) == 2
+        stderr = capsys.readouterr().err
+        assert "unknown sweep kind(s) chase" in stderr and "sl,l" in stderr
 
     def test_unknown_chase_executor(self, rule_file, capsys):
         self._assert_argparse_rejects(
@@ -683,33 +693,20 @@ class TestSweepCommand:
         assert main(argv + ["--limit", "1"]) == 0
         assert "0 pending" in capsys.readouterr().out
 
-    def test_sweep_chase_kind_rows_identical_across_chase_workers(self, capsys):
-        def table(argv):
-            assert main(argv) == 0
-            out = capsys.readouterr().out
-            return out[out.index("sweep[chase]"):].rsplit("sweep [", 1)[0]
+    def test_sweep_rejects_checkpoint_with_chase_kind(self, capsys, tmp_path):
+        # A default-kinds checkpoint written while the sweep still had a
+        # "chase" kind carries that kind in its fingerprint; resuming it is
+        # the ordinary different-configuration error, not a silent mix.
+        import json
 
-        base = ["sweep", "--preset", "smoke", "--kinds", "chase"]
-        assert table(base) == table(base + ["--chase-workers", "3"])
+        from repro.experiments import SMOKE
+        from repro.experiments.runner import sweep_fingerprint
 
-    def test_sweep_chase_backend_is_an_execution_knob(self, capsys, tmp_path):
-        # The sqlite backend changes where each task materialises, never the
-        # aggregate tables — and a checkpoint written under one backend
-        # resumes under another (the knob stays out of the fingerprint).
-        def table(argv):
-            assert main(argv) == 0
-            out = capsys.readouterr().out
-            return out[out.index("sweep[chase]"):].rsplit("sweep [", 1)[0]
-
-        base = ["sweep", "--preset", "smoke", "--kinds", "chase"]
-        reference = table(base)
-        assert table(base + ["--chase-backend", "sqlite"]) == reference
-
-        checkpoint = tmp_path / "sweep.jsonl"
-        assert main(base + ["--checkpoint", str(checkpoint), "--limit", "2"]) == 3
-        capsys.readouterr()
-        resumed = base + ["--checkpoint", str(checkpoint), "--chase-backend", "sqlite"]
-        assert table(resumed) == reference
+        checkpoint = tmp_path / "old.jsonl"
+        fingerprint = sweep_fingerprint(SMOKE, ("sl", "l", "chase"), True)
+        checkpoint.write_text(json.dumps({"fingerprint": fingerprint}) + "\n")
+        assert main(["sweep", "--preset", "smoke", "--checkpoint", str(checkpoint)]) == 2
+        assert "different sweep configuration" in capsys.readouterr().err
 
 
 class TestTraceCommands:

@@ -205,3 +205,33 @@ class TestRetiredEstate:
             "atom_count", "atoms_with_predicate", "atoms_matching", "predicate_cardinality",
             "predicates",
         }
+
+    def test_one_l_pipeline(self):
+        # is_chase_finite_l is the one IsChaseFinite[L] pipeline: the figures,
+        # tables, sweep and incremental checker read its report.  The
+        # static-vs-dynamic ablation measures Algorithm 2 itself and keeps
+        # its direct call.
+        experiments = REPO / "src" / "repro" / "experiments"
+        callers = [
+            path for path in sorted(experiments.rglob("*.py")) if path.name != "ablations.py"
+        ] + [REPO / "src" / "repro" / "termination" / "incremental.py"]
+        call = re.compile(r"\b(?:(?:resume_)?dynamic_simplification|find_special_sccs)\(")
+        offenders = [
+            f"{path.relative_to(REPO)}: {match.group()}"
+            for path in callers
+            for match in call.finditer(path.read_text(encoding="utf-8"))
+        ]
+        assert not offenders, offenders
+        # The sweep's chase kind and its knobs are gone.
+        offenders = [
+            f"{path}: {banned}"
+            for path, text in _text_files(
+                "src", "tools", "docs", ".github", "README.md", "ARCHITECTURE.md"
+            )
+            for banned in (
+                "chase_workers", "chase_backend", "--chase-workers", "build_chase_database",
+                "CHASE_TASK_LIMITS",
+            )
+            if banned in text
+        ]
+        assert not offenders, offenders
