@@ -12,9 +12,9 @@ Subcommands
     Regenerate one of the paper's figures or tables and print its rows
     (optionally writing them to CSV).
 ``sweep``
-    Run the parallel, checkpointed workload sweep: the simple-linear grid
-    and/or the linear prefix-view ladder, fanned across a process pool,
-    resumable from a JSONL checkpoint.
+    Run the parallel, checkpointed workload sweep: the simple-linear grid,
+    the linear prefix-view ladder and/or FindShapes on that ladder, fanned
+    across a process pool, resumable from a JSONL checkpoint.
 ``fuzz``
     Run the differential fuzzing harness: replay a committed corpus and/or
     mutate adversarial seed programs, checking every engine combination
@@ -195,7 +195,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--kinds",
         default=",".join(SWEEP_KINDS),
         help="comma-separated workload kinds: sl (Section 7's simple-linear "
-        "grid), l (Section 8's linear prefix-view ladder) (default: both)",
+        "grid), l (Section 8's linear prefix-view ladder), shapes (both "
+        "FindShapes methods on that ladder) (default: all three)",
     )
     sweep.add_argument(
         "--checkpoint",
@@ -468,8 +469,15 @@ def _command_run(args) -> int:
         print(f"unknown experiment {args.experiment!r}; run 'repro-experiments list'", file=sys.stderr)
         return 2
     runner = runners[args.experiment]
+    is_table = args.experiment.startswith("table")
+    if not is_table and (args.scale is not None or args.scenarios is not None):
+        print(
+            f"--scale and --scenarios apply to table runs only, not {args.experiment!r}",
+            file=sys.stderr,
+        )
+        return 2
     try:
-        if args.experiment.startswith("table"):
+        if is_table:
             names = args.scenarios.split(",") if args.scenarios else None
             rows = runner(names=names, scale=args.scale)
         else:

@@ -6,18 +6,7 @@ from .ablations import (
     ablation_static_vs_dynamic_simplification,
 )
 from .config import DEFAULT, MEDIUM, PAPER, PRESETS, SMOKE, ExperimentConfig, preset
-from .figures import (
-    FIGURE_RUNNERS,
-    figure1,
-    figure2,
-    figure3,
-    figure4,
-    figure5,
-    figure6,
-    figure7,
-    figure_db_independent_vs_size,
-    figure_edges,
-)
+from .figures import FIGURE_RUNNERS
 from .reporting import format_table, group_mean, summarize_figure, write_csv
 from .runner import (
     SWEEP_KINDS,
@@ -69,15 +58,6 @@ __all__ = [
     "build_linear_rule_set",
     "build_simple_linear_workload",
     "dstar_views",
-    "figure1",
-    "figure2",
-    "figure3",
-    "figure4",
-    "figure5",
-    "figure6",
-    "figure7",
-    "figure_db_independent_vs_size",
-    "figure_edges",
     "format_table",
     "group_mean",
     "linear_rule_sets",

@@ -6,8 +6,11 @@ fans them across a process pool the way the worker-pool designs of the
 parallel-join literature distribute independent partitions.  Three pieces:
 
 * **Task plan** — :func:`plan_sweep` enumerates the grid as
-  :class:`SweepTask` descriptors.  Tasks carry *indices*, not data: workload
-  generation is deterministic and random-access
+  :class:`SweepTask` descriptors of the paper's measurement families:
+  ``sl`` (Figure 1), ``l`` (Figures 5–7, the db-independent and edge
+  figures) and ``shapes`` (Figures 2–4), whose rows
+  :mod:`repro.experiments.figures` projects.  Tasks carry *indices*, not
+  data: workload generation is deterministic and random-access
   (:func:`~repro.experiments.workloads.build_simple_linear_workload` /
   :func:`~repro.experiments.workloads.build_linear_rule_set`), so a worker
   process regenerates exactly the inputs its task names instead of receiving
@@ -40,7 +43,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from ..exceptions import ExperimentConfigError
 from ..obs.clock import perf_counter_s
 from ..obs.tracer import AnyTracer, as_tracer
-from ..storage.shape_finder import DeltaShapeFinder, InMemoryShapeFinder
+from ..storage.shape_finder import DeltaShapeFinder, InDatabaseShapeFinder, InMemoryShapeFinder
 from ..termination.incremental import IncrementalLinearChecker
 from ..termination.linear import is_chase_finite_l
 from ..termination.simple_linear import is_chase_finite_sl
@@ -60,24 +63,17 @@ Row = Dict[str, object]
 #: Checkpoint format version (bumped on incompatible record changes).
 CHECKPOINT_VERSION = 1
 
-#: The workload kinds a sweep can cover: the simple-linear grid (Section 7)
-#: and the linear prefix-view ladder (Section 8).
-SWEEP_KINDS = ("sl", "l")
+#: The workload kinds a sweep can cover: the simple-linear grid (Section 7),
+#: the linear prefix-view ladder (Section 8) and FindShapes alone on it.
+SWEEP_KINDS = ("sl", "l", "shapes")
 
 #: Row columns that are deterministic given the configuration (no timings).
 #: Aggregate tables are built from these only, which is what makes resumed
 #: sweeps byte-identical to uninterrupted ones.
 DETERMINISTIC_COLUMNS = (
-    "task_id",
-    "kind",
-    "predicate_profile",
-    "tgd_profile",
-    "n_tuples_per_relation",
-    "n_rules",
-    "n_shapes",
-    "n_simplified_rules",
-    "n_edges",
-    "finite",
+    "task_id", "kind", "predicate_profile", "tgd_profile", "n_tuples_per_relation", "n_rules",
+    "n_shapes", "n_simplified_rules", "n_edges", "finite", "method", "n_predicates",
+    "rows_scanned", "queries_issued",
 )
 
 
@@ -86,7 +82,9 @@ class SweepTask:
     """One unit of sweep work: a cell of the workload grid, named by indices.
 
     ``sl`` tasks run ``IsChaseFinite[SL]`` on one generated workload; ``l``
-    tasks sweep one linear rule set across every ``D*`` prefix view.
+    tasks sweep one linear rule set across every ``D*`` prefix view;
+    ``shapes`` tasks run both ``FindShapes`` implementations on every view
+    restricted to one linear rule set's schema.
     """
 
     kind: str
@@ -142,9 +140,10 @@ def sweep_fingerprint(
 class _WorkerState:
     """Everything a worker needs, built once per process from the config.
 
-    The ``D*`` store, its view ladder, and the :class:`DeltaShapeFinder` are
-    shared by every linear task the worker executes, so the base relations
-    are scanned at most once per process no matter how many rule sets run.
+    The ``D*`` store and its view ladder are shared by every ``l`` and
+    ``shapes`` task the worker executes; in incremental mode so is the
+    :class:`DeltaShapeFinder`, so the base relations are scanned at most once
+    per process no matter how many rule sets run.
     """
 
     def __init__(self, config: ExperimentConfig, kinds: Sequence[str], incremental: bool):
@@ -153,10 +152,11 @@ class _WorkerState:
         self.schema = global_schema(config)
         self.views = None
         self.finder = None
-        if "l" in kinds:
+        if "l" in kinds or "shapes" in kinds:
             store = build_dstar(config)
             self.views = dstar_views(config, store)
-            self.finder = DeltaShapeFinder(store)
+            if incremental:
+                self.finder = DeltaShapeFinder(store)
 
 
 _WORKER_STATE: Optional[_WorkerState] = None
@@ -186,6 +186,8 @@ def _run_task_in_worker(task: SweepTask) -> Tuple[str, List[Row], float]:
 def _execute_task(state: _WorkerState, task: SweepTask) -> List[Row]:
     if task.kind == "sl":
         return _execute_sl_task(state, task)
+    if task.kind == "shapes":
+        return _execute_shapes_task(state, task)
     return _execute_linear_task(state, task)
 
 
@@ -227,25 +229,65 @@ def _execute_linear_task(state: _WorkerState, task: SweepTask) -> List[Row]:
         if checker is not None:
             report = checker.check(restricted)
         else:
-            # The paper's per-view pipeline: full FindShapes + full Algorithm 2.
-            report = is_chase_finite_l(InMemoryShapeFinder(restricted), rule_set.tgds)
-        row: Row = {
-            "task_id": task.task_id,
-            "kind": "l",
-            "predicate_profile": rule_set.profile.predicates.label,
-            "tgd_profile": rule_set.profile.tgds.label,
-            "n_tuples_per_relation": view.tuples_per_relation,
-            "n_rules": rule_set.n_rules,
-            "n_shapes": report.statistics["n_initial_shapes"],
-            "n_simplified_rules": report.statistics["n_simplified_rules"],
-            "n_edges": report.statistics["n_edges"],
-            "finite": report.finite,
-            "t_shapes": report.timings.t_shapes,
-            "t_graph": report.timings.t_graph,
-            "t_comp": report.timings.t_comp,
-            "t_total": report.timings.t_total,
-        }
-        rows.append(row)
+            # The paper's per-view pipeline: parse, full FindShapes, full Algorithm 2.
+            report = is_chase_finite_l(InMemoryShapeFinder(restricted), rule_set.rules_text)
+        statistics, timings = report.statistics, report.timings
+        rows.append(
+            {
+                "task_id": task.task_id,
+                "kind": "l",
+                "predicate_profile": rule_set.profile.predicates.label,
+                "tgd_profile": rule_set.profile.tgds.label,
+                "n_tuples_per_relation": view.tuples_per_relation,
+                "n_tuples_total": restricted.total_rows(),
+                "n_rules": rule_set.n_rules,
+                "n_shapes": statistics["n_initial_shapes"],
+                "n_simplified_rules": statistics["n_simplified_rules"],
+                "n_edges": statistics["n_edges"],
+                "n_special_edges": statistics["n_special_edges"],
+                "finite": report.finite,
+                "t_parse": timings.t_parse,
+                "t_shapes": timings.t_shapes,
+                "t_graph": timings.t_graph,
+                "t_comp": timings.t_comp,
+                "t_total": timings.t_total,
+                "t_db_independent": timings.db_independent,
+            }
+        )
+    return rows
+
+
+def _execute_shapes_task(state: _WorkerState, task: SweepTask) -> List[Row]:
+    """Time each ``FindShapes`` implementation from scratch on every view."""
+    rule_set = build_linear_rule_set(
+        state.config, task.profile_index, task.sample_index, schema=state.schema
+    )
+    rows: List[Row] = []
+    for view in state.views:
+        restricted = restrict_view_to_rules(view, rule_set.tgds)
+        for method, finder_class in (
+            ("in-memory", InMemoryShapeFinder), ("in-database", InDatabaseShapeFinder)
+        ):
+            start = perf_counter_s()
+            finder = finder_class(restricted)
+            shapes = finder.find_shapes()
+            elapsed = perf_counter_s() - start
+            rows.append(
+                {
+                    "task_id": task.task_id,
+                    "kind": "shapes",
+                    "method": method,
+                    "predicate_profile": rule_set.profile.predicates.label,
+                    "tgd_profile": rule_set.profile.tgds.label,
+                    "n_tuples_per_relation": view.tuples_per_relation,
+                    "n_tuples_total": restricted.total_rows(),
+                    "n_predicates": len(restricted.relation_names()),
+                    "n_shapes": len(shapes),
+                    "t_shapes": elapsed,
+                    "rows_scanned": finder.stats.rows_scanned,
+                    "queries_issued": finder.stats.queries_issued,
+                }
+            )
     return rows
 
 
@@ -255,8 +297,9 @@ def _execute_linear_task(state: _WorkerState, task: SweepTask) -> List[Row]:
 def load_checkpoint(path, fingerprint: str) -> Dict[str, List[Row]]:
     """Load completed task rows from a JSONL checkpoint.
 
-    Returns ``{}`` when the file does not exist.  A checkpoint written under
-    a different configuration (or sweep mode) raises
+    Returns ``{}`` when the file does not exist.  An unreadable file, a
+    header or record of the wrong shape, and a checkpoint written under a
+    different configuration (or sweep mode) raise
     :class:`~repro.exceptions.ExperimentConfigError` instead of silently
     mixing incompatible results.  Records are keyed by task id; a trailing
     partially-written line (interrupt mid-write) is ignored.
@@ -264,20 +307,25 @@ def load_checkpoint(path, fingerprint: str) -> Dict[str, List[Row]]:
     if path is None or not os.path.exists(path):
         return {}
     completed: Dict[str, List[Row]] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
+    except OSError as error:
+        raise _unusable_checkpoint(path, error)
     if not lines:
         return {}
     try:
         header = json.loads(lines[0])
     except json.JSONDecodeError:
+        header = None
+    if not isinstance(header, dict):
         raise ExperimentConfigError(f"checkpoint {path!r} has a corrupt header")
     if header.get("fingerprint") != fingerprint:
         raise ExperimentConfigError(
             f"checkpoint {path!r} was written by a different sweep configuration; "
             "delete it (or point --checkpoint elsewhere) to start fresh"
         )
-    for line in lines[1:]:
+    for number, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         try:
@@ -286,8 +334,14 @@ def load_checkpoint(path, fingerprint: str) -> Dict[str, List[Row]]:
             # An interrupt can truncate the final line; everything before it
             # is intact, so resume from there.
             break
+        if not (isinstance(record, dict) and {"task_id", "rows"} <= record.keys()):
+            raise ExperimentConfigError(f"checkpoint {path!r} line {number} is not a task record")
         completed[record["task_id"]] = record["rows"]
     return completed
+
+
+def _unusable_checkpoint(path, error: OSError) -> ExperimentConfigError:
+    return ExperimentConfigError(f"cannot use checkpoint {path!r}: {error.strerror or error}")
 
 
 def _repair_checkpoint(path) -> None:
@@ -301,14 +355,20 @@ def _repair_checkpoint(path) -> None:
     """
     if path is None or not os.path.exists(path):
         return
-    with open(path, "r+b") as handle:
-        content = handle.read()
-        if content and not content.endswith(b"\n"):
-            handle.truncate(content.rfind(b"\n") + 1)
+    try:
+        with open(path, "r+b") as handle:
+            content = handle.read()
+            if content and not content.endswith(b"\n"):
+                handle.truncate(content.rfind(b"\n") + 1)
+    except OSError as error:
+        raise _unusable_checkpoint(path, error)
 
 
 def _open_checkpoint(path, fingerprint: str, already_exists: bool):
-    handle = open(path, "a", encoding="utf-8")
+    try:
+        handle = open(path, "a", encoding="utf-8")
+    except OSError as error:
+        raise _unusable_checkpoint(path, error)
     if not already_exists:
         handle.write(json.dumps({"fingerprint": fingerprint}) + "\n")
         handle.flush()
@@ -359,7 +419,8 @@ def run_sweep(
     Parameters
     ----------
     kinds:
-        Which workload grids to cover: ``"sl"`` and/or ``"l"``.
+        Which workload grids to cover: any of ``"sl"``, ``"l"`` and
+        ``"shapes"``.
     workers:
         Process-pool size; ``1`` executes in-process (no pool).
     checkpoint_path:
@@ -512,35 +573,34 @@ def _json_roundtrip(rows: List[Row]) -> List[Row]:
 # --------------------------------------------------------------------------- #
 # Aggregation into the reporting layer
 
+#: Per kind: the grouping columns, the averaged columns and the table title.
+_SUMMARIES = (
+    ("sl", ("predicate_profile", "tgd_profile"), ("n_rules", "n_edges", "finite"),
+     "sweep[sl] (means per profile)"),
+    ("l", ("predicate_profile", "tgd_profile", "n_tuples_per_relation"),
+     ("n_rules", "n_shapes", "n_simplified_rules", "n_edges", "finite"),
+     "sweep[l] (means per profile and view size)"),
+    ("shapes", ("predicate_profile", "tgd_profile", "n_tuples_per_relation", "method"),
+     ("n_predicates", "n_shapes", "rows_scanned", "queries_issued"),
+     "sweep[shapes] (means per profile, view size and method)"),
+)
+
+
 def sweep_summary(rows: Iterable[Row]) -> str:
     """Render the aggregate tables of a sweep (deterministic columns only).
 
     Rows are grouped per kind — per combined profile for ``sl``, additionally
-    per database size for ``l`` — and averaged over the deterministic
-    columns.  Because no timing enters the projection, the rendered tables
-    depend only on the configuration: resuming an interrupted sweep yields
-    byte-identical output.
+    per database size for ``l``, and per size and ``FindShapes`` method for
+    ``shapes`` — and averaged over the deterministic columns.  Because no
+    timing enters the projection, the rendered tables depend only on the
+    configuration: resuming an interrupted sweep yields byte-identical output.
     """
     rows = list(rows)
     parts: List[str] = []
-    sl_rows = [row for row in rows if row.get("kind") == "sl"]
-    if sl_rows:
-        aggregated = group_mean(
-            sl_rows,
-            ("predicate_profile", "tgd_profile"),
-            ("n_rules", "n_edges", "finite"),
-        )
-        parts.append(format_table(aggregated, title="sweep[sl] (means per profile)"))
-    l_rows = [row for row in rows if row.get("kind") == "l"]
-    if l_rows:
-        aggregated = group_mean(
-            l_rows,
-            ("predicate_profile", "tgd_profile", "n_tuples_per_relation"),
-            ("n_rules", "n_shapes", "n_simplified_rules", "n_edges", "finite"),
-        )
-        parts.append(
-            format_table(aggregated, title="sweep[l] (means per profile and view size)")
-        )
+    for kind, group_by, value_columns, title in _SUMMARIES:
+        kind_rows = [row for row in rows if row.get("kind") == kind]
+        if kind_rows:
+            parts.append(format_table(group_mean(kind_rows, group_by, value_columns), title=title))
     if not parts:
         return "(no rows)"
     return "\n\n".join(parts)

@@ -36,10 +36,13 @@ def _deterministic(rows):
 class TestPlan:
     def test_plan_covers_the_grid_in_order(self):
         tasks = plan_sweep(SMOKE)
-        assert len(tasks) == 9 * (SMOKE.sets_per_profile_sl + SMOKE.sets_per_profile_l)
+        assert len(tasks) == 9 * (SMOKE.sets_per_profile_sl + 2 * SMOKE.sets_per_profile_l)
         ids = [task.task_id for task in tasks]
         assert len(set(ids)) == len(ids)
-        assert tasks[0].kind == "sl" and tasks[-1].kind == "l"
+        assert [task.kind for task in tasks] == sorted(
+            (task.kind for task in tasks), key=SWEEP_KINDS.index
+        )
+        assert tasks[0].kind == "sl" and tasks[-1].kind == "shapes"
         assert ids == [task.task_id for task in plan_sweep(SMOKE)]
 
     def test_unknown_kind_rejected(self):
@@ -71,6 +74,42 @@ class TestSerialSweep:
         incremental = run_sweep(TINY, workers=1, incremental=True)
         scratch = run_sweep(TINY, workers=1, incremental=False)
         assert _deterministic(incremental.rows) == _deterministic(scratch.rows)
+
+    def test_shapes_rows_time_both_finders_per_view(self):
+        result = run_sweep(TINY, kinds=("shapes",), workers=1)
+        sizes = TINY.database_sizes()
+        assert len(result.rows) == 9 * len(sizes) * 2
+        first_task = [row for row in result.rows if row["task_id"] == "shapes:p0:s0"]
+        assert [(row["n_tuples_per_relation"], row["method"]) for row in first_task] == [
+            (size, method) for size in sizes for method in ("in-memory", "in-database")
+        ]
+        for in_memory, in_database in zip(first_task[::2], first_task[1::2]):
+            assert in_memory["n_shapes"] == in_database["n_shapes"]
+            assert in_memory["rows_scanned"] == in_memory["n_tuples_total"]
+            assert in_memory["queries_issued"] == 0 and in_database["rows_scanned"] == 0
+            assert in_memory["t_shapes"] >= 0 and in_database["t_shapes"] >= 0
+
+    def test_l_rows_carry_the_db_independent_time(self):
+        for incremental in (True, False):
+            result = run_sweep(TINY, kinds=("l",), workers=1, incremental=incremental)
+            for row in result.rows:
+                assert row["n_edges"] >= row["n_special_edges"] >= 0
+                assert row["n_tuples_total"] >= row["n_tuples_per_relation"]
+                assert row["t_db_independent"] == pytest.approx(
+                    row["t_parse"] + row["t_graph"] + row["t_comp"]
+                )
+            # Only the from-scratch pipeline parses per view.
+            assert any(row["t_parse"] > 0 for row in result.rows) is not incremental
+
+    def test_delta_finder_only_in_incremental_mode(self, monkeypatch):
+        import repro.experiments.runner as runner_module
+
+        def _boom(*args, **kwargs):
+            raise AssertionError("from-scratch tasks must not build a DeltaShapeFinder")
+
+        monkeypatch.setattr(runner_module, "DeltaShapeFinder", _boom)
+        result = run_sweep(TINY, kinds=("l", "shapes"), workers=1, incremental=False)
+        assert result.finished
 
     def test_workers_validation(self):
         with pytest.raises(ExperimentConfigError):

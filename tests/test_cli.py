@@ -1,5 +1,7 @@
 """Tests for the repro-experiments command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -255,6 +257,14 @@ class TestRunCommand:
         assert main(["run", "table1", "--raw", "--scenarios", "LUBM-1"]) == 0
         assert "LUBM-1" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag", [["--scale", "3"], ["--scenarios", "LUBM-1"]])
+    def test_table_only_flags_rejected_on_figures(self, capsys, flag):
+        assert main(["run", "figure1", "--preset", "smoke", *flag]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "table runs only" in captured.err
+
 
 class TestErrorPaths:
     """Unknown flag values must exit non-zero with a readable message."""
@@ -478,6 +488,34 @@ class TestErrorPaths:
         ) == 2
         assert "different sweep configuration" in capsys.readouterr().err
 
+    def _assert_checkpoint_refused(self, checkpoint, capsys, fragment):
+        assert main(["sweep", "--kinds", "sl", "--checkpoint", str(checkpoint)]) == 2
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("sweep failed: ") and stderr.count("\n") == 1
+        assert fragment in stderr and "Traceback" not in stderr
+
+    def test_sweep_checkpoint_is_a_directory(self, tmp_path, capsys):
+        self._assert_checkpoint_refused(tmp_path, capsys, "Is a directory")
+
+    def test_sweep_checkpoint_in_missing_directory(self, tmp_path, capsys):
+        self._assert_checkpoint_refused(
+            tmp_path / "no" / "such" / "x.jsonl", capsys, "No such file or directory"
+        )
+
+    def test_sweep_checkpoint_header_not_an_object(self, tmp_path, capsys):
+        checkpoint = tmp_path / "sweep.jsonl"
+        checkpoint.write_text("[]\n")
+        self._assert_checkpoint_refused(checkpoint, capsys, "corrupt header")
+
+    def test_sweep_checkpoint_record_without_rows(self, tmp_path, capsys):
+        from repro.experiments import SMOKE
+        from repro.experiments.runner import sweep_fingerprint
+
+        checkpoint = tmp_path / "sweep.jsonl"
+        header = json.dumps({"fingerprint": sweep_fingerprint(SMOKE, ("sl",), True)})
+        checkpoint.write_text(header + "\n" + json.dumps({"task_id": "sl:p0:s0"}) + "\n")
+        self._assert_checkpoint_refused(checkpoint, capsys, "line 2 is not a task record")
+
 
 class TestFuzzCommand:
     @pytest.fixture
@@ -697,14 +735,25 @@ class TestSweepCommand:
         # A default-kinds checkpoint written while the sweep still had a
         # "chase" kind carries that kind in its fingerprint; resuming it is
         # the ordinary different-configuration error, not a silent mix.
-        import json
-
         from repro.experiments import SMOKE
         from repro.experiments.runner import sweep_fingerprint
 
         checkpoint = tmp_path / "old.jsonl"
         fingerprint = sweep_fingerprint(SMOKE, ("sl", "l", "chase"), True)
         checkpoint.write_text(json.dumps({"fingerprint": fingerprint}) + "\n")
+        assert main(["sweep", "--preset", "smoke", "--checkpoint", str(checkpoint)]) == 2
+        assert "different sweep configuration" in capsys.readouterr().err
+
+    def test_sweep_rejects_checkpoint_without_shapes_kind(self, capsys, tmp_path):
+        # The default kinds gained "shapes": a default-kinds checkpoint from
+        # before is refused the same way.
+        from repro.experiments import SMOKE
+        from repro.experiments.runner import sweep_fingerprint
+
+        checkpoint = tmp_path / "old.jsonl"
+        checkpoint.write_text(
+            json.dumps({"fingerprint": sweep_fingerprint(SMOKE, ("sl", "l"), True)}) + "\n"
+        )
         assert main(["sweep", "--preset", "smoke", "--checkpoint", str(checkpoint)]) == 2
         assert "different sweep configuration" in capsys.readouterr().err
 

@@ -16,7 +16,7 @@ Three guards:
   the ``Trigger`` / ``Substitution`` objects only it built, the
   recursive-query tier and parallel worker of ``sql-pushdown``, and the
   SQLite replica kinds with the store-level partition scan and the worker
-  metrics merge.
+  metrics merge, and the hand-written figure runners the sweep replaced.
 """
 
 import importlib
@@ -233,5 +233,34 @@ class TestRetiredEstate:
                 "CHASE_TASK_LIMITS",
             )
             if banned in text
+        ]
+        assert not offenders, offenders
+
+    def test_one_experiment_harness(self):
+        # Every figure is a projection of sweep rows: figures.py reaches the
+        # pipelines only through the runner, and the hand-written figure
+        # runners and their helpers stay gone.
+        import repro.experiments
+        import repro.experiments.figures
+
+        figures = REPO / "src" / "repro" / "experiments" / "figures.py"
+        imported = re.findall(
+            r"^\s*(?:from|import)\s+(\S+)", figures.read_text(encoding="utf-8"), re.MULTILINE
+        )
+        assert not [module for module in imported if re.search(r"termination|storage", module)]
+        public = tuple(f"figure{index}" for index in range(1, 8)) + (
+            "figure_db_independent_vs_size", "figure_edges",
+        )
+        for module in (repro.experiments, repro.experiments.figures):
+            assert not [name for name in public if hasattr(module, name)], module.__name__
+        retired = re.compile(
+            r"\b(?:def )?(?:%s)\(|:func:`(?:%s)`|_measure_db_independent|_linear_grid\b"
+            r"|_figure_find_shapes|_figure_db_independent_for_profile"
+            % ("|".join(public), "|".join(public))
+        )
+        offenders = [
+            f"{path}: {match.group()}"
+            for path, text in _text_files("src", "docs", "README.md", "ARCHITECTURE.md")
+            for match in retired.finditer(text)
         ]
         assert not offenders, offenders
