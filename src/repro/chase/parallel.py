@@ -369,10 +369,11 @@ def collect_full_seed_atoms(
     store: AtomStore, full_predicates: Iterable[Predicate]
 ) -> List[Atom]:
     """Scan the fully-replicated relations once (shared by every worker)."""
-    atoms: List[Atom] = []
-    for predicate in full_predicates:
-        atoms.extend(store.atoms_with_predicate(predicate))
-    return atoms
+    return [
+        Atom(predicate, row)
+        for predicate in full_predicates
+        for row in store.rows_matching(predicate)
+    ]
 
 
 #: Atoms per ``("seed", fresh, runs)`` message: bounds the size of any single

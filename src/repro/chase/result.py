@@ -69,11 +69,12 @@ class ChaseResult:
 
     :attr:`instance` is a *cached property*: the first read materialises the
     store into an in-memory :class:`Instance` (the identity for the default
-    backend, a full decode for store-backed runs) and every later read
-    returns that same object.  Everything that only needs counts or a scan —
-    :meth:`size`, ``len()``, :meth:`iter_atoms`, :attr:`view` — reads
-    through the store protocol instead, so a ``materialize=False`` chase
-    into a disk-resident store never has to fit its fixpoint in RAM.
+    backend, an :meth:`InstanceView.to_instance` decode for store-backed
+    runs) and every later read returns that same object.  Everything that
+    only needs counts or a scan — :meth:`size`, ``len()``,
+    :meth:`iter_atoms`, :attr:`view` — reads through the store protocol
+    instead, so a ``materialize=False`` chase into a disk-resident store
+    never has to fit its fixpoint in RAM.
     """
 
     __slots__ = (
@@ -121,7 +122,7 @@ class ChaseResult:
         counts or a streamed scan are enough.
         """
         if self._instance is None:
-            self._instance = self.store.to_instance()
+            self._instance = self.view.to_instance()
         return self._instance
 
     @property

@@ -32,7 +32,7 @@ class Instance:
 
     A *row* is the term tuple of one atom; the instance keeps
     ``predicate -> {rows}`` and builds an :class:`Atom` only when a caller
-    asks for one (iteration, :meth:`atoms`, the ``atoms_*`` queries).  The
+    asks for one (iteration, :meth:`atoms`, :meth:`atoms_with_predicate`).  The
     chase engines trade rows through :meth:`add_rows`, :meth:`rows_matching`
     and :meth:`has_row` and never build one.
 
@@ -206,22 +206,8 @@ class Instance:
         bucket = self._rows.get(predicate)
         return 0 if bucket is None else len(bucket)
 
-    def atoms_matching(
-        self, predicate: Predicate, bindings: Optional[Mapping[int, Term]] = None
-    ) -> Iterable[Atom]:
-        """:meth:`rows_matching` as atoms."""
-        return [Atom(predicate, row) for row in self.rows_matching(predicate, bindings)]
-
     # ------------------------------------------------------------------ #
     # AtomStore protocol surface (see repro.storage.atom_store)
-
-    def add_atom(self, atom: Atom) -> bool:
-        """AtomStore alias for :meth:`add`."""
-        return self.add(atom)
-
-    def has_atom(self, atom: Atom) -> bool:
-        """AtomStore alias for ``atom in self``."""
-        return atom in self
 
     def iter_atoms(self) -> Iterator[Atom]:
         """Iterate over all atoms without the sorted-order guarantee of ``__iter__``."""

@@ -5,7 +5,8 @@ and databases of up to 500 million tuples on a dedicated server.  Every
 experiment runner in this package therefore takes an
 :class:`ExperimentConfig` whose *scales* shrink the nominal sizes; the
 qualitative shapes of the results (what grows linearly, what stays flat) are
-preserved, which is what EXPERIMENTS.md compares against the paper.
+preserved, and those shapes are what the figures compare against the
+paper.
 
 Four presets are provided:
 

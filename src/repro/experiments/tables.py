@@ -6,8 +6,8 @@ the ``FindShapes`` step measured both with the in-database and the in-memory
 implementation.
 
 The scenarios are synthetic analogues built at a configurable scale (see
-:mod:`repro.scenarios` and DESIGN.md); every row therefore carries both the
-paper's reported value and the value measured on the rebuilt scenario.
+:mod:`repro.scenarios`); every row therefore carries both the paper's
+reported value and the value measured on the rebuilt scenario.
 """
 
 from __future__ import annotations

@@ -53,7 +53,8 @@ DictMatch = Tuple[int, Dict[Term, Term]]
 
 
 class AtomSource(Protocol):
-    """What the reference searches read: a store, or a :class:`_Snapshot` of one."""
+    """What the reference searches read: an ``Instance``, an ``InstanceView``,
+    or a :class:`_Snapshot` of any store."""
 
     def atoms_with_predicate(self, predicate: Predicate) -> Collection[Atom]:
         ...
@@ -71,7 +72,9 @@ class _Snapshot:
     def atoms_with_predicate(self, predicate: Predicate) -> List[Atom]:
         atoms = self._atoms.get(predicate)
         if atoms is None:
-            atoms = self._atoms[predicate] = list(self.store.atoms_with_predicate(predicate))
+            atoms = self._atoms[predicate] = [
+                Atom(predicate, row) for row in self.store.rows_matching(predicate)
+            ]
         return atoms
 
 

@@ -6,8 +6,9 @@ databases and rule sets from the literature: **Deep**, **LUBM**, and
 with this reproduction; instead, each family has a synthetic builder that
 reproduces the *schema statistics* reported in Table 1 (number of
 predicates, arity range, number of rules, number of shapes) at a
-configurable data scale — those statistics are what drive the algorithms
-under evaluation (see DESIGN.md for the substitution rationale).
+configurable data scale.  Those statistics are what drive the algorithms
+under evaluation, so a scenario that matches them (:data:`PAPER_TABLE_1`)
+exercises the same work as the original artifacts would.
 """
 
 from __future__ import annotations
@@ -79,7 +80,8 @@ PAPER_TABLE_1: Dict[str, ScenarioStats] = {
     "ONT-256": ScenarioStats(n_pred=662, arity_min=1, arity_max=11, n_atoms=2_146_490, n_shapes=245, n_rules=785),
 }
 
-#: Table 2 of the paper (milliseconds), used by EXPERIMENTS.md comparisons.
+#: Table 2 of the paper (milliseconds): the reference value each Table 2 row
+#: carries next to the measured one (:mod:`repro.experiments.tables`).
 PAPER_TABLE_2_MS: Dict[str, Dict[str, float]] = {
     "Deep-100": {"t_parse": 214, "t_graph": 90, "t_comp": 10, "t_shapes_indb": 6641, "t_shapes_inmem": 447},
     "Deep-200": {"t_parse": 265, "t_graph": 116, "t_comp": 9, "t_shapes_indb": 6641, "t_shapes_inmem": 447},

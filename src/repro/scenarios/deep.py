@@ -7,7 +7,8 @@ schema of ~1300 predicates of arity 4, with a small source instance (1000
 atoms, one per source relation, each with a distinct shape).
 
 The original artifacts are replaced by a synthetic builder that reproduces
-those structural properties (see DESIGN.md):
+those structural properties (the Deep rows of
+:data:`~repro.scenarios.base.PAPER_TABLE_1`):
 
 * ``n_source`` source predicates, each holding exactly one tuple whose shape
   is drawn round-robin from the arity-4 shape catalogue so that the number

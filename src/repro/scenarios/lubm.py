@@ -20,7 +20,9 @@ The synthetic builder reproduces that structure:
 * a data generator that emits universities, departments, people and course
   facts; the ``universities`` knob plays the role of the LUBM scale factor
   (1, 10, 100, 1000), and the default builders shrink the per-university
-  population so the scenarios stay laptop-sized (see DESIGN.md).
+  population so the scenarios stay laptop-sized (the schema, rules and
+  shapes — what the algorithms' cost follows — are those of
+  :data:`~repro.scenarios.base.PAPER_TABLE_1`; only the tuple count shrinks).
 
 The resulting rule set is weakly acyclic w.r.t. the generated data — as in
 the original LUBM ontology, whose chase terminates — so the expected

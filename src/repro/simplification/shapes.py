@@ -179,8 +179,8 @@ def simplify_database(database: Database) -> Database:
 
 
 def shapes_of_database(database: Instance) -> Set[Shape]:
-    """Return ``shape(D)``: the set of shapes of the atoms of *database*
-    (read as rows, so no :class:`Atom` is built)."""
+    """Return ``shape(D)``: the set of shapes of the atoms of *database* —
+    any row store — read as rows, so no :class:`Atom` is built."""
     return {
         Shape(predicate.name, ids)
         for predicate in database.predicates()
@@ -195,22 +195,24 @@ def resolve_shapes(source: Any) -> Set[Shape]:
     dynamic simplification, the experiment harness) accepts the same three
     source kinds and must resolve them identically:
 
-    * an :class:`~repro.core.instances.Instance` (including ``Database``) —
-      shapes are computed by scanning its atoms;
     * an object exposing ``find_shapes()`` (the storage substrate's finders)
       — the finder is invoked;
+    * any row store — an :class:`~repro.core.instances.Instance` (including
+      ``Database``), a :class:`~repro.storage.sqlbackend.SqliteAtomStore`,
+      an :class:`~repro.storage.atom_store.InstanceView` — shapes are
+      computed by scanning its rows (:func:`shapes_of_database`);
     * any other iterable — treated as pre-computed shapes and validated
       element by element.
     """
-    if isinstance(source, Instance):
-        return shapes_of_database(source)
     if hasattr(source, "find_shapes"):
         return set(source.find_shapes())
+    if hasattr(source, "rows_matching"):
+        return shapes_of_database(source)
     shapes = set(source)
     for shape in shapes:
         if not isinstance(shape, Shape):
             raise TypeError(
-                "expected a Database, a shape finder, or an iterable of Shape; "
+                "expected a row store, a shape finder, or an iterable of Shape; "
                 f"got element {shape!r}"
             )
     return shapes

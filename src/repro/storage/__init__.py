@@ -1,4 +1,7 @@
-"""Relational storage substrate: relations, catalog, prefix views, shape queries."""
+"""Storage: the seven-member row protocol ``AtomStore`` with its SQLite
+backend, ``InstanceView`` (the one atom adapter over any store), and the
+relational FindShapes substrate (relations, catalog, prefix views, shape
+queries)."""
 
 from .atom_store import AtomStore, InstanceView
 from .database import RelationalDatabase

@@ -5,28 +5,30 @@
 implement it — the in-memory :class:`~repro.core.instances.Instance` and
 the SQLite store (:class:`~repro.storage.sqlbackend.SqliteAtomStore`,
 transient or a persistent file) — and a future backend only has to provide
-these eleven methods.  (Partition ownership is not a store method: the
+these seven members.  (Partition ownership is not a store method: the
 parallel executor filters ``rows_matching`` through
 :func:`repro.core.indexing.partition_rows`.)
 
-The chase itself only speaks the **row** half: ``add_rows``,
-``rows_matching`` and ``has_row`` trade ``(predicate, term tuple)`` rows,
-so no :class:`~repro.core.atoms.Atom` is built between seeding and the
-result.  The ``*_atom*`` half is the same store seen through atoms — the
-public API edge.  :class:`~repro.storage.database.RelationalDatabase` is not one:
-it is the FindShapes substrate of the termination checkers, with its own
+The protocol is **rows**: ``add_rows``, ``has_row`` and ``rows_matching``
+trade ``(predicate, term tuple)`` rows, so no
+:class:`~repro.core.atoms.Atom` is built between seeding and the result;
+``predicate_cardinality``, ``predicates`` and ``atom_count`` are the
+catalog and counts, and ``iter_atoms`` is the one whole-store scan.
+:class:`~repro.storage.database.RelationalDatabase` is not a store: it is
+the FindShapes substrate of the termination checkers, with its own
 catalog/scan/query surface.
 
 The protocol is *structural* (:class:`typing.Protocol`):
 ``core.Instance`` implements it without importing this module, which keeps
 the ``core`` → ``storage`` dependency direction intact.
 
-:class:`InstanceView` is the read-only companion: an instance-shaped
-adapter over any store, so consumers that historically demanded an
-``Instance`` (reporting, shape discovery, conformance checks) can read a
-chase result through the protocol without forcing
-:class:`~repro.core.instances.Instance` materialization — the access path
-behind ``ChaseResult.view`` and ``chase(..., materialize=False)``.
+:class:`InstanceView` is the atom adapter over any store: the read API of
+an ``Instance`` written once over the row protocol, so consumers that
+historically demanded an ``Instance`` (reporting, shape discovery,
+conformance checks) can read a chase result without forcing
+materialization — the access path behind ``ChaseResult.view`` and
+``chase(..., materialize=False)`` — and :meth:`InstanceView.to_instance`
+is the one decoder behind ``ChaseResult.instance``.
 """
 
 from __future__ import annotations
@@ -42,8 +44,9 @@ from typing import (
     runtime_checkable,
 )
 
-from ..core.atoms import Atom
+from ..core.atoms import Atom, row_sort_key
 from ..core.indexing import Row
+from ..core.instances import Instance
 from ..core.predicates import Predicate
 from ..core.terms import Constant, Null, Term
 
@@ -68,7 +71,8 @@ class AtomStore(Protocol):
         ...
 
     def has_row(self, predicate: Predicate, row: Row) -> bool:
-        """Return ``True`` when the row *row* over *predicate* is stored."""
+        """Return ``True`` when the row *row* over *predicate* is stored
+        (``False``, never an error, for a row of the wrong width)."""
         ...
 
     def rows_matching(
@@ -81,34 +85,12 @@ class AtomStore(Protocol):
         """
         ...
 
-    def add_atom(self, atom: Atom) -> bool:
-        """Add *atom*; return ``True`` when it was not already present."""
-        ...
-
-    def has_atom(self, atom: Atom) -> bool:
-        """Return ``True`` when *atom* is in the store."""
-        ...
-
     def iter_atoms(self) -> Iterator[Atom]:
-        """Iterate over all atoms (no ordering guarantee)."""
+        """Iterate over all rows as atoms (no ordering guarantee)."""
         ...
 
     def atom_count(self) -> int:
         """Return the number of (distinct) atoms in the store."""
-        ...
-
-    def atoms_with_predicate(self, predicate: Predicate) -> Collection[Atom]:
-        """Return the atoms over *predicate* (possibly empty)."""
-        ...
-
-    def atoms_matching(
-        self, predicate: Predicate, bindings: Optional[Mapping[int, Term]] = None
-    ) -> Iterable[Atom]:
-        """Return the atoms over *predicate* matching the positional *bindings*.
-
-        *bindings* maps 0-based argument positions to ground terms; ``None``
-        or an empty mapping selects the whole relation.
-        """
         ...
 
     def predicate_cardinality(self, predicate: Predicate) -> int:
@@ -123,12 +105,15 @@ class AtomStore(Protocol):
 class InstanceView:
     """A read-only, instance-shaped view over any :class:`AtomStore`.
 
-    Presents the query surface of :class:`~repro.core.instances.Instance`
-    (``len``, iteration, membership, ``atoms()``, ``nulls()`` …) while every
-    read goes straight through the store protocol — nothing is copied, so a
-    view over a disk-resident store stays as small as the store's own page
-    cache.  Mutation is refused: the view exists so downstream consumers
-    can *read* a chase result without forcing materialization.
+    Presents the read API of :class:`~repro.core.instances.Instance`
+    (``len``, iteration, membership, ``atoms()``, ``atoms_with_predicate``,
+    ``nulls()`` …) while every read goes straight through the store's row
+    protocol — nothing is copied, so a view over a disk-resident store stays
+    as small as the store's own page cache.  Backends provide rows; the
+    view writes the atom reads once for all of them.  Mutation is refused:
+    the view exists so downstream consumers can *read* a chase result
+    without forcing materialization, and :meth:`to_instance` is the one
+    decoder that does materialize.
 
     Iteration is sorted (predicate, atom) like ``Instance.__iter__``, so
     fingerprints computed over a view match those computed over the
@@ -156,22 +141,11 @@ class InstanceView:
     ) -> Collection[Row]:
         return self._store.rows_matching(predicate, bindings)
 
-    def has_atom(self, atom: Atom) -> bool:
-        return self._store.has_atom(atom)
-
     def iter_atoms(self) -> Iterator[Atom]:
         return self._store.iter_atoms()
 
     def atom_count(self) -> int:
         return self._store.atom_count()
-
-    def atoms_with_predicate(self, predicate: Predicate) -> Collection[Atom]:
-        return self._store.atoms_with_predicate(predicate)
-
-    def atoms_matching(
-        self, predicate: Predicate, bindings: Optional[Mapping[int, Term]] = None
-    ) -> Iterable[Atom]:
-        return self._store.atoms_matching(predicate, bindings)
 
     def predicate_cardinality(self, predicate: Predicate) -> int:
         return self._store.predicate_cardinality(predicate)
@@ -180,56 +154,61 @@ class InstanceView:
         return self._store.predicates()
 
     # -------------------------------------------------------------- #
-    # Instance-shaped conveniences
+    # Instance-shaped reads, written once over rows
 
     def __len__(self) -> int:
         return self._store.atom_count()
 
     def __contains__(self, atom: Atom) -> bool:
-        return self._store.has_atom(atom)
+        return self._store.has_row(atom.predicate, atom.terms)
 
     def __iter__(self) -> Iterator[Atom]:
         for predicate in sorted(self._store.predicates()):
-            yield from sorted(self._store.atoms_with_predicate(predicate))
+            for row in sorted(self._store.rows_matching(predicate), key=row_sort_key):
+                yield Atom(predicate, row)
 
     def __repr__(self):
         return f"InstanceView({self._store!r})"
+
+    def atoms_with_predicate(self, predicate: Predicate) -> FrozenSet[Atom]:
+        """Return the atoms over *predicate* (possibly empty)."""
+        return frozenset(Atom(predicate, row) for row in self._store.rows_matching(predicate))
 
     def atoms(self) -> FrozenSet[Atom]:
         """Return all atoms as a frozen set (one full scan)."""
         return frozenset(self._store.iter_atoms())
 
+    def _terms(self) -> Iterator[Term]:
+        store = self._store
+        for predicate in store.predicates():
+            for row in store.rows_matching(predicate):
+                yield from row
+
     def constants(self) -> FrozenSet[Constant]:
         """Return the constants occurring in the store (streamed scan)."""
-        return frozenset(
-            term
-            for atom in self._store.iter_atoms()
-            for term in atom.terms
-            if not isinstance(term, Null)
-        )
+        return frozenset(term for term in self._terms() if not isinstance(term, Null))
 
     def nulls(self) -> FrozenSet[Null]:
         """Return the labeled nulls occurring in the store (streamed scan)."""
-        return frozenset(
-            term
-            for atom in self._store.iter_atoms()
-            for term in atom.terms
-            if isinstance(term, Null)
-        )
+        return frozenset(term for term in self._terms() if isinstance(term, Null))
 
     def domain(self) -> FrozenSet[Term]:
         """Return the constants and nulls occurring in the store."""
-        return frozenset(
-            term for atom in self._store.iter_atoms() for term in atom.terms
-        )
+        return frozenset(self._terms())
+
+    def to_instance(self) -> Instance:
+        """Materialise the store (constants *and* nulls) as an :class:`Instance`,
+        one ``add_rows`` batch per predicate in sorted order."""
+        instance = Instance()
+        for predicate in sorted(self._store.predicates()):
+            instance.add_rows(predicate, self._store.rows_matching(predicate))
+        return instance
 
     # -------------------------------------------------------------- #
     # Mutation is refused
 
-    def add_atom(self, atom: Atom) -> bool:
-        raise TypeError("InstanceView is read-only; mutate the underlying store")
-
     def add_rows(self, predicate: Predicate, rows: Iterable[Row]) -> int:
         raise TypeError("InstanceView is read-only; mutate the underlying store")
 
-    add = add_atom
+    def add(self, atom: Atom) -> bool:
+        raise TypeError("InstanceView is read-only; mutate the underlying store")

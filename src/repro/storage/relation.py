@@ -1,10 +1,11 @@
 """Relations: named, fixed-arity tuple stores.
 
 The paper keeps its databases in PostgreSQL; this module is the storage
-substrate that stands in for it (see DESIGN.md).  A :class:`Relation` stores
-tuples of constants for one predicate, preserves insertion order (the paper's
-``D*`` views rely on "the first k tuples per predicate"), and offers the
-primitive scans the two ``FindShapes`` implementations need.
+substrate that stands in for it (ARCHITECTURE.md, "``repro.storage``").  A
+:class:`Relation` stores tuples of constants for one predicate, preserves
+insertion order (the paper's ``D*`` views rely on "the first k tuples per
+predicate"), and offers the primitive scans the two ``FindShapes``
+implementations need.
 """
 
 from __future__ import annotations

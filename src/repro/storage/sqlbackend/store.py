@@ -26,7 +26,7 @@ Design notes
   file byte-for-byte and files are interchangeable with the in-process
   backend's row logs.
 * **Position indexes** — per ``(predicate, position)`` covering indexes are
-  created lazily on the first ``atoms_matching`` lookup binding that
+  created lazily on the first ``rows_matching`` lookup binding that
   position, mirroring ``Instance``'s lazily-built position indexes; the
   unique value index already serves position 0.
 * **Batching** — the store runs in manual-transaction mode: writes open one
@@ -35,10 +35,13 @@ Design notes
   raise), so a round's inserts cost one fsync, not one per atom, and a hard
   crash loses at most the round in flight.  ``add_rows`` bulk loads one
   predicate's rows via ``executemany``.
-* **Rows** — the chase engines trade rows (term tuples under a predicate)
-  through ``add_rows``/``rows_matching``/``has_row``; a decoded row is a
-  tuple of terms, and an :class:`Atom` is built only by the ``atoms_*`` /
-  ``iter_atoms`` API.
+* **Rows** — the store speaks only the row protocol: the chase engines
+  trade rows (term tuples under a predicate) through
+  ``add_rows``/``rows_matching``/``has_row``, a decoded row is a tuple of
+  terms, and ``iter_atoms`` is the one method that builds an
+  :class:`Atom`.  Atom-level reads go through
+  :class:`~repro.storage.atom_store.InstanceView`, and seeding through
+  :func:`repro.chase.rounds.seed_store`.
 
 Connection lifecycle: one connection per store, bound to the thread that
 opened it (``sqlite3``'s default ``check_same_thread``): use from another
@@ -66,9 +69,8 @@ from typing import (
     Union,
 )
 
-from ...core.atoms import Atom, row_sort_key
+from ...core.atoms import Atom
 from ...core.indexing import Row
-from ...core.instances import Database, Instance
 from ...core.predicates import Predicate
 from ...core.terms import Constant, Null, Term
 from ...exceptions import StorageError, ValidationError
@@ -253,8 +255,8 @@ class SqliteAtomStore:
 
         The pushdown executor stamps a whole round's inserts with one
         explicit ``seq`` value through :meth:`bulk_apply` (bypassing
-        :meth:`add_atom`'s per-row counter); it then advances the watermark
-        here so later :meth:`add_atom` calls and reopened stores
+        :meth:`add_rows`'s per-row counter); it then advances the watermark
+        here so later :meth:`add_rows` calls and reopened stores
         (``MAX(seq)`` in :meth:`_load_catalog`) stay consistent.  Never
         moves the watermark backwards.
         """
@@ -485,52 +487,13 @@ class SqliteAtomStore:
         self._counts[predicate.name] += inserted
         return inserted
 
-    def add_atom(self, atom: Atom) -> bool:
-        """Add *atom*; return ``True`` when it was not already present."""
-        predicate = atom.predicate
-        values = self._ground_row(predicate, atom.terms)
-        self.create_relation(predicate)
-        self._begin()
-        values.append(self._seq + 1)
-        cursor = self._connection.execute(self._insert_sql(predicate), values)
-        if cursor.rowcount != 1:
-            return False
-        self._seq += 1
-        self._counts[predicate.name] += 1
-        return True
-
-    def add_atoms(self, atoms: Iterable[Atom]) -> int:
-        """Bulk-insert *atoms*, one :meth:`add_rows` call per run of one
-        predicate; return how many were new."""
-        added = 0
-        run: List[Row] = []
-        run_predicate: Optional[Predicate] = None
-        for atom in atoms:
-            predicate = atom.predicate
-            if predicate is not run_predicate and predicate != run_predicate:
-                if run_predicate is not None:
-                    added += self.add_rows(run_predicate, run)
-                run, run_predicate = [], predicate
-            run.append(atom.terms)
-        if run_predicate is not None:
-            added += self.add_rows(run_predicate, run)
-        return added
-
-    def load_database(self, database: Database) -> int:
-        """Bulk-load a :class:`~repro.core.instances.Database` in canonical
-        order; return the new-row count."""
-        return sum(
-            self.add_rows(predicate, sorted(database.rows_matching(predicate), key=row_sort_key))
-            for predicate in sorted(database.predicates())
-        )
-
     # ------------------------------------------------------------------ #
-    # AtomStore protocol: row queries
+    # AtomStore protocol: queries
 
     def has_row(self, predicate: Predicate, row: Row) -> bool:
         """Return ``True`` when the row *row* over *predicate* is stored."""
         table = self._table_for(predicate)
-        if table is None:
+        if table is None or len(row) != predicate.arity:
             return False
         columns = self._columns(predicate.arity)
         where = " AND ".join(f"{column} = ?" for column in columns)
@@ -569,32 +532,15 @@ class SqliteAtomStore:
         ).fetchall()
         return [self._decode(predicate, values) for values in found]
 
-    # ------------------------------------------------------------------ #
-    # AtomStore protocol: atom queries (the API edge)
-
-    def has_atom(self, atom: Atom) -> bool:
-        """Return ``True`` when *atom* is stored."""
-        return self.has_row(atom.predicate, atom.terms)
-
     def iter_atoms(self) -> Iterator[Atom]:
-        """Iterate over all stored atoms (no ordering guarantee)."""
-        for predicate_name in sorted(self._predicates):
-            predicate = self._predicates[predicate_name]
-            yield from self.atoms_with_predicate(predicate)
+        """Iterate over all stored rows as atoms (no ordering guarantee)."""
+        for predicate in self.predicates():
+            for row in self.rows_matching(predicate):
+                yield Atom(predicate, row)
 
     def atom_count(self) -> int:
         """Return the number of (distinct) stored atoms."""
         return sum(self._counts.values())
-
-    def atoms_with_predicate(self, predicate: Predicate) -> Collection[Atom]:
-        """Return the stored atoms over *predicate* (decoded scan)."""
-        return self.atoms_matching(predicate)
-
-    def atoms_matching(
-        self, predicate: Predicate, bindings: Optional[Mapping[int, Term]] = None
-    ) -> List[Atom]:
-        """:meth:`rows_matching` as atoms."""
-        return [Atom(predicate, row) for row in self.rows_matching(predicate, bindings)]
 
     def predicate_cardinality(self, predicate: Predicate) -> int:
         """Return the number of atoms over *predicate* (answered from the count cache)."""
@@ -613,23 +559,3 @@ class SqliteAtomStore:
     def catalog_predicates(self) -> List[Predicate]:
         """Return every catalogued predicate (empty relations included)."""
         return [self._predicates[name] for name in sorted(self._predicates)]
-
-    # ------------------------------------------------------------------ #
-    # Conversion
-
-    def to_instance(self) -> Instance:
-        """Materialise the stored atoms (constants *and* nulls) as an :class:`Instance`."""
-        instance = Instance()
-        for predicate in self.predicates():
-            instance.add_rows(predicate, self.rows_matching(predicate))
-        return instance
-
-    @classmethod
-    def from_database(
-        cls, database: Database, path: str = MEMORY_PATH, name: str = "sqlite"
-    ) -> "SqliteAtomStore":
-        """Build a store from a fact set (batched load)."""
-        store = cls(path=path, name=name)
-        store.load_database(database)
-        return store
-

@@ -13,7 +13,8 @@ fact that for ``simple_D(Σ)`` plain weak acyclicity suffices (Lemma 4.5):
                                                            (``t-comp``).
 
 Step 1 is the *db-dependent* component and accepts a pluggable shape
-source: a raw :class:`~repro.core.instances.Database`, or one of the storage
+source: a raw :class:`~repro.core.instances.Database` or any other row store
+(a chase result's store or view included), or one of the storage
 substrate's ``FindShapes`` implementations (in-memory or in-database).
 """
 
@@ -49,8 +50,8 @@ def is_chase_finite_l(
     Parameters
     ----------
     shape_source:
-        The database ``D`` (a :class:`~repro.core.instances.Database`), a
-        shape finder exposing ``find_shapes()`` (see
+        The database ``D`` (a :class:`~repro.core.instances.Database` or
+        any other row store), a shape finder exposing ``find_shapes()`` (see
         :mod:`repro.storage.shape_finder`), or a pre-computed iterable of
         :class:`~repro.simplification.shapes.Shape`.  Resolution is
         delegated to :func:`repro.simplification.shapes.resolve_shapes`, so

@@ -22,6 +22,7 @@ from repro.core.terms import Constant, Variable
 from repro.core.tgds import TGD, TGDSet
 from repro.fuzz.reference import reference_chase
 from repro.scenarios import build_deep, build_ibench, build_lubm
+from repro.storage.atom_store import InstanceView
 
 VARIANTS = ("oblivious", "semi-oblivious", "restricted")
 
@@ -135,7 +136,7 @@ class TestBackendDifferential:
             assert memory.instance == sqlite.instance
             # The sqlite store itself holds the chased atoms (incl. nulls).
             assert sqlite.store.atom_count() == len(sqlite.instance)
-            assert sqlite.store.to_instance() == memory.instance
+            assert InstanceView(sqlite.store).to_instance() == memory.instance
             sqlite.store.close()
 
     def test_reference_matches_the_sqlite_backend(self):

@@ -23,6 +23,7 @@ import pytest
 from repro.chase.engine import chase, make_backend_store
 from repro.chase.parallel import parallel_chase, replica_seed_split, worker_seed_atoms
 from repro.chase.result import ChaseLimits, ChaseResult
+from repro.chase.rounds import seed_store
 from repro.core.atoms import Atom
 from repro.core.instances import Instance
 from repro.core.parser import parse_database, parse_rules
@@ -61,13 +62,13 @@ class TestLazyMaterialization:
         )
         assert not result.is_materialized
         calls = []
-        original = type(result.store).to_instance
+        original = InstanceView.to_instance
 
-        def counting(store):
-            calls.append(store)
-            return original(store)
+        def counting(view):
+            calls.append(view.store)
+            return original(view)
 
-        monkeypatch.setattr(type(result.store), "to_instance", counting)
+        monkeypatch.setattr(InstanceView, "to_instance", counting)
         first = result.instance
         second = result.instance
         assert first is second
@@ -86,7 +87,7 @@ class TestLazyMaterialization:
         database, tgds = _program()
         result = chase(database, tgds, backend="sqlite", materialize=False)
         monkeypatch.setattr(
-            SqliteAtomStore,
+            InstanceView,
             "to_instance",
             lambda store: pytest.fail("size()/view must not materialize"),
         )
@@ -144,7 +145,6 @@ class TestLazyEqualsEager:
             )
         some_atom = next(iter(instance))
         assert some_atom in view
-        assert view.has_atom(some_atom)
         # The store-protocol delegation surface.
         assert view.store is result.store
         predicate = some_atom.predicate
@@ -152,9 +152,6 @@ class TestLazyEqualsEager:
             predicate
         )
         bindings = {0: some_atom.terms[0]}
-        assert set(view.atoms_matching(predicate, bindings)) == set(
-            instance.atoms_matching(predicate, bindings)
-        )
         assert set(view.rows_matching(predicate, bindings)) == set(
             instance.rows_matching(predicate, bindings)
         )
@@ -167,7 +164,9 @@ class TestLazyEqualsEager:
         database, tgds = _program()
         result = chase(database, tgds, backend="sqlite", materialize=False)
         with pytest.raises(TypeError, match="read-only"):
-            result.view.add_atom(Atom(Predicate("X", 1), (Constant("a"),)))
+            result.view.add(Atom(Predicate("X", 1), (Constant("a"),)))
+        with pytest.raises(TypeError, match="read-only"):
+            result.view.add_rows(Predicate("X", 1), [(Constant("a"),)])
 
 
 class TestLazyResume:
@@ -207,8 +206,8 @@ class TestWorkerSeedStreaming:
         R, U = Predicate("R", 2), Predicate("Unused", 2)
         store = Instance()
         for i in range(n_rows):
-            store.add_atom(Atom(R, (Constant(f"a{i}"), Constant(f"b{i}"))))
-            store.add_atom(Atom(U, (Constant(f"u{i}"), Constant(f"v{i}"))))
+            store.add(Atom(R, (Constant(f"a{i}"), Constant(f"b{i}"))))
+            store.add(Atom(U, (Constant(f"u{i}"), Constant(f"v{i}"))))
         return store
 
     def test_linear_rules_partition_the_seed(self):
@@ -276,17 +275,15 @@ class TestWorkerSeedStreaming:
         partial = chase(database, tgds, limits=ChaseLimits(max_rounds=1))
         assert partial.instance.nulls()
         atoms = sorted(partial.instance)
-        reference = Instance()
-        for atom in atoms:
-            reference.add_atom(atom)
+        reference = Instance(atoms)
         if backend == "sqlite-reopened":
             path = str(tmp_path / "seed.db")
             with SqliteAtomStore(path=path) as earlier:
-                earlier.add_atoms(atoms)
+                seed_store(earlier, reference)
             store = SqliteAtomStore(path=path)
         else:
             store = make_backend_store(_backend(backend, tmp_path, "seed"))
-            store.add_atoms(atoms)
+            seed_store(store, reference)
         workers = 3
         for variant in ("oblivious", "semi-oblivious", "restricted"):
             for unused in (False, True):

@@ -9,6 +9,7 @@ from repro.chase.matching import (
     make_trigger_source,
     variable_slots,
 )
+from repro.chase.rounds import seed_store
 from repro.core.instances import Instance
 from repro.core.parser import parse_database, parse_rules
 from repro.core.terms import Constant, Variable
@@ -79,7 +80,8 @@ class TestIndexedHomomorphisms:
 
     def test_works_against_sqlite_store(self):
         tgd = _tgd("R(x,y), S(y,z) -> T(x,z)")
-        store = SqliteAtomStore.from_database(parse_database("R(a,b).\nS(b,c).\nS(d,e)."))
+        store = SqliteAtomStore()
+        seed_store(store, parse_database("R(a,b).\nS(b,c).\nS(d,e)."))
         results = _body_matches(tgd, store)
         assert len(results) == 1
         assert results[0][Variable("z")] == Constant("c")

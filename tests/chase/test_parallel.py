@@ -169,9 +169,7 @@ class TestWorkerDeath:
     TGDS = tuple(parse_rules("R(x,y) -> S(y,x)\nS(x,y), R(y,z) -> T(x,z)"))
 
     def _pool(self, exchange):
-        store = Instance()
-        for atom in self.DATABASE.atoms():
-            store.add_atom(atom)
+        store = Instance(self.DATABASE.atoms())
         executor = ParallelChaseExecutor(workers=2, executor="process", exchange=exchange)
         return executor._make_pool(self.TGDS, store, None)
 

@@ -120,7 +120,9 @@ def test_every_finder_returns_the_reference_set(content, limit):
     with SqliteAtomStore() as pushed:
         for relation in store.relations():
             pushed.create_relation(relation.predicate)
-            pushed.add_atoms(relation.atoms())
+            pushed.add_rows(
+                relation.predicate, [atom.terms for atom in relation.atoms()]
+            )
         assert SqliteShapeFinder(pushed).find_shapes() == _reference(content)
 
 

@@ -41,28 +41,28 @@ class TestTermEncoding:
     def test_marker_shaped_constants_survive_the_store(self):
         store = SqliteAtomStore()
         tricky = Atom(R, (Constant("_:x"), Null("x")))
-        store.add_atom(tricky)
-        assert store.has_atom(tricky)
+        store.add_rows(R, [tricky.terms])
+        assert store.has_row(R, tricky.terms)
         assert set(store.iter_atoms()) == {tricky}
 
 
 class TestInstanceAtomStore:
-    def test_atoms_matching(self):
+    def test_rows_matching(self):
         instance = Instance(parse_database("R(a,b).\nR(a,c).\nR(b,c).").atoms())
-        hits = set(instance.atoms_matching(R, {0: Constant("a")}))
+        hits = set(instance.rows_matching(R, {0: Constant("a")}))
         assert hits == {
-            Atom(R, (Constant("a"), Constant("b"))),
-            Atom(R, (Constant("a"), Constant("c"))),
+            (Constant("a"), Constant("b")),
+            (Constant("a"), Constant("c")),
         }
-        assert list(instance.atoms_matching(R, {0: Constant("z")})) == []
-        assert set(instance.atoms_matching(R)) == set(instance.atoms())
+        assert list(instance.rows_matching(R, {0: Constant("z")})) == []
+        assert {Atom(R, row) for row in instance.rows_matching(R)} == set(instance.atoms())
 
     def test_index_is_maintained_incrementally_after_first_use(self):
         instance = Instance(parse_database("R(a,b).").atoms())
-        assert len(list(instance.atoms_matching(R, {0: Constant("a")}))) == 1
+        assert len(list(instance.rows_matching(R, {0: Constant("a")}))) == 1
         # The index for R is now built; later adds must keep it fresh.
         instance.add(Atom(R, (Constant("a"), Constant("z"))))
-        assert len(list(instance.atoms_matching(R, {0: Constant("a")}))) == 2
+        assert len(list(instance.rows_matching(R, {0: Constant("a")}))) == 2
 
     def test_predicate_cardinality(self):
         instance = Instance(parse_database("R(a,b).\nR(b,c).").atoms())
@@ -80,9 +80,9 @@ class TestInstanceAtomStore:
 
     def test_copy_preserves_term_index_and_rebuilds_position_index(self):
         instance = Instance(parse_database("R(a,b).").atoms())
-        list(instance.atoms_matching(R, {0: Constant("a")}))
+        list(instance.rows_matching(R, {0: Constant("a")}))
         clone = instance.copy()
         assert clone.constants() == instance.constants()
         clone.add(Atom(R, (Constant("a"), Constant("x"))))
-        assert len(list(clone.atoms_matching(R, {0: Constant("a")}))) == 2
-        assert len(list(instance.atoms_matching(R, {0: Constant("a")}))) == 1
+        assert len(list(clone.rows_matching(R, {0: Constant("a")}))) == 2
+        assert len(list(instance.rows_matching(R, {0: Constant("a")}))) == 1

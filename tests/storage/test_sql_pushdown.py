@@ -25,6 +25,7 @@ import pytest
 
 from repro.chase.engine import chase, make_backend_store
 from repro.chase.result import ChaseLimits
+from repro.chase.rounds import seed_store
 from repro.core.parser import parse_database, parse_rules
 from repro.core.terms import Constant, NullFactory, Variable
 from repro.exceptions import ChaseLimitExceeded
@@ -101,7 +102,7 @@ class TestCompiledQueryPlans:
         database = parse_database("Q(a,b).\nR(b,c).\nS(a,c,d).\n")
         tgds = parse_rules("Q(x1,x2), R(x2,x3) -> S(x1,x3,z1)\n")
         store = SqliteAtomStore()
-        store.load_database(database)
+        seed_store(store, database)
         register_skolem_function(store)
         rule = CompiledRule(0, tuple(tgds)[0], "restricted", store)
         yield rule, store

@@ -15,6 +15,7 @@ import pytest
 from repro.chase.engine import chase, make_backend_store
 from repro.chase.parallel import parallel_chase
 from repro.chase.result import ChaseLimits
+from repro.chase.rounds import seed_store
 from repro.core.atoms import Atom
 from repro.core.instances import Database, Instance
 from repro.core.parser import parse_database, parse_rules
@@ -31,6 +32,7 @@ from repro.storage.sqlbackend import (
 )
 from repro.termination.linear import is_chase_finite_l
 from tests.helpers import chase_result_fingerprint as fingerprint
+from tests.storage.store_contract import add
 
 R = Predicate("R", 2)
 
@@ -40,6 +42,13 @@ FACTS = "R(a,b).\nR(b,a).\nR(b,c).\n"
 
 def _program():
     return parse_database(FACTS), parse_rules(RULES)
+
+
+def _seeded(database, path=":memory:"):
+    """A store holding *database*, loaded the one way every chase seeds."""
+    store = SqliteAtomStore(path=path)
+    seed_store(store, database)
+    return store
 
 
 class TestBackendSpecs:
@@ -74,7 +83,7 @@ class TestBackendSpecs:
 
     def test_arity_conflict_is_rejected(self):
         store = SqliteAtomStore()
-        store.add_atom(Atom(R, (Constant("a"), Constant("b"))))
+        store.add_rows(R, [(Constant("a"), Constant("b"))])
         with pytest.raises(StorageError, match="already exists with arity"):
             store.create_relation(Predicate("R", 3))
 
@@ -87,19 +96,20 @@ class TestBackendSpecs:
         upper = Atom(Predicate("FOO", 2), (Constant("a"), Constant("b")))
         mixed = Atom(Predicate("Foo", 2), (Constant("x"), Constant("y")))
         caret = Atom(Predicate("^foo", 2), (Constant("p"), Constant("q")))
-        for atom in (upper, mixed, caret):
-            assert store.add_atom(atom)
+        assert add(store, upper, mixed, caret) == 3
         assert set(store.iter_atoms()) == {upper, mixed, caret}
-        assert list(store.atoms_with_predicate(Predicate("FOO", 2))) == [upper]
-        assert list(store.atoms_with_predicate(Predicate("Foo", 2))) == [mixed]
+        assert list(store.rows_matching(Predicate("FOO", 2))) == [upper.terms]
+        assert list(store.rows_matching(Predicate("Foo", 2))) == [mixed.terms]
         # Differing arities under a case-folded name stay independent too.
         wide = Atom(Predicate("Bar", 3), tuple(Constant(c) for c in "abc"))
-        store.add_atom(Atom(Predicate("BAR", 2), (Constant("a"), Constant("b"))))
-        assert store.add_atom(wide)
-        assert store.has_atom(wide)
+        add(store, Atom(Predicate("BAR", 2), (Constant("a"), Constant("b"))))
+        assert add(store, wide) == 1
+        assert store.has_row(wide.predicate, wide.terms)
         # Bound lookups (lazily indexed) respect the case split as well.
-        assert list(store.atoms_matching(Predicate("Foo", 2), {1: Constant("y")})) == [mixed]
-        assert list(store.atoms_matching(Predicate("FOO", 2), {1: Constant("y")})) == []
+        assert list(store.rows_matching(Predicate("Foo", 2), {1: Constant("y")})) == [
+            mixed.terms
+        ]
+        assert list(store.rows_matching(Predicate("FOO", 2), {1: Constant("y")})) == []
 
 
 class TestPersistence:
@@ -111,8 +121,7 @@ class TestPersistence:
             Atom(Predicate("Flag", 0), ()),
         }
         with SqliteAtomStore(path=path) as store:
-            for atom in atoms:
-                store.add_atom(atom)
+            add(store, *atoms)
             seq = store.current_seq()
         with SqliteAtomStore(path=path) as reopened:
             assert set(reopened.iter_atoms()) == atoms
@@ -124,8 +133,7 @@ class TestPersistence:
         path = str(tmp_path / "size.db")
         with SqliteAtomStore(path=path) as store:
             assert store.file_size() > 0  # schema pages
-            for i in range(500):
-                store.add_atom(Atom(R, (Constant(f"a{i}"), Constant(f"b{i}"))))
+            store.add_rows(R, [(Constant(f"a{i}"), Constant(f"b{i}")) for i in range(500)])
             grown = store.file_size()
             assert grown > 4096
         assert os.path.getsize(path) == grown
@@ -240,7 +248,7 @@ class TestChaseOnTheSqliteBackend:
     @pytest.mark.parametrize("variant", ["oblivious", "semi-oblivious", "restricted"])
     @pytest.mark.parametrize("strategy", ["indexed", "sql-pushdown"])
     def test_round_watermarks_survive_bulk_load_seq_gaps(self, strategy, variant):
-        # add_atoms consumes a seq for every ignored duplicate row, so a store
+        # add_rows consumes a seq for every ignored duplicate row, so a store
         # loaded with repeats has gaps below and at the top of its sequence;
         # the round watermarks (and the restricted variant's round-start
         # snapshot) are readings of current_seq(), never row arithmetic, so
@@ -249,8 +257,8 @@ class TestChaseOnTheSqliteBackend:
         expected = fingerprint(chase(database, tgds, variant=variant))
         atoms = sorted(database, key=str)
         store = SqliteAtomStore()
-        store.add_atoms(atoms[:1])
-        assert store.add_atoms(atoms + atoms[:2]) == len(atoms) - 1
+        add(store, *atoms[:1])
+        assert add(store, *atoms, *atoms[:2]) == len(atoms) - 1
         assert store.current_seq() > store.atom_count()
         result = chase(Database(), tgds, variant=variant, store=store, strategy=strategy)
         assert fingerprint(result) == expected
@@ -273,7 +281,7 @@ class TestChaseOnTheSqliteBackend:
         database, tgds = _program()
         expected = fingerprint(chase(database, tgds))
         path = str(tmp_path / "warm.db")
-        with SqliteAtomStore.from_database(database, path=path) as store:
+        with _seeded(database, path=path) as store:
             store.flush()
         reopened = SqliteAtomStore(path=path)
         result = parallel_chase(
@@ -286,12 +294,12 @@ class TestChaseOnTheSqliteBackend:
         # One thread per store: sqlite3 binds the connection to the thread
         # that opened it, so another thread fails loudly instead of being
         # serialised (or hanging) behind a lock.
-        store = SqliteAtomStore.from_database(parse_database(FACTS))
+        store = _seeded(parse_database(FACTS))
         errors = []
 
         def use_store():
             try:
-                store.has_atom(Atom(R, (Constant("a"), Constant("b"))))
+                store.has_row(R, (Constant("a"), Constant("b")))
             except (sqlite3.ProgrammingError, StorageError) as error:
                 errors.append(error)
 
@@ -310,7 +318,7 @@ class TestSqliteShapeFinder:
     def test_matches_the_in_database_finder_without_scanning_rows(self):
         database = parse_database(self.DATA)
         reference = InDatabaseShapeFinder(RelationalDatabase.from_database(database))
-        pushed = SqliteShapeFinder(SqliteAtomStore.from_database(database))
+        pushed = SqliteShapeFinder(_seeded(database))
         assert pushed.find_shapes() == reference.find_shapes()
         assert pushed.stats.rows_scanned == 0
         assert pushed.stats.queries_issued > 0
@@ -331,8 +339,21 @@ class TestSqliteShapeFinder:
         database = parse_database(self.DATA)
         tgds = "R(x,y) -> S(y,x,z)\nS(x,y,z) -> P(y)\n"
         expected = is_chase_finite_l(database, tgds).finite
-        finder = SqliteShapeFinder(SqliteAtomStore.from_database(database))
+        finder = SqliteShapeFinder(_seeded(database))
         assert is_chase_finite_l(finder, tgds).finite == expected
+
+    @pytest.mark.parametrize("surface", ["view", "store"])
+    def test_any_row_store_is_a_shape_source(self, surface):
+        # resolve_shapes reads any source with rows_matching as a database:
+        # a chase result's store or view answers like its materialization.
+        database, tgds = _program()
+        result = chase(database, tgds, backend="sqlite", materialize=False)
+        linear = "S(x,y) -> R(y,x)\nT(x,y) -> S(y,z)\n"
+        report = is_chase_finite_l(getattr(result, surface), linear)
+        assert not result.is_materialized
+        expected = is_chase_finite_l(result.instance, linear)
+        assert report.finite == expected.finite
+        assert report.statistics == expected.statistics
 
     def test_shapes_of_chased_store_include_null_identities(self):
         # Shapes are computed over the *encoded* rows, so a null equal to

@@ -146,11 +146,11 @@ class TestChaseCommand:
         self, join_rule_file, fact_file, tmp_path, capsys, monkeypatch
     ):
         # --no-materialize must never decode the fixpoint into an Instance:
-        # poison to_instance and the run still reports every count.
-        from repro.storage.sqlbackend import SqliteAtomStore
+        # poison the one decoder and the run still reports every count.
+        from repro.storage.atom_store import InstanceView
 
         monkeypatch.setattr(
-            SqliteAtomStore,
+            InstanceView,
             "to_instance",
             lambda store: pytest.fail("--no-materialize must not materialize"),
         )

@@ -1,6 +1,6 @@
 """The documentation suite stays truthful.
 
-Three guards:
+Four guards:
 
 * **help snapshots** — ``docs/cli.md`` embeds the exact ``--help`` output
   of the top-level parser and every subcommand between
@@ -9,6 +9,8 @@ Three guards:
   on any drift, so a flag change cannot ship without its documentation;
 * **link check** — every relative markdown link in README.md,
   ARCHITECTURE.md, ROADMAP.md, and docs/ must point at a file that exists;
+* **cited documents** — every ``*.md`` file a source file under ``src/``
+  names must exist in the repository;
 * **retired estate** — ``benchmarks/``, its artifacts and environment knobs,
   and the ``sql`` strategy are gone from the tree and from the documentation;
   so are the ``thread`` executor, the SQLite connection lock and its lint
@@ -16,7 +18,8 @@ Three guards:
   the ``Trigger`` / ``Substitution`` objects only it built, the
   recursive-query tier and parallel worker of ``sql-pushdown``, and the
   SQLite replica kinds with the store-level partition scan and the worker
-  metrics merge, and the hand-written figure runners the sweep replaced.
+  metrics merge, the hand-written figure runners the sweep replaced, and
+  the atom half of the store protocol with the SQLite store's loaders.
 """
 
 import importlib
@@ -33,8 +36,10 @@ from repro.chase.engine import BACKENDS
 from repro.chase.matching import STRATEGIES
 from repro.chase.parallel import EXECUTORS
 from repro.cli import _build_parser
+from repro.core.instances import Instance
 from repro.storage.atom_store import AtomStore
 from repro.storage.database import RelationalDatabase
+from repro.storage.sqlbackend import SqliteAtomStore
 from tools.reprolint.checkers import ALL_CHECKERS
 
 REPO = Path(__file__).resolve().parents[1]
@@ -114,6 +119,20 @@ class TestMarkdownLinks:
             if not (document.parent / path).exists():
                 broken.append(target)
         assert not broken, f"{document.name} has broken relative links: {broken}"
+
+
+CITED_DOCUMENT = re.compile(r"[\w./-]+\.md\b")
+
+
+class TestCitedDocuments:
+    def test_documents_cited_in_the_source_exist(self):
+        missing = [
+            f"{path}: {name}"
+            for path, text in _text_files("src")
+            for name in CITED_DOCUMENT.findall(text)
+            if not (REPO / name).exists()
+        ]
+        assert not missing, missing
 
 
 def _text_files(*roots):
@@ -201,10 +220,21 @@ class TestRetiredEstate:
         ]
         assert not offenders, offenders
         assert {name for name in vars(AtomStore) if not name.startswith("_")} == {
-            "add_rows", "has_row", "rows_matching", "add_atom", "has_atom", "iter_atoms",
-            "atom_count", "atoms_with_predicate", "atoms_matching", "predicate_cardinality",
-            "predicates",
+            "add_rows", "has_row", "rows_matching", "predicate_cardinality", "predicates",
+            "atom_count", "iter_atoms",
         }
+
+    def test_the_store_protocol_is_rows(self):
+        # Backends speak rows; atoms are built by Instance (the value type)
+        # and InstanceView (the adapter over any store), nowhere else.
+        deleted = (
+            "add_atom", "add_atoms", "has_atom", "atoms_with_predicate", "atoms_matching",
+            "load_database", "from_database", "to_instance",
+        )
+        assert not [name for name in deleted if hasattr(SqliteAtomStore, name)]
+        assert not [
+            name for name in ("add_atom", "has_atom", "atoms_matching") if hasattr(Instance, name)
+        ]
 
     def test_one_l_pipeline(self):
         # is_chase_finite_l is the one IsChaseFinite[L] pipeline: the figures,

@@ -115,10 +115,10 @@ class TestDeterminism:
             tmp_path,
             "chase/engine.py",
             """
-            def insert_round(store, new_atoms):
-                new_atoms = set(new_atoms)
-                for atom in new_atoms:
-                    store.add_atom(atom)
+            def insert_round(store, predicate, new_rows):
+                new_rows = set(new_rows)
+                for row in new_rows:
+                    store.add_rows(predicate, [row])
             """,
         )
         assert rules_of(report) == ["determinism"]
@@ -128,10 +128,10 @@ class TestDeterminism:
             tmp_path,
             "chase/engine.py",
             """
-            def insert_round(store, new_atoms):
-                new_atoms = set(new_atoms)
-                for atom in sorted(new_atoms):
-                    store.add_atom(atom)
+            def insert_round(store, predicate, new_rows):
+                new_rows = set(new_rows)
+                for row in sorted(new_rows):
+                    store.add_rows(predicate, [row])
             """,
         )
         assert report.ok

@@ -91,6 +91,7 @@ class PlanCase:
 def _program_cases() -> Iterable[PlanCase]:
     """Instantiate every compiled statement family over the program panel."""
     _bootstrap_src()
+    from repro.chase.rounds import seed_store
     from repro.core.parser import parse_database, parse_rules
     from repro.storage.sqlbackend.pushdown import CompiledRule, register_skolem_function
     from repro.storage.sqlbackend.store import SqliteAtomStore
@@ -102,7 +103,7 @@ def _program_cases() -> Iterable[PlanCase]:
     ) -> Iterable[PlanCase]:
         """stage / record / filter / head-insert for each rule of a program."""
         store = SqliteAtomStore()
-        store.load_database(parse_database(facts))
+        seed_store(store, parse_database(facts))
         register_skolem_function(store)
         for index, tgd in enumerate(parse_rules(rules_text)):
             rule = CompiledRule(index, tgd, variant, store)
