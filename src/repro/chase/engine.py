@@ -288,7 +288,6 @@ def chase(
     executor: str = "auto",
     materialize: bool = True,
     tracer: Optional[AnyTracer] = None,
-    exchange: str = "coordinator",
 ) -> ChaseResult:
     """Run the chase of *database* with *tgds*.
 
@@ -325,11 +324,6 @@ def chase(
     executor:
         Worker backend for ``workers > 1``: ``"auto"``, ``"serial"``, or
         ``"process"`` (see :mod:`repro.chase.parallel`).
-    exchange:
-        Round protocol for ``workers > 1``: ``"coordinator"`` (default)
-        merges every round through the coordinator; ``"shuffle"`` lets
-        workers repartition results directly to peers between rounds
-        (see :mod:`repro.chase.exchange`).  Ignored when ``workers == 1``.
     materialize:
         ``True`` (default) eagerly builds ``result.instance`` before
         returning — the historical behaviour.  ``False`` returns the lazy
@@ -379,7 +373,6 @@ def chase(
             executor=executor,
             materialize=materialize,
             tracer=tracer,
-            exchange=exchange,
         )
         if traced:
             _emit_chase_end(tracer, result, chase_started)

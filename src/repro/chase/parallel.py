@@ -41,18 +41,15 @@ near-optimal parallel binary joins) distributes probe work:
 The coordinator owns the authoritative store; workers never mutate shared
 state beyond their own replica.  The round loop itself — budgets, sorted
 insertion, flushes, ``round``/``rule_round`` events, the result — is the
-shared driver's (:func:`repro.chase.rounds.run_rounds`): each exchange
-topology is only a *round step* plugged into it (:class:`_CoordinatorStep`,
-:class:`_ShuffleStep`) over one of two pools (:class:`_LocalPool` in-process,
-:class:`_ProcessPool` with replicas), and both pools serve both topologies.
+shared driver's (:func:`repro.chase.rounds.run_rounds`): the coordinator
+merge is only a *round step* plugged into it (:class:`_CoordinatorStep`)
+over one of two pools (:class:`_LocalPool` in-process, :class:`_ProcessPool`
+with replicas).
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
-import queue
-import threading
 import traceback
 from functools import partial
 from multiprocessing.connection import Connection, wait
@@ -84,19 +81,10 @@ from ..obs.clock import MonotonicClock
 from ..obs.tracer import AnyTracer, as_tracer
 from ..storage.atom_store import AtomStore
 from .engine import ChaseEngine, make_backend_store, resolve_engine_class
-from .exchange import (
-    EXCHANGES,
-    Frame,
-    FrameAssembler,
-    HeavyRoute,
-    ShuffleReport,
-    ShuffleWorker,
-    SkewDetector,
-    iter_frames,
-)
+from .exchange import EXCHANGES
 from .matching import JoinPlan
 from .result import ChaseLimits, ChaseResult
-from .rounds import Delta, RoundOutcome, RoundStep, RuleRow, insert_rows, run_rounds, seed_store
+from .rounds import Delta, RoundOutcome, RuleRow, insert_rows, run_rounds, seed_store
 from .triggers import FiringKey, FiringPlan
 
 _T = TypeVar("_T")
@@ -246,7 +234,7 @@ class _MatchWorker:
         return considered, fired
 
     def _delta_round(self, replicated: Delta, seeds: Seeds) -> MatchBatch:
-        """Execute this worker's share of one delta round, in either topology.
+        """Execute this worker's share of one delta round.
 
         *seeds* are the ``(plan_id, seed row)`` pairs this worker owns: the
         seed rides inside the pair (a partitioned-relation row need not
@@ -325,7 +313,6 @@ def worker_seed_atoms(
     n_workers: int,
     worker_id: int,
     full_atoms: Optional[Sequence[Atom]] = None,
-    include_unused_share: bool = False,
 ) -> List[Atom]:
     """The seed atoms one process replica actually needs.
 
@@ -340,13 +327,6 @@ def worker_seed_atoms(
     per-worker-invariant scan of the *full* predicates), so a coordinator
     seeding many workers collects it once instead of once per worker —
     see :func:`collect_full_seed_atoms`.
-
-    *include_unused_share* additionally ships the worker's hash partition
-    of every relation the TGDs never read.  The coordinator-merge protocol
-    skips those entirely, but a shuffle worker is also the *atom-dedup
-    owner* of its whole-tuple hash share of the global instance
-    (:meth:`~repro.chase.exchange.ShuffleWorker.seed_owned_atoms` scans the
-    replica), so its share of head-only relations must be present too.
     """
     full, partitioned = replica_seed_split(tgds, variant)
     atoms: List[Atom] = (
@@ -354,10 +334,7 @@ def worker_seed_atoms(
         if full_atoms is not None
         else collect_full_seed_atoms(store, full)
     )
-    shared = set(partitioned)
-    if include_unused_share:
-        shared.update(predicate for predicate in store.predicates() if predicate not in full)
-    for predicate in sorted(shared):
+    for predicate in sorted(partitioned):
         atoms.extend(
             Atom(predicate, row)
             for row in partition_rows(store.rows_matching(predicate), (), n_workers, worker_id)
@@ -468,43 +445,17 @@ class _Wire(Dict[Any, int]):
 
 
 # --------------------------------------------------------------------------- #
-# Worker pools: one in-process, one of processes.  Each serves both round
-# protocols — ``initial``/``delta`` for the coordinator-merge topology,
-# ``round`` for the shuffle exchange (see repro.chase.exchange for its phases).
-
-
-def _build_shuffle_worker(
-    match_worker: _MatchWorker,
-    tgds: Sequence[TGD],
-    variant: str,
-    shared_store: bool,
-) -> ShuffleWorker:
-    """Assemble one worker's shuffle state machine around its match worker."""
-    full, _ = replica_seed_split(tgds, variant)
-    plans_by_predicate = {
-        predicate: tuple(entry.plan_id for entry in entries)
-        for predicate, entries in match_worker.table.by_predicate.items()
-    }
-    return ShuffleWorker(
-        match_worker,
-        plans_by_predicate,
-        full,
-        shared_store=shared_store,
-        crash_spec=os.environ.get("REPRO_EXCHANGE_CRASH"),
-    )
+# Worker pools: one in-process, one of processes.  Both serve the
+# coordinator merge's ``initial``/``delta`` round protocol.
 
 
 class _LocalPool:
     """In-process workers, run one after another on the coordinator's store.
 
     Serves ``workers == 1``, ``executor="serial"`` and ``"auto"`` over an
-    :class:`~repro.core.instances.Instance` — the exact partitioning, merge
-    and exchange protocols of the process pool without processes, which
-    is what the determinism tests lean on.
-
-    The shuffle "channels" are plain lists: each phase wave returns one
-    outbox per destination, and the pool hands every worker the payloads
-    addressed to it before the next wave.
+    :class:`~repro.core.instances.Instance` — the exact partitioning and
+    merge protocol of the process pool without processes, which is what the
+    determinism tests lean on.
     """
 
     def __init__(
@@ -513,26 +464,13 @@ class _LocalPool:
         tgds: Sequence[TGD],
         variant: str,
         store: AtomStore,
-        exchange: str,
         traced: bool,
     ) -> None:
         self.workers = workers
-        shuffle = exchange == "shuffle"
-        # Shuffle workers time their own rounds; only coordinator-merge
-        # match workers attach metrics to their reports.
-        collect_metrics = traced and not shuffle
         self._match_workers = [
-            _MatchWorker(worker_id, workers, tgds, variant, store, collect_metrics)
+            _MatchWorker(worker_id, workers, tgds, variant, store, traced)
             for worker_id in range(workers)
         ]
-        self._shuffle_workers: List[ShuffleWorker] = []
-        if shuffle:
-            self._shuffle_workers = [
-                _build_shuffle_worker(worker, tgds, variant, shared_store=True)
-                for worker in self._match_workers
-            ]
-            for shuffle_worker in self._shuffle_workers:
-                shuffle_worker.seed_owned_atoms(store)
 
     def _wave(self, calls: Sequence[Callable[[], _T]]) -> List[_T]:
         """Run one call per worker, in worker order.  A worker's exception
@@ -558,97 +496,8 @@ class _LocalPool:
             ]
         )
 
-    def round(
-        self, round_index: int, heavy_routes: Tuple[HeavyRoute, ...]
-    ) -> List[ShuffleReport]:
-        workers = self._shuffle_workers
-
-        def addressed_to(
-            worker: ShuffleWorker, outboxes: Sequence[List[List[object]]]
-        ) -> List[List[object]]:
-            return [outbox[worker.worker_id] for outbox in outboxes]
-
-        routed = self._wave(
-            [partial(w.phase_route, round_index, heavy_routes) for w in workers]
-        )
-        keyed = self._wave(
-            [partial(w.phase_match, round_index, addressed_to(w, routed)) for w in workers]
-        )
-        atomed = self._wave(
-            [partial(w.phase_keys, round_index, addressed_to(w, keyed)) for w in workers]
-        )
-        return self._wave(
-            [partial(w.phase_atoms, round_index, addressed_to(w, atomed)) for w in workers]
-        )
-
     def close(self) -> None:
         """Nothing to release: the workers are plain objects."""
-
-
-class _PipeTransport:
-    """All-to-all exchange over per-pair pipes, deadlock-free by design.
-
-    A dedicated drain thread receives from every peer connection eagerly
-    and unconditionally (parking frames in an in-process queue), so this
-    worker's blocking ``send`` can never participate in the classic
-    all-to-all cycle — every peer's inbound buffer is always being emptied,
-    whatever the main thread is doing.  The main thread is the only reader
-    of the queue and the only user of the frame assembler.
-    """
-
-    def __init__(
-        self, worker_id: int, peer_conns: Sequence[Tuple[int, Connection]]
-    ) -> None:
-        self.worker_id = worker_id
-        self._peers = tuple(peer_conns)
-        self._inbox: "queue.SimpleQueue[Frame]" = queue.SimpleQueue()
-        self._assembler = FrameAssembler()
-        self._thread = threading.Thread(target=self._drain, daemon=True)
-        self._thread.start()
-
-    def _drain(self) -> None:
-        connections = [connection for _, connection in self._peers]
-        while connections:
-            for ready in wait(connections):
-                ready_conn = cast(Connection, ready)
-                try:
-                    frame = ready_conn.recv()
-                except (EOFError, OSError):
-                    connections.remove(ready_conn)
-                    continue
-                self._inbox.put(frame)
-
-    def exchange(
-        self, round_index: int, phase: str, outboxes: Sequence[List[object]]
-    ) -> List[Sequence[object]]:
-        """Send every peer its outbox; block until all peer payloads arrive."""
-        for peer_id, connection in self._peers:
-            for frame in iter_frames(round_index, phase, self.worker_id, outboxes[peer_id]):
-                try:
-                    connection.send(frame)
-                except (BrokenPipeError, OSError):
-                    # A dead peer is surfaced by the coordinator (its error
-                    # report or its closed control pipe); don't mask it with
-                    # a send failure here.
-                    pass
-        inboxes: List[Sequence[object]] = [() for _ in outboxes]
-        inboxes[self.worker_id] = outboxes[self.worker_id]
-        pending = {peer_id for peer_id, _ in self._peers}
-        for peer_id in sorted(pending):
-            payload = self._assembler.pop(round_index, phase, peer_id)
-            if payload is not None:
-                inboxes[peer_id] = payload
-                pending.discard(peer_id)
-        while pending:
-            completed = self._assembler.feed(self._inbox.get())
-            if completed is None or completed[:2] != (round_index, phase):
-                continue
-            sender = completed[2]
-            if sender in pending:
-                payload = self._assembler.pop(round_index, phase, sender)
-                inboxes[sender] = payload if payload is not None else ()
-                pending.discard(sender)
-        return inboxes
 
 
 #: A process replica's round report on the wire: its fresh symbols, the fired
@@ -687,35 +536,13 @@ def _serve_match(worker: _MatchWorker, wire: _Wire, message: Tuple[Any, ...]) ->
     return wire.take_fresh(), fired_runs, skipped_runs, metrics
 
 
-def _serve_shuffle(
-    shuffle: ShuffleWorker, transport: _PipeTransport, message: Tuple[Any, ...]
-) -> ShuffleReport:
-    """One shuffle round on a process replica: the four exchange phases,
-    driven against the peer pipes by a ``("round", index, heavy_routes)``
-    barrier message."""
-    _, round_index, heavy_routes = message
-    if round_index == 0:
-        # All seed chunks have arrived once rounds begin: claim this
-        # worker's dedup share of the seed instance.
-        shuffle.seed_owned_atoms(shuffle.match_worker.store)
-    outboxes = shuffle.phase_route(round_index, heavy_routes)
-    inboxes = transport.exchange(round_index, "route", outboxes)
-    outboxes = shuffle.phase_match(round_index, inboxes)
-    inboxes = transport.exchange(round_index, "keys", outboxes)
-    outboxes = shuffle.phase_keys(round_index, inboxes)
-    inboxes = transport.exchange(round_index, "atoms", outboxes)
-    return shuffle.phase_atoms(round_index, inboxes)
-
-
 def _worker_main(
     conn: Connection,
-    peer_conns: Tuple[Tuple[int, Connection], ...],
     worker_id: int,
     n_workers: int,
     tgds: Sequence[TGD],
     variant: str,
     collect_metrics: bool,
-    exchange: str,
 ) -> None:
     """Entry point of a process worker: build the replica, serve rounds.
 
@@ -729,19 +556,7 @@ def _worker_main(
         try:
             store = Instance()
             wire = _Wire()
-            shuffle = exchange == "shuffle"
-            worker = _MatchWorker(
-                worker_id, n_workers, tgds, variant, store, collect_metrics and not shuffle
-            )
-            serve: Callable[[Tuple[Any, ...]], object]
-            if shuffle:
-                serve = partial(
-                    _serve_shuffle,
-                    _build_shuffle_worker(worker, tgds, variant, shared_store=False),
-                    _PipeTransport(worker_id, peer_conns),
-                )
-            else:
-                serve = partial(_serve_match, worker, wire)
+            worker = _MatchWorker(worker_id, n_workers, tgds, variant, store, collect_metrics)
         except Exception:
             conn.send(("error", traceback.format_exc()))
             return
@@ -757,7 +572,7 @@ def _worker_main(
                     wire.absorb(message[1])
                     insert_rows(store, wire.decode_rows(message[2]))
                     continue
-                conn.send(("ok", serve(message)))
+                conn.send(("ok", _serve_match(worker, wire, message)))
             except Exception:
                 conn.send(("error", traceback.format_exc()))
     finally:
@@ -769,9 +584,8 @@ class _ProcessPool:
 
     Each worker holds a private store that grows by what the worker reads
     (:func:`replica_seed_split`): every round's atoms of the *full*
-    predicates — from the coordinator's delta message, or the peers'
-    broadcasts under the shuffle exchange — and nothing else, so the
-    coordinator ships *work*, never the instance.  Seed chunks, deltas and
+    predicates, from the coordinator's delta message, and nothing else, so
+    the coordinator ships *work*, never the instance.  Seed chunks, deltas and
     match reports cross the control pipes as int frames over a
     per-connection :class:`_Wire`; a report is value rows, which
     :meth:`_decode_report` turns back into firing keys through each rule's
@@ -783,15 +597,10 @@ class _ProcessPool:
     worker ``w`` is guaranteed to be processed by the same replica that saw
     rounds ``< i``.
 
-    The shuffle exchange adds one thing: every worker pair is wired with a
-    private duplex pipe before any process starts, so peer traffic never
-    touches the coordinator.
-
     A worker that reports an error, or dies, fails the round with a
     :class:`~repro.exceptions.ParallelWorkerError` (a ``RuntimeError``)
-    naming it — whichever worker it is and however many
-    healthy workers are still busy (or wedged waiting for the dead one's
-    frames): :meth:`_collect` waits on all control pipes at once.
+    naming it — whichever worker it is and however many healthy workers are
+    still busy: :meth:`_collect` waits on all control pipes at once.
     """
 
     def __init__(
@@ -801,7 +610,6 @@ class _ProcessPool:
         variant: str,
         worker_seeds: Callable[[int], List[Atom]],
         collect_metrics: bool,
-        exchange: str,
     ) -> None:
         self.workers = workers
         null_scope = resolve_engine_class(variant).null_scope
@@ -813,35 +621,18 @@ class _ProcessPool:
         context = multiprocessing.get_context()
         self._connections: List[Connection] = []
         self._processes: List[multiprocessing.process.BaseProcess] = []
-        mesh: List[Dict[int, Connection]] = [{} for _ in range(workers)]
-        if exchange == "shuffle":
-            for low in range(workers):
-                for high in range(low + 1, workers):
-                    mesh[low][high], mesh[high][low] = context.Pipe(True)
         try:
             for worker_id in range(workers):
                 parent_conn, child_conn = context.Pipe()
                 process = context.Process(
                     target=_worker_main,
-                    args=(
-                        child_conn,
-                        tuple(sorted(mesh[worker_id].items())),
-                        worker_id,
-                        workers,
-                        tuple(tgds),
-                        variant,
-                        collect_metrics,
-                        exchange,
-                    ),
+                    args=(child_conn, worker_id, workers, tuple(tgds), variant, collect_metrics),
                     daemon=True,
                 )
                 process.start()
                 child_conn.close()
                 self._connections.append(parent_conn)
                 self._processes.append(process)
-            for peer_ends in mesh:
-                for end in peer_ends.values():
-                    end.close()
             for worker_id, wire in enumerate(self._wires):
                 atoms = worker_seeds(worker_id)
                 for start in range(0, len(atoms), SEED_CHUNK_ATOMS):
@@ -880,13 +671,12 @@ class _ProcessPool:
         except (BrokenPipeError, OSError):
             raise self._worker_failed(worker_id) from None
 
-    def _collect(self, decode: Optional[Callable[[int, Any], Any]] = None) -> List[Any]:
+    def _collect(self) -> List[RoundReport]:
         """One report per worker, in worker order; raise on the first failure.
 
-        Waits on *all* control pipes: under the shuffle exchange the healthy
-        workers block on their failed peer's frames and never report, so
-        receiving in worker order would hang behind them.  *decode* runs on
-        each payload as it arrives, while slower workers are still matching.
+        Waits on *all* control pipes at once and decodes each report as it
+        arrives, so the coordinator decodes one worker's value rows while
+        slower workers are still matching.
         """
         reports: List[Any] = [None] * self.workers
         pending = {connection: worker_id for worker_id, connection in enumerate(self._connections)}
@@ -900,7 +690,7 @@ class _ProcessPool:
                     raise self._worker_failed(worker_id) from None
                 if status != "ok":
                     raise self._worker_failed(worker_id, payload)
-                reports[worker_id] = payload if decode is None else decode(worker_id, payload)
+                reports[worker_id] = self._decode_report(worker_id, payload)
         return reports
 
     def _decode_report(self, worker_id: int, report: WireReport) -> RoundReport:
@@ -920,20 +710,13 @@ class _ProcessPool:
     def initial(self) -> List[RoundReport]:
         for worker_id in range(self.workers):
             self._send(worker_id, ("initial",))
-        return self._collect(self._decode_report)
+        return self._collect()
 
     def delta(self, replicated: Delta, seeds_by_worker: Sequence[Seeds]) -> List[RoundReport]:
         for worker_id, wire in enumerate(self._wires):
             replicated_runs = wire.encode_rows(replicated)
             seed_runs = wire.encode(seeds_by_worker[worker_id])
             self._send(worker_id, ("delta", wire.take_fresh(), replicated_runs, seed_runs))
-        return self._collect(self._decode_report)
-
-    def round(
-        self, round_index: int, heavy_routes: Tuple[HeavyRoute, ...]
-    ) -> List[ShuffleReport]:
-        for worker_id in range(self.workers):
-            self._send(worker_id, ("round", round_index, heavy_routes))
         return self._collect()
 
     def close(self) -> None:
@@ -944,8 +727,8 @@ class _ProcessPool:
                 pass
             connection.close()
         for process in self._processes:
-            # A worker wedged mid-exchange (e.g. its peer crashed) never
-            # reads the stop message; don't wait long before terminating.
+            # A worker still busy with a failed round never reads the stop
+            # message; don't wait long before terminating.
             process.join(timeout=2)
             if process.is_alive():
                 process.terminate()
@@ -1084,87 +867,6 @@ class _CoordinatorStep:
         return RoundOutcome(len(round_keys), n_fired, new_rows, rule_rows)
 
 
-class _ShuffleStep:
-    """Shuffle-exchange round: tick the barrier, fold the workers' reports.
-
-    Workers own matching, both global dedups, and all peer-to-peer
-    repartitioning (:mod:`repro.chase.exchange`); the coordinator's share
-    of a round is the barrier message — carrying the skew detector's heavy
-    table for the delta the driver just inserted — and the fold of
-    per-worker reports into counts, trace events, and the merged new rows
-    (already globally deduplicated, each owned by exactly one worker; the
-    driver's sort merges the disjoint shares).
-    """
-
-    def __init__(
-        self,
-        pool: Union[_LocalPool, _ProcessPool],
-        detector: SkewDetector,
-        tracer: AnyTracer,
-    ) -> None:
-        self._pool = pool
-        self._detector = detector
-        self._tracer = tracer
-        self._known_heavy: Set[Tuple[int, int]] = set()
-
-    def __call__(self, round_index: int, delta: Delta) -> RoundOutcome:
-        tracer = self._tracer
-        traced = tracer.enabled
-        heavy = self._detector.heavy_routes(delta)
-        if traced:
-            for route, split in heavy:
-                if route not in self._known_heavy:
-                    self._known_heavy.add(route)
-                    tracer.emit(
-                        "repartition",
-                        round=round_index,
-                        plan=route[0],
-                        key_hash=route[1],
-                        workers=list(split),
-                    )
-        reports = self._pool.round(round_index, heavy)
-
-        considered = 0
-        fired = 0
-        new_rows: Dict[Predicate, List[Row]] = {}
-        # Traced runs only: rule -> [enumerated, fired, atoms, nulls].
-        rule_stats: Dict[int, List[int]] = {}
-        for report in reports:
-            considered += report.considered
-            fired += report.fired
-            for predicate, row in report.new_rows:
-                new_rows.setdefault(predicate, []).append(row)
-            if traced:
-                _emit_worker_round(
-                    tracer, round_index + 1, report.worker, report.considered,
-                    report.matched, report.dur,
-                )
-                tracer.emit(
-                    "exchange",
-                    round=round_index + 1,
-                    worker=report.worker,
-                    keys_routed=report.keys_routed,
-                    atoms_routed=report.atoms_routed,
-                    work_routed=report.work_routed,
-                    dur=round(report.dur, 9),
-                )
-                for column, counts in enumerate(
-                    (
-                        report.enumerated_by_rule,
-                        report.fired_by_rule,
-                        report.atoms_by_rule,
-                        report.nulls_by_rule,
-                    )
-                ):
-                    for rule, count in counts:
-                        rule_stats.setdefault(rule, [0, 0, 0, 0])[column] += count
-        rule_rows = [
-            RuleRow(rule, enumerated, rule_fired, atoms_created, nulls, 0.0)
-            for rule, (enumerated, rule_fired, atoms_created, nulls) in rule_stats.items()
-        ]
-        return RoundOutcome(considered, fired, new_rows, rule_rows)
-
-
 # --------------------------------------------------------------------------- #
 # The coordinator
 
@@ -1172,12 +874,12 @@ class _ShuffleStep:
 class ParallelChaseExecutor:
     """Coordinator of the hash-partitioned parallel chase.
 
-    Owns the authoritative store and picks the worker pool and the round
-    step of the configured exchange topology; the budget accounting, the
-    sorted insert and the result are the shared round driver's
-    (:func:`repro.chase.rounds.run_rounds`).  Both steps' merges are
-    order-insensitive (see the module docstring), which is what makes the
-    result identical across worker counts, executors, and backends.
+    Owns the authoritative store and picks the worker pool that the
+    coordinator-merge round step drives; the budget accounting, the sorted
+    insert and the result are the shared round driver's
+    (:func:`repro.chase.rounds.run_rounds`).  The merge is order-insensitive
+    (see the module docstring), which is what makes the result identical
+    across worker counts, executors, and backends.
     """
 
     def __init__(
@@ -1203,7 +905,6 @@ class ParallelChaseExecutor:
         self.limits = limits if limits is not None else ChaseLimits()
         self.on_limit = on_limit
         self.executor = executor
-        self.exchange = exchange
 
     # ------------------------------------------------------------------ #
 
@@ -1232,10 +933,7 @@ class ParallelChaseExecutor:
         """The worker pool for *store*; on *traced* runs the workers time
         their rounds for the ``worker_round`` events."""
         if self._resolve_executor(store) != "process" or self.workers == 1:
-            return _LocalPool(
-                self.workers, tgds, self.variant, store,
-                exchange=self.exchange, traced=traced,
-            )
+            return _LocalPool(self.workers, tgds, self.variant, store, traced=traced)
         # The fully-replicated portion is identical for every worker:
         # collect it once, not once per worker.
         full, _ = replica_seed_split(tgds, self.variant)
@@ -1244,22 +942,13 @@ class ParallelChaseExecutor:
         def worker_seeds(worker_id: int) -> List[Atom]:
             # Partition-streamed seeding (see worker_seed_atoms): sorted,
             # so per-worker replica construction order stays
-            # deterministic.  A shuffle worker also gets its hash share
-            # of the relations matching never reads — it is the
-            # atom-dedup owner of that share.
+            # deterministic.
             return worker_seed_atoms(
-                store,
-                tgds,
-                self.variant,
-                self.workers,
-                worker_id,
-                full_atoms=full_atoms,
-                include_unused_share=self.exchange == "shuffle",
+                store, tgds, self.variant, self.workers, worker_id, full_atoms=full_atoms
             )
 
         return _ProcessPool(
-            self.workers, tgds, self.variant, worker_seeds,
-            collect_metrics=traced, exchange=self.exchange,
+            self.workers, tgds, self.variant, worker_seeds, collect_metrics=traced
         )
 
     def run(
@@ -1278,11 +967,6 @@ class ParallelChaseExecutor:
         ``chase_start``/``chase_end`` are the caller's job
         (:func:`repro.chase.engine.chase` emits them).  Tracing never
         changes the result.
-
-        With ``exchange="shuffle"`` the round step is :class:`_ShuffleStep`:
-        same contract, byte-identical result, but workers repartition
-        deltas among themselves and the coordinator only drives round
-        barriers (plus ``exchange``/``repartition`` events on traced runs).
         """
         active_tracer = as_tracer(tracer)
         tgd_list = tuple(tgds)
@@ -1292,18 +976,7 @@ class ParallelChaseExecutor:
         table = _PlanTable(tgd_list)
         pool = self._make_pool(tgd_list, store, active_tracer.enabled)
         try:
-            step: RoundStep
-            if self.exchange == "shuffle":
-                detector = SkewDetector(
-                    [
-                        (entry.plan_id, entry.seed_predicate, entry.plan.partition_positions)
-                        for entry in table.entries
-                    ],
-                    self.workers,
-                )
-                step = _ShuffleStep(pool, detector, active_tracer)
-            else:
-                step = _CoordinatorStep(pool, table, self.variant, store, active_tracer)
+            step = _CoordinatorStep(pool, table, self.variant, store, active_tracer)
             return run_rounds(
                 step, store, self.limits, self.on_limit, self.variant, active_tracer
             )
@@ -1343,12 +1016,9 @@ def parallel_chase(
         streamed seed, whatever the backend: the out-of-core path is the
         serial chase into a ``sqlite:<file>`` store.
     exchange:
-        ``"coordinator"`` (default) round-trips every round's results
-        through the coordinator merge; ``"shuffle"`` has workers
-        hash-repartition firing keys and result atoms directly to peer
-        workers between rounds, with the coordinator reduced to barrier
-        control, budget accounting, and trace merging (see
-        :mod:`repro.chase.exchange`).
+        ``"coordinator"`` (default), the one exchange topology: every
+        round's results go through the coordinator merge.  Any other name
+        is a ``ValueError``.
 
     ``materialize=False`` skips the eager ``result.instance`` build, like
     :func:`~repro.chase.engine.chase`.  The result is guaranteed identical

@@ -28,8 +28,8 @@ Witness = Tuple[Term, ...]
 
 #: A firing key ``(rule index, witness)``.  The witness variables are a
 #: function of the rule, so the key carries only their images.
-#: ``stable_key_hash``, the shuffle routing table and the pushdown key
-#: tables are all defined on this shape.
+#: The engines' ``fired_keys`` memo, the coordinator merge's firing-key set
+#: and the pushdown key tables are all defined on this shape.
 FiringKey = Tuple[int, Witness]
 
 

@@ -57,10 +57,9 @@ from typing import List, Optional
 
 from .chase.engine import chase, make_backend_store
 from .chase.matching import STRATEGIES
-from .chase.exchange import EXCHANGES
 from .chase.parallel import EXECUTORS
 from .chase.result import ChaseLimits
-from .core.instances import Database, induced_database
+from .core.instances import induced_database
 from .core.parser import load_database, load_rules
 from .exceptions import (
     ExperimentConfigError,
@@ -148,15 +147,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="worker pool kind for --parallel > 1: in-process workers for "
         "the instance backend, processes with in-memory replicas for sqlite "
         "(default: auto)",
-    )
-    chase_cmd.add_argument(
-        "--exchange",
-        choices=EXCHANGES,
-        default="coordinator",
-        help="round protocol for --parallel > 1: 'coordinator' merges every "
-        "round through the coordinator, 'shuffle' repartitions results "
-        "directly between peer workers with skew-split load balancing "
-        "(default: coordinator)",
     )
     chase_cmd.add_argument(
         "--trace",
@@ -415,7 +405,6 @@ def _command_chase(args) -> int:
             store=store,
             workers=args.parallel,
             executor=args.executor,
-            exchange=args.exchange,
             materialize=not args.no_materialize,
             tracer=tracer,
         )
@@ -443,8 +432,6 @@ def _command_chase(args) -> int:
     elapsed = perf_counter_s() - start
 
     pool = f"/{args.parallel}w" if args.parallel != 1 else ""
-    if pool and args.exchange != "coordinator":
-        pool += f"/{args.exchange}"
     status = "reached a fixpoint" if result.terminated else f"stopped ({result.stop_reason})"
     print(f"{args.variant} chase [{args.strategy}/{args.backend}{pool}]: {status}")
     print(f"  rounds: {result.rounds}")

@@ -76,42 +76,3 @@ def partition_rows(
         row for row in rows if row_partition_of(row, key_positions, n_partitions) == partition_index
     ]
 
-
-def _encode_key(value: object, out: List[str]) -> None:
-    if isinstance(value, Term):
-        out.append(f"T{type(value).__name__}\x1e{value.name}")
-    elif isinstance(value, tuple):
-        out.append(f"({len(value)}")
-        for item in value:
-            _encode_key(item, out)
-        out.append(")")
-    elif isinstance(value, bool):
-        out.append(f"b{value}")
-    elif isinstance(value, int):
-        out.append(f"i{value}")
-    elif isinstance(value, str):
-        out.append(f"s{value}")
-    else:  # pragma: no cover - firing keys only hold the types above
-        raise TypeError(f"cannot stably hash {type(value).__name__} in a firing key")
-
-
-def stable_key_hash(key: object) -> int:
-    """A stable, process-independent hash of a chase firing key.
-
-    Firing keys (:meth:`repro.chase.triggers.FiringPlan.key`) are nested
-    tuples of ints, strings, and ground terms.  The shuffle exchange assigns
-    each key a unique owning worker by hashing it,
-    and — like :func:`partition_hash` — that assignment must agree between
-    the coordinator and every process replica, so the hash is a CRC over a
-    type-tagged recursive encoding rather than Python's randomized ``hash``.
-    """
-    out: List[str] = []
-    _encode_key(key, out)
-    return zlib.crc32("\x1f".join(out).encode("utf-8"))
-
-
-def key_partition_of(key: object, n_partitions: int) -> int:
-    """Return the partition (``0 <= p < n_partitions``) that owns *key*."""
-    if n_partitions <= 1:
-        return 0
-    return stable_key_hash(key) % n_partitions

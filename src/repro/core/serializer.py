@@ -13,9 +13,9 @@ from typing import Iterable
 
 from ..exceptions import ValidationError
 from .atoms import Atom
-from .instances import Database, Instance
+from .instances import Instance
 from .terms import Constant, Null, Term, Variable
-from .tgds import TGD, TGDSet
+from .tgds import TGD
 
 #: Characters that force quoting: atom syntax, separators, whitespace,
 #: quotes, and every comment prefix character (``%``, ``#``, and the ``/``

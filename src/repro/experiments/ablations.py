@@ -12,17 +12,15 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..chase.bounds import static_simplification_size_bound
-from ..core.instances import Database
 from ..generators.data_generator import generate_database
 from ..generators.tgd_generator import generate_tgds, make_schema
 from ..obs.clock import perf_counter_s
 from ..simplification.dynamic import dynamic_simplification
 from ..simplification.static import static_simplification
 from ..storage.shape_finder import InMemoryShapeFinder
-from ..termination.linear import is_chase_finite_l
 from ..termination.materialization import is_chase_finite_materialization
 from ..termination.simple_linear import is_chase_finite_sl
 from .config import DEFAULT, ExperimentConfig

@@ -20,15 +20,14 @@ Four presets are provided:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from dataclasses import dataclass, replace
+from typing import Dict, List
 
 from ..exceptions import ExperimentConfigError
 from ..generators.profiles import (
     CombinedProfile,
     PredicateProfile,
     TGDProfile,
-    combined_profiles,
     database_sizes,
     paper_predicate_profiles,
     paper_tgd_profiles,

@@ -8,7 +8,7 @@ grouped aggregates (means per profile / per database size), and CSV files.
 from __future__ import annotations
 
 import csv
-from collections import OrderedDict, defaultdict
+from collections import OrderedDict
 from statistics import mean
 from typing import Dict, Iterable, List, Optional, Sequence
 

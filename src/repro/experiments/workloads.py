@@ -19,7 +19,7 @@ from ..core.instances import Database, induced_database
 from ..core.serializer import serialize_rules
 from ..core.tgds import TGDSet
 from ..generators.data_generator import DataGenerator, DataGeneratorConfig
-from ..generators.profiles import CombinedProfile, PredicateProfile
+from ..generators.profiles import CombinedProfile
 from ..generators.tgd_generator import TGDGenerator, TGDGeneratorConfig, make_schema
 from ..storage.database import RelationalDatabase
 from ..storage.views import PrefixView

@@ -65,14 +65,10 @@ class PoolCombo:
     workers: int
     executor: str
     backend: str = "instance"
-    exchange: str = "coordinator"
 
     @property
     def label(self) -> str:
-        label = f"parallel[{self.backend}] workers={self.workers} executor={self.executor}"
-        if self.exchange != "coordinator":
-            label += f" exchange={self.exchange}"
-        return label
+        return f"parallel[{self.backend}] workers={self.workers} executor={self.executor}"
 
 
 #: The product's serial combos; each is compared against the reference run.
@@ -89,7 +85,6 @@ POOL_PROFILES = {
         PoolCombo(2, "serial"),
         PoolCombo(3, "serial"),
         PoolCombo(2, "serial", backend="sqlite"),
-        PoolCombo(3, "serial", exchange="shuffle"),
     ),
     "full": (
         PoolCombo(2, "serial"),
@@ -97,8 +92,6 @@ POOL_PROFILES = {
         PoolCombo(2, "serial", backend="sqlite"),
         PoolCombo(2, "process"),
         PoolCombo(2, "process", backend="sqlite"),
-        PoolCombo(3, "serial", exchange="shuffle"),
-        PoolCombo(2, "process", backend="sqlite", exchange="shuffle"),
     ),
 }
 
@@ -246,8 +239,7 @@ def check_engine_identity(
                 pool.label,
                 partial(
                     parallel_chase, database, tgds, variant=variant, workers=pool.workers,
-                    executor=pool.executor, backend=pool.backend, exchange=pool.exchange,
-                    limits=limits,
+                    executor=pool.executor, backend=pool.backend, limits=limits,
                 ),
             )
             for pool in POOL_PROFILES[pools]

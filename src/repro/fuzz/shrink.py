@@ -21,7 +21,7 @@ shrinker never proposes a program the parser or :class:`TGD` would reject.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Tuple
+from typing import Callable, Iterator, Tuple
 
 from ..core.atoms import Atom
 from ..core.instances import Database

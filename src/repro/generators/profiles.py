@@ -20,7 +20,7 @@ seconds.  ``scale=1.0`` reproduces the paper's nominal counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..exceptions import ExperimentConfigError
 

@@ -1,13 +1,12 @@
-"""Deterministic heavy-hitter workloads for the shuffle-exchange chase.
+"""Deterministic heavy-hitter workloads for the parallel chase.
 
 The parallel chase hash-partitions join work by the seed atom's join-key
 terms, so a key that dominates the data concentrates nearly all matching on
-one worker — the skew regime the shuffle exchange's K-Join-style heavy-key
-split (:class:`repro.chase.exchange.SkewDetector`) exists for.  This module
-generates that regime on purpose and *deterministically*: the workload is a
-pure function of its knobs, so the skew tests, the conformance property
-suite, and the benchmark's ``chase_skew_par2`` workload all chase the exact
-same instance.
+one worker — the regime where seed shipping, pickling and the coordinator
+merge do the work.  This module generates that regime on purpose and
+*deterministically*: the workload is a pure function of its knobs, so the
+skew tests, the conformance property suite, and the benchmark's
+``chase_skew_par2`` workload all chase the exact same instance.
 
 The shape is a star join with a fan-out chain behind it::
 

@@ -24,7 +24,7 @@ paper's standing assumption (Section 3).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from ..core.atoms import Atom

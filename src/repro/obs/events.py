@@ -39,12 +39,6 @@ EVENT_TYPES: Dict[str, FrozenSet[str]] = {
         {"round", "rule", "enumerated", "fired", "atoms_created", "nulls_invented", "dur"}
     ),
     "worker_round": frozenset({"round", "worker", "considered", "fired", "dur"}),
-    # Shuffle-exchange comms: per (round, worker) routing volumes, and the
-    # skew detector promoting a heavy partition hash to a multi-worker split.
-    "exchange": frozenset(
-        {"round", "worker", "keys_routed", "atoms_routed", "work_routed", "dur"}
-    ),
-    "repartition": frozenset({"round", "plan", "key_hash", "workers"}),
     "sql_family": frozenset(
         {"family", "statements", "seconds_total", "seconds_max", "rows_changed", "rows_read"}
     ),

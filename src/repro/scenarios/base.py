@@ -13,8 +13,8 @@ exercises the same work as the original artifacts would.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Tuple
 
 from ..core.tgds import TGDSet
 from ..storage.database import RelationalDatabase

@@ -32,7 +32,7 @@ the original LUBM ontology, whose chase terminates — so the expected
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from ..core.atoms import Atom
 from ..core.predicates import Predicate

@@ -17,7 +17,7 @@ experiment harness can verify that claim rather than assume it.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 from ..core.instances import Database
 from ..core.parser import parse_rules

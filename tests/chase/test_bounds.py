@@ -3,13 +3,11 @@
 import pytest
 
 from repro.chase.bounds import (
-    SizeBound,
     bell_number,
     chase_size_bound,
     static_simplification_size_bound,
 )
 from repro.chase.engine import chase
-from repro.chase.result import ChaseLimits
 from repro.core.parser import parse_database, parse_rules
 from repro.exceptions import NotLinearError
 

@@ -3,13 +3,7 @@
 import pytest
 from hypothesis import given, settings
 
-from repro.chase.engine import (
-    ObliviousChase,
-    RestrictedChase,
-    SemiObliviousChase,
-    chase,
-    satisfies,
-)
+from repro.chase.engine import SemiObliviousChase, chase, satisfies
 from repro.chase.result import ChaseLimits
 from repro.core.parser import parse_database, parse_rules
 from repro.exceptions import ChaseLimitExceeded

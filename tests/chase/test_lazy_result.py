@@ -286,24 +286,11 @@ class TestWorkerSeedStreaming:
             seed_store(store, reference)
         workers = 3
         for variant in ("oblivious", "semi-oblivious", "restricted"):
-            for unused in (False, True):
-                seeds = [
-                    worker_seed_atoms(
-                        store, tgds, variant, workers, w, include_unused_share=unused
-                    )
-                    for w in range(workers)
-                ]
-                assert seeds == [
-                    worker_seed_atoms(
-                        reference, tgds, variant, workers, w, include_unused_share=unused
-                    )
-                    for w in range(workers)
-                ], (variant, unused)
-                if unused:
-                    # With the unused share every worker owns a disjoint
-                    # slice of each partitioned relation, so the union is
-                    # the whole store.
-                    assert set().union(*map(set, seeds)) == set(atoms)
+            assert [
+                worker_seed_atoms(store, tgds, variant, workers, w) for w in range(workers)
+            ] == [
+                worker_seed_atoms(reference, tgds, variant, workers, w) for w in range(workers)
+            ], variant
         store.close()
 
     @pytest.mark.parametrize("rules", [RULES, LINEAR_RULES])

@@ -139,6 +139,12 @@ class TestApiSurface:
         with pytest.raises(ValueError):
             parallel_chase(database, tgds, executor="thread")
         assert EXECUTORS == ("auto", "serial", "process")
+        # The coordinator merge is the one exchange topology.
+        with pytest.raises(ValueError, match="exchange must be one of"):
+            parallel_chase(database, tgds, exchange="shuffle")
+        with pytest.raises(ValueError, match="exchange must be one of"):
+            ParallelChaseExecutor(exchange="shuffle")
+        assert parallel_chase(database, tgds, exchange="coordinator").terminated
 
     def test_auto_runs_an_instance_in_process_without_threads(self, monkeypatch):
         started = []
@@ -168,25 +174,22 @@ class TestWorkerDeath:
     DATABASE = parse_database("R(a,b).\nR(b,c).\nR(c,d).")
     TGDS = tuple(parse_rules("R(x,y) -> S(y,x)\nS(x,y), R(y,z) -> T(x,z)"))
 
-    def _pool(self, exchange):
+    def _pool(self):
         store = Instance(self.DATABASE.atoms())
-        executor = ParallelChaseExecutor(workers=2, executor="process", exchange=exchange)
+        executor = ParallelChaseExecutor(workers=2, executor="process")
         return executor._make_pool(self.TGDS, store, None)
 
     @staticmethod
-    def _round(pool, exchange, index):
-        if exchange == "shuffle":
-            return pool.round(index, ())
+    def _round(pool, index):
         return pool.initial() if index == 0 else pool.delta({}, ((), ()))
 
     @pytest.mark.parametrize("when", ("before-first-round", "after-first-round"))
-    @pytest.mark.parametrize("exchange", ("coordinator", "shuffle"))
-    def test_killed_worker_surfaces_as_the_documented_error(self, exchange, when):
-        pool = self._pool(exchange)
+    def test_killed_worker_surfaces_as_the_documented_error(self, when):
+        pool = self._pool()
         try:
             next_round = 0
             if when == "after-first-round":
-                assert len(self._round(pool, exchange, 0)) == 2
+                assert len(self._round(pool, 0)) == 2
                 next_round = 1
             victim = pool._processes[1]
             victim.kill()
@@ -194,7 +197,7 @@ class TestWorkerDeath:
             with pytest.raises(
                 RuntimeError, match=r"parallel chase worker 1 failed.*exited with code -9"
             ):
-                self._round(pool, exchange, next_round)
+                self._round(pool, next_round)
         finally:
             pool.close()
         assert not any(process.is_alive() for process in pool._processes)

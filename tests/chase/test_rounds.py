@@ -5,8 +5,8 @@ emission, sorted insertion, the per-round flush and the result.  The first
 half of this file drives it with a scripted step and a recording fake store
 (no engine runs), so every clause of that contract has a test that names it.
 The second half checks the other side of the seam: every real round step —
-serial, the fuzz oracle's naive reference, coordinator-merge, shuffle,
-pushdown — produces the same
+serial, the fuzz oracle's naive reference, coordinator-merge, pushdown —
+produces the same
 per-round ``(round, fired, atoms_created)`` stream under the driver.
 """
 
@@ -259,8 +259,6 @@ STEPS = {
     "reference": {"reference": True},
     "coordinator-serial": {"workers": 2, "executor": "serial"},
     "coordinator-process": {"workers": 2, "executor": "process"},
-    "shuffle-serial": {"workers": 2, "executor": "serial", "exchange": "shuffle"},
-    "shuffle-process": {"workers": 2, "executor": "process", "exchange": "shuffle"},
     "pushdown": {"backend": "sqlite", "strategy": "sql-pushdown"},
 }
 
@@ -356,7 +354,6 @@ class TestSeqOrderOnSqlite:
             {},
             {"strategy": "sql-pushdown"},
             {"workers": 2, "executor": "serial"},
-            {"workers": 2, "executor": "serial", "exchange": "shuffle"},
         ):
             calls.clear()
             store = Spy()

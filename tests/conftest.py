@@ -7,12 +7,9 @@ import os
 import pytest
 from hypothesis import HealthCheck, settings
 
-from repro.core.atoms import Atom
 from repro.core.instances import Database
 from repro.core.parser import parse_database, parse_rules
-from repro.core.predicates import Predicate
-from repro.core.terms import Constant, Variable
-from repro.core.tgds import TGD, TGDSet
+from repro.core.tgds import TGDSet
 
 # Keep hypothesis fast and deterministic in CI-like environments.
 settings.register_profile(

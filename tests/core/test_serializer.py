@@ -1,10 +1,8 @@
 """Serializer unit tests and parse/serialize round-trip properties."""
 
-import pytest
 from hypothesis import given
 
 from repro.core.atoms import Atom
-from repro.core.instances import Database
 from repro.core.parser import parse_database, parse_rules
 from repro.core.predicates import Predicate
 from repro.core.serializer import (

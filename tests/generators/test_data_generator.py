@@ -3,7 +3,7 @@
 import pytest
 
 from repro.exceptions import ExperimentConfigError
-from repro.generators.data_generator import DataGenerator, DataGeneratorConfig, generate_database
+from repro.generators.data_generator import DataGeneratorConfig, generate_database
 from repro.generators.tgd_generator import make_schema
 from repro.simplification.shapes import identifier_tuple
 from repro.storage.shape_finder import InMemoryShapeFinder

@@ -3,8 +3,6 @@
 import pytest
 
 from repro.chase.engine import chase
-from repro.chase.exchange import SkewDetector
-from repro.chase.matching import JoinPlan
 from repro.exceptions import ExperimentConfigError
 from repro.generators import generate_skew_workload, zipf_allocation
 
@@ -87,41 +85,24 @@ class TestGenerateSkewWorkload:
         with pytest.raises(ExperimentConfigError):
             generate_skew_workload(depth=-1)
 
-    def test_profile_trips_the_skew_detector(self):
-        """The generated round-1 delta must cross SkewDetector's default bar."""
-        workload = generate_skew_workload(n_keys=8, rows=256, skew=1.5)
-        star = next(tgd for tgd in workload.tgds if len(tgd.body) == 2)
-        mid_slot = next(
-            slot
-            for slot, atom in enumerate(star.body)
-            if atom.predicate.name == "mid"
-        )
-        plan = JoinPlan(star.body, mid_slot)
-        detector = SkewDetector(
-            [(0, plan.body[mid_slot].predicate, plan.partition_positions)],
-            n_workers=4,
-        )
-        # Round 1's delta is exactly the mid() copy of the src profile.
-        mid = plan.body[mid_slot].predicate
-        mid_delta = {mid: chase(workload.database, workload.tgds).instance.rows_matching(mid)}
-        heavy = detector.heavy_routes(mid_delta)
-        assert heavy, "default knobs must trigger at least one heavy split"
-        for (_, _), split in heavy:
-            assert split == tuple(range(4))
-
-    def test_workers_identical_to_serial(self):
+    @pytest.mark.parametrize(
+        "workers, executor, backend",
+        [
+            (2, "serial", "instance"),
+            (4, "serial", "instance"),
+            (2, "process", "instance"),  # the benchmark's chase_skew_par2 pool
+            (2, "process", "sqlite"),
+            (4, "process", "sqlite"),
+        ],
+    )
+    def test_workers_identical_to_serial(self, workers, executor, backend):
         from repro.chase.parallel import parallel_chase
 
         workload = generate_skew_workload(n_keys=6, rows=64, skew=1.5)
-        reference = chase(workload.database, workload.tgds)
-        for workers in (2, 4):
-            shuffled = parallel_chase(
-                workload.database,
-                workload.tgds,
-                workers=workers,
-                executor="serial",
-                exchange="shuffle",
-            )
-            assert chase_result_fingerprint(shuffled) == chase_result_fingerprint(
-                reference
-            )
+        parallel = parallel_chase(
+            workload.database, workload.tgds, workers=workers, executor=executor,
+            backend=backend,
+        )
+        assert chase_result_fingerprint(parallel) == chase_result_fingerprint(
+            chase(workload.database, workload.tgds)
+        )

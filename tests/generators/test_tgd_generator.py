@@ -4,7 +4,6 @@ import pytest
 
 from repro.exceptions import ExperimentConfigError
 from repro.generators.tgd_generator import (
-    TGDGenerator,
     TGDGeneratorConfig,
     generate_tgds,
     make_schema,

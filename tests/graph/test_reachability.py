@@ -1,7 +1,7 @@
 """Unit tests for repro.graph.reachability (Supports and predicate reachability)."""
 
 from repro.core.parser import parse_database, parse_rules
-from repro.core.predicates import Position, Predicate
+from repro.core.predicates import Predicate
 from repro.graph.dependency_graph import build_dependency_graph
 from repro.graph.reachability import (
     extensional_predicates,

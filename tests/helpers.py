@@ -10,7 +10,7 @@ terminates.
 from __future__ import annotations
 
 import re
-from typing import List, Tuple
+from typing import List
 
 from hypothesis import strategies as st
 

@@ -229,13 +229,12 @@ class TestTracer:
 
 class TestParallelTrace:
     """What a traced ``workers=2`` chase over sqlite carries: the round
-    stream, one ``worker_round`` per (worker, round) — plus ``exchange`` under
-    the shuffle — and no ``sql_family`` (the workers' indexed matching issues
-    no labelled statement, and no worker ships a metrics snapshot)."""
+    stream, one ``worker_round`` per (worker, round), and no ``sql_family``
+    (the workers' indexed matching issues no labelled statement, and no
+    worker ships a metrics snapshot)."""
 
-    @pytest.mark.parametrize("exchange", ["coordinator", "shuffle"])
     @pytest.mark.parametrize("executor", ["serial", "process"])
-    def test_event_types_of_a_parallel_sqlite_run(self, executor, exchange):
+    def test_event_types_of_a_parallel_sqlite_run(self, executor):
         from repro.chase.engine import chase
         from repro.core.parser import parse_database, parse_rules
 
@@ -244,13 +243,11 @@ class TestParallelTrace:
         sink = ListTraceSink()
         chase(
             database, tgds, backend="sqlite", workers=2, executor=executor,
-            exchange=exchange, tracer=Tracer(sink),
+            tracer=Tracer(sink),
         )
         expected = {
             "trace_start", "chase_start", "round", "rule_round", "worker_round", "chase_end",
         }
-        if exchange == "shuffle":
-            expected.add("exchange")
         assert {event["type"] for event in sink.events} == expected
         rounds = {event["round"] for event in sink.events if event["type"] == "round"}
         workers = {

@@ -28,7 +28,6 @@ from hypothesis import given, note
 from hypothesis import strategies as st
 
 from repro.chase.engine import chase, make_backend_store
-from repro.chase.exchange import EXCHANGES
 from repro.chase.parallel import parallel_chase
 from repro.chase.result import ChaseLimits
 from repro.fuzz.reference import reference_chase
@@ -136,20 +135,18 @@ class TestEngineConformance:
         # A persistent file: process replicas are in-memory all the same,
         # seeded from the file's rows.
         with tempfile.TemporaryDirectory() as directory:
-            for exchange in EXCHANGES:
-                store = make_backend_store(f"sqlite:{directory}/{exchange}.db")
-                parallel = parallel_chase(
-                    database,
-                    tgds,
-                    variant=variant,
-                    workers=2,
-                    limits=LIMITS,
-                    store=store,
-                    executor="process",
-                    exchange=exchange,
-                )
-                assert fingerprint(parallel) == expected, f"sqlite file {exchange} != instance"
-                store.close()
+            store = make_backend_store(f"sqlite:{directory}/chase.db")
+            parallel = parallel_chase(
+                database,
+                tgds,
+                variant=variant,
+                workers=2,
+                limits=LIMITS,
+                store=store,
+                executor="process",
+            )
+            assert fingerprint(parallel) == expected, "sqlite file != instance"
+            store.close()
 
     @given(chase_programs(), st.sampled_from(VARIANTS))
     def test_sql_pushdown_conforms(self, program, variant):
@@ -184,64 +181,6 @@ class TestEngineConformance:
             materialize=False,
         )
         assert_lazy_matches(lazy, expected, "sql-pushdown lazy")
-
-    @given(chase_programs(), st.sampled_from(VARIANTS))
-    def test_shuffle_exchange_conforms(self, program, variant):
-        """The peer-to-peer shuffle exchange: results must stay
-        byte-identical to both the coordinator-merge protocol and the
-        serial engine across worker counts, pool kinds and backends —
-        including lazy results."""
-        database, tgds = program
-        note(describe_program(database, tgds))
-        expected = fingerprint(
-            chase(database, tgds, variant=variant, limits=LIMITS)
-        )
-        coordinator = parallel_chase(
-            database, tgds, variant=variant, workers=2, limits=LIMITS
-        )
-        assert fingerprint(coordinator) == expected, "coordinator != serial"
-
-        # in-memory pools across the worker-count grid
-        for workers, executor in ((1, "serial"), (2, "serial"), (4, "serial")):
-            shuffled = parallel_chase(
-                database,
-                tgds,
-                variant=variant,
-                workers=workers,
-                limits=LIMITS,
-                executor=executor,
-                exchange="shuffle",
-            )
-            assert fingerprint(shuffled) == expected, (
-                f"shuffle(workers={workers}, executor={executor}) != serial"
-            )
-
-        # in-process workers share the coordinator's sqlite store
-        shared = parallel_chase(
-            database,
-            tgds,
-            variant=variant,
-            workers=4,
-            limits=LIMITS,
-            backend="sqlite",
-            executor="serial",
-            exchange="shuffle",
-        )
-        assert fingerprint(shared) == expected, "shuffle in-process sqlite != serial"
-
-        # process pools: pipe-mesh replicas over sqlite, with a lazy result
-        shuffled = parallel_chase(
-            database,
-            tgds,
-            variant=variant,
-            workers=2,
-            limits=LIMITS,
-            backend="sqlite",
-            executor="process",
-            exchange="shuffle",
-            materialize=False,
-        )
-        assert_lazy_matches(shuffled, expected, "shuffle process(workers=2)")
 
 
 class TestTracingTransparency:
@@ -300,19 +239,6 @@ class TestTracingTransparency:
                     limits=LIMITS,
                     backend="sqlite",
                     executor="process",
-                    tracer=tracer,
-                ),
-            ),
-            (
-                "parallel-shuffle",
-                lambda tracer: parallel_chase(
-                    database,
-                    tgds,
-                    variant=variant,
-                    workers=2,
-                    limits=LIMITS,
-                    executor="serial",
-                    exchange="shuffle",
                     tracer=tracer,
                 ),
             ),

@@ -5,7 +5,6 @@ import time
 import pytest
 
 from repro.core.parser import parse_database, parse_rules
-from repro.core.serializer import serialize_rules
 from repro.exceptions import NotLinearError
 from repro.scenarios import build_scenario
 from repro.simplification.shapes import shapes_of_database

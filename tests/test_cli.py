@@ -362,8 +362,7 @@ class TestErrorPaths:
     def test_a_dead_coordinator_merge_worker_is_one_line_and_exit_one(
         self, tmp_path, capsys, monkeypatch
     ):
-        # The shuffle topology's twin (an injected crash, through a real
-        # process boundary) is in TestConsoleEntryPoint.
+        # A worker that raises instead of dying is the next test.
         from repro.chase import parallel
         from repro.storage.sqlbackend import SqliteAtomStore
 
@@ -389,22 +388,38 @@ class TestErrorPaths:
         assert main(argv) == 0
         assert "reached a fixpoint" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("executor", ("serial",))
-    def test_a_crashed_in_process_worker_is_one_line_and_exit_one(
+    @pytest.mark.parametrize("executor", ("serial", "process"))
+    def test_a_crashed_worker_is_one_line_and_exit_one(
         self, tmp_path, capsys, monkeypatch, executor
     ):
-        # Used to leave the in-process pools as a raw RuntimeError traceback.
-        monkeypatch.setenv("REPRO_EXCHANGE_CRASH", "1:1")
-        argv = _transitive_closure_chase(tmp_path, tmp_path / "crashed.db")
-        pool = ["--parallel", "2", "--executor", executor, "--exchange", "shuffle"]
-        assert main(argv + pool) == 1
+        # Used to be a raw RuntimeError traceback in-process, and the parent's
+        # traceback plus the worker's (25 lines) from a process worker.
+        import multiprocessing
+
+        from repro.chase import parallel
+        from repro.storage.sqlbackend import SqliteAtomStore
+
+        if executor == "process" and multiprocessing.get_start_method() != "fork":
+            pytest.skip("process workers inherit the patched class only when forked")
+        real_delta_round = parallel._MatchWorker._delta_round
+
+        def crash_worker_one(worker, *args):
+            if worker.worker_id == 1:
+                raise RuntimeError("injected crash (worker 1)")
+            return real_delta_round(worker, *args)
+
+        monkeypatch.setattr(parallel._MatchWorker, "_delta_round", crash_worker_one)
+        db_path = tmp_path / "crashed.db"
+        argv = _transitive_closure_chase(tmp_path, db_path)
+        assert main(argv + ["--parallel", "2", "--executor", executor]) == 1
         captured = capsys.readouterr()
         assert captured.err.splitlines() == [
-            "parallel chase worker 1 failed: RuntimeError: injected exchange crash "
-            "(worker 1, round 1)"
+            "parallel chase worker 1 failed: RuntimeError: injected crash (worker 1)"
         ]
         assert "reached a fixpoint" not in captured.out
-        monkeypatch.delenv("REPRO_EXCHANGE_CRASH")
+        with SqliteAtomStore(path=str(db_path)) as reopened:
+            assert reopened.atom_count() > 6  # the seed plus round 1
+        monkeypatch.undo()
         assert main(argv) == 0  # the flushed prefix resumes
         assert "reached a fixpoint" in capsys.readouterr().out
 
@@ -938,30 +953,6 @@ class TestConsoleEntryPoint:
         )
         assert completed.returncode == 2
         assert "--parallel must be >= 1" in completed.stderr
-
-    def test_a_crashed_shuffle_worker_is_one_line_and_exit_one(
-        self, entry_point, subprocess_env, tmp_path
-    ):
-        # Used to be the parent's traceback plus the worker's, 25 lines.
-        from repro.storage.sqlbackend import SqliteAtomStore
-
-        db_path = tmp_path / "crashed.db"
-        argv = _transitive_closure_chase(tmp_path, db_path)
-        crashed = self._run(
-            entry_point, dict(subprocess_env, REPRO_EXCHANGE_CRASH="1:0"),
-            *argv, "--parallel", "2", "--executor", "process", "--exchange", "shuffle",
-        )
-        assert crashed.returncode == 1, crashed.stderr
-        (report,) = crashed.stderr.splitlines()
-        assert report == (
-            "parallel chase worker 0 failed: RuntimeError: injected exchange crash "
-            "(worker 0, round 1)"
-        )
-        with SqliteAtomStore(path=str(db_path)) as reopened:
-            assert reopened.atom_count() > 6  # the seed plus round 1
-        resumed = self._run(entry_point, subprocess_env, *argv)
-        assert resumed.returncode == 0, resumed.stderr
-        assert "reached a fixpoint" in resumed.stdout
 
     def test_sigint_mid_chase_is_one_line_exit_three_and_resumable(
         self, entry_point, subprocess_env, tmp_path

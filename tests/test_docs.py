@@ -19,7 +19,8 @@ Four guards:
   recursive-query tier and parallel worker of ``sql-pushdown``, and the
   SQLite replica kinds with the store-level partition scan and the worker
   metrics merge, the hand-written figure runners the sweep replaced, and
-  the atom half of the store protocol with the SQLite store's loaders.
+  the atom half of the store protocol with the SQLite store's loaders, and
+  the parallel chase's shuffle exchange with its routing and events.
 """
 
 import importlib
@@ -292,5 +293,32 @@ class TestRetiredEstate:
             f"{path}: {match.group()}"
             for path, text in _text_files("src", "docs", "README.md", "ARCHITECTURE.md")
             for match in retired.finditer(text)
+        ]
+        assert not offenders, offenders
+
+    def test_one_exchange_topology(self):
+        # The coordinator merge is the parallel chase's one exchange; the
+        # peer-to-peer shuffle, its routing and its events stay gone.
+        from repro.chase.engine import chase
+        from repro.chase.exchange import EXCHANGES
+        from repro.cli import main
+        from repro.obs.events import EVENT_TYPES
+
+        assert EXCHANGES == ("coordinator",)
+        assert "exchange" not in inspect.signature(chase).parameters
+        assert not {"exchange", "repartition"} & set(EVENT_TYPES)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["chase", "--rules", "rules.txt", "--exchange", "shuffle"])
+        assert exit_info.value.code == 2
+        offenders = [
+            f"{path}: {banned}"
+            for path, text in _text_files(
+                "src", "tools", "docs", "README.md", "ARCHITECTURE.md", ".github"
+            )
+            for banned in (
+                "ShuffleWorker", "SkewDetector", "RoutingTable", "_PipeTransport",
+                "stable_key_hash", "REPRO_EXCHANGE_CRASH",
+            )
+            if banned in text
         ]
         assert not offenders, offenders

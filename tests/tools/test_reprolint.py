@@ -17,8 +17,6 @@ import sys
 import textwrap
 from pathlib import Path
 
-import pytest
-
 from tools.reprolint import run_lint
 from tools.reprolint.checkers import ALL_CHECKERS
 
@@ -327,42 +325,6 @@ class TestProcessBoundary:
             """,
         )
         assert rules_of(dirty) == ["process-boundary"]
-
-    def test_exchange_module_is_in_scope(self, tmp_path):
-        report = lint_snippet(
-            tmp_path,
-            "chase/exchange.py",
-            """
-            def ship(conn, store):
-                conn.send(("frame", store))
-            """,
-        )
-        assert rules_of(report) == ["process-boundary"]
-
-    def test_routing_table_in_an_exchange_payload_is_flagged(self, tmp_path):
-        for payload in ("routing_table", "self.routing", "router"):
-            report = lint_snippet(
-                tmp_path,
-                "chase/exchange.py",
-                f"""
-                class Sender:
-                    def ship(self, conn, routing_table, router):
-                        conn.send(("round", 1, {payload}))
-                """,
-            )
-            assert rules_of(report) == ["process-boundary"], payload
-
-    def test_heavy_routes_tuples_pass_the_routing_rule(self, tmp_path):
-        report = lint_snippet(
-            tmp_path,
-            "chase/exchange.py",
-            """
-            def barrier(conn, heavy_routes, frame):
-                conn.send(("round", 3, heavy_routes))
-                conn.send(frame)
-            """,
-        )
-        assert report.ok
 
 
 # --------------------------------------------------------------------------- #

@@ -37,7 +37,7 @@ calls, set comprehensions, set-algebra operators, and ``Set[...]`` /
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set
 
 from ..framework import Checker, Finding, ModuleSource
 

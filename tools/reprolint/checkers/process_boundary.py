@@ -18,11 +18,6 @@ of those crossings:
   process inheritance is exactly how the pipe is established.
 * A ``lambda`` as the callable of ``submit`` (bound methods and functions
   pickle; lambdas never do).
-* Exchange-channel payloads (``chase/exchange.py`` and the shuffle pools in
-  ``chase/parallel.py``) must carry routing state as plain tuples: a name or
-  attribute suffixed ``table``/``routing``/``router`` in any crossing is
-  flagged — ship ``RoutingTable.heavy_routes`` (``HeavyRoute`` tuples) and
-  rebuild the table worker-side.
 """
 
 from __future__ import annotations
@@ -43,11 +38,6 @@ BANNED_SUFFIXES: Tuple[str, ...] = (
 #: Suffixes additionally allowed inside ``Process(args=...)``: the child's
 #: pipe end is *meant* to cross via fork/spawn inheritance.
 PROCESS_ARG_ALLOWED_SUFFIXES: Tuple[str, ...] = ("conn", "connection")
-#: Routing state suffixes: routing tables never cross a process boundary as
-#: objects — only their plain-tuple ``heavy_routes`` projection travels.
-ROUTING_SUFFIXES: Tuple[str, ...] = ("table", "routing", "router")
-#: Routing-suffixed names that *are* the plain-tuple form.
-ROUTING_ALLOWLIST = frozenset({"heavy_routes", "routes"})
 
 
 def _handle_suffix(name: str, allowed: Tuple[str, ...] = ()) -> Optional[str]:
@@ -60,23 +50,13 @@ def _handle_suffix(name: str, allowed: Tuple[str, ...] = ()) -> Optional[str]:
     return None
 
 
-def _routing_suffix(name: str) -> Optional[str]:
-    lowered = name.lower()
-    if lowered in ROUTING_ALLOWLIST:
-        return None
-    for suffix in ROUTING_SUFFIXES:
-        if lowered == suffix or lowered.endswith(suffix):
-            return suffix
-    return None
-
-
 class ProcessBoundaryChecker(Checker):
     name = "process-boundary"
     description = (
         "values crossing pipe sends, pool submissions, and Process() must be "
         "picklable: no lambdas, generators, or live store/connection/lock handles"
     )
-    include = ("chase/parallel.py", "parallel.py", "chase/exchange.py", "exchange.py")
+    include = ("chase/parallel.py", "parallel.py")
 
     def check(self, module: ModuleSource) -> Iterable[Finding]:
         findings: List[Finding] = []
@@ -176,20 +156,6 @@ class ProcessBoundaryChecker(Checker):
                             "handle inside the worker",
                         )
                     )
-                    continue
-                routing = _routing_suffix(node.id)
-                if routing is not None:
-                    findings.append(
-                        self._finding(
-                            module,
-                            node,
-                            f"name '{node.id}' (suffix '{routing}') inside a "
-                            f"{crossing} payload looks like a routing table; "
-                            "routing state crosses the exchange only as plain "
-                            "HeavyRoute tuples (RoutingTable.heavy_routes) — "
-                            "rebuild the table inside the worker",
-                        )
-                    )
             elif isinstance(node, ast.Attribute):
                 suffix = _handle_suffix(node.attr, allowed_suffixes)
                 if suffix is not None:
@@ -201,20 +167,6 @@ class ProcessBoundaryChecker(Checker):
                             f"a {crossing} payload looks like a live handle; send "
                             "plain values (rows, int frames) and rebuild the "
                             "handle inside the worker",
-                        )
-                    )
-                    continue
-                routing = _routing_suffix(node.attr)
-                if routing is not None:
-                    findings.append(
-                        self._finding(
-                            module,
-                            node,
-                            f"attribute '.{node.attr}' (suffix '{routing}') "
-                            f"inside a {crossing} payload looks like a routing "
-                            "table; routing state crosses the exchange only as "
-                            "plain HeavyRoute tuples (RoutingTable.heavy_routes) "
-                            "— rebuild the table inside the worker",
                         )
                     )
 
