@@ -6,11 +6,14 @@ paths — and the determinism claim on the literature scenarios.
 """
 
 import multiprocessing
+import os
+import subprocess
+import sys
 import threading
 
 import pytest
 
-from repro.chase.engine import chase
+from repro.chase.engine import chase, make_backend_store
 from repro.chase.parallel import (
     EXECUTORS,
     ParallelChaseExecutor,
@@ -21,6 +24,9 @@ from repro.core.atoms import Atom
 from repro.core.instances import Instance
 from repro.core.parser import parse_database, parse_rules
 from repro.exceptions import ChaseLimitExceeded
+from repro.generators import generate_skew_workload
+from repro.obs.events import ListTraceSink, validate_event
+from repro.obs.tracer import Tracer
 from repro.scenarios import build_ibench
 from repro.storage.sqlbackend import SqliteAtomStore
 
@@ -57,6 +63,61 @@ class TestDeterminism:
         result = chase(database, tgds, variant=variant, limits=LIMITS, workers=3)
         assert _fingerprint(result) == expected
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize(
+        "executor, backend",
+        (("serial", "sqlite"), ("process", "instance"), ("process", "sqlite")),
+    )
+    def test_every_pool_and_backend_matches_serial(self, executor, backend, seed):
+        database, tgds = random_case(seed)
+        expected = _fingerprint(chase(database, tgds, limits=LIMITS))
+        for workers in (2, 4):
+            result = parallel_chase(
+                database, tgds, workers=workers, limits=LIMITS, executor=executor,
+                backend=backend,
+            )
+            assert _fingerprint(result) == expected, f"workers={workers}"
+
+
+class TestSkewWorkload:
+    """The heavy-hitter workload the benchmark's ``chase_skew_par2`` runs:
+    one hub key concentrates the star join on the worker that owns it, and
+    the coordinator merge still reproduces the serial result."""
+
+    @pytest.mark.parametrize("executor", ("serial", "process"))
+    def test_hub_worker_carries_the_join_and_the_result_is_serial(self, executor):
+        workload = generate_skew_workload(n_keys=8, rows=192, skew=1.5)
+        limits = ChaseLimits(max_atoms=5_000, max_rounds=10)
+        expected = _fingerprint(chase(workload.database, workload.tgds, limits=limits))
+        sink = ListTraceSink()
+        tracer = Tracer(sink, tool="chase")
+        result = parallel_chase(
+            workload.database,
+            workload.tgds,
+            workers=4,
+            executor=executor,
+            backend="sqlite" if executor == "process" else "instance",
+            limits=limits,
+            tracer=tracer,
+        )
+        tracer.close()
+        assert _fingerprint(result) == expected
+        for event in sink.events:
+            validate_event(event)
+        rounds = {e["round"]: e for e in sink.events if e["type"] == "round"}
+        by_round = {}
+        for event in sink.events:
+            if event["type"] == "worker_round":
+                by_round.setdefault(event["round"], {})[event["worker"]] = event
+        assert set(by_round) == set(rounds)
+        for number, workers in by_round.items():
+            assert set(workers) == {0, 1, 2, 3}
+            assert sum(w["fired"] for w in workers.values()) == rounds[number]["fired"]
+        # Round 2 is the star join: the hub key's matches all land on one worker.
+        (_, heaviest), *_ = workload.key_counts
+        join = by_round[2]
+        assert max(w["considered"] for w in join.values()) >= heaviest * workload.fan_out
+
 
 class TestBudgets:
     def test_atom_budget_stops_the_run(self):
@@ -79,6 +140,24 @@ class TestBudgets:
         )
         assert not result.terminated
         assert result.stop_reason == "max_rounds"
+        assert _fingerprint(result) == _fingerprint(serial)
+
+    @pytest.mark.parametrize(
+        "limits", (ChaseLimits(max_atoms=10), ChaseLimits(max_rounds=3)), ids=("atoms", "rounds")
+    )
+    @pytest.mark.parametrize(
+        "executor, backend",
+        (("serial", "sqlite"), ("process", "instance"), ("process", "sqlite")),
+    )
+    def test_budget_stops_match_the_serial_engine(self, executor, backend, limits):
+        database = parse_database("R(a,b).")
+        tgds = parse_rules("R(x,y) -> R(y,z)")
+        serial = chase(database, tgds, limits=limits)
+        result = parallel_chase(
+            database, tgds, workers=2, limits=limits, executor=executor, backend=backend
+        )
+        assert not result.terminated
+        assert (result.stop_reason, result.rounds) == (serial.stop_reason, serial.rounds)
         assert _fingerprint(result) == _fingerprint(serial)
 
     def test_on_limit_raise(self):
@@ -145,6 +224,14 @@ class TestApiSurface:
         with pytest.raises(ValueError, match="exchange must be one of"):
             ParallelChaseExecutor(exchange="shuffle")
         assert parallel_chase(database, tgds, exchange="coordinator").terminated
+
+    @pytest.mark.parametrize("exchange", ("shuffle", "gossip"))
+    def test_unknown_exchange_is_rejected(self, exchange):
+        database, tgds = random_case(0)
+        with pytest.raises(ValueError, match="exchange must be one of"):
+            parallel_chase(database, tgds, workers=2, exchange=exchange)
+        with pytest.raises(ValueError, match="exchange must be one of"):
+            ParallelChaseExecutor(workers=2, exchange=exchange)
 
     def test_auto_runs_an_instance_in_process_without_threads(self, monkeypatch):
         started = []
@@ -223,6 +310,99 @@ class TestWorkerDeath:
         # parallel_chase's finally flushed round 1 before the error left it
         with SqliteAtomStore(path=path) as reopened:
             assert reopened.atom_count() > len(self.DATABASE)
+
+
+def _forked_workers_only(executor):
+    if executor == "process" and multiprocessing.get_start_method() != "fork":
+        pytest.skip("process workers inherit the patched class only when forked")
+
+
+class TestCrashMidRun:
+    """A worker that raises mid-run fails the run with the documented error
+    and leaves a resumable prefix in a persistent sqlite store."""
+
+    DATABASE = parse_database("\n".join(f"edge(n{i}, n{i + 1})." for i in range(6)))
+    TGDS = parse_rules(
+        """
+        path(X, Y) :- edge(X, Y).
+        path(X, Z) :- path(X, Y), edge(Y, Z).
+        """
+    )
+
+    def _assert_resumable(self, path):
+        fresh = chase(self.DATABASE, self.TGDS)
+        with SqliteAtomStore(path=path) as reopened:
+            persisted = set(map(str, reopened.iter_atoms()))
+        # the prefix holds the seed plus round 1, and nothing bogus
+        assert set(map(str, self.DATABASE.atoms())) < persisted <= set(map(str, fresh.instance))
+        # resuming over the reopened file reaches the uninterrupted fixpoint
+        resumed = chase(self.DATABASE, self.TGDS, store=SqliteAtomStore(path=path))
+        assert resumed.terminated
+        assert sorted(map(str, resumed.instance)) == sorted(map(str, fresh.instance))
+        resumed.store.close()
+
+    @pytest.mark.parametrize("executor", ("serial", "process"))
+    def test_crash_leaves_resumable_sqlite_prefix(self, tmp_path, monkeypatch, executor):
+        from repro.chase import parallel
+
+        _forked_workers_only(executor)
+
+        def crash(worker, *args):
+            raise RuntimeError(f"injected crash (worker {worker.worker_id})")
+
+        monkeypatch.setattr(parallel._MatchWorker, "_delta_round", crash)
+        path = str(tmp_path / f"crash-{executor}.db")
+        store = make_backend_store(f"sqlite:{path}")
+        with pytest.raises(RuntimeError, match=r"parallel chase worker \d failed.*injected crash"):
+            parallel_chase(self.DATABASE, self.TGDS, workers=2, executor=executor, store=store)
+        store.close()
+        monkeypatch.undo()
+        self._assert_resumable(path)
+
+    #: Runs the crashing chase in a child interpreter, so a coordinator that
+    #: hangs on a wedged worker fails the test by timeout instead of hanging
+    #: the suite.  argv: the sqlite path and the worker that raises.
+    CRASH_SCRIPT = """
+import multiprocessing, sys
+from repro.chase import parallel
+from repro.chase.engine import make_backend_store
+from repro.core.parser import parse_database, parse_rules
+
+victim = int(sys.argv[2])
+real_delta_round = parallel._MatchWorker._delta_round
+
+def crash_the_victim(worker, *args):
+    if worker.worker_id == victim:
+        raise RuntimeError("injected crash")
+    return real_delta_round(worker, *args)
+
+parallel._MatchWorker._delta_round = crash_the_victim
+database = parse_database("\\n".join(f"edge(n{i}, n{i + 1})." for i in range(6)))
+tgds = parse_rules("path(X, Y) :- edge(X, Y).\\npath(X, Z) :- path(X, Y), edge(Y, Z).")
+store = make_backend_store("sqlite:" + sys.argv[1])
+try:
+    parallel.parallel_chase(database, tgds, workers=2, executor="process", store=store)
+except RuntimeError as error:
+    print("RuntimeError:", str(error).splitlines()[0])
+store.close()
+print("orphans:", len(multiprocessing.active_children()))
+"""
+
+    @pytest.mark.parametrize("victim", (0, 1))
+    def test_either_failed_process_worker_fails_the_run_promptly(self, tmp_path, victim):
+        _forked_workers_only("process")
+        path = str(tmp_path / f"crash-victim-{victim}.db")
+        environment = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        finished = subprocess.run(
+            [sys.executable, "-c", self.CRASH_SCRIPT, path, str(victim)],
+            env=environment, capture_output=True, text=True, timeout=60,
+        )
+        assert finished.returncode == 0, finished.stderr
+        assert finished.stdout.splitlines() == [
+            f"RuntimeError: parallel chase worker {victim} failed: RuntimeError: injected crash",
+            "orphans: 0",
+        ]
+        self._assert_resumable(path)
 
 
 class TestWireProtocol:

@@ -85,6 +85,27 @@ class TestGenerateSkewWorkload:
         with pytest.raises(ExperimentConfigError):
             generate_skew_workload(depth=-1)
 
+    def test_profile_skews_the_parallel_partition(self):
+        """The star join's seed partition gives one worker the hub key's whole load."""
+        from repro.chase.matching import JoinPlan
+        from repro.core.indexing import row_partition_of
+
+        workload = generate_skew_workload(n_keys=8, rows=256, skew=1.5)
+        star = next(tgd for tgd in workload.tgds if len(tgd.body) == 2)
+        mid_slot = next(
+            slot for slot, atom in enumerate(star.body) if atom.predicate.name == "mid"
+        )
+        plan = JoinPlan(star.body, mid_slot)
+        # Round 1's delta is exactly the mid() copy of the src profile.
+        mid_rows = [
+            atom.terms for atom in workload.database if atom.predicate.name == "src"
+        ]
+        loads = [0] * 4
+        for row in mid_rows:
+            loads[row_partition_of(row, plan.partition_positions, 4)] += 1
+        (_, heaviest), *_ = workload.key_counts
+        assert max(loads) >= heaviest > 2 * len(mid_rows) / 4
+
     @pytest.mark.parametrize(
         "workers, executor, backend",
         [

@@ -149,6 +149,40 @@ class TestEngineConformance:
             store.close()
 
     @given(chase_programs(), st.sampled_from(VARIANTS))
+    def test_four_worker_pools_conform(self, program, variant):
+        """Four workers — more partitions than most random programs have
+        join keys — over every store a pool can run against, lazy results
+        included."""
+        database, tgds = program
+        note(describe_program(database, tgds))
+        expected = fingerprint(chase(database, tgds, variant=variant, limits=LIMITS))
+        for executor, backend in (
+            ("serial", "instance"),
+            ("serial", "sqlite"),  # in-process workers share the coordinator's store
+        ):
+            result = parallel_chase(
+                database,
+                tgds,
+                variant=variant,
+                workers=4,
+                limits=LIMITS,
+                backend=backend,
+                executor=executor,
+            )
+            assert fingerprint(result) == expected, f"{executor} {backend} workers=4"
+        lazy = parallel_chase(
+            database,
+            tgds,
+            variant=variant,
+            workers=4,
+            limits=LIMITS,
+            backend="sqlite",
+            executor="process",
+            materialize=False,
+        )
+        assert_lazy_matches(lazy, expected, "sqlite process(workers=4)")
+
+    @given(chase_programs(), st.sampled_from(VARIANTS))
     def test_sql_pushdown_conforms(self, program, variant):
         """The compiled set-based strategy: whole rounds execute inside
         SQLite with in-SQL null invention — and the ChaseResult must stay

@@ -214,6 +214,36 @@ class TestChaseCommand:
             assert stats(base + ["--parallel", n]) == serial
         assert stats(base + ["--parallel", "2", "--executor", "process"]) == serial
 
+    @pytest.mark.parametrize(
+        "pool",
+        (
+            "--parallel 2 --executor process",
+            "--parallel 2 --executor process --backend sqlite",
+            "--parallel 4",
+            "--parallel 2 --executor serial",
+            "--parallel 4 --executor process --backend sqlite",
+        ),
+    )
+    def test_skew_workload_pools_match_the_serial_reference(self, tmp_path, capsys, pool):
+        # The rows of the CI "Parallel CLI conformance" step, on a smaller workload.
+        from repro.core.serializer import serialize_database, serialize_rules
+        from repro.generators import generate_skew_workload
+
+        workload = generate_skew_workload(n_keys=6, rows=64, skew=1.5)
+        rules, facts = tmp_path / "skew-rules.txt", tmp_path / "skew-facts.txt"
+        rules.write_text(serialize_rules(workload.tgds))
+        facts.write_text(serialize_database(workload.database))
+
+        def stats(argv):
+            assert main(["chase", "--rules", str(rules), "--facts", str(facts)] + argv) == 0
+            wanted = ("rounds", "triggers_fired", "atoms_created", "instance_size")
+            lines = capsys.readouterr().out.splitlines()
+            return [line for line in lines if any(word in line for word in wanted)]
+
+        reference = stats([])
+        assert len(reference) == 4
+        assert stats(pool.split()) == reference
+
     def test_chase_parallel_banner_names_the_pool(self, join_rule_file, fact_file, capsys):
         assert main(
             ["chase", "--rules", str(join_rule_file), "--facts", str(fact_file), "--parallel", "4"]
@@ -434,6 +464,16 @@ class TestErrorPaths:
             capsys,
             "thread",
         )
+
+    def test_retired_exchange_option(self, rule_file, capsys):
+        # The coordinator merge is the one exchange topology; the option is gone.
+        for exchange in ("shuffle", "coordinator"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["chase", "--rules", str(rule_file), "--exchange", exchange])
+            assert excinfo.value.code == 2
+            stderr = capsys.readouterr().err
+            assert f"unrecognized arguments: --exchange {exchange}" in stderr
+            assert "Traceback" not in stderr
 
     def test_unknown_variant(self, rule_file, capsys):
         self._assert_argparse_rejects(
