@@ -889,7 +889,6 @@ class ParallelChaseExecutor:
         limits: Optional[ChaseLimits] = None,
         on_limit: str = "return",
         executor: str = "auto",
-        exchange: str = "coordinator",
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -897,8 +896,6 @@ class ParallelChaseExecutor:
             raise ValueError("on_limit must be 'return' or 'raise'")
         if executor not in EXECUTORS:
             raise ValueError(f"executor must be one of {EXECUTORS}, got {executor!r}")
-        if exchange not in EXCHANGES:
-            raise ValueError(f"exchange must be one of {EXCHANGES}, got {exchange!r}")
         resolve_engine_class(variant)  # validate eagerly
         self.variant = variant
         self.workers = workers
@@ -1016,15 +1013,18 @@ def parallel_chase(
         streamed seed, whatever the backend: the out-of-core path is the
         serial chase into a ``sqlite:<file>`` store.
     exchange:
-        ``"coordinator"`` (default), the one exchange topology: every
-        round's results go through the coordinator merge.  Any other name
-        is a ``ValueError``.
+        A name from :data:`~repro.chase.exchange.EXCHANGES`; every name
+        runs the one topology, the coordinator merge (``"shuffle"`` is the
+        retired name the benchmark still times).  Any other name is a
+        ``ValueError``.
 
     ``materialize=False`` skips the eager ``result.instance`` build, like
     :func:`~repro.chase.engine.chase`.  The result is guaranteed identical
     — atoms, null names, round and trigger counts — to the serial
     engine's, for every worker count and executor kind.
     """
+    if exchange not in EXCHANGES:
+        raise ValueError(f"exchange must be one of {EXCHANGES}, got {exchange!r}")
     if store is None:
         store = make_backend_store(backend)
     coordinator = ParallelChaseExecutor(
@@ -1033,7 +1033,6 @@ def parallel_chase(
         limits=limits,
         on_limit=on_limit,
         executor=executor,
-        exchange=exchange,
     )
     try:
         result = coordinator.run(database, tgds, store=store, tracer=tracer)
