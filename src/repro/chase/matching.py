@@ -3,11 +3,11 @@
 Every homomorphism search of the chase runs through :func:`_join` — round
 enumeration, the parallel workers' seeded plans, the restricted chase's
 head-satisfaction check and :func:`repro.chase.engine.satisfies`.  It
-works on **value rows**: a conjunction of atoms is compiled once into a
-:class:`Pattern` that numbers its variables, a homomorphism is the tuple of
-their images (a *slot tuple*), and candidates are the stores' rows — term
-tuples — so no :class:`~repro.core.atoms.Atom` and no per-candidate dict is
-built.  It applies the two classic database techniques:
+works on **value rows**: a :class:`Pattern` reads a rule body's slot
+tuples off its :class:`~repro.core.rules.CompiledRule`, a homomorphism is
+the tuple of the slots' images (a *slot tuple*), and candidates are the
+stores' rows — term tuples — so no :class:`~repro.core.atoms.Atom` and no
+per-candidate dict is built.  It applies the two classic database techniques:
 
 * **index intersection** — candidate rows for a body atom are resolved
   through the store's ``(predicate, position, term)`` postings
@@ -49,7 +49,8 @@ from typing import (
 from ..core.atoms import Atom
 from ..core.indexing import Row
 from ..core.predicates import Predicate
-from ..core.terms import Term, Variable
+from ..core.rules import CompiledAtom, CompiledRule, number_atoms
+from ..core.terms import Term, is_ground
 from ..core.tgds import TGD
 from .rounds import Delta
 
@@ -58,7 +59,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only; keeps storage out of module
 
 #: One enumerated trigger as the firing loops consume it: ``(rule index, body
 #: homomorphism)``, the homomorphism as the images of the body's variable
-#: slots (:func:`variable_slots`).
+#: slots (:attr:`CompiledRule.body <repro.core.rules.CompiledRule.body>`).
 Match = Tuple[int, Row]
 
 #: Chase strategies accepted by ``chase()``, ``parallel_chase()`` and the
@@ -76,54 +77,22 @@ _Step = Tuple[Predicate, Tuple[Tuple[int, int], ...], Tuple[Tuple[int, int], ...
               Tuple[Tuple[int, int], ...], int]
 
 
-def variable_slots(atoms: Iterable[Atom], leading: Iterable[Term] = ()) -> Dict[Term, int]:
-    """Number the terms of *atoms*: *leading* first, then first occurrence.
-
-    A TGD body numbered this way is the layout of every slot tuple the
-    matching yields for it (``leading`` empty); :class:`FiringPlan
-    <repro.chase.triggers.FiringPlan>` reads its witness out of that layout.
-    """
-    slots: Dict[Term, int] = {}
-    for term in leading:
-        slots.setdefault(term, len(slots))
-    for atom in atoms:
-        for term in atom.terms:
-            slots.setdefault(term, len(slots))
-    return slots
-
-
 class Pattern:
-    """A conjunction of atoms compiled to integer variable slots.
+    """A conjunction of compiled atoms over *width* integer variable slots.
 
-    Slot ``i`` holds the image of ``terms[i]``: the *leading* terms first,
-    then every other term in first-occurrence order; a constant's slot is
-    bound to the constant itself.  What each atom looks up, assigns and
-    re-checks depends only on which slots are bound when the join reaches
-    it, so that :data:`_Step` is compiled once per (bound mask, atom) and
-    cached.
+    A rule body is ``Pattern(rule.body, len(rule.names))``: slot ``i`` holds
+    the image of the ``i``-th body variable.  What each atom looks up,
+    assigns and re-checks depends only on which slots are bound when the
+    join reaches it, so that :data:`_Step` is compiled once per (bound mask,
+    atom) and cached.
     """
 
-    __slots__ = ("atoms", "terms", "positions", "fixed_mask", "_fixed", "_steps")
+    __slots__ = ("atoms", "width", "_steps")
 
-    def __init__(self, atoms: Iterable[Atom], leading: Iterable[Term] = ()) -> None:
+    def __init__(self, atoms: Sequence[CompiledAtom], width: int) -> None:
         self.atoms = tuple(atoms)
-        slots = variable_slots(self.atoms, leading)
-        self.terms = tuple(slots)
-        #: Per atom, the slot of each argument position.
-        self.positions = tuple(tuple(slots[term] for term in atom.terms) for atom in self.atoms)
-        self._fixed = tuple(
-            (slot, term) for term, slot in slots.items() if not isinstance(term, Variable)
-        )
-        self.fixed_mask = sum(1 << slot for slot, _ in self._fixed)
+        self.width = width
         self._steps: Dict[Tuple[int, int], _Step] = {}
-
-    def start(self, leading: Sequence[Term] = ()) -> List[Optional[Term]]:
-        """A slot list with the *leading* images and the constants bound."""
-        values: List[Optional[Term]] = [None] * len(self.terms)
-        values[: len(leading)] = leading
-        for slot, term in self._fixed:
-            values[slot] = term
-        return values
 
     def step(self, bound: int, atom: int) -> _Step:
         """The :data:`_Step` of atom *atom* when the slots in *bound* are bound."""
@@ -133,7 +102,8 @@ class Pattern:
             assign: List[Tuple[int, int]] = []
             check: List[Tuple[int, int]] = []
             seen = bound
-            for position, slot in enumerate(self.positions[atom]):
+            predicate, slots = self.atoms[atom]
+            for position, slot in enumerate(slots):
                 bit = 1 << slot
                 if bound & bit:
                     lookup.append((position, slot))
@@ -143,20 +113,23 @@ class Pattern:
                     assign.append((position, slot))
                     seen |= bit
             step = self._steps[(bound, atom)] = (
-                self.atoms[atom].predicate, tuple(lookup), tuple(assign), tuple(check), seen,
+                predicate, tuple(lookup), tuple(assign), tuple(check), seen,
             )
         return step
 
     def matches(self, store: "AtomStore") -> Iterator[Row]:
         """Every homomorphism of the atoms into *store*, as slot tuples."""
-        return _join(
-            store, self, tuple(range(len(self.atoms))), self.start(), self.fixed_mask, None, -1
-        )
+        values: List[Optional[Term]] = [None] * self.width
+        return _join(store, self, tuple(range(len(self.atoms))), values, 0, None, -1)
 
-    def exists(self, store: "AtomStore", leading: Sequence[Term] = ()) -> bool:
-        """Whether some homomorphism into *store* extends the *leading* images."""
-        bound = self.fixed_mask | ((1 << len(leading)) - 1)
-        values = self.start(leading)
+    def exists(self, store: "AtomStore", fixed: Iterable[Tuple[int, Term]] = ()) -> bool:
+        """Whether some homomorphism into *store* maps each ``(slot, image)``
+        of *fixed* to its image."""
+        values: List[Optional[Term]] = [None] * self.width
+        bound = 0
+        for slot, image in fixed:
+            values[slot] = image
+            bound |= 1 << slot
         for _ in _join(store, self, tuple(range(len(self.atoms))), values, bound, None, -1):
             return True
         return False
@@ -217,7 +190,15 @@ def has_homomorphism(
 ) -> bool:
     """Return ``True`` when some homomorphism from *atoms* into *store* extends *base*."""
     base = base or {}
-    return Pattern(atoms, base).exists(store, tuple(base.values()))
+    numbers: Dict[Term, int] = {}
+    layout = number_atoms([(atom.predicate, atom.terms) for atom in atoms], numbers)
+    # A homomorphism is the identity on constants and nulls.
+    fixed = [
+        (slot, base.get(term, term))
+        for term, slot in numbers.items()
+        if term in base or is_ground(term)
+    ]
+    return Pattern(layout, len(numbers)).exists(store, fixed)
 
 
 class JoinPlan:
@@ -226,7 +207,8 @@ class JoinPlan:
     A plan is built once per ``(body, slot)`` pair and reused across rounds;
     executing it binds the slot to a delta row and resolves the remaining
     body atoms by selectivity-ordered index intersection.  *body* is the
-    atoms or their :class:`Pattern`, which the plans of one rule share.
+    compiled rule or its body's :class:`Pattern`, which the plans of one
+    rule share.
     """
 
     __slots__ = (
@@ -234,8 +216,8 @@ class JoinPlan:
         "_prefix",
     )
 
-    def __init__(self, body: Union[Sequence[Atom], Pattern], seed_slot: int) -> None:
-        self.pattern = body if isinstance(body, Pattern) else Pattern(body)
+    def __init__(self, body: Union[CompiledRule, Pattern], seed_slot: int) -> None:
+        self.pattern = body if isinstance(body, Pattern) else Pattern(body.body, len(body.names))
         self.body = self.pattern.atoms
         if not 0 <= seed_slot < len(self.body):
             raise ValueError(f"seed slot {seed_slot} out of range for {len(self.body)}-atom body")
@@ -243,27 +225,26 @@ class JoinPlan:
         self._others = tuple(i for i in range(len(self.body)) if i != seed_slot)
         #: The predicates of the slots before the seed: the ones a delta
         #: round's exclusion constrains.
-        self.guarded = frozenset(atom.predicate for atom in self.body[:seed_slot])
-        self._seed = self.pattern.step(self.pattern.fixed_mask, seed_slot)
+        self.guarded = frozenset(predicate for predicate, _ in self.body[:seed_slot])
+        self._seed = self.pattern.step(0, seed_slot)
         # Pairwise distinct variables numbered first: the seed row is the
         # slot list's prefix as it stands.
-        positions = self.pattern.positions[seed_slot]
-        self._prefix = not self.pattern.fixed_mask and positions == tuple(range(len(positions)))
+        positions = self.body[seed_slot][1]
+        self._prefix = positions == tuple(range(len(positions)))
         # The join-key positions of the seed atom: positions holding a
         # variable that also occurs in another body atom.  The parallel
         # chase hash-partitions seed rows by the terms at these positions
         # (K-Join-style: seeds sharing a join key land on the same worker);
         # for linear TGDs there is no join, so the whole term tuple is the
         # key (empty tuple = "hash all positions" by convention).
-        other_slots = {slot for i in self._others for slot in self.pattern.positions[i]}
+        other_slots = {slot for i in self._others for slot in self.body[i][1]}
         self.partition_positions = tuple(
-            position
-            for position, slot in enumerate(positions)
-            if slot in other_slots and not (self.pattern.fixed_mask >> slot) & 1
+            position for position, slot in enumerate(positions) if slot in other_slots
         )
 
     def __repr__(self) -> str:
-        return f"JoinPlan(seed={self.body[self.seed_slot]!r}, body={len(self.body)} atoms)"
+        seed = self.body[self.seed_slot][0].name
+        return f"JoinPlan(seed={seed}, body={len(self.body)} atoms)"
 
     def matches(
         self,
@@ -283,12 +264,10 @@ class JoinPlan:
                 yield seed_row
                 return
             values: List[Optional[Term]] = list(seed_row)
-            values.extend([None] * (len(pattern.terms) - len(seed_row)))
+            values.extend([None] * (pattern.width - len(seed_row)))
         else:
-            _, lookup, assign, check, _ = self._seed
-            values = pattern.start()
-            if any(seed_row[position] != values[slot] for position, slot in lookup):
-                return
+            _, _, assign, check, _ = self._seed
+            values = [None] * pattern.width
             for position, slot in assign:
                 values[slot] = seed_row[position]
             if any(seed_row[position] != values[slot] for position, slot in check):
@@ -308,13 +287,11 @@ class IndexedTriggerSource:
 
     def __init__(self, tgds: Sequence[TGD]) -> None:
         self.tgds = tuple(tgds)
-        self._patterns = [Pattern(tgd.body) for tgd in self.tgds]
+        self._patterns = [Pattern(tgd.rule.body, len(tgd.rule.names)) for tgd in self.tgds]
         self._slots: Dict[Predicate, List[Tuple[int, JoinPlan]]] = {}
-        for index, (tgd, pattern) in enumerate(zip(self.tgds, self._patterns)):
-            for slot, atom in enumerate(tgd.body):
-                self._slots.setdefault(atom.predicate, []).append(
-                    (index, JoinPlan(pattern, slot))
-                )
+        for index, pattern in enumerate(self._patterns):
+            for slot, (predicate, _) in enumerate(pattern.atoms):
+                self._slots.setdefault(predicate, []).append((index, JoinPlan(pattern, slot)))
 
     def initial(self, store: "AtomStore") -> Iterator[Match]:
         for index, pattern in enumerate(self._patterns):

@@ -132,7 +132,7 @@ class _PlanEntry:
         self.tgd_index = tgd_index
         self.tgd = tgd
         self.plan = plan
-        self.seed_predicate = plan.body[plan.seed_slot].predicate
+        self.seed_predicate = plan.body[plan.seed_slot][0]
 
 
 class _PlanTable:
@@ -149,12 +149,10 @@ class _PlanTable:
         self.by_predicate: Dict[object, List[_PlanEntry]] = {}
         self.initial_entries: List[_PlanEntry] = []
         for tgd_index, tgd in enumerate(self.tgds):
-            for slot, atom in enumerate(tgd.body):
-                entry = _PlanEntry(
-                    len(self.entries), tgd_index, tgd, JoinPlan(tgd.body, slot)
-                )
+            for slot, (predicate, _) in enumerate(tgd.rule.body):
+                entry = _PlanEntry(len(self.entries), tgd_index, tgd, JoinPlan(tgd.rule, slot))
                 self.entries.append(entry)
-                self.by_predicate.setdefault(atom.predicate, []).append(entry)
+                self.by_predicate.setdefault(predicate, []).append(entry)
                 if slot == 0:
                     self.initial_entries.append(entry)
 
@@ -297,12 +295,13 @@ def replica_seed_split(
     full: Set[Predicate] = set()
     partitioned: Set[Predicate] = set()
     for tgd in tgds:
-        if len(tgd.body) > 1:
-            full.update(atom.predicate for atom in tgd.body)
+        rule = tgd.rule
+        if len(rule.body) > 1:
+            full.update(predicate for predicate, _ in rule.body)
         else:
-            partitioned.add(tgd.body[0].predicate)
+            partitioned.add(rule.body[0][0])
         if variant == "restricted":
-            full.update(atom.predicate for atom in tgd.head)
+            full.update(predicate for predicate, _ in rule.head)
     return full, partitioned - full
 
 

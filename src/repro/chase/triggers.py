@@ -11,19 +11,20 @@ frontier restriction of ``h``, and the variable itself.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.indexing import Row
 from ..core.predicates import Predicate
-from ..core.terms import NullFactory, NullKeyRenderer, Term, Variable
+from ..core.rules import CompiledAtom
+from ..core.terms import NullFactory, NullKeyRenderer, Term
 from ..core.tgds import TGD
-from .matching import Pattern, variable_slots
+from .matching import Pattern
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..storage.atom_store import AtomStore
 
 #: The images of a plan's witness variables, in the order of
-#: :attr:`FiringPlan.variables`.
+#: :attr:`FiringPlan.witness`.
 Witness = Tuple[Term, ...]
 
 #: A firing key ``(rule index, witness)``.  The witness variables are a
@@ -31,10 +32,6 @@ Witness = Tuple[Term, ...]
 #: The engines' ``fired_keys`` memo, the coordinator merge's firing-key set
 #: and the pushdown key tables are all defined on this shape.
 FiringKey = Tuple[int, Witness]
-
-
-def _name(variable: Variable) -> str:
-    return variable.name
 
 
 def _picker(slots: Sequence[int]) -> Callable[[Sequence[Term]], Row]:
@@ -65,30 +62,34 @@ class FiringPlan:
     """
 
     __slots__ = (
-        "tgd", "index", "variables", "width", "_witness", "_existential", "_null_keys",
-        "_head", "_head_pattern",
+        "tgd", "index", "witness", "witness_names", "width", "_witness", "_existential",
+        "_null_keys", "_head_atoms", "_head", "_head_pattern",
     )
 
     def __init__(self, tgd: TGD, index: int, null_scope: str = "frontier") -> None:
         if null_scope not in ("frontier", "homomorphism"):
             raise ValueError("null_scope must be 'frontier' or 'homomorphism'")
+        rule = tgd.rule
         self.tgd = tgd
         self.index = index
-        scope = tgd.frontier() if null_scope == "frontier" else tgd.body_variables()
-        #: The witness variables, sorted by name.
-        self.variables: Tuple[Variable, ...] = tuple(sorted(scope, key=_name))
-        self.width = len(self.variables)
-        body_slots = variable_slots(tgd.body)
-        self._witness = _picker([body_slots[variable] for variable in self.variables])
-        existential = sorted(tgd.existential_variables(), key=_name)
-        self._existential = tuple(variable.name for variable in existential)
-        self._null_keys = NullKeyRenderer(index, [v.name for v in self.variables])
-        # Head atoms as (predicate, picker) templates over a value row: the
-        # witness images followed by the invented nulls.
-        layout: List[Term] = list(self.variables) + existential
+        #: The body slots of the witness variables, sorted by name.
+        self.witness = rule.witness(null_scope)
+        self.witness_names = tuple(rule.names[slot] for slot in self.witness)
+        self.width = len(self.witness)
+        self._witness = _picker(self.witness)
+        existential = sorted(range(len(rule.existentials)), key=rule.existentials.__getitem__)
+        self._existential = tuple(rule.existentials[number] for number in existential)
+        self._null_keys = NullKeyRenderer(index, self.witness_names)
+        # A value row holds the witness images, then the invented nulls:
+        # the place of each head slot in it.
+        place: Dict[int, int] = {slot: at for at, slot in enumerate(self.witness)}
+        for at, number in enumerate(existential, start=self.width):
+            place[~number] = at
+        self._head_atoms: Tuple[CompiledAtom, ...] = tuple(
+            (predicate, tuple(place[slot] for slot in slots)) for predicate, slots in rule.head
+        )
         self._head: Tuple[Tuple[Predicate, Callable[[Sequence[Term]], Row]], ...] = tuple(
-            (atom.predicate, _picker([layout.index(term) for term in atom.terms]))
-            for atom in tgd.head
+            (predicate, _picker(places)) for predicate, places in self._head_atoms
         )
         self._head_pattern: Optional[Pattern] = None
 
@@ -119,5 +120,6 @@ class FiringPlan:
         """Whether some extension of the key's witness maps the head into
         *store* — the restricted chase's head-satisfaction check."""
         if self._head_pattern is None:
-            self._head_pattern = Pattern(self.tgd.head, self.variables)
-        return self._head_pattern.exists(store, key[1])
+            width = self.width + len(self._existential)
+            self._head_pattern = Pattern(self._head_atoms, width)
+        return self._head_pattern.exists(store, enumerate(key[1]))

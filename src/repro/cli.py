@@ -346,6 +346,10 @@ def _command_check(args) -> int:
     except (NotLinearError, NotSimpleLinearError) as error:
         print(f"{args.rules}: {error}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        # The check keeps no state worth resuming: 3 is the shared "interrupted" code.
+        print("interrupted", file=sys.stderr)
+        return 3
     # The checkers measure t-parse only when they parse; here the CLI did.
     report.timings.t_parse = parse_s
 

@@ -24,8 +24,10 @@ the arrows — are ever interpreted.  Two readers share that grammar:
   (``?x`` too, in rules), spaces and tabs, one ``->``/``=>`` on a rule line,
   optional trailing dots and line ending.  One anchored compiled match per
   atom and a ``split`` (or, with whitespace, a ``findall``) over its
-  argument text yield exactly the atoms (or the row) the scanner would, and
-  a repeated atom text is looked up, not read again.  Anything else —
+  argument text yield exactly the atoms (or the row) the scanner would (a
+  rule's as variable names, compiled straight into a
+  :class:`~repro.core.rules.CompiledRule`), and a repeated atom text is
+  looked up, not read again.  Anything else —
   quotes, comments, nesting, ``:-``, stray commas, other characters,
   malformed text — it declines with ``None``, and never raises on syntax;
 * the **scanner** (``_scan``) reads every declined line in one pass: a
@@ -57,6 +59,7 @@ from ..exceptions import ParseError, ValidationError
 from .atoms import Atom
 from .instances import Database
 from .predicates import Predicate, Schema
+from .rules import compile_rule
 from .terms import Constant, Term, Variable
 from .tgds import TGD, TGDSet
 
@@ -131,12 +134,16 @@ def _plain_arguments(text: str) -> Optional[List[str]]:
     return tokens
 
 
+_NamedAtom = Tuple[Predicate, Tuple[str, ...]]  # a plain rule atom: its variables' names
+
+
 class _AtomBuilder:
     """Builds the atoms of one ``parse_*`` call, interning as it goes: each
     distinct argument token becomes one :class:`Term`, each distinct plain
-    atom text one :class:`Atom`, and a predicate is looked up in the schema
-    before one is constructed.  A program repeats the same few variables and
-    atoms on every line; the tables live and die with the call.
+    rule atom text one ``(predicate, variable names)`` pair, and a predicate
+    is looked up in the schema before one is constructed.  A program repeats
+    the same few variables and atoms on every line; the tables live and die
+    with the call.
     """
 
     __slots__ = ("as_variable", "schema", "terms", "atoms")
@@ -145,20 +152,27 @@ class _AtomBuilder:
         self.as_variable = as_variable
         self.schema = schema
         self.terms: Dict[str, Term] = {}
-        self.atoms: Dict[Tuple[str, ...], Atom] = {}
+        self.atoms: Dict[Tuple[str, ...], _NamedAtom] = {}
 
     def atom(self, name: str, tokens: List[str]) -> Atom:
         return Atom(*self.row(name, tokens))
 
-    def plain_atom(self, text: Tuple[str, ...]) -> Optional[Atom]:
-        """The atom of a plain line's ``(name, argument text)``, or ``None``
-        when the argument text is not plain.  Callers look *text* up in
+    def plain_atom(self, text: Tuple[str, ...]) -> Optional[_NamedAtom]:
+        """The ``(predicate, variable names)`` of a plain rule line's ``(name,
+        argument text)`` (named as :func:`_parse_term` would), or ``None`` when
+        the argument text is not plain.  Callers look *text* up in
         :attr:`atoms` first: this is the miss."""
         tokens = _plain_arguments(text[1])
         if tokens is None:
             return None
-        atom = self.atoms[text] = self.atom(text[0], tokens)
+        names = tuple([(token[1:] or token) if token[0] == "?" else token for token in tokens])
+        atom = self.atoms[text] = (self.predicate(text[0], len(names)), names)
         return atom
+
+    def predicate(self, name: str, arity: int) -> Predicate:
+        if self.schema is None:
+            return Predicate(name, arity)
+        return self.schema.declare(name, arity)
 
     def row(self, name: str, tokens: List[str]) -> Tuple[Predicate, Tuple[Term, ...]]:
         """The ``(predicate, terms)`` of the atom ``name(tokens)``."""
@@ -169,21 +183,19 @@ class _AtomBuilder:
             if term is None:
                 term = terms[token] = _parse_term(token, self.as_variable)
             arguments.append(term)
-        if self.schema is None:
-            return Predicate(name, len(arguments)), tuple(arguments)
-        return self.schema.declare(name, len(arguments)), tuple(arguments)
+        return self.predicate(name, len(arguments)), tuple(arguments)
 
 
-def _plain_rule(line: str, builder: _AtomBuilder) -> Optional[List[List[Atom]]]:
-    """``[body, head]`` of a plain rule *line*, or ``None`` to hand the line
-    to :func:`_scan`.
+def _plain_rule(line: str, builder: _AtomBuilder) -> Optional[List[List[_NamedAtom]]]:
+    """``[body, head]`` of a plain rule *line*, each atom as ``(predicate,
+    variable names)``, or ``None`` to hand the line to :func:`_scan`.
 
     Atoms are built as they are recognised.  A plain prefix reads the same to
     the scanner, so a schema conflict the builder raises on one of them is the
     one the scanner would raise there too.
     """
-    body: List[Atom] = []
-    head: Optional[List[Atom]] = None
+    body: List[_NamedAtom] = []
+    head: Optional[List[_NamedAtom]] = None
     atoms = body
     match = _PLAIN_RULE_ATOM.match
     interned = builder.atoms
@@ -330,13 +342,14 @@ def parse_atom(text: str, as_variable: bool = True, schema: Optional[Schema] = N
 
 def _tgd(line: str, builder: _AtomBuilder, label: Optional[str]) -> Optional[TGD]:
     """The TGD on *line*, or ``None`` for a blank or comment-only line."""
-    sides = _plain_rule(line, builder)
+    plain = _plain_rule(line, builder)
+    if plain is not None:
+        return TGD.of(compile_rule(plain[0], plain[1], label))
+    sides = _scan(line, _RULE_TOKENS, builder.atom, True)
     if sides is None:
-        sides = _scan(line, _RULE_TOKENS, builder.atom, True)
-        if sides is None:
-            return None
-        if len(sides) != 2:
-            raise ParseError(f"no implication arrow in rule {line.strip()!r}")
+        return None
+    if len(sides) != 2:
+        raise ParseError(f"no implication arrow in rule {line.strip()!r}")
     body, head = sides
     if not body or not head:
         raise ParseError(f"rule {line.strip()!r} must have a non-empty body and head")

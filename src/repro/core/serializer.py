@@ -67,9 +67,12 @@ def serialize_atom(atom: Atom, in_rule: bool = True) -> str:
 
 
 def serialize_tgd(tgd: TGD) -> str:
-    """Render a single TGD in ``body -> head`` form."""
-    body = ", ".join(serialize_atom(atom, in_rule=True) for atom in tgd.body)
-    head = ", ".join(serialize_atom(atom, in_rule=True) for atom in tgd.head)
+    """Render a single TGD in ``body -> head`` form, off its compiled rule."""
+    names = tgd.rule.slot_names()
+    body, head = (
+        ", ".join(f"{p.name}({','.join([names[slot] for slot in slots])})" for p, slots in side)
+        for side in (tgd.rule.body, tgd.rule.head)
+    )
     return f"{body} -> {head}"
 
 

@@ -13,15 +13,17 @@ The two classes studied by the paper:
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from operator import attrgetter
+from typing import Any, Callable, Dict, FrozenSet, Iterable, Iterator, Optional, Set, Tuple
 
 from ..exceptions import NotLinearError, NotSimpleLinearError, ValidationError
 from .atoms import Atom
 from .predicates import Predicate, Schema
-from .terms import Constant, Term, Variable
+from .rules import CompiledRule, compile_rule
+from .terms import Constant, Variable
 
-_EMPTY: FrozenSet[Term] = frozenset()
 _VARIABLE = frozenset({Variable})
+_name = attrgetter("name")
 
 
 def _check_variables(atoms: Tuple[Atom, ...]) -> None:
@@ -36,6 +38,14 @@ def _check_variables(atoms: Tuple[Atom, ...]) -> None:
                 )
 
 
+def _decode(rule: CompiledRule) -> Tuple[Tuple[Atom, ...], Tuple[Atom, ...]]:
+    """The body and head atoms of *rule*."""
+    terms = [Variable(name) for name in rule.slot_names()]
+    body = tuple(Atom(predicate, [terms[slot] for slot in slots]) for predicate, slots in rule.body)
+    head = tuple(Atom(predicate, [terms[slot] for slot in slots]) for predicate, slots in rule.head)
+    return body, head
+
+
 class TGD:
     """An immutable tuple-generating dependency.
 
@@ -48,68 +58,76 @@ class TGD:
         occurring in the body are implicitly existentially quantified.
     label:
         Optional human-readable label used by parsers and generators.
+
+    A TGD is a view of its :class:`~repro.core.rules.CompiledRule`
+    (:attr:`rule`): built from atoms, it compiles them and keeps the compiled
+    form only; :attr:`body` and :attr:`head` are decoded on first use.
     """
 
-    __slots__ = (
-        "body",
-        "head",
-        "label",
-        "_hash",
-        "_body_variables",
-        "_head_variables",
-        "_frontier",
-        "_existential",
-    )
+    __slots__ = ("rule", "label", "body", "head")
+    #: The compiled form: the one numbering of the rule's variables.
+    rule: CompiledRule
+    label: Optional[str]
+    body: Tuple[Atom, ...]
+    head: Tuple[Atom, ...]
 
-    def __init__(self, body: Iterable[Atom], head: Iterable[Atom], label: Optional[str] = None):
+    def __init__(
+        self, body: Iterable[Atom], head: Iterable[Atom], label: Optional[str] = None
+    ) -> None:
         body = tuple(body)
         head = tuple(head)
         if not body:
             raise ValidationError("a TGD must have a non-empty body")
         if not head:
             raise ValidationError("a TGD must have a non-empty head")
-        # One sweep collects each side's terms; they are the variable sets
-        # once every one of them is checked to be a Variable.  The variable
-        # sets are queried for every trigger the chase fires (firing keys,
-        # null naming), so they are computed once here; TGDs are immutable,
-        # which makes the caching safe.
-        body_variables = _EMPTY.union(*[atom.terms for atom in body])
-        head_variables = _EMPTY.union(*[atom.terms for atom in head])
-        if not (
-            _VARIABLE.issuperset(map(type, body_variables))
-            and _VARIABLE.issuperset(map(type, head_variables))
-        ):
-            _check_variables(body + head)
-        setter = object.__setattr__
-        setter(self, "body", body)
-        setter(self, "head", head)
-        setter(self, "label", label)
-        setter(self, "_hash", hash((body, head)))
-        setter(self, "_body_variables", body_variables)
-        setter(self, "_head_variables", head_variables)
-        setter(self, "_frontier", body_variables & head_variables)
-        setter(self, "_existential", head_variables - body_variables)
+        for atom in body + head:
+            if not _VARIABLE.issuperset(map(type, atom.terms)):
+                _check_variables(body + head)
+        rule = compile_rule(
+            [(atom.predicate, map(_name, atom.terms)) for atom in body],
+            [(atom.predicate, map(_name, atom.terms)) for atom in head],
+            label,
+        )
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "label", label)
 
-    def __setattr__(self, key, value):
+    @classmethod
+    def of(cls, rule: CompiledRule) -> "TGD":
+        """The TGD whose compiled form is *rule*."""
+        tgd = cls.__new__(cls)
+        object.__setattr__(tgd, "rule", rule)
+        object.__setattr__(tgd, "label", rule.label)
+        return tgd
+
+    def __getattr__(self, name: str) -> Any:
+        # Reached only while body and head are not decoded yet.
+        if name == "body" or name == "head":
+            body, head = _decode(self.rule)
+            object.__setattr__(self, "body", body)
+            object.__setattr__(self, "head", head)
+            return body if name == "body" else head
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+
+    def __setattr__(self, key: str, value: object) -> None:
         raise AttributeError("TGD is immutable")
 
-    def __reduce__(self):
-        # Rebuild through __init__ (immutability forbids the default
-        # slot-state protocol); the parallel chase pickles TGDs to workers.
-        return (type(self), (self.body, self.head, self.label))
+    def __reduce__(self) -> Tuple[Callable[[CompiledRule], "TGD"], Tuple[CompiledRule]]:
+        # Rebuild through of() (immutability forbids the default slot-state
+        # protocol); the parallel chase pickles TGDs to workers.
+        return (TGD.of, (self.rule,))
 
-    def __eq__(self, other):
-        return isinstance(other, TGD) and self.body == other.body and self.head == other.head
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, TGD) and self.rule == other.rule
 
-    def __hash__(self):
-        return self._hash
+    def __hash__(self) -> int:
+        return self.rule._hash
 
-    def __lt__(self, other):
+    def __lt__(self, other: object) -> bool:
         if not isinstance(other, TGD):
             return NotImplemented
         return (self.body, self.head) < (other.body, other.head)
 
-    def __repr__(self):
+    def __repr__(self) -> str:
         body = ", ".join(repr(a) for a in self.body)
         head = ", ".join(repr(a) for a in self.head)
         return f"{body} -> {head}"
@@ -119,38 +137,36 @@ class TGD:
 
     def body_variables(self) -> FrozenSet[Variable]:
         """Return the variables occurring in the body."""
-        return self._body_variables
+        return frozenset(map(Variable, self.rule.names))
 
     def head_variables(self) -> FrozenSet[Variable]:
         """Return the variables occurring in the head."""
-        return self._head_variables
+        return self.frontier() | self.existential_variables()
 
     def frontier(self) -> FrozenSet[Variable]:
         """Return ``fr(σ)``: variables occurring both in the body and in the head."""
-        return self._frontier
+        rule = self.rule
+        return frozenset(Variable(rule.names[slot]) for slot in rule.frontier())
 
     def existential_variables(self) -> FrozenSet[Variable]:
         """Return the existentially quantified variables (head-only variables)."""
-        return self._existential
+        return frozenset(map(Variable, self.rule.existentials))
 
     def has_empty_frontier(self) -> bool:
         """Return ``True`` when no variable is shared between body and head."""
-        return not self.frontier()
+        return not self.rule.frontier()
 
     # ------------------------------------------------------------------ #
     # Classification
 
     def is_linear(self) -> bool:
         """Return ``True`` when the TGD has exactly one body atom (class ``L``)."""
-        return len(self.body) == 1
+        return len(self.rule.body) == 1
 
     def is_simple_linear(self) -> bool:
         """Return ``True`` for class ``SL``: linear with no repeated body variable."""
-        return self.is_linear() and not self.body[0].has_repeated_terms()
-
-    def is_single_head(self) -> bool:
-        """Return ``True`` when the head consists of a single atom."""
-        return len(self.head) == 1
+        rule = self.rule
+        return len(rule.body) == 1 and len(rule.names) == len(rule.body[0][1])
 
     def body_atom(self) -> Atom:
         """Return the unique body atom of a linear TGD; raise otherwise."""
@@ -163,42 +179,22 @@ class TGD:
 
     def predicates(self) -> Set[Predicate]:
         """Return the predicates occurring in the TGD."""
-        return {atom.predicate for atom in self.body + self.head}
-
-    def ensure_non_empty_frontier(self, padding_predicate: str = "TrueP") -> "TGD":
-        """Return an equivalent-for-termination TGD with a non-empty frontier.
-
-        The paper assumes w.l.o.g. that TGDs have a non-empty frontier
-        (Section 3).  For a TGD with an empty frontier we follow the standard
-        rewriting: add a fresh variable to the body?  That would change the
-        body atom, so instead the accepted trick is to leave the TGD as is —
-        an empty-frontier TGD fires at most once per distinct body witness
-        and can only start finitely many fresh chase branches from the
-        database, so for *linear* TGDs it never causes non-termination by
-        itself.  Callers that insist on the paper's normal form should filter
-        such TGDs with :func:`TGDSet.split_empty_frontier` and handle them
-        separately; this method simply returns ``self`` and exists to make
-        that contract explicit in code.
-        """
-        return self
+        rule = self.rule
+        return {predicate for predicate, _ in rule.body + rule.head}
 
 
 class TGDSet:
     """An ordered, duplicate-free collection of TGDs with schema bookkeeping."""
 
-    def __init__(self, tgds: Iterable[TGD] = ()):
-        self._tgds: List[TGD] = []
-        self._seen: Set[TGD] = set()
-        for tgd in tgds:
-            self.add(tgd)
+    def __init__(self, tgds: Iterable[TGD] = ()) -> None:
+        #: The TGDs in insertion order (a dict, so membership is a lookup).
+        self._tgds: Dict[TGD, None] = dict.fromkeys(tgds)
 
     def add(self, tgd: TGD) -> bool:
         """Add *tgd* unless already present; return ``True`` when it was added."""
-        if tgd in self._seen:
-            return False
-        self._seen.add(tgd)
-        self._tgds.append(tgd)
-        return True
+        size = len(self._tgds)
+        self._tgds.setdefault(tgd)
+        return len(self._tgds) > size
 
     def update(self, tgds: Iterable[TGD]) -> int:
         """Add every TGD of *tgds*; return how many were new."""
@@ -210,15 +206,15 @@ class TGDSet:
     def __len__(self) -> int:
         return len(self._tgds)
 
-    def __contains__(self, tgd) -> bool:
-        return tgd in self._seen
+    def __contains__(self, tgd: object) -> bool:
+        return tgd in self._tgds
 
-    def __eq__(self, other):
+    def __eq__(self, other: object) -> bool:
         if not isinstance(other, TGDSet):
             return NotImplemented
-        return self._seen == other._seen
+        return self._tgds.keys() == other._tgds.keys()
 
-    def __repr__(self):
+    def __repr__(self) -> str:
         return f"TGDSet({len(self)} TGDs)"
 
     @property
@@ -229,9 +225,13 @@ class TGDSet:
     def schema(self) -> Schema:
         """Return ``sch(Σ)``: the schema of the predicates occurring in the set."""
         schema = Schema()
+        add = schema.add
         for tgd in self._tgds:
-            for predicate in tgd.predicates():
-                schema.add(predicate)
+            rule = tgd.rule
+            for predicate, _ in rule.body:
+                add(predicate)
+            for predicate, _ in rule.head:
+                add(predicate)
         return schema
 
     def is_linear(self) -> bool:
@@ -256,28 +256,7 @@ class TGDSet:
                 raise NotSimpleLinearError(f"TGD {tgd!r} is not simple-linear")
         return self
 
-    def split_empty_frontier(self) -> Tuple["TGDSet", "TGDSet"]:
-        """Split into (non-empty-frontier TGDs, empty-frontier TGDs)."""
-        non_empty = TGDSet(t for t in self._tgds if not t.has_empty_frontier())
-        empty = TGDSet(t for t in self._tgds if t.has_empty_frontier())
-        return non_empty, empty
-
-    def by_body_predicate(self) -> Dict[Predicate, List[TGD]]:
-        """Index linear TGDs by the predicate of their body atom.
-
-        This is the index structure described in Section 5.4 that lets
-        ``Applicable`` jump straight to the TGDs relevant to a shape.
-        """
-        self.require_linear()
-        index: Dict[Predicate, List[TGD]] = {}
-        for tgd in self._tgds:
-            index.setdefault(tgd.body_atom().predicate, []).append(tgd)
-        return index
-
     def max_arity(self) -> int:
         """Return the maximum predicate arity occurring in the set."""
         return self.schema().max_arity()
 
-    def head_atom_count(self) -> int:
-        """Return the total number of head atoms over all TGDs."""
-        return sum(len(tgd.head) for tgd in self._tgds)

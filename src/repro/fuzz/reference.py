@@ -16,9 +16,10 @@ to every engine's, null names included.  The one seam is
 :attr:`ChaseEngine.trigger_source`: each reference engine subclasses the
 product's engine for its variant and swaps in :class:`NaiveTriggerSource`,
 which searches over atoms and dicts and converts each homomorphism to the
-rule's slot tuple (:func:`~repro.chase.matching.variable_slots`) only at
-that seam.  Its searches read a :class:`_Snapshot` — the store's atoms per
-predicate, decoded once per round — instead of the store.
+rule's slot tuple (the body slot order of
+:attr:`TGD.rule <repro.core.tgds.TGD.rule>`) only at that seam.  Its
+searches read a :class:`_Snapshot` — the store's atoms per predicate,
+decoded once per round — instead of the store.
 """
 
 from __future__ import annotations
@@ -37,14 +38,14 @@ from typing import (
 )
 
 from ..chase.engine import ObliviousChase, RestrictedChase, SemiObliviousChase
-from ..chase.matching import Match, variable_slots
+from ..chase.matching import Match
 from ..chase.result import ChaseLimits, ChaseResult
 from ..chase.rounds import Delta
 from ..chase.triggers import FiringKey, FiringPlan
 from ..core.atoms import Atom, atom_sort_key, match_atom
 from ..core.instances import Database
 from ..core.predicates import Predicate
-from ..core.terms import Term
+from ..core.terms import Term, Variable
 from ..core.tgds import TGD, TGDSet
 from ..storage.atom_store import AtomStore
 
@@ -149,7 +150,7 @@ class NaiveTriggerSource:
 
     def __init__(self, tgds: Sequence[TGD]) -> None:
         self.tgds = tuple(tgds)
-        self._slots = [tuple(variable_slots(tgd.body)) for tgd in self.tgds]
+        self._slots = [tuple(map(Variable, tgd.rule.names)) for tgd in self.tgds]
 
     def _matches(self, triggers: Iterator[DictMatch]) -> Iterator[Match]:
         for index, mapping in triggers:
@@ -179,7 +180,7 @@ class ReferenceRestrictedChase(RestrictedChase):
         snapshot = self._snapshot
         if snapshot is None or snapshot.store is not store or snapshot.size != store.atom_count():
             snapshot = self._snapshot = _Snapshot(store)
-        base = dict(zip(plan.variables, key[1]))
+        base = dict(zip(map(Variable, plan.witness_names), key[1]))
         return not has_homomorphism(plan.tgd.head, snapshot, base=base)
 
 

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..core.predicates import Position, Predicate, Schema
-from ..core.terms import Term
 from ..core.tgds import TGD, TGDSet
 
 
@@ -256,9 +255,10 @@ def build_support_graph(tgds: TGDSet) -> DependencyGraph:
     for tgd in tgds:
         if not tgd.has_empty_frontier():
             continue
-        targets = [node for atom in tgd.head for node in graph.add_predicate(atom.predicate)]
-        for atom in tgd.body:
-            for source in graph.add_predicate(atom.predicate):
+        rule = tgd.rule
+        targets = [node for predicate, _ in rule.head for node in graph.add_predicate(predicate)]
+        for predicate, _ in rule.body:
+            for source in graph.add_predicate(predicate):
                 for target in targets:
                     graph.link(source, target, False)
     return graph
@@ -267,24 +267,24 @@ def build_support_graph(tgds: TGDSet) -> DependencyGraph:
 def _add_tgd_edges(graph: DependencyGraph, tgd: TGD) -> None:
     """Add the nodes and dependency edges contributed by a single TGD to *graph*.
 
-    One walk over the head collects, per frontier variable, the nodes it
-    occurs at (normal targets) and the nodes of the existential variables
+    One walk over the compiled head collects, per frontier slot, the nodes it
+    occurs at (normal targets) and the nodes of the existential slots
     (special targets); one walk over the body links every frontier
     occurrence to both.
     """
-    frontier = tgd.frontier()
-    normal_targets: Dict[Term, List[int]] = {}
+    rule = tgd.rule
+    normal_targets: Dict[int, List[int]] = {}
     special_targets: List[int] = []
-    for atom in tgd.head:
-        for node, term in zip(graph.add_predicate(atom.predicate), atom.terms):
-            if term in frontier:
-                normal_targets.setdefault(term, []).append(node)
+    for predicate, slots in rule.head:
+        for node, slot in zip(graph.add_predicate(predicate), slots):
+            if slot >= 0:
+                normal_targets.setdefault(slot, []).append(node)
             else:
                 special_targets.append(node)
     link = graph.link
-    for atom in tgd.body:
-        for source, term in zip(graph.add_predicate(atom.predicate), atom.terms):
-            targets = normal_targets.get(term)
+    for predicate, slots in rule.body:
+        for source, slot in zip(graph.add_predicate(predicate), slots):
+            targets = normal_targets.get(slot)
             if targets is None:
                 continue
             for target in targets:

@@ -9,12 +9,14 @@ variable with the same image, and the simplification of ``σ`` it induces
 
     ``R_{ī}(unique(f(x̄))) → ∃z̄ simple(ψ(f(ȳ), z̄))``.
 
-Everything that does not depend on ``ī`` is worked out once per rule: the
-body's equality pattern as ``(position, first position)`` checks, the distinct
-body variables with their first positions, and per head atom a slot tuple
-(body variable or existential).  :meth:`TransferPlan.transfer` is then a
-tuple test plus integer indexing — no canonical atom, no substitution, no
-simplified predicate whose name would have to be parsed back into a shape.
+Everything that does not depend on ``ī`` is read once per rule off its
+:class:`~repro.core.rules.CompiledRule`: the body's equality pattern as
+``(position, first position)`` checks, the distinct body variables with their
+first positions, and per head atom the slot tuple (body variable or ``~n``
+existential).  :meth:`TransferPlan.transfer` is then a tuple test plus
+integer indexing over variable *names* — no canonical atom, no substitution,
+no simplified predicate whose name would have to be parsed back into a
+shape.
 
 Dynamic and static simplification both drive it, and the simplified TGDs are
 built from the same output (:meth:`TransferPlan.simplify`).  The per-pair
@@ -25,21 +27,21 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.atoms import Atom
-from ..core.terms import Term
+from ..core.rules import compile_rule
 from ..core.tgds import TGD
+from ..exceptions import NotLinearError
 from .shapes import Shape
 
 Identifiers = Tuple[int, ...]
-#: A simplified head atom: predicate name, identifier tuple, unique terms.
-HeadShape = Tuple[str, Identifiers, Tuple[Term, ...]]
-#: What one (rule, shape) pair yields: the simplified body's terms, the
-#: simplified heads, the normal edges ``(body position, head number, head
+#: A simplified head atom: predicate name, identifier tuple, unique variable names.
+HeadShape = Tuple[str, Identifiers, Tuple[str, ...]]
+#: What one (rule, shape) pair yields: the simplified body's variable names,
+#: the simplified heads, the normal edges ``(body position, head number, head
 #: position)`` and the special targets ``(head number, head position)``, 1-based
 #: inside the simplified atoms.  Every normal edge's source has a special edge
 #: to every special target.
 Transfer = Tuple[
-    Tuple[Term, ...],
+    Tuple[str, ...],
     Tuple[HeadShape, ...],
     List[Tuple[int, int, int]],
     List[Tuple[int, int]],
@@ -49,37 +51,30 @@ Transfer = Tuple[
 class TransferPlan:
     """One linear TGD, compiled for :meth:`transfer`."""
 
-    __slots__ = ("label", "name", "arity", "_checks", "_variables", "_firsts", "_existentials", "_heads")
+    __slots__ = ("label", "name", "arity", "_checks", "_names", "_firsts", "_existentials", "_heads")
 
     def __init__(self, tgd: TGD):
-        body = tgd.body_atom()
-        self.label = tgd.label
-        self.name = body.predicate.name
-        self.arity = body.arity
-        number_of: Dict[Term, int] = {}
+        rule = tgd.rule
+        if len(rule.body) != 1:
+            raise NotLinearError(f"TGD {tgd!r} is not linear")
+        ((predicate, body_slots),) = rule.body
+        self.label = rule.label
+        self.name = predicate.name
+        self.arity = predicate.arity
+        # Body slots count up from 0 by first occurrence: a new slot is the
+        # next number, a repeat is checked against its first position.
         firsts: List[int] = []
         checks: List[Tuple[int, int]] = []
-        for position, term in enumerate(body.terms):
-            number = number_of.setdefault(term, len(firsts))
-            if number == len(firsts):
+        for position, slot in enumerate(body_slots):
+            if slot == len(firsts):
                 firsts.append(position)
             else:
-                checks.append((position, firsts[number]))
-        existentials: Dict[Term, int] = {}
-        heads: List[Tuple[str, Tuple[int, ...]]] = []
-        for atom in tgd.head:
-            # A slot is a body variable's number, or ~n for the n-th existential.
-            slots = tuple(
-                number_of[term] if term in number_of
-                else ~existentials.setdefault(term, len(existentials))
-                for term in atom.terms
-            )
-            heads.append((atom.predicate.name, slots))
+                checks.append((position, firsts[slot]))
         self._checks = tuple(checks)
-        self._variables = tuple(number_of)
+        self._names = rule.names
         self._firsts = tuple(firsts)
-        self._existentials = tuple(existentials)
-        self._heads = tuple(heads)
+        self._existentials = rule.existentials
+        self._heads = tuple((predicate.name, slots) for predicate, slots in rule.head)
 
     def transfer(self, identifiers: Sequence[int]) -> Optional[Transfer]:
         """Return what the body shape *identifiers* (of the body's arity) yields.
@@ -93,10 +88,10 @@ class TransferPlan:
         # Each variable's image; identifiers appear in increasing order, so the
         # variables that bring a new one are the representatives, in order.
         images = [identifiers[position] for position in self._firsts]
-        body_terms: List[Term] = []
-        for variable, image in zip(self._variables, images):
+        body_terms: List[str] = []
+        for name, image in zip(self._names, images):
             if image > len(body_terms):
-                body_terms.append(variable)
+                body_terms.append(name)
         heads: List[HeadShape] = []
         normal: List[Tuple[int, int, int]] = []
         special: List[Tuple[int, int]] = []
@@ -126,9 +121,9 @@ class TransferPlan:
         if transferred is None:
             return None
         body_terms, heads = transferred[:2]
-        body = Atom(Shape(self.name, identifiers).as_predicate(), body_terms)
-        head = [Atom(Shape(name, ids).as_predicate(), terms) for name, ids, terms in heads]
-        return TGD((body,), head, label=self.label)
+        body = [(Shape(self.name, identifiers).as_predicate(), body_terms)]
+        head = [(Shape(name, ids).as_predicate(), terms) for name, ids, terms in heads]
+        return TGD.of(compile_rule(body, head, self.label))
 
 
 def plans_by_body(tgds: Sequence[TGD]) -> Dict[Tuple[str, int], List[TransferPlan]]:

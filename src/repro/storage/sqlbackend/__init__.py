@@ -16,17 +16,17 @@ exactly as they run in memory:
 
 from .pushdown import (
     SKOLEM_FUNCTION,
-    CompiledRule,
     PushdownExecutor,
+    PushdownRule,
     register_skolem_function,
 )
 from .shapes import SqliteShapeFinder, shape_query_sqlite
 from .store import MEMORY_PATH, SqliteAtomStore, table_name
 
 __all__ = [
-    "CompiledRule",
     "MEMORY_PATH",
     "PushdownExecutor",
+    "PushdownRule",
     "SKOLEM_FUNCTION",
     "SqliteAtomStore",
     "SqliteShapeFinder",

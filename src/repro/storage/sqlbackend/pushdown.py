@@ -32,12 +32,13 @@ the functions that need them.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
-from ...core.atoms import Atom
 from ...core.instances import Database
 from ...core.predicates import Predicate
-from ...core.terms import NullKeyRenderer, Term, Variable, null_name
+from ...core.rules import CompiledAtom
+from ...core.terms import NullKeyRenderer, null_name
 from ...core.tgds import TGD
 from ...obs.tracer import AnyTracer, as_tracer
 from ..relation import NULL_MARKER, decode_value
@@ -85,7 +86,7 @@ def register_skolem_function(store: SqliteAtomStore, prefix: str = "n") -> None:
     store.connection.create_function(SKOLEM_FUNCTION, -1, skolem, deterministic=True)
 
 
-class CompiledRule:
+class PushdownRule:
     """Every compiled statement of one TGD under one chase variant.
 
     This is the statement cache the strategy runs on: all SQL text is
@@ -113,32 +114,27 @@ class CompiledRule:
     def __init__(self, tgd_index: int, tgd: TGD, variant: str, store: SqliteAtomStore) -> None:
         self.tgd_index = tgd_index
         self.tgd = tgd
+        self.rule = rule = tgd.rule
         self.restricted = variant == "restricted"
-        scope_all = variant == "oblivious"
 
-        # Body layout: first-occurrence column per variable, equality
-        # conditions for repeated occurrences.
-        first_seen: Dict[Variable, str] = {}
+        # Body layout: the first-occurrence column of each slot (slots count
+        # up from 0 by first occurrence), equality conditions for repeats.
+        first: List[str] = []
         conditions: List[str] = []
-        for slot, atom in enumerate(tgd.body):
-            for position, term in enumerate(atom.terms):
-                column = f"t{slot}.c{position}"
-                if term in first_seen:
-                    conditions.append(f"{column} = {first_seen[term]}")
+        for alias, (_, slots) in enumerate(rule.body):
+            for position, slot in enumerate(slots):
+                column = f"t{alias}.c{position}"
+                if slot < len(first):
+                    conditions.append(f"{column} = {first[slot]}")
                 else:
-                    first_seen[term] = column
+                    first.append(column)
         self._conditions = tuple(conditions)
 
         # The witness is the firing key *and* the null scope: the full
-        # homomorphism for the oblivious chase, the frontier otherwise —
-        # sorted by variable name, matching oblivious_key() /
-        # frontier_assignment() in chase.triggers.
-        pool = first_seen.keys() if scope_all else tgd.frontier()
-        self.witness: Tuple[Variable, ...] = tuple(
-            sorted(pool, key=lambda variable: variable.name)
-        )
-        self._witness_exprs = tuple(first_seen[v] for v in self.witness)
-        self._names_json = json.dumps([v.name for v in self.witness])
+        # homomorphism for the oblivious chase, the frontier otherwise.
+        self.witness = rule.witness("homomorphism" if variant == "oblivious" else "frontier")
+        self._witness_exprs = tuple(first[slot] for slot in self.witness)
+        self._names_json = json.dumps([rule.names[slot] for slot in self.witness])
         if self.witness:
             self._key_columns: Tuple[str, ...] = tuple(
                 f"k{i}" for i in range(len(self.witness))
@@ -147,7 +143,7 @@ class CompiledRule:
             # Variable-free witness (e.g. a nullary body): a single
             # sentinel key row, so "fired once" is still representable.
             self._key_columns = ("k_sentinel",)
-        self._key_of = {v: f"k{i}" for i, v in enumerate(self.witness)}
+        self._key_of = {slot: f"k{i}" for i, slot in enumerate(self.witness)}
 
         self._stage = f"pd_stage_{tgd_index}"
         self._fired = f"pd_fired_{tgd_index}"
@@ -159,7 +155,7 @@ class CompiledRule:
             self._compile_firing() if self.restricted else None
         )
         self.head_inserts: Tuple[Tuple[str, Predicate], ...] = tuple(
-            self._compile_head_insert(store, atom) for atom in tgd.head
+            self._compile_head_insert(store, atom) for atom in rule.head
         )
 
     # ------------------------------------------------------------------ #
@@ -167,25 +163,23 @@ class CompiledRule:
 
     def _bind(self, store: SqliteAtomStore) -> None:
         """Create relations, join indexes, and this rule's temp tables."""
-        for atom in self.tgd.body + self.tgd.head:
-            store.create_relation(atom.predicate)
+        rule = self.rule
+        for predicate, _ in rule.body + rule.head:
+            store.create_relation(predicate)
         # Join columns: any position (beyond the primary leading-column
         # index) holding a variable that occurs more than once in the body
         # participates in an equality join and gets a covering index.
-        occurrences: Dict[Variable, int] = {}
-        for atom in self.tgd.body:
-            for term in atom.terms:
-                occurrences[term] = occurrences.get(term, 0) + 1
-        for atom in self.tgd.body:
-            for position, term in enumerate(atom.terms):
-                if position > 0 and occurrences.get(term, 0) > 1:
-                    store._ensure_position_index(atom.predicate, position)
+        occurrences = Counter(slot for _, slots in rule.body for slot in slots)
+        for predicate, slots in rule.body:
+            for position, slot in enumerate(slots):
+                if position > 0 and occurrences[slot] > 1:
+                    store._ensure_position_index(predicate, position)
         if self.restricted:
             # The NOT EXISTS head probe correlates frontier columns.
-            for atom in self.tgd.head:
-                for position, term in enumerate(atom.terms):
-                    if position > 0 and term in self._key_of:
-                        store._ensure_position_index(atom.predicate, position)
+            for predicate, slots in rule.head:
+                for position, slot in enumerate(slots):
+                    if position > 0 and slot in self._key_of:
+                        store._ensure_position_index(predicate, position)
 
         columns_ddl = ", ".join(f"{c} TEXT NOT NULL" for c in self._key_columns)
         unique = ", ".join(self._key_columns)
@@ -212,11 +206,11 @@ class CompiledRule:
         if sql is not None:
             return sql
         tables = [
-            f"{_quote(table_name(atom.predicate.name))} AS t{slot}"
-            for slot, atom in enumerate(self.tgd.body)
+            f"{_quote(table_name(predicate.name))} AS t{slot}"
+            for slot, (predicate, _) in enumerate(self.rule.body)
         ]
         conditions = list(self._conditions)
-        for slot in range(len(self.tgd.body)):
+        for slot in range(len(self.rule.body)):
             alias = f"t{slot}"
             if slot == seed_slot:
                 # Only the previous round's delta seeds this slot; the
@@ -260,19 +254,19 @@ class CompiledRule:
         """
         aliases: List[str] = []
         conditions: List[str] = []
-        existential_seen: Dict[Variable, str] = {}
-        for index, atom in enumerate(self.tgd.head):
+        existential_seen: Dict[int, str] = {}
+        for index, (predicate, slots) in enumerate(self.rule.head):
             alias = f"h{index}"
-            aliases.append(f"{_quote(table_name(atom.predicate.name))} AS {alias}")
+            aliases.append(f"{_quote(table_name(predicate.name))} AS {alias}")
             conditions.append(f"{alias}.seq <= :round_start")
-            for position, term in enumerate(atom.terms):
+            for position, slot in enumerate(slots):
                 column = f"{alias}.c{position}"
-                if term in self._key_of:
-                    conditions.append(f"{column} = w.{self._key_of[term]}")
-                elif term in existential_seen:
-                    conditions.append(f"{column} = {existential_seen[term]}")
+                if slot in self._key_of:
+                    conditions.append(f"{column} = w.{self._key_of[slot]}")
+                elif slot in existential_seen:
+                    conditions.append(f"{column} = {existential_seen[slot]}")
                 else:
-                    existential_seen[term] = column
+                    existential_seen[slot] = column
         columns = ", ".join(self._key_columns)
         return (
             f"INSERT INTO {self._firing} ({columns}) "
@@ -281,28 +275,31 @@ class CompiledRule:
             f"WHERE {' AND '.join(conditions)})"
         )
 
-    def head_expr(self, term: Term) -> str:
-        """SQL expression producing *term*'s encoded value for a key row ``w``."""
-        column = self._key_of.get(term)
+    def head_expr(self, slot: int) -> str:
+        """SQL expression producing a head slot's encoded value for a key row ``w``."""
+        column = self._key_of.get(slot)
         if column is not None:
             return f"w.{column}"
         witness_args = "".join(f", w.{c}" for c in self._key_of.values())
         return (
             f"{SKOLEM_FUNCTION}({self.tgd_index}, "
-            f"{_sql_string(self._names_json)}, {_sql_string(term.name)}"
+            f"{_sql_string(self._names_json)}, {_sql_string(self.rule.existentials[~slot])}"
             f"{witness_args})"
         )
 
-    def _compile_head_insert(self, store: SqliteAtomStore, atom: Atom) -> Tuple[str, Predicate]:
-        expressions = [self.head_expr(term) for term in atom.terms] or ["'0'"]
-        columns = store._columns(atom.predicate.arity)
+    def _compile_head_insert(
+        self, store: SqliteAtomStore, atom: CompiledAtom
+    ) -> Tuple[str, Predicate]:
+        predicate, slots = atom
+        expressions = [self.head_expr(slot) for slot in slots] or ["'0'"]
+        columns = store._columns(predicate.arity)
         source = self._firing if self.restricted else self._stage
         sql = (
-            f"INSERT OR IGNORE INTO {_quote(table_name(atom.predicate.name))} "
+            f"INSERT OR IGNORE INTO {_quote(table_name(predicate.name))} "
             f"({', '.join(columns)}, seq) "
             f"SELECT {', '.join(expressions)}, :round_seq FROM {source} AS w"
         )
-        return sql, atom.predicate
+        return sql, predicate
 
     # ------------------------------------------------------------------ #
     # Round execution
@@ -394,7 +391,7 @@ class PushdownExecutor:
         seed_store(store, database)
         register_skolem_function(store)
         rules = [
-            CompiledRule(index, tgd, self.variant, store)
+            PushdownRule(index, tgd, self.variant, store)
             for index, tgd in enumerate(tgds)
         ]
         # Like the engines' ``run``, the final commit is the caller's
@@ -406,7 +403,7 @@ class PushdownExecutor:
 
     @staticmethod
     def _round_step(
-        rules: List[CompiledRule], store: SqliteAtomStore, tracer: AnyTracer
+        rules: List[PushdownRule], store: SqliteAtomStore, tracer: AnyTracer
     ) -> "RoundStep":
         """The chase round as a round step: one statement batch per
         (rule, delta slot), every insert stamped with the round's ``seq``.
@@ -438,8 +435,8 @@ class PushdownExecutor:
                 else:
                     slots = tuple(
                         slot
-                        for slot, atom in enumerate(rule.tgd.body)
-                        if atom.predicate.name in delta_predicates
+                        for slot, (predicate, _) in enumerate(rule.rule.body)
+                        if predicate.name in delta_predicates
                     )
                     delta_start = prev_watermark
                 rule_started = tracer.now() if traced else 0.0

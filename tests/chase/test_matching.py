@@ -7,7 +7,6 @@ from repro.chase.matching import (
     JoinPlan,
     has_homomorphism,
     make_trigger_source,
-    variable_slots,
 )
 from repro.chase.rounds import seed_store
 from repro.core.instances import Instance
@@ -27,8 +26,8 @@ def _tgd(rules_text):
 
 def _body_matches(tgd, store):
     """The body homomorphisms of *tgd* the indexed source enumerates on *store*,
-    as mappings (the source yields slot tuples)."""
-    slots = tuple(variable_slots(tgd.body))
+    as mappings (the source yields slot tuples in the compiled rule's slot order)."""
+    slots = tuple(map(Variable, tgd.rule.names))
     return [dict(zip(slots, values)) for _, values in IndexedTriggerSource((tgd,)).initial(store)]
 
 
@@ -93,11 +92,11 @@ class TestJoinPlan:
     def test_seed_slot_out_of_range(self):
         tgd = _tgd("R(x,y) -> T(x)")
         with pytest.raises(ValueError):
-            JoinPlan(tgd.body, 1)
+            JoinPlan(tgd.rule, 1)
 
     def test_seed_mismatch_yields_nothing(self):
         tgd = _tgd("R(x,x) -> T(x)")
-        plan = JoinPlan(tgd.body, 0)
+        plan = JoinPlan(tgd.rule, 0)
         instance = _instance("R(a,b).")
         _, seed = _row(instance, "R")
         assert list(plan.matches(instance, seed)) == []
@@ -106,7 +105,7 @@ class TestJoinPlan:
         tgd = _tgd("R(x,y), S(y,z) -> T(x,z)")
         instance = _instance("R(a,b).\nS(b,c).\nS(b,d).")
         _, seed = _row(instance, "R")
-        plan = JoinPlan(tgd.body, 0)
+        plan = JoinPlan(tgd.rule, 0)
         # slots x, y, z: the seed fills the first two, the join the third
         matches = set(plan.matches(instance, seed))
         assert matches == {seed + (Constant("c"),), seed + (Constant("d"),)}
@@ -119,8 +118,8 @@ class TestJoinPlan:
         r_predicate, r_row = _row(instance, "R")
         s_predicate, s_row = _row(instance, "S")
         delta = {r_predicate: {r_row}, s_predicate: {s_row}}
-        seeded_at_r = list(JoinPlan(tgd.body, 0).matches(instance, r_row, delta))
-        seeded_at_s = list(JoinPlan(tgd.body, 1).matches(instance, s_row, delta))
+        seeded_at_r = list(JoinPlan(tgd.rule, 0).matches(instance, r_row, delta))
+        seeded_at_s = list(JoinPlan(tgd.rule, 1).matches(instance, s_row, delta))
         assert len(seeded_at_r) == 1
         assert seeded_at_s == []  # slot 0 < seed slot may not use a delta row
 
@@ -128,7 +127,7 @@ class TestJoinPlan:
         tgd = _tgd("R(x,y), S(y,z) -> T(x,z)")
         instance = _instance("R(a,b).\nS(b,c).")
         _, s_row = _row(instance, "S")
-        assert list(JoinPlan(tgd.body, 1).matches(instance, s_row)) == [
+        assert list(JoinPlan(tgd.rule, 1).matches(instance, s_row)) == [
             (Constant("a"), Constant("b"), Constant("c"))
         ]
 

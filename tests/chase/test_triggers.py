@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.chase.matching import IndexedTriggerSource, variable_slots
+from repro.chase.matching import IndexedTriggerSource
 from repro.chase.triggers import FiringPlan
 from repro.core.atoms import Atom
 from repro.core.instances import Instance
@@ -14,8 +14,9 @@ from repro.fuzz.reference import triggers_on
 
 
 def _slots(tgd, mapping):
-    """A body homomorphism as the slot tuple the matching yields."""
-    return tuple(mapping[variable] for variable in variable_slots(tgd.body))
+    """A body homomorphism as the slot tuple the matching yields: the images
+    of the compiled rule's body slots."""
+    return tuple(mapping[Variable(name)] for name in tgd.rule.names)
 
 
 def _triggers(rules_text, facts_text, restrict_to_atoms=None):

@@ -294,12 +294,12 @@ class TestScannerContract:
         database = parse_database(line for line in ["R(a).\n", "\n", "S(b)\n"])
         assert sorted(map(repr, database)) == ["R(a)", "S(b)"]
 
-    def test_terms_and_predicates_are_shared_within_one_call(self):
+    def test_predicates_are_shared_within_one_call(self):
         first, second, third = parse_rules("R(x,y) -> S(y,z)\nS(x,y) -> R(y,x)\nR(x,y) -> T(y)")
-        assert first.body[0].terms[0] is second.head[0].terms[1]
+        assert first.rule.body[0][0] is second.rule.head[0][0]
         assert first.body[0].predicate is second.head[0].predicate
-        # A repeated atom text is one Atom.
-        assert third.body[0] is first.body[0]
+        # A repeated atom text compiles to the same slots over the same names.
+        assert third.rule.body == first.rule.body and third.rule.names == first.rule.names
 
     def test_parse_atom_reads_no_comments_and_no_trailing_dot(self):
         assert repr(parse_atom("R(a%b)", as_variable=False)) == "R(a%b)"

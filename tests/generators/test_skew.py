@@ -95,7 +95,7 @@ class TestGenerateSkewWorkload:
         mid_slot = next(
             slot for slot, atom in enumerate(star.body) if atom.predicate.name == "mid"
         )
-        plan = JoinPlan(star.body, mid_slot)
+        plan = JoinPlan(star.rule, mid_slot)
         # Round 1's delta is exactly the mid() copy of the src profile.
         mid_rows = [
             atom.terms for atom in workload.database if atom.predicate.name == "src"

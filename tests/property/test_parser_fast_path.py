@@ -4,18 +4,23 @@
 recogniser first and hands every line it declines to ``_scan``, the one
 reader of the full grammar.  This suite holds that on every line the
 recogniser either declines (``None``) or returns exactly what ``_scan``
-builds from the same line — the same atoms, sides and rows, or the same
-schema error — over the scanner-contract tables of
-``tests/core/test_parser.py`` and hypothesis-drawn lines over an alphabet
-heavy in structural characters.
+builds from the same line — the same atoms, sides and rows, the same
+compiled rule, or the same schema error — over the scanner-contract tables
+of ``tests/core/test_parser.py`` and hypothesis-drawn lines over an alphabet
+heavy in structural characters.  A second suite holds the two forms of a
+parsed ``TGD`` to each other: re-building it from its decoded atoms gives an
+equal compiled rule, an equal hash and the same serialized text.
 
 Run with ``HYPOTHESIS_PROFILE=ci`` for the pinned 200-example sweep.
 """
+
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.atoms import Atom
 from repro.core.parser import (
     _FACT_TOKENS,
     _RULE_TOKENS,
@@ -23,11 +28,20 @@ from repro.core.parser import (
     _plain_fact,
     _plain_rule,
     _scan,
+    parse_rules,
 )
 from repro.core.predicates import Schema
-from repro.core.terms import Constant
+from repro.core.rules import compile_rule
+from repro.core.serializer import serialize_rules
+from repro.core.terms import Constant, Variable
+from repro.core.tgds import TGD, TGDSet
 from repro.exceptions import ParseError, ValidationError
+from repro.fuzz.corpus import load_corpus
+from repro.generators import generate_tgds, make_schema
 from tests.core.test_parser import FACT_LINES, RULE_LINES
+from tests.property.strategies import general_tgds
+
+CORPUS = Path(__file__).resolve().parents[1] / "regressions" / "corpus"
 
 #: Pieces a drawn line is made of: plain names, arguments and separators,
 #: and the characters that must send a line to the scanner (a repeated
@@ -66,10 +80,23 @@ def check_rule_line(line):
     recognised = _outcome(_plain_rule, line, True)
     if recognised is None:
         return False
-    assert recognised == _scanned(line, _RULE_TOKENS, True, True)
-    if isinstance(recognised, list):
-        body, head = recognised
-        assert body and head
+    scanned = _scanned(line, _RULE_TOKENS, True, True)
+    if not isinstance(recognised, list):  # the same schema error
+        assert recognised == scanned
+        return True
+    # The recogniser reads (predicate, variable names); the scanner, atoms.
+    assert scanned == [
+        [Atom(predicate, map(Variable, names)) for predicate, names in side]
+        for side in recognised
+    ]
+    body, head = recognised
+    assert body and head
+    compiled = compile_rule(body, head, "r1")
+    rebuilt = TGD(*scanned, label="r1").rule
+    assert compiled == rebuilt
+    assert (compiled.names, compiled.existentials, compiled.label) == (
+        rebuilt.names, rebuilt.existentials, rebuilt.label,
+    )
     return True
 
 
@@ -160,3 +187,35 @@ def test_near_plain_fact_lines(line):
 def test_structural_lines(line):
     check_rule_line(line)
     check_fact_line(line)
+
+
+def check_rebuilt_from_atoms(text):
+    """Every TGD parsed from *text*, re-built from its decoded atoms, is the
+    same rule: equal compiled form, equal hash, same serialized text."""
+    parsed = parse_rules(text)
+    rebuilt = [TGD(tgd.body, tgd.head, label=tgd.label) for tgd in parsed]
+    for tgd, again in zip(parsed, rebuilt):
+        assert again.rule == tgd.rule
+        assert again.rule.label == tgd.rule.label
+        assert hash(again) == hash(tgd) and again == tgd
+    assert serialize_rules(rebuilt) == serialize_rules(parsed) == text
+
+
+@given(st.lists(general_tgds(), min_size=1, max_size=5))
+def test_generated_rules_rebuild_from_their_atoms(tgds):
+    check_rebuilt_from_atoms(serialize_rules(TGDSet(tgds)))
+
+
+@pytest.mark.parametrize("tclass", ["SL", "L"])
+def test_generator_programs_rebuild_from_their_atoms(tclass):
+    schema = make_schema(12, 1, 4, seed=5)
+    check_rebuilt_from_atoms(serialize_rules(generate_tgds(schema, 12, 1, 4, 60, tclass, seed=5)))
+
+
+@pytest.mark.parametrize(
+    "case",
+    [case for case in load_corpus(CORPUS) if case.expect != "parse-error"],
+    ids=lambda case: case.name,
+)
+def test_corpus_rules_rebuild_from_their_atoms(case):
+    check_rebuilt_from_atoms(serialize_rules(parse_rules(case.rules_text)))

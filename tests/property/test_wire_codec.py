@@ -26,14 +26,13 @@ from hypothesis import strategies as st
 
 from repro.chase import parallel
 from repro.chase.engine import chase
-from repro.chase.matching import variable_slots
 from repro.chase.parallel import _Wire, parallel_chase
 from repro.chase.result import ChaseLimits
 from repro.chase.triggers import FiringPlan
 from repro.core.atoms import Atom
 from repro.core.parser import parse_database, parse_rules
 from repro.core.predicates import Predicate
-from repro.core.terms import Constant, Null, NullFactory
+from repro.core.terms import Constant, Null, NullFactory, Variable
 from repro.obs import ListTraceSink, Tracer
 
 from tests.helpers import chase_result_fingerprint as fingerprint
@@ -112,13 +111,14 @@ class TestFiringPlanHalves:
         mapping = {
             variable: data.draw(st.sampled_from(TERMS)) for variable in tgd.body_variables()
         }
-        key = plan.key(tuple(mapping[variable] for variable in variable_slots(tgd.body)))
-        assert key == (3, tuple(mapping[variable] for variable in plan.variables))
+        key = plan.key(tuple(mapping[Variable(name)] for name in tgd.rule.names))
+        witness = [Variable(name) for name in plan.witness_names]
+        assert key == (3, tuple(mapping[variable] for variable in witness))
         values = plan.values(key, NullFactory())
         existential = sorted(tgd.existential_variables(), key=lambda variable: variable.name)
-        assert len(values) == len(plan.variables) + len(existential)
+        assert len(values) == len(witness) + len(existential)
         assert plan.row_key(values) == key
-        images = dict(zip(list(plan.variables) + existential, values))
+        images = dict(zip(witness + existential, values))
         assert [Atom(*head) for head in plan.head_rows(values)] == [
             atom.substitute(images) for atom in tgd.head
         ]

@@ -31,7 +31,7 @@ from repro.core.terms import Constant, NullFactory, Variable
 from repro.exceptions import ChaseLimitExceeded
 from repro.storage.relation import NULL_MARKER, encode_term
 from repro.storage.sqlbackend import (
-    CompiledRule,
+    PushdownRule,
     PushdownExecutor,
     SqliteAtomStore,
     register_skolem_function,
@@ -104,7 +104,7 @@ class TestCompiledQueryPlans:
         store = SqliteAtomStore()
         seed_store(store, database)
         register_skolem_function(store)
-        rule = CompiledRule(0, tuple(tgds)[0], "restricted", store)
+        rule = PushdownRule(0, tuple(tgds)[0], "restricted", store)
         yield rule, store
         store.close()
 

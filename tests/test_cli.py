@@ -705,6 +705,22 @@ class TestFuzzCommand:
         # The same rules are in class L: auto picks the algorithm that decides them.
         assert main(["check", "--rules", str(rules)]) == 0
 
+    @pytest.mark.parametrize("algorithm", ["sl", "l"])
+    def test_interrupted_check_is_one_line_and_exit_three(
+        self, rule_file, fact_file, capsys, monkeypatch, algorithm
+    ):
+        import repro.cli as cli
+
+        def interrupted(database, tgds):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, f"is_chase_finite_{algorithm}", interrupted)
+        argv = ["check", "--rules", str(rule_file), "--facts", str(fact_file)]
+        assert main(argv + ["--algorithm", algorithm]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["interrupted"]
+        assert captured.out == ""
+
 
 class TestSweepCommand:
     def test_sweep_smoke_runs_and_summarises(self, capsys, tmp_path):

@@ -20,9 +20,12 @@ Four guards:
   SQLite replica kinds with the store-level partition scan and the worker
   metrics merge, the hand-written figure runners the sweep replaced, and
   the atom half of the store protocol with the SQLite store's loaders, and
-  the parallel chase's shuffle exchange with its routing and events.
+  the parallel chase's shuffle exchange with its routing and events, and
+  the rule compilers' own variable numberings (``variable_slots`` and the
+  four private ones) that ``core/rules.py::CompiledRule`` replaced.
 """
 
+import ast
 import importlib
 import inspect
 import os
@@ -324,3 +327,32 @@ class TestRetiredEstate:
             if banned in text
         ]
         assert not offenders, offenders
+
+    def test_one_rule_numbering(self):
+        # A rule's slot numbering is core/rules.py's: the chase, Algorithm 2's
+        # transfer, the dependency graph and the pushdown compiler read
+        # CompiledRule, and none of them numbers Variable objects itself.
+        matching = importlib.import_module("repro.chase.matching")
+        assert not hasattr(matching, "variable_slots")
+        offenders = [
+            str(path) for path, text in _text_files("src", "tools", "docs")
+            if "variable_slots" in text
+        ]
+        assert not offenders, offenders
+        readers = ("chase/matching.py", "chase/triggers.py", "simplification/plans.py",
+                   "graph/dependency_graph.py", "storage/sqlbackend/pushdown.py")
+        for reader in readers:
+            path = REPO / "src" / "repro" / reader
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            imported = {
+                alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names
+            }
+            assert "Variable" not in imported, reader
+            for banned in ("number_of", "first_seen", "layout.index"):
+                assert banned not in path.read_text(encoding="utf-8"), f"{reader}: {banned}"
+        classes = [
+            f"{path}" for path, text in _text_files("src", "tools")
+            if re.search(r"^class CompiledRule\b", text, re.MULTILINE)
+        ]
+        assert classes == [str(Path("src/repro/core/rules.py"))]

@@ -93,12 +93,12 @@ def _program_cases() -> Iterable[PlanCase]:
     _bootstrap_src()
     from repro.chase.rounds import seed_store
     from repro.core.parser import parse_database, parse_rules
-    from repro.storage.sqlbackend.pushdown import CompiledRule, register_skolem_function
+    from repro.storage.sqlbackend.pushdown import PushdownRule, register_skolem_function
     from repro.storage.sqlbackend.store import SqliteAtomStore
 
     delta_params = {"delta_start": 0, "round_start": 10}
 
-    def compiled_rule_cases(
+    def pushdown_rule_cases(
         tag: str, facts: str, rules_text: str, variant: str
     ) -> Iterable[PlanCase]:
         """stage / record / filter / head-insert for each rule of a program."""
@@ -106,7 +106,7 @@ def _program_cases() -> Iterable[PlanCase]:
         seed_store(store, parse_database(facts))
         register_skolem_function(store)
         for index, tgd in enumerate(parse_rules(rules_text)):
-            rule = CompiledRule(index, tgd, variant, store)
+            rule = PushdownRule(index, tgd, variant, store)
             label = f"{tag}[rule {index}, {variant}]"
             for slot in range(len(tgd.body)):
                 yield PlanCase(
@@ -134,17 +134,17 @@ def _program_cases() -> Iterable[PlanCase]:
     linear_facts = "R(a,b).\nS(b,c).\nT(c).\n"
     linear_rules = "R(x,y) -> S(y,z)\nS(x,y) -> T(x)\n"
 
-    yield from compiled_rule_cases("join", join_facts, join_rules, "restricted")
-    yield from compiled_rule_cases("join", join_facts, join_rules, "semi-oblivious")
-    yield from compiled_rule_cases("join", join_facts, join_rules, "oblivious")
-    yield from compiled_rule_cases(
+    yield from pushdown_rule_cases("join", join_facts, join_rules, "restricted")
+    yield from pushdown_rule_cases("join", join_facts, join_rules, "semi-oblivious")
+    yield from pushdown_rule_cases("join", join_facts, join_rules, "oblivious")
+    yield from pushdown_rule_cases(
         "self-join", self_join_facts, self_join_rules, "semi-oblivious"
     )
-    yield from compiled_rule_cases(
+    yield from pushdown_rule_cases(
         "multi-head", multi_head_facts, multi_head_rules, "restricted"
     )
     # Linear rules run the same round statements as joins.
-    yield from compiled_rule_cases("linear", linear_facts, linear_rules, "semi-oblivious")
+    yield from pushdown_rule_cases("linear", linear_facts, linear_rules, "semi-oblivious")
 
 
 #: Families the panel must produce at least one statement for — a guard
