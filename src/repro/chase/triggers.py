@@ -11,11 +11,10 @@ frontier restriction of ``h``, and the variable itself.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Sequence, Tuple
 
 from ..core.indexing import Row
 from ..core.predicates import Predicate
-from ..core.rules import CompiledAtom
 from ..core.terms import NullFactory, NullKeyRenderer, Term
 from ..core.tgds import TGD
 from .matching import Pattern
@@ -63,7 +62,7 @@ class FiringPlan:
 
     __slots__ = (
         "tgd", "index", "witness", "witness_names", "width", "_witness", "_existential",
-        "_null_keys", "_head_atoms", "_head", "_head_pattern",
+        "_null_keys", "_head", "_head_pattern",
     )
 
     def __init__(self, tgd: TGD, index: int, null_scope: str = "frontier") -> None:
@@ -85,13 +84,13 @@ class FiringPlan:
         place: Dict[int, int] = {slot: at for at, slot in enumerate(self.witness)}
         for at, number in enumerate(existential, start=self.width):
             place[~number] = at
-        self._head_atoms: Tuple[CompiledAtom, ...] = tuple(
-            (predicate, tuple(place[slot] for slot in slots)) for predicate, slots in rule.head
+        self._head_pattern = Pattern(
+            [(predicate, tuple(place[slot] for slot in slots)) for predicate, slots in rule.head],
+            len(place),
         )
         self._head: Tuple[Tuple[Predicate, Callable[[Sequence[Term]], Row]], ...] = tuple(
-            (predicate, _picker(places)) for predicate, places in self._head_atoms
+            (predicate, _picker(places)) for predicate, places in self._head_pattern.atoms
         )
-        self._head_pattern: Optional[Pattern] = None
 
     def key(self, values: Sequence[Term]) -> FiringKey:
         """Return the key under which the match *values* fires at most once."""
@@ -119,7 +118,4 @@ class FiringPlan:
     def head_holds(self, key: FiringKey, store: "AtomStore") -> bool:
         """Whether some extension of the key's witness maps the head into
         *store* — the restricted chase's head-satisfaction check."""
-        if self._head_pattern is None:
-            width = self.width + len(self._existential)
-            self._head_pattern = Pattern(self._head_atoms, width)
         return self._head_pattern.exists(store, enumerate(key[1]))

@@ -64,10 +64,9 @@ class TGD:
     form only; :attr:`body` and :attr:`head` are decoded on first use.
     """
 
-    __slots__ = ("rule", "label", "body", "head")
+    __slots__ = ("rule", "body", "head")
     #: The compiled form: the one numbering of the rule's variables.
     rule: CompiledRule
-    label: Optional[str]
     body: Tuple[Atom, ...]
     head: Tuple[Atom, ...]
 
@@ -89,15 +88,18 @@ class TGD:
             label,
         )
         object.__setattr__(self, "rule", rule)
-        object.__setattr__(self, "label", label)
 
     @classmethod
     def of(cls, rule: CompiledRule) -> "TGD":
         """The TGD whose compiled form is *rule*."""
         tgd = cls.__new__(cls)
         object.__setattr__(tgd, "rule", rule)
-        object.__setattr__(tgd, "label", rule.label)
         return tgd
+
+    @property
+    def label(self) -> Optional[str]:
+        """The rule's label (parsers and generators set one)."""
+        return self.rule.label
 
     def __getattr__(self, name: str) -> Any:
         # Reached only while body and head are not decoded yet.
