@@ -76,7 +76,7 @@ class FiringPlan:
         self.witness_names = tuple(rule.names[slot] for slot in self.witness)
         self.width = len(self.witness)
         self._witness = _picker(self.witness)
-        existential = sorted(range(len(rule.existentials)), key=rule.existentials.__getitem__)
+        existential = sorted(range(len(rule.existentials)), key=lambda n: rule.existentials[n])
         self._existential = tuple(rule.existentials[number] for number in existential)
         self._null_keys = NullKeyRenderer(index, self.witness_names)
         # A value row holds the witness images, then the invented nulls:

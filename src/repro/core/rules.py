@@ -92,7 +92,7 @@ class CompiledRule:
         """The slots a trigger is keyed and its nulls named by, sorted by
         variable name: the frontier, or every body slot (``"homomorphism"``)."""
         scope = range(len(self.names)) if null_scope == "homomorphism" else self.frontier()
-        return tuple(sorted(scope, key=self.names.__getitem__))
+        return tuple(sorted(scope, key=lambda slot: self.names[slot]))
 
 
 def compile_rule(
