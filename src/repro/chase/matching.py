@@ -80,8 +80,7 @@ _Step = Tuple[Predicate, Tuple[Tuple[int, int], ...], Tuple[Tuple[int, int], ...
 class Pattern:
     """A conjunction of compiled atoms over *width* integer variable slots.
 
-    A rule body is ``Pattern(rule.body, len(rule.names))``: slot ``i`` holds
-    the image of the ``i``-th body variable.  What each atom looks up,
+    A rule body's pattern is :meth:`of` the rule.  What each atom looks up,
     assigns and re-checks depends only on which slots are bound when the
     join reaches it, so that :data:`_Step` is compiled once per (bound mask,
     atom) and cached.
@@ -93,6 +92,12 @@ class Pattern:
         self.atoms = tuple(atoms)
         self.width = width
         self._steps: Dict[Tuple[int, int], _Step] = {}
+
+    @classmethod
+    def of(cls, rule: CompiledRule) -> "Pattern":
+        """The pattern of *rule*'s body: slot ``i`` holds the image of the
+        ``i``-th body variable."""
+        return cls(rule.body, len(rule.names))
 
     def step(self, bound: int, atom: int) -> _Step:
         """The :data:`_Step` of atom *atom* when the slots in *bound* are bound."""
@@ -217,7 +222,7 @@ class JoinPlan:
     )
 
     def __init__(self, body: Union[CompiledRule, Pattern], seed_slot: int) -> None:
-        self.pattern = body if isinstance(body, Pattern) else Pattern(body.body, len(body.names))
+        self.pattern = body if isinstance(body, Pattern) else Pattern.of(body)
         self.body = self.pattern.atoms
         if not 0 <= seed_slot < len(self.body):
             raise ValueError(f"seed slot {seed_slot} out of range for {len(self.body)}-atom body")
@@ -287,7 +292,7 @@ class IndexedTriggerSource:
 
     def __init__(self, tgds: Sequence[TGD]) -> None:
         self.tgds = tuple(tgds)
-        self._patterns = [Pattern(tgd.rule.body, len(tgd.rule.names)) for tgd in self.tgds]
+        self._patterns = [Pattern.of(tgd.rule) for tgd in self.tgds]
         self._slots: Dict[Predicate, List[Tuple[int, JoinPlan]]] = {}
         for index, pattern in enumerate(self._patterns):
             for slot, (predicate, _) in enumerate(pattern.atoms):

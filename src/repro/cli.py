@@ -330,6 +330,16 @@ def _input_error(error) -> str:
 
 def _command_check(args) -> int:
     try:
+        return _check(args)
+    except KeyboardInterrupt:
+        # The check keeps no state worth resuming, loading included: 3 is the
+        # shared "interrupted" code.
+        print("interrupted", file=sys.stderr)
+        return 3
+
+
+def _check(args) -> int:
+    try:
         database, tgds, parse_s = _load_program(args.rules, args.facts)
     except (ParseError, OSError) as error:
         print(_input_error(error), file=sys.stderr)
@@ -346,10 +356,6 @@ def _command_check(args) -> int:
     except (NotLinearError, NotSimpleLinearError) as error:
         print(f"{args.rules}: {error}", file=sys.stderr)
         return 2
-    except KeyboardInterrupt:
-        # The check keeps no state worth resuming: 3 is the shared "interrupted" code.
-        print("interrupted", file=sys.stderr)
-        return 3
     # The checkers measure t-parse only when they parse; here the CLI did.
     report.timings.t_parse = parse_s
 

@@ -114,6 +114,10 @@ class Atom:
         """
         return Atom(self.predicate, tuple(mapping.get(t, t) for t in self.terms))
 
+    def has_repeated_terms(self) -> bool:
+        """Return ``True`` when some term occurs more than once in the atom."""
+        return len(set(self.terms)) < len(self.terms)
+
 
 def row_sort_key(terms: Iterable[Term]) -> List[str]:
     """Sort key ordering the rows of one predicate as :meth:`Atom.__lt__` does.

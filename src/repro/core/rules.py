@@ -114,6 +114,4 @@ def compile_rule(
             slots.append(slot)
         head_atoms.append((predicate, tuple(slots)))
     variables = tuple(numbers)
-    return CompiledRule(
-        body_atoms, tuple(head_atoms), variables[:width], variables[width:], label
-    )
+    return CompiledRule(body_atoms, tuple(head_atoms), variables[:width], variables[width:], label)

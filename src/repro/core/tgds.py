@@ -14,7 +14,7 @@ The two classes studied by the paper:
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Any, Callable, Dict, FrozenSet, Iterable, Iterator, Optional, Set, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..exceptions import NotLinearError, NotSimpleLinearError, ValidationError
 from .atoms import Atom
@@ -22,7 +22,6 @@ from .predicates import Predicate, Schema
 from .rules import CompiledRule, compile_rule
 from .terms import Constant, Variable
 
-_VARIABLE = frozenset({Variable})
 _name = attrgetter("name")
 
 
@@ -30,12 +29,11 @@ def _check_variables(atoms: Tuple[Atom, ...]) -> None:
     """Raise for the first term of *atoms*, in order, that is no Variable."""
     for atom in atoms:
         for term in atom.terms:
+            if isinstance(term, Variable):
+                continue
             if isinstance(term, Constant):
                 raise ValidationError(f"TGDs are constant-free, found constant {term} in {atom}")
-            if not isinstance(term, Variable):
-                raise ValidationError(
-                    f"TGD atoms may only mention variables, found {term!r} in {atom}"
-                )
+            raise ValidationError(f"TGD atoms may only mention variables, found {term!r} in {atom}")
 
 
 def _decode(rule: CompiledRule) -> Tuple[Tuple[Atom, ...], Tuple[Atom, ...]]:
@@ -79,9 +77,7 @@ class TGD:
             raise ValidationError("a TGD must have a non-empty body")
         if not head:
             raise ValidationError("a TGD must have a non-empty head")
-        for atom in body + head:
-            if not _VARIABLE.issuperset(map(type, atom.terms)):
-                _check_variables(body + head)
+        _check_variables(body + head)
         rule = compile_rule(
             [(atom.predicate, map(_name, atom.terms)) for atom in body],
             [(atom.predicate, map(_name, atom.terms)) for atom in head],
@@ -170,6 +166,10 @@ class TGD:
         rule = self.rule
         return len(rule.body) == 1 and len(rule.names) == len(rule.body[0][1])
 
+    def is_single_head(self) -> bool:
+        """Return ``True`` when the head consists of a single atom."""
+        return len(self.rule.head) == 1
+
     def body_atom(self) -> Atom:
         """Return the unique body atom of a linear TGD; raise otherwise."""
         if not self.is_linear():
@@ -189,14 +189,18 @@ class TGDSet:
     """An ordered, duplicate-free collection of TGDs with schema bookkeeping."""
 
     def __init__(self, tgds: Iterable[TGD] = ()) -> None:
-        #: The TGDs in insertion order (a dict, so membership is a lookup).
-        self._tgds: Dict[TGD, None] = dict.fromkeys(tgds)
+        self._tgds: List[TGD] = []
+        self._seen: Set[TGD] = set()
+        for tgd in tgds:
+            self.add(tgd)
 
     def add(self, tgd: TGD) -> bool:
         """Add *tgd* unless already present; return ``True`` when it was added."""
-        size = len(self._tgds)
-        self._tgds.setdefault(tgd)
-        return len(self._tgds) > size
+        if tgd in self._seen:
+            return False
+        self._seen.add(tgd)
+        self._tgds.append(tgd)
+        return True
 
     def update(self, tgds: Iterable[TGD]) -> int:
         """Add every TGD of *tgds*; return how many were new."""
@@ -209,12 +213,12 @@ class TGDSet:
         return len(self._tgds)
 
     def __contains__(self, tgd: object) -> bool:
-        return tgd in self._tgds
+        return tgd in self._seen
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TGDSet):
             return NotImplemented
-        return self._tgds.keys() == other._tgds.keys()
+        return self._seen == other._seen
 
     def __repr__(self) -> str:
         return f"TGDSet({len(self)} TGDs)"
@@ -227,13 +231,9 @@ class TGDSet:
     def schema(self) -> Schema:
         """Return ``sch(Σ)``: the schema of the predicates occurring in the set."""
         schema = Schema()
-        add = schema.add
         for tgd in self._tgds:
-            rule = tgd.rule
-            for predicate, _ in rule.body:
-                add(predicate)
-            for predicate, _ in rule.head:
-                add(predicate)
+            for predicate in tgd.predicates():
+                schema.add(predicate)
         return schema
 
     def is_linear(self) -> bool:
@@ -257,6 +257,18 @@ class TGDSet:
             if not tgd.is_simple_linear():
                 raise NotSimpleLinearError(f"TGD {tgd!r} is not simple-linear")
         return self
+
+    def by_body_predicate(self) -> Dict[Predicate, List[TGD]]:
+        """Index linear TGDs by the predicate of their body atom.
+
+        This is the index structure described in Section 5.4 that lets
+        ``Applicable`` jump straight to the TGDs relevant to a shape.
+        """
+        self.require_linear()
+        index: Dict[Predicate, List[TGD]] = {}
+        for tgd in self._tgds:
+            index.setdefault(tgd.rule.body[0][0], []).append(tgd)
+        return index
 
     def max_arity(self) -> int:
         """Return the maximum predicate arity occurring in the set."""

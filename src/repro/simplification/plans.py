@@ -54,9 +54,9 @@ class TransferPlan:
     __slots__ = ("label", "name", "arity", "_checks", "_names", "_firsts", "_existentials", "_heads")
 
     def __init__(self, tgd: TGD):
-        rule = tgd.rule
-        if len(rule.body) != 1:
+        if not tgd.is_linear():
             raise NotLinearError(f"TGD {tgd!r} is not linear")
+        rule = tgd.rule
         ((predicate, body_slots),) = rule.body
         self.label = rule.label
         self.name = predicate.name

@@ -77,6 +77,10 @@ class TestAtomQueries:
         atom = Atom(R, (x, y))
         assert atom.substitute({x: a}) == Atom(R, (a, y))
 
+    def test_has_repeated_terms(self):
+        assert Atom(R, (x, x)).has_repeated_terms()
+        assert not Atom(R, (x, y)).has_repeated_terms()
+
     def test_arity_property(self):
         assert Atom(S, (x, y, z)).arity == 3
 

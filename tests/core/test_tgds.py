@@ -98,6 +98,10 @@ class TestTGDClassification:
         assert not parse_tgd("R(x,x) -> S(x,z)").is_simple_linear()
         assert not parse_tgd("R(x,y), S(y,z) -> T(x,z)").is_simple_linear()
 
+    def test_single_head(self):
+        assert parse_tgd("R(x,y) -> S(y,z)").is_single_head()
+        assert not parse_tgd("R(x,y) -> S(y,z), T(x,z)").is_single_head()
+
     def test_body_atom_requires_linearity(self):
         with pytest.raises(NotLinearError):
             parse_tgd("R(x,y), S(y,z) -> T(x,z)").body_atom()
@@ -133,6 +137,12 @@ class TestTGDSet:
         rules = parse_rules("R(x,y), S(y,z) -> T(x,z)")
         with pytest.raises(NotLinearError):
             rules.require_linear()
+
+    def test_by_body_predicate_index(self):
+        rules = parse_rules("R(x,y) -> S(y,z)\nR(x,y) -> T(x,y)\nS(x,y) -> T(x,y)")
+        index = rules.by_body_predicate()
+        assert len(index[Predicate("R", 2)]) == 2
+        assert len(index[Predicate("S", 2)]) == 1
 
     def test_counts(self):
         rules = parse_rules("R(x,y) -> S(y,z), T(x,z)\nS(x,y) -> T(x,y)")

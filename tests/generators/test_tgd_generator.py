@@ -40,7 +40,7 @@ class TestGeneratedTGDs:
         tgds = generate_tgds(self._schema(), ssize=20, min_arity=1, max_arity=5, tsize=200, tclass="SL", seed=1)
         assert len(tgds) == 200
         assert tgds.is_simple_linear()
-        assert all(len(tgd.head) == 1 for tgd in tgds)
+        assert all(tgd.is_single_head() for tgd in tgds)
 
     def test_linear_generation_repeats_body_variables(self):
         tgds = generate_tgds(self._schema(), ssize=20, min_arity=2, max_arity=5, tsize=300, tclass="L", seed=2)

@@ -207,14 +207,6 @@ class DynamicSimplificationResult:
     iterations: int
 
 
-def _by_body_predicate(tgds: TGDSet) -> Dict[Predicate, List[TGD]]:
-    """Section 5.4's index: the linear TGDs of *tgds* by body predicate."""
-    index: Dict[Predicate, List[TGD]] = {}
-    for tgd in tgds:
-        index.setdefault(tgd.body_atom().predicate, []).append(tgd)
-    return index
-
-
 def applicable(shapes: Iterable[Shape], tgds: TGDSet, index: Optional[Dict[Predicate, List[TGD]]] = None) -> TGDSet:
     """``Applicable(Ŝ, Σ)``: simplified TGDs whose body shape belongs to *shapes*.
 
@@ -225,7 +217,7 @@ def applicable(shapes: Iterable[Shape], tgds: TGDSet, index: Optional[Dict[Predi
     """
     tgds.require_linear()
     if index is None:
-        index = _by_body_predicate(tgds)
+        index = tgds.by_body_predicate()
     by_name: Dict[str, List[TGD]] = {}
     for predicate, rules in index.items():
         by_name.setdefault(predicate.name, []).extend(rules)
@@ -290,7 +282,7 @@ def dynamic_simplification(
     """
     tgds.require_linear()
     initial_shapes = resolve_shapes(database_or_shapes)
-    index = _by_body_predicate(tgds)
+    index = tgds.by_body_predicate() if len(tgds) else {}
 
     known_shapes: Set[Shape] = set(initial_shapes)
     simplified = TGDSet()

@@ -705,16 +705,20 @@ class TestFuzzCommand:
         # The same rules are in class L: auto picks the algorithm that decides them.
         assert main(["check", "--rules", str(rules)]) == 0
 
-    @pytest.mark.parametrize("algorithm", ["sl", "l"])
+    @pytest.mark.parametrize(
+        "target", ["is_chase_finite_sl", "is_chase_finite_l", "load_rules", "load_database"]
+    )
     def test_interrupted_check_is_one_line_and_exit_three(
-        self, rule_file, fact_file, capsys, monkeypatch, algorithm
+        self, rule_file, fact_file, capsys, monkeypatch, target
     ):
+        # The checker itself, and the loading of the rule and fact files.
         import repro.cli as cli
 
-        def interrupted(database, tgds):
+        def interrupted(*args):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(cli, f"is_chase_finite_{algorithm}", interrupted)
+        monkeypatch.setattr(cli, target, interrupted)
+        algorithm = "l" if target == "is_chase_finite_l" else "sl"
         argv = ["check", "--rules", str(rule_file), "--facts", str(fact_file)]
         assert main(argv + ["--algorithm", algorithm]) == 3
         captured = capsys.readouterr()
