@@ -26,8 +26,8 @@ the arrows — are ever interpreted.  Two readers share that grammar:
   atom and a ``split`` (or, with whitespace, a ``findall``) over its
   argument text yield exactly the atoms (or the row) the scanner would (a
   rule's as variable names, compiled straight into a
-  :class:`~repro.core.rules.CompiledRule`), and a repeated atom text is
-  looked up, not read again.  Anything else —
+  :class:`~repro.core.rules.CompiledRule`), and a repeated atom text or
+  rule body is looked up, not read or numbered again.  Anything else —
   quotes, comments, nesting, ``:-``, stray commas, other characters,
   malformed text — it declines with ``None``, and never raises on syntax;
 * the **scanner** (``_scan``) reads every declined line in one pass: a
@@ -59,7 +59,7 @@ from ..exceptions import ParseError, ValidationError
 from .atoms import Atom
 from .instances import Database
 from .predicates import Predicate, Schema
-from .rules import compile_rule
+from .rules import CompiledRule, NumberedBody, compile_head, number_body
 from .terms import Constant, Term, Variable
 from .tgds import TGD, TGDSet
 
@@ -140,19 +140,21 @@ _NamedAtom = Tuple[Predicate, Tuple[str, ...]]  # a plain rule atom: its variabl
 class _AtomBuilder:
     """Builds the atoms of one ``parse_*`` call, interning as it goes: each
     distinct argument token becomes one :class:`Term`, each distinct plain
-    rule atom text one ``(predicate, variable names)`` pair, and a predicate
-    is looked up in the schema before one is constructed.  A program repeats
-    the same few variables and atoms on every line; the tables live and die
-    with the call.
+    rule atom text one ``(predicate, variable names)`` pair, each distinct
+    plain rule body one :func:`~repro.core.rules.number_body`, and a
+    predicate is looked up in the schema before one is constructed.  A
+    program repeats the same few variables, atoms and bodies on every line;
+    the tables live and die with the call.
     """
 
-    __slots__ = ("as_variable", "schema", "terms", "atoms")
+    __slots__ = ("as_variable", "schema", "terms", "atoms", "bodies")
 
     def __init__(self, as_variable: bool, schema: Optional[Schema]) -> None:
         self.as_variable = as_variable
         self.schema = schema
         self.terms: Dict[str, Term] = {}
         self.atoms: Dict[Tuple[str, ...], _NamedAtom] = {}
+        self.bodies: Dict[Tuple[_NamedAtom, ...], NumberedBody] = {}
 
     def atom(self, name: str, tokens: List[str]) -> Atom:
         return Atom(*self.row(name, tokens))
@@ -340,11 +342,16 @@ def parse_atom(text: str, as_variable: bool = True, schema: Optional[Schema] = N
     return sides[0][0]
 
 
-def _tgd(line: str, builder: _AtomBuilder, label: Optional[str]) -> Optional[TGD]:
-    """The TGD on *line*, or ``None`` for a blank or comment-only line."""
+def _rule(line: str, builder: _AtomBuilder, label: Optional[str]) -> Optional[CompiledRule]:
+    """The compiled rule on *line*, or ``None`` for a blank or comment-only line."""
     plain = _plain_rule(line, builder)
     if plain is not None:
-        return TGD.of(compile_rule(plain[0], plain[1], label))
+        body, head = plain
+        key = tuple(body)
+        numbered = builder.bodies.get(key)
+        if numbered is None:
+            numbered = builder.bodies[key] = number_body(body)
+        return compile_head(numbered, head, label)
     sides = _scan(line, _RULE_TOKENS, builder.atom, True)
     if sides is None:
         return None
@@ -353,7 +360,7 @@ def _tgd(line: str, builder: _AtomBuilder, label: Optional[str]) -> Optional[TGD
     body, head = sides
     if not body or not head:
         raise ParseError(f"rule {line.strip()!r} must have a non-empty body and head")
-    return TGD(body, head, label=label)
+    return TGD(body, head, label=label).rule
 
 
 def _fact(line: str, builder: _AtomBuilder) -> Optional[Tuple[Predicate, Tuple[Term, ...]]]:
@@ -375,10 +382,10 @@ def _fact(line: str, builder: _AtomBuilder) -> Optional[Tuple[Predicate, Tuple[T
 
 def parse_tgd(text: str, schema: Optional[Schema] = None, label: Optional[str] = None) -> TGD:
     """Parse a single TGD like ``R(x,y), S(y) -> T(x,z)``."""
-    tgd = _tgd(text, _AtomBuilder(True, schema), label)
-    if tgd is None:
+    rule = _rule(text, _AtomBuilder(True, schema), label)
+    if rule is None:
         raise ParseError(f"no implication arrow in rule {text.strip()!r}")
-    return tgd
+    return TGD.of(rule)
 
 
 def parse_fact(text: str, schema: Optional[Schema] = None) -> Atom:
@@ -397,17 +404,25 @@ def _lines(text_or_lines: _Lines) -> Iterable[str]:
 
 
 def parse_rules(text_or_lines: _Lines, schema: Optional[Schema] = None) -> TGDSet:
-    """Parse a rule program (string or iterable of lines) into a :class:`TGDSet`."""
-    builder = _AtomBuilder(True, schema if schema is not None else Schema())
+    """Parse a rule program (string or iterable of lines) into a :class:`TGDSet`.
+
+    The set is filled with compiled rules, no :class:`TGD` is built.  Without
+    a *schema* the parser's own schema holds exactly the predicates of the
+    program, and the set serves :meth:`TGDSet.schema` from it.
+    """
+    declared = Schema() if schema is None else None
+    builder = _AtomBuilder(True, schema if schema is not None else declared)
     tgds = TGDSet()
+    add = tgds.add_rule
     for number, line in enumerate(_lines(text_or_lines), start=1):
         try:
-            tgd = _tgd(line, builder, f"r{number}")
+            rule = _rule(line, builder, f"r{number}")
         except (ParseError, ValidationError) as error:
             # A schema conflict or a constant in a rule is an input error too.
             raise ParseError(str(error), line_number=number, line=line.strip()) from error
-        if tgd is not None:
-            tgds.add(tgd)
+        if rule is not None:
+            add(rule)
+    tgds._declared = declared
     return tgds
 
 

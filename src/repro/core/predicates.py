@@ -9,6 +9,7 @@ used by the acyclicity-based termination algorithms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, Iterable, Iterator, List, Tuple
 
 from ..exceptions import ValidationError
@@ -65,6 +66,9 @@ class Position:
         return f"({self.predicate.name},{self.index})"
 
 
+_name = attrgetter("name")
+
+
 class Schema:
     """A finite set of predicates, addressable by name.
 
@@ -112,7 +116,8 @@ class Schema:
         return item in self._by_name
 
     def __iter__(self) -> Iterator[Predicate]:
-        return iter(sorted(self._by_name.values()))
+        # Names are unique here, so name order is Predicate order.
+        return iter(sorted(self._by_name.values(), key=_name))
 
     def __len__(self) -> int:
         return len(self._by_name)
@@ -129,7 +134,13 @@ class Schema:
     @property
     def predicates(self) -> Tuple[Predicate, ...]:
         """Return all predicates, sorted by name for reproducibility."""
-        return tuple(sorted(self._by_name.values()))
+        return tuple(self)
+
+    def copy(self) -> "Schema":
+        """Return an independent schema with the same predicates."""
+        clone = Schema()
+        clone._by_name = dict(self._by_name)
+        return clone
 
     def positions(self) -> List[Position]:
         """Return ``pos(S)``: every position of every predicate of the schema."""

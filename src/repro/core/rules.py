@@ -80,6 +80,10 @@ class CompiledRule:
         """The variable names indexable by every slot, ``~n`` included."""
         return self.names + self.existentials[::-1]
 
+    def is_simple_linear(self) -> bool:
+        """One body atom with no repeated variable (class ``SL``)."""
+        return len(self.body) == 1 and len(self.names) == len(self.body[0][1])
+
     def frontier(self) -> Tuple[int, ...]:
         """The body slots that occur in the head (``fr(σ)``), ascending."""
         if self._frontier is None:
@@ -95,23 +99,49 @@ class CompiledRule:
         return tuple(sorted(scope, key=lambda slot: self.names[slot]))
 
 
+#: A rule body numbered by :func:`number_body`: its compiled atoms, the slot
+#: of each variable name, and the names in slot order.
+NumberedBody = Tuple[Tuple[CompiledAtom, ...], Dict[str, int], Tuple[str, ...]]
+
+
+def number_body(body: Iterable[Tuple[Predicate, Iterable[str]]]) -> NumberedBody:
+    """Number a body given as ``(predicate, variable names)`` per atom.
+
+    Rules that share a body share its numbering: a parser numbers each
+    distinct body once and hands the result to :func:`compile_head`.
+    """
+    numbers: Dict[str, int] = {}
+    atoms = number_atoms(body, numbers)
+    return atoms, numbers, tuple(numbers)
+
+
+def compile_head(
+    body: NumberedBody,
+    head: Iterable[Tuple[Predicate, Iterable[str]]],
+    label: Optional[str] = None,
+) -> CompiledRule:
+    """Compile the rule with the numbered *body* and *head* (``(predicate,
+    variable names)`` per atom)."""
+    atoms, numbers, names = body
+    existentials: Dict[str, int] = {}
+    head_atoms: List[CompiledAtom] = []
+    for predicate, head_names in head:
+        slots: List[int] = []
+        for name in head_names:
+            slot = numbers.get(name)
+            if slot is None:
+                slot = existentials.get(name)
+                if slot is None:  # the head's own variables are ~0, ~1, ...
+                    slot = existentials[name] = ~len(existentials)
+            slots.append(slot)
+        head_atoms.append((predicate, tuple(slots)))
+    return CompiledRule(atoms, tuple(head_atoms), names, tuple(existentials), label)
+
+
 def compile_rule(
     body: Iterable[Tuple[Predicate, Iterable[str]]],
     head: Iterable[Tuple[Predicate, Iterable[str]]],
     label: Optional[str] = None,
 ) -> CompiledRule:
     """Compile a rule given as ``(predicate, variable names)`` per atom."""
-    numbers: Dict[str, int] = {}
-    body_atoms = number_atoms(body, numbers)
-    width = len(numbers)
-    head_atoms: List[CompiledAtom] = []
-    for predicate, names in head:
-        slots: List[int] = []
-        for name in names:
-            slot = numbers.get(name)
-            if slot is None:  # the head's own variables are ~0, ~1, ...
-                slot = numbers[name] = width + ~len(numbers)
-            slots.append(slot)
-        head_atoms.append((predicate, tuple(slots)))
-    variables = tuple(numbers)
-    return CompiledRule(body_atoms, tuple(head_atoms), variables[:width], variables[width:], label)
+    return compile_head(number_body(body), head, label)

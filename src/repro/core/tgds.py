@@ -163,8 +163,7 @@ class TGD:
 
     def is_simple_linear(self) -> bool:
         """Return ``True`` for class ``SL``: linear with no repeated body variable."""
-        rule = self.rule
-        return len(rule.body) == 1 and len(rule.names) == len(rule.body[0][1])
+        return self.rule.is_simple_linear()
 
     def is_single_head(self) -> bool:
         """Return ``True`` when the head consists of a single atom."""
@@ -186,20 +185,41 @@ class TGD:
 
 
 class TGDSet:
-    """An ordered, duplicate-free collection of TGDs with schema bookkeeping."""
+    """An ordered, duplicate-free collection of TGDs with schema bookkeeping.
+
+    The set holds compiled rules (:attr:`rules`), which is what the checkers
+    read.  The :class:`TGD` views are built the first time the set is
+    iterated and kept, so every iteration yields the same objects.
+    """
 
     def __init__(self, tgds: Iterable[TGD] = ()) -> None:
-        self._tgds: List[TGD] = []
-        self._seen: Set[TGD] = set()
+        self._rules: List[CompiledRule] = []
+        self._seen: Set[CompiledRule] = set()
+        self._views: List[TGD] = []  # the views of the first len(_views) rules
+        #: The schema :func:`~repro.core.parser.parse_rules` declared while
+        #: reading exactly these rules; ``None`` once the set changes.
+        self._declared: Optional[Schema] = None
         for tgd in tgds:
             self.add(tgd)
 
     def add(self, tgd: TGD) -> bool:
         """Add *tgd* unless already present; return ``True`` when it was added."""
-        if tgd in self._seen:
+        viewed = len(self._views) == len(self._rules)
+        if not self.add_rule(tgd.rule):
             return False
-        self._seen.add(tgd)
-        self._tgds.append(tgd)
+        if viewed:
+            self._views.append(tgd)
+        return True
+
+    def add_rule(self, rule: CompiledRule) -> bool:
+        """Add the compiled *rule* unless already present; return ``True`` when it was added."""
+        seen = self._seen
+        size = len(seen)
+        seen.add(rule)  # one hash call where `in` and add would make two
+        if len(seen) == size:
+            return False
+        self._rules.append(rule)
+        self._declared = None
         return True
 
     def update(self, tgds: Iterable[TGD]) -> int:
@@ -207,13 +227,16 @@ class TGDSet:
         return sum(1 for tgd in tgds if self.add(tgd))
 
     def __iter__(self) -> Iterator[TGD]:
-        return iter(self._tgds)
+        views, rules = self._views, self._rules
+        if len(views) < len(rules):
+            views.extend(map(TGD.of, rules[len(views) :]))
+        return iter(views)
 
     def __len__(self) -> int:
-        return len(self._tgds)
+        return len(self._rules)
 
     def __contains__(self, tgd: object) -> bool:
-        return tgd in self._seen
+        return isinstance(tgd, TGD) and tgd.rule in self._seen
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TGDSet):
@@ -226,36 +249,44 @@ class TGDSet:
     @property
     def tgds(self) -> Tuple[TGD, ...]:
         """Return the TGDs in insertion order."""
-        return tuple(self._tgds)
+        return tuple(self)
+
+    @property
+    def rules(self) -> Tuple[CompiledRule, ...]:
+        """Return the compiled rules in insertion order."""
+        return tuple(self._rules)
 
     def schema(self) -> Schema:
         """Return ``sch(Σ)``: the schema of the predicates occurring in the set."""
+        if self._declared is not None:
+            return self._declared.copy()
         schema = Schema()
-        for tgd in self._tgds:
-            for predicate in tgd.predicates():
-                schema.add(predicate)
+        add = schema.add
+        for rule in self._rules:
+            for predicate, _ in rule.body + rule.head:
+                add(predicate)
         return schema
 
     def is_linear(self) -> bool:
         """Return ``True`` when every TGD is linear."""
-        return all(tgd.is_linear() for tgd in self._tgds)
+        return all(len(rule.body) == 1 for rule in self._rules)
 
     def is_simple_linear(self) -> bool:
         """Return ``True`` when every TGD is simple-linear."""
-        return all(tgd.is_simple_linear() for tgd in self._tgds)
+        return all(rule.is_simple_linear() for rule in self._rules)
 
     def require_linear(self) -> "TGDSet":
         """Return ``self`` if every TGD is linear; raise :class:`NotLinearError` otherwise."""
-        for tgd in self._tgds:
-            if not tgd.is_linear():
-                raise NotLinearError(f"TGD {tgd!r} is not linear")
+        for rule in self._rules:
+            if len(rule.body) != 1:
+                raise NotLinearError(f"TGD {TGD.of(rule)!r} is not linear")
         return self
 
     def require_simple_linear(self) -> "TGDSet":
         """Return ``self`` if every TGD is simple-linear; raise otherwise."""
-        for tgd in self._tgds:
-            if not tgd.is_simple_linear():
-                raise NotSimpleLinearError(f"TGD {tgd!r} is not simple-linear")
+        for rule in self._rules:
+            if not rule.is_simple_linear():
+                raise NotSimpleLinearError(f"TGD {TGD.of(rule)!r} is not simple-linear")
         return self
 
     def by_body_predicate(self) -> Dict[Predicate, List[TGD]]:
@@ -266,11 +297,10 @@ class TGDSet:
         """
         self.require_linear()
         index: Dict[Predicate, List[TGD]] = {}
-        for tgd in self._tgds:
+        for tgd in self:
             index.setdefault(tgd.rule.body[0][0], []).append(tgd)
         return index
 
     def max_arity(self) -> int:
         """Return the maximum predicate arity occurring in the set."""
         return self.schema().max_arity()
-

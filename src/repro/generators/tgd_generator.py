@@ -27,10 +27,9 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from ..core.atoms import Atom
 from ..core.predicates import Predicate, Schema
-from ..core.terms import Variable
-from ..core.tgds import TGD, TGDSet
+from ..core.rules import CompiledRule, compile_rule
+from ..core.tgds import TGDSet
 from ..exceptions import ExperimentConfigError
 from ..simplification.shapes import identifier_tuples_of_arity
 
@@ -119,38 +118,38 @@ class TGDGenerator:
     # ------------------------------------------------------------------ #
     # Single TGD generation
 
-    def _body_variables(self, arity: int) -> List[Variable]:
-        """Draw the body variable tuple: distinct for SL, shape-driven for L."""
-        fresh = [Variable(f"x{i}") for i in range(1, arity + 1)]
+    def _body_variables(self, arity: int) -> List[str]:
+        """Draw the body variable names: distinct for SL, shape-driven for L."""
+        fresh = [f"x{i}" for i in range(1, arity + 1)]
         if self.config.tclass == "SL":
             return fresh
         identifiers = self._rng.choice(self._shapes_by_arity[arity])
         return [fresh[identifier - 1] for identifier in identifiers]
 
-    def _head_terms(self, head_arity: int, body_variables: Sequence[Variable]) -> List[Variable]:
+    def _head_terms(self, head_arity: int, body_variables: Sequence[str]) -> List[str]:
         """Fill head positions: existential with probability p, else a body variable."""
         distinct_body = list(dict.fromkeys(body_variables))
-        terms: List[Variable] = []
+        terms: List[str] = []
         existential_counter = 0
         for _ in range(head_arity):
             if self._rng.random() < self.config.existential_probability:
                 existential_counter += 1
-                terms.append(Variable(f"z{existential_counter}"))
+                terms.append(f"z{existential_counter}")
             else:
                 terms.append(self._rng.choice(distinct_body))
-        if all(term.name.startswith("z") for term in terms):
+        if all(term.startswith("z") for term in terms):
             # Force a non-empty frontier (the paper's standing assumption).
             terms[self._rng.randrange(head_arity)] = self._rng.choice(distinct_body)
         return terms
 
-    def _generate_tgd(self, predicates: Sequence[Predicate], label: str) -> TGD:
+    def _generate_rule(self, predicates: Sequence[Predicate], label: str) -> CompiledRule:
         body_predicate = self._rng.choice(predicates)
         head_predicate = self._rng.choice(predicates)
         body_variables = self._body_variables(body_predicate.arity)
         head_terms = self._head_terms(head_predicate.arity, body_variables)
-        body_atom = Atom(body_predicate, tuple(body_variables))
-        head_atom = Atom(head_predicate, tuple(head_terms))
-        return TGD((body_atom,), (head_atom,), label=label)
+        return compile_rule(
+            [(body_predicate, body_variables)], [(head_predicate, head_terms)], label
+        )
 
     # ------------------------------------------------------------------ #
     # Entry point
@@ -167,7 +166,7 @@ class TGDGenerator:
         while len(tgds) < self.config.tsize and attempts < max_attempts:
             attempts += 1
             label_counter += 1
-            tgds.add(self._generate_tgd(predicates, label=f"g{label_counter}"))
+            tgds.add_rule(self._generate_rule(predicates, label=f"g{label_counter}"))
         return tgds
 
 

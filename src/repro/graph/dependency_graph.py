@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..core.predicates import Position, Predicate, Schema
+from ..core.rules import CompiledRule
 from ..core.tgds import TGD, TGDSet
 
 
@@ -251,57 +252,71 @@ def build_support_graph(tgds: TGDSet) -> DependencyGraph:
     empty-frontier TGD, so that predicate-level reachability matches actual
     derivability.
     """
-    graph = build_dependency_graph(tgds)
-    for tgd in tgds:
-        if not tgd.has_empty_frontier():
-            continue
-        rule = tgd.rule
+    graph, empty_frontier = _build(tgds)
+    _link_empty_frontier(graph, empty_frontier)
+    return graph
+
+
+def _link_empty_frontier(graph: DependencyGraph, rules: Iterable[CompiledRule]) -> None:
+    """Add :func:`build_support_graph`'s normal edges for the empty-frontier *rules*."""
+    for rule in rules:
         targets = [node for predicate, _ in rule.head for node in graph.add_predicate(predicate)]
         for predicate, _ in rule.body:
             for source in graph.add_predicate(predicate):
                 for target in targets:
                     graph.link(source, target, False)
-    return graph
 
 
-def _add_tgd_edges(graph: DependencyGraph, tgd: TGD) -> None:
-    """Add the nodes and dependency edges contributed by a single TGD to *graph*.
+def _link_rules(graph: DependencyGraph, rules: Iterable[CompiledRule]) -> List[CompiledRule]:
+    """Add the nodes and dependency edges of *rules* to *graph*; return the
+    rules with an empty frontier, which contribute nodes but no edge.
 
-    One walk over the compiled head collects, per frontier slot, the nodes it
+    Per rule, one walk over the head collects, per frontier slot, the nodes it
     occurs at (normal targets) and the nodes of the existential slots
     (special targets); one walk over the body links every frontier
-    occurrence to both.
+    occurrence to both.  Nodes are made head first, then body, atom by atom.
     """
-    rule = tgd.rule
-    normal_targets: Dict[int, List[int]] = {}
-    special_targets: List[int] = []
-    for predicate, slots in rule.head:
-        for node, slot in zip(graph.add_predicate(predicate), slots):
-            if slot >= 0:
-                normal_targets.setdefault(slot, []).append(node)
-            else:
-                special_targets.append(node)
-    link = graph.link
-    for predicate, slots in rule.body:
-        for source, slot in zip(graph.add_predicate(predicate), slots):
-            targets = normal_targets.get(slot)
-            if targets is None:
-                continue
-            for target in targets:
-                link(source, target, False)
-            for target in special_targets:
-                link(source, target, True)
+    add_predicate, link = graph.add_predicate, graph.link
+    empty_frontier: List[CompiledRule] = []
+    for rule in rules:
+        normal_targets: Dict[int, List[int]] = {}
+        special_targets: List[int] = []
+        for predicate, slots in rule.head:
+            for node, slot in zip(add_predicate(predicate), slots):
+                if slot >= 0:
+                    normal_targets.setdefault(slot, []).append(node)
+                else:
+                    special_targets.append(node)
+        if not normal_targets:
+            empty_frontier.append(rule)
+        for predicate, slots in rule.body:
+            for source, slot in zip(add_predicate(predicate), slots):
+                targets = normal_targets.get(slot)
+                if targets is None:
+                    continue
+                for target in targets:
+                    link(source, target, False)
+                for target in special_targets:
+                    link(source, target, True)
+    return empty_frontier
+
+
+def _build(tgds: TGDSet) -> Tuple[DependencyGraph, List[CompiledRule]]:
+    """``dg(Σ)`` numbered by ``sch(Σ)`` in sorted order, and the
+    empty-frontier rules (see :func:`_link_rules`)."""
+    graph = DependencyGraph(schema=tgds.schema())
+    return graph, _link_rules(graph, tgds.rules)
 
 
 def build_dependency_graph(tgds: TGDSet) -> DependencyGraph:
     """``BuildDepGraph(Σ)``: construct the dependency graph of a TGD set.
 
-    The construction streams over the TGDs once and touches each
+    The construction streams over the compiled rules once and touches each
     (frontier-variable occurrence, head occurrence) pair a constant number of
     times, i.e. it is linear in the size of the rule set, as required for the
     ``t-graph`` measurements of the paper.
     """
-    return extend_dependency_graph(DependencyGraph(schema=tgds.schema()), tgds)
+    return _build(tgds)[0]
 
 
 def extend_dependency_graph(graph: DependencyGraph, new_tgds: Iterable[TGD]) -> DependencyGraph:
@@ -312,6 +327,6 @@ def extend_dependency_graph(graph: DependencyGraph, new_tgds: Iterable[TGD]) -> 
     yields the same graph as building ``dg(Σ ∪ Σ')`` from scratch.  Returns
     *graph*.
     """
-    for tgd in new_tgds:
-        _add_tgd_edges(graph, tgd)
+    rules = new_tgds.rules if isinstance(new_tgds, TGDSet) else [tgd.rule for tgd in new_tgds]
+    _link_rules(graph, rules)
     return graph

@@ -14,7 +14,7 @@ Section 5.4:
 * the database shapes are obtained through a pluggable ``shape_source`` —
   either directly from a :class:`~repro.core.instances.Database`, or from the
   storage substrate's in-memory / in-database ``FindShapes`` implementations;
-* every TGD is compiled once into a :class:`~.plans.TransferPlan`, and an
+* every compiled rule is turned once into a :class:`~.plans.TransferPlan`, and an
   index from body predicates to plans provides fast access to the rules that
   can consume a newly derived shape;
 * at each iteration only the *new* shapes (``ΔS``) are processed — because the
@@ -64,7 +64,7 @@ class _Fixpoint:
 
     def run(self, new_shapes: Iterable[Shape], tgds: TGDSet) -> int:
         """Run the while loop from the frontier *new_shapes*; return the iteration count."""
-        plans = plans_by_body(tgds.tgds)
+        plans = plans_by_body(tgds.rules)
         shapes, rules, link = self.shapes, self.rules, self.graph.link
         delta: List[ShapeKey] = []
         for shape in new_shapes:

@@ -25,9 +25,9 @@ interpreter it replaced is the oracle in ``tests/simplification/reference.py``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..core.rules import compile_rule
+from ..core.rules import CompiledRule, compile_rule
 from ..core.tgds import TGD
 from ..exceptions import NotLinearError
 from .shapes import Shape
@@ -49,14 +49,13 @@ Transfer = Tuple[
 
 
 class TransferPlan:
-    """One linear TGD, compiled for :meth:`transfer`."""
+    """One linear rule, compiled for :meth:`transfer`."""
 
     __slots__ = ("label", "name", "arity", "_checks", "_names", "_firsts", "_existentials", "_heads")
 
-    def __init__(self, tgd: TGD):
-        if not tgd.is_linear():
-            raise NotLinearError(f"TGD {tgd!r} is not linear")
-        rule = tgd.rule
+    def __init__(self, rule: CompiledRule):
+        if len(rule.body) != 1:
+            raise NotLinearError(f"TGD {TGD.of(rule)!r} is not linear")
         ((predicate, body_slots),) = rule.body
         self.label = rule.label
         self.name = predicate.name
@@ -126,10 +125,10 @@ class TransferPlan:
         return TGD.of(compile_rule(body, head, self.label))
 
 
-def plans_by_body(tgds: Sequence[TGD]) -> Dict[Tuple[str, int], List[TransferPlan]]:
-    """Compile *tgds* into Section 5.4's index: body (name, arity) -> plans."""
+def plans_by_body(rules: Iterable[CompiledRule]) -> Dict[Tuple[str, int], List[TransferPlan]]:
+    """Compile *rules* into Section 5.4's index: body (name, arity) -> plans."""
     index: Dict[Tuple[str, int], List[TransferPlan]] = {}
-    for tgd in tgds:
-        plan = TransferPlan(tgd)
+    for rule in rules:
+        plan = TransferPlan(rule)
         index.setdefault((plan.name, plan.arity), []).append(plan)
     return index

@@ -29,7 +29,7 @@ def simplifications_of_tgd(tgd: TGD) -> Iterator[TGD]:
     of its arity that repeat an identifier wherever ``x̄`` repeats a variable;
     the transfer plan rejects the others.
     """
-    plan = TransferPlan(tgd)
+    plan = TransferPlan(tgd.rule)
     for identifiers in identifier_tuples_of_arity(plan.arity):
         simplified = plan.simplify(identifiers)
         if simplified is not None:

@@ -22,7 +22,7 @@ from typing import Union
 from ..core.instances import Database
 from ..core.parser import parse_rules
 from ..core.tgds import TGDSet
-from ..graph.dependency_graph import build_dependency_graph, build_support_graph
+from ..graph.dependency_graph import _build, _link_empty_frontier
 from ..graph.reachability import supports
 from ..graph.tarjan import find_special_sccs
 from .report import Stopwatch, TerminationReport, TimingBreakdown
@@ -50,7 +50,9 @@ def is_chase_finite_sl(
     tgds.require_simple_linear()
 
     with stopwatch.measure("t_graph"):
-        graph = build_dependency_graph(tgds)
+        # One walk over the compiled rules builds dg(Σ) and finds the
+        # empty-frontier rules.
+        graph, empty_frontier = _build(tgds)
 
     with stopwatch.measure("t_comp"):
         special_sccs = find_special_sccs(graph)
@@ -61,11 +63,11 @@ def is_chase_finite_sl(
             representatives = [scc.representative() for scc in special_sccs]
             # Empty-frontier TGDs contribute no edges to dg(Σ) but still
             # propagate derivability; the support check uses an augmented
-            # graph in that corner case (see build_support_graph).
-            if any(tgd.has_empty_frontier() for tgd in tgds):
-                support_graph = build_support_graph(tgds)
-            else:
-                support_graph = graph
+            # copy in that corner case (see build_support_graph).
+            support_graph = graph
+            if empty_frontier:
+                support_graph = graph.copy()
+                _link_empty_frontier(support_graph, empty_frontier)
             supported = supports(database, representatives, support_graph)
             finite = not supported
 

@@ -301,6 +301,16 @@ class TestScannerContract:
         # A repeated atom text compiles to the same slots over the same names.
         assert third.rule.body == first.rule.body and third.rule.names == first.rule.names
 
+    def test_rules_sharing_a_body_share_its_numbering_but_not_their_existentials(self):
+        text = "R(x,y), S(y,z) -> T(w,x)\nR(x,y), S(y,z) -> T(u,v), U(v,z)\nR(x,y), S(y,z) -> U(z,x)"
+        first, second, third = (tgd.rule for tgd in parse_rules(text))
+        assert first.body is second.body is third.body and first.names is second.names
+        assert (first.existentials, second.existentials, third.existentials) == (("w",), ("u", "v"), ())
+        assert second.head[1][1] == (~1, 2)
+        for line, rule in zip(text.splitlines(), (first, second, third)):
+            alone = parse_tgd(line).rule
+            assert (rule, rule.names, rule.existentials) == (alone, alone.names, alone.existentials)
+
     def test_parse_atom_reads_no_comments_and_no_trailing_dot(self):
         assert repr(parse_atom("R(a%b)", as_variable=False)) == "R(a%b)"
         with pytest.raises(ParseError):

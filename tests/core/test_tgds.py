@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.atoms import Atom
 from repro.core.parser import parse_rules, parse_tgd
-from repro.core.predicates import Predicate
+from repro.core.predicates import Predicate, Schema
 from repro.core.terms import Constant, Null, Variable
 from repro.core.tgds import TGD, TGDSet
 from repro.exceptions import NotLinearError, NotSimpleLinearError, ValidationError
@@ -153,3 +153,83 @@ class TestTGDSet:
         second = parse_rules("R(x,y) -> S(y,z)")
         assert first == second
         assert tuple(first)[0] in second
+
+
+class TestTGDSetHoldsCompiledRules:
+    """The set stores compiled rules; its TGD-facing behaviour is unchanged."""
+
+    TEXT = "R(x,y) -> S(y,z)\nS(x,y) -> R(y,x)\nR(x,x) -> T(x)\nR(x,y) -> S(y,z)"
+
+    def test_iteration_yields_equal_tgds_and_the_same_objects_each_time(self):
+        rules = parse_rules(self.TEXT)
+        first, second = list(rules), list(rules)
+        assert first == [parse_tgd(line) for line in self.TEXT.splitlines()[:3]]
+        assert all(a is b for a, b in zip(first, second))
+        assert rules.tgds == tuple(first)
+        assert [tgd.rule for tgd in first] == list(rules.rules)
+
+    def test_an_added_tgd_is_what_iteration_yields(self):
+        tgd = parse_tgd("R(x,y) -> S(y,z)")
+        rules = TGDSet([tgd])
+        assert next(iter(rules)) is tgd
+        assert rules.rules == (tgd.rule,)
+
+    def test_views_catch_up_with_rules_added_after_iteration(self):
+        rules = parse_rules("R(x,y) -> S(y,z)")
+        (first,) = rules
+        assert rules.add_rule(parse_tgd("S(x,y) -> R(y,x)").rule)
+        assert rules.add(parse_tgd("R(x,x) -> T(x)"))
+        assert list(rules)[0] is first
+        assert [str(tgd) for tgd in rules] == [
+            "R(?x, ?y) -> S(?y, ?z)", "S(?x, ?y) -> R(?y, ?x)", "R(?x, ?x) -> T(?x)"
+        ]
+
+    def test_membership_equality_length_and_duplicates(self):
+        rules = parse_rules(self.TEXT)
+        assert len(rules) == 3
+        assert parse_tgd("S(x,y) -> R(y,x)") in rules
+        assert parse_tgd("S(a,b) -> R(b,a)") not in rules  # equality reads variable names
+        assert "R(x,y) -> S(y,z)" not in rules
+        assert not rules.add(parse_tgd("R(x,y) -> S(y,z)", label="other"))
+        assert not rules.add_rule(parse_tgd("R(x,x) -> T(x)").rule)
+        assert len(rules) == 3
+        assert rules == TGDSet(reversed(list(rules)))
+        assert rules != parse_rules("R(x,y) -> S(y,z)")
+
+    def test_by_body_predicate_holds_the_iterated_tgds(self):
+        rules = parse_rules(self.TEXT)
+        index = rules.by_body_predicate()
+        assert index[Predicate("R", 2)] == [rules.tgds[0], rules.tgds[2]]
+        assert index[Predicate("R", 2)][0] is rules.tgds[0]
+
+    def test_a_pickle_round_trip(self):
+        rules = parse_rules(self.TEXT)
+        list(rules)
+        copy = pickle.loads(pickle.dumps(rules))
+        assert copy == rules and copy.tgds == rules.tgds and copy.rules == rules.rules
+        assert copy.schema() == rules.schema()
+        assert [tgd.label for tgd in copy] == ["r1", "r2", "r3"]
+
+    def test_the_declared_schema_equals_the_recomputed_one(self):
+        rules = parse_rules(self.TEXT + "\nN() -> P(z), N()")
+        recomputed = TGDSet(rules.tgds).schema()
+        assert rules.schema() == recomputed
+        assert rules.schema().predicates == recomputed.predicates
+
+    def test_mutating_the_returned_schema_does_not_change_the_next_call(self):
+        rules = parse_rules(self.TEXT)
+        schema = rules.schema()
+        schema.add(Predicate("Extra", 4))
+        assert "Extra" not in rules.schema()
+        assert rules.schema() is not rules.schema()
+
+    def test_a_given_schema_with_extra_predicates_stays_out(self):
+        given = Schema([Predicate("Extra", 4), Predicate("R", 2)])
+        rules = parse_rules(self.TEXT, schema=given)
+        assert "Extra" in given
+        assert {predicate.name for predicate in rules.schema()} == {"R", "S", "T"}
+
+    def test_a_later_add_recomputes_the_schema(self):
+        rules = parse_rules(self.TEXT)
+        rules.add(parse_tgd("T(x) -> U(x,y)"))
+        assert {predicate.name for predicate in rules.schema()} == {"R", "S", "T", "U"}

@@ -12,7 +12,7 @@ x, y, z = "x", "y", "z"  # transfer maps variable names
 class TestTransfer:
     """``R(x,y,x) -> S(y,z,x)``: the body repeats ``x`` at positions 1 and 3."""
 
-    PLAN = TransferPlan(parse_tgd("R(x,y,x) -> S(y,z,x)"))
+    PLAN = TransferPlan(parse_tgd("R(x,y,x) -> S(y,z,x)").rule)
 
     def test_matching_shape_transfers_as_it_is(self):
         # h = {x -> 1, y -> 2}: the identity specialization.
@@ -40,13 +40,13 @@ class TestTransfer:
 
     def test_the_representative_is_the_first_variable_of_its_class(self):
         # Shape (1,1): y maps to x although only y occurs in the head.
-        plan = TransferPlan(parse_tgd("R(x,y) -> S(y)"))
+        plan = TransferPlan(parse_tgd("R(x,y) -> S(y)").rule)
         body_terms, heads, normal, special = plan.transfer((1, 1))
         assert body_terms == (x,) and heads == (("S", (1,), (x,)),)
         assert normal == [(1, 0, 1)] and special == []
 
     def test_heads_share_their_existentials(self):
-        plan = TransferPlan(parse_tgd("R(x,y) -> S(x,z), T(z,y)"))
+        plan = TransferPlan(parse_tgd("R(x,y) -> S(x,z), T(z,y)").rule)
         body_terms, heads, normal, special = plan.transfer((1, 2))
         assert heads == (("S", (1, 2), (x, z)), ("T", (1, 2), (z, y)))
         assert sorted(normal) == [(1, 0, 1), (2, 1, 2)]
@@ -55,7 +55,7 @@ class TestTransfer:
         assert simplified.existential_variables() == {Variable(z)}
 
     def test_empty_frontier_and_nullary_atoms(self):
-        plan = TransferPlan(parse_tgd("N() -> P(z), N()"))
+        plan = TransferPlan(parse_tgd("N() -> P(z), N()").rule)
         assert (plan.name, plan.arity) == ("N", 0)
         body_terms, heads, normal, special = plan.transfer(())
         assert body_terms == ()
@@ -64,12 +64,12 @@ class TestTransfer:
         assert repr(plan.simplify(())) == "N__() -> P__1(?z), N__()"
 
     def test_the_label_follows_the_rule(self):
-        (rule,) = parse_rules("R(x,y) -> S(y,z)")
+        (rule,) = parse_rules("R(x,y) -> S(y,z)").rules
         assert TransferPlan(rule).simplify((1, 1)).label == rule.label is not None
 
     def test_plans_are_indexed_by_body_name_and_arity(self):
         rules = parse_rules("R(x,y) -> S(y,z)\nS(x,y) -> R(y,x)\nR(x,x) -> T(x)")
-        index = plans_by_body(rules.tgds)
+        index = plans_by_body(rules.rules)
         assert sorted(index) == [("R", 2), ("S", 2)]
         assert [plan.label for plan in index[("R", 2)]] == ["r1", "r3"]
 
