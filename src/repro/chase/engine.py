@@ -417,19 +417,11 @@ def chase(
     if materialize:
         result.materialize()
     if traced:
-        _emit_sql_families(tracer, statement_metrics)
+        if statement_metrics is not None:
+            for row in statement_metrics.rows():
+                tracer.emit("sql_family", **row)
         _emit_chase_end(tracer, result, chase_started)
     return result
-
-
-def _emit_sql_families(tracer: AnyTracer, statement_metrics: Optional["StatementMetrics"]) -> None:
-    """Emit one ``sql_family`` event per statement family that ran."""
-    if statement_metrics is None:
-        return
-    from ..obs.metrics import sql_family_stats
-
-    for stats in sql_family_stats(statement_metrics.registry.snapshot()):
-        tracer.emit("sql_family", **stats)
 
 
 def _emit_chase_end(tracer: AnyTracer, result: ChaseResult, started: float) -> None:

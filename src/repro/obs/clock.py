@@ -1,12 +1,13 @@
 """Injectable clocks: the one module of the tree allowed to read wall time.
 
-Everything that times anything — the tracer, the SQL statement metrics, the
-termination ``Stopwatch``, the CLI's elapsed line, the sweep runner — takes
-a :class:`Clock` and calls ``clock.now()``.  The two functions below are the
-only sanctioned wall-clock reads in ``src/repro``; reprolint's determinism
-rule enforces that tree-wide (clock calls anywhere else are findings), so
-the audit surface for "could timing leak into results?" is exactly this
-file.
+Everything that times anything reads time through this module: the tracer
+and the SQL statement metrics take a :class:`Clock` and call ``clock.now()``;
+the termination checkers' phases (``TimingBreakdown.measure``) and the CLI's
+elapsed line call :func:`perf_counter_s`; deadlines call :func:`monotonic_s`.
+The two functions below are the only sanctioned wall-clock reads in
+``src/repro``; reprolint's determinism rule enforces that tree-wide (clock
+calls anywhere else are findings), so the audit surface for "could timing
+leak into results?" is exactly this file.
 
 Tests inject :class:`ManualClock` to make every ``t``/``dur`` field of a
 trace deterministic.
@@ -67,6 +68,3 @@ class ManualClock(Clock):
     def advance(self, seconds: float) -> None:
         self._now += seconds
 
-
-#: Shared default used wherever no clock is injected.
-DEFAULT_CLOCK = MonotonicClock()

@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .events import TraceFormatError
+from .metrics import merge_family_row
 
 Event = Dict[str, object]
 
@@ -74,17 +75,7 @@ def hot_statements(events: Sequence[Event], top: Optional[int] = None) -> List[D
     """Per-family SQL totals over ``sql_family`` events, hottest first."""
     by_family: Dict[str, Dict[str, object]] = {}
     for event in _of_type(events, "sql_family"):
-        family = str(event["family"])
-        stats = by_family.setdefault(
-            family,
-            {"family": family, "statements": 0, "seconds_total": 0.0,
-             "seconds_max": 0.0, "rows_changed": 0, "rows_read": 0},
-        )
-        stats["statements"] = int(stats["statements"]) + int(event["statements"])  # type: ignore[call-overload]
-        stats["seconds_total"] = float(stats["seconds_total"]) + float(event["seconds_total"])  # type: ignore[arg-type]
-        stats["seconds_max"] = max(float(stats["seconds_max"]), float(event["seconds_max"]))  # type: ignore[arg-type]
-        stats["rows_changed"] = int(stats["rows_changed"]) + int(event["rows_changed"])  # type: ignore[call-overload]
-        stats["rows_read"] = int(stats["rows_read"]) + int(event["rows_read"])  # type: ignore[call-overload]
+        merge_family_row(by_family, event)
     ranked = sorted(
         by_family.values(),
         key=lambda stats: (-float(stats["seconds_total"]), str(stats["family"])),  # type: ignore[arg-type]

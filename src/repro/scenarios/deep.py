@@ -51,10 +51,6 @@ DEEP_SOURCE_PREDICATES = 1000
 DEEP_RULE_COUNTS = {"Deep-100": 4241, "Deep-200": 4541, "Deep-300": 4841}
 
 
-def _deep_predicates() -> List[Predicate]:
-    return [Predicate(f"deep_{index}", DEEP_ARITY) for index in range(1, DEEP_PREDICATES + 1)]
-
-
 def _source_tuple(rng: random.Random, shape_ids, index: int):
     """Build one source tuple with the requested shape."""
     block_count = max(shape_ids)

@@ -56,6 +56,7 @@ from __future__ import annotations
 import os
 import sqlite3
 from typing import (
+    TYPE_CHECKING,
     Collection,
     Dict,
     Iterable,
@@ -74,8 +75,10 @@ from ...core.indexing import Row
 from ...core.predicates import Predicate
 from ...core.terms import Constant, Null, Term
 from ...exceptions import StorageError, ValidationError
-from ...obs.metrics import StatementMetrics
 from ..relation import decode_value, encode_term
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ...obs.metrics import StatementMetrics
 
 #: The path spelling selecting a transient in-memory database.
 MEMORY_PATH = ":memory:"
@@ -393,10 +396,6 @@ class SqliteAtomStore:
         if existing is None or existing.arity != predicate.arity:
             return None
         return _quote(table_name(predicate.name))
-
-    def has_relation(self, predicate: Predicate) -> bool:
-        """``True`` when the catalog holds *predicate* with a matching arity."""
-        return self._table_for(predicate) is not None
 
     def _ensure_position_index(self, predicate: Predicate, position: int) -> None:
         """Create the covering index for ``(predicate, position)`` lazily.

@@ -5,7 +5,6 @@ from .linear import is_chase_finite_l
 from .materialization import is_chase_finite_materialization
 from .report import (
     MaterializationReport,
-    Stopwatch,
     TerminationReport,
     TimingBreakdown,
 )
@@ -15,7 +14,6 @@ from .weak_acyclicity import is_weakly_acyclic, is_weakly_acyclic_wrt
 __all__ = [
     "IncrementalLinearChecker",
     "MaterializationReport",
-    "Stopwatch",
     "TerminationReport",
     "TimingBreakdown",
     "is_chase_finite_l",

@@ -11,50 +11,21 @@ parameters:
 * ``t-total``  — the relevant sum (see Sections 7 and 8 for which parameters
   participate for SL and L).
 
-:class:`TimingBreakdown` carries those parameters (in seconds) and the
-report classes attach them to the boolean answer.
+:class:`TimingBreakdown` carries those parameters (in seconds), times the
+checkers' phases into them (:meth:`TimingBreakdown.measure`), and the report
+classes attach them to the boolean answer.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict, Iterator, Optional
 
 from ..obs.clock import perf_counter_s
 
 if TYPE_CHECKING:
     from ..simplification.dynamic import DynamicSimplificationResult
-
-
-class Stopwatch:
-    """A tiny named-phase stopwatch used by the checkers and the harness."""
-
-    def __init__(self):
-        self._durations: Dict[str, float] = {}
-
-    @contextmanager
-    def measure(self, phase: str):
-        """Context manager accumulating wall-clock time into *phase*."""
-        start = perf_counter_s()
-        try:
-            yield
-        finally:
-            self._durations[phase] = self._durations.get(phase, 0.0) + (
-                perf_counter_s() - start
-            )
-
-    def record(self, phase: str, seconds: float) -> None:
-        """Explicitly accumulate *seconds* into *phase*."""
-        self._durations[phase] = self._durations.get(phase, 0.0) + seconds
-
-    def get(self, phase: str) -> float:
-        """Return the accumulated seconds for *phase* (0.0 when never measured)."""
-        return self._durations.get(phase, 0.0)
-
-    def as_dict(self) -> Dict[str, float]:
-        """Return a copy of all measured phases."""
-        return dict(self._durations)
 
 
 @dataclass
@@ -81,6 +52,15 @@ class TimingBreakdown:
         """The db-dependent component of ``IsChaseFinite[L]`` (Section 8)."""
         return self.t_shapes
 
+    @contextmanager
+    def measure(self, phase: str) -> Iterator[None]:
+        """Add the wall-clock time of the ``with`` body to the field *phase*."""
+        start = perf_counter_s()
+        try:
+            yield
+        finally:
+            setattr(self, phase, getattr(self, phase) + (perf_counter_s() - start))
+
     def as_dict(self) -> Dict[str, float]:
         """Return all parameters plus the derived totals."""
         return {
@@ -92,16 +72,6 @@ class TimingBreakdown:
             "db_independent": self.db_independent,
             "db_dependent": self.db_dependent,
         }
-
-    @classmethod
-    def from_stopwatch(cls, stopwatch: Stopwatch) -> "TimingBreakdown":
-        """Build a breakdown from a stopwatch with phases named after the parameters."""
-        return cls(
-            t_parse=stopwatch.get("t_parse"),
-            t_shapes=stopwatch.get("t_shapes"),
-            t_graph=stopwatch.get("t_graph"),
-            t_comp=stopwatch.get("t_comp"),
-        )
 
 
 @dataclass

@@ -25,7 +25,7 @@ from ..core.tgds import TGDSet
 from ..graph.dependency_graph import _build, _link_empty_frontier
 from ..graph.reachability import supports
 from ..graph.tarjan import find_special_sccs
-from .report import Stopwatch, TerminationReport, TimingBreakdown
+from .report import TerminationReport, TimingBreakdown
 
 
 def is_chase_finite_sl(
@@ -42,19 +42,19 @@ def is_chase_finite_sl(
         The set ``Σ`` of simple-linear TGDs, or the text of a rule program
         (in which case parsing is measured as ``t-parse``).
     """
-    stopwatch = Stopwatch()
+    timings = TimingBreakdown()
 
     if isinstance(tgds, str):
-        with stopwatch.measure("t_parse"):
+        with timings.measure("t_parse"):
             tgds = parse_rules(tgds)
     tgds.require_simple_linear()
 
-    with stopwatch.measure("t_graph"):
+    with timings.measure("t_graph"):
         # One walk over the compiled rules builds dg(Σ) and finds the
         # empty-frontier rules.
         graph, empty_frontier = _build(tgds)
 
-    with stopwatch.measure("t_comp"):
+    with timings.measure("t_comp"):
         special_sccs = find_special_sccs(graph)
         if not special_sccs:
             finite = True
@@ -74,7 +74,7 @@ def is_chase_finite_sl(
     return TerminationReport(
         finite=finite,
         algorithm="IsChaseFinite[SL]",
-        timings=TimingBreakdown.from_stopwatch(stopwatch),
+        timings=timings,
         statistics={
             "n_rules": len(tgds),
             "n_nodes": len(graph),

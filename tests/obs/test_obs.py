@@ -9,7 +9,6 @@ runs byte-identical to untraced ones.
 from __future__ import annotations
 
 import io
-import json
 
 import pytest
 
@@ -20,7 +19,6 @@ from repro.obs import (
     JsonlTraceSink,
     ListTraceSink,
     ManualClock,
-    MetricsRegistry,
     MonotonicClock,
     StatementMetrics,
     TraceFormatError,
@@ -31,9 +29,9 @@ from repro.obs import (
     read_trace,
     render_report,
     round_totals,
-    sql_family_stats,
     validate_event,
 )
+from repro.obs.metrics import merge_family_row
 
 
 class TestClocks:
@@ -54,39 +52,13 @@ class TestClocks:
         assert readings == sorted(readings)
 
 
-class TestMetricsRegistry:
-    def test_counters_and_histograms_accumulate(self):
-        registry = MetricsRegistry()
-        registry.counter("hits", family="a").add()
-        registry.counter("hits", family="a").add(4)
-        registry.histogram("seconds", family="a").observe(0.25)
-        registry.histogram("seconds", family="a").observe(0.75)
-        snapshot = registry.snapshot()
-        assert snapshot["counters"] == [
-            {"name": "hits", "labels": {"family": "a"}, "value": 5}
-        ]
-        (histogram,) = snapshot["histograms"]
-        assert histogram["count"] == 2
-        assert histogram["total"] == 1.0
-        assert histogram["max"] == 0.75
-
-    def test_snapshot_is_sorted_and_json_able(self):
-        registry = MetricsRegistry()
-        registry.counter("z", family="b").add()
-        registry.counter("a", family="c").add()
-        registry.counter("a", family="b").add()
-        snapshot = registry.snapshot()
-        names = [(entry["name"], entry["labels"]["family"]) for entry in snapshot["counters"]]
-        assert names == [("a", "b"), ("a", "c"), ("z", "b")]
-        json.dumps(snapshot)  # must not raise
-
+class TestStatementMetrics:
     def test_statement_metrics_records_through_an_injected_clock(self):
         clock = ManualClock(step=0.25)
         metrics = StatementMetrics(clock=clock)
         started = metrics.start()
         metrics.record("trigger-join", started, rows_read=7)
-        rows = sql_family_stats(metrics.registry.snapshot())
-        assert rows == [
+        assert metrics.rows() == [
             {
                 "family": "trigger-join",
                 "statements": 1,
@@ -97,12 +69,39 @@ class TestMetricsRegistry:
             }
         ]
 
-    def test_sql_family_stats_sorts_by_family(self):
+    def test_rows_are_sorted_by_family(self):
         metrics = StatementMetrics(clock=ManualClock())
         for family in ("pushdown-stage", "trigger-join", "pushdown-apply"):
             metrics.record(family, 0.0, rows_changed=1)
-        families = [row["family"] for row in sql_family_stats(metrics.registry.snapshot())]
+        families = [row["family"] for row in metrics.rows()]
         assert families == sorted(families)
+
+    def test_a_family_sums_counts_and_seconds_and_keeps_the_max(self):
+        clock = ManualClock()
+        metrics = StatementMetrics(clock=clock)
+        for seconds, changed in ((0.5, 2), (0.25, 3)):
+            started = metrics.start()
+            clock.advance(seconds)
+            metrics.record("pushdown-apply", started, rows_changed=changed)
+        (row,) = metrics.rows()
+        assert row["statements"] == 2
+        assert row["seconds_total"] == 0.75
+        assert row["seconds_max"] == 0.5
+        assert row["rows_changed"] == 5
+        assert row["rows_read"] == 0
+
+    def test_merge_family_row_adds_into_the_totals_without_touching_the_row(self):
+        row = {"type": "sql_family", "family": "ddl", "statements": 2,
+               "seconds_total": 0.5, "seconds_max": 0.375, "rows_changed": 1,
+               "rows_read": 4}
+        totals = {}
+        merge_family_row(totals, row)
+        merge_family_row(totals, dict(row, seconds_max=0.125))
+        assert totals == {
+            "ddl": {"family": "ddl", "statements": 4, "seconds_total": 1.0,
+                    "seconds_max": 0.375, "rows_changed": 2, "rows_read": 8}
+        }
+        assert row["statements"] == 2
 
 
 class TestEventSchema:

@@ -16,7 +16,6 @@ from repro.termination.linear import is_chase_finite_l
 from repro.termination.materialization import is_chase_finite_materialization
 from repro.termination.report import (
     MaterializationReport,
-    Stopwatch,
     TerminationReport,
     TimingBreakdown,
 )
@@ -26,23 +25,6 @@ from repro.termination.weak_acyclicity import is_weakly_acyclic, is_weakly_acycl
 INFINITE_RULES = "R(x,y) -> R(y,z)\n"
 FINITE_RULES = "R(x,y) -> S(y,z)\nS(x,y) -> T(x)\n"
 FACTS = "R(a,b).\n"
-
-
-class TestStopwatch:
-    def test_record_accumulates_and_get_defaults_to_zero(self):
-        stopwatch = Stopwatch()
-        assert stopwatch.get("t_parse") == 0.0
-        stopwatch.record("t_parse", 0.25)
-        stopwatch.record("t_parse", 0.5)
-        assert stopwatch.get("t_parse") == 0.75
-        assert stopwatch.as_dict() == {"t_parse": 0.75}
-
-    def test_measure_and_record_share_a_phase(self):
-        stopwatch = Stopwatch()
-        with stopwatch.measure("t_graph"):
-            pass
-        stopwatch.record("t_graph", 1.0)
-        assert stopwatch.get("t_graph") >= 1.0
 
 
 class TestTimingBreakdown:
@@ -55,17 +37,6 @@ class TestTimingBreakdown:
         assert as_dict["t_total"] == 15.0
         assert as_dict["db_independent"] == 13.0
         assert as_dict["db_dependent"] == 2.0
-
-    def test_from_stopwatch_reads_the_parameter_phases(self):
-        stopwatch = Stopwatch()
-        stopwatch.record("t_parse", 0.5)
-        stopwatch.record("t_comp", 0.25)
-        stopwatch.record("unrelated", 9.0)
-        timings = TimingBreakdown.from_stopwatch(stopwatch)
-        assert timings.t_parse == 0.5
-        assert timings.t_comp == 0.25
-        assert timings.t_shapes == 0.0
-        assert timings.t_total == 0.75
 
 
 class TestReportTruthiness:

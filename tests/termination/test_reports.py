@@ -1,39 +1,12 @@
-"""Unit tests for timing reports and the stopwatch."""
+"""Unit tests for timing reports."""
 
-import time
+import pytest
 
 from repro.termination.report import (
     MaterializationReport,
-    Stopwatch,
     TerminationReport,
     TimingBreakdown,
 )
-
-
-class TestStopwatch:
-    def test_measure_accumulates(self):
-        stopwatch = Stopwatch()
-        with stopwatch.measure("phase"):
-            time.sleep(0.001)
-        with stopwatch.measure("phase"):
-            time.sleep(0.001)
-        assert stopwatch.get("phase") >= 0.002
-        assert stopwatch.get("other") == 0.0
-
-    def test_measure_records_on_exception(self):
-        stopwatch = Stopwatch()
-        try:
-            with stopwatch.measure("phase"):
-                raise RuntimeError("boom")
-        except RuntimeError:
-            pass
-        assert stopwatch.get("phase") > 0
-
-    def test_record_and_as_dict(self):
-        stopwatch = Stopwatch()
-        stopwatch.record("t_parse", 1.5)
-        stopwatch.record("t_parse", 0.5)
-        assert stopwatch.as_dict() == {"t_parse": 2.0}
 
 
 class TestTimingBreakdown:
@@ -46,14 +19,25 @@ class TestTimingBreakdown:
         assert as_dict["t_total"] == 7.5
         assert as_dict["db_dependent"] == 4.0
 
-    def test_from_stopwatch(self):
-        stopwatch = Stopwatch()
-        stopwatch.record("t_parse", 0.25)
-        stopwatch.record("t_comp", 0.75)
-        timings = TimingBreakdown.from_stopwatch(stopwatch)
-        assert timings.t_parse == 0.25
-        assert timings.t_comp == 0.75
-        assert timings.t_shapes == 0.0
+    def test_measure_accumulates_into_the_named_field(self, monkeypatch):
+        readings = iter([1.0, 1.5, 3.0, 3.25])
+        monkeypatch.setattr("repro.termination.report.perf_counter_s", lambda: next(readings))
+        timings = TimingBreakdown()
+        with timings.measure("t_graph"):
+            pass
+        with timings.measure("t_graph"):
+            pass
+        assert timings.t_graph == 0.75
+        assert timings.t_parse == timings.t_shapes == timings.t_comp == 0.0
+
+    def test_measure_records_on_exception(self, monkeypatch):
+        readings = iter([2.0, 2.5])
+        monkeypatch.setattr("repro.termination.report.perf_counter_s", lambda: next(readings))
+        timings = TimingBreakdown()
+        with pytest.raises(RuntimeError, match="boom"):
+            with timings.measure("t_comp"):
+                raise RuntimeError("boom")
+        assert timings.t_comp == 0.5
 
 
 class TestReports:

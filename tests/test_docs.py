@@ -228,6 +228,25 @@ class TestRetiredEstate:
             "atom_count", "iter_atoms",
         }
 
+    def test_one_phase_timer_and_one_family_row(self):
+        # Checkers time phases into TimingBreakdown; a statement family is
+        # one sql_family row.  The stopwatch and the metrics registry stay gone.
+        import repro.obs
+        import repro.termination
+
+        assert not hasattr(repro.termination, "Stopwatch")
+        for name in ("Counter", "Histogram", "MetricsRegistry", "sql_family_stats",
+                     "DEFAULT_CLOCK"):
+            assert not hasattr(repro.obs, name), name
+        offenders = [
+            f"{path}: {banned}"
+            for path, text in _text_files("README.md", "ARCHITECTURE.md", "docs", "src", "tools")
+            for banned in ("Stopwatch", "MetricsRegistry", "sql_family_stats", "Histogram",
+                           "DEFAULT_CLOCK")
+            if banned in text
+        ]
+        assert not offenders, offenders
+
     def test_the_store_protocol_is_rows(self):
         # Backends speak rows; atoms are built by Instance (the value type)
         # and InstanceView (the adapter over any store), nowhere else.

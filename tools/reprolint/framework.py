@@ -29,7 +29,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 #: ``# reprolint: disable=rule-a,rule-b -- justification``
 WAIVER_RE = re.compile(
@@ -302,32 +302,3 @@ def render_json(report: LintReport, stream=None) -> None:
     stream = stream if stream is not None else sys.stdout
     json.dump(report.as_dict(), stream, indent=2, sort_keys=True)
     stream.write("\n")
-
-
-class Iterators:
-    """Small shared AST helpers used by several checkers."""
-
-    @staticmethod
-    def walk_functions(tree: ast.AST) -> Iterator[ast.AST]:
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield node
-
-    @staticmethod
-    def is_self_attr(node: ast.AST, attr: str) -> bool:
-        return (
-            isinstance(node, ast.Attribute)
-            and node.attr == attr
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "self"
-        )
-
-    @staticmethod
-    def call_name(node: ast.Call) -> str:
-        """The rightmost name of a call target (``a.b.c() -> 'c'``)."""
-        func = node.func
-        if isinstance(func, ast.Attribute):
-            return func.attr
-        if isinstance(func, ast.Name):
-            return func.id
-        return ""
