@@ -62,11 +62,7 @@ def static_simplification_size_bound(tgds: TGDSet) -> int:
     ``B(k)`` simplifications (Definition 3.5).
     """
     tgds.require_linear()
-    total = 0
-    for tgd in tgds:
-        distinct_vars = len(set(tgd.body_atom().terms))
-        total += bell_number(distinct_vars)
-    return total
+    return sum(bell_number(len(rule.names)) for rule in tgds.rules)
 
 
 @dataclass(frozen=True)
@@ -131,7 +127,7 @@ def chase_size_bound(database: Database, tgds: TGDSet, cap: int = DEFAULT_CAP) -
     schema = tgds.schema().union(database.schema())
     n_positions = max(1, len(schema.positions()))
     max_arity = max(1, schema.max_arity())
-    max_existentials = max((len(t.existential_variables()) for t in tgds), default=0)
+    max_existentials = max((len(rule.existentials) for rule in tgds.rules), default=0)
     simple_size = static_simplification_size_bound(tgds)
     per_round_factor, saturated = _saturating_mul(simple_size, max(1, max_existentials), cap)
 

@@ -32,15 +32,16 @@ returns without ever loading a store-backed fixpoint into RAM.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Type
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Set, Type
 
 from ..core.indexing import Row
 from ..core.instances import Database, Instance
 from ..core.predicates import Predicate
 from ..core.terms import Null, NullFactory
-from ..core.tgds import TGD, TGDSet
+from ..core.rules import CompiledRule
+from ..core.tgds import TGDSet
 from ..obs.tracer import AnyTracer, as_tracer
-from .matching import STRATEGIES, IndexedTriggerSource, make_trigger_source
+from .matching import STRATEGIES, IndexedTriggerSource
 from .result import ChaseLimits, ChaseResult
 from .rounds import Delta, RoundOutcome, RoundStep, RuleRow, run_rounds, seed_store
 from .triggers import FiringKey, FiringPlan
@@ -90,10 +91,10 @@ class ChaseEngine:
     #: The witness a trigger is keyed by — its firing key and the scope of
     #: the nulls it invents (see :class:`~repro.chase.triggers.FiringPlan`).
     null_scope = "frontier"
-    #: Builds the round matches from the rule tuple: ``initial(store)`` and
-    #: ``delta(store, delta)`` yield ``(rule index, slot tuple)`` pairs
+    #: Builds the round matches from the compiled rules: ``initial(store)``
+    #: and ``delta(store, delta)`` yield ``(rule index, slot tuple)`` pairs
     #: (:data:`~repro.chase.matching.Match`).
-    trigger_source: Callable[[Sequence[TGD]], Any] = IndexedTriggerSource
+    trigger_source: Callable[[Sequence[CompiledRule]], Any] = IndexedTriggerSource
 
     def __init__(self, limits: Optional[ChaseLimits] = None, on_limit: str = "return") -> None:
         if on_limit not in ("return", "raise"):
@@ -105,7 +106,7 @@ class ChaseEngine:
     # Variant-specific policy
 
     def _should_fire(self, plan: FiringPlan, key: FiringKey, store: "AtomStore") -> bool:
-        """Return ``True`` when the newly keyed trigger *key* of ``plan.tgd`` must fire."""
+        """Return ``True`` when the newly keyed trigger *key* of ``plan.rule`` must fire."""
         return True
 
     # ------------------------------------------------------------------ #
@@ -114,11 +115,13 @@ class ChaseEngine:
     def run(
         self,
         database: Database,
-        tgds: Iterable[TGD],
+        tgds: TGDSet,
         store: Optional["AtomStore"] = None,
         tracer: Optional[AnyTracer] = None,
     ) -> ChaseResult:
         """Run the chase of *database* with *tgds* under the configured budget.
+
+        The engine reads the set's compiled rules (``tgds.rules``).
 
         *store* is the :class:`~repro.storage.atom_store.AtomStore` the
         chase writes into; it defaults to a fresh in-memory
@@ -140,11 +143,11 @@ class ChaseEngine:
         if store is None:
             store = Instance()
         seed_store(store, database)
-        step = self._round_step(tuple(tgds), store, active)
+        step = self._round_step(tgds.rules, store, active)
         return run_rounds(step, store, self.limits, self.on_limit, self.variant, active)
 
     def _round_step(
-        self, tgds: Sequence[TGD], store: "AtomStore", tracer: AnyTracer
+        self, rules: Sequence[CompiledRule], store: "AtomStore", tracer: AnyTracer
     ) -> RoundStep:
         """The serial round step: this engine's trigger source and firing policy.
 
@@ -153,8 +156,8 @@ class ChaseEngine:
         invention, atom creation) and read the clock around each trigger —
         nothing read there flows into any chase decision.
         """
-        source = self.trigger_source(tgds)
-        plans = [FiringPlan(tgd, index, self.null_scope) for index, tgd in enumerate(tgds)]
+        source = self.trigger_source(rules)
+        plans = [FiringPlan(rule, index, self.null_scope) for index, rule in enumerate(rules)]
         null_factory = NullFactory()
         should_fire = self._should_fire
         has_row = store.has_row
@@ -437,10 +440,11 @@ def _emit_chase_end(tracer: AnyTracer, result: ChaseResult, started: float) -> N
     )
 
 
-def satisfies(instance: "AtomStore", tgds: Iterable[TGD]) -> bool:
+def satisfies(instance: "AtomStore", tgds: TGDSet) -> bool:
     """Return ``True`` when *instance* satisfies every TGD of *tgds* (``I |= Σ``)."""
-    plans = [FiringPlan(tgd, index) for index, tgd in enumerate(tgds)]
-    for index, values in make_trigger_source([plan.tgd for plan in plans]).initial(instance):
+    rules = tgds.rules
+    plans = [FiringPlan(rule, index) for index, rule in enumerate(rules)]
+    for index, values in IndexedTriggerSource(rules).initial(instance):
         plan = plans[index]
         if not plan.head_holds(plan.key(values), instance):
             return False

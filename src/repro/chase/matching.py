@@ -51,10 +51,10 @@ from ..core.indexing import Row
 from ..core.predicates import Predicate
 from ..core.rules import CompiledAtom, CompiledRule, number_atoms
 from ..core.terms import Term, is_ground
-from ..core.tgds import TGD
 from .rounds import Delta
 
 if TYPE_CHECKING:  # pragma: no cover - typing only; keeps storage out of module load
+    from ..core.tgds import TGD
     from ..storage.atom_store import AtomStore
 
 #: One enumerated trigger as the firing loops consume it: ``(rule index, body
@@ -283,16 +283,16 @@ class JoinPlan:
 class IndexedTriggerSource:
     """Delta-driven enumeration through :class:`JoinPlan` index joins.
 
-    For every TGD body atom slot whose predicate has delta rows, the
-    precomputed plan for that slot is executed with each of them as seed,
-    so a round enumerates only the triggers its delta created.  ``initial``
-    enumerates every trigger on the seed store (round 0); both yield
-    :data:`Match` pairs.
+    Built from the compiled rules (a :class:`~repro.core.tgds.TGDSet`'s
+    ``rules``), not from :class:`~repro.core.tgds.TGD` views.  For every
+    body atom slot whose predicate has delta rows, the precomputed plan for
+    that slot is executed with each of them as seed, so a round enumerates
+    only the triggers its delta created.  ``initial`` enumerates every
+    trigger on the seed store (round 0); both yield :data:`Match` pairs.
     """
 
-    def __init__(self, tgds: Sequence[TGD]) -> None:
-        self.tgds = tuple(tgds)
-        self._patterns = [Pattern.of(tgd.rule) for tgd in self.tgds]
+    def __init__(self, rules: Sequence[CompiledRule]) -> None:
+        self._patterns = [Pattern.of(rule) for rule in rules]
         self._slots: Dict[Predicate, List[Tuple[int, JoinPlan]]] = {}
         for index, pattern in enumerate(self._patterns):
             for slot, (predicate, _) in enumerate(pattern.atoms):
@@ -319,6 +319,6 @@ class IndexedTriggerSource:
                         yield index, values
 
 
-def make_trigger_source(tgds: Sequence[TGD]) -> IndexedTriggerSource:
+def make_trigger_source(tgds: Iterable["TGD"]) -> IndexedTriggerSource:
     """Build the trigger source the chase engines enumerate *tgds* with."""
-    return IndexedTriggerSource(tgds)
+    return IndexedTriggerSource([tgd.rule for tgd in tgds])

@@ -125,12 +125,11 @@ def _key_rule(key: object) -> int:
 class _PlanEntry:
     """One (TGD, body slot) join plan with its stable identifier."""
 
-    __slots__ = ("plan_id", "tgd_index", "tgd", "plan", "seed_predicate")
+    __slots__ = ("plan_id", "tgd_index", "plan", "seed_predicate")
 
-    def __init__(self, plan_id: int, tgd_index: int, tgd: TGD, plan: JoinPlan) -> None:
+    def __init__(self, plan_id: int, tgd_index: int, plan: JoinPlan) -> None:
         self.plan_id = plan_id
         self.tgd_index = tgd_index
-        self.tgd = tgd
         self.plan = plan
         self.seed_predicate = plan.body[plan.seed_slot][0]
 
@@ -150,7 +149,7 @@ class _PlanTable:
         self.initial_entries: List[_PlanEntry] = []
         for tgd_index, tgd in enumerate(self.tgds):
             for slot, (predicate, _) in enumerate(tgd.rule.body):
-                entry = _PlanEntry(len(self.entries), tgd_index, tgd, JoinPlan(tgd.rule, slot))
+                entry = _PlanEntry(len(self.entries), tgd_index, JoinPlan(tgd.rule, slot))
                 self.entries.append(entry)
                 self.by_predicate.setdefault(predicate, []).append(entry)
                 if slot == 0:
@@ -182,7 +181,7 @@ class _MatchWorker:
         self.table = _PlanTable(tgds)
         self.policy: ChaseEngine = resolve_engine_class(variant)()
         self.firing_plans = [
-            FiringPlan(tgd, index, self.policy.null_scope)
+            FiringPlan(tgd.rule, index, self.policy.null_scope)
             for index, tgd in enumerate(self.table.tgds)
         ]
         self.null_factory = NullFactory()
@@ -613,7 +612,7 @@ class _ProcessPool:
         self.workers = workers
         null_scope = resolve_engine_class(variant).null_scope
         self._firing_plans = [
-            FiringPlan(tgd, index, null_scope) for index, tgd in enumerate(tgds)
+            FiringPlan(tgd.rule, index, null_scope) for index, tgd in enumerate(tgds)
         ]
         interned: Dict[Any, Any] = {}
         self._wires = [_Wire(interned) for _ in range(workers)]
@@ -775,7 +774,9 @@ class _CoordinatorStep:
         self._tracer = tracer
         self._fired_keys: Set[object] = set()
         null_scope = resolve_engine_class(variant).null_scope
-        self._plans = [FiringPlan(tgd, index, null_scope) for index, tgd in enumerate(table.tgds)]
+        self._plans = [
+            FiringPlan(tgd.rule, index, null_scope) for index, tgd in enumerate(table.tgds)
+        ]
         # predicate -> (every replica holds it in full, the plans it seeds);
         # a predicate no rule reads has no route and is never shipped.
         full, partitioned = replica_seed_split(table.tgds, variant)

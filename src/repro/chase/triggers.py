@@ -15,8 +15,8 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Sequence, Tuple
 
 from ..core.indexing import Row
 from ..core.predicates import Predicate
+from ..core.rules import CompiledRule
 from ..core.terms import NullFactory, NullKeyRenderer, Term
-from ..core.tgds import TGD
 from .matching import Pattern
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -46,12 +46,13 @@ def _picker(slots: Sequence[int]) -> Callable[[Sequence[Term]], Row]:
 class FiringPlan:
     """Everything about firing one TGD that depends only on the rule.
 
-    Compiled once per rule and run, so a match — a body homomorphism as the
-    slot tuple :mod:`repro.chase.matching` yields — becomes its firing key
-    and its ``result(σ, h)`` without re-deriving, per trigger, which
-    variables are frontier, their order, or which head slots are
-    existential.  The one implementation of both: every firing loop calls
-    :meth:`key`, then :meth:`values` and :meth:`head_rows`.
+    Compiled once from the rule's :class:`~repro.core.rules.CompiledRule`
+    (:attr:`rule`; no :class:`~repro.core.tgds.TGD` view is decoded), so a
+    match — a body homomorphism as the slot tuple :mod:`repro.chase.matching`
+    yields — becomes its firing key and its ``result(σ, h)`` without
+    re-deriving, per trigger, which variables are frontier, their order, or
+    which head slots are existential.  The one implementation of both: every
+    firing loop calls :meth:`key`, then :meth:`values` and :meth:`head_rows`.
 
     ``null_scope`` selects the witness: ``"frontier"`` is ``h|fr(σ)`` — the
     semi-oblivious firing key and the null naming ``⊥^x_{σ, h|fr(σ)}`` of
@@ -61,15 +62,14 @@ class FiringPlan:
     """
 
     __slots__ = (
-        "tgd", "index", "witness", "witness_names", "width", "_witness", "_existential",
+        "rule", "index", "witness", "witness_names", "width", "_witness", "_existential",
         "_null_keys", "_head", "_head_pattern",
     )
 
-    def __init__(self, tgd: TGD, index: int, null_scope: str = "frontier") -> None:
+    def __init__(self, rule: CompiledRule, index: int, null_scope: str = "frontier") -> None:
         if null_scope not in ("frontier", "homomorphism"):
             raise ValueError("null_scope must be 'frontier' or 'homomorphism'")
-        rule = tgd.rule
-        self.tgd = tgd
+        self.rule = rule
         self.index = index
         #: The body slots of the witness variables, sorted by name.
         self.witness = rule.witness(null_scope)

@@ -14,12 +14,15 @@ chase round — firing keys, null naming, and the breadth-first driver
 (:func:`repro.chase.rounds.run_rounds`) — so its result is byte-identical
 to every engine's, null names included.  The one seam is
 :attr:`ChaseEngine.trigger_source`: each reference engine subclasses the
-product's engine for its variant and swaps in :class:`NaiveTriggerSource`,
-which searches over atoms and dicts and converts each homomorphism to the
-rule's slot tuple (the body slot order of
-:attr:`TGD.rule <repro.core.tgds.TGD.rule>`) only at that seam.  Its
-searches read a :class:`_Snapshot` — the store's atoms per predicate,
-decoded once per round — instead of the store.
+product's engine for its variant and swaps in :class:`NaiveTriggerSource`.
+The product's engines read compiled rules only; the reference decodes each
+:class:`~repro.core.rules.CompiledRule` it is handed into a
+:class:`~repro.core.tgds.TGD` view (``TGD.of``) itself, searches over its
+atoms and dicts, and converts each homomorphism back to the rule's slot
+tuple (its body slot order) only at that seam; the restricted reference
+decodes the heads it checks the same way.  Its searches read a
+:class:`_Snapshot` — the store's atoms per predicate, decoded once per
+round — instead of the store.
 """
 
 from __future__ import annotations
@@ -40,13 +43,15 @@ from typing import (
 from ..chase.engine import ObliviousChase, RestrictedChase, SemiObliviousChase
 from ..chase.matching import Match
 from ..chase.result import ChaseLimits, ChaseResult
-from ..chase.rounds import Delta
+from ..chase.rounds import Delta, RoundStep
 from ..chase.triggers import FiringKey, FiringPlan
 from ..core.atoms import Atom, atom_sort_key, match_atom
 from ..core.instances import Database
 from ..core.predicates import Predicate
+from ..core.rules import CompiledRule
 from ..core.terms import Term, Variable
 from ..core.tgds import TGD, TGDSet
+from ..obs.tracer import AnyTracer
 from ..storage.atom_store import AtomStore
 
 #: A match as the reference finds it: ``(rule index, body homomorphism as a dict)``.
@@ -146,10 +151,10 @@ def triggers_on(
 
 class NaiveTriggerSource:
     """The reference round enumeration: :func:`triggers_on` per round, over a
-    :class:`_Snapshot` of the store."""
+    :class:`_Snapshot` of the store, on the TGD views of *rules*."""
 
-    def __init__(self, tgds: Sequence[TGD]) -> None:
-        self.tgds = tuple(tgds)
+    def __init__(self, rules: Sequence[CompiledRule]) -> None:
+        self.tgds = tuple(map(TGD.of, rules))
         self._slots = [tuple(map(Variable, tgd.rule.names)) for tgd in self.tgds]
 
     def _matches(self, triggers: Iterator[DictMatch]) -> Iterator[Match]:
@@ -175,13 +180,20 @@ class ReferenceSemiObliviousChase(SemiObliviousChase):
 class ReferenceRestrictedChase(RestrictedChase):
     trigger_source = NaiveTriggerSource
     _snapshot: Optional[_Snapshot] = None
+    _heads: Sequence[Tuple[Atom, ...]] = ()
+
+    def _round_step(
+        self, rules: Sequence[CompiledRule], store: AtomStore, tracer: AnyTracer
+    ) -> RoundStep:
+        self._heads = [TGD.of(rule).head for rule in rules]
+        return super()._round_step(rules, store, tracer)
 
     def _should_fire(self, plan: FiringPlan, key: FiringKey, store: AtomStore) -> bool:
         snapshot = self._snapshot
         if snapshot is None or snapshot.store is not store or snapshot.size != store.atom_count():
             snapshot = self._snapshot = _Snapshot(store)
         base = dict(zip(map(Variable, plan.witness_names), key[1]))
-        return not has_homomorphism(plan.tgd.head, snapshot, base=base)
+        return not has_homomorphism(self._heads[plan.index], snapshot, base=base)
 
 
 #: Chase variant -> reference engine class.

@@ -49,8 +49,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..core.atoms import Atom
 from ..core.instances import Database
 from ..core.predicates import Predicate
-from ..core.terms import Constant, Variable
-from ..core.tgds import TGD, TGDSet
+from ..core.rules import CompiledRule, compile_rule
+from ..core.terms import Constant
+from ..core.tgds import TGDSet
 from ..exceptions import ExperimentConfigError
 
 #: Constant names chosen to break naive quoting, comment stripping, store
@@ -71,8 +72,8 @@ GNARLY_CONSTANTS: Tuple[str, ...] = (
     "",  # replaced by "empty" below; kept out of the pool
 )[:-1]
 
-_X = [Variable(f"x{i}") for i in range(1, 6)]
-_Z = [Variable(f"z{i}") for i in range(1, 4)]
+_X = [f"x{i}" for i in range(1, 6)]
+_Z = [f"z{i}" for i in range(1, 4)]
 
 
 @dataclass(frozen=True)
@@ -111,7 +112,9 @@ def _scaled(base: int, scale: float, minimum: int = 1) -> int:
 # --------------------------------------------------------------------- #
 # Families
 
-_BUILDERS: Dict[str, Callable[[random.Random, float], Tuple[TGDSet, Database, str]]] = {}
+#: What a family builder returns: its rules, its database and its notes.
+_Family = Tuple[List[CompiledRule], Database, str]
+_BUILDERS: Dict[str, Callable[[random.Random, float], _Family]] = {}
 
 
 def _family(name: str):
@@ -128,36 +131,31 @@ def _termination_boundary(rng: random.Random, scale: float):
     length = _scaled(3, scale, minimum=2)
     predicates = [Predicate(f"B{i}", 2) for i in range(length)]
     x, y = _X[0], _X[1]
-    rules: List[TGD] = []
-    for i in range(length - 1):
-        rules.append(
-            TGD(
-                (Atom(predicates[i], (x, y)),),
-                (Atom(predicates[i + 1], (y, x)),),
-                label=f"cycle{i}",
-            )
-        )
+    rules = [
+        compile_rule([(predicates[i], (x, y))], [(predicates[i + 1], (y, x))], f"cycle{i}")
+        for i in range(length - 1)
+    ]
     finite = rng.random() < 0.5
     if finite:
-        closing_head = Atom(predicates[0], (y, x))
+        closing_head = (predicates[0], (y, x))
         notes = "finite twin: the closing rule permutes frontier variables"
     else:
-        closing_head = Atom(predicates[0], (y, _Z[0]))
+        closing_head = (predicates[0], (y, _Z[0]))
         notes = (
             "infinite twin: the closing rule recurses through a fresh "
             "existential, so every lap of the cycle invents a new null"
         )
-    rules.append(TGD((Atom(predicates[-1], (x, y)),), (closing_head,), label="closing"))
+    rules.append(compile_rule([(predicates[-1], (x, y))], [closing_head], "closing"))
     # A drain distractor: removing it never changes the verdict, keeping the
     # boundary attributable to the closing rule alone.
     drain = Predicate("Drain", 1)
-    rules.append(TGD((Atom(predicates[0], (x, y)),), (Atom(drain, (x,)),), label="drain"))
+    rules.append(compile_rule([(predicates[0], (x, y))], [(drain, (x,))], "drain"))
     constants = _constants(rng, 3)
     database = Database()
     database.add(Atom(predicates[0], (constants[0], constants[1])))
     if rng.random() < 0.5:
         database.add(Atom(predicates[0], (constants[1], constants[2])))
-    return TGDSet(rules), database, notes
+    return rules, database, notes
 
 
 @_family("guarded")
@@ -169,21 +167,15 @@ def _guarded(rng: random.Random, scale: float):
     head_p = Predicate("H", 2)
     x1, x2, x3 = _X[0], _X[1], _X[2]
     rules = [
-        TGD(
-            (Atom(guard, (x1, x2, x3)), Atom(side_a, (x1, x2))),
-            (Atom(head_p, (x2, _Z[0])),),
-            label="guarded-invent",
+        compile_rule(
+            [(guard, (x1, x2, x3)), (side_a, (x1, x2))], [(head_p, (x2, _Z[0]))], "guarded-invent"
         ),
-        TGD(
-            (Atom(guard, (x1, x2, x3)), Atom(side_b, (x2, x3)), Atom(side_a, (x3, x1))),
-            (Atom(guard, (x3, x2, x1)),),
-            label="guard-permute",
+        compile_rule(
+            [(guard, (x1, x2, x3)), (side_b, (x2, x3)), (side_a, (x3, x1))],
+            [(guard, (x3, x2, x1))],
+            "guard-permute",
         ),
-        TGD(
-            (Atom(head_p, (x1, x2)),),
-            (Atom(side_a, (x1, x2)),),
-            label="feed-side",
-        ),
+        compile_rule([(head_p, (x1, x2))], [(side_a, (x1, x2))], "feed-side"),
     ]
     n = _scaled(3, scale)
     constants = _constants(rng, n + 2)
@@ -195,7 +187,7 @@ def _guarded(rng: random.Random, scale: float):
         if rng.random() < 0.7:
             database.add(Atom(side_b, (b, c)))
     notes = "guarded class: every rule's guard atom covers all body variables"
-    return TGDSet(rules), database, notes
+    return rules, database, notes
 
 
 @_family("sticky")
@@ -204,16 +196,8 @@ def _sticky(rng: random.Random, scale: float):
     r, s, t, u = Predicate("R", 2), Predicate("S", 2), Predicate("T", 2), Predicate("U", 1)
     x, y, z = _X[0], _X[1], _X[2]
     rules = [
-        TGD(
-            (Atom(r, (x, y)), Atom(s, (y, z))),
-            (Atom(t, (y, _Z[0])), Atom(u, (y,))),
-            label="sticky-join",
-        ),
-        TGD(
-            (Atom(t, (x, y)),),
-            (Atom(s, (x, y)),),
-            label="feed-back",
-        ),
+        compile_rule([(r, (x, y)), (s, (y, z))], [(t, (y, _Z[0])), (u, (y,))], "sticky-join"),
+        compile_rule([(t, (x, y))], [(s, (x, y))], "feed-back"),
     ]
     n = _scaled(4, scale)
     constants = _constants(rng, n + 1)
@@ -222,7 +206,7 @@ def _sticky(rng: random.Random, scale: float):
         database.add(Atom(r, (constants[i], constants[(i + 1) % len(constants)])))
         database.add(Atom(s, (constants[(i + 1) % len(constants)], constants[i])))
     notes = "sticky-style: join variables propagate into every head atom"
-    return TGDSet(rules), database, notes
+    return rules, database, notes
 
 
 @_family("heavy_skew")
@@ -230,13 +214,9 @@ def _heavy_skew(rng: random.Random, scale: float):
     """Hub-skewed joins: nearly all join work lands in one hash partition."""
     r, t = Predicate("R", 2), Predicate("T", 2)
     x, y, z = _X[0], _X[1], _X[2]
-    rules = [
-        TGD((Atom(r, (x, y)), Atom(r, (y, z))), (Atom(t, (x, z)),), label="hub-join"),
-    ]
+    rules = [compile_rule([(r, (x, y)), (r, (y, z))], [(t, (x, z))], "hub-join")]
     if rng.random() < 0.5:
-        rules.append(
-            TGD((Atom(t, (x, y)), Atom(r, (y, z))), (Atom(t, (x, z)),), label="hub-close")
-        )
+        rules.append(compile_rule([(t, (x, y)), (r, (y, z))], [(t, (x, z))], "hub-close"))
     hub = Constant(rng.choice(("hub",) + GNARLY_CONSTANTS[:4]))
     fan_in = _scaled(8, scale, minimum=3)
     fan_out = _scaled(3, scale, minimum=2)
@@ -252,7 +232,7 @@ def _heavy_skew(rng: random.Random, scale: float):
         f"join key skew: {fan_in}-in/{fan_out}-out hub {hub.name!r} drives "
         "almost every trigger through one partition of partition_positions"
     )
-    return TGDSet(rules), database, notes
+    return rules, database, notes
 
 
 @_family("self_join")
@@ -261,13 +241,14 @@ def _self_join(rng: random.Random, scale: float):
     r = Predicate("R", 2)
     x, y, z = _X[0], _X[1], _X[2]
     pool = [
-        TGD((Atom(r, (x, y)), Atom(r, (y, z))), (Atom(r, (x, z)),), label="transitive"),
-        TGD((Atom(r, (x, x)),), (Atom(r, (x, _Z[0])),), label="loop-invent"),
-        TGD((Atom(r, (x, y)), Atom(r, (x, z))), (Atom(r, (y, z)),), label="sibling"),
-        TGD((Atom(r, (x, y)),), (Atom(r, (y, x)),), label="flip"),
+        compile_rule([(r, (x, y)), (r, (y, z))], [(r, (x, z))], "transitive"),
+        compile_rule([(r, (x, x))], [(r, (x, _Z[0]))], "loop-invent"),
+        compile_rule([(r, (x, y)), (r, (x, z))], [(r, (y, z))], "sibling"),
+        compile_rule([(r, (x, y))], [(r, (y, x))], "flip"),
     ]
     count = rng.randint(2, min(3, len(pool)))
-    rules = sorted(rng.sample(pool, count))
+    # Slots number x, y, z in name order, so slot order is the atoms' order.
+    rules = sorted(rng.sample(pool, count), key=lambda rule: (rule.body, rule.head))
     n = _scaled(4, scale, minimum=3)
     constants = _constants(rng, n, gnarly=False)
     database = Database()
@@ -276,7 +257,7 @@ def _self_join(rng: random.Random, scale: float):
     if rng.random() < 0.5:
         database.add(Atom(r, (constants[0], constants[0])))
     notes = "self-joins: the same delta atom can fill several body slots"
-    return TGDSet(rules), database, notes
+    return rules, database, notes
 
 
 @_family("null_churn")
@@ -287,33 +268,20 @@ def _null_churn(rng: random.Random, scale: float):
     d, e = Predicate("D", 2), Predicate("E", 1)
     x, y = _X[0], _X[1]
     z1, z2 = _Z[0], _Z[1]
-    rules: List[TGD] = []
-    for i in range(length - 1):
-        rules.append(
-            TGD(
-                (Atom(chain[i], (x, y)),),
-                (Atom(chain[i + 1], (y, z1)),),
-                label=f"chain{i}",
-            )
-        )
+    rules = [
+        compile_rule([(chain[i], (x, y))], [(chain[i + 1], (y, z1))], f"chain{i}")
+        for i in range(length - 1)
+    ]
     # Multi-atom head reusing one existential twice: both occurrences must
     # decode to the *same* content-addressed null on every engine.
-    rules.append(
-        TGD(
-            (Atom(chain[-1], (x, y)),),
-            (Atom(d, (y, z2)), Atom(e, (z2,))),
-            label="shared-null",
-        )
-    )
+    rules.append(compile_rule([(chain[-1], (x, y))], [(d, (y, z2)), (e, (z2,))], "shared-null"))
     if rng.random() < 0.5:
-        rules.append(
-            TGD((Atom(d, (x, y)),), (Atom(chain[0], (y, z1)),), label="churn-back")
-        )
+        rules.append(compile_rule([(d, (x, y))], [(chain[0], (y, z1))], "churn-back"))
     constants = _constants(rng, 2)
     database = Database()
     database.add(Atom(chain[0], (constants[0], constants[1])))
     notes = "null churn: invented nulls feed further existential rules"
-    return TGDSet(rules), database, notes
+    return rules, database, notes
 
 
 @_family("nullary_gate")
@@ -323,9 +291,9 @@ def _nullary_gate(rng: random.Random, scale: float):
     r, s, t = Predicate("R", 2), Predicate("S", 2), Predicate("T", 1)
     x, y = _X[0], _X[1]
     rules = [
-        TGD((Atom(gate, ()), Atom(r, (x, y))), (Atom(s, (y, _Z[0])),), label="gated"),
-        TGD((Atom(s, (x, y)),), (Atom(done, ()),), label="derive-nullary"),
-        TGD((Atom(done, ()), Atom(s, (x, y))), (Atom(t, (x,)),), label="gated-by-derived"),
+        compile_rule([(gate, ()), (r, (x, y))], [(s, (y, _Z[0]))], "gated"),
+        compile_rule([(s, (x, y))], [(done, ())], "derive-nullary"),
+        compile_rule([(done, ()), (s, (x, y))], [(t, (x,))], "gated-by-derived"),
     ]
     n = _scaled(3, scale)
     constants = _constants(rng, n + 1)
@@ -334,7 +302,7 @@ def _nullary_gate(rng: random.Random, scale: float):
     for i in range(n):
         database.add(Atom(r, (constants[i], constants[(i + 1) % len(constants)])))
     notes = "nullary gates: arity-0 atoms both gate and get derived"
-    return TGDSet(rules), database, notes
+    return rules, database, notes
 
 
 #: Stable, sorted family registry.
@@ -352,7 +320,10 @@ def generate_case(family: str, seed: int = 0, scale: float = 1.0) -> Adversarial
     if scale <= 0:
         raise ExperimentConfigError("adversarial scale must be positive")
     rng = random.Random(f"adversarial:{family}:{seed}:{scale}")
-    tgds, database, notes = builder(rng, scale)
+    rules, database, notes = builder(rng, scale)
+    tgds = TGDSet()
+    for rule in rules:
+        tgds.add_rule(rule)
     return AdversarialCase(
         family=family, seed=seed, scale=scale, tgds=tgds, database=database, notes=notes
     )

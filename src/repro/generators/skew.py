@@ -31,8 +31,9 @@ from typing import List, Tuple
 from ..core.atoms import Atom
 from ..core.instances import Database
 from ..core.predicates import Predicate
-from ..core.terms import Constant, Variable
-from ..core.tgds import TGD, TGDSet
+from ..core.rules import compile_rule
+from ..core.terms import Constant
+from ..core.tgds import TGDSet
 from ..exceptions import ExperimentConfigError
 
 
@@ -117,21 +118,13 @@ def generate_skew_workload(
         for fan in range(fan_out):
             database.add(Atom(dim, (key, Constant(f"d{seed}_{index}_{fan}"))))
 
-    k, v, d = Variable("K"), Variable("V"), Variable("D")
-    rules = [
-        TGD((Atom(src, (k, v)),), (Atom(mid, (k, v)),), label="copy"),
-        TGD(
-            (Atom(mid, (k, v)), Atom(dim, (k, d))),
-            (Atom(out, (v, d)),),
-            label="star_join",
-        ),
-    ]
+    tgds = TGDSet()  # "KV" names the variables K and V, one per position
+    tgds.add_rule(compile_rule([(src, "KV")], [(mid, "KV")], "copy"))
+    tgds.add_rule(compile_rule([(mid, "KV"), (dim, "KD")], [(out, "VD")], "star_join"))
     previous = out
     for level in range(1, depth + 1):
         hop = Predicate(f"hop{level}", 2)
-        rules.append(
-            TGD((Atom(previous, (v, d)),), (Atom(hop, (v, d)),), label=f"hop{level}")
-        )
+        tgds.add_rule(compile_rule([(previous, "VD")], [(hop, "VD")], f"hop{level}"))
         previous = hop
 
     key_counts = tuple(
@@ -140,7 +133,7 @@ def generate_skew_workload(
     )
     return SkewWorkload(
         database=database,
-        tgds=TGDSet(rules),
+        tgds=tgds,
         key_counts=key_counts,
         n_keys=n_keys,
         rows=rows,

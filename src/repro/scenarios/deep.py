@@ -29,10 +29,9 @@ from __future__ import annotations
 import random
 from typing import List
 
-from ..core.atoms import Atom
 from ..core.predicates import Predicate
-from ..core.terms import Variable
-from ..core.tgds import TGD, TGDSet
+from ..core.rules import compile_rule
+from ..core.tgds import TGDSet
 from ..exceptions import ExperimentConfigError
 from ..simplification.shapes import identifier_tuples_of_arity
 from ..storage.database import RelationalDatabase
@@ -107,7 +106,7 @@ def build_deep(name: str = "Deep-100", scale: float = 1.0, seed: int = 7) -> Sce
         if layer:
             layers.append(layer)
 
-    variables = [Variable(f"x{i}") for i in range(1, DEEP_ARITY + 1)]
+    variables = [f"x{i}" for i in range(1, DEEP_ARITY + 1)]
     tgds = TGDSet()
     attempts = 0
     while len(tgds) < n_rules and attempts < n_rules * 50:
@@ -115,21 +114,19 @@ def build_deep(name: str = "Deep-100", scale: float = 1.0, seed: int = 7) -> Sce
         layer_index = rng.randrange(len(layers) - 1)
         body_predicate = rng.choice(layers[layer_index])
         head_predicate = rng.choice(layers[layer_index + 1])
-        head_terms: List[Variable] = []
+        head_terms: List[str] = []
         existential_counter = 0
         for _ in range(DEEP_ARITY):
             if rng.random() < 0.10:
                 existential_counter += 1
-                head_terms.append(Variable(f"z{existential_counter}"))
+                head_terms.append(f"z{existential_counter}")
             else:
                 head_terms.append(rng.choice(variables))
-        if all(term.name.startswith("z") for term in head_terms):
+        if all(term.startswith("z") for term in head_terms):
             head_terms[0] = variables[0]
-        tgds.add(
-            TGD(
-                (Atom(body_predicate, tuple(variables)),),
-                (Atom(head_predicate, tuple(head_terms)),),
-                label=f"{name}_r{attempts}",
+        tgds.add_rule(
+            compile_rule(
+                [(body_predicate, variables)], [(head_predicate, head_terms)], f"{name}_r{attempts}"
             )
         )
 

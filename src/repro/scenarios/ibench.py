@@ -29,10 +29,9 @@ from __future__ import annotations
 import random
 from typing import List
 
-from ..core.atoms import Atom
 from ..core.predicates import Predicate
-from ..core.terms import Variable
-from ..core.tgds import TGD, TGDSet
+from ..core.rules import compile_rule
+from ..core.tgds import TGDSet
 from ..exceptions import ExperimentConfigError
 from ..storage.database import RelationalDatabase
 from .base import PAPER_TABLE_1, Scenario
@@ -93,7 +92,7 @@ def build_ibench(
     sources, targets = predicates[:n_sources], predicates[n_sources:]
 
     # --- rules: source/earlier-target -> strictly later target (weakly acyclic).
-    x_pool = [Variable(f"x{i}") for i in range(1, arity_max + 1)]
+    x_pool = [f"x{i}" for i in range(1, arity_max + 1)]
     tgds = TGDSet()
     attempts = 0
     last_body_index = n_pred - 2  # the last predicate can only be a head
@@ -104,21 +103,21 @@ def build_ibench(
         head_index = rng.randint(max(body_index + 1, n_sources), n_pred - 1)
         head_predicate = predicates[head_index]
         body_variables = x_pool[: body_predicate.arity]
-        head_terms: List[Variable] = []
+        head_terms: List[str] = []
         existential_counter = 0
         for position in range(head_predicate.arity):
             if rng.random() < 0.25:
                 existential_counter += 1
-                head_terms.append(Variable(f"z{existential_counter}"))
+                head_terms.append(f"z{existential_counter}")
             else:
                 head_terms.append(rng.choice(body_variables))
-        if all(term.name.startswith("z") for term in head_terms):
+        if all(term.startswith("z") for term in head_terms):
             head_terms[0] = body_variables[0]
-        tgds.add(
-            TGD(
-                (Atom(body_predicate, tuple(body_variables)),),
-                (Atom(head_predicate, tuple(head_terms)),),
-                label=f"{prefix}_r{attempts}",
+        tgds.add_rule(
+            compile_rule(
+                [(body_predicate, body_variables)],
+                [(head_predicate, head_terms)],
+                f"{prefix}_r{attempts}",
             )
         )
 

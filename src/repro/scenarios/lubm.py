@@ -34,10 +34,9 @@ from __future__ import annotations
 import random
 from typing import List, Tuple
 
-from ..core.atoms import Atom
 from ..core.predicates import Predicate
-from ..core.terms import Variable
-from ..core.tgds import TGD, TGDSet
+from ..core.rules import compile_rule
+from ..core.tgds import TGDSet
 from ..exceptions import ExperimentConfigError
 from ..storage.database import RelationalDatabase
 from .base import PAPER_TABLE_1, Scenario
@@ -85,25 +84,26 @@ def lubm_rules(seed: int = 11) -> TGDSet:
     """Build the 137 simple-linear rules of the (filtered) Univ-Bench ontology."""
     rng = random.Random(seed)
     classes, properties = lubm_schema()
-    x, y = Variable("x"), Variable("y")
     tgds = TGDSet()
 
+    # An argument string names one one-letter variable per position.
+    def add(body: Predicate, body_args: str, head: Predicate, head_args: str, label: str):
+        tgds.add_rule(compile_rule([(body, body_args)], [(head, head_args)], label))
+
     def subclass(sub: Predicate, sup: Predicate):
-        tgds.add(TGD((Atom(sub, (x,)),), (Atom(sup, (x,)),), label=f"sub_{sub.name}_{sup.name}"))
+        add(sub, "x", sup, "x", f"sub_{sub.name}_{sup.name}")
 
     def domain_axiom(prop: Predicate, cls: Predicate):
-        tgds.add(TGD((Atom(prop, (x, y)),), (Atom(cls, (x,)),), label=f"dom_{prop.name}"))
+        add(prop, "xy", cls, "x", f"dom_{prop.name}")
 
     def range_axiom(prop: Predicate, cls: Predicate):
-        tgds.add(TGD((Atom(prop, (x, y)),), (Atom(cls, (y,)),), label=f"rng_{prop.name}"))
+        add(prop, "xy", cls, "y", f"rng_{prop.name}")
 
     def subproperty(sub: Predicate, sup: Predicate, inverse: bool = False):
-        head_args = (y, x) if inverse else (x, y)
-        tgds.add(TGD((Atom(sub, (x, y)),), (Atom(sup, head_args),), label=f"subp_{sub.name}_{sup.name}"))
+        add(sub, "xy", sup, "yx" if inverse else "xy", f"subp_{sub.name}_{sup.name}")
 
     def existential(cls: Predicate, prop: Predicate):
-        z = Variable("z")
-        tgds.add(TGD((Atom(cls, (x,)),), (Atom(prop, (x, z)),), label=f"ex_{cls.name}_{prop.name}"))
+        add(cls, "x", prop, "xz", f"ex_{cls.name}_{prop.name}")
 
     by_name = {p.name: p for p in classes + properties}
 

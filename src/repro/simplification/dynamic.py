@@ -142,11 +142,11 @@ class DynamicSimplificationResult:
     def tgds(self) -> TGDSet:
         """The set ``simple_D(Σ)`` of simple-linear TGDs, in derivation order."""
         if self._tgds is None:
-            self._tgds = TGDSet(
-                rule
-                for plan, identifiers in self._fixpoint.rules.values()
-                if (rule := plan.simplify(identifiers)) is not None
-            )
+            self._tgds = TGDSet()
+            for plan, identifiers in self._fixpoint.rules.values():
+                rule = plan.simplify(identifiers)
+                if rule is not None:
+                    self._tgds.add_rule(rule)
         return self._tgds
 
 
@@ -164,9 +164,10 @@ def dynamic_simplification(
         by one of the storage substrate's ``FindShapes`` implementations), or
         any object with a ``find_shapes()`` method.
     tgds:
-        The set of linear TGDs ``Σ``.
+        The set of linear TGDs ``Σ``; a non-linear rule raises
+        :class:`~repro.exceptions.NotLinearError` when its transfer plan is
+        compiled, before any shape is processed.
     """
-    tgds.require_linear()
     initial_shapes = resolve_shapes(database_or_shapes)
     fixpoint = _Fixpoint()
     iterations = fixpoint.run(initial_shapes, tgds)
@@ -194,7 +195,6 @@ def resume_dynamic_simplification(
 
     ``iterations`` counts only the iterations of this resumption.
     """
-    tgds.require_linear()
     new_shapes = resolve_shapes(database_or_shapes)
     fixpoint = _Fixpoint(previous._fixpoint)
     iterations = fixpoint.run(new_shapes, tgds)

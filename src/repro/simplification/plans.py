@@ -114,15 +114,15 @@ class TransferPlan:
             heads.append((name, tuple(head_identifiers), tuple(terms)))
         return tuple(body_terms), tuple(heads), normal, special
 
-    def simplify(self, identifiers: Identifiers) -> Optional[TGD]:
-        """Return the simplification induced by the body shape, as a TGD."""
+    def simplify(self, identifiers: Identifiers) -> Optional[CompiledRule]:
+        """Return the simplification induced by the body shape, compiled."""
         transferred = self.transfer(identifiers)
         if transferred is None:
             return None
         body_terms, heads = transferred[:2]
         body = [(Shape(self.name, identifiers).as_predicate(), body_terms)]
         head = [(Shape(name, ids).as_predicate(), terms) for name, ids, terms in heads]
-        return TGD.of(compile_rule(body, head, self.label))
+        return compile_rule(body, head, self.label)
 
 
 def plans_by_body(rules: Iterable[CompiledRule]) -> Dict[Tuple[str, int], List[TransferPlan]]:

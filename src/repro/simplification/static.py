@@ -17,9 +17,19 @@ from __future__ import annotations
 
 from typing import Iterator
 
+from ..core.rules import CompiledRule
 from ..core.tgds import TGD, TGDSet
 from .plans import TransferPlan
 from .shapes import identifier_tuples_of_arity
+
+
+def _simplifications(rule: CompiledRule) -> Iterator[CompiledRule]:
+    """``simple(σ)`` of the compiled *rule*."""
+    plan = TransferPlan(rule)
+    for identifiers in identifier_tuples_of_arity(plan.arity):
+        simplified = plan.simplify(identifiers)
+        if simplified is not None:
+            yield simplified
 
 
 def simplifications_of_tgd(tgd: TGD) -> Iterator[TGD]:
@@ -29,11 +39,7 @@ def simplifications_of_tgd(tgd: TGD) -> Iterator[TGD]:
     of its arity that repeat an identifier wherever ``x̄`` repeats a variable;
     the transfer plan rejects the others.
     """
-    plan = TransferPlan(tgd.rule)
-    for identifiers in identifier_tuples_of_arity(plan.arity):
-        simplified = plan.simplify(identifiers)
-        if simplified is not None:
-            yield simplified
+    return map(TGD.of, _simplifications(tgd.rule))
 
 
 def static_simplification(tgds: TGDSet) -> TGDSet:
@@ -45,8 +51,9 @@ def static_simplification(tgds: TGDSet) -> TGDSet:
     """
     tgds.require_linear()
     result = TGDSet()
-    for tgd in tgds:
-        result.update(simplifications_of_tgd(tgd))
+    for rule in tgds.rules:
+        for simplified in _simplifications(rule):
+            result.add_rule(simplified)
     return result
 
 

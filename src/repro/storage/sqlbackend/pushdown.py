@@ -33,13 +33,13 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from ...core.instances import Database
 from ...core.predicates import Predicate
-from ...core.rules import CompiledAtom
+from ...core.rules import CompiledAtom, CompiledRule
 from ...core.terms import NullKeyRenderer, null_name
-from ...core.tgds import TGD
+from ...core.tgds import TGDSet
 from ...obs.tracer import AnyTracer, as_tracer
 from ..relation import NULL_MARKER, decode_value
 from .store import SqliteAtomStore, _quote, table_name
@@ -87,7 +87,8 @@ def register_skolem_function(store: SqliteAtomStore, prefix: str = "n") -> None:
 
 
 class PushdownRule:
-    """Every compiled statement of one TGD under one chase variant.
+    """Every compiled statement of one TGD under one chase variant, rendered
+    from its :class:`~repro.core.rules.CompiledRule` (:attr:`rule`).
 
     This is the statement cache the strategy runs on: all SQL text is
     rendered once (per seed slot, lazily) and reused every round with only
@@ -111,10 +112,11 @@ class PushdownRule:
        :data:`SKOLEM_FUNCTION`.
     """
 
-    def __init__(self, tgd_index: int, tgd: TGD, variant: str, store: SqliteAtomStore) -> None:
+    def __init__(
+        self, tgd_index: int, rule: CompiledRule, variant: str, store: SqliteAtomStore
+    ) -> None:
         self.tgd_index = tgd_index
-        self.tgd = tgd
-        self.rule = rule = tgd.rule
+        self.rule = rule
         self.restricted = variant == "restricted"
 
         # Body layout: the first-occurrence column of each slot (slots count
@@ -367,11 +369,12 @@ class PushdownExecutor:
     def run(
         self,
         database: Database,
-        tgds: Sequence[TGD],
+        tgds: TGDSet,
         store: SqliteAtomStore,
         tracer: Optional[AnyTracer] = None,
     ) -> "ChaseResult":
-        """Chase *database* with *tgds* into *store*; return a ChaseResult.
+        """Chase *database* with *tgds* (its compiled ``rules``) into *store*;
+        return a ChaseResult.
 
         *tracer* (a :class:`repro.obs.Tracer`) makes the run emit the same
         ``round``/``rule_round`` event stream as the interpreted engines —
@@ -391,8 +394,7 @@ class PushdownExecutor:
         seed_store(store, database)
         register_skolem_function(store)
         rules = [
-            PushdownRule(index, tgd, self.variant, store)
-            for index, tgd in enumerate(tgds)
+            PushdownRule(index, rule, self.variant, store) for index, rule in enumerate(tgds.rules)
         ]
         # Like the engines' ``run``, the final commit is the caller's
         # (:func:`~repro.chase.engine.chase` flushes, also when this raises).

@@ -28,7 +28,8 @@ def _body_matches(tgd, store):
     """The body homomorphisms of *tgd* the indexed source enumerates on *store*,
     as mappings (the source yields slot tuples in the compiled rule's slot order)."""
     slots = tuple(map(Variable, tgd.rule.names))
-    return [dict(zip(slots, values)) for _, values in IndexedTriggerSource((tgd,)).initial(store)]
+    matches = IndexedTriggerSource((tgd.rule,)).initial(store)
+    return [dict(zip(slots, values)) for _, values in matches]
 
 
 def _row(store, predicate_name):
@@ -133,33 +134,37 @@ class TestJoinPlan:
 
 
 class TestTriggerSources:
+    TEXT = "R(x,y), S(y,z) -> T(x,z)\nT(x,y) -> U(y)"
+
     def _setup(self):
-        tgds = tuple(parse_rules("R(x,y), S(y,z) -> T(x,z)\nT(x,y) -> U(y)"))
+        rules = parse_rules(self.TEXT).rules
         instance = _instance("R(a,b).\nS(b,c).\nS(b,d).")
-        return tgds, instance
+        return rules, instance
 
     @staticmethod
     def _triggers(matches):
         return list(matches)
 
     def test_initial_agrees_with_the_reference(self):
-        tgds, instance = self._setup()
-        reference = self._triggers(NaiveTriggerSource(tgds).initial(instance))
-        indexed = self._triggers(IndexedTriggerSource(tgds).initial(instance))
+        rules, instance = self._setup()
+        reference = self._triggers(NaiveTriggerSource(rules).initial(instance))
+        indexed = self._triggers(IndexedTriggerSource(rules).initial(instance))
         assert len(reference) == 2  # R(a,b) joins S(b,c) and S(b,d)
         assert set(reference) == set(indexed)
 
     def test_delta_agrees_with_the_reference_and_has_no_duplicates(self):
-        tgds, instance = self._setup()
+        rules, instance = self._setup()
         new = parse_database("R(e,b).\nS(b,f).")
         for atom in new:
             instance.add(atom)
         delta = {predicate: sorted(new.rows_matching(predicate)) for predicate in new.predicates()}
-        reference = self._triggers(NaiveTriggerSource(tgds).delta(instance, delta))
-        indexed = self._triggers(IndexedTriggerSource(tgds).delta(instance, delta))
+        reference = self._triggers(NaiveTriggerSource(rules).delta(instance, delta))
+        indexed = self._triggers(IndexedTriggerSource(rules).delta(instance, delta))
         assert set(reference) == set(indexed)
         assert len(indexed) == len(set(indexed))  # semi-naive dedup: no duplicates
 
     def test_make_trigger_source(self):
-        tgds, _ = self._setup()
-        assert isinstance(make_trigger_source(tgds), IndexedTriggerSource)
+        rules, instance = self._setup()
+        source = make_trigger_source(tuple(parse_rules(self.TEXT)))
+        assert isinstance(source, IndexedTriggerSource)
+        assert list(source.initial(instance)) == list(IndexedTriggerSource(rules).initial(instance))

@@ -457,7 +457,7 @@ class TestWireProtocol:
 
         monkeypatch.setattr(parallel._CoordinatorStep, "__call__", call)
         monkeypatch.setattr(parallel._ProcessPool, "_send", send)
-        tgds = tuple(parse_rules(rules))
+        tgds = parse_rules(rules)
         database = parse_database(facts)
         result = parallel_chase(database, tgds, variant=variant, workers=2, executor="process")
         assert _fingerprint(result) == _fingerprint(chase(database, tgds, variant=variant))

@@ -13,10 +13,10 @@ from repro.core.tgds import TGD
 from repro.fuzz.reference import triggers_on
 
 
-def _slots(tgd, mapping):
+def _slots(rule, mapping):
     """A body homomorphism as the slot tuple the matching yields: the images
     of the compiled rule's body slots."""
-    return tuple(mapping[Variable(name)] for name in tgd.rule.names)
+    return tuple(mapping[Variable(name)] for name in rule.names)
 
 
 def _triggers(rules_text, facts_text, restrict_to_atoms=None):
@@ -24,7 +24,7 @@ def _triggers(rules_text, facts_text, restrict_to_atoms=None):
     rules = tuple(parse_rules(rules_text))
     instance = Instance(parse_database(facts_text).atoms())
     return [
-        (FiringPlan(rules[index], index), mapping)
+        (FiringPlan(rules[index].rule, index), mapping)
         for index, mapping in triggers_on(rules, instance, restrict_to_atoms)
     ]
 
@@ -41,7 +41,7 @@ def _fire(plan, key, factory):
 
 
 def _result(plan, mapping, factory):
-    return _fire(plan, plan.key(_slots(plan.tgd, mapping)), factory)
+    return _fire(plan, plan.key(_slots(plan.rule, mapping)), factory)
 
 
 class TestTriggerEnumeration:
@@ -82,14 +82,14 @@ class TestTriggerResults:
 
     def test_semi_oblivious_key_ignores_non_frontier_variables(self):
         triggers = _triggers("R(x,y) -> S(y,z)", "R(a,b).\nR(c,b).")
-        keys = {plan.key(_slots(plan.tgd, mapping)) for plan, mapping in triggers}
+        keys = {plan.key(_slots(plan.rule, mapping)) for plan, mapping in triggers}
         assert len(triggers) == 2
         assert len(keys) == 1  # same frontier witness y=b
 
     def test_oblivious_key_distinguishes_full_homomorphisms(self):
         triggers = _triggers("R(x,y) -> S(y,z)", "R(a,b).\nR(c,b).")
         keys = {
-            FiringPlan(plan.tgd, plan.index, "homomorphism").key(_slots(plan.tgd, mapping))
+            FiringPlan(plan.rule, plan.index, "homomorphism").key(_slots(plan.rule, mapping))
             for plan, mapping in triggers
         }
         assert len(keys) == 2
@@ -161,8 +161,8 @@ class TestFiringPlan:
     def test_key_and_result_follow_definition_3_1(self, case, null_scope):
         _, tgd, homomorphism = case
         expected_key, expected_atoms = _definition_3_1(tgd, 4, homomorphism, null_scope)
-        plan = FiringPlan(tgd, 4, null_scope)
-        key = plan.key(_slots(tgd, homomorphism))
+        plan = FiringPlan(tgd.rule, 4, null_scope)
+        key = plan.key(_slots(tgd.rule, homomorphism))
         assert key == expected_key
         assert _fire(plan, key, NullFactory()) == expected_atoms
 
@@ -173,17 +173,17 @@ class TestFiringPlan:
         _, tgd, homomorphism = case
         instance = Instance(atom.substitute(homomorphism) for atom in tgd.body)
         assert [mapping for _, mapping in triggers_on((tgd,), instance)] == [homomorphism]
-        indexed = IndexedTriggerSource((tgd,)).initial(instance)
-        assert [values for _, values in indexed] == [_slots(tgd, homomorphism)]
+        indexed = IndexedTriggerSource((tgd.rule,)).initial(instance)
+        assert [values for _, values in indexed] == [_slots(tgd.rule, homomorphism)]
 
     def test_an_unknown_null_scope_is_rejected_when_the_plan_is_built(self):
         tgd = _rule("R(x,y) -> S(y,z)")
         with pytest.raises(ValueError, match="null_scope"):
-            FiringPlan(tgd, 0, "body")
+            FiringPlan(tgd.rule, 0, "body")
 
     def test_the_result_is_a_function_of_the_key_alone(self):
         # Two body homomorphisms with one frontier witness: one key, one result.
-        plan = FiringPlan(_rule("R(x,y) -> S(y,z)"), 0)
+        plan = FiringPlan(_rule("R(x,y) -> S(y,z)").rule, 0)
         first, second = (_A, _B), (_N, _B)  # slot tuples (x, y)
         assert plan.key(first) == plan.key(second)
         factory = NullFactory()

@@ -107,7 +107,7 @@ class TestCodec:
 class TestFiringPlanHalves:
     @given(general_tgds(), st.sampled_from(("frontier", "homomorphism")), st.data())
     def test_head_rows_substitute_the_value_row_and_a_row_knows_its_key(self, tgd, scope, data):
-        plan = FiringPlan(tgd, 3, scope)
+        plan = FiringPlan(tgd.rule, 3, scope)
         mapping = {
             variable: data.draw(st.sampled_from(TERMS)) for variable in tgd.body_variables()
         }

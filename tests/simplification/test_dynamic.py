@@ -5,7 +5,8 @@ from hypothesis import given, settings
 
 from repro.core.parser import parse_database, parse_rules
 from repro.core.predicates import Predicate
-from repro.simplification.dynamic import dynamic_simplification
+from repro.exceptions import NotLinearError
+from repro.simplification.dynamic import dynamic_simplification, resume_dynamic_simplification
 from repro.simplification.shapes import Shape, shapes_of_database
 from repro.simplification.static import static_simplification
 from tests.helpers import databases, linear_tgd_sets
@@ -78,6 +79,17 @@ class TestDynamicSimplification:
         rules = parse_rules("R(x,y) -> S(y,z)")
         with pytest.raises(TypeError):
             dynamic_simplification(["not-a-shape"], rules)
+
+    @pytest.mark.parametrize("facts", ["", "R(a,b)."])
+    def test_a_join_rule_is_rejected_with_its_text(self, facts):
+        # The transfer plans raise; no shape need reach the rule first.
+        rules = parse_rules("R(x,y) -> S(y,z)\nR(x,y), S(y,z) -> T(x)")
+        message = r"^TGD R\(\?x, \?y\), S\(\?y, \?z\) -> T\(\?x\) is not linear$"
+        with pytest.raises(NotLinearError, match=message):
+            dynamic_simplification(parse_database(facts), rules)
+        previous = dynamic_simplification(parse_database(facts), parse_rules("R(x,y) -> S(y,z)"))
+        with pytest.raises(NotLinearError, match=message):
+            resume_dynamic_simplification(previous, parse_database(facts), rules)
 
     def test_empty_database_produces_nothing(self):
         rules = parse_rules("R(x,y) -> S(y,z)")

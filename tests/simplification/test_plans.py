@@ -1,7 +1,7 @@
 """Unit tests for the shape-transfer plans, on hand-worked examples."""
 
 from repro.core.parser import parse_rules, parse_tgd
-from repro.core.terms import Variable
+from repro.core.tgds import TGD
 from repro.graph import build_dependency_graph
 from repro.simplification import Shape, dynamic_simplification
 from repro.simplification.plans import TransferPlan, plans_by_body
@@ -30,7 +30,7 @@ class TestTransfer:
         assert heads == (("S", (1, 2, 1), (x, z)),)
         assert normal == [(1, 0, 1)]
         assert special == [(0, 2)]
-        assert repr(self.PLAN.simplify((1, 1, 1))) == "R__1_1_1(?x) -> S__1_2_1(?x, ?z)"
+        assert repr(TGD.of(self.PLAN.simplify((1, 1, 1)))) == "R__1_1_1(?x) -> S__1_2_1(?x, ?z)"
 
     def test_shape_that_separates_a_repeated_variable_does_not_transfer(self):
         # No homomorphism from R(x,y,x) to R(1,2,3): x cannot be 1 and 3.
@@ -51,8 +51,7 @@ class TestTransfer:
         assert heads == (("S", (1, 2), (x, z)), ("T", (1, 2), (z, y)))
         assert sorted(normal) == [(1, 0, 1), (2, 1, 2)]
         assert sorted(special) == [(0, 2), (1, 1)]
-        simplified = plan.simplify((1, 2))
-        assert simplified.existential_variables() == {Variable(z)}
+        assert plan.simplify((1, 2)).existentials == (z,)
 
     def test_empty_frontier_and_nullary_atoms(self):
         plan = TransferPlan(parse_tgd("N() -> P(z), N()").rule)
@@ -61,7 +60,7 @@ class TestTransfer:
         assert body_terms == ()
         assert heads == (("P", (1,), (z,)), ("N", (), ()))
         assert normal == [] and special == [(0, 1)]
-        assert repr(plan.simplify(())) == "N__() -> P__1(?z), N__()"
+        assert repr(TGD.of(plan.simplify(()))) == "N__() -> P__1(?z), N__()"
 
     def test_the_label_follows_the_rule(self):
         (rule,) = parse_rules("R(x,y) -> S(y,z)").rules

@@ -104,7 +104,7 @@ class TestCompiledQueryPlans:
         store = SqliteAtomStore()
         seed_store(store, database)
         register_skolem_function(store)
-        rule = PushdownRule(0, tuple(tgds)[0], "restricted", store)
+        rule = PushdownRule(0, tgds.rules[0], "restricted", store)
         yield rule, store
         store.close()
 

@@ -1,18 +1,23 @@
-"""Both checkers run on compiled rules from rule text to verdict.
+"""The product runs on compiled rules from builder or rule text to fixpoint.
 
 ``parse_rules`` fills the set with compiled rules, and the graph builder,
 the simple-linearity check and the transfer plans read them, so a checker
-given rule text builds no :class:`~repro.core.tgds.TGD` at all.
+given rule text builds no :class:`~repro.core.tgds.TGD` at all.  The
+scenario, adversarial and skew builders compile rules from variable names,
+and the chase (every engine, both backends, the pushdown strategy) and
+``satisfies`` read ``TGDSet.rules``, so neither builds one either.
 """
 
 import pytest
 
+from repro.chase import chase, satisfies
 from repro.core.instances import induced_database
 from repro.core.parser import parse_database, parse_rules
 from repro.core.serializer import serialize_rules
 from repro.core.tgds import TGD
-from repro.generators import generate_tgds
+from repro.generators import FAMILY_NAMES, generate_case, generate_skew_workload, generate_tgds
 from repro.generators.tgd_generator import make_schema
+from repro.scenarios import build_scenario, scenario_names
 from repro.termination.linear import is_chase_finite_l
 from repro.termination.simple_linear import is_chase_finite_sl
 
@@ -76,3 +81,29 @@ def test_the_sl_check_reaches_a_cycle_only_through_an_empty_frontier_rule():
     assert not infinite.finite and infinite.statistics["supported"] == 1
     assert finite.finite and finite.statistics["supported"] == 0
     assert infinite.statistics["n_special_sccs"] == finite.statistics["n_special_sccs"] == 1
+
+
+def test_the_builders_build_no_tgd(tgd_constructions):
+    built = [build_scenario(name, scale=0.01).tgds for name in scenario_names()]
+    built += [generate_case(family, seed=seed).tgds for family in FAMILY_NAMES for seed in (0, 1)]
+    built.append(generate_skew_workload().tgds)
+    assert tgd_constructions == []
+    assert all(len(tgds) > 0 for tgds in built)
+
+
+# A join, a repeated existential across a two-atom head, and a nullary head.
+CHASE_RULES = "R(x,y), S(y,z) -> T(x,w), U(w,z)\nU(x,y) -> V(y)\nV(x) -> D()\n"
+CHASE_FACTS = "R(a,b).\nS(b,c).\nS(b,d).\n"
+
+
+@pytest.mark.parametrize("variant", ["oblivious", "semi-oblivious", "restricted"])
+@pytest.mark.parametrize(
+    "backend, strategy",
+    [("instance", "indexed"), ("sqlite", "indexed"), ("sqlite", "sql-pushdown")],
+)
+def test_the_chase_and_satisfies_build_no_tgd(tgd_constructions, variant, backend, strategy):
+    tgds, database = parse_rules(CHASE_RULES), parse_database(CHASE_FACTS)
+    result = chase(database, tgds, variant=variant, backend=backend, strategy=strategy)
+    assert result.terminated and result.atoms_created > 0
+    assert satisfies(result.store, tgds)
+    assert tgd_constructions == []

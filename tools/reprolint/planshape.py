@@ -105,10 +105,10 @@ def _program_cases() -> Iterable[PlanCase]:
         store = SqliteAtomStore()
         seed_store(store, parse_database(facts))
         register_skolem_function(store)
-        for index, tgd in enumerate(parse_rules(rules_text)):
-            rule = PushdownRule(index, tgd, variant, store)
+        for index, compiled in enumerate(parse_rules(rules_text).rules):
+            rule = PushdownRule(index, compiled, variant, store)
             label = f"{tag}[rule {index}, {variant}]"
-            for slot in range(len(tgd.body)):
+            for slot in range(len(compiled.body)):
                 yield PlanCase(
                     "stage", f"{label} stage(seed_slot={slot})",
                     rule.stage_sql(slot), delta_params, store,
