@@ -139,6 +139,7 @@ class ChaseEngine:
         (both emitted by :func:`~repro.chase.rounds.run_rounds`).  Tracing
         never changes the result.
         """
+        _require_tgd_set(tgds, "ChaseEngine.run")
         active = as_tracer(tracer)
         if store is None:
             store = Instance()
@@ -278,6 +279,14 @@ def resolve_engine_class(variant: str) -> Type[ChaseEngine]:
         ) from None
 
 
+def _require_tgd_set(tgds: object, caller: str) -> None:
+    """Refuse anything but a :class:`TGDSet` at a public entry, in one line."""
+    if not isinstance(tgds, TGDSet):
+        raise TypeError(
+            f"{caller}() takes a TGDSet, not {type(tgds).__name__}; build one with TGDSet(tgds)"
+        )
+
+
 def chase(
     database: Database,
     tgds: TGDSet,
@@ -342,6 +351,7 @@ def chase(
         instead), and a ``chase_end`` with the result totals.  Tracing is
         observation only: the result is byte-identical with or without it.
     """
+    _require_tgd_set(tgds, "chase")
     engine_class = resolve_engine_class(variant)
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
@@ -442,6 +452,7 @@ def _emit_chase_end(tracer: AnyTracer, result: ChaseResult, started: float) -> N
 
 def satisfies(instance: "AtomStore", tgds: TGDSet) -> bool:
     """Return ``True`` when *instance* satisfies every TGD of *tgds* (``I |= Σ``)."""
+    _require_tgd_set(tgds, "satisfies")
     rules = tgds.rules
     plans = [FiringPlan(rule, index) for index, rule in enumerate(rules)]
     for index, values in IndexedTriggerSource(rules).initial(instance):

@@ -69,14 +69,9 @@ from .exceptions import (
     ParseError,
     StorageError,
 )
-from .experiments import (
-    ABLATION_RUNNERS,
-    ALL_RUNNERS,
-    PRESETS,
-    preset,
-)
+from .experiments import FIGURES, PRESETS, preset, run_experiment
 from .experiments.reporting import format_table, summarize_figure, write_csv
-from .experiments.runner import SWEEP_KINDS, run_sweep, sweep_summary
+from .experiments.runner import KINDS, SCENARIO_KINDS, SWEEP_KINDS, run_sweep, sweep_summary
 from .obs.clock import perf_counter_s
 from .termination import is_chase_finite_l, is_chase_finite_sl
 
@@ -186,7 +181,9 @@ def _build_parser() -> argparse.ArgumentParser:
         default=",".join(SWEEP_KINDS),
         help="comma-separated workload kinds: sl (Section 7's simple-linear "
         "grid), l (Section 8's linear prefix-view ladder), shapes (both "
-        "FindShapes methods on that ladder) (default: all three)",
+        "FindShapes methods on that ladder) (default: these three); table1, "
+        "table2 (one literature scenario per task), static_vs_dynamic, "
+        "materialization_vs_acyclicity (one generated rule set per task)",
     )
     sweep.add_argument(
         "--checkpoint",
@@ -461,24 +458,22 @@ def _command_chase(args) -> int:
 
 
 def _command_run(args) -> int:
-    runners = {**ALL_RUNNERS, **ABLATION_RUNNERS}
-    if args.experiment not in runners:
+    if args.experiment not in FIGURES:
         print(f"unknown experiment {args.experiment!r}; run 'repro-experiments list'", file=sys.stderr)
         return 2
-    runner = runners[args.experiment]
-    is_table = args.experiment.startswith("table")
-    if not is_table and (args.scale is not None or args.scenarios is not None):
+    if FIGURES[args.experiment].kind not in SCENARIO_KINDS and (
+        args.scale is not None or args.scenarios is not None
+    ):
         print(
             f"--scale and --scenarios apply to table runs only, not {args.experiment!r}",
             file=sys.stderr,
         )
         return 2
+    overrides = {"scenario_scale": args.scale}
+    if args.scenarios:
+        overrides["scenarios"] = tuple(args.scenarios.split(","))
     try:
-        if is_table:
-            names = args.scenarios.split(",") if args.scenarios else None
-            rows = runner(names=names, scale=args.scale)
-        else:
-            rows = runner(preset(args.preset))
+        rows = run_experiment(args.experiment, preset(args.preset).scaled(**overrides))
     except ExperimentConfigError as error:
         print(f"run failed: {error}", file=sys.stderr)
         return 2
@@ -494,11 +489,11 @@ def _command_run(args) -> int:
 
 def _command_sweep(args) -> int:
     kinds = tuple(kind.strip() for kind in args.kinds.split(",") if kind.strip())
-    unknown = [kind for kind in kinds if kind not in SWEEP_KINDS]
+    unknown = [kind for kind in kinds if kind not in KINDS]
     if unknown or not kinds:
         print(
             f"unknown sweep kind(s) {','.join(unknown) or '(none)'}; "
-            f"expected a comma-separated subset of {','.join(SWEEP_KINDS)}",
+            f"expected a comma-separated subset of {','.join(KINDS)}",
             file=sys.stderr,
         )
         return 2
@@ -680,7 +675,7 @@ def _command_trace_report(args) -> int:
 
 def _command_list() -> int:
     print("experiments:")
-    for name in sorted({**ALL_RUNNERS, **ABLATION_RUNNERS}):
+    for name in sorted(FIGURES):
         print(f"  {name}")
     print("presets:")
     for name in sorted(PRESETS):

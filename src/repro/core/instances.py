@@ -27,7 +27,38 @@ from .predicates import Predicate, Schema
 from .terms import Constant, Null, Term
 
 
-class Instance:
+class TermScan:
+    """``domain()`` / ``constants()`` / ``nulls()`` by one scan of a store's rows.
+
+    Written once for :class:`Instance` and the atom adapter over any store
+    (:class:`repro.storage.atom_store.InstanceView`): the host provides
+    ``predicates()`` and ``rows_matching``, and no term index is kept.
+    """
+
+    __slots__ = ()
+
+    def _terms(self) -> Set[Term]:
+        store: Any = self
+        terms: Set[Term] = set()
+        for predicate in store.predicates():
+            for row in store.rows_matching(predicate):
+                terms.update(row)
+        return terms
+
+    def domain(self) -> FrozenSet[Term]:
+        """Return ``dom(I)``: the constants and nulls occurring in the rows."""
+        return frozenset(self._terms())
+
+    def constants(self) -> FrozenSet[Constant]:
+        """Return the constants occurring in the rows."""
+        return frozenset(term for term in self._terms() if isinstance(term, Constant))
+
+    def nulls(self) -> FrozenSet[Null]:
+        """Return the labeled nulls occurring in the rows."""
+        return frozenset(term for term in self._terms() if isinstance(term, Null))
+
+
+class Instance(TermScan):
     """A mutable set of ground atoms, stored as rows per predicate.
 
     A *row* is the term tuple of one atom; the instance keeps
@@ -36,15 +67,12 @@ class Instance:
     chase engines trade rows through :meth:`add_rows`, :meth:`rows_matching`
     and :meth:`has_row` and never build one.
 
-    On top of the per-predicate rows the instance maintains two structures
-    used by the indexed trigger engine (:mod:`repro.chase.matching`):
-
-    * **position postings** — for each ``(predicate, position)``, a
-      ``term -> [rows]`` dict built on the first lookup binding that
-      position and fed every later insert (:func:`~repro.core.indexing.post_rows`);
-    * an **incremental term index** — the terms occurring in the instance,
-      updated on insert so that ``domain()``/``constants()``/``nulls()``
-      never rescan the rows.
+    On top of the per-predicate rows the instance maintains **position
+    postings** for the indexed trigger engine (:mod:`repro.chase.matching`):
+    for each ``(predicate, position)``, a ``term -> [rows]`` dict built on
+    the first lookup binding that position and fed every later insert
+    (:func:`~repro.core.indexing.post_rows`).  ``domain()`` /
+    ``constants()`` / ``nulls()`` scan the rows (:class:`TermScan`).
 
     The class structurally implements the
     :class:`repro.storage.atom_store.AtomStore` protocol, which is the
@@ -58,7 +86,6 @@ class Instance:
     def __init__(self, atoms: Iterable[Atom] = ()) -> None:
         self._rows: Dict[Predicate, Set[Row]] = {}
         self._size = 0
-        self._terms: Set[Term] = set()
         # Per predicate, one postings dict per position (None until a lookup
         # binds that position).
         self._postings: Dict[Predicate, List[Optional[Postings]]] = {}
@@ -80,7 +107,6 @@ class Instance:
             bucket = self._rows[predicate] = set()
         arity = predicate.arity
         allowed = self._term_types
-        terms = self._terms
         new: List[Row] = []
         size = len(bucket)
         try:
@@ -92,7 +118,6 @@ class Instance:
                     bucket.discard(row)
                     raise ValidationError(self._invalid(predicate, row))
                 size += 1
-                terms.update(row)
                 new.append(row)
         finally:
             if new:
@@ -227,22 +252,6 @@ class Instance:
         """Return a :class:`Schema` over the non-empty predicates."""
         return Schema(self.predicates())
 
-    def domain(self) -> FrozenSet[Term]:
-        """Return ``dom(I)``: the constants and nulls occurring in the instance.
-
-        Answered from the incremental term index maintained on insert, so it
-        costs one set copy instead of a scan over every row.
-        """
-        return frozenset(self._terms)
-
-    def constants(self) -> FrozenSet[Constant]:
-        """Return the constants occurring in the instance."""
-        return frozenset(term for term in self._terms if type(term) is Constant)
-
-    def nulls(self) -> FrozenSet[Null]:
-        """Return the labeled nulls occurring in the instance."""
-        return frozenset(term for term in self._terms if type(term) is Null)
-
     def copy(self) -> "Instance":
         """Return a shallow copy (rows are immutable so this is safe)."""
         return self._copy_into(type(self)())
@@ -251,7 +260,6 @@ class Instance:
         for predicate, bucket in self._rows.items():
             clone._rows[predicate] = set(bucket)
         clone._size = self._size
-        clone._terms = set(self._terms)
         # Postings are rebuilt lazily on the clone.
         return clone
 

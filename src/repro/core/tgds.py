@@ -169,12 +169,6 @@ class TGD:
         """Return ``True`` when the head consists of a single atom."""
         return len(self.rule.head) == 1
 
-    def body_atom(self) -> Atom:
-        """Return the unique body atom of a linear TGD; raise otherwise."""
-        if not self.is_linear():
-            raise NotLinearError(f"TGD {self!r} is not linear")
-        return self.body[0]
-
     # ------------------------------------------------------------------ #
     # Schema
 
@@ -221,10 +215,6 @@ class TGDSet:
         self._rules.append(rule)
         self._declared = None
         return True
-
-    def update(self, tgds: Iterable[TGD]) -> int:
-        """Add every TGD of *tgds*; return how many were new."""
-        return sum(1 for tgd in tgds if self.add(tgd))
 
     def __iter__(self) -> Iterator[TGD]:
         views, rules = self._views, self._rules

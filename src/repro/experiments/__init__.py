@@ -1,14 +1,10 @@
-"""Experiment harness: figure/table/ablation runners, configs, and reporting."""
+"""Experiment harness: sweep kinds, the experiments projected from them, configs, and reporting."""
 
-from .ablations import (
-    ABLATION_RUNNERS,
-    ablation_materialization_vs_acyclicity,
-    ablation_static_vs_dynamic_simplification,
-)
 from .config import DEFAULT, MEDIUM, PAPER, PRESETS, SMOKE, ExperimentConfig, preset
-from .figures import FIGURE_RUNNERS
+from .figures import FIGURES, run_experiment
 from .reporting import format_table, group_mean, summarize_figure, write_csv
 from .runner import (
+    KINDS,
     SWEEP_KINDS,
     SweepResult,
     SweepTask,
@@ -16,7 +12,6 @@ from .runner import (
     run_sweep,
     sweep_summary,
 )
-from .tables import TABLE_RUNNERS, table1, table2
 from .workloads import (
     AdversarialWorkload,
     LinearRuleSet,
@@ -31,17 +26,13 @@ from .workloads import (
     simple_linear_workloads,
 )
 
-#: Every runner keyed by experiment id (used by the CLI).
-ALL_RUNNERS = {**FIGURE_RUNNERS, **TABLE_RUNNERS}
-
 __all__ = [
-    "ABLATION_RUNNERS",
     "AdversarialWorkload",
-    "ALL_RUNNERS",
     "DEFAULT",
     "MEDIUM",
     "ExperimentConfig",
-    "FIGURE_RUNNERS",
+    "FIGURES",
+    "KINDS",
     "LinearRuleSet",
     "PAPER",
     "PRESETS",
@@ -50,9 +41,6 @@ __all__ = [
     "SimpleLinearWorkload",
     "SweepResult",
     "SweepTask",
-    "TABLE_RUNNERS",
-    "ablation_materialization_vs_acyclicity",
-    "ablation_static_vs_dynamic_simplification",
     "adversarial_workloads",
     "build_dstar",
     "build_linear_rule_set",
@@ -64,11 +52,10 @@ __all__ = [
     "plan_sweep",
     "preset",
     "restrict_view_to_rules",
+    "run_experiment",
     "run_sweep",
     "simple_linear_workloads",
     "summarize_figure",
     "sweep_summary",
-    "table1",
-    "table2",
     "write_csv",
 ]

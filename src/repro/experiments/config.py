@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import Dict, List
+from typing import Dict, List, Optional, Tuple
 
 from ..exceptions import ExperimentConfigError
 from ..generators.profiles import (
@@ -31,6 +31,12 @@ from ..generators.profiles import (
     database_sizes,
     paper_predicate_profiles,
     paper_tgd_profiles,
+)
+from ..scenarios import scenario_names
+
+#: The Tables 1/2 scenarios run by default: every Table 1 scenario that stays small.
+DEFAULT_SCENARIOS = (
+    "Deep-100", "Deep-200", "Deep-300", "LUBM-1", "LUBM-10", "LUBM-100", "STB-128", "ONT-256",
 )
 
 
@@ -60,6 +66,12 @@ class ExperimentConfig:
         paper).
     seed:
         Master seed; every runner derives per-task seeds from it.
+    scenarios:
+        The literature scenarios Tables 1/2 run, one sweep task each.
+    scenario_scale:
+        The scale passed to every scenario builder (``None``: each
+        family's laptop-sized default, see
+        :func:`repro.scenarios.build_scenario`).
     """
 
     tgd_scale: float = 0.002
@@ -70,8 +82,18 @@ class ExperimentConfig:
     sets_per_profile_sl: int = 3
     sets_per_profile_l: int = 2
     seed: int = 20230322
+    scenarios: Tuple[str, ...] = DEFAULT_SCENARIOS
+    scenario_scale: Optional[float] = None
 
     def __post_init__(self):
+        object.__setattr__(self, "scenarios", tuple(self.scenarios))
+        unknown = [name for name in self.scenarios if name not in scenario_names()]
+        if unknown:
+            raise ExperimentConfigError(
+                f"unknown scenario {unknown[0]!r}; known: {', '.join(scenario_names())}"
+            )
+        if self.scenario_scale is not None and self.scenario_scale <= 0:
+            raise ExperimentConfigError("scenario_scale must be positive")
         if self.tgd_scale <= 0 or self.db_scale <= 0 or self.predicate_scale <= 0:
             raise ExperimentConfigError("scales must be positive")
         if self.db_predicates < 1 or self.db_domain_size < 5:

@@ -8,9 +8,12 @@ parallel-join literature distribute independent partitions.  Three pieces:
 * **Task plan** — :func:`plan_sweep` enumerates the grid as
   :class:`SweepTask` descriptors of the paper's measurement families:
   ``sl`` (Figure 1), ``l`` (Figures 5–7, the db-independent and edge
-  figures) and ``shapes`` (Figures 2–4), whose rows
-  :mod:`repro.experiments.figures` projects.  Tasks carry *indices*, not
-  data: workload generation is deterministic and random-access
+  figures) and ``shapes`` (Figures 2–4) over the synthetic grid,
+  ``table1``/``table2`` (Section 9) over ``config.scenarios`` and the two
+  ablations (§1.4, §4.2) over their generated rule sets; every experiment
+  id of :mod:`repro.experiments.figures` projects one kind's rows.  Tasks
+  carry *indices*, not data: workload generation is deterministic and
+  random-access
   (:func:`~repro.experiments.workloads.build_simple_linear_workload` /
   :func:`~repro.experiments.workloads.build_linear_rule_set`), so a worker
   process regenerates exactly the inputs its task names instead of receiving
@@ -47,8 +50,10 @@ from ..storage.shape_finder import DeltaShapeFinder, InDatabaseShapeFinder, InMe
 from ..termination.incremental import IncrementalLinearChecker
 from ..termination.linear import is_chase_finite_l
 from ..termination.simple_linear import is_chase_finite_sl
+from .ablations import RULE_SETS, materialization_vs_acyclicity_rows, static_vs_dynamic_rows
 from .config import ExperimentConfig
 from .reporting import format_table, group_mean
+from .tables import table1_rows, table2_rows
 from .workloads import (
     build_dstar,
     build_linear_rule_set,
@@ -63,18 +68,14 @@ Row = Dict[str, object]
 #: Checkpoint format version (bumped on incompatible record changes).
 CHECKPOINT_VERSION = 1
 
-#: The workload kinds a sweep can cover: the simple-linear grid (Section 7),
+#: The kinds a sweep runs by default: the simple-linear grid (Section 7),
 #: the linear prefix-view ladder (Section 8) and FindShapes alone on it.
 SWEEP_KINDS = ("sl", "l", "shapes")
-
-#: Row columns that are deterministic given the configuration (no timings).
-#: Aggregate tables are built from these only, which is what makes resumed
-#: sweeps byte-identical to uninterrupted ones.
-DETERMINISTIC_COLUMNS = (
-    "task_id", "kind", "predicate_profile", "tgd_profile", "n_tuples_per_relation", "n_rules",
-    "n_shapes", "n_simplified_rules", "n_edges", "finite", "method", "n_predicates",
-    "rows_scanned", "queries_issued",
-)
+#: The kinds that run one literature scenario per task (Tables 1/2).
+SCENARIO_KINDS = ("table1", "table2")
+#: Every kind a sweep can cover: the defaults, the scenario kinds and the
+#: two ablations (one generated rule set per task).
+KINDS = SWEEP_KINDS + SCENARIO_KINDS + ("static_vs_dynamic", "materialization_vs_acyclicity")
 
 
 @dataclass(frozen=True)
@@ -84,7 +85,9 @@ class SweepTask:
     ``sl`` tasks run ``IsChaseFinite[SL]`` on one generated workload; ``l``
     tasks sweep one linear rule set across every ``D*`` prefix view;
     ``shapes`` tasks run both ``FindShapes`` implementations on every view
-    restricted to one linear rule set's schema.
+    restricted to one linear rule set's schema.  The other kinds have one
+    profile (``0``) and one sample per scenario of ``config.scenarios``
+    (``table1``/``table2``) or per ablation rule set.
     """
 
     kind: str
@@ -92,7 +95,7 @@ class SweepTask:
     sample_index: int
 
     def __post_init__(self):
-        if self.kind not in SWEEP_KINDS:
+        if self.kind not in KINDS:
             raise ExperimentConfigError(f"unknown sweep kind {self.kind!r}")
 
     @property
@@ -108,14 +111,18 @@ def plan_sweep(config: ExperimentConfig, kinds: Sequence[str] = SWEEP_KINDS) -> 
     unique.
     """
     tasks: List[SweepTask] = []
-    profiles = config.combined_profiles()
     for kind in dict.fromkeys(kinds):
-        if kind not in SWEEP_KINDS:
+        if kind not in KINDS:
             raise ExperimentConfigError(
-                f"unknown sweep kind {kind!r}; expected a subset of {SWEEP_KINDS}"
+                f"unknown sweep kind {kind!r}; expected a subset of {KINDS}"
             )
-        samples = config.sets_per_profile_sl if kind == "sl" else config.sets_per_profile_l
-        for profile_index in range(len(profiles)):
+        if kind in SWEEP_KINDS:
+            profiles = len(config.combined_profiles())
+            samples = config.sets_per_profile_sl if kind == "sl" else config.sets_per_profile_l
+        else:  # one profile: one sample per scenario or per ablation rule set
+            profiles = 1
+            samples = len(config.scenarios) if kind in SCENARIO_KINDS else RULE_SETS
+        for profile_index in range(profiles):
             for sample_index in range(samples):
                 tasks.append(SweepTask(kind, profile_index, sample_index))
     return tasks
@@ -184,11 +191,10 @@ def _run_task_in_worker(task: SweepTask) -> Tuple[str, List[Row], float]:
 # Task execution
 
 def _execute_task(state: _WorkerState, task: SweepTask) -> List[Row]:
-    if task.kind == "sl":
-        return _execute_sl_task(state, task)
-    if task.kind == "shapes":
-        return _execute_shapes_task(state, task)
-    return _execute_linear_task(state, task)
+    return [
+        {"task_id": task.task_id, "kind": task.kind, **row}
+        for row in _EXECUTORS[task.kind](state, task)
+    ]
 
 
 def _execute_sl_task(state: _WorkerState, task: SweepTask) -> List[Row]:
@@ -199,8 +205,6 @@ def _execute_sl_task(state: _WorkerState, task: SweepTask) -> List[Row]:
     timings = report.timings
     return [
         {
-            "task_id": task.task_id,
-            "kind": "sl",
             "predicate_profile": workload.profile.predicates.label,
             "tgd_profile": workload.profile.tgds.label,
             "n_rules": report.statistics["n_rules"],
@@ -234,8 +238,6 @@ def _execute_linear_task(state: _WorkerState, task: SweepTask) -> List[Row]:
         statistics, timings = report.statistics, report.timings
         rows.append(
             {
-                "task_id": task.task_id,
-                "kind": "l",
                 "predicate_profile": rule_set.profile.predicates.label,
                 "tgd_profile": rule_set.profile.tgds.label,
                 "n_tuples_per_relation": view.tuples_per_relation,
@@ -274,8 +276,6 @@ def _execute_shapes_task(state: _WorkerState, task: SweepTask) -> List[Row]:
             elapsed = perf_counter_s() - start
             rows.append(
                 {
-                    "task_id": task.task_id,
-                    "kind": "shapes",
                     "method": method,
                     "predicate_profile": rule_set.profile.predicates.label,
                     "tgd_profile": rule_set.profile.tgds.label,
@@ -289,6 +289,19 @@ def _execute_shapes_task(state: _WorkerState, task: SweepTask) -> List[Row]:
                 }
             )
     return rows
+
+
+#: Per kind, the function computing one task's rows (the runner adds the
+#: ``task_id`` and ``kind`` columns).
+_EXECUTORS: Dict[str, Callable[[_WorkerState, SweepTask], List[Row]]] = {
+    "sl": _execute_sl_task,
+    "l": _execute_linear_task,
+    "shapes": _execute_shapes_task,
+    "table1": table1_rows,
+    "table2": table2_rows,
+    "static_vs_dynamic": static_vs_dynamic_rows,
+    "materialization_vs_acyclicity": materialization_vs_acyclicity_rows,
+}
 
 
 # --------------------------------------------------------------------------- #
@@ -419,8 +432,8 @@ def run_sweep(
     Parameters
     ----------
     kinds:
-        Which workload grids to cover: any of ``"sl"``, ``"l"`` and
-        ``"shapes"``.
+        Which kinds to cover: any of :data:`KINDS` (default: the
+        synthetic grid's ``"sl"``, ``"l"`` and ``"shapes"``).
     workers:
         Process-pool size; ``1`` executes in-process (no pool).
     checkpoint_path:
@@ -583,15 +596,36 @@ _SUMMARIES = (
     ("shapes", ("predicate_profile", "tgd_profile", "n_tuples_per_relation", "method"),
      ("n_predicates", "n_shapes", "rows_scanned", "queries_issued"),
      "sweep[shapes] (means per profile, view size and method)"),
+    ("table1", ("family", "name"), ("n_pred", "n_atoms", "n_shapes", "n_rules"),
+     "sweep[table1] (per scenario)"),
+    ("table2", ("family", "name"),
+     ("n_rules", "n_shapes", "n_simplified_rules", "finite", "shapes_agree"),
+     "sweep[table2] (per scenario)"),
+    ("static_vs_dynamic", ("rule_set",),
+     ("n_rules", "static_size", "static_size_bound", "dynamic_size", "size_ratio"),
+     "sweep[static_vs_dynamic] (per rule set)"),
+    ("materialization_vs_acyclicity", ("rule_set",),
+     ("n_rules", "n_atoms", "acyclicity_finite", "materialization_finite",
+      "materialization_conclusive", "atoms_materialized"),
+     "sweep[materialization_vs_acyclicity] (per rule set)"),
 )
+
+#: Row columns that are deterministic given the configuration (no timings):
+#: the task key and every column an aggregate table reads, which is what
+#: makes resumed sweeps byte-identical to uninterrupted ones.
+DETERMINISTIC_COLUMNS = tuple(dict.fromkeys(
+    ("task_id", "kind") + tuple(column for _, group_by, values, _ in _SUMMARIES
+                                for column in group_by + values)
+))
 
 
 def sweep_summary(rows: Iterable[Row]) -> str:
     """Render the aggregate tables of a sweep (deterministic columns only).
 
     Rows are grouped per kind — per combined profile for ``sl``, additionally
-    per database size for ``l``, and per size and ``FindShapes`` method for
-    ``shapes`` — and averaged over the deterministic columns.  Because no
+    per database size for ``l``, per size and ``FindShapes`` method for
+    ``shapes``, per scenario for the tables and per rule set for the
+    ablations — and averaged over the deterministic columns.  Because no
     timing enters the projection, the rendered tables depend only on the
     configuration: resuming an interrupted sweep yields byte-identical output.
     """

@@ -1,9 +1,10 @@
-"""Runners for Tables 1 and 2 (Section 9 — validation on literature scenarios).
+"""Tables 1 and 2 (Section 9 — validation on literature scenarios) as sweep kinds.
 
 Table 1 reports the statistics of the Deep, LUBM, and iBench scenarios;
 Table 2 reports the runtime breakdown of ``IsChaseFinite[L]`` on them, with
 the ``FindShapes`` step measured both with the in-database and the in-memory
-implementation.
+implementation.  A ``table1``/``table2`` sweep task builds one scenario of
+``config.scenarios`` at ``config.scenario_scale``.
 
 The scenarios are synthetic analogues built at a configurable scale (see
 :mod:`repro.scenarios`); every row therefore carries both the paper's
@@ -12,7 +13,7 @@ reported value and the value measured on the rebuilt scenario.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Dict, List
 
 from ..core.serializer import serialize_rules
 from ..obs.clock import perf_counter_s
@@ -20,58 +21,52 @@ from ..scenarios import PAPER_TABLE_2_MS, Scenario, build_scenario
 from ..storage.shape_finder import InDatabaseShapeFinder, InMemoryShapeFinder
 from ..termination.linear import is_chase_finite_l
 
+if TYPE_CHECKING:
+    from .runner import SweepTask, _WorkerState
+
 Row = Dict[str, object]
 
-#: Scenario subset used by default: every Table 1 scenario that stays small.
-DEFAULT_SCENARIOS = (
-    "Deep-100",
-    "Deep-200",
-    "Deep-300",
-    "LUBM-1",
-    "LUBM-10",
-    "LUBM-100",
-    "STB-128",
-    "ONT-256",
-)
+
+def _scenario(state: "_WorkerState", task: "SweepTask") -> Scenario:
+    config = state.config
+    return build_scenario(config.scenarios[task.sample_index], scale=config.scenario_scale)
 
 
-def _build_scenarios(names: Optional[Iterable[str]], scale: Optional[float]) -> List[Scenario]:
-    names = tuple(names) if names is not None else DEFAULT_SCENARIOS
-    return [build_scenario(name, scale=scale) for name in names]
+def table1_rows(state: "_WorkerState", task: "SweepTask") -> List[Row]:
+    """Table 1: one scenario's statistics (paper value vs rebuilt value)."""
+    scenario = _scenario(state, task)
+    measured = scenario.measured_stats()
+    paper = scenario.paper_stats
+    return [
+        {
+            "family": scenario.family,
+            "name": scenario.name,
+            "n_pred": measured.n_pred,
+            "arity": measured.arity_label,
+            "n_atoms": measured.n_atoms,
+            "n_shapes": measured.n_shapes,
+            "n_rules": measured.n_rules,
+            "paper_n_pred": paper.n_pred,
+            "paper_arity": paper.arity_label,
+            "paper_n_atoms": paper.n_atoms,
+            "paper_n_shapes": paper.n_shapes,
+            "paper_n_rules": paper.n_rules,
+        }
+    ]
 
 
-def table1(names: Optional[Iterable[str]] = None, scale: Optional[float] = None) -> List[Row]:
-    """Table 1: per-scenario statistics (paper value vs rebuilt value)."""
-    rows: List[Row] = []
-    for scenario in _build_scenarios(names, scale):
-        measured = scenario.measured_stats()
-        paper = scenario.paper_stats
-        rows.append(
-            {
-                "table": "table1",
-                "family": scenario.family,
-                "name": scenario.name,
-                "n_pred": measured.n_pred,
-                "arity": measured.arity_label,
-                "n_atoms": measured.n_atoms,
-                "n_shapes": measured.n_shapes,
-                "n_rules": measured.n_rules,
-                "paper_n_pred": paper.n_pred,
-                "paper_arity": paper.arity_label,
-                "paper_n_atoms": paper.n_atoms,
-                "paper_n_shapes": paper.n_shapes,
-                "paper_n_rules": paper.n_rules,
-            }
-        )
-    return rows
-
-
-def _run_l_breakdown(scenario: Scenario) -> Row:
-    """Measure t-parse / t-graph / t-comp / t-shapes (both methods) for a scenario.
+def table2_rows(state: "_WorkerState", task: "SweepTask") -> List[Row]:
+    """Table 2: one scenario's runtime of ``IsChaseFinite[L]`` (seconds).
 
     ``IsChaseFinite[L]`` runs once, on the in-memory finder; the in-database
-    finder is timed on its own and must find the same shapes.
+    finder is timed on its own and must find the same shapes.  The row also
+    carries the paper's reported milliseconds so the two can be printed side
+    by side; absolute values are not expected to match (the substrate
+    differs), only the relative structure — parsing and graph work
+    negligible, ``FindShapes`` dominant, in-database faster than in-memory
+    for the LUBM/iBench style scenarios and slower for Deep.
     """
+    scenario = _scenario(state, task)
     report = is_chase_finite_l(
         InMemoryShapeFinder(scenario.store), serialize_rules(scenario.tgds)
     )
@@ -80,7 +75,9 @@ def _run_l_breakdown(scenario: Scenario) -> Row:
     t_shapes_in_db = perf_counter_s() - start
 
     timings = report.timings
-    return {
+    row: Row = {
+        "name": scenario.name,
+        "family": scenario.family,
         "t_parse": timings.t_parse,
         "t_graph": timings.t_graph,
         "t_comp": timings.t_comp,
@@ -94,26 +91,6 @@ def _run_l_breakdown(scenario: Scenario) -> Row:
         "n_simplified_rules": report.statistics["n_simplified_rules"],
         "shapes_agree": shapes_in_db == report.simplification.initial_shapes,
     }
-
-
-def table2(names: Optional[Iterable[str]] = None, scale: Optional[float] = None) -> List[Row]:
-    """Table 2: runtime of ``IsChaseFinite[L]`` per scenario (seconds).
-
-    Each row also carries the paper's reported milliseconds so the two can
-    be printed side by side; absolute values are not expected to match (the
-    substrate differs), only the relative structure — parsing and graph work
-    negligible, ``FindShapes`` dominant, in-database faster than in-memory
-    for the LUBM/iBench style scenarios and slower for Deep.
-    """
-    rows: List[Row] = []
-    for scenario in _build_scenarios(names, scale):
-        measurement = _run_l_breakdown(scenario)
-        paper = PAPER_TABLE_2_MS.get(scenario.name, {})
-        row: Row = {"table": "table2", "name": scenario.name, "family": scenario.family}
-        row.update(measurement)
-        row.update({f"paper_{key}_ms": value for key, value in paper.items()})
-        rows.append(row)
-    return rows
-
-
-TABLE_RUNNERS = {"table1": table1, "table2": table2}
+    paper = PAPER_TABLE_2_MS.get(scenario.name, {})
+    row.update({f"paper_{key}_ms": value for key, value in paper.items()})
+    return [row]

@@ -46,9 +46,9 @@ from typing import (
 
 from ..core.atoms import Atom, row_sort_key
 from ..core.indexing import Row
-from ..core.instances import Instance
+from ..core.instances import Instance, TermScan
 from ..core.predicates import Predicate
-from ..core.terms import Constant, Null, Term
+from ..core.terms import Term
 
 
 @runtime_checkable
@@ -102,7 +102,7 @@ class AtomStore(Protocol):
         ...
 
 
-class InstanceView:
+class InstanceView(TermScan):
     """A read-only, instance-shaped view over any :class:`AtomStore`.
 
     Presents the read API of :class:`~repro.core.instances.Instance`
@@ -177,24 +177,6 @@ class InstanceView:
     def atoms(self) -> FrozenSet[Atom]:
         """Return all atoms as a frozen set (one full scan)."""
         return frozenset(self._store.iter_atoms())
-
-    def _terms(self) -> Iterator[Term]:
-        store = self._store
-        for predicate in store.predicates():
-            for row in store.rows_matching(predicate):
-                yield from row
-
-    def constants(self) -> FrozenSet[Constant]:
-        """Return the constants occurring in the store (streamed scan)."""
-        return frozenset(term for term in self._terms() if not isinstance(term, Null))
-
-    def nulls(self) -> FrozenSet[Null]:
-        """Return the labeled nulls occurring in the store (streamed scan)."""
-        return frozenset(term for term in self._terms() if isinstance(term, Null))
-
-    def domain(self) -> FrozenSet[Term]:
-        """Return the constants and nulls occurring in the store."""
-        return frozenset(self._terms())
 
     def to_instance(self) -> Instance:
         """Materialise the store (constants *and* nulls) as an :class:`Instance`,

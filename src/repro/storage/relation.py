@@ -121,14 +121,6 @@ class Relation:
             return iter(self._rows)
         return iter(self._rows[start:limit])
 
-    def chunks(self, chunk_size: int, limit: Optional[int] = None) -> Iterator[List[Row]]:
-        """Scan the rows in chunks of *chunk_size* (the in-memory ``FindShapes`` splitter)."""
-        if chunk_size <= 0:
-            raise StorageError("chunk_size must be positive")
-        rows = self._rows if limit is None else self._rows[:limit]
-        for start in range(0, len(rows), chunk_size):
-            yield rows[start:start + chunk_size]
-
     def atoms(self, limit: Optional[int] = None) -> Iterator[Atom]:
         """Scan the rows as atoms (decoding stored values back into terms)."""
         for row in self.rows(limit=limit):

@@ -5,8 +5,8 @@ the db-dependent component of ``IsChaseFinite[L]`` and the dominant cost in
 the paper's end-to-end measurements (Table 2).  Two implementations are
 provided, mirroring the paper:
 
-* :class:`InMemoryShapeFinder` — load every relation (in chunks when asked)
-  and compute the shape of each tuple;
+* :class:`InMemoryShapeFinder` — scan every relation and compute the shape
+  of each tuple;
 * :class:`InDatabaseShapeFinder` — never load tuples; instead, issue one
   Boolean existence query per candidate shape, ordered from general to
   specific and pruned Apriori-style using relaxed (equality-only) queries.
@@ -28,11 +28,10 @@ where the time goes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Set, Tuple
 
 from ..chase.bounds import bell_number
 from ..core.predicates import Predicate
-from ..exceptions import StorageError
 from ..simplification.shapes import Shape, first_rows_of_patterns, identifier_tuple, row_patterns
 from .queries import shape_exists
 
@@ -86,16 +85,7 @@ class InMemoryShapeFinder(_BaseShapeFinder):
     store:
         A :class:`~repro.storage.database.RelationalDatabase` or a
         :class:`~repro.storage.views.PrefixView`.
-    chunk_size:
-        When given, relations are processed in chunks of this many tuples —
-        the paper's answer to relations that do not fit in main memory.
     """
-
-    def __init__(self, store: Any, chunk_size: Optional[int] = None):
-        super().__init__(store)
-        if chunk_size is not None and chunk_size <= 0:
-            raise StorageError("chunk_size must be positive")
-        self._chunk_size = chunk_size
 
     def find_shapes(self) -> Set[Shape]:
         """Return the set of shapes of every tuple in the store."""
@@ -103,15 +93,10 @@ class InMemoryShapeFinder(_BaseShapeFinder):
         shapes: Set[Shape] = set()
         for relation in self._relations():
             predicate = relation.predicate
-            if predicate.arity <= 1:
-                # One shape, present iff the relation is non-empty: the first row tells.
-                chunks = [relation.rows(limit=1)]
-            elif self._chunk_size is None:
-                chunks = [relation.rows()]
-            else:
-                chunks = relation.chunks(self._chunk_size)
+            # Arity <= 1: one shape, present iff the relation is non-empty: the first row tells.
+            rows = relation.rows(limit=1) if predicate.arity <= 1 else relation.rows()
             self.stats.rows_scanned += len(relation)
-            patterns = set().union(*map(row_patterns, chunks))
+            patterns = row_patterns(rows)
             shapes |= {Shape(predicate.name, identifiers) for identifiers in patterns}
         self.stats.shapes_found = len(shapes)
         return shapes

@@ -47,10 +47,6 @@ class _RelationView:
         effective = self._limit if limit is None else min(limit, self._limit)
         return self._relation.rows(limit=effective, start=start)
 
-    def chunks(self, chunk_size: int, limit: Optional[int] = None):
-        effective = self._limit if limit is None else min(limit, self._limit)
-        return self._relation.chunks(chunk_size, limit=effective)
-
     def atoms(self, limit: Optional[int] = None):
         effective = self._limit if limit is None else min(limit, self._limit)
         return self._relation.atoms(limit=effective)

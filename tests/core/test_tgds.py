@@ -102,10 +102,6 @@ class TestTGDClassification:
         assert parse_tgd("R(x,y) -> S(y,z)").is_single_head()
         assert not parse_tgd("R(x,y) -> S(y,z), T(x,z)").is_single_head()
 
-    def test_body_atom_requires_linearity(self):
-        with pytest.raises(NotLinearError):
-            parse_tgd("R(x,y), S(y,z) -> T(x,z)").body_atom()
-
     def test_predicates(self):
         tgd = parse_tgd("R(x,y) -> S(y,z), T(x,z)")
         assert {p.name for p in tgd.predicates()} == {"R", "S", "T"}

@@ -3,7 +3,15 @@
 import pytest
 
 from repro.exceptions import ExperimentConfigError
-from repro.experiments.config import DEFAULT, MEDIUM, PAPER, SMOKE, ExperimentConfig, preset
+from repro.experiments.config import (
+    DEFAULT,
+    DEFAULT_SCENARIOS,
+    MEDIUM,
+    PAPER,
+    SMOKE,
+    ExperimentConfig,
+    preset,
+)
 from repro.experiments.workloads import (
     adversarial_workloads,
     build_dstar,
@@ -39,6 +47,22 @@ class TestExperimentConfig:
             ExperimentConfig(tgd_scale=0)
         with pytest.raises(ExperimentConfigError):
             ExperimentConfig(sets_per_profile_sl=0)
+
+    def test_scenario_fields(self):
+        # Every preset runs the same laptop-sized scenarios at each family's
+        # default scale; names are checked at construction, and a list is
+        # kept as a tuple so the config stays hashable.
+        assert {config.scenarios for config in (SMOKE, MEDIUM, DEFAULT, PAPER)} == {
+            DEFAULT_SCENARIOS
+        }
+        assert DEFAULT.scenario_scale is None
+        config = SMOKE.scaled(scenarios=["LUBM-1"], scenario_scale=0.5)
+        assert config.scenarios == ("LUBM-1",) and hash(config)
+        with pytest.raises(ExperimentConfigError, match="unknown scenario 'NOPE'"):
+            SMOKE.scaled(scenarios=("LUBM-1", "NOPE"))
+        for scale in (0, -1.0):
+            with pytest.raises(ExperimentConfigError, match="scenario_scale"):
+                SMOKE.scaled(scenario_scale=scale)
 
     def test_rng_is_deterministic(self):
         config = ExperimentConfig()

@@ -1,4 +1,4 @@
-"""Error-path coverage for the figure/table runners and the reporting layer.
+"""Error-path coverage for the experiments and the reporting layer.
 
 The happy paths live in ``test_figures_and_tables.py``; this file pins what
 happens on empty result sets, unknown scenario names, and rows with missing
@@ -16,21 +16,25 @@ from repro.experiments.reporting import (
     summarize_figure,
     write_csv,
 )
-from repro.experiments.tables import table1, table2
+from repro.experiments import SMOKE, run_experiment
 
 
 class TestScenarioTables:
     def test_unknown_scenario_name_is_a_config_error(self):
         with pytest.raises(ExperimentConfigError) as excinfo:
-            table1(names=["NOPE"])
+            run_experiment("table1", SMOKE.scaled(scenarios=("NOPE",)))
         # The message must name the valid choices, not just reject.
         assert "NOPE" in str(excinfo.value)
         assert "LUBM-1" in str(excinfo.value)
         with pytest.raises(ExperimentConfigError):
-            table2(names=["Deep-100", "NOPE"])
+            run_experiment("table2", SMOKE.scaled(scenarios=("Deep-100", "NOPE")))
+
+    def test_unknown_experiment_is_a_config_error(self):
+        with pytest.raises(ExperimentConfigError, match="figure99"):
+            run_experiment("figure99", SMOKE)
 
     def test_empty_scenario_selection_yields_empty_rows(self):
-        rows = table1(names=[])
+        rows = run_experiment("table1", SMOKE.scaled(scenarios=()))
         assert rows == []
         assert summarize_figure(rows) == "(no rows)"
         assert format_table(rows, title="table1") == "table1: (no rows)"

@@ -5,9 +5,12 @@ import json
 import pytest
 
 from repro.exceptions import ExperimentConfigError
+from repro.experiments import run_experiment
+from repro.experiments.ablations import RULE_SETS
 from repro.experiments.config import SMOKE, ExperimentConfig
 from repro.experiments.runner import (
     DETERMINISTIC_COLUMNS,
+    KINDS,
     SWEEP_KINDS,
     SweepTask,
     load_checkpoint,
@@ -50,6 +53,16 @@ class TestPlan:
             plan_sweep(SMOKE, kinds=("bogus",))
         with pytest.raises(ExperimentConfigError):
             SweepTask("bogus", 0, 0)
+
+    def test_scenario_and_ablation_kinds_plan_one_task_per_input(self):
+        config = SMOKE.scaled(scenarios=("LUBM-1", "Deep-100"))
+        tasks = plan_sweep(config, kinds=KINDS[len(SWEEP_KINDS):])
+        counts = {kind: [task.kind for task in tasks].count(kind) for kind in KINDS}
+        assert counts == {"sl": 0, "l": 0, "shapes": 0, "table1": 2, "table2": 2,
+                          "static_vs_dynamic": RULE_SETS,
+                          "materialization_vs_acyclicity": RULE_SETS}
+        assert [task.task_id for task in tasks[:2]] == ["table1:p0:s0", "table1:p0:s1"]
+        assert plan_sweep(config.scaled(scenarios=()), kinds=("table2",)) == []
 
     def test_task_ids_are_stable(self):
         assert SweepTask("l", 3, 1).task_id == "l:p3:s1"
@@ -235,6 +248,31 @@ class TestCheckpointResume:
         for line in lines[1:]:
             record = json.loads(line)
             assert set(record) == {"task_id", "elapsed", "rows"}
+
+
+class TestExperimentKinds:
+    def test_run_experiment_projects_the_sweep_rows(self, tmp_path):
+        # `run table1` and a checkpointed, resumed `sweep --kinds table1` hold
+        # the same rows: the run adds its `table` tag, the sweep its task key.
+        config = SMOKE.scaled(scenarios=("LUBM-1", "STB-128"), scenario_scale=0.01)
+        checkpoint = tmp_path / "tables.jsonl"
+        partial = run_sweep(config, kinds=("table1",), checkpoint_path=checkpoint, max_tasks=1)
+        assert partial.pending_task_ids == ["table1:p0:s1"]
+        swept = run_sweep(config, kinds=("table1",), checkpoint_path=checkpoint)
+        assert swept.resumed_task_ids == ["table1:p0:s0"]
+        projected = [
+            {"table": "table1", **{key: value for key, value in row.items()
+                                   if key not in ("task_id", "kind")}}
+            for row in swept.rows
+        ]
+        assert projected == run_experiment("table1", config)
+        summary = sweep_summary(swept.rows)
+        assert summary.startswith("sweep[table1] (per scenario)")
+        assert "LUBM-1" in summary and "STB-128" in summary
+
+    def test_unknown_scenarios_fail_before_any_task_runs(self):
+        with pytest.raises(ExperimentConfigError, match="NOPE"):
+            run_sweep(SMOKE.scaled(scenarios=("Deep-100", "NOPE")), kinds=("table2",))
 
 
 class TestSummary:

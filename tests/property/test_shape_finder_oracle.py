@@ -7,7 +7,7 @@ hypothesis-drawn stores — arities 0 to 5, empty relations, few values repeated
 often, ``_:`` null-marked and ``_e:``-escaped values, names differing only in
 case — this suite holds that
 
-* the kernel, ``InMemoryShapeFinder`` at every chunk size,
+* the kernel, ``InMemoryShapeFinder``,
   ``InDatabaseShapeFinder``, ``SqliteShapeFinder`` and ``shapes_of_database``
   of the decoded atoms all return the reference set, on the store and on its
   prefix views, and ``rows_scanned`` is the visible row count;
@@ -105,12 +105,10 @@ def test_every_finder_returns_the_reference_set(content, limit):
         (store, _reference(content), _visible_rows(content)),
         (PrefixView(store, limit), _reference(content, limit), _visible_rows(content, limit)),
     ):
-        longest = max((len(relation) for relation in source.relations()), default=0)
-        for chunk_size in (None, 1, 3, longest + 1):
-            finder = InMemoryShapeFinder(source, chunk_size=chunk_size)
-            assert finder.find_shapes() == expected, chunk_size
-            assert finder.stats.rows_scanned == visible, chunk_size
-            assert finder.stats.shapes_found == len(expected)
+        finder = InMemoryShapeFinder(source)
+        assert finder.find_shapes() == expected
+        assert finder.stats.rows_scanned == visible
+        assert finder.stats.shapes_found == len(expected)
         assert InDatabaseShapeFinder(source).find_shapes() == expected
         assert DeltaShapeFinder(store).shapes_for(None if source is store else source) == expected
         assert shapes_of_database(_decoded(source)) == expected

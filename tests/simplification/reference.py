@@ -19,6 +19,7 @@ from repro.core.atoms import Atom, match_atom
 from repro.core.predicates import Predicate
 from repro.core.terms import Term, Variable
 from repro.core.tgds import TGD, TGDSet
+from repro.exceptions import NotLinearError
 from repro.simplification.shapes import Shape, resolve_shapes, simplify_atom
 
 
@@ -154,9 +155,16 @@ def h_specialization(body_atom: Atom, shape: Shape) -> Optional[Specialization]:
     return Specialization(body_atom.terms, mapping)
 
 
+def linear_body(tgd: TGD) -> Atom:
+    """Return the one body atom of a linear TGD; a non-linear TGD raises."""
+    if not tgd.is_linear():
+        raise NotLinearError(f"TGD {tgd!r} is not linear")
+    return tgd.body[0]
+
+
 def simplify_tgd_with(tgd: TGD, specialization: Specialization) -> TGD:
     """Return the simplification of a linear TGD induced by *specialization*."""
-    body_atom = tgd.body_atom()
+    body_atom = linear_body(tgd)
     specialized_body = specialization.apply_to_atom(body_atom)
     specialized_head = specialization.apply_to_atoms(tgd.head)
     simple_body = simplify_atom(specialized_body)
@@ -166,7 +174,7 @@ def simplify_tgd_with(tgd: TGD, specialization: Specialization) -> TGD:
 
 def simplifications_of_tgd(tgd: TGD) -> Iterator[TGD]:
     """Enumerate ``simple(σ)``: one simplification per specialization of the body tuple."""
-    body_atom = tgd.body_atom()
+    body_atom = linear_body(tgd)
     for specialization in enumerate_specializations(body_atom.terms):
         yield simplify_tgd_with(tgd, specialization)
 
@@ -181,7 +189,8 @@ def static_simplification(tgds: TGDSet) -> TGDSet:
     tgds.require_linear()
     result = TGDSet()
     for tgd in tgds:
-        result.update(simplifications_of_tgd(tgd))
+        for simplified in simplifications_of_tgd(tgd):
+            result.add(simplified)
     return result
 
 
@@ -225,7 +234,7 @@ def applicable(shapes: Iterable[Shape], tgds: TGDSet, index: Optional[Dict[Predi
     result = TGDSet()
     for shape in shapes:
         for tgd in by_name.get(shape.predicate_name, ()):
-            body_atom = tgd.body_atom()
+            body_atom = linear_body(tgd)
             if body_atom.arity != shape.arity:
                 continue
             specialization = h_specialization(body_atom, shape)

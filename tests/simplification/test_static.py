@@ -1,9 +1,11 @@
 """Unit tests for static simplification (Definition 3.5)."""
 
+import pytest
 from hypothesis import given, settings
 
 from repro.chase.bounds import bell_number, static_simplification_size_bound
 from repro.core.parser import parse_rules, parse_tgd
+from repro.exceptions import NotLinearError
 from repro.simplification.static import simplifications_of_tgd, static_simplification
 from tests.helpers import linear_tgd_sets
 from tests.simplification.reference import identity_specialization, simplify_tgd_with
@@ -12,10 +14,15 @@ from tests.simplification.reference import identity_specialization, simplify_tgd
 class TestSimplifyTGD:
     def test_simple_linear_identity_simplification(self):
         tgd = parse_tgd("R(x,y) -> S(y,z)")
-        simplified = simplify_tgd_with(tgd, identity_specialization(tgd.body_atom().terms))
+        simplified = simplify_tgd_with(tgd, identity_specialization(tgd.body[0].terms))
         assert simplified.body[0].predicate.name == "R__1_2"
         assert simplified.head[0].predicate.name == "S__1_2"
         assert simplified.is_simple_linear()
+
+    def test_the_reference_rejects_a_non_linear_tgd(self):
+        tgd = parse_tgd("R(x,y), S(y,z) -> T(x,z)")
+        with pytest.raises(NotLinearError):
+            simplify_tgd_with(tgd, identity_specialization(tgd.body[0].terms))
 
     def test_collapsing_specialization(self):
         tgd = parse_tgd("R(x,y) -> S(x,y)")
@@ -25,7 +32,7 @@ class TestSimplifyTGD:
 
     def test_head_repetition_is_simplified(self):
         tgd = parse_tgd("R(x,y) -> S(x,x)")
-        simplified = simplify_tgd_with(tgd, identity_specialization(tgd.body_atom().terms))
+        simplified = simplify_tgd_with(tgd, identity_specialization(tgd.body[0].terms))
         assert simplified.head[0].predicate.name == "S__1_1"
         assert simplified.head[0].arity == 1
 

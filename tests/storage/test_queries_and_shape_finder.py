@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.predicates import Predicate
-from repro.exceptions import StorageError
 from repro.simplification.shapes import (
     Shape,
     identifier_tuple,
@@ -131,13 +130,6 @@ class TestShapeFinders:
         assert shapes == {Shape("R", (1, 2, 3))}
         assert finder.stats.shapes_pruned > 0
 
-    def test_in_memory_chunked_matches_unchunked(self):
-        store = self._example_store()
-        assert (
-            InMemoryShapeFinder(store, chunk_size=2).find_shapes()
-            == InMemoryShapeFinder(store).find_shapes()
-        )
-
     def test_counters(self):
         store = self._example_store()
         finder = InMemoryShapeFinder(store)
@@ -198,28 +190,12 @@ class TestShapeFinderStats:
             }
         )
 
-    def test_chunked_iteration_does_not_double_count(self):
-        store = self._store()
-        unchunked = InMemoryShapeFinder(store)
-        unchunked.find_shapes()
-        for chunk_size in (1, 2, 10):
-            chunked = InMemoryShapeFinder(store, chunk_size=chunk_size)
-            chunked.find_shapes()
-            assert chunked.stats.rows_scanned == unchunked.stats.rows_scanned == 4
-            assert chunked.stats.shapes_found == unchunked.stats.shapes_found == 4
-
-    def test_nonpositive_chunk_size_is_rejected_at_construction(self):
-        for chunk_size in (0, -3):
-            with pytest.raises(StorageError, match="chunk_size must be positive"):
-                InMemoryShapeFinder(self._store(), chunk_size=chunk_size)
-
     def test_low_arity_relations_are_counted_not_scanned(self):
         store = _store_from_rows({("N", 0): [(), ()], ("P", 1): [("a",), ("a",), ("b",)],
                                   ("E", 1): [], ("Z", 0): []})
-        for chunk_size in (None, 2):
-            finder = InMemoryShapeFinder(store, chunk_size=chunk_size)
-            assert finder.find_shapes() == {Shape("N", ()), Shape("P", (1,))}
-            assert finder.stats.rows_scanned == 5
+        finder = InMemoryShapeFinder(store)
+        assert finder.find_shapes() == {Shape("N", ()), Shape("P", (1,))}
+        assert finder.stats.rows_scanned == 5
 
     def test_in_database_counters_are_pinned(self):
         # Enumeration order, Apriori pruning and all four counters, as counted

@@ -39,26 +39,6 @@ class TestRelation:
         with pytest.raises(StorageError):
             relation.insert_atom(Atom(S, (Constant("a"),)))
 
-    def test_chunked_scan(self):
-        relation = Relation(S)
-        relation.insert_many([(str(i),) for i in range(10)])
-        chunks = list(relation.chunks(4))
-        assert [len(chunk) for chunk in chunks] == [4, 4, 2]
-        assert list(relation.chunks(4, limit=5))[-1] == [("4",)]
-        with pytest.raises(StorageError):
-            list(relation.chunks(0))
-        relation.chunks(0)  # the check is lazy: raised on the first step, not the call
-
-    def test_chunks_are_copies_of_row_log_slices(self):
-        relation = Relation(S)
-        relation.insert_many([(str(i),) for i in range(5)])
-        assert list(relation.chunks(2)) == [[("0",), ("1",)], [("2",), ("3",)], [("4",)]]
-        assert list(relation.chunks(2, limit=3)) == [[("0",), ("1",)], [("2",)]]
-        assert list(relation.chunks(9, limit=0)) == list(Relation(S).chunks(3)) == []
-        (whole,) = relation.chunks(5)
-        whole.clear()
-        assert len(relation) == 5
-
     def test_rows_from_an_offset(self):
         relation = Relation(S)
         relation.insert_many([(str(i),) for i in range(5)])

@@ -78,3 +78,21 @@ class TestPublicAPI:
         assert repro.chase and repro.core and repro.experiments
         assert repro.generators and repro.graph and repro.scenarios
         assert repro.simplification and repro.storage and repro.termination
+
+    @pytest.mark.parametrize("wrap", [tuple, list])
+    def test_the_chase_entries_take_a_tgd_set(self, wrap):
+        # A bare sequence of TGDs is refused at the public entry, in one line
+        # naming the type it wants, not deep inside the engine.
+        from repro.chase import SemiObliviousChase, chase, satisfies
+
+        rules = repro.parse_rules("R(x,y) -> S(y,z)")
+        database = repro.parse_database("R(a,b).")
+        for call in (
+            lambda: chase(database, wrap(rules)),
+            lambda: satisfies(database, wrap(rules)),
+            lambda: SemiObliviousChase().run(database, wrap(rules)),
+        ):
+            with pytest.raises(TypeError) as info:
+                call()
+            message = str(info.value)
+            assert "TGDSet" in message and wrap.__name__ in message and "\n" not in message
