@@ -13,9 +13,10 @@ Run with::
 
 from repro import (
     ChaseLimits,
+    build_dependency_graph,
     chase,
+    find_special_sccs,
     is_chase_finite_sl,
-    is_weakly_acyclic,
     parse_database,
     parse_rules,
 )
@@ -54,7 +55,8 @@ def materialise(name: str, rules_text: str) -> None:
     source = parse_database(SOURCE_DATA)
 
     print(f"=== {name} ===")
-    print(f"rules: {len(rules)}  (weakly acyclic: {is_weakly_acyclic(rules)})")
+    weakly_acyclic = not find_special_sccs(build_dependency_graph(rules))
+    print(f"rules: {len(rules)}  (weakly acyclic: {weakly_acyclic})")
     report = is_chase_finite_sl(source, rules)
     print(f"IsChaseFinite[SL]: finite={report.finite}  "
           f"special SCCs={report.statistics['n_special_sccs']}")

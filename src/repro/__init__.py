@@ -51,7 +51,6 @@ from .graph import (
     DependencyGraph,
     build_dependency_graph,
     find_special_sccs,
-    has_special_cycle,
 )
 from .simplification import (
     Shape,
@@ -74,8 +73,6 @@ from .termination import (
     is_chase_finite_l,
     is_chase_finite_materialization,
     is_chase_finite_sl,
-    is_weakly_acyclic,
-    is_weakly_acyclic_wrt,
 )
 
 __version__ = "1.0.0"
@@ -110,13 +107,10 @@ __all__ = [
     "chase_size_bound",
     "dynamic_simplification",
     "find_special_sccs",
-    "has_special_cycle",
     "induced_database",
     "is_chase_finite_l",
     "is_chase_finite_materialization",
     "is_chase_finite_sl",
-    "is_weakly_acyclic",
-    "is_weakly_acyclic_wrt",
     "load_database",
     "load_rules",
     "parse_database",

@@ -312,7 +312,9 @@ def _load_program(rules_path, facts_path):
     tgds = load_rules(rules_path)
     parse_s = perf_counter_s() - started
     if facts_path:
-        database = load_database(facts_path)
+        # One schema for both files: a fact may add a predicate, never a
+        # second arity for one the rules use.
+        database = load_database(facts_path, schema=tgds.schema())
     else:
         database = induced_database(tgds)
     return database, tgds, parse_s

@@ -13,21 +13,17 @@ from .runner import (
     sweep_summary,
 )
 from .workloads import (
-    AdversarialWorkload,
     LinearRuleSet,
     SimpleLinearWorkload,
-    adversarial_workloads,
     build_dstar,
     build_linear_rule_set,
     build_simple_linear_workload,
     dstar_views,
     linear_rule_sets,
     restrict_view_to_rules,
-    simple_linear_workloads,
 )
 
 __all__ = [
-    "AdversarialWorkload",
     "DEFAULT",
     "MEDIUM",
     "ExperimentConfig",
@@ -41,7 +37,6 @@ __all__ = [
     "SimpleLinearWorkload",
     "SweepResult",
     "SweepTask",
-    "adversarial_workloads",
     "build_dstar",
     "build_linear_rule_set",
     "build_simple_linear_workload",
@@ -54,7 +49,6 @@ __all__ = [
     "restrict_view_to_rules",
     "run_experiment",
     "run_sweep",
-    "simple_linear_workloads",
     "summarize_figure",
     "sweep_summary",
     "write_csv",

@@ -144,6 +144,6 @@ def materialization_vs_acyclicity_rows(state: "_WorkerState", task: "SweepTask")
             "atoms_materialized": materialization_report.atoms_materialized,
             "t_acyclicity": t_acyclic,
             "t_materialization": materialization_report.elapsed_seconds,
-            "slowdown": materialization_report.elapsed_seconds / max(t_acyclic, 1e-9),
+            "t_slowdown": materialization_report.elapsed_seconds / max(t_acyclic, 1e-9),
         }
     ]

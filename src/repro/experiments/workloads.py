@@ -13,7 +13,7 @@ Two kinds of inputs are produced, matching Sections 7.1 and 8.1:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional
 
 from ..core.instances import Database, induced_database
 from ..core.serializer import serialize_rules
@@ -123,72 +123,12 @@ def build_linear_rule_set(
     )
 
 
-def simple_linear_workloads(config: ExperimentConfig) -> Iterator[SimpleLinearWorkload]:
-    """Generate the simple-linear grid (Section 7.1) at the configured scale."""
-    schema = global_schema(config)
-    for profile_index in range(len(config.combined_profiles())):
-        for sample_index in range(config.sets_per_profile_sl):
-            yield build_simple_linear_workload(config, profile_index, sample_index, schema=schema)
-
-
 def linear_rule_sets(config: ExperimentConfig) -> Iterator[LinearRuleSet]:
     """Generate the 45-set analogue of ``Σ*`` (Section 8.1) at the configured scale."""
     schema = global_schema(config)
     for profile_index in range(len(config.combined_profiles())):
         for sample_index in range(config.sets_per_profile_l):
             yield build_linear_rule_set(config, profile_index, sample_index, schema=schema)
-
-
-@dataclass
-class AdversarialWorkload:
-    """One adversarial input in the same shape as the paper workloads.
-
-    Thin wrapper over :class:`~repro.generators.adversarial.AdversarialCase`
-    so the experiment runners (and the fuzz harness's seed pool) can consume
-    adversarial families through the same interface as the grid workloads.
-    """
-
-    family: str
-    rules_text: str
-    tgds: TGDSet
-    database: Database
-    seed: int
-    notes: str
-
-    @property
-    def n_rules(self) -> int:
-        return len(self.tgds)
-
-
-def adversarial_workloads(
-    config: ExperimentConfig,
-    families: Optional[Tuple[str, ...]] = None,
-    per_family: int = 1,
-    scale: Optional[float] = None,
-) -> Iterator[AdversarialWorkload]:
-    """Generate adversarial workloads at the configured scale.
-
-    The default *scale* maps the preset ladder onto the adversarial
-    families' own size knob: ``smoke`` stays at 1.0 (a handful of rules and
-    facts per case) and larger presets grow roughly with the predicate
-    scale, which is the axis the families actually stress (join width and
-    skew, not rule-set cardinality).
-    """
-    from ..generators.adversarial import adversarial_cases
-
-    if scale is None:
-        scale = max(1.0, config.predicate_scale * 10.0)
-    for case in adversarial_cases(
-        seed=config.seed, scale=scale, families=families, per_family=per_family
-    ):
-        yield AdversarialWorkload(
-            family=case.family,
-            rules_text=serialize_rules(case.tgds),
-            tgds=case.tgds,
-            database=case.database,
-            seed=case.seed,
-            notes=case.notes,
-        )
 
 
 def build_dstar(config: ExperimentConfig) -> RelationalDatabase:

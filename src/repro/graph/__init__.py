@@ -5,15 +5,12 @@ from .dependency_graph import (
     Edge,
     build_dependency_graph,
     build_support_graph,
-    extend_dependency_graph,
 )
 from .reachability import (
     extensional_predicates,
-    reachable_predicates,
-    supported_special_sccs,
     supports,
 )
-from .tarjan import SCC, find_sccs, find_special_sccs, has_special_cycle
+from .tarjan import SCC, find_sccs, find_special_sccs
 
 __all__ = [
     "DependencyGraph",
@@ -21,12 +18,8 @@ __all__ = [
     "SCC",
     "build_dependency_graph",
     "build_support_graph",
-    "extend_dependency_graph",
     "extensional_predicates",
     "find_sccs",
     "find_special_sccs",
-    "has_special_cycle",
-    "reachable_predicates",
-    "supported_special_sccs",
     "supports",
 ]

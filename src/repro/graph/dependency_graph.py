@@ -29,11 +29,11 @@ Implementation notes (mirroring Section 5.1 of the paper):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..core.predicates import Position, Predicate, Schema
 from ..core.rules import CompiledRule
-from ..core.tgds import TGD, TGDSet
+from ..core.tgds import TGDSet
 
 
 @dataclass(frozen=True)
@@ -227,16 +227,6 @@ class DependencyGraph:
         """Return the nodes whose predicate is *predicate*."""
         return [self.position(node) for node in self.nodes_of_predicates([predicate])]
 
-    def to_networkx(self) -> Any:
-        """Export to a ``networkx.DiGraph`` (edge attribute ``special``); optional dependency."""
-        import networkx as nx
-
-        graph = nx.DiGraph()
-        graph.add_nodes_from(self.nodes())
-        for edge in self.edges():
-            graph.add_edge(edge.source, edge.target, special=edge.special)
-        return graph
-
 
 def build_support_graph(tgds: TGDSet) -> DependencyGraph:
     """Build the dependency graph augmented for support/reachability checks.
@@ -317,16 +307,3 @@ def build_dependency_graph(tgds: TGDSet) -> DependencyGraph:
     ``t-graph`` measurements of the paper.
     """
     return _build(tgds)[0]
-
-
-def extend_dependency_graph(graph: DependencyGraph, new_tgds: Iterable[TGD]) -> DependencyGraph:
-    """Extend *graph* in place with the nodes and edges of *new_tgds*.
-
-    Edges are set-collapsed and special-flag ORed exactly as in
-    :func:`build_dependency_graph`, so extending ``dg(Σ)`` with ``Σ' \\ Σ``
-    yields the same graph as building ``dg(Σ ∪ Σ')`` from scratch.  Returns
-    *graph*.
-    """
-    rules = new_tgds.rules if isinstance(new_tgds, TGDSet) else [tgd.rule for tgd in new_tgds]
-    _link_rules(graph, rules)
-    return graph

@@ -50,19 +50,6 @@ def _walk(adjacency: Sequence[Dict[int, bool]], start: List[int]) -> Iterator[in
                 yield neighbour
 
 
-def reachable_predicates(graph: DependencyGraph, sources: Iterable[Predicate]) -> Set[Predicate]:
-    """Return every predicate reachable (w.r.t. the graph) from *sources*.
-
-    Reachability is predicate-level: we start from *every* position of every
-    source predicate and follow edges forward; a predicate counts as reached
-    as soon as any of its positions is reached.  Source predicates are
-    reachable from themselves by definition.
-    """
-    sources = set(sources)
-    reached = _walk(graph.forward, graph.nodes_of_predicates(sources))
-    return sources | {graph.position(node).predicate for node in reached}
-
-
 def supports(database, positions: Iterable[Position], graph: DependencyGraph) -> bool:
     """``Supports(D, P, G)``: does *database* support any position of *positions*?
 
@@ -82,12 +69,3 @@ def supports(database, positions: Iterable[Position], graph: DependencyGraph) ->
     extensional_nodes = set(graph.nodes_of_predicates(extensional))
     start = graph.nodes_of_predicates(candidate_predicates)
     return any(node in extensional_nodes for node in _walk(graph.reverse, start))
-
-
-def supported_special_sccs(database, sccs, graph: DependencyGraph):
-    """Return the subset of *sccs* that are supported by *database*.
-
-    Convenience used by diagnostics and by the experiment harness; Algorithm 1
-    itself only needs the boolean :func:`supports` answer.
-    """
-    return [scc for scc in sccs if supports(database, [scc.representative()], graph)]

@@ -118,8 +118,3 @@ def find_special_sccs(graph: DependencyGraph) -> List[SCC]:
         for members, special in _components(graph.forward)
         if special
     ]
-
-
-def has_special_cycle(graph: DependencyGraph) -> bool:
-    """Return ``True`` when the graph has a cycle through a special edge."""
-    return any(special for _members, special in _components(graph.forward))

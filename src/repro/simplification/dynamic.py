@@ -11,9 +11,9 @@ needs the database-support check (Lemma 4.5).
 The implementation mirrors Algorithm 2 and the engineering described in
 Section 5.4:
 
-* the database shapes are obtained through a pluggable ``shape_source`` —
-  either directly from a :class:`~repro.core.instances.Database`, or from the
-  storage substrate's in-memory / in-database ``FindShapes`` implementations;
+* the database shapes come in as a set of :class:`~.shapes.Shape`, resolved
+  once by the caller (``IsChaseFinite[L]`` resolves any row store or
+  ``FindShapes`` implementation with :func:`~.shapes.resolve_shapes`);
 * every compiled rule is turned once into a :class:`~.plans.TransferPlan`, and an
   index from body predicates to plans provides fast access to the rules that
   can consume a newly derived shape;
@@ -32,7 +32,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 from ..core.tgds import TGDSet
 from ..graph.dependency_graph import DependencyGraph
 from .plans import Identifiers, TransferPlan, plans_by_body
-from .shapes import Shape, resolve_shapes
+from .shapes import Shape
 
 ShapeKey = Tuple[str, Identifiers]
 
@@ -150,33 +150,28 @@ class DynamicSimplificationResult:
         return self._tgds
 
 
-def dynamic_simplification(
-    database_or_shapes,
-    tgds: TGDSet,
-) -> DynamicSimplificationResult:
+def dynamic_simplification(shapes: Set[Shape], tgds: TGDSet) -> DynamicSimplificationResult:
     """``DynSimplification(D, Σ)``: compute ``simple_D(Σ)`` (Algorithm 2).
 
     Parameters
     ----------
-    database_or_shapes:
-        Either a :class:`~repro.core.instances.Database` (its shapes are
-        computed directly), a set of :class:`Shape` (already computed, e.g.
-        by one of the storage substrate's ``FindShapes`` implementations), or
-        any object with a ``find_shapes()`` method.
+    shapes:
+        ``shape(D)``, the database's shapes, already found (e.g. by
+        :func:`~.shapes.shapes_of_database` or one of the storage substrate's
+        ``FindShapes`` implementations).
     tgds:
         The set of linear TGDs ``Σ``; a non-linear rule raises
         :class:`~repro.exceptions.NotLinearError` when its transfer plan is
         compiled, before any shape is processed.
     """
-    initial_shapes = resolve_shapes(database_or_shapes)
     fixpoint = _Fixpoint()
-    iterations = fixpoint.run(initial_shapes, tgds)
-    return DynamicSimplificationResult(fixpoint, set(initial_shapes), iterations)
+    iterations = fixpoint.run(shapes, tgds)
+    return DynamicSimplificationResult(fixpoint, set(shapes), iterations)
 
 
 def resume_dynamic_simplification(
     previous: DynamicSimplificationResult,
-    database_or_shapes,
+    shapes: Set[Shape],
     tgds: TGDSet,
 ) -> DynamicSimplificationResult:
     """Continue Algorithm 2's fixpoint from *previous* with more database shapes.
@@ -195,9 +190,8 @@ def resume_dynamic_simplification(
 
     ``iterations`` counts only the iterations of this resumption.
     """
-    new_shapes = resolve_shapes(database_or_shapes)
     fixpoint = _Fixpoint(previous._fixpoint)
-    iterations = fixpoint.run(new_shapes, tgds)
+    iterations = fixpoint.run(shapes, tgds)
     return DynamicSimplificationResult(
-        fixpoint, set(previous.initial_shapes) | new_shapes, iterations
+        fixpoint, previous.initial_shapes.union(shapes), iterations
     )

@@ -21,8 +21,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Sequence, Set, Tuple
 
 from ..core.atoms import Atom
 from ..core.instances import Database, Instance
-from ..core.predicates import Predicate, Schema
-from ..core.terms import Constant
+from ..core.predicates import Predicate
 
 
 def unique_tuple(terms: Sequence) -> Tuple:
@@ -121,11 +120,6 @@ class Shape:
         suffix = "_".join(str(i) for i in self.identifiers)
         return Predicate(f"{self.predicate_name}__{suffix}", self.distinct_terms)
 
-    def canonical_atom(self) -> Atom:
-        """Return the atom ``R(id(t̄))`` of ``DB[{shape}]`` with integer-named constants."""
-        base = Predicate(self.predicate_name, self.arity)
-        return Atom(base, tuple(Constant(str(i)) for i in self.identifiers))
-
     def equal_position_pairs(self) -> Set[Tuple[int, int]]:
         """Return the 1-based position pairs (i < j) forced equal by the shape."""
         pairs = set()
@@ -162,14 +156,6 @@ def simplify_atom(atom: Atom) -> Atom:
     return Atom(shape.as_predicate(), unique_tuple(atom.terms))
 
 
-def simplify_instance(instance: Instance) -> Instance:
-    """Return ``simple(I)``: the instance with every atom simplified."""
-    result = type(instance)()
-    for atom in instance:
-        result.add(simplify_atom(atom))
-    return result
-
-
 def simplify_database(database: Database) -> Database:
     """Return ``simple(D)`` as a database."""
     result = Database()
@@ -191,9 +177,8 @@ def shapes_of_database(database: Instance) -> Set[Shape]:
 def resolve_shapes(source: Any) -> Set[Shape]:
     """Resolve a pluggable shape source into the set of its shapes.
 
-    Every entry point that consumes database shapes (``IsChaseFinite[L]``,
-    dynamic simplification, the experiment harness) accepts the same three
-    source kinds and must resolve them identically:
+    ``IsChaseFinite[L]`` resolves its shape source here, once, and hands the
+    set to dynamic simplification.  Three source kinds are accepted:
 
     * an object exposing ``find_shapes()`` (the storage substrate's finders)
       — the finder is invoked;
@@ -244,26 +229,3 @@ def shapes_of_predicate(predicate: Predicate) -> Iterator[Shape]:
     """Enumerate every shape of *predicate* (Bell(arity) many)."""
     for identifiers in identifier_tuples_of_arity(predicate.arity):
         yield Shape(predicate.name, identifiers)
-
-
-def shapes_of_schema(schema: Schema) -> Iterator[Shape]:
-    """Enumerate ``shape(S)`` for a schema ``S``."""
-    for predicate in schema:
-        yield from shapes_of_predicate(predicate)
-
-
-def database_of_shapes(shapes: Iterable[Shape]) -> Database:
-    """Return ``DB[S]``: the database induced by a set of shapes.
-
-    For example, ``DB[{R_(1,2), P_(1,1,2)}] = {R(1,2), P(1,1,2)}`` with the
-    integers read as constants.
-    """
-    database = Database()
-    for shape in shapes:
-        database.add(shape.canonical_atom())
-    return database
-
-
-def count_shapes(database: Instance) -> int:
-    """Return ``n-shapes`` for a database — one of the paper's reported statistics."""
-    return len(shapes_of_database(database))

@@ -15,31 +15,9 @@ because (a) it defines the semantics the dynamic version must preserve and
 
 from __future__ import annotations
 
-from typing import Iterator
-
-from ..core.rules import CompiledRule
-from ..core.tgds import TGD, TGDSet
+from ..core.tgds import TGDSet
 from .plans import TransferPlan
 from .shapes import identifier_tuples_of_arity
-
-
-def _simplifications(rule: CompiledRule) -> Iterator[CompiledRule]:
-    """``simple(σ)`` of the compiled *rule*."""
-    plan = TransferPlan(rule)
-    for identifiers in identifier_tuples_of_arity(plan.arity):
-        simplified = plan.simplify(identifiers)
-        if simplified is not None:
-            yield simplified
-
-
-def simplifications_of_tgd(tgd: TGD) -> Iterator[TGD]:
-    """Enumerate ``simple(σ)``: one simplification per specialization of the body tuple.
-
-    The specializations of ``x̄`` are in bijection with the identifier tuples
-    of its arity that repeat an identifier wherever ``x̄`` repeats a variable;
-    the transfer plan rejects the others.
-    """
-    return map(TGD.of, _simplifications(tgd.rule))
 
 
 def static_simplification(tgds: TGDSet) -> TGDSet:
@@ -48,15 +26,17 @@ def static_simplification(tgds: TGDSet) -> TGDSet:
     Warning: the result is exponential in the maximum arity; use
     :func:`repro.simplification.dynamic.dynamic_simplification` for anything
     beyond small schemas, as the paper does.
+
+    The specializations of a body tuple are in bijection with the identifier
+    tuples of its arity that repeat an identifier wherever it repeats a
+    variable; the transfer plan rejects the others.
     """
     tgds.require_linear()
     result = TGDSet()
     for rule in tgds.rules:
-        for simplified in _simplifications(rule):
-            result.add_rule(simplified)
+        plan = TransferPlan(rule)
+        for identifiers in identifier_tuples_of_arity(plan.arity):
+            simplified = plan.simplify(identifiers)
+            if simplified is not None:
+                result.add_rule(simplified)
     return result
-
-
-def static_simplification_size(tgds: TGDSet) -> int:
-    """Return ``|simple(Σ)|`` exactly (constructs the set; intended for ablations)."""
-    return len(static_simplification(tgds))

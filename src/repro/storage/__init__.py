@@ -8,7 +8,6 @@ from .database import RelationalDatabase
 from .queries import (
     disequality_condition_pairs,
     equality_condition_pairs,
-    row_matches_shape,
     shape_exists,
     shape_query_sql,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "ShapeFinderStats",
     "disequality_condition_pairs",
     "equality_condition_pairs",
-    "row_matches_shape",
     "shape_exists",
     "shape_query_sql",
 ]

@@ -48,10 +48,6 @@ class RelationalDatabase:
         self._relations[predicate.name] = relation
         return relation
 
-    def drop_relation(self, name: str) -> None:
-        """Drop the relation called *name* (missing relations are ignored)."""
-        self._relations.pop(name, None)
-
     # ------------------------------------------------------------------ #
     # DML
 

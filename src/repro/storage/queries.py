@@ -20,7 +20,7 @@ have sent to PostgreSQL.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Tuple
 
 from ..simplification.shapes import Shape, first_occurrence_keys
 from .relation import Row
@@ -40,17 +40,6 @@ def disequality_condition_pairs(shape: Shape) -> List[Tuple[int, int]]:
             if ids[i] != ids[j]:
                 pairs.append((i + 1, j + 1))
     return pairs
-
-
-def row_matches_shape(row: Sequence[str], shape: Shape, relaxed: bool = False) -> bool:
-    """Evaluate the (relaxed) shape query against a single tuple.
-
-    ``relaxed=True`` checks only the equality conditions — the paper's ``Q'``
-    query used for pruning; ``relaxed=False`` checks the full query ``Q``
-    (equalities and disequalities), i.e. whether the tuple has exactly this
-    shape.
-    """
-    return shape_exists((tuple(row),), shape, relaxed=relaxed)
 
 
 def shape_exists(rows: Iterable[Row], shape: Shape, relaxed: bool = False) -> bool:

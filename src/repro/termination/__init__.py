@@ -9,7 +9,6 @@ from .report import (
     TimingBreakdown,
 )
 from .simple_linear import is_chase_finite_sl
-from .weak_acyclicity import is_weakly_acyclic, is_weakly_acyclic_wrt
 
 __all__ = [
     "IncrementalLinearChecker",
@@ -19,6 +18,4 @@ __all__ = [
     "is_chase_finite_l",
     "is_chase_finite_materialization",
     "is_chase_finite_sl",
-    "is_weakly_acyclic",
-    "is_weakly_acyclic_wrt",
 ]

@@ -13,13 +13,12 @@ from repro.experiments.config import (
     preset,
 )
 from repro.experiments.workloads import (
-    adversarial_workloads,
     build_dstar,
+    build_simple_linear_workload,
     dstar_views,
     global_schema,
     linear_rule_sets,
     restrict_view_to_rules,
-    simple_linear_workloads,
 )
 
 
@@ -30,6 +29,10 @@ class TestExperimentConfig:
         assert preset("paper") is PAPER
         with pytest.raises(ExperimentConfigError):
             preset("huge")
+
+    def test_medium_preset_sits_between_smoke_and_default(self):
+        assert SMOKE.tgd_scale < MEDIUM.tgd_scale < DEFAULT.tgd_scale
+        assert preset("medium") is MEDIUM
 
     def test_paper_preset_matches_nominal_sizes(self):
         assert PAPER.tgd_profiles()[-1].high == 1_000_000
@@ -75,9 +78,17 @@ class TestExperimentConfig:
         assert config.tgd_scale == SMOKE.tgd_scale
 
 
+def simple_linear_grid(config):
+    return [
+        build_simple_linear_workload(config, profile, sample)
+        for profile in range(len(config.combined_profiles()))
+        for sample in range(config.sets_per_profile_sl)
+    ]
+
+
 class TestWorkloads:
     def test_simple_linear_workloads_cover_the_grid(self):
-        workloads = list(simple_linear_workloads(SMOKE))
+        workloads = simple_linear_grid(SMOKE)
         assert len(workloads) == 9 * SMOKE.sets_per_profile_sl
         for workload in workloads:
             assert workload.tgds.is_simple_linear()
@@ -107,36 +118,6 @@ class TestWorkloads:
         assert set(restricted.relation_names()) <= rule_predicates
 
     def test_workloads_are_reproducible(self):
-        first = [w.rules_text for w in simple_linear_workloads(SMOKE)]
-        second = [w.rules_text for w in simple_linear_workloads(SMOKE)]
+        first = [w.rules_text for w in simple_linear_grid(SMOKE)]
+        second = [w.rules_text for w in simple_linear_grid(SMOKE)]
         assert first == second
-
-
-class TestAdversarialWorkloads:
-    def test_every_family_is_loaded_once_by_default(self):
-        from repro.generators.adversarial import FAMILY_NAMES
-
-        workloads = list(adversarial_workloads(SMOKE))
-        assert [w.family for w in workloads] == sorted(FAMILY_NAMES)
-        for workload in workloads:
-            assert workload.n_rules >= 1
-            assert len(workload.database) >= 1
-            assert workload.notes
-
-    def test_loader_is_reproducible_and_family_selectable(self):
-        first = [w.rules_text for w in adversarial_workloads(MEDIUM)]
-        second = [w.rules_text for w in adversarial_workloads(MEDIUM)]
-        assert first == second
-        skew = list(adversarial_workloads(SMOKE, families=("heavy_skew",), per_family=2))
-        assert [w.family for w in skew] == ["heavy_skew", "heavy_skew"]
-        assert skew[0].seed != skew[1].seed
-
-    def test_rules_text_matches_the_parsed_rules(self):
-        from repro.core.parser import parse_rules
-
-        for workload in adversarial_workloads(SMOKE):
-            assert set(parse_rules(workload.rules_text)) == set(workload.tgds)
-
-    def test_medium_preset_sits_between_smoke_and_default(self):
-        assert SMOKE.tgd_scale < MEDIUM.tgd_scale < DEFAULT.tgd_scale
-        assert preset("medium") is MEDIUM

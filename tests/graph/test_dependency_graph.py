@@ -73,15 +73,6 @@ class TestGraphStructure:
         graph = build_dependency_graph(rules)
         assert graph.edge_count() == 40
 
-    def test_to_networkx_round_trip(self):
-        rules = parse_rules("R(x,y) -> S(y,z)\nS(x,y) -> R(y,x)")
-        graph = build_dependency_graph(rules)
-        exported = graph.to_networkx()
-        assert tuple(sorted(exported.nodes)) == graph.nodes()
-        assert sorted(
-            (source, target, data["special"]) for source, target, data in exported.edges(data=True)
-        ) == [(edge.source, edge.target, edge.special) for edge in graph.edges()]
-
 
 class TestPositionsAtTheApiEdge:
     """Nodes are numbers inside; every public answer is still in ``Position``s."""

@@ -1,9 +1,8 @@
 """The compiled-rule graph builder against the TGD-object reference.
 
-``build_dependency_graph`` and ``extend_dependency_graph`` walk compiled
-rules and write the adjacency in place; ``tests/graph/reference.py`` walks
-``Atom`` and ``Variable`` objects through the graph's public ``link``.  Both
-must give the same nodes, edges, node numbers, adjacency insertion order and
+``build_dependency_graph`` walks compiled rules and writes the adjacency in
+place; ``tests/graph/reference.py`` walks ``Atom`` and ``Variable`` objects
+through the graph's public ``link``.  Both must give the same nodes, edges, node numbers, adjacency insertion order and
 edge counts, on generated programs, the regression corpus, the literature
 scenarios and hand cases.
 """
@@ -14,24 +13,20 @@ import pytest
 
 from repro.core.instances import Database
 from repro.core.parser import parse_rules
-from repro.core.predicates import Position, Predicate, Schema
-from repro.core.tgds import TGDSet
+from repro.core.predicates import Predicate, Schema
 from repro.exceptions import NotSimpleLinearError
 from repro.fuzz.corpus import load_corpus
 from repro.generators import generate_tgds
 from repro.generators.tgd_generator import make_schema
 from repro.graph.dependency_graph import (
-    DependencyGraph,
     _build,
     _link_empty_frontier,
     build_dependency_graph,
     build_support_graph,
-    extend_dependency_graph,
 )
 from repro.scenarios import IBENCH_MEMBERS, build_deep, build_ibench, lubm_rules
 from repro.termination.simple_linear import is_chase_finite_sl
 from tests.graph.reference import (
-    add_tgd_edges,
     reference_dependency_graph,
     reference_support_graph,
 )
@@ -106,40 +101,6 @@ def test_a_copy_plus_the_empty_frontier_edges_is_the_support_graph(name):
     assert anatomy(support) == anatomy(reference_support_graph(tgds))
     assert anatomy(graph) == anatomy(reference_dependency_graph(tgds))
     assert empty_frontier == [tgd.rule for tgd in tgds if tgd.has_empty_frontier()]
-
-
-@pytest.mark.parametrize("name", list(PROGRAMS))
-def test_extending_matches_the_reference_over_a_split(name):
-    tgds = PROGRAMS[name].tgds
-    split = len(tgds) // 2
-    graph = build_dependency_graph(TGDSet(tgds[:split]))
-    extend_dependency_graph(graph, tgds[split:])
-    reference = reference_dependency_graph(tgds[:split])
-    for tgd in tgds[split:]:
-        add_tgd_edges(reference, tgd)
-    assert anatomy(graph) == anatomy(reference)
-
-
-def test_extending_completes_a_predicate_whose_positions_were_added_alone():
-    def scrambled():
-        graph = DependencyGraph()
-        graph.add_node(Position(Predicate("S", 2), 2))
-        graph.add_edge(Position(Predicate("T", 3), 3), Position(Predicate("R", 2), 1), True)
-        return graph
-
-    tgds = parse_rules("R(x,y) -> S(y,z)\nS(x,y) -> T(x,y,w)")
-    reference = scrambled()
-    for tgd in tgds:
-        add_tgd_edges(reference, tgd)
-    assert anatomy(extend_dependency_graph(scrambled(), tgds)) == anatomy(reference)
-
-
-def test_extending_by_a_set_reads_its_rules():
-    first = parse_rules("R(x,y) -> S(y,z)")
-    second = parse_rules("S(x,y) -> T(x,y,w)\nT(x,y,z) -> R(z,x)")
-    by_set = extend_dependency_graph(build_dependency_graph(first), second)
-    by_list = extend_dependency_graph(build_dependency_graph(first), list(second))
-    assert anatomy(by_set) == anatomy(by_list)
 
 
 def test_the_sl_check_names_the_first_offender_and_the_walk_takes_any_rule():

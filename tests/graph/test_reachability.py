@@ -1,12 +1,10 @@
-"""Unit tests for repro.graph.reachability (Supports and predicate reachability)."""
+"""Unit tests for repro.graph.reachability (Supports and the extensional predicates)."""
 
 from repro.core.parser import parse_database, parse_rules
 from repro.core.predicates import Predicate
 from repro.graph.dependency_graph import build_dependency_graph
 from repro.graph.reachability import (
     extensional_predicates,
-    reachable_predicates,
-    supported_special_sccs,
     supports,
 )
 from repro.graph.tarjan import find_special_sccs
@@ -14,7 +12,6 @@ from repro.storage.database import RelationalDatabase
 
 R = Predicate("R", 2)
 S = Predicate("S", 2)
-T = Predicate("T", 2)
 
 
 class TestExtensionalPredicates:
@@ -28,20 +25,6 @@ class TestExtensionalPredicates:
         store.create_relation(S)
         store.insert("R", ("a", "b"))
         assert extensional_predicates(store) == {R}
-
-
-class TestReachablePredicates:
-    def test_reachability_follows_edges(self):
-        rules = parse_rules("R(x,y) -> S(y,z)\nS(x,y) -> T(y,x)")
-        graph = build_dependency_graph(rules)
-        reached = reachable_predicates(graph, {R})
-        assert {p.name for p in reached} == {"R", "S", "T"}
-
-    def test_source_is_always_reachable_from_itself(self):
-        rules = parse_rules("R(x,y) -> S(y,z)")
-        graph = build_dependency_graph(rules)
-        assert T not in reachable_predicates(graph, {R})
-        assert R in reachable_predicates(graph, {R})
 
 
 class TestSupports:
@@ -70,12 +53,6 @@ class TestSupports:
     def test_empty_position_set(self):
         _, graph, _ = self._cycle_setup()
         assert not supports(parse_database("R(a,b)."), [], graph)
-
-    def test_supported_special_sccs_helper(self):
-        _, graph, _ = self._cycle_setup()
-        sccs = find_special_sccs(graph)
-        supported = supported_special_sccs(parse_database("R(a,b)."), sccs, graph)
-        assert len(supported) >= 1
 
     def test_reachability_is_predicate_level(self):
         # The edge reaches (T,1) only, but the cycle node is (T,2): predicate-level

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.core.parser import parse_rules
 from repro.core.predicates import Position, Predicate
 from repro.graph.dependency_graph import DependencyGraph, build_dependency_graph
-from repro.graph.tarjan import find_sccs, find_special_sccs, has_special_cycle
+from repro.graph.tarjan import find_sccs, find_special_sccs
 
 
 def _graph_from_edges(n_nodes, edges):
@@ -81,7 +81,6 @@ class TestSpecialSCCs:
     def test_normal_cycle_is_not_special(self):
         graph, _ = _graph_from_edges(2, [(0, 1, False), (1, 0, False)])
         assert find_special_sccs(graph) == []
-        assert not has_special_cycle(graph)
 
     def test_special_edge_outside_any_cycle_is_ignored(self):
         graph, _ = _graph_from_edges(3, [(0, 1, True), (1, 2, False)])
@@ -120,7 +119,6 @@ class TestSpecialSCCs:
                 if any(s in component and t in component for s, t, special in edges if special)
             }
             assert found == declared
-            assert has_special_cycle(graph) == bool(declared)
 
     def test_special_edge_into_a_closed_component_leaves_no_token_behind(self):
         # 0 -> 1 <-> 2 with the special edge 0 => 1 leaving {0}: its token is
@@ -145,5 +143,5 @@ class TestSpecialSCCs:
     def test_on_rule_graphs(self):
         finite = build_dependency_graph(parse_rules("R(x,y) -> S(y,z)\nS(x,y) -> T(x)"))
         infinite = build_dependency_graph(parse_rules("R(x,y) -> R(y,z)"))
-        assert not has_special_cycle(finite)
-        assert has_special_cycle(infinite)
+        assert find_special_sccs(finite) == []
+        assert find_special_sccs(infinite)

@@ -15,7 +15,6 @@ generator family and the committed fuzz corpus it holds that
 * static simplification equals the interpreter's enumeration;
 * resuming over a ladder of growing shape sets equals starting over, and
   leaves the result it resumed from untouched;
-* ``extend_dependency_graph`` equals a rebuild over any split of the rules;
 * ``IsChaseFinite[SL]`` and ``IsChaseFinite[L]`` agree on simple-linear input.
 
 Run with ``HYPOTHESIS_PROFILE=ci`` for the pinned 200-example sweep.
@@ -43,7 +42,6 @@ from repro.generators import (
 )
 from repro.graph import (
     build_dependency_graph,
-    extend_dependency_graph,
     find_special_sccs,
 )
 from repro.scenarios import build_scenario
@@ -171,17 +169,6 @@ def assert_resume_matches_scratch(shapes, tgds, rng):
         assert graph_signature(previous.dependency_graph()) == before
 
 
-def assert_extend_matches_rebuild(tgds, rng):
-    rules = list(tgds)
-    cuts = sorted({rng.randint(0, len(rules)) for _ in range(2)})
-    graph = build_dependency_graph(TGDSet(rules[: cuts[0]]))
-    done = cuts[0]
-    for cut in cuts[1:] + [len(rules)]:
-        extend_dependency_graph(graph, rules[done:cut])
-        done = cut
-        assert graph_signature(graph) == graph_signature(build_dependency_graph(TGDSet(rules[:cut])))
-
-
 def special_components(graph):
     return {scc.nodes for scc in find_special_sccs(graph)}
 
@@ -208,16 +195,6 @@ class TestOnDrawnPrograms:
         shapes, tgds = program
         note(f"{sorted(shapes)}\n{serialize_rules(tgds)}")
         assert_resume_matches_scratch(shapes, tgds, rng)
-
-    @given(st.lists(gnarly_linear_tgds(), min_size=1, max_size=6), st.randoms(use_true_random=False))
-    def test_extend_matches_rebuild(self, rules, rng):
-        # One arity per name: the graph's schema rejects anything else.
-        tgds = TGDSet(
-            rule for rule in rules
-            if all(atom.predicate != Predicate("R", 3) for atom in rule.body + rule.head)
-        )
-        note(serialize_rules(tgds))
-        assert_extend_matches_rebuild(tgds, rng)
 
     @given(databases(), linear_programs())
     def test_sl_and_l_checkers_agree_on_simple_linear_input(self, database, tgds):
@@ -272,10 +249,8 @@ class TestOnGeneratorFamiliesAndTheCorpus:
         assert report.finite == (not special_components(build_dependency_graph(compiled.tgds)))
 
     @pytest.mark.parametrize("database, shapes, tgds", FAMILY_PROGRAMS)
-    def test_resume_and_extend_match_scratch(self, database, shapes, tgds):
-        rng = random.Random(7)
-        assert_resume_matches_scratch(shapes, tgds, rng)
-        assert_extend_matches_rebuild(dynamic_simplification(shapes, tgds).tgds, rng)
+    def test_resume_matches_scratch(self, database, shapes, tgds):
+        assert_resume_matches_scratch(shapes, tgds, random.Random(7))
 
     @pytest.mark.parametrize("database, shapes, tgds", FAMILY_PROGRAMS)
     def test_static_matches_the_interpreter(self, database, shapes, tgds):

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.exceptions import ExperimentConfigError
+from repro.graph.dependency_graph import build_dependency_graph
+from repro.graph.tarjan import find_special_sccs
 from repro.scenarios import (
     PAPER_TABLE_1,
     PAPER_TABLE_2_MS,
@@ -16,7 +18,6 @@ from repro.scenarios import (
 )
 from repro.termination.linear import is_chase_finite_l
 from repro.termination.simple_linear import is_chase_finite_sl
-from repro.termination.weak_acyclicity import is_weakly_acyclic
 
 
 class TestRegistry:
@@ -49,7 +50,7 @@ class TestDeep:
 
     def test_weakly_acyclic_and_finite(self):
         scenario = build_deep("Deep-100", scale=0.1)
-        assert is_weakly_acyclic(scenario.tgds)
+        assert not find_special_sccs(build_dependency_graph(scenario.tgds))
         assert is_chase_finite_sl(scenario.store.to_database(), scenario.tgds).finite
 
     def test_invalid_parameters(self):
@@ -100,7 +101,7 @@ class TestIBench:
 
     def test_weakly_acyclic_and_finite(self):
         scenario = build_ibench("STB-128", tuples_per_source=3)
-        assert is_weakly_acyclic(scenario.tgds)
+        assert not find_special_sccs(build_dependency_graph(scenario.tgds))
         assert is_chase_finite_l(scenario.store.to_database(), scenario.tgds).finite
 
     def test_invalid_member(self):

@@ -17,7 +17,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tupl
 
 from repro.core.atoms import Atom, match_atom
 from repro.core.predicates import Predicate
-from repro.core.terms import Term, Variable
+from repro.core.terms import Constant, Term, Variable
 from repro.core.tgds import TGD, TGDSet
 from repro.exceptions import NotLinearError
 from repro.simplification.shapes import Shape, resolve_shapes, simplify_atom
@@ -129,6 +129,12 @@ def enumerate_specializations(variables: Sequence[Variable]) -> Iterator[Special
     yield from _extend(0, {}, [])
 
 
+def canonical_atom(shape: Shape) -> Atom:
+    """Return the atom ``R(id(t̄))`` of ``DB[{shape}]`` with integer-named constants."""
+    base = Predicate(shape.predicate_name, shape.arity)
+    return Atom(base, tuple(Constant(str(i)) for i in shape.identifiers))
+
+
 def h_specialization(body_atom: Atom, shape: Shape) -> Optional[Specialization]:
     """Return the ``h``-specialization of the body variables w.r.t. *shape*.
 
@@ -140,7 +146,7 @@ def h_specialization(body_atom: Atom, shape: Shape) -> Optional[Specialization]:
     """
     if shape.predicate_name != body_atom.predicate.name or shape.arity != body_atom.arity:
         return None
-    target = shape.canonical_atom()
+    target = canonical_atom(shape)
     assignment = match_atom(body_atom, target, None)
     if assignment is None:
         return None

@@ -54,7 +54,7 @@ class TestShapeNameRoundTrip:
 class TestDynamicSimplification:
     def test_example_3_4(self, example_3_4):
         database, rules = example_3_4
-        result = dynamic_simplification(database, rules)
+        result = dynamic_simplification(shapes_of_database(database), rules)
         # D = {R(a,b)} has only the shape R[1,2]; the rule body R(x,x) is
         # incompatible with it, so no simplified rule is produced.
         assert len(result.tgds) == 0
@@ -62,66 +62,57 @@ class TestDynamicSimplification:
 
     def test_shape_propagation_through_heads(self):
         rules = parse_rules("R(x,y) -> S(y,z)\nS(x,y) -> T(x,x)")
-        result = dynamic_simplification(parse_database("R(a,b)."), rules)
+        result = dynamic_simplification({Shape("R", (1, 2))}, rules)
         assert Shape("S", (1, 2)) in result.derived_shapes
         assert Shape("T", (1, 1)) in result.derived_shapes
         assert len(result.tgds) == 2
         assert result.iterations >= 2
-
-    def test_accepts_precomputed_shapes_and_databases(self):
-        rules = parse_rules("R(x,y) -> S(y,z)")
-        database = parse_database("R(a,b).")
-        from_database = dynamic_simplification(database, rules)
-        from_shapes = dynamic_simplification(shapes_of_database(database), rules)
-        assert from_database.tgds == from_shapes.tgds
-
-    def test_rejects_non_shape_iterables(self):
-        rules = parse_rules("R(x,y) -> S(y,z)")
-        with pytest.raises(TypeError):
-            dynamic_simplification(["not-a-shape"], rules)
 
     @pytest.mark.parametrize("facts", ["", "R(a,b)."])
     def test_a_join_rule_is_rejected_with_its_text(self, facts):
         # The transfer plans raise; no shape need reach the rule first.
         rules = parse_rules("R(x,y) -> S(y,z)\nR(x,y), S(y,z) -> T(x)")
         message = r"^TGD R\(\?x, \?y\), S\(\?y, \?z\) -> T\(\?x\) is not linear$"
+        shapes = shapes_of_database(parse_database(facts))
         with pytest.raises(NotLinearError, match=message):
-            dynamic_simplification(parse_database(facts), rules)
-        previous = dynamic_simplification(parse_database(facts), parse_rules("R(x,y) -> S(y,z)"))
+            dynamic_simplification(shapes, rules)
+        previous = dynamic_simplification(shapes, parse_rules("R(x,y) -> S(y,z)"))
         with pytest.raises(NotLinearError, match=message):
-            resume_dynamic_simplification(previous, parse_database(facts), rules)
+            resume_dynamic_simplification(previous, shapes, rules)
 
     def test_empty_database_produces_nothing(self):
         rules = parse_rules("R(x,y) -> S(y,z)")
-        result = dynamic_simplification(parse_database(""), rules)
+        result = dynamic_simplification(set(), rules)
         assert len(result.tgds) == 0
         assert result.iterations == 0
 
     @given(databases(max_size=4), linear_tgd_sets(simple=False, max_size=3))
     @settings(max_examples=25)
     def test_dynamic_is_a_subset_of_static(self, database, tgds):
-        dynamic = dynamic_simplification(database, tgds)
+        dynamic = dynamic_simplification(shapes_of_database(database), tgds)
         static = static_simplification(tgds)
         assert set(dynamic.tgds) <= set(static)
 
     @given(databases(max_size=4), linear_tgd_sets(simple=False, max_size=3))
     @settings(max_examples=25)
     def test_initial_shapes_are_database_shapes(self, database, tgds):
-        result = dynamic_simplification(database, tgds)
-        assert result.initial_shapes == shapes_of_database(database)
+        shapes = shapes_of_database(database)
+        result = dynamic_simplification(shapes, tgds)
+        assert result.initial_shapes == shapes
         assert result.initial_shapes <= result.derived_shapes or not result.initial_shapes
 
     @given(databases(max_size=4), linear_tgd_sets(simple=True, max_size=3))
     @settings(max_examples=25)
     def test_every_kept_rule_has_a_derivable_body_shape(self, database, tgds):
-        result = dynamic_simplification(database, tgds)
+        result = dynamic_simplification(shapes_of_database(database), tgds)
         for rule in result.tgds:
             body_shape = shape_from_simplified_predicate(rule.body[0].predicate)
             assert body_shape in result.derived_shapes
 
 
 class TestUnifiedShapeSourceResolution:
-    """Both entry points resolve shape sources through the same helper."""
+    """Every shape source kind resolves to one shape set, through the helper
+    ``IsChaseFinite[L]`` calls; Algorithm 2 takes the resolved set."""
 
     RULES = "R(x,y) -> S(y,z)\n"
 
@@ -144,18 +135,17 @@ class TestUnifiedShapeSourceResolution:
         rules = parse_rules(self.RULES)
         resolved = [resolve_shapes(source) for source in self._sources()]
         assert resolved[0] == resolved[1] == resolved[2] == {Shape("R", (1, 2))}
-        simplifications = [
-            dynamic_simplification(source, rules).tgds for source in self._sources()
-        ]
+        simplifications = [dynamic_simplification(shapes, rules).tgds for shapes in resolved]
         assert simplifications[0] == simplifications[1] == simplifications[2]
         verdicts = [is_chase_finite_l(source, rules).finite for source in self._sources()]
         assert verdicts[0] == verdicts[1] == verdicts[2]
 
     def test_invalid_iterable_rejected_everywhere(self):
+        from repro.simplification.shapes import resolve_shapes
         from repro.termination.linear import is_chase_finite_l
 
         rules = parse_rules(self.RULES)
         with pytest.raises(TypeError):
-            dynamic_simplification(["not-a-shape"], rules)
+            resolve_shapes(["not-a-shape"])
         with pytest.raises(TypeError):
             is_chase_finite_l(["not-a-shape"], rules)

@@ -8,19 +8,16 @@ from repro.chase.bounds import bell_number
 from repro.core.atoms import Atom
 from repro.core.instances import Instance
 from repro.core.parser import parse_database
-from repro.core.predicates import Predicate, Schema
+from repro.core.predicates import Predicate
 from repro.core.terms import Constant, Null, Variable
 from repro.simplification.shapes import (
     Shape,
-    count_shapes,
-    database_of_shapes,
     identifier_tuple,
     identifier_tuples_of_arity,
     is_identifier_tuple,
     shape_of_atom,
     shapes_of_database,
     shapes_of_predicate,
-    shapes_of_schema,
     simplify_atom,
     simplify_database,
     unique_tuple,
@@ -77,11 +74,6 @@ class TestShape:
         assert predicate.arity == 2
         assert predicate.name == "R__1_1_2"
 
-    def test_canonical_atom(self):
-        shape = Shape("R", (1, 1, 2))
-        atom = shape.canonical_atom()
-        assert atom.terms == (Constant("1"), Constant("1"), Constant("2"))
-
     def test_equal_position_pairs(self):
         assert Shape("R", (1, 1, 2)).equal_position_pairs() == {(1, 2)}
         assert Shape("R", (1, 2)).equal_position_pairs() == set()
@@ -115,11 +107,11 @@ class TestSimplification:
     def test_shapes_of_database(self):
         database = parse_database("R(a,a).\nR(b,b).\nR(a,b).")
         assert shapes_of_database(database) == {Shape("R", (1, 1)), Shape("R", (1, 2))}
-        assert count_shapes(database) == 2
+        assert len(shapes_of_database(database)) == 2
 
     @given(databases(max_size=6))
     def test_shape_count_never_exceeds_atom_count(self, database):
-        assert count_shapes(database) <= len(database)
+        assert len(shapes_of_database(database)) <= len(database)
 
     @given(databases(max_size=6))
     def test_shapes_of_database_is_the_per_atom_definition(self, database):
@@ -157,21 +149,12 @@ class TestShapeEnumeration:
         assert len(shapes) == 5
         assert all(shape.predicate_name == "R" for shape in shapes)
 
-    def test_shapes_of_schema(self):
-        schema = Schema([Predicate("R", 2), Predicate("S", 1)])
-        assert len(list(shapes_of_schema(schema))) == 3
-
     def test_invalid_arity(self):
         with pytest.raises(ValueError):
             list(identifier_tuples_of_arity(-1))
 
     def test_nullary_arity_has_one_shape(self):
         assert list(identifier_tuples_of_arity(0)) == [()]
-
-    def test_database_of_shapes(self):
-        database = database_of_shapes({Shape("R", (1, 2)), Shape("P", (1, 1, 2))})
-        assert len(database) == 2
-        assert Atom(Predicate("P", 3), (Constant("1"), Constant("1"), Constant("2"))) in database
 
 
 class TestNullaryShapes:
@@ -219,12 +202,6 @@ class TestNullaryShapes:
         simplified = simplify_atom(atom)
         assert simplified.predicate.name == "Flag__"
         assert simplified.terms == ()
-
-    def test_database_of_shapes_with_nullary(self):
-        database = database_of_shapes({Shape("Flag", ())})
-        assert len(database) == 1
-        atom = next(iter(database))
-        assert atom.predicate == Predicate("Flag", 0)
 
     def test_bell_zero_enumeration(self):
         assert bell_number(0) == 1

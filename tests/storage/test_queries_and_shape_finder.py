@@ -15,7 +15,6 @@ from repro.storage.database import RelationalDatabase
 from repro.storage.queries import (
     disequality_condition_pairs,
     equality_condition_pairs,
-    row_matches_shape,
     shape_exists,
     shape_query_sql,
 )
@@ -35,18 +34,19 @@ class TestShapeQueries:
 
     def test_row_matches_shape_exact(self):
         shape = Shape("R", (1, 1, 2))
-        assert row_matches_shape(("a", "a", "b"), shape)
-        assert not row_matches_shape(("a", "b", "b"), shape)
-        assert not row_matches_shape(("a", "a", "a"), shape)
+        assert shape_exists((("a", "a", "b"),), shape)
+        assert not shape_exists((("a", "b", "b"),), shape)
+        assert not shape_exists((("a", "a", "a"),), shape)
 
     def test_row_matches_shape_relaxed(self):
         shape = Shape("R", (1, 1, 2))
         # Relaxed keeps only the equality conditions, so (a,a,a) qualifies.
-        assert row_matches_shape(("a", "a", "a"), shape, relaxed=True)
-        assert not row_matches_shape(("a", "b", "a"), shape, relaxed=True)
+        assert shape_exists((("a", "a", "a"),), shape, relaxed=True)
+        assert not shape_exists((("a", "b", "a"),), shape, relaxed=True)
 
     def test_arity_mismatch_never_matches(self):
-        assert not row_matches_shape(("a", "b"), Shape("R", (1, 1, 2)))
+        assert not shape_exists((("a", "b"),), Shape("R", (1, 1, 2)))
+        assert not shape_exists((("a", "b"),), Shape("R", (1, 1, 2)), relaxed=True)
 
     def test_shape_exists(self):
         rows = [("a", "b", "c"), ("a", "a", "c")]
@@ -82,7 +82,6 @@ class TestShapeQueries:
         ) and (relaxed or all(
             row[i - 1] != row[j - 1] for i, j in disequality_condition_pairs(shape)
         ))
-        assert row_matches_shape(row, shape, relaxed=relaxed) == expected
         assert shape_exists([tuple(row)], shape, relaxed=relaxed) == expected
         assert not shape_exists([], shape, relaxed=relaxed)
 

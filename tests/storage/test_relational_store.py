@@ -93,12 +93,6 @@ class TestRelationalDatabase:
         store.insert_atom(Atom(R, (Constant("a"), Constant("b"))))
         assert "R" in store
 
-    def test_drop_relation(self):
-        store = self._store()
-        store.drop_relation("R")
-        assert "R" not in store
-        store.drop_relation("R")  # idempotent
-
     def test_load_database_returns_the_row_count(self):
         store = RelationalDatabase()
         assert store.load_database(parse_database("R(a,b).\nR(b,c).\nS(c).")) == 3

@@ -2,12 +2,11 @@
 
 The differential suites pin the checkers' verdicts; these tests cover the
 surrounding machinery — report arithmetic, string-input parsing branches,
-caller-supplied dependency graphs, and the materialization baseline's
-inconclusive outcome — that the end-to-end paths don't reach.
+and the materialization baseline's inconclusive outcome — that the
+end-to-end paths don't reach.
 """
 
 from repro.core.parser import parse_database, parse_rules
-from repro.graph.dependency_graph import build_dependency_graph
 from repro.storage.database import RelationalDatabase
 from repro.storage.shape_finder import DeltaShapeFinder
 from repro.storage.views import PrefixView
@@ -20,7 +19,6 @@ from repro.termination.report import (
     TimingBreakdown,
 )
 from repro.termination.simple_linear import is_chase_finite_sl
-from repro.termination.weak_acyclicity import is_weakly_acyclic, is_weakly_acyclic_wrt
 
 INFINITE_RULES = "R(x,y) -> R(y,z)\n"
 FINITE_RULES = "R(x,y) -> S(y,z)\nS(x,y) -> T(x)\n"
@@ -67,34 +65,6 @@ class TestStringRuleInputs:
         report = is_chase_finite_sl(parse_database(FACTS), INFINITE_RULES)
         assert report.finite is False
         assert report.timings.t_parse > 0.0
-
-
-class TestWeakAcyclicityCallerGraphs:
-    def test_uniform_builds_its_own_graph_when_not_supplied(self):
-        tgds = parse_rules(FINITE_RULES)
-        assert is_weakly_acyclic(tgds)
-        assert not is_weakly_acyclic(parse_rules(INFINITE_RULES))
-
-    def test_supplied_graph_matches_the_built_one(self):
-        tgds = parse_rules(INFINITE_RULES)
-        graph = build_dependency_graph(tgds)
-        assert is_weakly_acyclic(tgds, graph=graph) == is_weakly_acyclic(tgds)
-
-    def test_non_uniform_builds_its_own_graph_when_not_supplied(self):
-        tgds = parse_rules(INFINITE_RULES)
-        database = parse_database(FACTS)
-        graph = build_dependency_graph(tgds)
-        assert is_weakly_acyclic_wrt(tgds, database) == is_weakly_acyclic_wrt(
-            tgds, database, graph=graph
-        )
-
-    def test_unsupported_cycle_is_d_weakly_acyclic(self):
-        # The special cycle runs through S, which the database never
-        # populates, so no D-supported bad cycle exists.
-        tgds = parse_rules("S(x,y) -> S(y,z)\n")
-        database = parse_database("R(a,b).\n")
-        assert not is_weakly_acyclic(tgds)
-        assert is_weakly_acyclic_wrt(tgds, database)
 
 
 class TestIncrementalCheckerSurface:

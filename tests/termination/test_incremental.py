@@ -1,9 +1,9 @@
 """Differential tests: incremental prefix-view ``IsChaseFinite[L]`` vs from-scratch.
 
-The incremental pipeline (DeltaShapeFinder + resumed dynamic simplification +
-dependency-graph extension) must produce *identical* verdicts, shape sets,
-simplified rule sets, and dependency graphs to the from-scratch pipeline on
-every prefix view — these tests prove it on iBench/LUBM/Deep-derived
+The incremental pipeline (DeltaShapeFinder + resumed dynamic simplification,
+whose fixpoint carries its dependency graph forward) must produce *identical*
+verdicts, shape sets, simplified rule sets, and dependency graphs to the
+from-scratch pipeline on every prefix view — these tests prove it on iBench/LUBM/Deep-derived
 scenarios and on the synthetic ``D*`` grid.
 """
 
@@ -16,7 +16,7 @@ from repro.experiments.workloads import (
     linear_rule_sets,
     restrict_view_to_rules,
 )
-from repro.graph.dependency_graph import build_dependency_graph, extend_dependency_graph
+from repro.graph.dependency_graph import build_dependency_graph
 from repro.scenarios import build_scenario
 from repro.simplification.dynamic import (
     dynamic_simplification,
@@ -125,18 +125,3 @@ class TestResumeDynamicSimplification:
             first, InMemoryShapeFinder(large).find_shapes(), tgds
         )
         assert resumed.tgds.tgds[: len(first.tgds)] == first.tgds.tgds
-
-
-class TestExtendDependencyGraph:
-    def test_extension_equals_scratch_union(self):
-        scenario = build_scenario("ONT-256", scale=0.02)
-        tgds = scenario.tgds
-        rules = list(tgds)
-        split = max(1, len(rules) // 2)
-        from repro.core.tgds import TGDSet
-
-        first_half = TGDSet(rules[:split])
-        graph = build_dependency_graph(first_half)
-        extend_dependency_graph(graph, rules[split:])
-        scratch = build_dependency_graph(TGDSet(rules))
-        assert _graph_signature(graph) == _graph_signature(scratch)

@@ -7,8 +7,9 @@ stage callable a checker module calls is wrapped to advance it by its own
 power of two, so each ``t_*`` field reads back exactly the set of stages
 timed inside that phase.  The class checks (``require_linear`` /
 ``require_simple_linear``) advance it by 16: the checkers' own calls land in
-no phase, and ``dynamic_simplification`` does not repeat the linearity check
-inside ``t_graph`` (so an L run's ``t_graph`` reads 4).
+no phase, and ``dynamic_simplification`` neither repeats the linearity check
+nor resolves the shapes a second time inside ``t_graph`` (so an L run's
+``t_graph`` reads 4).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from repro.obs import ManualClock
 
 linear_module = importlib.import_module("repro.termination.linear")
 simple_linear_module = importlib.import_module("repro.termination.simple_linear")
+dynamic_module = importlib.import_module("repro.simplification.dynamic")
 
 FINITE_RULES = "R(x,y) -> S(y,z)\nS(x,y) -> T(x)\n"
 INFINITE_RULES = "R(x,y) -> R(y,z)\n"
@@ -54,7 +56,7 @@ def _advancing(clock, seconds, function):
 def clock(monkeypatch):
     clock = ManualClock(start=100.0)
     monkeypatch.setattr("repro.termination.report.perf_counter_s", clock.now)
-    for module in (linear_module, simple_linear_module):
+    for module in (linear_module, simple_linear_module, dynamic_module):
         for name, seconds in STAGE_SECONDS.items():
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, _advancing(clock, seconds, getattr(module, name)))

@@ -347,6 +347,32 @@ class TestErrorPaths:
         assert "already exists with arity" in stderr
         assert "Traceback" not in stderr
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check"],
+            ["chase", "--max-atoms", "20"],
+            ["chase", "--max-atoms", "20", "--backend", "sqlite"],
+            ["chase", "--max-atoms", "20", "--backend", "sqlite", "--strategy", "sql-pushdown"],
+        ],
+        ids=["check", "chase-indexed", "chase-indexed-sqlite", "chase-sql-pushdown"],
+    )
+    def test_facts_are_read_against_the_rules_schema(self, rule_file, tmp_path, capsys, argv):
+        # R/2 in the rules and R/1 in the facts are one predicate at two
+        # arities: every command and engine refuses it at load time.
+        facts = tmp_path / "facts.txt"
+        facts.write_text("R(a).\n")
+        assert main(argv + ["--rules", str(rule_file), "--facts", str(facts)]) == 2
+        (stderr,) = capsys.readouterr().err.splitlines()
+        assert stderr == "predicate 'R' declared with arity 1 but already known with arity 2 (line 1)"
+
+    def test_a_fact_file_may_add_predicates_the_rules_do_not_use(self, rule_file, tmp_path, capsys):
+        facts = tmp_path / "facts.txt"
+        facts.write_text("R(a,b).\nQ(c).\n")
+        assert main(["chase", "--rules", str(rule_file), "--facts", str(facts),
+                     "--max-atoms", "5"]) == 0
+        assert "stopped (max_atoms)" in capsys.readouterr().out
+
     @pytest.mark.parametrize("flag", ["--max-atoms", "--max-rounds"])
     @pytest.mark.parametrize("command", ["chase", "fuzz"])
     def test_negative_chase_budgets_exit_two(self, rule_file, capsys, command, flag):
@@ -714,7 +740,7 @@ class TestFuzzCommand:
         # The checker itself, and the loading of the rule and fact files.
         import repro.cli as cli
 
-        def interrupted(*args):
+        def interrupted(*args, **kwargs):
             raise KeyboardInterrupt
 
         monkeypatch.setattr(cli, target, interrupted)

@@ -22,13 +22,16 @@ Four guards:
   the atom half of the store protocol with the SQLite store's loaders, and
   the parallel chase's shuffle exchange with its routing and events, and
   the rule compilers' own variable numberings (``variable_slots`` and the
-  four private ones) that ``core/rules.py::CompiledRule`` replaced.
+  four private ones) that ``core/rules.py::CompiledRule`` replaced, and the
+  library surface no pipeline, CLI command, experiment, fuzzer or benchmark
+  reached (a second, drifted Algorithm 1 among it).
 """
 
 import ast
 import importlib
 import inspect
 import os
+import pkgutil
 import re
 from pathlib import Path
 
@@ -375,3 +378,44 @@ class TestRetiredEstate:
             if re.search(r"^class CompiledRule\b", text, re.MULTILINE)
         ]
         assert classes == [str(Path("src/repro/core/rules.py"))]
+
+    #: Public names nothing but their own unit tests called.  A public
+    #: function, class or method stays only if the pipeline, the CLI, the
+    #: experiments, the fuzzer or the bench calls it, or another test uses it
+    #: as a reference or a builder.
+    RETIRED_SURFACE = (
+        "is_weakly_acyclic", "is_weakly_acyclic_wrt", "reachable_predicates",
+        "supported_special_sccs", "has_special_cycle", "extend_dependency_graph",
+        "to_networkx", "database_of_shapes", "count_shapes", "simplify_instance",
+        "shapes_of_schema", "simplifications_of_tgd", "static_simplification_size",
+        "row_matches_shape", "drop_relation", "adversarial_workloads",
+        "AdversarialWorkload", "simple_linear_workloads", "canonical_atom",
+    )
+
+    def test_one_verdict_path_per_algorithm(self):
+        # Algorithm 1 is is_chase_finite_sl; uniform weak acyclicity is
+        # `not find_special_sccs(build_dependency_graph(rules))`.
+        from repro.graph.dependency_graph import DependencyGraph
+        from repro.simplification.shapes import Shape
+
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.termination.weak_acyclicity")
+        modules = [repro] + [
+            importlib.import_module(info.name)
+            for info in pkgutil.walk_packages(repro.__path__, "repro.")
+        ]
+        owners = modules + [DependencyGraph, Shape, RelationalDatabase]
+        offenders = [
+            f"{getattr(owner, '__name__', owner)}.{name}"
+            for owner in owners
+            for name in self.RETIRED_SURFACE
+            if hasattr(owner, name)
+        ]
+        assert not offenders, offenders
+        retired = re.compile(r"\b(?:%s|weak_acyclicity)\b" % "|".join(self.RETIRED_SURFACE))
+        offenders = [
+            f"{path}: {match.group()}"
+            for path, text in _text_files("src", "tools", "docs", "README.md", "ARCHITECTURE.md")
+            for match in retired.finditer(text)
+        ]
+        assert not offenders, offenders
