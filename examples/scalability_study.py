@@ -13,7 +13,7 @@ Run with::
 
 import sys
 
-from repro.experiments import DEFAULT, FIGURE_RUNNERS, SMOKE
+from repro.experiments import DEFAULT, SMOKE, run_experiment
 from repro.experiments.reporting import group_mean, format_table
 
 
@@ -21,19 +21,19 @@ def main() -> None:
     config = DEFAULT if "--default" in sys.argv else SMOKE
 
     print("running the simple-linear sweep (Figure 1)...")
-    rows = FIGURE_RUNNERS["figure1"](config)
+    rows = run_experiment("figure1", config)
     aggregated = group_mean(
         rows, ["predicate_profile", "tgd_profile"], ["n_rules", "t_parse", "t_graph", "t_comp", "t_total"]
     )
     print(format_table(aggregated, title="Figure 1 — IsChaseFinite[SL] runtime (seconds, means)"))
 
     print("\nrunning the shape-count sweep (Figure 2)...")
-    rows = FIGURE_RUNNERS["figure2"](config)
+    rows = run_experiment("figure2", config)
     aggregated = group_mean(rows, ["predicate_profile", "n_tuples_per_relation"], ["n_shapes"])
     print(format_table(aggregated, title="Figure 2 — number of shapes per database size"))
 
     print("\nrunning the linear sweep for the largest predicate profile (Figure 5)...")
-    rows = FIGURE_RUNNERS["figure5"](config)
+    rows = run_experiment("figure5", config)
     aggregated = group_mean(rows, ["tgd_profile"], ["n_rules", "t_parse", "t_graph", "t_comp", "t_total"])
     print(format_table(aggregated, title="Figure 5 — db-independent runtime of IsChaseFinite[L] (seconds, means)"))
 

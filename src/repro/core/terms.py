@@ -113,12 +113,17 @@ def variables(names):
     return tuple(Variable(str(name)) for name in names)
 
 
+#: The empty digest state every null name copies: cheaper than a new hasher.
+_NULL_DIGEST = hashlib.blake2b(digest_size=9)
+
+
 def null_name(prefix, rendered_key):
     """Return the content-addressed null name for the key whose ``repr`` is
     *rendered_key*.  The one place a name is derived: :class:`NullFactory`
-    and the pushdown executor's ``repro_skolem`` SQL function both end here."""
-    digest = hashlib.blake2b(rendered_key.encode("utf-8"), digest_size=9).hexdigest()
-    return f"{prefix}_{digest}"
+    and the pushdown executor's per-rule mint functions both end here."""
+    digest = _NULL_DIGEST.copy()
+    digest.update(rendered_key.encode("utf-8"))
+    return f"{prefix}_{digest.hexdigest()}"
 
 
 class NullKeyRenderer:
@@ -145,6 +150,17 @@ class NullKeyRenderer:
             for opening, image in zip(self._opens, images)
         ]
         return f"{self._head}{', '.join(pairs)}{self._close}{variable!r})"
+
+    def template(self, variable: str) -> str:
+        """:meth:`render` for *variable* as a ``%``-format with one ``%s`` per
+        witness image: ``template % image_reprs`` is the key's ``repr`` when
+        *image_reprs* are the images' ``repr``s, already rendered."""
+        head, close, name, *opens = (
+            part.replace("%", "%%")
+            for part in (self._head, self._close, repr(variable), *self._opens)
+        )
+        pairs = ", ".join(f"{opening}%s)" for opening in opens)
+        return f"{head}{pairs}{close}{name})"
 
 
 class NullFactory:

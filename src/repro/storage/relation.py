@@ -25,6 +25,8 @@ NULL_MARKER = "_:"
 #: Prefix escaping constants whose own name would collide with a marker.
 ESCAPE_MARKER = "_e:"
 
+_MARKERS = (NULL_MARKER, ESCAPE_MARKER)
+
 
 def encode_term(term: GroundTerm) -> str:
     """Encode a ground term as a stored string value.
@@ -38,7 +40,7 @@ def encode_term(term: GroundTerm) -> str:
     if isinstance(term, Null):
         return f"{NULL_MARKER}{term.name}"
     name = term.name
-    if name.startswith((NULL_MARKER, ESCAPE_MARKER)):
+    if name.startswith(_MARKERS):
         return f"{ESCAPE_MARKER}{name}"
     return name
 
@@ -50,6 +52,16 @@ def decode_value(value: str) -> GroundTerm:
     if value.startswith(NULL_MARKER):
         return Null(value[len(NULL_MARKER):])
     return Constant(value)
+
+
+def value_repr(value: str) -> str:
+    """Return ``repr(decode_value(value))`` without building the term — what
+    a null key needs of a stored witness value."""
+    if value.startswith(_MARKERS):
+        if value.startswith(ESCAPE_MARKER):
+            return f"Constant({value[len(ESCAPE_MARKER):]!r})"
+        return f"Null({value[len(NULL_MARKER):]!r})"
+    return f"Constant({value!r})"
 
 
 class Relation:

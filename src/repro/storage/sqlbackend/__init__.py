@@ -14,12 +14,7 @@ exactly as they run in memory:
   issuing real ``EXISTS`` queries instead of Python row scans.
 """
 
-from .pushdown import (
-    SKOLEM_FUNCTION,
-    PushdownExecutor,
-    PushdownRule,
-    register_skolem_function,
-)
+from .pushdown import PushdownExecutor, PushdownRule
 from .shapes import SqliteShapeFinder, shape_query_sqlite
 from .store import MEMORY_PATH, SqliteAtomStore, table_name
 
@@ -27,10 +22,8 @@ __all__ = [
     "MEMORY_PATH",
     "PushdownExecutor",
     "PushdownRule",
-    "SKOLEM_FUNCTION",
     "SqliteAtomStore",
     "SqliteShapeFinder",
     "shape_query_sqlite",
-    "register_skolem_function",
     "table_name",
 ]

@@ -14,11 +14,12 @@ set-based ``INSERT ... SELECT`` batch, with
 * the restricted variant's "no satisfying head exists" check as a correlated
   ``NOT EXISTS`` over the head join, evaluated against the round-start
   snapshot exactly like the serial engine's buffered-round semantics;
-* null invention as a SQL expression — :data:`SKOLEM_FUNCTION` is a
-  deterministic UDF computing the *same* content-addressed name
-  :class:`~repro.core.terms.NullFactory` would, from the rule id and the
-  witness bindings, so results stay byte-identical to the interpreted
-  strategies.
+* null invention as a SQL expression — each existential of a rule has
+  its own deterministic function, ``pd_null_<rule>_<n>(w.k0, w.k1, ...)``,
+  with the rule's key template bound in; from the witness columns alone it
+  computes the *same* content-addressed name
+  :class:`~repro.core.terms.NullFactory` would, so results stay
+  byte-identical to the interpreted strategies.
 
 Every program, linear or not, under every variant, runs the same way: the
 batch above is a round step of :func:`repro.chase.rounds.run_rounds`, which
@@ -31,9 +32,8 @@ the functions that need them.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 
 from ...core.instances import Database
 from ...core.predicates import Predicate
@@ -41,49 +41,34 @@ from ...core.rules import CompiledAtom, CompiledRule
 from ...core.terms import NullKeyRenderer, null_name
 from ...core.tgds import TGDSet
 from ...obs.tracer import AnyTracer, as_tracer
-from ..relation import NULL_MARKER, decode_value
+from ..relation import NULL_MARKER, value_repr
 from .store import SqliteAtomStore, _quote, table_name
 
 if TYPE_CHECKING:
     from ...chase.result import ChaseLimits, ChaseResult
     from ...chase.rounds import Delta, RoundOutcome, RoundStep, RuleRow
 
-#: Name of the deterministic null-inventing SQL function registered by
-#: :func:`register_skolem_function`.
-SKOLEM_FUNCTION = "repro_skolem"
 
+def _mint_function(renderer: NullKeyRenderer, variable: str) -> Callable[..., str]:
+    """The SQL function minting *variable*'s null from a key row's witness
+    columns: the *encoded* null (``"_:" + name``) that
+    :meth:`~repro.core.terms.NullFactory.for_key` names for the key
+    ``(rule, witness, variable)``.
 
-def _sql_string(text: str) -> str:
-    """Render *text* as a SQL string literal (single quotes doubled)."""
-    return "'" + text.replace("'", "''") + "'"
-
-
-def register_skolem_function(store: SqliteAtomStore, prefix: str = "n") -> None:
-    """Register :data:`SKOLEM_FUNCTION` on *store*'s connection.
-
-    ``repro_skolem(tgd_index, names_json, variable_name, *encoded_values)``
-    returns the *encoded* null (``"_:" + name``) that
-    :meth:`~repro.core.terms.NullFactory.for_key` would mint for the key
-    ``(tgd_index, witness, variable_name)`` — where *witness* pairs the
-    JSON-encoded variable names with the decoded column values.  The key is
-    rendered and digested by the :mod:`repro.core.terms` functions the
-    factory uses, which is what makes the whole strategy exact: a witness
-    maps to the same null here and in the interpreted engines.
+    The rule index, the witness variables and *variable* are rendered into
+    the key template once, so a call renders each stored value's ``repr``
+    (:func:`~repro.storage.relation.value_repr`, no term is built) and takes
+    one digest — by the :mod:`repro.core.terms` functions the factory uses,
+    which is what makes the whole strategy exact: a witness maps to the same
+    null here and in the interpreted engines.
     """
+    template = renderer.template(variable)
 
-    renderers: Dict[Tuple[int, str], NullKeyRenderer] = {}
+    def mint(*values: str) -> str:
+        # "n" is NullFactory's default prefix, the one the engines name by.
+        return NULL_MARKER + null_name("n", template % tuple(map(value_repr, values)))
 
-    def skolem(
-        tgd_index: int, names_json: str, variable_name: str, *encoded_values: str
-    ) -> str:
-        renderer = renderers.get((tgd_index, names_json))
-        if renderer is None:
-            renderer = NullKeyRenderer(int(tgd_index), json.loads(names_json))
-            renderers[(tgd_index, names_json)] = renderer
-        rendered = renderer.render(map(decode_value, encoded_values), variable_name)
-        return NULL_MARKER + null_name(prefix, rendered)
-
-    store.connection.create_function(SKOLEM_FUNCTION, -1, skolem, deterministic=True)
+    return mint
 
 
 class PushdownRule:
@@ -108,8 +93,9 @@ class PushdownRule:
        the round-start snapshot;
     4. the statements in :attr:`head_inserts` — one
        ``INSERT OR IGNORE ... SELECT`` per head atom, with frontier columns
-       read from the key table and existentials minted by
-       :data:`SKOLEM_FUNCTION`.
+       read from the key table and each existential minted by its own
+       function over the witness columns (:meth:`head_expr`), registered on
+       the store's connection when the rule is bound.
     """
 
     def __init__(
@@ -136,7 +122,6 @@ class PushdownRule:
         # homomorphism for the oblivious chase, the frontier otherwise.
         self.witness = rule.witness("homomorphism" if variant == "oblivious" else "frontier")
         self._witness_exprs = tuple(first[slot] for slot in self.witness)
-        self._names_json = json.dumps([rule.names[slot] for slot in self.witness])
         if self.witness:
             self._key_columns: Tuple[str, ...] = tuple(
                 f"k{i}" for i in range(len(self.witness))
@@ -153,6 +138,14 @@ class PushdownRule:
         self._stage_sql_cache: Dict[int, str] = {}
 
         self._bind(store)
+        # One mint function per existential, its key template bound in: a
+        # head insert passes only the witness columns.
+        renderer = NullKeyRenderer(tgd_index, [rule.names[slot] for slot in self.witness])
+        for number, variable in enumerate(rule.existentials):
+            store.connection.create_function(
+                self._mint_name(number), len(self.witness),
+                _mint_function(renderer, variable), deterministic=True,
+            )
         self.firing_sql: Optional[str] = (
             self._compile_firing() if self.restricted else None
         )
@@ -277,17 +270,17 @@ class PushdownRule:
             f"WHERE {' AND '.join(conditions)})"
         )
 
+    def _mint_name(self, number: int) -> str:
+        """The SQL function minting the *number*-th existential's null."""
+        return f"pd_null_{self.tgd_index}_{number}"
+
     def head_expr(self, slot: int) -> str:
         """SQL expression producing a head slot's encoded value for a key row ``w``."""
         column = self._key_of.get(slot)
         if column is not None:
             return f"w.{column}"
-        witness_args = "".join(f", w.{c}" for c in self._key_of.values())
-        return (
-            f"{SKOLEM_FUNCTION}({self.tgd_index}, "
-            f"{_sql_string(self._names_json)}, {_sql_string(self.rule.existentials[~slot])}"
-            f"{witness_args})"
-        )
+        witness = ", ".join(f"w.{c}" for c in self._key_of.values())
+        return f"{self._mint_name(~slot)}({witness})"
 
     def _compile_head_insert(
         self, store: SqliteAtomStore, atom: CompiledAtom
@@ -392,7 +385,6 @@ class PushdownExecutor:
             )
         active_tracer = as_tracer(tracer)
         seed_store(store, database)
-        register_skolem_function(store)
         rules = [
             PushdownRule(index, rule, self.variant, store) for index, rule in enumerate(tgds.rules)
         ]

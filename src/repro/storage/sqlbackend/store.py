@@ -189,9 +189,9 @@ class SqliteAtomStore:
 
     @property
     def connection(self) -> sqlite3.Connection:
-        """The underlying connection, for UDF registration (``repro_skolem``)
-        and pragma tuning; statements go through :meth:`query` /
-        :meth:`bulk_apply`."""
+        """The underlying connection, for SQL function registration (the
+        pushdown rules' per-existential null mints) and pragma tuning;
+        statements go through :meth:`query` / :meth:`bulk_apply`."""
         return self._connection
 
     def _load_catalog(self) -> None:

@@ -1,7 +1,7 @@
 """Unit tests for repro.core.terms."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.core.terms import (
@@ -153,6 +153,27 @@ class TestNullKeyRendering:
     def test_any_key_renders_as_repr(self, index, pairs, variable):
         witness = tuple((Variable(name), image) for name, image in pairs)
         assert _render((index, witness, variable)) == repr((index, witness, variable))
+
+    @pytest.mark.parametrize("key, name", GOLDEN_NULL_NAMES)
+    def test_pinned_keys_fill_the_template_as_repr(self, key, name):
+        index, witness, variable = key
+        renderer = NullKeyRenderer(index, [pair[0].name for pair in witness])
+        rendered = renderer.template(variable) % tuple(repr(pair[1]) for pair in witness)
+        assert rendered == repr(key)
+        assert null_name("n", rendered) == name
+
+    @given(
+        st.integers(min_value=0, max_value=10_000),
+        st.lists(st.tuples(_NAMES, _IMAGES), max_size=4),
+        _NAMES,
+    )
+    @example(6, [("p%s", Constant("%s %% %d"))], "z%r")
+    def test_any_key_fills_the_template_as_repr(self, index, pairs, variable):
+        # The template escapes its own parts: "%" in a name stays literal.
+        witness = tuple((Variable(name), image) for name, image in pairs)
+        renderer = NullKeyRenderer(index, [name for name, _ in pairs])
+        rendered = renderer.template(variable) % tuple(repr(image) for _, image in pairs)
+        assert rendered == repr((index, witness, variable))
 
     def test_rendered_and_generic_keys_share_one_null(self):
         key, _ = GOLDEN_NULL_NAMES[2]

@@ -13,7 +13,7 @@ under ``src/`` imports this module.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from repro.core.predicates import Schema
 from repro.core.terms import Variable
@@ -68,3 +68,40 @@ def reference_support_graph(tgds: Iterable[TGD]) -> DependencyGraph:
                 for target in targets:
                     graph.link(source, target, False)
     return graph
+
+
+def kosaraju_sccs(n_nodes: int, edges: Iterable[Tuple[int, int]]) -> Set[FrozenSet[int]]:
+    """The strongly connected components of the graph on ``range(n_nodes)``,
+    by Kosaraju's two passes: an SCC oracle that shares nothing with the
+    Tarjan walk of ``repro.graph.tarjan``."""
+    forward: List[List[int]] = [[] for _ in range(n_nodes)]
+    reverse: List[List[int]] = [[] for _ in range(n_nodes)]
+    for source, target in edges:
+        forward[source].append(target)
+        reverse[target].append(source)
+    finished: List[int] = []  # pass 1: nodes by DFS finishing time
+    seen = [False] * n_nodes
+    for root in range(n_nodes):
+        stack = [] if seen[root] else [(root, iter(forward[root]))]
+        seen[root] = True
+        while stack:
+            node, successors = stack[-1]
+            fresh = next((n for n in successors if not seen[n]), None)
+            if fresh is None:
+                finished.append(stack.pop()[0])
+            else:
+                seen[fresh] = True
+                stack.append((fresh, iter(forward[fresh])))
+    components: Set[FrozenSet[int]] = set()
+    placed = [False] * n_nodes
+    for root in reversed(finished):  # pass 2: reverse reachability, latest finisher first
+        members = [] if placed[root] else [root]
+        placed[root] = True
+        for node in members:
+            for predecessor in reverse[node]:
+                if not placed[predecessor]:
+                    placed[predecessor] = True
+                    members.append(predecessor)
+        if members:
+            components.add(frozenset(members))
+    return components

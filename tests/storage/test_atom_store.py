@@ -7,7 +7,7 @@ from repro.core.predicates import Predicate
 from repro.core.terms import Constant, Null
 from repro.storage.atom_store import AtomStore
 from repro.storage.database import RelationalDatabase
-from repro.storage.relation import decode_value, encode_term
+from repro.storage.relation import decode_value, encode_term, value_repr
 from repro.storage.sqlbackend import SqliteAtomStore
 
 R = Predicate("R", 2)
@@ -37,6 +37,15 @@ class TestTermEncoding:
         for name in ("_:x", "_e:x", "_:_e:x", "_e:_:x"):
             assert decode_value(encode_term(Constant(name))) == Constant(name)
             assert decode_value(encode_term(Null(name))) == Null(name)
+
+    def test_value_repr_is_the_decoded_terms_repr(self):
+        # Null keys render stored witness values without decoding them, so
+        # the rendering must be repr(term) for every kind of stored value.
+        names = ("a", "_:x", "_e:x", "_:_e:x", "_e:_:x", "it's", 'say "hi"', "back\\slash",
+                 "new\nline", "naïve-Ω", "%s", "_", "_e")
+        for name in names:
+            for term in (Constant(name), Null(name)):
+                assert value_repr(encode_term(term)) == repr(term)
 
     def test_marker_shaped_constants_survive_the_store(self):
         store = SqliteAtomStore()

@@ -8,8 +8,9 @@ pins what those suites cannot see from the outside:
   show every relation access as an index search (the whole point of the
   strategy is set-based index joins; a silent ``SCAN`` on a relation table
   would be a performance regression, not a correctness one);
-* **skolem determinism** — the in-SQL null-inventing UDF mints exactly the
-  name :class:`~repro.core.terms.NullFactory` would for the same key;
+* **skolem determinism** — each existential's in-SQL mint function names
+  exactly the null :class:`~repro.core.terms.NullFactory` would for the
+  same key;
 * **pragma tuning** — the connection settings the strategy leans on, and
   the proof that the tuned file stores still survive a mid-chase crash and
   resume to the same fixpoint;
@@ -19,23 +20,19 @@ pins what those suites cannot see from the outside:
   and one worker, with actionable errors everywhere else.
 """
 
-import json
-
 import pytest
 
 from repro.chase.engine import chase, make_backend_store
 from repro.chase.result import ChaseLimits
 from repro.chase.rounds import seed_store
 from repro.core.parser import parse_database, parse_rules
-from repro.core.terms import Constant, NullFactory, Variable
+from repro.core.predicates import Predicate
+from repro.core.rules import compile_rule
+from repro.core.terms import Constant, Null, NullFactory, NullKeyRenderer, Variable
 from repro.exceptions import ChaseLimitExceeded
 from repro.storage.relation import NULL_MARKER, encode_term
-from repro.storage.sqlbackend import (
-    PushdownRule,
-    PushdownExecutor,
-    SqliteAtomStore,
-    register_skolem_function,
-)
+from repro.storage.sqlbackend import PushdownExecutor, PushdownRule, SqliteAtomStore
+from repro.storage.sqlbackend.pushdown import _mint_function
 
 from tests.helpers import GOLDEN_NULL_NAMES
 from tests.helpers import chase_result_fingerprint as fingerprint
@@ -103,7 +100,6 @@ class TestCompiledQueryPlans:
         tgds = parse_rules("Q(x1,x2), R(x2,x3) -> S(x1,x3,z1)\n")
         store = SqliteAtomStore()
         seed_store(store, database)
-        register_skolem_function(store)
         rule = PushdownRule(0, tgds.rules[0], "restricted", store)
         yield rule, store
         store.close()
@@ -151,69 +147,113 @@ class TestCompiledQueryPlans:
             _assert_no_relation_scan(details, "head insert")
 
 
+def _bind_mint(store, index, witness_names, variable):
+    """Bind, as rule *index*, a rule whose frontier is *witness_names* and
+    whose one existential is *variable*; return its mint's SQL name."""
+    body = [(Predicate("P", len(witness_names) + 1), (*witness_names, "unused"))]
+    head = [(Predicate("Q", len(witness_names) + 1), (*witness_names, variable))]
+    rule = PushdownRule(index, compile_rule(body, head), "semi-oblivious", store)
+    assert rule.witness == tuple(range(len(witness_names)))
+    return rule.head_expr(~0).split("(")[0]
+
+
+def _mint_in_sql(key):
+    """The encoded null the bound rule's SQL function mints for *key*."""
+    index, witness, variable = key
+    store = SqliteAtomStore()
+    function = _bind_mint(store, index, [v.name for v, _ in witness], variable)
+    placeholders = ", ".join("?" for _ in witness)
+    (value,) = store.query(
+        f"SELECT {function}({placeholders})",
+        tuple(encode_term(image) for _, image in witness),
+    )[0]
+    store.close()
+    return value
+
+
+def _mint_directly(key):
+    """The same mint as a plain Python call, no SQLite in between."""
+    index, witness, variable = key
+    mint = _mint_function(NullKeyRenderer(index, [v.name for v, _ in witness]), variable)
+    return mint(*(encode_term(image) for _, image in witness))
+
+
+#: Witness edge cases the golden keys do not pin: an empty witness, a
+#: one-element witness (repr's trailing comma), marker-shaped constants
+#: (stored escaped), a Null image, and ``%`` in every part of the key.
+EDGE_KEYS = (
+    (3, (), "z"),
+    (5, ((Variable("x"), Constant("a")),), "z"),
+    (2, ((Variable("x"), Constant("_:x")),), "z"),
+    (2, ((Variable("x"), Constant("_e:x")), (Variable("y"), Null("_:x"))), "z"),
+    (4, ((Variable("x"), Null("n_87d76f44a361da459c")),), "w"),
+    (6, ((Variable("p%s"), Constant("%s %% %d")),), "z%r"),
+)
+
+
 class TestSkolemFunction:
+    """Each existential's mint function: the null NullFactory names."""
+
     def test_udf_matches_null_factory_names(self):
         # The same (tgd_index, witness, variable) key must mint the same
-        # null whether NullFactory hashes it in Python or the UDF does in
-        # SQL over encoded column values.
-        store = SqliteAtomStore()
-        register_skolem_function(store)
+        # null whether NullFactory hashes it in Python or the rule's mint
+        # function does in SQL over encoded column values.
         witness = ((Variable("x"), Constant("a")), (Variable("y"), Constant("b")))
         expected = NullFactory().for_key((3, witness, "z1"))
-        (value,) = store.query(
-            "SELECT repro_skolem(3, '[\"x\", \"y\"]', 'z1', ?, ?)",
-            (encode_term(Constant("a")), encode_term(Constant("b"))),
-        )[0:1][0]
-        assert value == NULL_MARKER + expected.name
-        store.close()
+        assert _mint_in_sql((3, witness, "z1")) == NULL_MARKER + expected.name
 
     @pytest.mark.parametrize("key, name", GOLDEN_NULL_NAMES)
     def test_udf_mints_the_golden_names(self, key, name):
         # Quotes, backslashes, newlines, non-ASCII and Null images all pass
-        # through JSON names and encoded column values unharmed.
-        index, witness, variable = key
-        store = SqliteAtomStore()
-        register_skolem_function(store)
-        placeholders = "".join(", ?" for _ in witness)
-        value = store.query(
-            f"SELECT repro_skolem(?, ?, ?{placeholders})",
-            (index, json.dumps([v.name for v, _ in witness]), variable)
-            + tuple(encode_term(image) for _, image in witness),
-        )[0][0]
-        assert value == NULL_MARKER + name
-        store.close()
+        # through the bound key template and encoded column values unharmed.
+        assert _mint_in_sql(key) == NULL_MARKER + name
+        assert _mint_directly(key) == NULL_MARKER + name
+
+    @pytest.mark.parametrize("key", EDGE_KEYS)
+    def test_witness_edge_cases_mint_the_factory_names(self, key):
+        expected = NULL_MARKER + NullFactory().for_key(key).name
+        assert _mint_in_sql(key) == expected
+        assert _mint_directly(key) == expected
 
     def test_udf_distinguishes_rules_witnesses_and_variables(self):
-        store = SqliteAtomStore()
-        register_skolem_function(store)
-        a = encode_term(Constant("a"))
-        b = encode_term(Constant("b"))
-        base = store.query("SELECT repro_skolem(0, '[\"x\"]', 'z', ?)", (a,))[0][0]
+        def mint(index, name, variable, image):
+            return _mint_in_sql((index, ((Variable(name), Constant(image)),), variable))
+
+        base = mint(0, "x", "z", "a")
         variants = {
-            store.query("SELECT repro_skolem(1, '[\"x\"]', 'z', ?)", (a,))[0][0],
-            store.query("SELECT repro_skolem(0, '[\"x\"]', 'w', ?)", (a,))[0][0],
-            store.query("SELECT repro_skolem(0, '[\"x\"]', 'z', ?)", (b,))[0][0],
-            store.query("SELECT repro_skolem(0, '[\"y\"]', 'z', ?)", (a,))[0][0],
+            mint(1, "x", "z", "a"),
+            mint(0, "x", "w", "a"),
+            mint(0, "x", "z", "b"),
+            mint(0, "y", "z", "a"),
         }
         assert base not in variants
         assert len(variants) == 4
         # Deterministic: asking again returns the identical name.
-        again = store.query("SELECT repro_skolem(0, '[\"x\"]', 'z', ?)", (a,))[0][0]
-        assert again == base
-        store.close()
+        assert mint(0, "x", "z", "a") == base
 
     def test_null_witnesses_feed_back_into_the_hash(self):
         # Nulls invented in earlier rounds appear as encoded "_:name"
-        # column values; the UDF must decode them back to Null terms so the
+        # column values; the mint must render them as Null terms so the
         # key repr matches what the interpreted engines hash.
-        store = SqliteAtomStore()
-        register_skolem_function(store)
         inner = NullFactory().for_key((0, ((Variable("x"), Constant("a")),), "z"))
-        expected = NullFactory().for_key((1, ((Variable("y"), inner),), "w"))
-        value = store.query(
-            "SELECT repro_skolem(1, '[\"y\"]', 'w', ?)", (encode_term(inner),)
-        )[0][0]
-        assert value == NULL_MARKER + expected.name
+        key = (1, ((Variable("y"), inner),), "w")
+        expected = NullFactory().for_key(key)
+        assert _mint_in_sql(key) == NULL_MARKER + expected.name
+
+    def test_each_existential_has_its_own_mint(self):
+        # Two existentials of one rule: two functions over the same witness
+        # columns, each minting its own variable's null.
+        store = SqliteAtomStore()
+        rule = PushdownRule(
+            7, parse_rules("R(x,y) -> S(y,z,w)\n").rules[0], "semi-oblivious", store
+        )
+        witness = ((Variable("y"), Constant("b")),)
+        for slot, variable in ((~0, "z"), (~1, "w")):
+            expected = NullFactory().for_key((7, witness, variable))
+            (value,) = store.query(
+                f"SELECT {rule.head_expr(slot).replace('w.k0', '?')}", ("b",)
+            )[0]
+            assert value == NULL_MARKER + expected.name
         store.close()
 
 

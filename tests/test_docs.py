@@ -1,6 +1,6 @@
 """The documentation suite stays truthful.
 
-Four guards:
+Five guards:
 
 * **help snapshots** — ``docs/cli.md`` embeds the exact ``--help`` output
   of the top-level parser and every subcommand between
@@ -11,6 +11,9 @@ Four guards:
   ARCHITECTURE.md, ROADMAP.md, and docs/ must point at a file that exists;
 * **cited documents** — every ``*.md`` file a source file under ``src/``
   names must exist in the repository;
+* **declared test imports** — every module a file under ``tests/`` or
+  ``bench/tests`` imports is in the standard library, in this repository,
+  or in pyproject's ``test`` extra;
 * **retired estate** — ``benchmarks/``, its artifacts and environment knobs,
   and the ``sql`` strategy are gone from the tree and from the documentation;
   so are the ``thread`` executor, the SQLite connection lock and its lint
@@ -33,6 +36,7 @@ import inspect
 import os
 import pkgutil
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -140,6 +144,51 @@ class TestCitedDocuments:
             if not (REPO / name).exists()
         ]
         assert not missing, missing
+
+
+#: Top-level packages of this repository a test may import.
+IN_REPO_PACKAGES = {"repro", "bench", "tools", "tests"}
+
+
+def _declared_test_modules():
+    """The import names of pyproject's ``test`` extra (``pytest-cov`` -> ``pytest_cov``)."""
+    pyproject = (REPO / "pyproject.toml").read_text(encoding="utf-8")
+    extra = re.search(r"^test = \[(.*?)\]", pyproject, re.MULTILINE | re.DOTALL)
+    assert extra, "pyproject.toml declares no `test` extra"
+    return {
+        re.split(r"[<>=!~;\[ ]", name, maxsplit=1)[0].replace("-", "_").lower()
+        for name in re.findall(r'"([^"]+)"', extra.group(1))
+    }
+
+
+def _imported_modules(path):
+    """The top-level module of every absolute import in *path*, function
+    bodies included."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level and node.module:
+            yield node.module.split(".")[0]
+
+
+class TestDeclaredTestImports:
+    """A test imports only what CI installs: the standard library, this
+    repository, and pyproject's ``test`` extra."""
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "stdlib_module_names"),
+        reason="sys.stdlib_module_names is new in Python 3.10",
+    )
+    def test_every_test_import_is_declared(self):
+        allowed = set(sys.stdlib_module_names) | IN_REPO_PACKAGES | _declared_test_modules()
+        undeclared = sorted(
+            f"{path.relative_to(REPO)}: {module}"
+            for root in ("tests", "bench/tests")
+            for path in (REPO / root).rglob("*.py")
+            for module in _imported_modules(path)
+            if module not in allowed
+        )
+        assert not undeclared, undeclared
 
 
 def _text_files(*roots):
@@ -390,6 +439,7 @@ class TestRetiredEstate:
         "shapes_of_schema", "simplifications_of_tgd", "static_simplification_size",
         "row_matches_shape", "drop_relation", "adversarial_workloads",
         "AdversarialWorkload", "simple_linear_workloads", "canonical_atom",
+        "SKOLEM_FUNCTION", "register_skolem_function", "repro_skolem",
     )
 
     def test_one_verdict_path_per_algorithm(self):

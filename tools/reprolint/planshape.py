@@ -93,7 +93,7 @@ def _program_cases() -> Iterable[PlanCase]:
     _bootstrap_src()
     from repro.chase.rounds import seed_store
     from repro.core.parser import parse_database, parse_rules
-    from repro.storage.sqlbackend.pushdown import PushdownRule, register_skolem_function
+    from repro.storage.sqlbackend.pushdown import PushdownRule
     from repro.storage.sqlbackend.store import SqliteAtomStore
 
     delta_params = {"delta_start": 0, "round_start": 10}
@@ -104,7 +104,6 @@ def _program_cases() -> Iterable[PlanCase]:
         """stage / record / filter / head-insert for each rule of a program."""
         store = SqliteAtomStore()
         seed_store(store, parse_database(facts))
-        register_skolem_function(store)
         for index, compiled in enumerate(parse_rules(rules_text).rules):
             rule = PushdownRule(index, compiled, variant, store)
             label = f"{tag}[rule {index}, {variant}]"
