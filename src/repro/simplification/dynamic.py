@@ -20,9 +20,15 @@ Section 5.4:
 * at each iteration only the *new* shapes (``ΔS``) are processed — because the
   TGDs are linear, a TGD applicable on an old shape was already applied in a
   previous iteration;
-* a rule that transfers puts its edges straight into ``dg(simple_D(Σ))``, so
+* each (rule, shape) pair is decided on integers (:meth:`~.plans.TransferPlan.core`):
+  a rule that transfers puts its edges straight into ``dg(simple_D(Σ))``, so
   ``BuildDepGraph`` is not a second pass and the simplified TGDs need not
-  exist as objects unless a caller asks for them.
+  exist as objects unless a caller asks for them;
+* two rules can simplify to one rule only when they share the body predicate
+  and the sequence of head predicate names; only those rules' pairs are
+  deduplicated on the simplified rule's names (the first wins), and every
+  other pair is keyed by its rule's index in ``TGDSet.rules`` and the body
+  shape, which a resumed fixpoint recompiles to the same key.
 """
 
 from __future__ import annotations
@@ -46,9 +52,10 @@ class _Fixpoint:
     def __init__(self, previous: Optional["_Fixpoint"] = None):
         #: Every derived shape.
         self.shapes: Dict[ShapeKey, Shape] = dict(previous.shapes) if previous else {}
-        #: ``simple_D(Σ)`` in derivation order: each rule's syntax (shapes and
-        #: terms — two TGDs can simplify to one rule, the first wins) to its
-        #: (plan, body identifiers).
+        #: ``simple_D(Σ)`` in derivation order, each rule's key to its (plan,
+        #: body identifiers).  A shared plan's key is the simplified rule's
+        #: syntax (two TGDs can simplify to one rule, the first wins); any
+        #: other plan's is ``(rule index, body identifiers)``.
         self.rules: Dict[object, Tuple[TransferPlan, Identifiers]] = (
             dict(previous.rules) if previous else {}
         )
@@ -79,19 +86,21 @@ class _Fixpoint:
             for key in delta:
                 name, identifiers = key
                 for plan in plans.get((name, len(identifiers)), ()):
-                    transferred = plan.transfer(identifiers)
-                    if transferred is None:
+                    core = plan.core(identifiers)
+                    if core is None:
                         continue
-                    body_terms, heads, normal, special = transferred
-                    syntax = (key, body_terms, heads)
-                    if syntax in rules:
+                    # Only a shared plan can meet another rule's simplification.
+                    rule: object = (plan.index, identifiers)
+                    if plan.shared:
+                        rule = plan.syntax(identifiers, core)
+                    if rule in rules:
                         continue
-                    rules[syntax] = (plan, identifiers)
+                    rules[rule] = (plan, identifiers)
+                    _images, heads, normal, special = core
                     head_nodes = []
-                    for head_name, head_identifiers, _terms in heads:
-                        head_key = (head_name, head_identifiers)
+                    for head_key in heads:
                         if head_key not in shapes:
-                            shapes[head_key] = Shape(head_name, head_identifiers)
+                            shapes[head_key] = Shape(*head_key)
                             produced.append(head_key)
                         head_nodes.append(self._nodes_of(head_key))
                     body_nodes = self._nodes_of(key)
@@ -183,6 +192,8 @@ def resume_dynamic_simplification(
     at the previous view and continuing from the previous fixpoint — the
     result (rules, shapes and dependency graph) is identical to a
     from-scratch run on the larger view.  *previous* is left untouched.
+    *tgds* must be the rule set *previous* was computed for: recorded rules
+    are keyed by their position in it.
 
     The returned result's :attr:`~DynamicSimplificationResult.tgds` preserves
     the derivation order of *previous* followed by the newly derived rules:

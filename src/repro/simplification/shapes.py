@@ -117,7 +117,7 @@ class Shape:
         The reduced arity is the number of *distinct* identifiers, because the
         simplification of an atom keeps only the first occurrence of each term.
         """
-        suffix = "_".join(str(i) for i in self.identifiers)
+        suffix = "_".join(map(str, self.identifiers))
         return Predicate(f"{self.predicate_name}__{suffix}", self.distinct_terms)
 
     def equal_position_pairs(self) -> Set[Tuple[int, int]]:

@@ -31,9 +31,10 @@ from ..simplification.dynamic import (
     resume_dynamic_simplification,
 )
 from ..simplification.shapes import resolve_shapes
-from .report import TerminationReport, TimingBreakdown
+from .report import TerminationReport, TimingBreakdown, collector_paused
 
 
+@collector_paused
 def is_chase_finite_l(
     shape_source,
     tgds: Union[TGDSet, str],

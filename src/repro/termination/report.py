@@ -13,19 +13,49 @@ parameters:
 
 :class:`TimingBreakdown` carries those parameters (in seconds), times the
 checkers' phases into them (:meth:`TimingBreakdown.measure`), and the report
-classes attach them to the boolean answer.
+classes attach them to the boolean answer.  :func:`collector_paused` is the
+one place that pauses Python's cyclic garbage collector around a check.
 """
 
 from __future__ import annotations
 
+import functools
+import gc
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, Optional, TypeVar
 
 from ..obs.clock import perf_counter_s
 
 if TYPE_CHECKING:
     from ..simplification.dynamic import DynamicSimplificationResult
+
+_Check = TypeVar("_Check", bound=Callable[..., object])
+
+
+def collector_paused(check: _Check) -> _Check:
+    """Run *check* with the cyclic garbage collector paused, around all its phases.
+
+    A check allocates hundreds of thousands of containers (shapes, rules,
+    graph dictionaries) that live until it returns, so the collector's passes
+    keep walking them and find nothing: a check makes no garbage cycle, and
+    reference counting frees everything it leaves.  The collector is
+    switched back on when the check returns or raises, unless the caller had
+    switched it off.  The switch is process-wide: checks on several threads
+    leave it as the first of them found it.
+    """
+
+    @functools.wraps(check)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return check(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused  # type: ignore[return-value]
 
 
 @dataclass

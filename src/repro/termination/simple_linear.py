@@ -25,9 +25,10 @@ from ..core.tgds import TGDSet
 from ..graph.dependency_graph import _build, _link_empty_frontier
 from ..graph.reachability import supports
 from ..graph.tarjan import find_special_sccs
-from .report import TerminationReport, TimingBreakdown
+from .report import TerminationReport, TimingBreakdown, collector_paused
 
 
+@collector_paused
 def is_chase_finite_sl(
     database: Database,
     tgds: Union[TGDSet, str],

@@ -107,8 +107,8 @@ class TestAblations:
             assert row["size_ratio"] >= 1.0
             assert row["static_size"] <= row["static_size_bound"]
 
-    def test_materialization_vs_acyclicity(self):
-        rows = run_experiment("materialization_vs_acyclicity", SMOKE)
+    def test_materialization_vs_acyclicity(self, materialization_rows):
+        rows = materialization_rows
         assert [row["rule_set"] for row in rows] == list(range(RULE_SETS))
         for row in rows:
             assert row["ablation"] == "materialization_vs_acyclicity"

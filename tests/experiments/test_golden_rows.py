@@ -7,9 +7,12 @@ same values.  Every ``t_*`` column is a wall-clock measurement, or derived
 from one (``materialization_vs_acyclicity``'s ``t_slowdown`` is a ratio of two
 timings), and is dropped before comparing.
 
+``materialization_vs_acyclicity``'s rows come from the test run's
+``materialization_rows`` fixture, which ``TestAblations`` reads too.
+
 Regenerate the fixture (only when a change is *meant* to alter the rows)::
 
-    PYTHONPATH=src python tests/experiments/test_golden_rows.py --regenerate
+    PYTHONPATH=src python -m tests.experiments.test_golden_rows --regenerate
 """
 
 from __future__ import annotations
@@ -20,11 +23,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import FIGURES, SMOKE, run_experiment
+from repro.experiments import FIGURES, run_experiment
+from tests.helpers import GOLDEN_CONFIG as CONFIG
 
 FIXTURE = Path(__file__).with_name("golden_rows.json")
 
-CONFIG = SMOKE.scaled(scenarios=("LUBM-1", "Deep-100", "STB-128"), scenario_scale=0.02)
 PINNED = sorted(FIGURES)
 
 
@@ -56,13 +59,17 @@ def test_fixture_covers_every_figure_and_table(golden):
 
 
 @pytest.mark.parametrize("experiment", PINNED)
-def test_rows_match_golden(golden, experiment):
-    assert _ordered(_measure(experiment)) == _ordered(golden[experiment])
+def test_rows_match_golden(golden, experiment, request):
+    if experiment == "materialization_vs_acyclicity":
+        rows = _untimed(request.getfixturevalue("materialization_rows"))
+    else:
+        rows = _measure(experiment)
+    assert _ordered(rows) == _ordered(golden[experiment])
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--regenerate"]:
-        sys.exit("usage: test_golden_rows.py --regenerate")
+        sys.exit("usage: python -m tests.experiments.test_golden_rows --regenerate")
     FIXTURE.write_text(
         json.dumps({name: _measure(name) for name in PINNED}, indent=1) + "\n",
         encoding="utf-8",

@@ -20,6 +20,11 @@ from repro.core.instances import Database
 from repro.core.predicates import Predicate
 from repro.core.terms import Constant, Null, Variable
 from repro.core.tgds import TGD, TGDSet
+from repro.experiments import SMOKE
+
+#: The configuration ``tests/experiments/test_golden_rows.py`` pins every
+#: experiment's rows at: ``SMOKE``, with Tables 1 and 2 on three small scenarios.
+GOLDEN_CONFIG = SMOKE.scaled(scenarios=("LUBM-1", "Deep-100", "STB-128"), scenario_scale=0.02)
 
 #: Small, fixed vocabulary keeps the search space dense with interesting cases.
 PREDICATE_POOL = [Predicate("P", 1), Predicate("Q", 2), Predicate("R", 2), Predicate("S", 3)]

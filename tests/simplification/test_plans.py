@@ -3,8 +3,9 @@
 from repro.core.parser import parse_rules, parse_tgd
 from repro.core.tgds import TGD
 from repro.graph import build_dependency_graph
-from repro.simplification import Shape, dynamic_simplification
+from repro.simplification import Shape, dynamic_simplification, resume_dynamic_simplification
 from repro.simplification.plans import TransferPlan, plans_by_body
+from tests.simplification import reference
 
 x, y, z = "x", "y", "z"  # transfer maps variable names
 
@@ -97,3 +98,49 @@ class TestResultBuiltFromPlans:
         assert result.rule_count == 1
         (rule,) = result.tgds
         assert rule.label == "r1"
+
+
+class TestCollisionGroups:
+    """Two rules can simplify to one rule only when they share the body
+    predicate and the sequence of head predicate names; only such rules are
+    told apart by names, every other pair by (rule index, body shape)."""
+
+    COLLIDING = "R(x,y) -> S(x)\nR(x,x) -> S(x)"
+
+    def test_rules_sharing_body_and_head_predicates_are_marked_shared(self):
+        rules = parse_rules(self.COLLIDING + "\nR(x,y) -> T(x)\nR(x,y) -> S(x), T(y)")
+        plans = plans_by_body(rules.rules)[("R", 2)]
+        assert [(plan.index, plan.shared) for plan in plans] == [
+            (0, True), (1, True), (2, False), (3, False)
+        ]
+
+    def test_two_rules_that_collide_give_one_rule_with_the_first_label(self):
+        rules = parse_rules(self.COLLIDING)
+        shapes = {Shape("R", (1, 1))}
+        result = dynamic_simplification(shapes, rules)
+        assert result.rule_count == 1
+        (rule,) = result.tgds
+        assert (repr(rule), rule.label) == ("R__1_1(?x) -> S__1(?x)", "r1")
+        interpreted = reference.dynamic_simplification(shapes, rules)
+        assert {(r, r.label) for r in result.tgds} == {(r, r.label) for r in interpreted.tgds}
+        assert result.derived_shapes == interpreted.derived_shapes
+        assert _signature(result.dependency_graph()) == _signature(
+            build_dependency_graph(interpreted.tgds)
+        )
+
+    def test_resuming_onto_the_collision_equals_a_run_from_scratch(self):
+        rules = parse_rules(self.COLLIDING)
+        before, after = {Shape("R", (1, 2))}, {Shape("R", (1, 2)), Shape("R", (1, 1))}
+        previous = dynamic_simplification(before, rules)
+        assert previous.rule_count == 1
+        resumed = resume_dynamic_simplification(previous, after, rules)
+        scratch = dynamic_simplification(after, rules)
+        assert resumed.rule_count == scratch.rule_count == 2
+        assert {(r, r.label) for r in resumed.tgds} == {(r, r.label) for r in scratch.tgds}
+        assert resumed.derived_shapes == scratch.derived_shapes
+        assert _signature(resumed.dependency_graph()) == _signature(scratch.dependency_graph())
+        assert previous.rule_count == 1  # left untouched
+
+
+def _signature(graph):
+    return graph.nodes(), tuple(graph.edges()), graph.edge_count(), graph.special_edge_count()

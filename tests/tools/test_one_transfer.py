@@ -1,7 +1,8 @@
 """Structural guard: Algorithm 2's transfer exists once, and stays compiled.
 
 ``repro.simplification.plans`` is the only implementation of "which
-simplified rule does this (rule, shape) pair yield" under ``src/repro/``;
+simplified rule does this (rule, shape) pair yield" under ``src/repro/``
+(``TransferPlan.core``, on integers; everything that needs names adds them on top);
 the per-pair interpreter it replaced is test code now
 (``tests/simplification/reference.py``).  What made the interpreter slow must
 not creep back onto the checker path: canonical atoms built per pair, shapes
@@ -71,3 +72,29 @@ def test_the_checkers_take_the_graph_from_the_fixpoint():
     for name in ("termination/linear.py", "termination/incremental.py"):
         source = sources[name]
         assert "build_dependency_graph" not in source and ".tgds)" not in source, name
+
+
+def test_the_int_core_is_the_one_transfer():
+    sources = _sources()
+    plans = sources["simplification/plans.py"]
+    # One (rule, shape) step, on integers; transfer, simplify and the
+    # fixpoint's name-level key all add names on top of it.
+    assert plans.count("def core(") == 1 and plans.count("self.core(") == 1
+    assert "core = self.core(identifiers)" in plans.split("def transfer(")[1]
+    assert "self.transfer(identifiers)" in plans.split("def simplify(")[1]
+    assert "self.simplify(" not in plans
+    assert "plan.simplify(identifiers)" in sources["simplification/static.py"]
+    for name in CHECKER_PATH:
+        if name != "simplification/plans.py":
+            assert "def core(" not in sources[name] and "place_of" not in sources[name], name
+
+
+def test_the_fixpoint_decides_on_integers_and_names_only_shared_rules():
+    dynamic = _sources()["simplification/dynamic.py"]
+    run = dynamic.split("    def run(")[1].split("\nclass ")[0]
+    assert "plan.core(identifiers)" in run
+    assert ".transfer(" not in dynamic
+    # Names are built only for a plan another rule can collide with, and
+    # every other pair is keyed by its rule index, not the plan object.
+    assert "= (plan.index, identifiers)" in run and run.count("plan.syntax(") == 1
+    assert re.search(r"if plan\.shared:\s+rule = plan\.syntax\(identifiers, core\)", run)
